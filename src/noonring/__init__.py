@@ -11,8 +11,8 @@ lattice, and a robustness module quantifies detuning errors and their
 pulsed mitigation.
 """
 
-from .dynamics import EvolutionPlan, MeasurementRecord, evolve, evolve_for, measure_distribution, project
-from .fock import FockBasis, QuantumState, enumerate_basis, hop_matrix, number_expectation, number_matrix
+from .dynamics import MeasurementRecord, evolve, measure_distribution, project
+from .fock import FockBasis, QuantumState, enumerate_basis, hop_matrix, number_matrix
 from .lattice import (
     IntegrabilityRoot,
     LatticeDerived,
@@ -79,7 +79,7 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandAssignment", "BandsUnresolvedError", "DerivedScales", "EvolutionPlan",
+    "BandAssignment", "BandsUnresolvedError", "DerivedScales",
     "FockBasis", "HermitianOperator", "IntegrabilityRoot", "LatticeDerived",
     "MeasurementRecord", "ModelParameters", "ProtocolConfig", "ProtocolReport",
     "QuadratureError", "QuantumState", "ReadoutResult", "RobustnessConfig",
@@ -89,10 +89,10 @@ __all__ = [
     "build_full_hamiltonian", "calibrate_moment", "compare_effective",
     "derive", "derived_scales", "detuning_operator", "diagonal_band_energy",
     "dipolar_coupling", "effective_deficits", "enumerate_basis", "evolve",
-    "evolve_for", "fidelity", "field_strengths", "fit_readout_amplitudes",
+    "fidelity", "field_strengths", "fit_readout_amplitudes",
     "frobenius_commutator", "hop_matrix", "ideal_protocol1_output",
     "ideal_protocol2_output", "ideal_uber_noon", "measure_distribution",
-    "model_parameters_from_lattice", "number_expectation", "number_matrix",
+    "model_parameters_from_lattice", "number_matrix",
     "offsite_coupling", "onsite_coupling", "predicted_band_sizes",
     "project", "protocol_config", "pulsed_propagator", "recoil_energy",
     "run_protocol1", "run_protocol2", "run_readout", "run_robustness",

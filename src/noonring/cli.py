@@ -12,10 +12,13 @@ Experiment kinds
 Each run writes one delimited table (csv/tsv; header row plus a unit
 comment) and a JSON manifest echoing the fully resolved configuration
 and derived scales.  Identical inputs produce byte-identical tables;
-the manifest carries the only timestamp.  Config files are INI-style
-with sections [experiment], [model], [protocol], [spectrum], [evolve],
-[robustness], [lattice]; unknown sections or keys are hard errors.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+the manifest carries the only timestamp.
+
+Config files are INI-style; `SCHEMA` gives every section and key its type,
+default and allowed values.  Values are layered defaults < preset < config
+file < flags, and each is parsed and checked before any computation.
+Exit codes: 0 success, 1 invalid input (the message names the key),
+2 numerical failure, including a non-finite table cell (no table written).
 """
 
 from __future__ import annotations
@@ -26,22 +29,21 @@ import json
 import math
 import sys
 from configparser import ConfigParser
-from dataclasses import dataclass, field
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import evolve_for
+from .dynamics import evolve
 from .fock import QuantumState, enumerate_basis
 from .lattice import (
-    DY_MOMENT_CALIBRATED,
     QuadratureError,
     TrapParameters,
     derive,
-    integrability_residual,
     model_parameters_from_lattice,
-    recoil_energy,
     solve_integrability,
 )
 from .model import build_effective_hamiltonian_charges, build_full_hamiltonian
@@ -60,136 +62,157 @@ from .spectrum import BandsUnresolvedError, assign_bands, sweep_spectrum
 
 UNIT_NOTE = "# units: couplings and fields are angular frequencies (X/hbar, rad/s); times in s"
 
-KINDS = ("protocol1", "protocol2", "readout", "spectrum", "evolve", "physical", "robustness")
-
 PRESETS = {
     "set1": {"m": 4, "p": 11, "u": 75.876, "j": 24.886, "mu": 20.870, "nu": 20.870},
     "set2": {"m": 4, "p": 11, "u": 76.519, "j": 73.219, "mu": 15.168, "nu": 15.168},
 }
 
-_SCHEMA = {
-    "experiment": {"kind", "preset", "out", "format", "seed", "grid"},
-    "model": {"m", "p", "u", "j", "mu", "nu", "u0", "t_m_override"},
-    "protocol": {"p_theta_max", "mode", "readout_protocol"},
-    "spectrum": {"n_total", "u_over_j_min", "u_over_j_max", "points", "mu_over_j"},
-    "evolve": {"t_max", "points"},
-    "robustness": {"xi_over_j_max", "points", "n_dt", "mode", "source",
-                   "protocol", "start_sign"},
-    "lattice": {"scattering_length_a0", "magnetic_moment_mub", "kappa_sq",
-                "dx", "dy", "omega_min_khz", "omega_max_khz", "points", "j"},
+_DELIMITERS = {"csv": ",", "tsv": "\t"}
+
+POSITIVE = "> 0"
+
+
+class Key(NamedTuple):
+    """A config key: its type, its default (None: from the preset, or derived
+    by the experiment) and its allowed values: a tuple of choices, POSITIVE,
+    or None for any.  Floats must also be finite."""
+
+    type: type
+    default: object = None
+    allowed: tuple | str | None = None
+
+
+# Defaults that the library dataclasses define are taken from them.
+_LIB = {f.name: f.default for cls in (TrapParameters, RobustnessConfig) for f in fields(cls)}
+
+SCHEMA: dict[str, dict[str, Key]] = {
+    "experiment": {
+        "kind": Key(str),              # one of KINDS; a subcommand overrides it
+        "preset": Key(str, "set1", tuple(PRESETS)),
+        "out": Key(Path, Path("results")),
+        "format": Key(str, "csv", tuple(_DELIMITERS)),
+        "grid": Key(int, 64, POSITIVE),
+    },
+    "model": {                         # m, p, u, j, mu, nu default to the preset
+        "m": Key(int), "p": Key(int), "u": Key(float), "j": Key(float, None, POSITIVE),
+        "mu": Key(float), "nu": Key(float), "u0": Key(float, 0.0),
+        "t_m_override": Key(float),    # None: t_m from the derived scales
+    },
+    "protocol": {
+        "p_theta_max": Key(float, math.pi),
+        "mode": Key(str, "full"),
+        "readout_protocol": Key(int, 1, (1, 2)),
+    },
+    "spectrum": {
+        "n_total": Key(int),           # None: M + P
+        "u_over_j_min": Key(float, 0.0),
+        "u_over_j_max": Key(float, 25.0),
+        "points": Key(int, 40, POSITIVE),
+        "mu_over_j": Key(float, 0.0),
+    },
+    "evolve": {
+        "t_max": Key(float),           # None: t_m
+        "points": Key(int, 160, POSITIVE),
+    },
+    "robustness": {
+        "xi_over_j_max": Key(float, 0.02),
+        "points": Key(int, 20, POSITIVE),
+        "n_dt": Key(int, _LIB["n_dt"], POSITIVE),
+        "mode": Key(str, _LIB["mode"]),
+        "source": Key(str, _LIB["source"]),
+        "protocol": Key(int, _LIB["protocol"]),
+        "start_sign": Key(int, _LIB["start_sign"]),
+    },
+    "lattice": {
+        "scattering_length_a0": Key(float, _LIB["scattering_length_a0"]),
+        "magnetic_moment_mub": Key(float, _LIB["magnetic_moment_mub"], POSITIVE),
+        "kappa_sq": Key(float, _LIB["kappa_sq"]),
+        "dx": Key(float, 0.2e-6),
+        "dy": Key(float, -0.2e-6),
+        "omega_min_khz": Key(float, 20.0, POSITIVE),
+        "omega_max_khz": Key(float, 60.0, POSITIVE),
+        "points": Key(int, 40, POSITIVE),
+        "j": Key(float, None, POSITIVE),  # None: [model] j
+    },
 }
 
+def _parse(section: str, key: str, raw, where: str | None = None):
+    """`raw` converted to the key's type and checked against its range."""
+    spec = SCHEMA[section][key]
+    where = where or f"[{section}] {key}"
+    try:
+        value = spec.type(raw)
+    except ValueError:
+        raise ValueError(f"{where}: cannot parse {raw!r} as {spec.type.__name__}") from None
+    if spec.type is float and not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {raw!r}")
+    if spec.allowed == POSITIVE and not value > 0:
+        raise ValueError(f"{where} must be {POSITIVE}, got {value!r}")
+    if isinstance(spec.allowed, tuple) and value not in spec.allowed:
+        raise ValueError(f"{where}: unknown {key} {value!r}; known: {list(spec.allowed)}")
+    return value
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved run configuration (manifest mirrors this)."""
 
-    kind: str
-    preset: str
-    m: int
-    p: int
-    u: float
-    j: float
-    mu: float
-    nu: float
-    u0: float = 0.0
-    t_m_override: float | None = None
-    grid: int = 64
-    fmt: str = "csv"
-    out: Path = Path("results")
-    seed: int = 0
-    p_theta_max: float = math.pi
-    mode: str = "full"
-    readout_protocol: int = 1
-    spectrum: dict = field(default_factory=dict)
-    evolve: dict = field(default_factory=dict)
-    robustness: dict = field(default_factory=dict)
-    lattice: dict = field(default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """Resolved configuration: a namespace of checked values per schema section
+    (`cfg.model.j`), plus `label`, the preset name ("+custom" if [model] is set)."""
+
+    @property
+    def kind(self) -> str:
+        return self.experiment.kind
 
     def base_protocol(self, p_theta: float = 0.0) -> ProtocolConfig:
+        m = self.model
         return protocol_config(
-            self.m, self.p, u=self.u, j=self.j, mu=self.mu, nu=self.nu,
-            p_theta=p_theta, u0=self.u0, t_m_override=self.t_m_override,
+            m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
+            p_theta=p_theta, u0=m.u0, t_m_override=m.t_m_override,
         )
 
 
-def _read_config_file(path: Path) -> dict[str, dict[str, str]]:
+def _read_config_file(path: Path) -> dict[str, dict[str, object]]:
+    """Typed, checked values of every key the file sets."""
     parser = ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    data: dict[str, dict[str, str]] = {}
+    data = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SCHEMA:
             raise ValueError(
-                f"unknown config section [{section}]; known: {sorted(_SCHEMA)}")
+                f"unknown config section [{section}]; known: {sorted(SCHEMA)}")
         keys = dict(parser.items(section))
-        unknown = set(keys) - _SCHEMA[section]
+        unknown = set(keys) - set(SCHEMA[section])
         if unknown:
             raise ValueError(
                 f"unknown keys in [{section}]: {sorted(unknown)}; "
-                f"known: {sorted(_SCHEMA[section])}")
-        data[section] = keys
+                f"known: {sorted(SCHEMA[section])}")
+        data[section] = {key: _parse(section, key, raw) for key, raw in keys.items()}
     return data
 
 
-def _as_float(section: dict, key: str, default: float) -> float:
-    return float(section[key]) if key in section else default
-
-
-def _as_int(section: dict, key: str, default: int) -> int:
-    return int(section[key]) if key in section else default
-
-
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Layer defaults < preset < config file < command-line flags."""
-    file_data = _read_config_file(Path(args.config)) if args.config else {}
-    experiment = file_data.get("experiment", {})
-
+    """Layer schema defaults < preset < config file < command-line flags."""
+    given = _read_config_file(Path(args.config)) if args.config else {}
+    experiment = given.setdefault("experiment", {})
     kind = getattr(args, "kind", None) or experiment.get("kind")
     if kind is None:
         raise ValueError("no experiment kind given (subcommand or [experiment] kind)")
     if kind not in KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}; known: {list(KINDS)}")
-
-    preset = args.preset or experiment.get("preset") or "set1"
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-    model = dict(PRESETS[preset])
-    model_file = file_data.get("model", {})
-    custom = bool(model_file)
-    for key in ("m", "p"):
-        if key in model_file:
-            model[key] = int(model_file[key])
-    for key in ("u", "j", "mu", "nu"):
-        if key in model_file:
-            model[key] = float(model_file[key])
-
-    protocol = file_data.get("protocol", {})
-    fmt = args.format or experiment.get("format") or "csv"
-    if fmt not in ("csv", "tsv"):
-        raise ValueError(f"format must be 'csv' or 'tsv', got {fmt!r}")
-    t_m_override = model_file.get("t_m_override")
+        raise ValueError(f"[experiment] kind: unknown experiment kind {kind!r}; known: {list(KINDS)}")
+    for flag in ("preset", "grid", "out", "format"):
+        if getattr(args, flag) is not None:
+            experiment[flag] = _parse("experiment", flag, getattr(args, flag), f"--{flag}")
+    experiment["kind"] = kind
+    preset = experiment.get("preset", SCHEMA["experiment"]["preset"].default)
+    custom = bool(given.get("model"))
+    given["model"] = {**PRESETS[preset], **given.get("model", {})}
     return ExperimentConfig(
-        kind=kind,
-        preset=preset if not custom else f"{preset}+custom",
-        m=model["m"], p=model["p"],
-        u=model["u"], j=model["j"], mu=model["mu"], nu=model["nu"],
-        u0=_as_float(model_file, "u0", 0.0),
-        t_m_override=float(t_m_override) if t_m_override else None,
-        grid=args.grid or _as_int(experiment, "grid", 64),
-        fmt=fmt,
-        out=Path(args.out or experiment.get("out") or "results"),
-        seed=_as_int(experiment, "seed", 0),
-        p_theta_max=_as_float(protocol, "p_theta_max", math.pi),
-        mode=protocol.get("mode", "full"),
-        readout_protocol=_as_int(protocol, "readout_protocol", 1),
-        spectrum=file_data.get("spectrum", {}),
-        evolve=file_data.get("evolve", {}),
-        robustness=file_data.get("robustness", {}),
-        lattice=file_data.get("lattice", {}),
+        label=f"{preset}+custom" if custom else preset,
+        **{section: SimpleNamespace(**{
+            key: given.get(section, {}).get(key, spec.default) for key, spec in keys.items()})
+           for section, keys in SCHEMA.items()},
     )
 
 
@@ -203,10 +226,9 @@ def _fmt(value) -> str:
 
 
 def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
-    delimiter = "," if fmt == "csv" else "\t"
     with open(path, "w", newline="") as fh:
         fh.write(UNIT_NOTE + "\n")
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, delimiter=_DELIMITERS[fmt], lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
@@ -219,21 +241,16 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 
 def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
-    payload = {
+    return {
         "kind": cfg.kind,
-        "preset": cfg.preset,
-        "model": {"m": cfg.m, "p": cfg.p, "u": cfg.u, "j": cfg.j,
-                  "mu": cfg.mu, "nu": cfg.nu, "u0": cfg.u0,
-                  "t_m_override": cfg.t_m_override},
-        "grid": cfg.grid,
-        "format": cfg.fmt,
-        "seed": cfg.seed,
-        "seed_note": "reserved; all current experiments are deterministic",
+        "preset": cfg.label,
+        "model": vars(cfg.model),
+        "grid": cfg.experiment.grid,
+        "format": cfg.experiment.format,
         "units": "couplings/fields: rad/s (X/hbar); times: s",
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        **extras,
     }
-    payload.update(extras)
-    return payload
 
 
 def _derived_block(pc: ProtocolConfig) -> dict:
@@ -246,76 +263,80 @@ def _derived_block(pc: ProtocolConfig) -> dict:
     }
 
 
+def _check_finite(kind: str, header: list[str], rows: list[tuple]) -> None:
+    """Raise ArithmeticError at the first NaN or infinite float cell."""
+    for i, row in enumerate(rows):
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(
+                    f"{kind} table row {i}: {name} = {value}; no table written")
+
+
 # --- experiments ------------------------------------------------------------
 
 
 def _p_theta_grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.p_theta_max, cfg.grid)
+    return np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid)
+
+
+def _protocol_extras(cfg: ExperimentConfig) -> dict:
+    pc_max = cfg.base_protocol(cfg.protocol.p_theta_max)
+    return {"derived": _derived_block(pc_max), "mode": cfg.protocol.mode}
 
 
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    basis = enumerate_basis(cfg.m + cfg.p)
+    m, mode = cfg.model, cfg.protocol.mode
+    basis = enumerate_basis(m.m + m.p)
     rows = []
     for p_theta in _p_theta_grid(cfg):
         pc = cfg.base_protocol(p_theta)
-        for report in run_protocol1(pc, basis, mode=cfg.mode):
+        for report in run_protocol1(pc, basis, mode=mode):
             rows.append((
-                cfg.preset, cfg.m, cfg.p, float(p_theta),
+                cfg.label, m.m, m.p, float(p_theta),
                 report.measurement.outcome, report.measurement.probability,
                 report.fidelity, int(report.selected), report.elapsed_model_time,
             ))
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
-    pc_max = cfg.base_protocol(cfg.p_theta_max)
-    return rows, header, {"derived": _derived_block(pc_max), "mode": cfg.mode}
+    return rows, header, _protocol_extras(cfg)
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    basis = enumerate_basis(cfg.m + cfg.p)
+    m = cfg.model
+    basis = enumerate_basis(m.m + m.p)
     rows = []
     for p_theta in _p_theta_grid(cfg):
-        pc = cfg.base_protocol(p_theta)
-        report = run_protocol2(pc, basis, mode=cfg.mode)
-        rows.append((cfg.preset, cfg.m, cfg.p, float(p_theta),
+        report = run_protocol2(cfg.base_protocol(p_theta), basis, mode=cfg.protocol.mode)
+        rows.append((cfg.label, m.m, m.p, float(p_theta),
                      report.fidelity, report.elapsed_model_time))
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
-    pc_max = cfg.base_protocol(cfg.p_theta_max)
-    return rows, header, {"derived": _derived_block(pc_max), "mode": cfg.mode}
+    return rows, header, _protocol_extras(cfg)
 
 
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    basis = enumerate_basis(cfg.m + cfg.p)
+    m_occ, mode = cfg.model.m, cfg.protocol.mode
+    basis = enumerate_basis(m_occ + cfg.model.p)
     rows = []
     zero_samples, m_samples = [], []
-    two_sided = cfg.readout_protocol == 1
+    two_sided = cfg.protocol.readout_protocol == 1
+    laws = ("P_I(.,0)", "P_I(.,M)") if two_sided else ("P_II(0)", "P_II(M)")
     for p_theta in _p_theta_grid(cfg):
         pc = cfg.base_protocol(p_theta)
         if two_sided:
-            for report in run_protocol1(pc, basis, mode=cfg.mode):
-                if not report.selected:
-                    continue
-                result = run_readout(report, pc, basis, mode=cfg.mode)
-                joint = dict(result.joint)
-                for outcome in (0, cfg.m):
-                    rows.append((
-                        cfg.preset, float(p_theta), report.measurement.outcome,
-                        outcome, joint.get(outcome, 0.0),
-                        result.laws["P_I(.,0)"], result.laws["P_I(.,M)"],
-                    ))
-                zero_samples.append((float(p_theta), joint.get(0, 0.0)))
-                m_samples.append((float(p_theta), joint.get(cfg.m, 0.0)))
+            reports = [r for r in run_protocol1(pc, basis, mode=mode) if r.selected]
         else:
-            report = run_protocol2(pc, basis, mode=cfg.mode)
-            result = run_readout(report, pc, basis, mode=cfg.mode)
-            conditional = dict(result.outcomes)
-            for outcome in (0, cfg.m):
+            reports = [run_protocol2(pc, basis, mode=mode)]
+        for report in reports:
+            result = run_readout(report, pc, basis, mode=mode)
+            probabilities = dict(result.joint if two_sided else result.outcomes)
+            for outcome in (0, m_occ):
                 rows.append((
-                    cfg.preset, float(p_theta), "", outcome,
-                    conditional.get(outcome, 0.0),
-                    result.laws["P_II(0)"], result.laws["P_II(M)"],
+                    cfg.label, float(p_theta),
+                    report.measurement.outcome if two_sided else "", outcome,
+                    probabilities.get(outcome, 0.0), *(result.laws[law] for law in laws),
                 ))
-            zero_samples.append((float(p_theta), conditional.get(0, 0.0)))
-            m_samples.append((float(p_theta), conditional.get(cfg.m, 0.0)))
+            zero_samples.append((float(p_theta), probabilities.get(0, 0.0)))
+            m_samples.append((float(p_theta), probabilities.get(m_occ, 0.0)))
     if two_sided:
         header = ["set", "p_theta", "r", "readout_r", "joint_probability",
                   "law_half_cos2", "law_half_sin2"]
@@ -330,23 +351,18 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             "c0": fit_readout_amplitudes(zero_samples, "shifted_sin2"),
             "cM": fit_readout_amplitudes(m_samples, "shifted_cos2"),
         }
-    pc_max = cfg.base_protocol(cfg.p_theta_max)
     return rows, header, {
-        "derived": _derived_block(pc_max), "mode": cfg.mode,
-        "readout_protocol": cfg.readout_protocol, "fits": fits,
+        **_protocol_extras(cfg),
+        "readout_protocol": cfg.protocol.readout_protocol, "fits": fits,
     }
 
 
 def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    section = cfg.spectrum
-    n_total = _as_int(section, "n_total", cfg.m + cfg.p)
-    lo = _as_float(section, "u_over_j_min", 0.0)
-    hi = _as_float(section, "u_over_j_max", 25.0)
-    points = _as_int(section, "points", 40)
-    mu_over_j = _as_float(section, "mu_over_j", 0.0)
+    s = cfg.spectrum
+    n_total = s.n_total if s.n_total is not None else cfg.model.m + cfg.model.p
     basis = enumerate_basis(n_total)
-    grid = np.linspace(lo, hi, points)
-    sweep = sweep_spectrum(basis, grid, mu=mu_over_j)
+    grid = np.linspace(s.u_over_j_min, s.u_over_j_max, s.points)
+    sweep = sweep_spectrum(basis, grid, mu=s.mu_over_j)
     rows = []
     resolved_points = 0
     for i, ratio in enumerate(sweep.u_over_j):
@@ -361,31 +377,26 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
                          labels[k][0], labels[k][1]))
     header = ["u_over_j", "index", "e_over_j", "band_m", "band_p"]
     return rows, header, {
-        "n_total": n_total, "mu_over_j": mu_over_j,
-        "resolved_points": resolved_points, "total_points": points,
+        "n_total": n_total, "mu_over_j": s.mu_over_j,
+        "resolved_points": resolved_points, "total_points": s.points,
     }
 
 
 def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    basis = enumerate_basis(cfg.m + cfg.p)
+    m, p = cfg.model.m, cfg.model.p
+    basis = enumerate_basis(m + p)
     pc = cfg.base_protocol(0.0)
-    section = cfg.evolve
-    t_max = _as_float(section, "t_max", pc.t_m)
-    points = _as_int(section, "points", 160)
+    t_max = cfg.evolve.t_max if cfg.evolve.t_max is not None else pc.t_m
     h_full = build_full_hamiltonian(pc.params, basis)
     h_eff = build_effective_hamiltonian_charges(basis, pc.n_total, pc.derived)
-    initial = QuantumState.from_fock(basis, (cfg.m, cfg.p, 0, 0))
+    initial = QuantumState.from_fock(basis, (m, p, 0, 0))
     uber = ideal_uber_noon(pc, basis, stage="pre_field")
-    corners = [
-        basis.index_of((cfg.m, cfg.p, 0, 0)),
-        basis.index_of((0, cfg.p, cfg.m, 0)),
-        basis.index_of((cfg.m, 0, 0, cfg.p)),
-        basis.index_of((0, 0, cfg.m, cfg.p)),
-    ]
+    corners = [basis.index_of(occ) for occ in
+               ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
     rows = []
-    for t in np.linspace(0.0, t_max, points):
-        full_state = evolve_for(initial, h_full, float(t))
-        eff_state = evolve_for(initial, h_eff, float(t))
+    for t in np.linspace(0.0, t_max, cfg.evolve.points):
+        full_state = evolve(initial, h_full, float(t))
+        eff_state = evolve(initial, h_eff, float(t))
         weights = np.abs(full_state.amplitudes[corners]) ** 2
         rows.append((
             float(t), *map(float, weights),
@@ -397,34 +408,25 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     return rows, header, {"derived": _derived_block(pc), "t_max": t_max}
 
 
-def _trap_from_config(cfg: ExperimentConfig) -> TrapParameters:
-    section = cfg.lattice
-    return TrapParameters(
-        scattering_length_a0=_as_float(section, "scattering_length_a0", -21.0),
-        magnetic_moment_mub=_as_float(section, "magnetic_moment_mub", DY_MOMENT_CALIBRATED),
-        kappa_sq=_as_float(section, "kappa_sq", 1.489),
-    )
+def _trap(cfg: ExperimentConfig) -> TrapParameters:
+    names = ("scattering_length_a0", "magnetic_moment_mub", "kappa_sq")
+    return TrapParameters(**{name: getattr(cfg.lattice, name) for name in names})
 
 
 def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    section = cfg.lattice
-    trap = _trap_from_config(cfg)
-    lo_khz = _as_float(section, "omega_min_khz", 20.0)
-    hi_khz = _as_float(section, "omega_max_khz", 60.0)
-    points = _as_int(section, "points", 40)
-    dx = _as_float(section, "dx", 0.2e-6)
-    dy = _as_float(section, "dy", -0.2e-6)
-    j_input = _as_float(section, "j", cfg.j)
+    lattice = cfg.lattice
+    trap = _trap(cfg)
     rows = []
-    for freq_khz in np.linspace(lo_khz, hi_khz, points):
+    for freq_khz in np.linspace(lattice.omega_min_khz, lattice.omega_max_khz, lattice.points):
         omega = 2.0 * math.pi * freq_khz * 1e3
         d = derive(trap, omega)
         rows.append((float(freq_khz), d.u0, d.u12, d.u13, d.u0 - d.u13))
     header = ["omega_r_over_2pi_khz", "u0", "u12", "u13", "residual"]
-    root = solve_integrability(
-        trap, bracket=(2.0 * math.pi * lo_khz * 1e3, 2.0 * math.pi * hi_khz * 1e3))
-    at_root = derive(trap, root.omega_r, dx=dx, dy=dy)
-    params = model_parameters_from_lattice(at_root, j=j_input)
+    root = solve_integrability(trap, bracket=(2.0 * math.pi * lattice.omega_min_khz * 1e3,
+                                              2.0 * math.pi * lattice.omega_max_khz * 1e3))
+    at_root = derive(trap, root.omega_r, dx=lattice.dx, dy=lattice.dy)
+    j = lattice.j if lattice.j is not None else cfg.model.j
+    params = model_parameters_from_lattice(at_root, j=j)
     extras = {
         "trap": {
             "scattering_length_a0": trap.scattering_length_a0,
@@ -450,38 +452,32 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             "omega_z_check_rad_s": at_root.omega_z_check,
         },
         "model_parameters": params.to_dict(),
-        "displacement_m": {"dx": dx, "dy": dy},
+        "displacement_m": {"dx": lattice.dx, "dy": lattice.dy},
     }
     return rows, header, extras
 
 
 def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    basis = enumerate_basis(cfg.m + cfg.p)
-    section = cfg.robustness
-    xi_max = _as_float(section, "xi_over_j_max", 0.02) * cfg.j
-    points = _as_int(section, "points", 20)
-    n_dt = _as_int(section, "n_dt", 100)
-    mode = section.get("mode", "pulsed")
-    source = section.get("source", "direct")
-    protocol = _as_int(section, "protocol", 1)
-    start_sign = _as_int(section, "start_sign", 1)
+    r = cfg.robustness
+    basis = enumerate_basis(cfg.model.m + cfg.model.p)
+    xi_max = r.xi_over_j_max * cfg.model.j
     base = cfg.base_protocol(p_theta=math.pi / 2.0)
     rcfg = RobustnessConfig(
-        base=base, xi_values=tuple(np.linspace(0.0, xi_max, points)),
-        n_dt=n_dt, mode=mode, source=source, protocol=protocol,
-        start_sign=start_sign,
-        trap=_trap_from_config(cfg) if source == "physical" else None,
+        base=base, xi_values=tuple(np.linspace(0.0, xi_max, r.points)),
+        n_dt=r.n_dt, mode=r.mode, source=r.source, protocol=r.protocol,
+        start_sign=r.start_sign,
+        trap=_trap(cfg) if r.source == "physical" else None,
     )
     results = run_robustness(rcfg, basis)
     rows = [
-        (mode, source, n_dt, point.xi, point.xi_over_j, point.fidelity,
+        (r.mode, r.source, r.n_dt, point.xi, point.xi_over_j, point.fidelity,
          point.probability if point.probability is not None else "")
         for point in results
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
     return rows, header, {
-        "derived": _derived_block(base), "protocol": protocol,
-        "n_dt": n_dt, "mode": mode, "source": source, "start_sign": start_sign,
+        "derived": _derived_block(base), "protocol": r.protocol,
+        "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
         "p_theta": math.pi / 2.0,
     }
 
@@ -495,20 +491,23 @@ _EXPERIMENTS = {
     "physical": _run_physical_experiment,
     "robustness": _run_robustness_experiment,
 }
+KINDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    """Execute one experiment; returns the written file paths."""
+    """Execute one experiment; returns the written file paths.
+
+    Raises ArithmeticError, and writes nothing, when a table cell is not finite.
+    """
     clear_caches()
     rows, header, extras = _EXPERIMENTS[cfg.kind](cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    extension = "csv" if cfg.fmt == "csv" else "tsv"
-    table_path = cfg.out / f"{cfg.kind}.{extension}"
-    manifest_path = cfg.out / f"{cfg.kind}_manifest.json"
-    _write_table(table_path, header, rows, cfg.fmt)
-    extras = dict(extras)
-    extras["output_table"] = table_path.name
-    _write_manifest(manifest_path, _manifest_base(cfg, extras))
+    _check_finite(cfg.kind, header, rows)
+    out, fmt = cfg.experiment.out, cfg.experiment.format
+    out.mkdir(parents=True, exist_ok=True)
+    table_path = out / f"{cfg.kind}.{fmt}"
+    manifest_path = out / f"{cfg.kind}_manifest.json"
+    _write_table(table_path, header, rows, fmt)
+    _write_manifest(manifest_path, _manifest_base(cfg, {**extras, "output_table": table_path.name}))
     return [table_path, manifest_path]
 
 
@@ -561,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="parameter set")
+        p.add_argument("--preset", choices=tuple(PRESETS), help="parameter set")
         p.add_argument("--grid", type=int, help="sweep points")
-        p.add_argument("--out", help="output directory (default: results)")
-        p.add_argument("--format", choices=("csv", "tsv"), help="table format")
+        p.add_argument("--out", help="output directory (default: "
+                       f"{SCHEMA['experiment']['out'].default})")
+        p.add_argument("--format", choices=tuple(_DELIMITERS), help="table format")
 
-    runner = sub.add_parser("run", help="run the experiment named in a config file")
-    add_common(runner)
+    add_common(sub.add_parser("run", help="run the experiment named in a config file"))
 
     for kind in KINDS:
         kind_parser = sub.add_parser(kind, help=f"run the {kind} experiment")
@@ -585,17 +584,15 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run" and not args.config:
             raise ValueError("'run' requires --config")
-        cfg = resolve_config(args)
-        paths = run_experiment(cfg)
-        for path in paths:
+        for path in run_experiment(resolve_config(args)):
             print(path)
         return 0
+    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

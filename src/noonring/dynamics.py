@@ -21,18 +21,6 @@ from .model import HermitianOperator
 
 
 @dataclass(frozen=True)
-class EvolutionPlan:
-    """One evolution segment: a Hamiltonian and a duration in seconds."""
-
-    hamiltonian: HermitianOperator
-    duration: float
-
-    def __post_init__(self):
-        if self.duration < 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration:g}")
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """Projective occupation measurement at one site."""
 
@@ -42,20 +30,22 @@ class MeasurementRecord:
     post_state: QuantumState
 
 
-def evolve(state: QuantumState, plan: EvolutionPlan) -> QuantumState:
-    """Apply exp(-i H t) through the cached eigendecomposition of H."""
-    if plan.hamiltonian.basis is not state.basis:
+def evolve(state: QuantumState, hamiltonian: HermitianOperator, duration: float) -> QuantumState:
+    """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H."""
+    if duration < 0.0:
+        raise ValueError(f"duration must be >= 0, got {duration:g}")
+    if hamiltonian.basis is not state.basis:
         raise ValueError("state and Hamiltonian use different bases")
-    if plan.duration == 0.0:
+    if duration == 0.0:
         return state.copy()
-    eigenvalues, eigenvectors = plan.hamiltonian.eigensystem()
-    phases = np.exp(-1j * eigenvalues * plan.duration)
+    eigenvalues, eigenvectors = hamiltonian.eigensystem()
+    try:  # raise rather than hand NaN amplitudes to a measurement
+        with np.errstate(over="raise", invalid="raise"):
+            phases = np.exp(-1j * eigenvalues * duration)
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"phases exp(-i E t) at t = {duration:g} s: {exc}") from None
     amplitudes = eigenvectors @ (phases * (eigenvectors.conj().T @ state.amplitudes))
     return QuantumState(state.basis, amplitudes)
-
-
-def evolve_for(state: QuantumState, hamiltonian: HermitianOperator, duration: float) -> QuantumState:
-    return evolve(state, EvolutionPlan(hamiltonian, duration))
 
 
 def measure_distribution(state: QuantumState, site: int) -> list[tuple[int, float]]:

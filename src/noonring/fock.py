@@ -126,11 +126,6 @@ class QuantumState:
         return f"QuantumState(n_total={self.basis.n_total}, dim={self.basis.size})"
 
 
-def number_expectation(state: QuantumState, site: int) -> float:
-    """Expectation value of the site occupation in a normalized state."""
-    return state.number_expectation(site)
-
-
 def hop_matrix(basis: FockBasis, from_site: int, to_site: int) -> np.ndarray:
     """Dense matrix of a_to^dagger a_from in the sector basis.
 

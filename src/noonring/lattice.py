@@ -41,7 +41,7 @@ sensitivity studies (the root frequency moves ~25x faster than C_dd).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy import constants, integrate, optimize, special
 
@@ -394,14 +394,7 @@ def calibrate_moment(
     DY_MOMENT_CALIBRATED against the published root frequency.
     """
     def residual(moment):
-        candidate = TrapParameters(
-            wavelength=trap.wavelength, w1=trap.w1, w_b=trap.w_b,
-            alpha=trap.alpha, v1_ratio=trap.v1_ratio, v2_ratio=trap.v2_ratio,
-            vb_ratio=trap.vb_ratio,
-            scattering_length_a0=trap.scattering_length_a0,
-            mass=trap.mass, magnetic_moment_mub=moment,
-            kappa_sq=trap.kappa_sq,
-        )
+        candidate = replace(trap, magnetic_moment_mub=moment)
         return integrability_residual(candidate, target_omega_r)
 
     lo, hi = bracket_mub

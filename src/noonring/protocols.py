@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MeasurementRecord, evolve_for, measure_distribution, project
+from .dynamics import MeasurementRecord, evolve, measure_distribution, project
 from .fock import FockBasis, QuantumState
 from .model import (
     DerivedScales,
@@ -291,10 +291,10 @@ def _pre_measurement_state(cfg: ProtocolConfig, basis: FockBasis, mode: str) -> 
     if mode == "full":
         h_free = _cached_hamiltonian(cfg.params, basis)
         h_mu = _cached_hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0), basis)
-        state = evolve_for(state, h_free, cfg.t_m - cfg.t_mu)
-        state = evolve_for(state, h_mu, cfg.t_mu)
+        state = evolve(state, h_free, cfg.t_m - cfg.t_mu)
+        state = evolve(state, h_mu, cfg.t_mu)
     elif mode == "ideal":
-        state = evolve_for(state, _cached_effective(cfg, basis), cfg.t_m)
+        state = evolve(state, _cached_effective(cfg, basis), cfg.t_m)
         state = _mu_phase_gate(basis, cfg.theta, state)
     else:
         raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
@@ -348,15 +348,15 @@ def run_protocol2(cfg: ProtocolConfig, basis: FockBasis, mode: str = "full") -> 
         h_free = _cached_hamiltonian(cfg.params, basis)
         h_nu = _cached_hamiltonian(cfg.params.with_fields(mu=0.0, nu=-cfg.nu), basis)
         h_mu = _cached_hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0), basis)
-        state = evolve_for(state, h_free, cfg.t_m - cfg.t_nu)
-        state = evolve_for(state, h_nu, cfg.t_nu)
-        state = evolve_for(state, h_free, cfg.t_m - cfg.t_mu)
-        state = evolve_for(state, h_mu, cfg.t_mu)
+        state = evolve(state, h_free, cfg.t_m - cfg.t_nu)
+        state = evolve(state, h_nu, cfg.t_nu)
+        state = evolve(state, h_free, cfg.t_m - cfg.t_mu)
+        state = evolve(state, h_mu, cfg.t_mu)
     elif mode == "ideal":
         h_eff = _cached_effective(cfg, basis)
-        state = evolve_for(state, h_eff, cfg.t_m)
+        state = evolve(state, h_eff, cfg.t_m)
         state = _nu_phase_gate(basis, cfg.m_occ, state)
-        state = evolve_for(state, h_eff, cfg.t_m)
+        state = evolve(state, h_eff, cfg.t_m)
         state = _mu_phase_gate(basis, cfg.theta, state)
     else:
         raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
@@ -408,9 +408,9 @@ def run_readout(report: ProtocolReport, cfg: ProtocolConfig, basis: FockBasis,
                 mode: str = "full") -> ReadoutResult:
     """Evolve the protocol output by U(t_m, 0, 0) and measure site 3."""
     if mode == "full":
-        readout_state = evolve_for(report.final_state, _cached_hamiltonian(cfg.params, basis), cfg.t_m)
+        readout_state = evolve(report.final_state, _cached_hamiltonian(cfg.params, basis), cfg.t_m)
     elif mode == "ideal":
-        readout_state = evolve_for(report.final_state, _cached_effective(cfg, basis), cfg.t_m)
+        readout_state = evolve(report.final_state, _cached_effective(cfg, basis), cfg.t_m)
     else:
         raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
     outcomes = measure_distribution(readout_state, MEASURED_SITE)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from scipy import optimize
 
-from .dynamics import evolve_for, measure_distribution, project
+from .dynamics import evolve, measure_distribution, project
 from .fock import FockBasis, QuantumState
 from .lattice import (
     TrapParameters,
@@ -114,7 +114,7 @@ def pulsed_propagator(
     dt = total_time / (2 * n_dt)
     first, second = (h_plus, h_minus) if start_sign >= 0 else (h_minus, h_plus)
     for i in range(2 * n_dt):
-        state = evolve_for(state, first if i % 2 == 0 else second, dt)
+        state = evolve(state, first if i % 2 == 0 else second, dt)
     return state
 
 
@@ -153,6 +153,7 @@ def _solve_detuned_omega(trap: TrapParameters, target: float, omega_guess: float
 
 def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[ModelParameters, float]:
     """Full couplings and the mu scale factor realized at omega_r."""
+    # Not model_parameters_from_lattice: it snaps U0 = U13 near the root, which moves the xi = 0 row.
     derived = derive(trap, omega_r)
     params = ModelParameters(
         u0=derived.u0,
@@ -198,7 +199,7 @@ def _integrable_interval(
     state: QuantumState, duration: float,
 ) -> QuantumState:
     if config.mode == "static":
-        return evolve_for(state, system.h_plus, duration)
+        return evolve(state, system.h_plus, duration)
     return pulsed_propagator(
         system.h_plus, system.h_minus, state, duration, config.n_dt, config.start_sign)
 
@@ -210,7 +211,7 @@ def _run_point(config: RobustnessConfig, basis: FockBasis, xi: float) -> Robustn
     state = QuantumState.from_fock(basis, (cfg.m_occ, cfg.p_occ, 0, 0))
     if config.protocol == 1:
         state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_mu)
-        state = evolve_for(state, system.h_mu, cfg.t_mu)
+        state = evolve(state, system.h_mu, cfg.t_mu)
         probability = dict(measure_distribution(state, MEASURED_SITE)).get(0, 0.0)
         if probability == 0.0:
             return RobustnessPoint(xi, xi / cfg.params.j, 0.0, 0.0)
@@ -219,9 +220,9 @@ def _run_point(config: RobustnessConfig, basis: FockBasis, xi: float) -> Robustn
         return RobustnessPoint(
             xi, xi / cfg.params.j, fidelity(ideal, record.post_state), probability)
     state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_nu)
-    state = evolve_for(state, system.h_nu, cfg.t_nu)
+    state = evolve(state, system.h_nu, cfg.t_nu)
     state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_mu)
-    state = evolve_for(state, system.h_mu, cfg.t_mu)
+    state = evolve(state, system.h_mu, cfg.t_mu)
     ideal = ideal_protocol2_output(cfg, basis)
     return RobustnessPoint(xi, xi / cfg.params.j, fidelity(ideal, state), None)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_for
+from .dynamics import evolve
 from .fock import FockBasis, QuantumState
 from .model import (
     ModelParameters,
@@ -179,8 +179,8 @@ def effective_deficits(
     initial = QuantumState.from_fock(basis, (m_occ, p_occ, 0, 0))
     deficits = np.empty(len(times))
     for i, t in enumerate(times):
-        full_state = evolve_for(initial, h_full, t)
-        eff_state = evolve_for(initial, h_eff, t)
+        full_state = evolve(initial, h_full, t)
+        eff_state = evolve(initial, h_eff, t)
         deficits[i] = 1.0 - abs(full_state.overlap(eff_state))
     return deficits
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from noonring.dynamics import evolve_for, measure_distribution
+from noonring.dynamics import evolve, measure_distribution
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integrability
 from noonring.model import (
@@ -280,7 +280,7 @@ def test_criterion_9_property_and_oracle_suite():
 
         # Evolve the full-occupation corner state both ways.
         initial_occ = (n_total, 0, 0, 0)
-        evolved = evolve_for(QuantumState.from_fock(basis, initial_occ), h, 0.7)
+        evolved = evolve(QuantumState.from_fock(basis, initial_occ), h, 0.7)
         assert evolved.norm() == pytest.approx(1.0, abs=1e-12)  # unitarity
 
         propagator = scipy.linalg.expm(-0.7j * reference)

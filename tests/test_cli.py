@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line driver (tables, manifests, exit codes)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from noonring.cli import UNIT_NOTE, main
+from noonring.cli import KINDS, POSITIVE, SCHEMA, UNIT_NOTE, main
 from noonring.lattice import QuadratureError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_table(path: Path) -> tuple[str, str, list[str]]:
@@ -201,7 +204,53 @@ class TestConfigDriven:
         assert manifest["model"]["u"] == pytest.approx(80.0)
 
 
+def bad_values():
+    """(section, key, value) cases every schema check must reject."""
+    for section, keys in SCHEMA.items():
+        for key, spec in keys.items():
+            if spec.type is float:
+                yield section, key, "nan"
+                yield section, key, "inf"
+            if spec.allowed == POSITIVE:
+                yield section, key, "0" if spec.type is int else "-1"
+            elif spec.allowed:
+                yield section, key, max(spec.allowed) + 1 if spec.type is int else "bogus"
+    yield "spectrum", "points", "abc"
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("section, key, value", bad_values())
+    def test_schema_rejects_bad_value(self, tmp_path, capsys, section, key, value):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "r"
+        assert run_cli(["protocol1", "--grid", 2, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[{section}] {key}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_grid_flag_zero_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli(["protocol1", "--grid", 0, "--out", out]) == 1
+        assert "--grid must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section", [
+        ("protocol2", "[model]\nj = 1e-200\n"),       # Omega = 0, t_m = inf
+        ("protocol1", "[model]\nu = 1e300\n"),        # phases overflow
+        # a NaN eigenvalue reaches the table check in run_experiment
+        ("spectrum", "[spectrum]\nn_total = 3\npoints = 2\nmu_over_j = 1e308\n"),
+    ], ids=["j=1e-200", "u=1e300", "mu_over_j=1e308"])
+    def test_finite_input_with_non_finite_result_exits_2(
+            self, tmp_path, capsys, kind, section):
+        config = tmp_path / "extreme.ini"
+        config.write_text(section)
+        out = tmp_path / "r"
+        assert run_cli([kind, "--grid", 2, "--config", config, "--out", out]) == 2
+        assert "numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_requires_config(self, capsys):
         assert run_cli(["run"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -250,3 +299,21 @@ class TestErrorPaths:
         monkeypatch.setattr("noonring.cli.derive", explode)
         assert run_cli(["physical", "--out", tmp_path / "r"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_readme_table_matches_schema():
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (\w+) \| (.+?) \| (.+?) \|$",
+                      README.read_text(), re.M)
+    assert [row[:2] for row in rows] == [(s, k) for s, keys in SCHEMA.items() for k in keys]
+    for section, key, type_name, default, allowed in rows:
+        spec = SCHEMA[section][key]
+        assert type_name == spec.type.__name__
+        if spec.default is None:
+            assert default == "preset" or default.startswith("none")
+        else:
+            assert spec.type(default.split("`")[1]) == spec.default
+        if spec.allowed == POSITIVE:
+            assert allowed == POSITIVE
+        elif spec.allowed:
+            assert re.findall(r"`([^`]+)`", allowed) == [str(v) for v in spec.allowed]
+    assert re.findall(r"`([^`]+)`", rows[0][4]) == list(KINDS)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from noonring.dynamics import (
-    EvolutionPlan,
-    evolve,
-    evolve_for,
-    measure_distribution,
-    project,
-)
+from noonring.dynamics import evolve, measure_distribution, project
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters, build_full_hamiltonian
 
@@ -33,14 +27,14 @@ class TestEvolution:
         for _ in range(10):
             h = random_hamiltonian(basis3, rng)
             state = random_state(basis3, rng)
-            out = evolve_for(state, h, float(rng.uniform(0.0, 20.0)))
+            out = evolve(state, h, float(rng.uniform(0.0, 20.0)))
             assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_duration_is_identity(self, basis3):
         rng = np.random.default_rng(7)
         h = random_hamiltonian(basis3, rng)
         state = random_state(basis3, rng)
-        out = evolve_for(state, h, 0.0)
+        out = evolve(state, h, 0.0)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
         assert out is not state
 
@@ -48,8 +42,8 @@ class TestEvolution:
         rng = np.random.default_rng(9)
         h = random_hamiltonian(basis3, rng)
         state = random_state(basis3, rng)
-        joined = evolve_for(state, h, 1.7)
-        split = evolve_for(evolve_for(state, h, 0.6), h, 1.1)
+        joined = evolve(state, h, 1.7)
+        split = evolve(evolve(state, h, 0.6), h, 1.1)
         np.testing.assert_allclose(joined.amplitudes, split.amplitudes, atol=1e-12)
 
     def test_energy_conserved(self, basis3):
@@ -57,7 +51,7 @@ class TestEvolution:
         h = random_hamiltonian(basis3, rng)
         state = random_state(basis3, rng)
         before = np.real(state.amplitudes.conj() @ h.matrix @ state.amplitudes)
-        out = evolve_for(state, h, 4.2)
+        out = evolve(state, h, 4.2)
         after = np.real(out.amplitudes.conj() @ h.matrix @ out.amplitudes)
         assert after == pytest.approx(before, abs=1e-10)
 
@@ -67,7 +61,7 @@ class TestEvolution:
         values, vectors = h.eigensystem()
         k, t = 3, 2.5
         state = QuantumState(basis2, vectors[:, k].astype(complex))
-        out = evolve_for(state, h, t)
+        out = evolve(state, h, t)
         np.testing.assert_allclose(
             out.amplitudes, np.exp(-1j * values[k] * t) * state.amplitudes,
             atol=1e-12)
@@ -76,14 +70,20 @@ class TestEvolution:
         rng = np.random.default_rng(1)
         h = random_hamiltonian(basis2, rng)
         with pytest.raises(ValueError):
-            EvolutionPlan(h, -0.1)
+            evolve(random_state(basis2, rng), h, -0.1)
+
+    def test_overflowing_phase_raises(self, basis2):
+        rng = np.random.default_rng(3)
+        h = random_hamiltonian(basis2, rng)
+        with pytest.raises(ArithmeticError):
+            evolve(random_state(basis2, rng), h, np.inf)
 
     def test_basis_mismatch_rejected(self, basis2, basis3):
         rng = np.random.default_rng(2)
         h = random_hamiltonian(basis2, rng)
         state = random_state(basis3, rng)
         with pytest.raises(ValueError):
-            evolve(state, EvolutionPlan(h, 1.0))
+            evolve(state, h, 1.0)
 
 
 class TestMeasurement:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noonring.dynamics import evolve_for
+from noonring.dynamics import evolve
 from noonring.fock import QuantumState
 from noonring.lattice import TrapParameters
 from noonring.model import HermitianOperator, build_full_hamiltonian, detuning_operator
@@ -75,7 +75,7 @@ class TestPulsedPropagator:
         h_plus, _ = self.detuned_pair(basis15, SET1, 0.0)
         psi = self.start_state(basis15)
         chopped = pulsed_propagator(h_plus, h_plus, psi, 3.7, n_dt=5)
-        direct = evolve_for(psi, h_plus, 3.7)
+        direct = evolve(psi, h_plus, 3.7)
         np.testing.assert_allclose(chopped.amplitudes, direct.amplitudes, atol=1e-10)
 
     def test_preserves_norm(self, basis15):

@@ -5,6 +5,13 @@ Hamiltonian: exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>.  No
 time-stepping integrator is involved, so there are no step-size tolerances;
 at sector dimensions <= ~2000 this is both exact and fast.
 
+Every Hamiltonian the package builds is real symmetric, so V is real.  A
+product of real V with a complex vector would make numpy upcast V to a
+complex copy (twice the bytes of V) for each of the two products, plus a
+copy for V.conj().  Instead the amplitudes are viewed as an (n, 2) real
+array of their real and imaginary parts, and V.T and V each act on it in
+one real matrix product; V itself is never copied.
+
 Measurement of a site occupation is ideal and instantaneous: outcome r
 occurs with the summed weight of all basis states carrying occupation r at
 that site, and the post-measurement state is the renormalized projection.
@@ -31,7 +38,12 @@ class MeasurementRecord:
 
 
 def evolve(state: QuantumState, hamiltonian: HermitianOperator, duration: float) -> QuantumState:
-    """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H."""
+    """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H.
+
+    For real eigenvectors V, V.T and V are applied to the (real, imaginary)
+    columns of the amplitudes in one real product each, so no complex or
+    conjugated copy of V is built; complex V takes V (phases * V+ psi).
+    """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration:g}")
     if hamiltonian.basis is not state.basis:
@@ -44,7 +56,12 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator, duration: float)
             phases = np.exp(-1j * eigenvalues * duration)
     except FloatingPointError as exc:
         raise ArithmeticError(f"phases exp(-i E t) at t = {duration:g} s: {exc}") from None
-    amplitudes = eigenvectors @ (phases * (eigenvectors.conj().T @ state.amplitudes))
+    if np.isrealobj(eigenvectors):
+        pairs = np.ascontiguousarray(state.amplitudes).view(np.float64).reshape(-1, 2)
+        rotated = (eigenvectors.T @ pairs).view(complex).ravel() * phases
+        amplitudes = (eigenvectors @ rotated.view(np.float64).reshape(-1, 2)).view(complex).ravel()
+    else:
+        amplitudes = eigenvectors @ (phases * (eigenvectors.conj().T @ state.amplitudes))
     return QuantumState(state.basis, amplitudes)
 
 

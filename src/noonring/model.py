@@ -119,23 +119,34 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis size {basis.size}"
             )
-        if check:
-            deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-            if deviation > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrix)))):
-                raise ValueError(f"matrix is not Hermitian (max deviation {deviation:g})")
         self.basis = basis
         self.matrix = matrix
         self._eigensystem: tuple[np.ndarray, np.ndarray] | None = None
+        if check:
+            self._require_finite()
+            deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
+            if not deviation <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrix)))):
+                raise ValueError(f"matrix is not Hermitian (max deviation {deviation:g})")
+
+    def _require_finite(self) -> None:
+        """Raise ArithmeticError, before LAPACK sees it, if an entry is inf or NaN."""
+        if not np.isfinite(self.matrix).all():
+            raise ArithmeticError(f"{self!r} has non-finite entries")
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns; computed once."""
         if self._eigensystem is None:
+            self._require_finite()
             eigenvalues, eigenvectors = np.linalg.eigh(self.matrix)
             self._eigensystem = (eigenvalues, eigenvectors)
         return self._eigensystem
 
     def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem()[0]
+        """Eigenvalues (ascending): the cached ones, else computed without eigenvectors."""
+        if self._eigensystem is not None:
+            return self._eigensystem[0]
+        self._require_finite()
+        return np.linalg.eigvalsh(self.matrix)
 
     def expectation(self, state: QuantumState) -> float:
         return float(np.real(np.vdot(state.amplitudes, self.matrix @ state.amplitudes)))
@@ -196,15 +207,18 @@ def build_full_hamiltonian(params: ModelParameters, basis: FockBasis) -> Hermiti
     """Assemble the dense (real-symmetric) Hamiltonian matrix."""
     occ = basis.occupations.astype(float)
     n1, n2, n3, n4 = occ[:, 0], occ[:, 1], occ[:, 2], occ[:, 3]
-    diagonal = 0.5 * params.u0 * ((occ * (occ - 1.0)).sum(axis=1))
-    diagonal += (
-        params.u12 * n1 * n2 + params.u13 * n1 * n3 + params.u14 * n1 * n4
-        + params.u23 * n2 * n3 + params.u24 * n2 * n4 + params.u34 * n3 * n4
-    )
-    diagonal += params.mu * (n2 - n4) + params.nu * (n1 - n3)
     # (a1+ + a3+)(a2 + a4) = a1+a2 + a1+a4 + a3+a2 + a3+a4
     hop = _hop_sum(basis, [(2, 1), (4, 1), (2, 3), (4, 3)])
-    matrix = np.diag(diagonal) - 0.5 * params.j * (hop + hop.T)
+    # Extreme couplings overflow to inf/NaN entries, which HermitianOperator
+    # reports as an ArithmeticError; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 0.5 * params.u0 * ((occ * (occ - 1.0)).sum(axis=1))
+        diagonal += (
+            params.u12 * n1 * n2 + params.u13 * n1 * n3 + params.u14 * n1 * n4
+            + params.u23 * n2 * n3 + params.u24 * n2 * n4 + params.u34 * n3 * n4
+        )
+        diagonal += params.mu * (n2 - n4) + params.nu * (n1 - n3)
+        matrix = np.diag(diagonal) - 0.5 * params.j * (hop + hop.T)
     return HermitianOperator(basis, matrix)
 
 

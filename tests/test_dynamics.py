@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from noonring.dynamics import evolve, measure_distribution, project
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import ModelParameters, build_full_hamiltonian
+from noonring.model import HermitianOperator, ModelParameters, build_full_hamiltonian
 
 from oracle import site_distribution
 
@@ -65,6 +66,39 @@ class TestEvolution:
         np.testing.assert_allclose(
             out.amplitudes, np.exp(-1j * values[k] * t) * state.amplitudes,
             atol=1e-12)
+
+    @pytest.mark.parametrize("n_total", [3, 5])
+    def test_real_hamiltonian_matches_expm(self, n_total):
+        rng = np.random.default_rng(n_total)
+        basis = enumerate_basis(n_total)
+        params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7)
+        h = build_full_hamiltonian(params, basis)
+        state = random_state(basis, rng)
+        out = evolve(state, h, 1.3)
+        np.testing.assert_allclose(
+            out.amplitudes, expm(-1j * h.matrix * 1.3) @ state.amplitudes, atol=1e-12)
+
+    def test_complex_hamiltonian_matches_expm(self, basis3):
+        rng = np.random.default_rng(17)
+        size = len(basis3)
+        raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h = HermitianOperator(basis3, raw + raw.conj().T)
+        assert np.iscomplexobj(h.eigensystem()[1])
+        state = random_state(basis3, rng)
+        out = evolve(state, h, 0.8)
+        np.testing.assert_allclose(
+            out.amplitudes, expm(-1j * h.matrix * 0.8) @ state.amplitudes, atol=1e-12)
+
+    def test_strided_state_matches_expm(self, basis3):
+        rng = np.random.default_rng(19)
+        h = random_hamiltonian(basis3, rng)
+        big = np.zeros(2 * len(basis3), dtype=complex)
+        big[::2] = random_state(basis3, rng).amplitudes
+        state = QuantumState(basis3, big[::2])
+        assert not state.amplitudes.flags.c_contiguous
+        out = evolve(state, h, 2.1)
+        np.testing.assert_allclose(
+            out.amplitudes, expm(-1j * h.matrix * 2.1) @ big[::2], atol=1e-12)
 
     def test_negative_duration_rejected(self, basis2):
         rng = np.random.default_rng(1)

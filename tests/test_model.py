@@ -91,6 +91,27 @@ class TestHermitianOperator:
         np.testing.assert_allclose(
             op.matrix @ vectors, vectors @ np.diag(values), atol=1e-12)
 
+    def test_eigenvalues_alone_cache_no_eigenvectors(self, basis3):
+        rng = np.random.default_rng(4)
+        raw = rng.normal(size=(len(basis3), len(basis3)))
+        op = HermitianOperator(basis3, raw + raw.T)
+        values = op.eigenvalues()
+        assert op._eigensystem is None
+        np.testing.assert_allclose(values, op.eigensystem()[0], atol=1e-10)
+        assert op.eigenvalues() is op.eigensystem()[0]  # cached values reused
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_before_lapack(self, basis2, bad):
+        matrix = np.eye(len(basis2))
+        matrix[1, 1] = bad
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            HermitianOperator(basis2, matrix)
+        unchecked = HermitianOperator(basis2, matrix, check=False)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            unchecked.eigensystem()
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            unchecked.eigenvalues()
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("n_total", [2, 3])

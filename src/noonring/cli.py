@@ -369,7 +369,8 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         try:
             assignment = assign_bands(sweep.eigenvalues[i], n_total)
             resolved_points += 1
-            labels = [assignment.band_of(k) for k in range(basis.size)]
+            labels = [label for label, size in zip(assignment.labels, assignment.sizes)
+                      for _ in range(size)]
         except BandsUnresolvedError:
             labels = [("", "")] * basis.size
         for k in range(basis.size):

@@ -158,13 +158,29 @@ class TrapParameters:
 
     def eta(self, omega_r: float) -> float:
         """Inverse squared radial oscillator length, m omega_r / (2 hbar)."""
-        return self.mass * omega_r / (2.0 * HBAR)
+        omega_r = float(omega_r)
+        return _finite("eta", omega_r, lambda: self.mass * omega_r / (2.0 * HBAR))
 
     def nearest_distance(self) -> float:
         return self.lattice_spacing / self.delta
 
     def diagonal_distance(self) -> float:
         return math.sqrt(2.0) * self.lattice_spacing / self.delta
+
+
+def _finite(quantity: str, omega_r: float, formula) -> float:
+    """formula(), or ArithmeticError naming `quantity` and omega_r if it is not finite.
+
+    Called with Python floats, whose products overflow to inf silently and
+    whose powers raise OverflowError, so no numpy RuntimeWarning precedes it.
+    """
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{quantity} = {value} at omega_r = {omega_r:.6g} rad/s")
+    return value
 
 
 def recoil_energy(trap: TrapParameters) -> float:
@@ -174,11 +190,12 @@ def recoil_energy(trap: TrapParameters) -> float:
 
 def v0_from_omega_r(trap: TrapParameters, omega_r: float) -> float:
     """Invert omega_r = sqrt((2/m)(V0 k^2 + 2 V1/w1^2)) for V0 (J)."""
+    omega_r = float(omega_r)
     if omega_r <= 0.0:
         raise ValueError("omega_r must be positive")
-    return trap.mass * omega_r**2 / (
+    return _finite("V0", omega_r, lambda: trap.mass * omega_r**2 / (
         2.0 * (trap.wavenumber**2 + 2.0 * trap.v1_ratio / trap.w1**2)
-    )
+    ))
 
 
 def omega_z_formula(trap: TrapParameters, omega_r: float) -> float:
@@ -194,11 +211,12 @@ def omega_z_formula(trap: TrapParameters, omega_r: float) -> float:
 
 def onsite_coupling(trap: TrapParameters, omega_r: float) -> float:
     """U0/hbar = kappa (eta/pi)^(3/2) (g - (C_dd/3) f(kappa)) / hbar."""
+    omega_r = float(omega_r)
     if omega_r <= 0.0:
         raise ValueError("omega_r must be positive")
     eta = trap.eta(omega_r)
-    prefactor = trap.kappa * (eta / math.pi) ** 1.5
-    return prefactor * (trap.contact_g - trap.c_dd * anisotropy_f(trap.kappa) / 3.0) / HBAR
+    return _finite("U0", omega_r, lambda: trap.kappa * (eta / math.pi) ** 1.5 * (
+        trap.contact_g - trap.c_dd * anisotropy_f(trap.kappa) / 3.0) / HBAR)
 
 
 def onsite_dipolar(trap: TrapParameters, omega_r: float) -> float:
@@ -239,7 +257,8 @@ def dipolar_coupling(
             f"dipolar integral reached relative error {abserr / abs(value):.2e} "
             f"> {rel_tol:g} at d = {distance:g} m"
         )
-    return trap.c_dd / (4.0 * math.pi) * value / HBAR
+    return _finite(f"U(d = {distance:g} m)", omega_r,
+                   lambda: trap.c_dd / (4.0 * math.pi) * value / HBAR)
 
 
 def offsite_coupling(trap: TrapParameters, omega_r: float, pair: str) -> float:

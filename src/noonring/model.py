@@ -294,19 +294,18 @@ def build_effective_hamiltonian_sq(
     c_minus = j_sq_over_16u / (delta_mp - 1)
 
     occ = basis.occupations.astype(float)
-    n13 = np.diag(occ[:, 0] + occ[:, 2])
-    n24 = np.diag(occ[:, 1] + occ[:, 3])
-    identity = np.eye(basis.size)
+    # N1 + N3 and N2 + N4 are diagonal: a product with one is a row or column scaling.
+    n13 = occ[:, 0] + occ[:, 2]
+    n24 = occ[:, 1] + occ[:, 3]
     exchange_13 = _hop_sum(basis, [(3, 1), (1, 3)])  # a1+ a3 + a3+ a1
     exchange_24 = _hop_sum(basis, [(4, 2), (2, 4)])  # a2+ a4 + a4+ a2
 
-    matrix = c_plus * (exchange_13 @ n24)
-    matrix += c_plus * ((n13 + 2.0 * identity) @ exchange_24)
-    matrix -= c_minus * ((n24 + 2.0 * identity) @ exchange_13)
-    matrix -= c_minus * (exchange_24 @ n13)
+    matrix = c_plus * (exchange_13 * n24[None, :])
+    matrix += c_plus * ((n13 + 2.0)[:, None] * exchange_24)
+    matrix -= c_minus * ((n24 + 2.0)[:, None] * exchange_13)
+    matrix -= c_minus * (exchange_24 * n13[None, :])
     matrix += (c_plus - c_minus) * (exchange_13 @ exchange_24)
-    matrix += c_plus * ((n13 + 2.0 * identity) @ n24)
-    matrix -= c_minus * (n13 @ (n24 + 2.0 * identity))
+    matrix += np.diag(c_plus * (n13 + 2.0) * n24 - c_minus * n13 * (n24 + 2.0))
     return HermitianOperator(basis, matrix)
 
 

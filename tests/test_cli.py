@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -239,9 +240,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("kind, section", [
         ("protocol2", "[model]\nj = 1e-200\n"),       # Omega = 0, t_m = inf
         ("protocol1", "[model]\nu = 1e300\n"),        # phases overflow
-        # a NaN eigenvalue reaches the table check in run_experiment
+        # an overflowing field or U/J: sweep_spectrum raises before diagonalizing
         ("spectrum", "[spectrum]\nn_total = 3\npoints = 2\nmu_over_j = 1e308\n"),
-    ], ids=["j=1e-200", "u=1e300", "mu_over_j=1e308"])
+        ("spectrum", "[spectrum]\nn_total = 3\npoints = 2\nu_over_j_max = 1e308\n"),
+    ], ids=["j=1e-200", "u=1e300", "mu_over_j=1e308", "u_over_j_max=1e308"])
     def test_finite_input_with_non_finite_result_exits_2(
             self, tmp_path, capsys, kind, section):
         config = tmp_path / "extreme.ini"
@@ -249,6 +251,24 @@ class TestErrorPaths:
         out = tmp_path / "r"
         assert run_cli([kind, "--grid", 2, "--config", config, "--out", out]) == 2
         assert "numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, quantity", [
+        ("omega_max_khz", "1e300", "V0"),          # omega_r**2 overflows
+        ("scattering_length_a0", "1e308", "U0"),   # the contact term overflows
+        ("kappa_sq", "1e300", "U0"),               # f(kappa) overflows
+    ])
+    def test_extreme_lattice_input_names_the_overflowing_quantity(
+            self, tmp_path, capsys, key, value, quantity):
+        config = tmp_path / "extreme.ini"
+        config.write_text(f"[lattice]\n{key} = {value}\n")
+        out = tmp_path / "r"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["physical", "--grid", 3, "--config", config, "--out", out]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {quantity} = inf at omega_r = ")
         assert not out.exists()
 
     def test_run_requires_config(self, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from noonring.fock import enumerate_basis
+from noonring.fock import enumerate_basis, hop_matrix
 from noonring.model import (
     HermitianOperator,
     ModelParameters,
@@ -241,6 +241,29 @@ class TestEffectiveHamiltonian:
         shift = (sub_sq - sub_charges)[0, 0]
         np.testing.assert_allclose(
             sub_sq - shift * np.eye(half.size), sub_charges, atol=1e-12)
+
+    @pytest.mark.parametrize("m_occ,p_occ", [(1, 4), (4, 11)])
+    def test_sq_matches_the_dense_operator_product(self, m_occ, p_occ):
+        # The operator products of the docstring, with N1 + N3 and N2 + N4 as
+        # dense diagonal matrices, as the reference for the scaled form.
+        basis = enumerate_basis(m_occ + p_occ)
+        scales = derived_scales(
+            ModelParameters.integrable_set(u=40.0, j=1.0), m_occ, p_occ)
+        c_plus = scales.j**2 / (16.0 * scales.u) / (m_occ - p_occ + 1)
+        c_minus = scales.j**2 / (16.0 * scales.u) / (m_occ - p_occ - 1)
+        occ = basis.occupations.astype(float)
+        n13, n24 = np.diag(occ[:, 0] + occ[:, 2]), np.diag(occ[:, 1] + occ[:, 3])
+        two = 2.0 * np.eye(basis.size)
+        x13 = hop_matrix(basis, 3, 1) + hop_matrix(basis, 1, 3)
+        x24 = hop_matrix(basis, 4, 2) + hop_matrix(basis, 2, 4)
+        expected = (
+            c_plus * (x13 @ n24) + c_plus * ((n13 + two) @ x24)
+            - c_minus * ((n24 + two) @ x13) - c_minus * (x24 @ n13)
+            + (c_plus - c_minus) * (x13 @ x24)
+            + c_plus * ((n13 + two) @ n24) - c_minus * (n13 @ (n24 + two))
+        )
+        matrix = build_effective_hamiltonian_sq(basis, m_occ, p_occ, scales).matrix
+        np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
     def test_singular_band_rejected(self, basis3):
         params = ModelParameters.integrable_set(u=40.0, j=1.0)

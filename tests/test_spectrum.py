@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noonring.fock import enumerate_basis
 from noonring.model import ModelParameters, build_full_hamiltonian
 from noonring.spectrum import (
     BandsUnresolvedError,
+    _hop_blocks,
     assign_bands,
     band_splits,
     compare_effective,
@@ -15,6 +17,14 @@ from noonring.spectrum import (
     predicted_band_sizes,
     sweep_spectrum,
 )
+
+
+def dense_spectrum(basis, ratio, mu=0.0, nu=0.0, u0=0.0):
+    """Sorted eigenvalues of the dense site-basis H, minus the constant C."""
+    params = ModelParameters.integrable_set(u=ratio, j=1.0, mu=mu, nu=nu, u0=u0)
+    n = basis.n_total
+    constant = (params.u0 + params.u12) * n**2 / 4.0 - params.u0 * n / 2.0
+    return np.sort(build_full_hamiltonian(params, basis).eigenvalues()) - constant
 
 
 class TestBandCombinatorics:
@@ -52,6 +62,44 @@ class TestSweep:
         base = sweep_spectrum(basis3, grid, u0=0.0).eigenvalues
         lifted = sweep_spectrum(basis3, grid, u0=7.0).eigenvalues
         np.testing.assert_allclose(base, lifted, atol=1e-9)
+
+
+class TestBlockSpectrum:
+    """The normal-mode block spectrum against the dense site-basis oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_total=st.integers(0, 6),
+        ratio=st.floats(0.0, 40.0),
+        u0=st.floats(-5.0, 5.0),
+        mu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+        nu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    )
+    def test_matches_dense(self, n_total, ratio, u0, mu, nu):
+        basis = enumerate_basis(n_total)
+        blocks = sweep_spectrum(basis, [ratio], mu=mu, nu=nu, u0=u0).eigenvalues[0]
+        dense = dense_spectrum(basis, ratio, mu=mu, nu=nu, u0=u0)
+        assert np.all(np.abs(blocks - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
+
+    def test_matches_dense_at_n15(self, basis15):
+        grid = np.array([0.0, 12.5, 25.0])
+        sweep = sweep_spectrum(basis15, grid)
+        for row, ratio in zip(sweep.eigenvalues, grid):
+            np.testing.assert_allclose(row, dense_spectrum(basis15, ratio), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mu, nu, count, largest", [
+        (0.0, 0.0, 21, 6),      # (q1, q2) blocks of size N - q1 - q2 + 1
+        (0.4, 0.0, 6, 21),      # q1 blocks of size (N - q1 + 2)(N - q1 + 1)/2
+        (0.0, -0.3, 6, 21),
+        (0.4, -0.3, 1, 56),     # both fields: one block, the whole sector
+    ])
+    def test_blocks_follow_the_conserved_charges(self, basis5, mu, nu, count, largest):
+        blocks = _hop_blocks(basis5, mu, nu)
+        sizes = [indices.shape[1] for indices, _ in blocks for _ in indices]
+        assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, len(basis5))
+        spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu).eigenvalues[0]
+        np.testing.assert_allclose(
+            spectrum, dense_spectrum(basis5, 7.5, mu=mu, nu=nu), rtol=0, atol=1e-9)
 
 
 class TestAssignBands:

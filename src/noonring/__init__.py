@@ -44,6 +44,8 @@ from .model import (
     frobenius_commutator,
 )
 from .protocols import (
+    FullDynamics,
+    IdealDynamics,
     ProtocolConfig,
     ProtocolReport,
     ReadoutResult,
@@ -80,8 +82,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandAssignment", "BandsUnresolvedError", "DerivedScales",
-    "FockBasis", "HermitianOperator", "IntegrabilityRoot", "LatticeDerived",
-    "MeasurementRecord", "ModelParameters", "ProtocolConfig", "ProtocolReport",
+    "FockBasis", "FullDynamics", "HermitianOperator", "IdealDynamics",
+    "IntegrabilityRoot", "LatticeDerived", "MeasurementRecord", "ModelParameters",
+    "ProtocolConfig", "ProtocolReport",
     "QuadratureError", "QuantumState", "ReadoutResult", "RobustnessConfig",
     "RobustnessPoint", "SpectrumSweep", "TrapParameters",
     "anisotropy_f", "assign_bands", "band_splits", "build_charge",

@@ -48,8 +48,9 @@ from .lattice import (
 )
 from .model import build_effective_hamiltonian_charges, build_full_hamiltonian
 from .protocols import (
+    FullDynamics,
+    IdealDynamics,
     ProtocolConfig,
-    clear_caches,
     fit_readout_amplitudes,
     ideal_uber_noon,
     protocol_config,
@@ -68,6 +69,7 @@ PRESETS = {
 }
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
+_DYNAMICS = {"full": FullDynamics, "ideal": IdealDynamics}   # [protocol] mode
 
 POSITIVE = "> 0"
 
@@ -100,7 +102,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     },
     "protocol": {
         "p_theta_max": Key(float, math.pi),
-        "mode": Key(str, "full"),
+        "mode": Key(str, "full", tuple(_DYNAMICS)),
         "readout_protocol": Key(int, 1, (1, 2)),
     },
     "spectrum": {
@@ -118,10 +120,10 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "xi_over_j_max": Key(float, 0.02),
         "points": Key(int, 20, POSITIVE),
         "n_dt": Key(int, _LIB["n_dt"], POSITIVE),
-        "mode": Key(str, _LIB["mode"]),
-        "source": Key(str, _LIB["source"]),
-        "protocol": Key(int, _LIB["protocol"]),
-        "start_sign": Key(int, _LIB["start_sign"]),
+        "mode": Key(str, _LIB["mode"], ("pulsed", "static")),
+        "source": Key(str, _LIB["source"], ("direct", "physical")),
+        "protocol": Key(int, _LIB["protocol"], (1, 2)),
+        "start_sign": Key(int, _LIB["start_sign"], (1, -1)),
     },
     "lattice": {
         "scattering_length_a0": Key(float, _LIB["scattering_length_a0"]),
@@ -279,18 +281,21 @@ def _p_theta_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid)
 
 
+def _dynamics(cfg: ExperimentConfig) -> FullDynamics | IdealDynamics:
+    return _DYNAMICS[cfg.protocol.mode](enumerate_basis(cfg.model.m + cfg.model.p))
+
+
 def _protocol_extras(cfg: ExperimentConfig) -> dict:
     pc_max = cfg.base_protocol(cfg.protocol.p_theta_max)
     return {"derived": _derived_block(pc_max), "mode": cfg.protocol.mode}
 
 
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, mode = cfg.model, cfg.protocol.mode
-    basis = enumerate_basis(m.m + m.p)
+    m, dynamics = cfg.model, _dynamics(cfg)
     rows = []
     for p_theta in _p_theta_grid(cfg):
         pc = cfg.base_protocol(p_theta)
-        for report in run_protocol1(pc, basis, mode=mode):
+        for report in run_protocol1(pc, dynamics):
             rows.append((
                 cfg.label, m.m, m.p, float(p_theta),
                 report.measurement.outcome, report.measurement.probability,
@@ -302,11 +307,10 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m = cfg.model
-    basis = enumerate_basis(m.m + m.p)
+    m, dynamics = cfg.model, _dynamics(cfg)
     rows = []
     for p_theta in _p_theta_grid(cfg):
-        report = run_protocol2(cfg.base_protocol(p_theta), basis, mode=cfg.protocol.mode)
+        report = run_protocol2(cfg.base_protocol(p_theta), dynamics)
         rows.append((cfg.label, m.m, m.p, float(p_theta),
                      report.fidelity, report.elapsed_model_time))
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
@@ -314,8 +318,7 @@ def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m_occ, mode = cfg.model.m, cfg.protocol.mode
-    basis = enumerate_basis(m_occ + cfg.model.p)
+    m_occ, dynamics = cfg.model.m, _dynamics(cfg)
     rows = []
     zero_samples, m_samples = [], []
     two_sided = cfg.protocol.readout_protocol == 1
@@ -323,11 +326,11 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     for p_theta in _p_theta_grid(cfg):
         pc = cfg.base_protocol(p_theta)
         if two_sided:
-            reports = [r for r in run_protocol1(pc, basis, mode=mode) if r.selected]
+            reports = [r for r in run_protocol1(pc, dynamics) if r.selected]
         else:
-            reports = [run_protocol2(pc, basis, mode=mode)]
+            reports = [run_protocol2(pc, dynamics)]
         for report in reports:
-            result = run_readout(report, pc, basis, mode=mode)
+            result = run_readout(report, pc, dynamics)
             probabilities = dict(result.joint if two_sided else result.outcomes)
             for outcome in (0, m_occ):
                 rows.append((
@@ -500,7 +503,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
 
     Raises ArithmeticError, and writes nothing, when a table cell is not finite.
     """
-    clear_caches()
     rows, header, extras = _EXPERIMENTS[cfg.kind](cfg)
     _check_finite(cfg.kind, header, rows)
     out, fmt = cfg.experiment.out, cfg.experiment.format

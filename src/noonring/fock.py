@@ -11,7 +11,7 @@ plaquette convention |n1, n2, n3, n4>.
 
 from __future__ import annotations
 
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 
@@ -126,27 +126,30 @@ class QuantumState:
         return f"QuantumState(n_total={self.basis.n_total}, dim={self.basis.size})"
 
 
-def hop_matrix(basis: FockBasis, from_site: int, to_site: int) -> np.ndarray:
-    """Dense matrix of a_to^dagger a_from in the sector basis.
+def hop_entries(basis: FockBasis, from_site: int, to_site: int) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the nonzero entries of a_to^dagger a_from.
 
-    Moves one boson from `from_site` to `to_site`; the matrix element
-    between |..n_f.., ..n_t..> and the moved state is
-    sqrt(n_f (n_t + 1)).
+    Moves one boson from `from_site` to `to_site`; the matrix element between
+    |..n_f.., ..n_t..> and the moved state is sqrt(n_f (n_t + 1)).
     """
     f = _check_site(from_site)
     t = _check_site(to_site)
     if f == t:
         raise ValueError("from_site and to_site must differ (use number_matrix)")
+    occ = basis.occupations
+    columns = np.flatnonzero(occ[:, f] > 0)
+    moved = occ[columns]
+    moved[:, f] -= 1
+    moved[:, t] += 1
+    rows = np.array([basis.index[state] for state in map(tuple, moved.tolist())], dtype=np.int64)
+    return rows, columns, np.sqrt(occ[columns, f] * (occ[columns, t] + 1.0))
+
+
+def hop_matrix(basis: FockBasis, from_site: int, to_site: int) -> np.ndarray:
+    """Dense matrix of a_to^dagger a_from in the sector basis (see hop_entries)."""
+    rows, columns, values = hop_entries(basis, from_site, to_site)
     mat = np.zeros((basis.size, basis.size), dtype=float)
-    for k, state in enumerate(basis.states):
-        n_f = state[f]
-        if n_f == 0:
-            continue
-        moved = list(state)
-        moved[f] -= 1
-        moved[t] += 1
-        k2 = basis.index[tuple(moved)]
-        mat[k2, k] = sqrt(n_f * (state[t] + 1))
+    mat[rows, columns] = values
     return mat
 
 

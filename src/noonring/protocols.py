@@ -21,9 +21,10 @@ P(0) = sin^2(P theta/2 - pi/4): with it, the deterministic output is
 + pi/2)}, and a further t_m of integrable evolution converts the encoded
 phase into that site-3 population law exactly.
 
-The idealized limit (fields applied as instantaneous phase gates, band
-dynamics generated by H_eff) is available as mode="ideal" and serves as
-the analytic oracle for the full simulation (mode="full").
+Each runner takes the dynamics the steps run under: FullDynamics for the
+full simulation, or IdealDynamics for the idealized limit (fields applied
+as instantaneous phase gates, band dynamics generated by H_eff), which
+serves as its analytic oracle.
 """
 
 from __future__ import annotations
@@ -226,56 +227,69 @@ def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis) -> QuantumStat
     })
 
 
-# --- Hamiltonian caching -------------------------------------------------
-#
-# A theta sweep reuses the same three Hamiltonians (integrable, mu on,
-# nu on) at varying durations; caching them keeps one eigendecomposition
-# per Hamiltonian for the whole sweep.
-
-_HAMILTONIAN_CACHE: dict[tuple, HermitianOperator] = {}
+# --- Dynamics: band evolution, and the t_m segments ending in a pulse ----
 
 
-def _cached_hamiltonian(params: ModelParameters, basis: FockBasis) -> HermitianOperator:
-    key = (id(basis), params)
-    operator = _HAMILTONIAN_CACHE.get(key)
-    if operator is None:
-        operator = build_full_hamiltonian(params, basis)
-        _HAMILTONIAN_CACHE[key] = operator
-    return operator
+class FullDynamics:
+    """The full simulation: band evolution under the integrable H, and the
+    fields switched on for the last t_mu (t_nu) of a t_m segment.
+
+    Owns the basis and its Hamiltonians for as long as the run that uses it
+    lives; share one across a theta sweep, so each H is diagonalized once.
+    The runners need only `basis`, `band`, `mu_segment` and `nu_segment`.
+    """
+
+    def __init__(self, basis: FockBasis):
+        self.basis = basis
+        self._hamiltonians: dict[ModelParameters, HermitianOperator] = {}
+
+    def hamiltonian(self, params: ModelParameters) -> HermitianOperator:
+        """Dense H at `params`, built on first use and kept (with its eigensystem)."""
+        if params not in self._hamiltonians:
+            self._hamiltonians[params] = build_full_hamiltonian(params, self.basis)
+        return self._hamiltonians[params]
+
+    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
+        return evolve(state, self.hamiltonian(cfg.params), t)
+
+    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        state = self.band(state, cfg, cfg.t_m - cfg.t_mu)
+        h_mu = self.hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0))
+        return evolve(state, h_mu, cfg.t_mu)
+
+    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        """As mu_segment, with the inverted-sign nu pulse."""
+        state = self.band(state, cfg, cfg.t_m - cfg.t_nu)
+        h_nu = self.hamiltonian(cfg.params.with_fields(mu=0.0, nu=-cfg.nu))
+        return evolve(state, h_nu, cfg.t_nu)
 
 
-_EFFECTIVE_CACHE: dict[tuple, HermitianOperator] = {}
+class IdealDynamics:
+    """The idealized limit and analytic oracle of FullDynamics: band
+    evolution under H_eff for the whole t_m, then the field pulse as an
+    instantaneous phase gate."""
 
+    def __init__(self, basis: FockBasis):
+        self.basis = basis
+        self._effective: dict[DerivedScales, HermitianOperator] = {}
 
-def _cached_effective(cfg: ProtocolConfig, basis: FockBasis) -> HermitianOperator:
-    key = (id(basis), cfg.params, cfg.m_occ, cfg.p_occ)
-    operator = _EFFECTIVE_CACHE.get(key)
-    if operator is None:
-        operator = build_effective_hamiltonian_charges(basis, cfg.n_total, cfg.derived)
-        _EFFECTIVE_CACHE[key] = operator
-    return operator
+    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
+        if cfg.derived not in self._effective:
+            self._effective[cfg.derived] = build_effective_hamiltonian_charges(
+                self.basis, cfg.n_total, cfg.derived)
+        return evolve(state, self._effective[cfg.derived], t)
 
+    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        """Ends in the mu gate: amplitudes pick up e^{-i(theta/2)(n2 - n4)}."""
+        occ, state = self.basis.occupations, self.band(state, cfg, cfg.t_m)
+        phases = np.exp(-0.5j * cfg.theta * (occ[:, 1] - occ[:, 3]))
+        return QuantumState(self.basis, phases * state.amplitudes)
 
-def clear_caches() -> None:
-    _HAMILTONIAN_CACHE.clear()
-    _EFFECTIVE_CACHE.clear()
-
-
-# --- Idealized-limit gates ------------------------------------------------
-
-
-def _mu_phase_gate(basis: FockBasis, theta: float, state: QuantumState) -> QuantumState:
-    """Instantaneous mu pulse: amplitudes pick up e^{-i(theta/2)(n2 - n4)}."""
-    occ = basis.occupations
-    phases = np.exp(-0.5j * theta * (occ[:, 1] - occ[:, 3]))
-    return QuantumState(basis, phases * state.amplitudes)
-
-
-def _nu_phase_gate(basis: FockBasis, m_occ: int, state: QuantumState) -> QuantumState:
-    """Instantaneous inverted-sign nu pulse: e^{+i(pi/4M)(n1 - n3)}."""
-    occ = basis.occupations
-    phases = np.exp(0.25j * math.pi / m_occ * (occ[:, 0] - occ[:, 2]))
-    return QuantumState(basis, phases * state.amplitudes)
+    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        """Ends in the inverted-sign nu gate: e^{+i(pi/4M)(n1 - n3)}."""
+        occ, state = self.basis.occupations, self.band(state, cfg, cfg.t_m)
+        phases = np.exp(0.25j * math.pi / cfg.m_occ * (occ[:, 0] - occ[:, 2]))
+        return QuantumState(self.basis, phases * state.amplitudes)
 
 
 # --- Protocol runners -----------------------------------------------------
@@ -283,22 +297,6 @@ def _nu_phase_gate(basis: FockBasis, m_occ: int, state: QuantumState) -> Quantum
 
 def _initial_state(cfg: ProtocolConfig, basis: FockBasis) -> QuantumState:
     return QuantumState.from_fock(basis, (cfg.m_occ, cfg.p_occ, 0, 0))
-
-
-def _pre_measurement_state(cfg: ProtocolConfig, basis: FockBasis, mode: str) -> QuantumState:
-    """Steps (i)-(ii) of Protocol I."""
-    state = _initial_state(cfg, basis)
-    if mode == "full":
-        h_free = _cached_hamiltonian(cfg.params, basis)
-        h_mu = _cached_hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0), basis)
-        state = evolve(state, h_free, cfg.t_m - cfg.t_mu)
-        state = evolve(state, h_mu, cfg.t_mu)
-    elif mode == "ideal":
-        state = evolve(state, _cached_effective(cfg, basis), cfg.t_m)
-        state = _mu_phase_gate(basis, cfg.theta, state)
-    else:
-        raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
-    return state
 
 
 def _branch_ideal(cfg: ProtocolConfig, basis: FockBasis, r: int) -> QuantumState:
@@ -309,11 +307,10 @@ def _branch_ideal(cfg: ProtocolConfig, basis: FockBasis, r: int) -> QuantumState
 
 def run_protocol1(
     cfg: ProtocolConfig,
-    basis: FockBasis,
-    mode: str = "full",
+    dynamics: FullDynamics | IdealDynamics,
     postselect: tuple[int, ...] | None = None,
 ) -> list[ProtocolReport]:
-    """Run Protocol I and resolve every measurement branch.
+    """Run Protocol I (mu segment, then measure site 3) and resolve every branch.
 
     Returns one report per outcome r with nonzero probability (ascending r).
     Reports whose outcome is outside `postselect` (default {0, M}) are
@@ -321,7 +318,8 @@ def run_protocol1(
     """
     if postselect is None:
         postselect = (0, cfg.m_occ)
-    state = _pre_measurement_state(cfg, basis, mode)
+    basis = dynamics.basis
+    state = dynamics.mu_segment(_initial_state(cfg, basis), cfg)
     reports = []
     for r, _probability in measure_distribution(state, MEASURED_SITE):
         record = project(state, MEASURED_SITE, r)
@@ -337,30 +335,15 @@ def run_protocol1(
     return reports
 
 
-def run_protocol2(cfg: ProtocolConfig, basis: FockBasis, mode: str = "full") -> ProtocolReport:
-    """Run Protocol II (deterministic; no measurement).
+def run_protocol2(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics) -> ProtocolReport:
+    """Run Protocol II (nu segment, then mu segment; no measurement).
 
     The nu pulse is applied with the inverted field sign (see module
     docstring); the mu pulse follows the same convention as Protocol I.
     """
-    state = _initial_state(cfg, basis)
-    if mode == "full":
-        h_free = _cached_hamiltonian(cfg.params, basis)
-        h_nu = _cached_hamiltonian(cfg.params.with_fields(mu=0.0, nu=-cfg.nu), basis)
-        h_mu = _cached_hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0), basis)
-        state = evolve(state, h_free, cfg.t_m - cfg.t_nu)
-        state = evolve(state, h_nu, cfg.t_nu)
-        state = evolve(state, h_free, cfg.t_m - cfg.t_mu)
-        state = evolve(state, h_mu, cfg.t_mu)
-    elif mode == "ideal":
-        h_eff = _cached_effective(cfg, basis)
-        state = evolve(state, h_eff, cfg.t_m)
-        state = _nu_phase_gate(basis, cfg.m_occ, state)
-        state = evolve(state, h_eff, cfg.t_m)
-        state = _mu_phase_gate(basis, cfg.theta, state)
-    else:
-        raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
-    ideal = ideal_protocol2_output(cfg, basis)
+    state = dynamics.nu_segment(_initial_state(cfg, dynamics.basis), cfg)
+    state = dynamics.mu_segment(state, cfg)
+    ideal = ideal_protocol2_output(cfg, dynamics.basis)
     return ProtocolReport(
         final_state=state,
         ideal_state=ideal,
@@ -404,15 +387,10 @@ def protocol2_laws(p_theta: float) -> dict[str, float]:
     }
 
 
-def run_readout(report: ProtocolReport, cfg: ProtocolConfig, basis: FockBasis,
-                mode: str = "full") -> ReadoutResult:
-    """Evolve the protocol output by U(t_m, 0, 0) and measure site 3."""
-    if mode == "full":
-        readout_state = evolve(report.final_state, _cached_hamiltonian(cfg.params, basis), cfg.t_m)
-    elif mode == "ideal":
-        readout_state = evolve(report.final_state, _cached_effective(cfg, basis), cfg.t_m)
-    else:
-        raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
+def run_readout(report: ProtocolReport, cfg: ProtocolConfig,
+                dynamics: FullDynamics | IdealDynamics) -> ReadoutResult:
+    """Evolve the protocol output by a further t_m of band evolution and measure site 3."""
+    readout_state = dynamics.band(report.final_state, cfg, cfg.t_m)
     outcomes = measure_distribution(readout_state, MEASURED_SITE)
     if report.measurement is not None:
         joint = [(r, report.measurement.probability * p) for r, p in outcomes]

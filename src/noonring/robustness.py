@@ -27,6 +27,7 @@ Two parameter sources are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from scipy import optimize
 
@@ -48,9 +49,10 @@ from .model import (
 from .protocols import (
     MEASURED_SITE,
     ProtocolConfig,
+    _initial_state,
     fidelity,
     ideal_protocol1_output,
-    ideal_protocol2_output,
+    run_protocol2,
 )
 
 
@@ -120,13 +122,28 @@ def pulsed_propagator(
 
 @dataclass(frozen=True)
 class _DetunedSystem:
-    """Hamiltonians and timings realized at one xi value."""
+    """Hamiltonians and timings realized at one xi value, as protocol dynamics."""
 
     h_plus: HermitianOperator           # integrable interval, +xi
     h_minus: HermitianOperator          # integrable interval, -xi
     h_mu: HermitianOperator             # mu pulse, +xi detuning
     h_nu: HermitianOperator             # inverted-sign nu pulse, +xi detuning
     cfg: ProtocolConfig                 # mean-coupling config (timings, ideals)
+    config: RobustnessConfig
+    basis: FockBasis
+
+    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
+        """Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi)."""
+        if self.config.mode == "static":
+            return evolve(state, self.h_plus, t)
+        return pulsed_propagator(
+            self.h_plus, self.h_minus, state, t, self.config.n_dt, self.config.start_sign)
+
+    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_mu), self.h_mu, cfg.t_mu)
+
+    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_nu), self.h_nu, cfg.t_nu)
 
 
 def _direct_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _DetunedSystem:
@@ -140,7 +157,7 @@ def _direct_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _De
         h_minus=HermitianOperator(basis, h_free.matrix - perturbation, check=False),
         h_mu=HermitianOperator(basis, h_mu.matrix + perturbation, check=False),
         h_nu=HermitianOperator(basis, h_nu.matrix + perturbation, check=False),
-        cfg=base,
+        cfg=base, config=config, basis=basis,
     )
 
 
@@ -164,15 +181,15 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
     return params, v0_from_omega_r(trap, omega_r)
 
 
-def _physical_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _DetunedSystem:
+def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: float,
+                     v0_star: float, xi: float) -> _DetunedSystem:
+    """The system at xi around the integrable root omega_star, where V0 = v0_star."""
     base = config.base
     trap = config.trap
-    omega_star = solve_integrability(trap).omega_r
     omega_plus = _solve_detuned_omega(trap, +xi, omega_star)
     omega_minus = _solve_detuned_omega(trap, -xi, omega_star)
     params_plus, v0_plus = _physical_params(trap, omega_plus, base.params.j)
     params_minus, v0_minus = _physical_params(trap, omega_minus, base.params.j)
-    v0_star = v0_from_omega_r(trap, omega_star)
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star
     nu_plus, nu_minus = base.nu * v0_plus / v0_star, base.nu * v0_minus / v0_star
     # Mean couplings (projected onto the integrable manifold; the +- U0-U13
@@ -190,46 +207,32 @@ def _physical_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _
         h_minus=build_full_hamiltonian(params_minus, basis),
         h_mu=build_full_hamiltonian(params_plus.with_fields(mu=mu_plus, nu=0.0), basis),
         h_nu=build_full_hamiltonian(params_plus.with_fields(mu=0.0, nu=-nu_plus), basis),
-        cfg=mean_cfg,
+        cfg=mean_cfg, config=config, basis=basis,
     )
 
 
-def _integrable_interval(
-    system: _DetunedSystem, config: RobustnessConfig,
-    state: QuantumState, duration: float,
-) -> QuantumState:
-    if config.mode == "static":
-        return evolve(state, system.h_plus, duration)
-    return pulsed_propagator(
-        system.h_plus, system.h_minus, state, duration, config.n_dt, config.start_sign)
-
-
-def _run_point(config: RobustnessConfig, basis: FockBasis, xi: float) -> RobustnessPoint:
-    build = _direct_system if config.source == "direct" else _physical_system
-    system = build(config, basis, xi)
+def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
     cfg = system.cfg
-    state = QuantumState.from_fock(basis, (cfg.m_occ, cfg.p_occ, 0, 0))
-    if config.protocol == 1:
-        state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_mu)
-        state = evolve(state, system.h_mu, cfg.t_mu)
-        probability = dict(measure_distribution(state, MEASURED_SITE)).get(0, 0.0)
-        if probability == 0.0:
-            return RobustnessPoint(xi, xi / cfg.params.j, 0.0, 0.0)
-        record = project(state, MEASURED_SITE, 0)
-        ideal = ideal_protocol1_output(cfg, basis, 0)
-        return RobustnessPoint(
-            xi, xi / cfg.params.j, fidelity(ideal, record.post_state), probability)
-    state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_nu)
-    state = evolve(state, system.h_nu, cfg.t_nu)
-    state = _integrable_interval(system, config, state, cfg.t_m - cfg.t_mu)
-    state = evolve(state, system.h_mu, cfg.t_mu)
-    ideal = ideal_protocol2_output(cfg, basis)
-    return RobustnessPoint(xi, xi / cfg.params.j, fidelity(ideal, state), None)
+    if system.config.protocol == 2:
+        return RobustnessPoint(xi, xi / cfg.params.j, run_protocol2(cfg, system).fidelity, None)
+    state = system.mu_segment(_initial_state(cfg, system.basis), cfg)
+    probability = dict(measure_distribution(state, MEASURED_SITE)).get(0, 0.0)
+    if probability == 0.0:
+        return RobustnessPoint(xi, xi / cfg.params.j, 0.0, 0.0)
+    record = project(state, MEASURED_SITE, 0)
+    ideal = ideal_protocol1_output(cfg, system.basis, 0)
+    return RobustnessPoint(xi, xi / cfg.params.j, fidelity(ideal, record.post_state), probability)
 
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
-    """Fidelity (and Protocol I success probability) across the xi grid."""
-    return [_run_point(config, basis, xi) for xi in config.xi_values]
+    """Fidelity (and Protocol I success probability) across the xi grid, one system at a time."""
+    if config.source == "direct":
+        build = partial(_direct_system, config, basis)
+    else:
+        omega_star = solve_integrability(config.trap).omega_r
+        build = partial(_physical_system, config, basis, omega_star,
+                        v0_from_omega_r(config.trap, omega_star))
+    return [_run_point(build(xi), xi) for xi in config.xi_values]
 
 
 def threshold_xi(points: list[RobustnessPoint], level: float = 0.9) -> float | None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import evolve
-from .fock import FockBasis, QuantumState, hop_matrix
+from .fock import FockBasis, QuantumState, hop_entries
 from .model import (
     ModelParameters,
     build_effective_hamiltonian_charges,
@@ -51,8 +51,7 @@ def band_splits(n_total: int) -> list[tuple[int, int]]:
 
     For U > 0 this is ascending band energy: E = C - U (M - P)^2.
     """
-    splits = [(m, n_total - m) for m in range(n_total // 2 + 1)]
-    return splits
+    return [(m, n_total - m) for m in range(n_total // 2 + 1)]
 
 
 def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
@@ -85,31 +84,41 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float) -> list[tuple[np.ndarray
     `basis` is read as the occupations of (s13, s24, d13, d24).  Returns one
     (indices, hops) pair per block size: indices[k] are the basis positions of
     block k and hops[k] its hopping matrix, so every block of one size is
-    diagonalized in one batched call.  Raises ArithmeticError if a field
+    diagonalized in one batched call.  The hop entries go straight into the
+    blocks; no n x n matrix is built.  Raises ArithmeticError if a field
     overflows an entry to inf or NaN.
     """
-    hop = np.zeros((basis.size, basis.size))
+    # -J s13+ s24 (J = 1), mu s24+ d24, nu s13+ d13; each entry also stands for its h.c.
+    # No two of these hops connect the same pair of states, so no entry is a sum.
+    entries = [hop_entries(basis, *slots) for slots in ((2, 1), (4, 2), (3, 1))]
+    rows, columns, values = (np.concatenate(part) for part in zip(*entries))
     # The finiteness check below reports an overflow; numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # -J s13+ s24 (J = 1), mu s24+ d24, nu s13+ d13; the transpose adds h.c.
-        for coefficient, from_slot, to_slot in ((-1.0, 2, 1), (mu, 4, 2), (nu, 3, 1)):
-            hop += coefficient * hop_matrix(basis, from_slot, to_slot)
-        hop = hop + hop.T
-    if not np.isfinite(hop).all():
+        values = np.repeat([-1.0, mu, nu], [len(hops[0]) for hops in entries]) * values
+    if not np.isfinite(values).all():
         raise ArithmeticError(f"spectrum fields mu = {mu:g}, nu = {nu:g} give non-finite H")
+    on = values != 0.0   # every entry of a hop is nonzero unless its field is off
+    rows, columns, values = rows[on], columns[on], values[on]
     conserved = [column for column, field in ((2, nu), (3, mu)) if field == 0.0]
     key = np.zeros(basis.size, dtype=np.int64)
     for column in conserved:
         key = key * (basis.n_total + 1) + basis.occupations[:, column]
-    _, block_of = np.unique(key, return_inverse=True)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in range(block_of.max() + 1):
-        indices = np.flatnonzero(block_of == block)
-        by_size.setdefault(len(indices), []).append(indices)
+    _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
+    starts = np.cumsum(sizes) - sizes
+    slot = np.empty(basis.size, dtype=np.int64)      # block of a state among those of its size
+    position = np.empty(basis.size, dtype=np.int64)  # its row within that block
     blocks = []
-    for members in by_size.values():
-        indices = np.array(members)
-        blocks.append((indices, hop[indices[:, :, None], indices[:, None, :]]))
+    for size in dict.fromkeys(sizes):
+        indices = by_block[starts[sizes == size][:, None] + np.arange(size)]
+        slot[indices] = np.arange(len(indices))[:, None]
+        position[indices] = np.arange(size)
+        inside = sizes[block_of[rows]] == size
+        r, c = rows[inside], columns[inside]
+        hops = np.zeros((len(indices), size, size))
+        hops[slot[r], position[r], position[c]] = values[inside]
+        hops[slot[r], position[c], position[r]] = values[inside]
+        blocks.append((indices, hops))
     return blocks
 
 

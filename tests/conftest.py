@@ -1,8 +1,9 @@
-"""Shared fixtures: Fock sectors and the two benchmark coupling sets."""
+"""Shared fixtures: Fock sectors, dynamics and the two benchmark coupling sets."""
 
 import pytest
 
 from noonring.fock import enumerate_basis
+from noonring.protocols import FullDynamics, IdealDynamics
 
 # Couplings are angular frequencies (X/hbar in rad/s), ring of M + P bosons.
 SET1 = {"u": 75.876, "j": 24.886, "mu": 20.870}
@@ -14,6 +15,17 @@ P_OCC = 11
 @pytest.fixture(scope="session")
 def basis15():
     return enumerate_basis(15)
+
+
+@pytest.fixture(scope="session")
+def full15(basis15):
+    """One FullDynamics for every theta sweep: each Hamiltonian is diagonalized once."""
+    return FullDynamics(basis15)
+
+
+@pytest.fixture(scope="session")
+def ideal15(basis15):
+    return IdealDynamics(basis15)
 
 
 @pytest.fixture(scope="session")

@@ -61,10 +61,10 @@ def make_cfg(couplings, p_theta):
     )
 
 
-def selected_reports(cfg, basis):
+def selected_reports(cfg, dynamics):
     return {
         report.measurement.outcome: report
-        for report in run_protocol1(cfg, basis, mode="full")
+        for report in run_protocol1(cfg, dynamics)
         if report.selected
     }
 
@@ -79,12 +79,12 @@ def test_criterion_1_derived_time_scales():
     assert elapsed < 0.1  # pure arithmetic; milliseconds, not seconds
 
 
-def test_criterion_2_protocol1_benchmarks(basis15):
+def test_criterion_2_protocol1_benchmarks(full15):
     start = time.perf_counter()
     for name, couplings in (("set1", SET1), ("set2", SET2)):
         tolerance = PROTOCOL1_TOLERANCE[name]
         for p_theta in P_THETA_BENCHMARKS:
-            branches = selected_reports(make_cfg(couplings, p_theta), basis15)
+            branches = selected_reports(make_cfg(couplings, p_theta), full15)
             assert set(branches) == {0, M_OCC}
             for outcome, (target_p, target_f) in PROTOCOL1_TARGETS[name].items():
                 report = branches[outcome]
@@ -94,37 +94,37 @@ def test_criterion_2_protocol1_benchmarks(basis15):
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_3_protocol2_fidelity_floor(basis15):
+def test_criterion_3_protocol2_fidelity_floor(full15):
     grid = np.linspace(0.0, math.pi, 64)
     for couplings in (SET1, SET2):
         for p_theta in grid:
             cfg = make_cfg(couplings, float(p_theta))
-            f2 = run_protocol2(cfg, basis15, mode="full").fidelity
+            f2 = run_protocol2(cfg, full15).fidelity
             assert f2 > 0.9
             if couplings is SET1:
                 f1_branches = [
-                    r.fidelity for r in selected_reports(cfg, basis15).values()
+                    r.fidelity for r in selected_reports(cfg, full15).values()
                 ]
                 assert f2 <= min(f1_branches) + 1e-9
 
 
-def test_criterion_4_readout_laws_and_fit_coefficients(basis15):
+def test_criterion_4_readout_laws_and_fit_coefficients(full15, ideal15):
     # Ideal-limit interference laws, exact to 1e-10.
     for p_theta in np.linspace(0.0, math.pi, 9):
         cfg = make_cfg(SET1, float(p_theta))
         half_cos2 = 0.5 * math.cos(0.5 * p_theta) ** 2
         half_sin2 = 0.5 * math.sin(0.5 * p_theta) ** 2
-        for report in run_protocol1(cfg, basis15, mode="ideal"):
+        for report in run_protocol1(cfg, ideal15):
             if not report.selected:
                 continue
-            joint = dict(run_readout(report, cfg, basis15, mode="ideal").joint)
+            joint = dict(run_readout(report, cfg, ideal15).joint)
             same = half_cos2 if report.measurement.outcome == 0 else half_sin2
             assert joint.get(report.measurement.outcome, 0.0) == pytest.approx(
                 same, abs=1e-10)
             other = M_OCC if report.measurement.outcome == 0 else 0
             assert joint.get(other, 0.0) == pytest.approx(0.5 - same, abs=1e-10)
-        report2 = run_protocol2(cfg, basis15, mode="ideal")
-        outcomes = dict(run_readout(report2, cfg, basis15, mode="ideal").outcomes)
+        report2 = run_protocol2(cfg, ideal15)
+        outcomes = dict(run_readout(report2, cfg, ideal15).outcomes)
         shifted = 0.5 * p_theta - 0.25 * math.pi
         assert outcomes.get(0, 0.0) == pytest.approx(math.sin(shifted) ** 2, abs=1e-10)
         assert outcomes.get(M_OCC, 0.0) == pytest.approx(
@@ -134,14 +134,14 @@ def test_criterion_4_readout_laws_and_fit_coefficients(basis15):
     zero1, m1, zero2, m2 = [], [], [], []
     for p_theta in np.linspace(0.0, math.pi, 64):
         cfg = make_cfg(SET2, float(p_theta))
-        for report in run_protocol1(cfg, basis15, mode="full"):
+        for report in run_protocol1(cfg, full15):
             if not report.selected:
                 continue
-            joint = dict(run_readout(report, cfg, basis15, mode="full").joint)
+            joint = dict(run_readout(report, cfg, full15).joint)
             zero1.append((float(p_theta), joint.get(0, 0.0)))
             m1.append((float(p_theta), joint.get(M_OCC, 0.0)))
-        report2 = run_protocol2(cfg, basis15, mode="full")
-        conditional = dict(run_readout(report2, cfg, basis15, mode="full").outcomes)
+        report2 = run_protocol2(cfg, full15)
+        conditional = dict(run_readout(report2, cfg, full15).outcomes)
         zero2.append((float(p_theta), conditional.get(0, 0.0)))
         m2.append((float(p_theta), conditional.get(M_OCC, 0.0)))
     fits = {

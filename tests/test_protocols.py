@@ -1,6 +1,8 @@
 """NOON generation protocols: configuration, ideal targets, and benchmarks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from noonring.fock import QuantumState
 from noonring.model import ModelParameters
 from noonring.protocols import (
     MEASURED_SITE,
+    FullDynamics,
+    IdealDynamics,
     ProtocolConfig,
-    clear_caches,
     fidelity,
     fit_readout_amplitudes,
     ideal_protocol1_output,
@@ -141,9 +144,9 @@ class TestFidelity:
 
 
 class TestUberNoonFormation:
-    def test_full_evolution_reaches_four_branch_state(self, basis15, set1):
+    def test_full_evolution_reaches_four_branch_state(self, full15, basis15, set1):
         cfg = make_cfg(set1, p_theta=0.0)
-        reports = run_protocol1(cfg, basis15, mode="full")
+        reports = run_protocol1(cfg, full15)
         # Reassemble the pre-measurement corner populations from branches.
         corner_population = sum(
             rep.measurement.probability * abs(
@@ -155,9 +158,9 @@ class TestUberNoonFormation:
 
 
 class TestProtocol1:
-    def test_ideal_mode_is_exact(self, basis15, set1):
+    def test_ideal_mode_is_exact(self, ideal15, set1):
         cfg = make_cfg(set1, p_theta=1.1)
-        reports = run_protocol1(cfg, basis15, mode="ideal")
+        reports = run_protocol1(cfg, ideal15)
         selected = {rep.measurement.outcome: rep for rep in reports if rep.selected}
         assert set(selected) == {0, M_OCC}
         for rep in selected.values():
@@ -166,18 +169,18 @@ class TestProtocol1:
         assert total == pytest.approx(1.0, abs=1e-10)
         assert selected[0].measurement.probability == pytest.approx(0.5, abs=1e-10)
 
-    def test_full_mode_set1_benchmark(self, basis15, set1):
+    def test_full_mode_set1_benchmark(self, full15, set1):
         cfg = make_cfg(set1, p_theta=math.pi / 2.0)
-        reports = run_protocol1(cfg, basis15, mode="full")
+        reports = run_protocol1(cfg, full15)
         by_outcome = {rep.measurement.outcome: rep for rep in reports}
         assert by_outcome[0].measurement.probability == pytest.approx(0.5009, abs=3e-3)
         assert by_outcome[0].fidelity == pytest.approx(0.9977, abs=3e-3)
         assert by_outcome[4].measurement.probability == pytest.approx(0.4956, abs=3e-3)
         assert by_outcome[4].fidelity == pytest.approx(0.9996, abs=3e-3)
 
-    def test_probability_sum_rule_and_selection(self, basis15, set1):
+    def test_probability_sum_rule_and_selection(self, full15, set1):
         cfg = make_cfg(set1, p_theta=math.pi / 3.0)
-        reports = run_protocol1(cfg, basis15, mode="full")
+        reports = run_protocol1(cfg, full15)
         total = sum(rep.measurement.probability for rep in reports)
         assert total == pytest.approx(1.0, abs=1e-10)
         selected = sum(rep.measurement.probability for rep in reports if rep.selected)
@@ -188,18 +191,18 @@ class TestProtocol1:
                 # Discarded branches have no overlap with either NOON target.
                 assert rep.fidelity == pytest.approx(0.0, abs=1e-6)
 
-    def test_custom_postselection(self, basis15, set1):
+    def test_custom_postselection(self, full15, set1):
         cfg = make_cfg(set1, p_theta=0.5)
-        reports = run_protocol1(cfg, basis15, mode="full", postselect=(1, 2))
+        reports = run_protocol1(cfg, full15, postselect=(1, 2))
         for rep in reports:
             assert rep.selected == (rep.measurement.outcome in (1, 2))
 
-    def test_phase_encoding_tracks_p_theta(self, basis15, set1):
+    def test_phase_encoding_tracks_p_theta(self, full15, basis15, set1):
         i_ref = basis15.index_of((4, 11, 0, 0))
         i_enc = basis15.index_of((4, 0, 0, 11))
         for p_theta in np.linspace(0.0, np.pi, 7):
             cfg = make_cfg(set1, p_theta=float(p_theta))
-            reports = run_protocol1(cfg, basis15, mode="full")
+            reports = run_protocol1(cfg, full15)
             branch = next(rep for rep in reports if rep.measurement.outcome == 0)
             amps = branch.final_state.amplitudes
             ratio = amps[i_enc] / amps[i_ref]
@@ -208,35 +211,31 @@ class TestProtocol1:
 
 
 class TestProtocol2:
-    def test_ideal_mode_is_exact(self, basis15, set1):
+    def test_ideal_mode_is_exact(self, ideal15, set1):
         cfg = make_cfg(set1, p_theta=0.8)
-        report = run_protocol2(cfg, basis15, mode="ideal")
+        report = run_protocol2(cfg, ideal15)
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
         assert report.measurement is None
         assert report.elapsed_model_time == pytest.approx(2.0 * cfg.t_m)
 
-    def test_full_mode_benchmarks(self, basis15, set1, set2):
-        f1 = run_protocol2(make_cfg(set1, math.pi / 2.0), basis15, mode="full").fidelity
-        f2 = run_protocol2(make_cfg(set2, math.pi / 2.0), basis15, mode="full").fidelity
+    def test_full_mode_benchmarks(self, full15, set1, set2):
+        f1 = run_protocol2(make_cfg(set1, math.pi / 2.0), full15).fidelity
+        f2 = run_protocol2(make_cfg(set2, math.pi / 2.0), full15).fidelity
         assert f1 == pytest.approx(0.9962, abs=2e-3)
         assert f2 == pytest.approx(0.9345, abs=3e-3)
         assert f2 < f1  # slower set is closer to the resonant regime
 
-    def test_bad_mode_rejected(self, basis15, set1):
-        with pytest.raises(ValueError):
-            run_protocol2(make_cfg(set1, 0.1), basis15, mode="exactish")
-
 
 class TestReadout:
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
-    def test_ideal_laws_protocol1(self, basis15, set1, p_theta):
+    def test_ideal_laws_protocol1(self, ideal15, set1, p_theta):
         cfg = make_cfg(set1, p_theta=p_theta)
-        reports = run_protocol1(cfg, basis15, mode="ideal")
+        reports = run_protocol1(cfg, ideal15)
         laws = protocol1_laws(p_theta)
         for rep in reports:
             if not rep.selected:
                 continue
-            result = run_readout(rep, cfg, basis15, mode="ideal")
+            result = run_readout(rep, cfg, ideal15)
             joint = dict(result.joint)
             key = "P_I(.,0)" if rep.measurement.outcome == 0 else "P_I(.,M)"
             for readout_r in (0, M_OCC):
@@ -245,10 +244,10 @@ class TestReadout:
                 assert joint.get(readout_r, 0.0) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
-    def test_ideal_laws_protocol2(self, basis15, set1, p_theta):
+    def test_ideal_laws_protocol2(self, ideal15, set1, p_theta):
         cfg = make_cfg(set1, p_theta=p_theta)
-        report = run_protocol2(cfg, basis15, mode="ideal")
-        result = run_readout(report, cfg, basis15, mode="ideal")
+        report = run_protocol2(cfg, ideal15)
+        result = run_readout(report, cfg, ideal15)
         outcomes = dict(result.outcomes)
         laws = protocol2_laws(p_theta)
         assert outcomes.get(0, 0.0) == pytest.approx(laws["P_II(0)"], abs=1e-10)
@@ -291,11 +290,32 @@ class TestReadoutFits:
             del READOUT_LAWS["zero"]
 
 
-class TestCaches:
-    def test_clear_caches(self, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.1)
-        run_protocol2(cfg, basis15, mode="full")
-        from noonring.protocols import _HAMILTONIAN_CACHE
-        assert len(_HAMILTONIAN_CACHE) > 0
-        clear_caches()
-        assert len(_HAMILTONIAN_CACHE) == 0
+class TestDynamics:
+    @pytest.mark.parametrize("dynamics_class, decompositions", [
+        (FullDynamics, 3),    # integrable H, nu on, mu on
+        (IdealDynamics, 1),   # H_eff
+    ])
+    def test_one_decomposition_per_operator_across_a_sweep(
+            self, basis15, set1, monkeypatch, dynamics_class, decompositions):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        dynamics = dynamics_class(basis15)
+        for p_theta in np.linspace(0.0, math.pi, 8):
+            run_protocol2(make_cfg(set1, float(p_theta)), dynamics)
+        assert len(calls) == decompositions
+
+    def test_operators_die_with_their_dynamics(self, basis5, set1):
+        cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+        dynamics = FullDynamics(basis5)
+        run_protocol2(cfg, dynamics)
+        operator = weakref.ref(dynamics.hamiltonian(cfg.params))
+        assert operator() is not None
+        del dynamics
+        gc.collect()
+        assert operator() is None

@@ -7,7 +7,7 @@ from noonring.dynamics import evolve
 from noonring.fock import QuantumState
 from noonring.lattice import TrapParameters
 from noonring.model import HermitianOperator, build_full_hamiltonian, detuning_operator
-from noonring.protocols import protocol_config, run_protocol1
+from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
     RobustnessConfig,
     RobustnessPoint,
@@ -114,10 +114,15 @@ class TestPulsedPropagator:
 
 
 class TestDirectSweeps:
-    def test_zero_detuning_matches_unperturbed_protocol(self, basis15):
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_zero_detuning_matches_unperturbed_protocol(self, basis15, full15, protocol):
         cfg = make_cfg(SET1)
-        point = sweep_point(SET1, basis15, 0.0, n_dt=4)
-        reports = run_protocol1(cfg, basis15, mode="full")
+        point = sweep_point(SET1, basis15, 0.0, n_dt=4, protocol=protocol)
+        if protocol == 2:
+            assert point.probability is None
+            assert point.fidelity == pytest.approx(run_protocol2(cfg, full15).fidelity, abs=1e-9)
+            return
+        reports = run_protocol1(cfg, full15)
         reference = next(r for r in reports if r.measurement.outcome == 0)
         assert point.fidelity == pytest.approx(reference.fidelity, abs=1e-9)
         assert point.probability == pytest.approx(

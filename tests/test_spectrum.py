@@ -1,5 +1,7 @@
 """Band structure of the integrable spectrum and effective-dynamics accuracy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,16 @@ class TestBlockSpectrum:
         spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu).eigenvalues[0]
         np.testing.assert_allclose(
             spectrum, dense_spectrum(basis5, 7.5, mu=mu, nu=nu), rtol=0, atol=1e-9)
+
+    def test_n21_sweep_builds_no_dense_matrix(self):
+        basis = enumerate_basis(21)          # dim 2024: one dense matrix is 32.8 MB
+        tracemalloc.start()
+        try:
+            sweep_spectrum(basis, [25.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestAssignBands:

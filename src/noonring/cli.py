@@ -11,7 +11,8 @@ Experiment kinds
 
 Each run writes one delimited table (csv/tsv; header row plus a unit
 comment) and a JSON manifest echoing the fully resolved configuration
-and derived scales.  Identical inputs produce byte-identical tables;
+and derived scales.  Identical inputs produce byte-identical tables at a
+fixed BLAS thread count (the manifest records it under `environment`);
 the manifest carries the only timestamp.
 
 Config files are INI-style; `SCHEMA` gives every section and key its type,
@@ -27,6 +28,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from configparser import ConfigParser
 from dataclasses import fields
@@ -36,8 +38,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
-from .dynamics import evolve
 from .fock import QuantumState, enumerate_basis
 from .lattice import (
     QuadratureError,
@@ -46,7 +48,6 @@ from .lattice import (
     model_parameters_from_lattice,
     solve_integrability,
 )
-from .model import build_effective_hamiltonian_charges, build_full_hamiltonian
 from .protocols import (
     FullDynamics,
     IdealDynamics,
@@ -242,6 +243,15 @@ def _write_manifest(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _environment() -> dict:
+    """Versions and thread settings: table digits can depend on the BLAS thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads": {name: value for name, value in sorted(os.environ.items())
+                        if name.endswith("_NUM_THREADS")}}
+
+
 def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
     return {
         "kind": cfg.kind,
@@ -251,6 +261,7 @@ def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
         "format": cfg.experiment.format,
         "units": "couplings/fields: rad/s (X/hbar); times: s",
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "environment": _environment(),
         **extras,
     }
 
@@ -391,16 +402,15 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     basis = enumerate_basis(m + p)
     pc = cfg.base_protocol(0.0)
     t_max = cfg.evolve.t_max if cfg.evolve.t_max is not None else pc.t_m
-    h_full = build_full_hamiltonian(pc.params, basis)
-    h_eff = build_effective_hamiltonian_charges(basis, pc.n_total, pc.derived)
+    full, ideal = FullDynamics(basis), IdealDynamics(basis)
     initial = QuantumState.from_fock(basis, (m, p, 0, 0))
     uber = ideal_uber_noon(pc, basis, stage="pre_field")
     corners = [basis.index_of(occ) for occ in
                ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
     rows = []
     for t in np.linspace(0.0, t_max, cfg.evolve.points):
-        full_state = evolve(initial, h_full, float(t))
-        eff_state = evolve(initial, h_eff, float(t))
+        full_state = full.band(initial, pc, float(t))
+        eff_state = ideal.band(initial, pc, float(t))
         weights = np.abs(full_state.amplitudes[corners]) ** 2
         rows.append((
             float(t), *map(float, weights),

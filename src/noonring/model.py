@@ -23,6 +23,16 @@ is captured by the effective Hamiltonian
 
 with Omega = J^2 / (4U((M-P)^2 - 1)); the half-period t_m = pi/(2 Omega)
 drives the Fock state |M,P,0,0> into a four-branch NOON superposition.
+
+In the normal modes s13, s24 = (a1 + a3)/sqrt2, (a2 + a4)/sqrt2 and
+d13, d24 = (a1 - a3)/sqrt2, (a2 - a4)/sqrt2 of the site pairs,
+
+    H = U0/2 [M(M-1) + P(P-1)] + U12 M P - J (s13+ s24 + h.c.)
+        + mu (s24+ d24 + h.c.) + nu (s13+ d13 + h.c.),
+
+with M = n_s13 + n_d13, P = n_s24 + n_d24, Q1 = n_d13 and Q2 = n_d24: H
+splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
+and H_eff is diagonal.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, QuantumState, hop_matrix
+from .fock import FockBasis, hop_entries, hop_matrix
 
 HERMITICITY_TOL = 1e-12
 
@@ -111,48 +121,61 @@ class ModelParameters:
 
 
 class HermitianOperator:
-    """Dense Hermitian matrix in a Fock sector with a cached eigensystem."""
+    """Hermitian matrix in a Fock sector, held in blocks, with a cached eigensystem.
 
-    def __init__(self, basis: FockBasis, matrix, check: bool = True):
-        matrix = np.asarray(matrix)
-        if matrix.shape != (basis.size, basis.size):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match basis size {basis.size}"
-            )
+    `blocks` holds one (indices, matrices) pair per block size: indices[k] are
+    the basis positions of block k, matrices[k] the block, and `order` the
+    positions block by block.  A dense matrix is the one block
+    (arange(n), matrix) and is also kept as `matrix` (None for blocks).
+    """
+
+    def __init__(self, basis: FockBasis, matrix=None, check: bool = True, blocks=None):
+        if blocks is None:
+            matrix = np.asarray(matrix)
+            if matrix.shape != (basis.size, basis.size):
+                raise ValueError(
+                    f"matrix shape {matrix.shape} does not match basis size {basis.size}"
+                )
+            blocks = [(np.arange(basis.size), matrix)]
         self.basis = basis
         self.matrix = matrix
-        self._eigensystem: tuple[np.ndarray, np.ndarray] | None = None
+        self.blocks = blocks
+        self.order = np.concatenate([indices.ravel() for indices, _ in blocks])
+        self._eigensystem: tuple | None = None
         if check:
             self._require_finite()
-            deviation = float(np.max(np.abs(matrix - matrix.conj().T)))
-            if not deviation <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrix)))):
-                raise ValueError(f"matrix is not Hermitian (max deviation {deviation:g})")
+            for _, matrices in blocks:
+                deviation = float(np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2).conj())))
+                if not deviation <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrices)))):
+                    raise ValueError(f"matrix is not Hermitian (max deviation {deviation:g})")
 
     def _require_finite(self) -> None:
         """Raise ArithmeticError, before LAPACK sees it, if an entry is inf or NaN."""
-        if not np.isfinite(self.matrix).all():
+        if not all(np.isfinite(matrices).all() for _, matrices in self.blocks):
             raise ArithmeticError(f"{self!r} has non-finite entries")
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvector columns; computed once."""
+    def eigensystem(self) -> tuple:
+        """Eigenvalues (ascending) and eigenvector columns, one pair per entry of `blocks`.
+
+        Computed once, with one batched eigh per block size; a 1 x 1 block needs none.
+        """
         if self._eigensystem is None:
             self._require_finite()
-            eigenvalues, eigenvectors = np.linalg.eigh(self.matrix)
-            self._eigensystem = (eigenvalues, eigenvectors)
+            self._eigensystem = tuple(
+                (matrices[..., 0], np.ones_like(matrices)) if matrices.shape[-1] == 1
+                else np.linalg.eigh(matrices) for _, matrices in self.blocks)
         return self._eigensystem
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues (ascending): the cached ones, else computed without eigenvectors."""
         if self._eigensystem is not None:
-            return self._eigensystem[0]
-        self._require_finite()
-        return np.linalg.eigvalsh(self.matrix)
-
-    def expectation(self, state: QuantumState) -> float:
-        return float(np.real(np.vdot(state.amplitudes, self.matrix @ state.amplitudes)))
-
-    def apply(self, state: QuantumState) -> QuantumState:
-        return QuantumState(state.basis, self.matrix @ state.amplitudes)
+            values = [pair[0] for pair in self._eigensystem]
+        else:
+            self._require_finite()
+            values = [np.linalg.eigvalsh(matrices) for _, matrices in self.blocks]
+        if len(values) == 1 and values[0].ndim == 1:   # one dense block: already ascending
+            return values[0]
+        return np.sort(np.concatenate([part.ravel() for part in values]))
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
@@ -220,6 +243,74 @@ def build_full_hamiltonian(params: ModelParameters, basis: FockBasis) -> Hermiti
         diagonal += params.mu * (n2 - n4) + params.nu * (n1 - n3)
         matrix = np.diag(diagonal) - 0.5 * params.j * (hop + hop.T)
     return HermitianOperator(basis, matrix)
+
+
+def _hop_blocks(basis: FockBasis, mu: float, nu: float,
+                j: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The U-independent part of H in the normal-mode basis, cut into blocks.
+
+    `basis` is read as the occupations of (s13, s24, d13, d24).  Returns one
+    (indices, hops) pair per block size: indices[k] are the basis positions of
+    block k and hops[k] its hopping matrix, so every block of one size is
+    diagonalized in one batched call.  The hop entries go straight into the
+    blocks; no n x n matrix is built.  Raises ArithmeticError if a field
+    overflows an entry to inf or NaN.
+    """
+    # -J s13+ s24, mu s24+ d24, nu s13+ d13; each entry also stands for its h.c.
+    # No two of these hops connect the same pair of states, so no entry is a sum.
+    entries = [hop_entries(basis, *slots) for slots in ((2, 1), (4, 2), (3, 1))]
+    rows, columns, values = (np.concatenate(part) for part in zip(*entries))
+    # The finiteness check below reports an overflow; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.repeat([-j, mu, nu], [len(hops[0]) for hops in entries]) * values
+    if not np.isfinite(values).all():
+        raise ArithmeticError(f"fields mu = {mu:g}, nu = {nu:g}, J = {j:g} give non-finite H")
+    on = values != 0.0   # every entry of a hop is nonzero unless its field is off
+    rows, columns, values = rows[on], columns[on], values[on]
+    conserved = [column for column, field in ((2, nu), (3, mu)) if field == 0.0]
+    key = np.zeros(basis.size, dtype=np.int64)
+    for column in conserved:
+        key = key * (basis.n_total + 1) + basis.occupations[:, column]
+    _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
+    starts = np.cumsum(sizes) - sizes
+    slot = np.empty(basis.size, dtype=np.int64)      # block of a state among those of its size
+    position = np.empty(basis.size, dtype=np.int64)  # its row within that block
+    blocks = []
+    for size in dict.fromkeys(sizes):
+        indices = by_block[starts[sizes == size][:, None] + np.arange(size)]
+        slot[indices] = np.arange(len(indices))[:, None]
+        position[indices] = np.arange(size)
+        inside = sizes[block_of[rows]] == size
+        r, c = rows[inside], columns[inside]
+        hops = np.zeros((len(indices), size, size))
+        hops[slot[r], position[r], position[c]] = values[inside]
+        hops[slot[r], position[c], position[r]] = values[inside]
+        blocks.append((indices, hops))
+    return blocks
+
+
+def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
+                           hops=None) -> HermitianOperator:
+    """The integrable H in blocks of the conserved d-occupations (module docstring).
+
+    `modes` is read as (s13, s24, d13, d24); blocks have size <= (N+2)(N+1)/2.
+    `hops` may hand in `_hop_blocks(modes, params.mu, params.nu, params.j)`,
+    cut once for a sweep over U0 and U12.
+    """
+    if not params.integrable():
+        raise ValueError("normal-mode blocks need U13 = U24 = U0, U12 = U23 = U34 = U14")
+    occ = modes.occupations.astype(float)
+    m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
+    hops = _hop_blocks(modes, params.mu, params.nu, params.j) if hops is None else hops
+    with np.errstate(over="ignore", invalid="ignore"):   # reported as in build_full_hamiltonian
+        diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
+                    + params.u12 * (m_occ * p_occ))
+    blocks = [(indices, matrices.copy()) for indices, matrices in hops]
+    for indices, matrices in blocks:
+        matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
+    # Symmetric by construction; eigensystem() still checks finiteness before LAPACK.
+    return HermitianOperator(modes, check=False, blocks=blocks)
 
 
 def build_charge(basis: FockBasis, which: str) -> HermitianOperator:

@@ -24,7 +24,9 @@ phase into that site-3 population law exactly.
 Each runner takes the dynamics the steps run under: FullDynamics for the
 full simulation, or IdealDynamics for the idealized limit (fields applied
 as instantaneous phase gates, band dynamics generated by H_eff), which
-serves as its analytic oracle.
+serves as its analytic oracle.  Both evolve in the normal-mode basis of
+`noonring.model` (small blocks of H, diagonal H_eff); the runners see
+site-basis states only.
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MeasurementRecord, evolve, measure_distribution, project
+from .dynamics import MeasurementRecord, NormalModes, evolve, measure_distribution, project
 from .fock import FockBasis, QuantumState
 from .model import (
     DerivedScales,
     HermitianOperator,
     ModelParameters,
-    build_effective_hamiltonian_charges,
-    build_full_hamiltonian,
+    build_mode_hamiltonian,
     derived_scales,
 )
 
@@ -230,54 +231,62 @@ def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis) -> QuantumStat
 # --- Dynamics: band evolution, and the t_m segments ending in a pulse ----
 
 
-class FullDynamics:
-    """The full simulation: band evolution under the integrable H, and the
-    fields switched on for the last t_mu (t_nu) of a t_m segment.
-
-    Owns the basis and its Hamiltonians for as long as the run that uses it
-    lives; share one across a theta sweep, so each H is diagonalized once.
-    The runners need only `basis`, `band`, `mu_segment` and `nu_segment`.
-    """
+class _ModeDynamics:
+    """Owns a basis, its normal modes and the operators built there, keyed by
+    their couplings, for as long as the run that uses it lives; share one
+    across a theta sweep, so each operator is diagonalized once.  The runners
+    need only `basis`, `band`, `mu_segment` and `nu_segment`."""
 
     def __init__(self, basis: FockBasis):
-        self.basis = basis
-        self._hamiltonians: dict[ModelParameters, HermitianOperator] = {}
+        self.basis, self.modes, self._operators = basis, NormalModes(basis), {}
 
-    def hamiltonian(self, params: ModelParameters) -> HermitianOperator:
-        """Dense H at `params`, built on first use and kept (with its eigensystem)."""
-        if params not in self._hamiltonians:
-            self._hamiltonians[params] = build_full_hamiltonian(params, self.basis)
-        return self._hamiltonians[params]
+    def hamiltonian(self, couplings) -> HermitianOperator:
+        """The operator at `couplings`, built on first use and kept (with its eigensystem)."""
+        if couplings not in self._operators:
+            self._operators[couplings] = self._build(couplings)
+        return self._operators[couplings]
+
+    def evolve(self, state: QuantumState, steps) -> QuantumState:
+        """Site-basis `state` after the operator at each (couplings, duration) step in turn."""
+        return self.modes.evolve_in_modes(state, [(self.hamiltonian(c), t) for c, t in steps])
+
+
+class FullDynamics(_ModeDynamics):
+    """The full simulation: band evolution under the integrable H, and the
+    fields switched on for the last t_mu (t_nu) of a t_m segment.  Its
+    couplings are ModelParameters, and H is held in normal-mode blocks."""
+
+    def _build(self, params: ModelParameters) -> HermitianOperator:
+        return build_mode_hamiltonian(params, self.modes.basis)
 
     def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
-        return evolve(state, self.hamiltonian(cfg.params), t)
+        return self.evolve(state, [(cfg.params, t)])
 
     def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        state = self.band(state, cfg, cfg.t_m - cfg.t_mu)
-        h_mu = self.hamiltonian(cfg.params.with_fields(mu=cfg.mu, nu=0.0))
-        return evolve(state, h_mu, cfg.t_mu)
+        return self.evolve(state, [(cfg.params, cfg.t_m - cfg.t_mu),
+                                  (cfg.params.with_fields(mu=cfg.mu, nu=0.0), cfg.t_mu)])
 
     def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """As mu_segment, with the inverted-sign nu pulse."""
-        state = self.band(state, cfg, cfg.t_m - cfg.t_nu)
-        h_nu = self.hamiltonian(cfg.params.with_fields(mu=0.0, nu=-cfg.nu))
-        return evolve(state, h_nu, cfg.t_nu)
+        return self.evolve(state, [(cfg.params, cfg.t_m - cfg.t_nu),
+                                  (cfg.params.with_fields(mu=0.0, nu=-cfg.nu), cfg.t_nu)])
 
 
-class IdealDynamics:
+class IdealDynamics(_ModeDynamics):
     """The idealized limit and analytic oracle of FullDynamics: band
     evolution under H_eff for the whole t_m, then the field pulse as an
-    instantaneous phase gate."""
+    instantaneous phase gate.  Its couplings are DerivedScales; H_eff =
+    (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal in the normal modes
+    (Q = n_d), so it is held as 1 x 1 blocks."""
 
-    def __init__(self, basis: FockBasis):
-        self.basis = basis
-        self._effective: dict[DerivedScales, HermitianOperator] = {}
+    def _build(self, derived: DerivedScales) -> HermitianOperator:
+        omega, q1, q2 = derived.omega, *self.modes.basis.occupations[:, 2:].T
+        energies = (self.basis.n_total + 1) * omega * (q1 + q2) - 2.0 * omega * (q1 * q2)
+        return HermitianOperator(self.modes.basis, blocks=[
+            (np.arange(self.basis.size)[:, None], energies[:, None, None])])
 
     def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
-        if cfg.derived not in self._effective:
-            self._effective[cfg.derived] = build_effective_hamiltonian_charges(
-                self.basis, cfg.n_total, cfg.derived)
-        return evolve(state, self._effective[cfg.derived], t)
+        return self.evolve(state, [(cfg.derived, t)])
 
     def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """Ends in the mu gate: amplitudes pick up e^{-i(theta/2)(n2 - n4)}."""

@@ -10,19 +10,6 @@ into a band of 2(M+1)(P+1) states (half that, (M+1)(P+1), for the
 self-paired M = P split at even N).  Sweeps here subtract the constant
 C so that spectra depend on (U, J) only, and report energies in units
 of J.
-
-Spectrum sweeps work in the normal-mode basis of the two site pairs,
-s13 = (a1 + a3)/sqrt2, s24 = (a2 + a4)/sqrt2, d13 = (a1 - a3)/sqrt2 and
-d24 = (a2 - a4)/sqrt2.  At integrable couplings
-
-    H = U0/2 [M(M-1) + P(P-1)] + U12 M P - J (s13+ s24 + h.c.)
-        + mu (s24+ d24 + h.c.) + nu (s13+ d13 + h.c.),
-
-with M = n_s13 + n_d13 and P = n_s24 + n_d24, and the d-mode occupations
-are the conserved charges: Q1 = n_d13 (conserved when nu = 0) and
-Q2 = n_d24 (conserved when mu = 0).  H is therefore block-diagonal in
-the conserved d-occupations, with blocks of size <= N + 1 at
-mu = nu = 0 and <= (N+2)(N+1)/2 with one field on.
 """
 
 from __future__ import annotations
@@ -31,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve
-from .fock import FockBasis, QuantumState, hop_entries
+from .fock import FockBasis, QuantumState
 from .model import (
     ModelParameters,
-    build_effective_hamiltonian_charges,
-    build_full_hamiltonian,
+    _hop_blocks,
+    build_mode_hamiltonian,
     derived_scales,
     diagonal_band_energy,
 )
+from .protocols import FullDynamics, IdealDynamics
 
 
 class BandsUnresolvedError(ValueError):
@@ -78,50 +65,6 @@ class SpectrumSweep:
             raise ValueError("one eigenvalue row per grid point required")
 
 
-def _hop_blocks(basis: FockBasis, mu: float, nu: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The U-independent (J = 1) part of H in the normal-mode basis, cut into blocks.
-
-    `basis` is read as the occupations of (s13, s24, d13, d24).  Returns one
-    (indices, hops) pair per block size: indices[k] are the basis positions of
-    block k and hops[k] its hopping matrix, so every block of one size is
-    diagonalized in one batched call.  The hop entries go straight into the
-    blocks; no n x n matrix is built.  Raises ArithmeticError if a field
-    overflows an entry to inf or NaN.
-    """
-    # -J s13+ s24 (J = 1), mu s24+ d24, nu s13+ d13; each entry also stands for its h.c.
-    # No two of these hops connect the same pair of states, so no entry is a sum.
-    entries = [hop_entries(basis, *slots) for slots in ((2, 1), (4, 2), (3, 1))]
-    rows, columns, values = (np.concatenate(part) for part in zip(*entries))
-    # The finiteness check below reports an overflow; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.repeat([-1.0, mu, nu], [len(hops[0]) for hops in entries]) * values
-    if not np.isfinite(values).all():
-        raise ArithmeticError(f"spectrum fields mu = {mu:g}, nu = {nu:g} give non-finite H")
-    on = values != 0.0   # every entry of a hop is nonzero unless its field is off
-    rows, columns, values = rows[on], columns[on], values[on]
-    conserved = [column for column, field in ((2, nu), (3, mu)) if field == 0.0]
-    key = np.zeros(basis.size, dtype=np.int64)
-    for column in conserved:
-        key = key * (basis.n_total + 1) + basis.occupations[:, column]
-    _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
-    by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
-    starts = np.cumsum(sizes) - sizes
-    slot = np.empty(basis.size, dtype=np.int64)      # block of a state among those of its size
-    position = np.empty(basis.size, dtype=np.int64)  # its row within that block
-    blocks = []
-    for size in dict.fromkeys(sizes):
-        indices = by_block[starts[sizes == size][:, None] + np.arange(size)]
-        slot[indices] = np.arange(len(indices))[:, None]
-        position[indices] = np.arange(size)
-        inside = sizes[block_of[rows]] == size
-        r, c = rows[inside], columns[inside]
-        hops = np.zeros((len(indices), size, size))
-        hops[slot[r], position[r], position[c]] = values[inside]
-        hops[slot[r], position[c], position[r]] = values[inside]
-        blocks.append((indices, hops))
-    return blocks
-
-
 def sweep_spectrum(
     basis: FockBasis,
     u_over_j: np.ndarray,
@@ -133,43 +76,26 @@ def sweep_spectrum(
 
     Works at fixed J = 1 so eigenvalues are already in units of J; the
     additive constant C is subtracted from every spectrum.  H is built in
-    the normal-mode basis (s13, s24, d13, d24) of the module docstring,
-
-        H = U0/2 [M(M-1) + P(P-1)] + U12 M P - J (s13+ s24 + h.c.)
-            + mu (s24+ d24 + h.c.) + nu (s13+ d13 + h.c.),
-
-    where it is block-diagonal in the conserved d-occupations Q1 = n_d13
-    (when nu = 0) and Q2 = n_d24 (when mu = 0).  The hopping blocks are cut
-    once per sweep; at each grid point the diagonal is added and all
-    blocks of one size go through one batched `eigvalsh`.  The dense
-    site-basis H is never built.
+    the normal-mode blocks of the conserved d-occupations (`noonring.model`):
+    the hopping blocks are cut once per sweep, and at each grid point
+    `build_mode_hamiltonian` adds the diagonal and all blocks of one size
+    go through one batched `eigvalsh` (`HermitianOperator.eigenvalues`).
+    The dense site-basis H is never built.
 
     Raises ArithmeticError, before LAPACK, if an entry of H is inf or NaN.
     """
     u_over_j = np.asarray(u_over_j, dtype=float)
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
-    occ = basis.occupations.astype(float)
-    m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
-    same_pair = 0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0))  # times U0
-    cross_pair = m_occ * p_occ                                         # times U12
-    blocks = _hop_blocks(basis, mu, nu)
+    hops = _hop_blocks(basis, mu, nu)
     for i, ratio in enumerate(u_over_j):
         # Python floats overflow to inf without a warning; the check below reports it.
         params = ModelParameters.integrable_set(
             u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
         constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagonal = params.u0 * same_pair + params.u12 * cross_pair
-        if not np.isfinite(diagonal).all():
+        if not np.isfinite([params.u12, constant]).all():
             raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
-        levels = []
-        for indices, hops in blocks:
-            matrices = hops.copy()
-            size = indices.shape[1]
-            matrices[:, np.arange(size), np.arange(size)] += diagonal[indices]
-            levels.append(np.linalg.eigvalsh(matrices).ravel())
-        rows[i] = np.sort(np.concatenate(levels)) - constant
+        rows[i] = build_mode_hamiltonian(params, basis, hops).eigenvalues() - constant
     return SpectrumSweep(u_over_j=u_over_j, eigenvalues=rows, n_total=n_total, mu=mu, nu=nu)
 
 
@@ -255,16 +181,19 @@ def effective_deficits(
     params: ModelParameters,
     times: np.ndarray,
 ) -> np.ndarray:
-    """1 - |<Phi_full(t)|Phi_eff(t)>| from |M,P,0,0> on a time grid."""
+    """1 - |<Phi_full(t)|Phi_eff(t)>| from |M,P,0,0> on a time grid.
+
+    Both evolutions run in the normal-mode basis, so `params` must be
+    integrable (ValueError otherwise).
+    """
     times = np.asarray(times, dtype=float)
     derived = derived_scales(params, m_occ, p_occ)
-    h_full = build_full_hamiltonian(params, basis)
-    h_eff = build_effective_hamiltonian_charges(basis, basis.n_total, derived)
+    full, ideal = FullDynamics(basis), IdealDynamics(basis)
     initial = QuantumState.from_fock(basis, (m_occ, p_occ, 0, 0))
     deficits = np.empty(len(times))
     for i, t in enumerate(times):
-        full_state = evolve(initial, h_full, t)
-        eff_state = evolve(initial, h_eff, t)
+        full_state = full.evolve(initial, [(params, t)])
+        eff_state = ideal.evolve(initial, [(derived, t)])
         deficits[i] = 1.0 - abs(full_state.overlap(eff_state))
     return deficits
 

@@ -1,14 +1,22 @@
-"""Unitary evolution and projective measurement."""
+"""Unitary evolution, the normal-mode change of basis, and projective measurement."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from noonring.dynamics import evolve, measure_distribution, project
+from noonring.dynamics import NormalModes, evolve, measure_distribution, project
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import HermitianOperator, ModelParameters, build_full_hamiltonian
+from noonring.model import (
+    HermitianOperator,
+    ModelParameters,
+    build_full_hamiltonian,
+    build_mode_hamiltonian,
+)
 
-from oracle import site_distribution
+from oracle import add_into, create, site_distribution
 
 
 def random_state(basis, rng):
@@ -59,7 +67,7 @@ class TestEvolution:
     def test_eigenstate_picks_up_pure_phase(self, basis2):
         rng = np.random.default_rng(15)
         h = random_hamiltonian(basis2, rng)
-        values, vectors = h.eigensystem()
+        (values, vectors), = h.eigensystem()   # a dense matrix is one block
         k, t = 3, 2.5
         state = QuantumState(basis2, vectors[:, k].astype(complex))
         out = evolve(state, h, t)
@@ -83,7 +91,7 @@ class TestEvolution:
         size = len(basis3)
         raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         h = HermitianOperator(basis3, raw + raw.conj().T)
-        assert np.iscomplexobj(h.eigensystem()[1])
+        assert np.iscomplexobj(h.eigensystem()[0][1])
         state = random_state(basis3, rng)
         out = evolve(state, h, 0.8)
         np.testing.assert_allclose(
@@ -118,6 +126,98 @@ class TestEvolution:
         state = random_state(basis3, rng)
         with pytest.raises(ValueError):
             evolve(state, h, 1.0)
+
+
+def mode_matrix(modes):
+    """W with psi_site = W psi_mode, built column by column from unit mode states."""
+    return np.column_stack([
+        modes.change(QuantumState(modes.basis, unit), modes.sites).amplitudes
+        for unit in np.eye(modes.basis.size)])
+
+
+def block_matrix(operator):
+    """A block operator's blocks scattered into a dense matrix."""
+    dense = np.zeros((operator.basis.size, operator.basis.size))
+    for indices, matrices in operator.blocks:
+        dense[indices[:, :, None], indices[:, None, :]] = matrices
+    return dense
+
+
+class TestNormalModes:
+    @pytest.mark.parametrize("n_total", [0, 1, 4, 7, 15])
+    def test_transform_is_orthogonal(self, n_total):
+        w = mode_matrix(NormalModes(enumerate_basis(n_total)))
+        assert not np.any(w.imag)
+        np.testing.assert_allclose(w.real.T @ w.real, np.eye(len(w)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_total", range(8))
+    @pytest.mark.parametrize("mu, nu", [(0.0, 0.0), (0.7, 0.0), (0.0, -0.4)])
+    def test_site_hamiltonian_becomes_the_mode_blocks(self, n_total, mu, nu):
+        modes = NormalModes(enumerate_basis(n_total))
+        params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=mu, nu=nu, u0=0.4)
+        w = mode_matrix(modes).real
+        h_site = build_full_hamiltonian(params, modes.sites).matrix
+        blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
+        scale = max(1.0, float(np.abs(h_site).max()))
+        np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("mode, pair, sign", [
+        ((1, 0, 0, 0), (1, 3), 1.0),    # s13 = (a1 + a3)/sqrt2
+        ((0, 1, 0, 0), (2, 4), 1.0),    # s24 = (a2 + a4)/sqrt2
+        ((0, 0, 1, 0), (1, 3), -1.0),   # d13 = (a1 - a3)/sqrt2
+        ((0, 0, 0, 1), (2, 4), -1.0),   # d24 = (a2 - a4)/sqrt2
+    ])
+    def test_single_boson_mode_states_match_the_oracle(self, mode, pair, sign):
+        modes = NormalModes(enumerate_basis(1))
+        ours = modes.change(QuantumState.from_fock(modes.basis, mode), modes.sites).amplitudes
+        vacuum = {(0, 0, 0, 0): 1.0}
+        expected = {}
+        add_into(expected, create(vacuum, pair[0]), 1.0 / math.sqrt(2.0))
+        add_into(expected, create(vacuum, pair[1]), sign / math.sqrt(2.0))
+        for k, occupations in enumerate(modes.sites):
+            assert ours[k] == pytest.approx(expected.get(occupations, 0.0), abs=1e-15)
+
+    def test_states_in_the_wrong_basis_are_rejected(self, basis3):
+        modes = NormalModes(basis3)
+        site_state = QuantumState.from_fock(basis3, (1, 2, 0, 0))
+        h_modes = build_mode_hamiltonian(
+            ModelParameters.integrable_set(u=2.0, j=1.0), modes.basis)
+        with pytest.raises(ValueError):
+            evolve(site_state, h_modes, 1.0)
+        with pytest.raises(ValueError):
+            modes.change(site_state, modes.sites)
+        with pytest.raises(ValueError):
+            modes.change(modes.change(site_state, modes.basis), modes.basis)
+
+    def test_non_integrable_couplings_rejected(self, basis3):
+        broken = ModelParameters.integrable_set(u=2.0, j=1.0, u0=0.5)
+        broken = ModelParameters(**{**broken.to_dict(), "u13": 0.6})
+        with pytest.raises(ValueError):
+            build_mode_hamiltonian(broken, NormalModes(basis3).basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_total=st.integers(0, 7),
+        u=st.floats(0.5, 20.0),
+        j=st.floats(0.1, 5.0),
+        u0=st.floats(-5.0, 5.0),
+        field=st.sampled_from(["none", "mu", "nu"]),
+        strength=st.floats(-3.0, 3.0),
+        duration=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_evolution_matches_dense(
+            self, n_total, u, j, u0, field, strength, duration, seed):
+        basis = enumerate_basis(n_total)
+        modes = NormalModes(basis)
+        params = ModelParameters.integrable_set(
+            u=u, j=j, u0=u0,
+            mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
+        state = random_state(basis, np.random.default_rng(seed))
+        dense = evolve(state, build_full_hamiltonian(params, basis), duration)
+        blocks = modes.evolve_in_modes(
+            state, [(build_mode_hamiltonian(params, modes.basis), duration)])
+        np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
 class TestMeasurement:

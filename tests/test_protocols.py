@@ -2,12 +2,13 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from noonring.fock import QuantumState
+from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters
 from noonring.protocols import (
     MEASURED_SITE,
@@ -291,12 +292,13 @@ class TestReadoutFits:
 
 
 class TestDynamics:
-    @pytest.mark.parametrize("dynamics_class, decompositions", [
-        (FullDynamics, 3),    # integrable H, nu on, mu on
-        (IdealDynamics, 1),   # H_eff
-    ])
+    @pytest.mark.parametrize("dynamics_class", [FullDynamics, IdealDynamics])
     def test_one_decomposition_per_operator_across_a_sweep(
-            self, basis15, set1, monkeypatch, dynamics_class, decompositions):
+            self, basis15, set1, monkeypatch, dynamics_class):
+        """No eigh after the first theta point.  FullDynamics runs one batched
+        eigh per block size of its three Hamiltonians at that point;
+        IdealDynamics none, since H_eff is diagonal in the normal-mode basis.
+        The sweep starts above p_theta = 0, where t_mu = 0 needs no mu pulse."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -306,9 +308,15 @@ class TestDynamics:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         dynamics = dynamics_class(basis15)
-        for p_theta in np.linspace(0.0, math.pi, 8):
+        counts = []
+        for p_theta in np.linspace(math.pi / 8, math.pi, 8):
             run_protocol2(make_cfg(set1, float(p_theta)), dynamics)
-        assert len(calls) == decompositions
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 8
+        if dynamics_class is FullDynamics:
+            assert counts[0] > 0
+        else:
+            assert counts[0] == 0
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
         cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
@@ -319,3 +327,16 @@ class TestDynamics:
         del dynamics
         gc.collect()
         assert operator() is None
+
+    def test_protocol2_at_n31_stays_in_blocks(self, set1):
+        """(M, P) = (10, 21): dim 5,984, where one dense H alone is 286 MB."""
+        cfg = protocol_config(10, 21, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+        tracemalloc.start()
+        try:
+            report = run_protocol2(cfg, FullDynamics(enumerate_basis(31)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120e6
+        assert report.final_state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert report.fidelity > 0.9

@@ -178,3 +178,9 @@ class TestEffectiveDynamics:
         loose = compare_effective(
             basis5, 1, 4, ModelParameters.integrable_set(u=10.0, j=1.0), times)
         assert tight < loose
+
+    def test_non_integrable_couplings_rejected(self, basis5):
+        broken = ModelParameters.integrable_set(u=50.0, j=1.0)
+        broken = ModelParameters(**{**broken.to_dict(), "u13": 0.1})
+        with pytest.raises(ValueError, match="normal-mode blocks"):
+            effective_deficits(basis5, 1, 4, broken, np.linspace(0.0, 1.0, 3))

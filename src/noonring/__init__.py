@@ -39,7 +39,6 @@ from .model import (
     build_effective_hamiltonian_sq,
     build_full_hamiltonian,
     derived_scales,
-    detuning_operator,
     diagonal_band_energy,
     frobenius_commutator,
 )
@@ -90,7 +89,7 @@ __all__ = [
     "anisotropy_f", "assign_bands", "band_splits", "build_charge",
     "build_effective_hamiltonian_charges", "build_effective_hamiltonian_sq",
     "build_full_hamiltonian", "calibrate_moment", "compare_effective",
-    "derive", "derived_scales", "detuning_operator", "diagonal_band_energy",
+    "derive", "derived_scales", "diagonal_band_energy",
     "dipolar_coupling", "effective_deficits", "enumerate_basis", "evolve",
     "fidelity", "field_strengths", "fit_readout_amplitudes",
     "frobenius_commutator", "hop_matrix", "ideal_protocol1_output",

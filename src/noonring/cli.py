@@ -7,7 +7,7 @@ Experiment kinds
     spectrum    eigenvalue sweep over U/J with band assignment
     evolve      populations and effective-Hamiltonian overlap vs time
     physical    lattice calculator: couplings vs omega_r, integrable root
-    robustness  fidelity vs detuning xi = U0 - U13, static or pulsed
+    robustness  fidelity vs detuning |U0 - U13| = xi, static or pulsed
 
 Each run writes one delimited table (csv/tsv; header row plus a unit
 comment) and a JSON manifest echoing the fully resolved configuration

@@ -126,23 +126,26 @@ class QuantumState:
         return f"QuantumState(n_total={self.basis.n_total}, dim={self.basis.size})"
 
 
-def hop_entries(basis: FockBasis, from_site: int, to_site: int) -> tuple[np.ndarray, ...]:
-    """Rows, columns and values of the nonzero entries of a_to^dagger a_from.
+def hop_entries(basis: FockBasis, from_site: int, to_site: int,
+                count: int = 1) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the nonzero entries of (a_to^dagger)^count a_from^count.
 
-    Moves one boson from `from_site` to `to_site`; the matrix element between
-    |..n_f.., ..n_t..> and the moved state is sqrt(n_f (n_t + 1)).
+    Moves `count` bosons from `from_site` to `to_site`; for one boson the matrix
+    element between |..n_f.., ..n_t..> and the moved state is sqrt(n_f (n_t + 1)),
+    for two sqrt(n_f (n_t + 1) (n_f - 1)(n_t + 2)).
     """
     f = _check_site(from_site)
     t = _check_site(to_site)
     if f == t:
         raise ValueError("from_site and to_site must differ (use number_matrix)")
     occ = basis.occupations
-    columns = np.flatnonzero(occ[:, f] > 0)
+    columns = np.flatnonzero(occ[:, f] >= count)
     moved = occ[columns]
-    moved[:, f] -= 1
-    moved[:, t] += 1
+    moved[:, f] -= count
+    moved[:, t] += count
     rows = np.array([basis.index[state] for state in map(tuple, moved.tolist())], dtype=np.int64)
-    return rows, columns, np.sqrt(occ[columns, f] * (occ[columns, t] + 1.0))
+    n_f, n_t = occ[columns, f], occ[columns, t]
+    return rows, columns, np.sqrt(np.prod([(n_f - k) * (n_t + 1.0 + k) for k in range(count)], axis=0))
 
 
 def hop_matrix(basis: FockBasis, from_site: int, to_site: int) -> np.ndarray:

@@ -32,12 +32,15 @@ d13, d24 = (a1 - a3)/sqrt2, (a2 - a4)/sqrt2 of the site pairs,
 
 with M = n_s13 + n_d13, P = n_s24 + n_d24, Q1 = n_d13 and Q2 = n_d24: H
 splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
-and H_eff is diagonal.
+and H_eff is diagonal.  Ring-symmetric couplings (U13 = U24, U12 = U23 =
+U34 = U14) add (U13 - U0)(N1 N3 + N2 N4), where per pair of sites N1 N3 =
+[n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity
+of n_d, i.e. the 1<->3 (2<->4) swap; the parities then key the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,12 +64,13 @@ class ModelParameters:
     mu: float = 0.0
     nu: float = 0.0
 
+    def ring_symmetric(self) -> bool:
+        """U13 = U24 and U12 = U23 = U34 = U14: the condition for normal-mode blocks."""
+        return self.u13 == self.u24 and self.u12 == self.u23 == self.u34 == self.u14
+
     def integrable(self) -> bool:
         """Exact integrability condition on the stored couplings."""
-        return (
-            self.u13 == self.u24 == self.u0
-            and self.u12 == self.u23 == self.u34 == self.u14
-        )
+        return self.ring_symmetric() and self.u13 == self.u0
 
     @classmethod
     def integrable_set(
@@ -89,11 +93,7 @@ class ModelParameters:
         )
 
     def with_fields(self, mu: float, nu: float) -> "ModelParameters":
-        return ModelParameters(
-            u0=self.u0, u12=self.u12, u13=self.u13, u14=self.u14,
-            u23=self.u23, u24=self.u24, u34=self.u34, j=self.j,
-            mu=mu, nu=nu,
-        )
+        return replace(self, mu=mu, nu=nu)
 
     def coupling_u(self) -> float:
         """U = (U12 - U0)/4, the band-splitting scale."""
@@ -245,32 +245,39 @@ def build_full_hamiltonian(params: ModelParameters, basis: FockBasis) -> Hermiti
     return HermitianOperator(basis, matrix)
 
 
-def _hop_blocks(basis: FockBasis, mu: float, nu: float,
-                j: float = 1.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The U-independent part of H in the normal-mode basis, cut into blocks.
+def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
+                detuning: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The off-diagonal part of H in the normal-mode basis, cut into blocks.
 
-    `basis` is read as the occupations of (s13, s24, d13, d24).  Returns one
-    (indices, hops) pair per block size: indices[k] are the basis positions of
-    block k and hops[k] its hopping matrix, so every block of one size is
-    diagonalized in one batched call.  The hop entries go straight into the
-    blocks; no n x n matrix is built.  Raises ArithmeticError if a field
-    overflows an entry to inf or NaN.
+    `basis` is read as the occupations of (s13, s24, d13, d24), and `detuning`
+    is U13 - U0.  Returns one (indices, hops) pair per block size: indices[k]
+    are the basis positions of block k and hops[k] its hopping matrix, so every
+    block of one size is diagonalized in one batched call.  A pair whose field
+    is off keeps its n_d as block key, or only the parity of n_d at nonzero
+    detuning.  The hop entries go straight into the blocks; no n x n matrix is
+    built.  Raises ArithmeticError if a coupling overflows an entry to inf or NaN.
     """
-    # -J s13+ s24, mu s24+ d24, nu s13+ d13; each entry also stands for its h.c.
-    # No two of these hops connect the same pair of states, so no entry is a sum.
-    entries = [hop_entries(basis, *slots) for slots in ((2, 1), (4, 2), (3, 1))]
+    # -J s13+ s24, mu s24+ d24, nu s13+ d13, and the -detuning/4 s+^2 d^2 of each
+    # pair; each entry also stands for its h.c.  No two of these hops connect the
+    # same pair of states, so no entry is a sum.
+    terms = [((2, 1), -j), ((4, 2), mu), ((3, 1), nu)]
+    if detuning != 0.0:
+        terms += [((3, 1, 2), -0.25 * detuning), ((4, 2, 2), -0.25 * detuning)]
+    entries = [hop_entries(basis, *slots) for slots, _ in terms]
     rows, columns, values = (np.concatenate(part) for part in zip(*entries))
     # The finiteness check below reports an overflow; numpy's warning would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.repeat([-j, mu, nu], [len(hops[0]) for hops in entries]) * values
+        values = np.repeat([value for _, value in terms], [len(e[0]) for e in entries]) * values
     if not np.isfinite(values).all():
-        raise ArithmeticError(f"fields mu = {mu:g}, nu = {nu:g}, J = {j:g} give non-finite H")
-    on = values != 0.0   # every entry of a hop is nonzero unless its field is off
+        raise ArithmeticError(f"couplings mu = {mu:g}, nu = {nu:g}, J = {j:g}, "
+                              f"U13 - U0 = {detuning:g} give non-finite H")
+    on = values != 0.0   # every entry of a hop is nonzero unless its coupling is off
     rows, columns, values = rows[on], columns[on], values[on]
-    conserved = [column for column, field in ((2, nu), (3, mu)) if field == 0.0]
     key = np.zeros(basis.size, dtype=np.int64)
-    for column in conserved:
-        key = key * (basis.n_total + 1) + basis.occupations[:, column]
+    for column, field in ((2, nu), (3, mu)):
+        if field == 0.0:
+            n_d = basis.occupations[:, column]
+            key = key * (basis.n_total + 1) + (n_d if detuning == 0.0 else n_d % 2)
     _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
     by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
     starts = np.cumsum(sizes) - sizes
@@ -292,20 +299,25 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float,
 
 def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
                            hops=None) -> HermitianOperator:
-    """The integrable H in blocks of the conserved d-occupations (module docstring).
+    """H at ring-symmetric couplings, in normal-mode blocks (module docstring).
 
-    `modes` is read as (s13, s24, d13, d24); blocks have size <= (N+2)(N+1)/2.
-    `hops` may hand in `_hop_blocks(modes, params.mu, params.nu, params.j)`,
-    cut once for a sweep over U0 and U12.
+    `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
+    of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
+    blocks of their parities.  `hops` may hand in `_hop_blocks(modes,
+    params.mu, params.nu, params.j, params.u13 - params.u0)`, cut once for a
+    sweep over U0 and U12 at fixed U13 - U0.
     """
-    if not params.integrable():
-        raise ValueError("normal-mode blocks need U13 = U24 = U0, U12 = U23 = U34 = U14")
+    if not params.ring_symmetric():
+        raise ValueError("normal-mode blocks need U13 = U24, U12 = U23 = U34 = U14")
     occ = modes.occupations.astype(float)
     m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
-    hops = _hop_blocks(modes, params.mu, params.nu, params.j) if hops is None else hops
+    detuning = params.u13 - params.u0
+    hops = _hop_blocks(modes, params.mu, params.nu, params.j, detuning) if hops is None else hops
     with np.errstate(over="ignore", invalid="ignore"):   # reported as in build_full_hamiltonian
         diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
                     + params.u12 * (m_occ * p_occ))
+        if detuning != 0.0:   # the n(n - 1)/4 of every mode, from D
+            diagonal += 0.25 * detuning * (occ * (occ - 1.0)).sum(axis=1)
     blocks = [(indices, matrices.copy()) for indices, matrices in hops]
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
@@ -329,12 +341,6 @@ def build_charge(basis: FockBasis, which: str) -> HermitianOperator:
     number_part = np.diag(occ[:, a - 1] + occ[:, b - 1])
     exchange = _hop_sum(basis, [(b, a), (a, b)])  # a+ b + a b+
     return HermitianOperator(basis, 0.5 * (number_part - exchange))
-
-
-def detuning_operator(basis: FockBasis) -> np.ndarray:
-    """Diagonal matrix of N1 N3 + N2 N4 (integrability-detuning direction)."""
-    occ = basis.occupations.astype(float)
-    return np.diag(occ[:, 0] * occ[:, 2] + occ[:, 1] * occ[:, 3])
 
 
 def build_effective_hamiltonian_charges(

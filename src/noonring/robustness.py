@@ -1,59 +1,45 @@
 """Sensitivity of the protocols to an integrability-detuning error.
 
-The error parameter is xi = U0 - U13: the perturbed Hamiltonians are
+Each xi point realizes two ring-symmetric coupling sets (U13 = U24, U12 =
+U23 = U34 = U14), H(+xi) and H(-xi), detuned from U13 = U0 by +-xi; such an
+H is H_integrable + (U13 - U0)(N1 N3 + N2 N4).  Static mode evolves under
+H(+xi) throughout and models an uncorrected detuning.  Pulsed mode
+oscillates between H(+xi) and H(-xi) N_dt times across each integrable
+interval (an echo-like mitigation: the time-averaged Hamiltonian is the
+integrable one), while protocol timings t_m and t_mu are computed from the
+mean couplings.  The brief field pulses are always taken at the +xi
+couplings (no alternation within a pulse), and in Protocol II the
+alternation restarts with the configured start sign at the second
+integrable segment.
 
-    H(+xi) = H_integrable + xi (N1 N3 + N2 N4),
-    H(-xi) = H_integrable - xi (N1 N3 + N2 N4).
+The two parameter sources realize opposite signs of xi:
 
-Static mode evolves under H(+xi) throughout and models an uncorrected
-detuning.  Pulsed mode oscillates between H(+xi) and H(-xi) N_dt times
-across each integrable interval (an echo-like mitigation: the
-time-averaged Hamiltonian is the integrable one), while protocol timings
-t_m and t_mu are computed from the mean couplings.  The brief field
-pulses are always taken at the +xi detuning (no alternation within a
-pulse), and in Protocol II the alternation restarts with the configured
-start sign at the second integrable segment.
+* direct   -- U13 = U24 = U0 +- xi, i.e. H(+-xi) = H_integrable +- xi (N1 N3
+              + N2 N4); U, J, mu stay fixed, so the mean parameters equal
+              the base ones.
+* physical -- the lattice at the two radial frequencies where U0(omega) -
+              U13(omega) = +-xi; all couplings (and mu, via V0) shift, J is
+              an input held fixed, and the timings come from the arithmetic
+              means of the +- values.
 
-Two parameter sources are supported:
-
-* direct   -- add +-xi (N1 N3 + N2 N4) to the base couplings; U, J, mu
-              stay fixed, so the mean parameters equal the base ones.
-* physical -- re-solve the lattice for the two radial frequencies where
-              U0(omega) - U13(omega) = +-xi; all couplings (and mu, via
-              V0) shift accordingly, J is an input held fixed, and the
-              timings come from the arithmetic means of the +- values.
+Operators are built in the normal-mode parity blocks of `noonring.model`
+(four for H(+-xi), two for a pulse); a state enters them once per segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from scipy import optimize
 
-from .dynamics import evolve, measure_distribution, project
+from .dynamics import NormalModes, evolve, measure_distribution, project
 from .fock import FockBasis, QuantumState
 from .lattice import (
-    TrapParameters,
-    derive,
-    integrability_residual,
-    solve_integrability,
-    v0_from_omega_r,
-)
-from .model import (
-    HermitianOperator,
-    ModelParameters,
-    build_full_hamiltonian,
-    detuning_operator,
-)
+    TrapParameters, derive, integrability_residual, solve_integrability, v0_from_omega_r)
+from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
 from .protocols import (
-    MEASURED_SITE,
-    ProtocolConfig,
-    _initial_state,
-    fidelity,
-    ideal_protocol1_output,
-    run_protocol2,
-)
+    MEASURED_SITE, ProtocolConfig, _initial_state, fidelity, ideal_protocol1_output, run_protocol2)
 
 
 @dataclass(frozen=True)
@@ -120,45 +106,53 @@ def pulsed_propagator(
     return state
 
 
-@dataclass(frozen=True)
 class _DetunedSystem:
-    """Hamiltonians and timings realized at one xi value, as protocol dynamics."""
+    """Hamiltonians and timings realized at one xi value, as protocol dynamics.
 
-    h_plus: HermitianOperator           # integrable interval, +xi
-    h_minus: HermitianOperator          # integrable interval, -xi
-    h_mu: HermitianOperator             # mu pulse, +xi detuning
-    h_nu: HermitianOperator             # inverted-sign nu pulse, +xi detuning
-    cfg: ProtocolConfig                 # mean-coupling config (timings, ideals)
-    config: RobustnessConfig
-    basis: FockBasis
+    `couplings` are those of H(+xi), H(-xi), the mu pulse and the inverted-sign
+    nu pulse; `cfg` holds the mean couplings (timings, ideal states).  The nu
+    pulse, which only Protocol II applies, is built when it is.
+    """
+
+    def __init__(self, config: RobustnessConfig, modes: NormalModes, cfg: ProtocolConfig,
+                 couplings: tuple[ModelParameters, ...]):
+        self.config, self.modes, self.cfg, self.couplings = config, modes, cfg, couplings
+        self.basis = modes.sites
+        self.h_plus, self.h_minus, self.h_mu = (
+            build_mode_hamiltonian(params, modes.basis) for params in couplings[:3])
+
+    def _segment(self, state: QuantumState, t: float, pulse=()) -> QuantumState:
+        """Site-basis `state` after the band interval t and the (operator, duration) pulse.
+
+        Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi).
+        """
+        state = self.modes.change(state, self.modes.basis)
+        if self.config.mode == "static":
+            state = evolve(state, self.h_plus, t)
+        else:
+            state = pulsed_propagator(self.h_plus, self.h_minus, state, t,
+                                      self.config.n_dt, self.config.start_sign)
+        if pulse:
+            state = evolve(state, *pulse)
+        return self.modes.change(state, self.modes.sites)
 
     def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
-        """Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi)."""
-        if self.config.mode == "static":
-            return evolve(state, self.h_plus, t)
-        return pulsed_propagator(
-            self.h_plus, self.h_minus, state, t, self.config.n_dt, self.config.start_sign)
+        return self._segment(state, t)
 
     def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_mu), self.h_mu, cfg.t_mu)
+        return self._segment(state, cfg.t_m - cfg.t_mu, (self.h_mu, cfg.t_mu))
 
     def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_nu), self.h_nu, cfg.t_nu)
+        h_nu = build_mode_hamiltonian(self.couplings[3], self.modes.basis)
+        return self._segment(state, cfg.t_m - cfg.t_nu, (h_nu, cfg.t_nu))
 
 
-def _direct_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _DetunedSystem:
+def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _DetunedSystem:
     base = config.base
-    perturbation = xi * detuning_operator(basis)
-    h_free = build_full_hamiltonian(base.params, basis)
-    h_mu = build_full_hamiltonian(base.params.with_fields(mu=base.mu, nu=0.0), basis)
-    h_nu = build_full_hamiltonian(base.params.with_fields(mu=0.0, nu=-base.nu), basis)
-    return _DetunedSystem(
-        h_plus=HermitianOperator(basis, h_free.matrix + perturbation, check=False),
-        h_minus=HermitianOperator(basis, h_free.matrix - perturbation, check=False),
-        h_mu=HermitianOperator(basis, h_mu.matrix + perturbation, check=False),
-        h_nu=HermitianOperator(basis, h_nu.matrix + perturbation, check=False),
-        cfg=base, config=config, basis=basis,
-    )
+    plus, minus = (replace(base.params, u13=base.params.u0 + x, u24=base.params.u0 + x)
+                   for x in (xi, -xi))
+    return _DetunedSystem(config, modes, base, (
+        plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
 
 
 def _solve_detuned_omega(trap: TrapParameters, target: float, omega_guess: float) -> float:
@@ -181,7 +175,7 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
     return params, v0_from_omega_r(trap, omega_r)
 
 
-def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: float,
+def _physical_system(config: RobustnessConfig, modes: NormalModes, omega_star: float,
                      v0_star: float, xi: float) -> _DetunedSystem:
     """The system at xi around the integrable root omega_star, where V0 = v0_star."""
     base = config.base
@@ -202,13 +196,9 @@ def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: flo
         mu=0.5 * (mu_plus + mu_minus), nu=0.5 * (nu_plus + nu_minus),
         theta=base.theta, t_m_override=base.t_m_override,
     )
-    return _DetunedSystem(
-        h_plus=build_full_hamiltonian(params_plus, basis),
-        h_minus=build_full_hamiltonian(params_minus, basis),
-        h_mu=build_full_hamiltonian(params_plus.with_fields(mu=mu_plus, nu=0.0), basis),
-        h_nu=build_full_hamiltonian(params_plus.with_fields(mu=0.0, nu=-nu_plus), basis),
-        cfg=mean_cfg, config=config, basis=basis,
-    )
+    return _DetunedSystem(config, modes, mean_cfg, (
+        params_plus, params_minus, params_plus.with_fields(mu=mu_plus, nu=0.0),
+        params_plus.with_fields(mu=0.0, nu=-nu_plus)))
 
 
 def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
@@ -226,11 +216,12 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
     """Fidelity (and Protocol I success probability) across the xi grid, one system at a time."""
+    modes = NormalModes(basis)
     if config.source == "direct":
-        build = partial(_direct_system, config, basis)
+        build = partial(_direct_system, config, modes)
     else:
         omega_star = solve_integrability(config.trap).omega_r
-        build = partial(_physical_system, config, basis, omega_star,
+        build = partial(_physical_system, config, modes, omega_star,
                         v0_from_omega_r(config.trap, omega_star))
     return [_run_point(build(xi), xi) for xi in config.xi_values]
 

@@ -184,7 +184,8 @@ def effective_deficits(
     """1 - |<Phi_full(t)|Phi_eff(t)>| from |M,P,0,0> on a time grid.
 
     Both evolutions run in the normal-mode basis, so `params` must be
-    integrable (ValueError otherwise).
+    ring-symmetric, U13 = U24 and U12 = U23 = U34 = U14 (ValueError
+    otherwise); at U13 != U0 the full evolution includes that detuning.
     """
     times = np.asarray(times, dtype=float)
     derived = derived_scales(params, m_occ, p_occ)

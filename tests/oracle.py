@@ -4,7 +4,8 @@ States are plain dictionaries mapping occupation tuples (n1, n2, n3, n4)
 to complex amplitudes; operators act symbolically via the bosonic ladder
 rules a|n> = sqrt(n)|n-1>, a†|n> = sqrt(n+1)|n+1>.  Nothing here touches
 the package's matrix builders, so agreement between the two is a real
-consistency check rather than a tautology.
+consistency check rather than a tautology.  `detuning_operator` is the
+dense site-basis reference that the normal-mode detuning is checked against.
 """
 
 import itertools
@@ -108,3 +109,11 @@ def site_distribution(state, site):
         n = occ[site - 1]
         dist[n] = dist.get(n, 0.0) + abs(amp) ** 2
     return dist
+
+
+def detuning_operator(basis):
+    """Diagonal matrix of N1 N3 + N2 N4 (integrability-detuning direction) in a FockBasis."""
+    import numpy as np
+
+    occ = basis.occupations.astype(float)
+    return np.diag(occ[:, 0] * occ[:, 2] + occ[:, 1] * occ[:, 3])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from noonring.dynamics import NormalModes, evolve, measure_distribution, project
@@ -188,6 +188,40 @@ class TestNormalModes:
             modes.change(site_state, modes.sites)
         with pytest.raises(ValueError):
             modes.change(modes.change(site_state, modes.basis), modes.basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_total=st.integers(0, 7),
+        u0=st.floats(-5.0, 5.0),
+        u12=st.floats(-5.0, 20.0),
+        u13=st.floats(-5.0, 5.0),
+        j=st.floats(0.1, 5.0),
+        field=st.sampled_from(["none", "mu", "nu"]),
+        strength=st.floats(-3.0, 3.0),
+    )
+    def test_ring_symmetric_hamiltonian_becomes_the_parity_blocks(
+            self, n_total, u0, u12, u13, j, field, strength):
+        assume(u13 != u0)
+        modes = NormalModes(enumerate_basis(n_total))
+        params = ModelParameters(
+            u0=u0, u12=u12, u13=u13, u14=u12, u23=u12, u24=u13, u34=u12, j=j,
+            mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
+        w = mode_matrix(modes).real
+        h_site = build_full_hamiltonian(params, modes.sites).matrix
+        blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
+        scale = max(1.0, float(np.abs(h_site).max()))
+        np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("mu, nu, sizes", [
+        (0.0, 0.0, [240, 204, 204, 168]),   # both n_d parities: 1<->3 and 2<->4 swaps
+        (0.7, 0.0, [444, 372]),             # the n_d13 parity: (816 +- 72)/2
+        (0.0, -0.4, [444, 372]),            # the n_d24 parity
+    ])
+    def test_detuned_blocks_at_n15_follow_the_swap_parities(self, mu, nu, sizes):
+        params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, nu=nu, u0=0.5)
+        params = ModelParameters(**{**params.to_dict(), "u13": 0.6, "u24": 0.6})
+        operator = build_mode_hamiltonian(params, enumerate_basis(15))
+        assert [indices.shape[1] for indices, _ in operator.blocks for _ in indices] == sizes
 
     def test_non_integrable_couplings_rejected(self, basis3):
         broken = ModelParameters.integrable_set(u=2.0, j=1.0, u0=0.5)

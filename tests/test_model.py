@@ -14,12 +14,11 @@ from noonring.model import (
     build_effective_hamiltonian_sq,
     build_full_hamiltonian,
     derived_scales,
-    detuning_operator,
     diagonal_band_energy,
     frobenius_commutator,
 )
 
-from oracle import hamiltonian_matrix, sector_states
+from oracle import detuning_operator, hamiltonian_matrix, sector_states
 
 
 def random_integrable(rng, with_fields=False):

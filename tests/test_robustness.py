@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from noonring.dynamics import evolve
-from noonring.fock import QuantumState
-from noonring.lattice import TrapParameters
-from noonring.model import HermitianOperator, build_full_hamiltonian, detuning_operator
+from noonring import robustness
+from noonring.dynamics import NormalModes, evolve
+from noonring.fock import QuantumState, enumerate_basis
+from noonring.lattice import TrapParameters, solve_integrability, v0_from_omega_r
+from noonring.model import HermitianOperator, build_full_hamiltonian
 from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
     RobustnessConfig,
@@ -17,6 +18,7 @@ from noonring.robustness import (
 )
 
 from conftest import M_OCC, P_OCC, SET1, SET2
+from oracle import detuning_operator
 
 
 def make_cfg(couplings, p_theta=np.pi / 2):
@@ -185,6 +187,103 @@ class TestPhysicalSource:
         )
         assert 0.0 <= point.fidelity <= 1.0
         assert 0.0 < point.probability <= 1.0
+
+
+def detuned_system(config, basis, xi):
+    """The system `run_robustness` builds at xi, with its couplings."""
+    modes = NormalModes(basis)
+    if config.source == "direct":
+        return robustness._direct_system(config, modes, xi)
+    omega_star = solve_integrability(config.trap).omega_r
+    return robustness._physical_system(
+        config, modes, omega_star, v0_from_omega_r(config.trap, omega_star), xi)
+
+
+class DenseSystem:
+    """The site-basis reference: dense H(+xi), H(-xi), mu and nu pulse matrices,
+    evolved slice by slice with `pulsed_propagator`."""
+
+    def __init__(self, config, basis, cfg, matrices):
+        self.config, self.basis, self.cfg = config, basis, cfg
+        self.h_plus, self.h_minus, self.h_mu, self.h_nu = (
+            HermitianOperator(basis, matrix) for matrix in matrices)
+
+    def band(self, state, cfg, t):
+        if self.config.mode == "static":
+            return evolve(state, self.h_plus, t)
+        return pulsed_propagator(
+            self.h_plus, self.h_minus, state, t, self.config.n_dt, self.config.start_sign)
+
+    def mu_segment(self, state, cfg):
+        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_mu), self.h_mu, cfg.t_mu)
+
+    def nu_segment(self, state, cfg):
+        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_nu), self.h_nu, cfg.t_nu)
+
+
+class TestParityBlocks:
+    """Robustness runs in the normal-mode parity blocks and matches the dense site basis."""
+
+    def test_sources_realize_opposite_detunings(self):
+        basis = enumerate_basis(7)
+        xi = 0.02 * SET1["j"]
+        for source, sign in (("direct", -1.0), ("physical", 1.0)):
+            config = RobustnessConfig(
+                base=make_cfg(SET1), xi_values=(xi,), source=source, trap=TrapParameters())
+            plus, minus, mu_pulse, nu_pulse = detuned_system(config, basis, xi).couplings
+            for params, detuning in ((plus, xi), (minus, -xi), (mu_pulse, xi), (nu_pulse, xi)):
+                assert params.ring_symmetric()
+                # direct: U13 - U0 = +xi; physical: U0 - U13 = +xi
+                assert params.u0 - params.u13 == pytest.approx(sign * detuning, rel=1e-6)
+
+    @pytest.mark.parametrize("source", ["direct", "physical"])
+    def test_no_eigh_wider_than_a_parity_block(self, basis15, source, monkeypatch):
+        widths = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(matrices):
+            widths.append(matrices.shape[-1])
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for protocol in (1, 2):
+            config = RobustnessConfig(
+                base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
+                protocol=protocol, source=source, trap=TrapParameters())
+            run_robustness(config, basis15)
+        # H(+-xi): blocks 240/204/204/168; a pulse H: 444/372, of the dense 816
+        assert widths and max(widths) == 444
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    @pytest.mark.parametrize("mode", ["pulsed", "static"])
+    @pytest.mark.parametrize("source", ["direct", "physical"])
+    def test_matches_the_dense_site_basis(self, source, mode, protocol):
+        basis = enumerate_basis(7)
+        base = protocol_config(m_occ=2, p_occ=5, u=SET1["u"], j=SET1["j"],
+                               mu=SET1["mu"], p_theta=np.pi / 2)
+        config = RobustnessConfig(
+            base=base, xi_values=tuple(x * SET1["j"] for x in (0.0, 0.01, 0.05)),
+            n_dt=5, mode=mode, source=source, protocol=protocol, start_sign=-1,
+            trap=TrapParameters())
+        points = run_robustness(config, basis)
+        for point in points:
+            system = detuned_system(config, basis, point.xi)
+            if source == "direct":   # H(+-xi) = H_integrable +- xi (N1 N3 + N2 N4)
+                bump = point.xi * detuning_operator(basis)
+                free, mu_pulse, nu_pulse = (build_full_hamiltonian(params, basis).matrix for params in (
+                    base.params, base.params.with_fields(mu=base.mu, nu=0.0),
+                    base.params.with_fields(mu=0.0, nu=-base.nu)))
+                matrices = (free + bump, free - bump, mu_pulse + bump, nu_pulse + bump)
+            else:
+                matrices = [build_full_hamiltonian(params, basis).matrix
+                            for params in system.couplings]
+            dense = DenseSystem(config, basis, system.cfg, matrices)
+            reference = robustness._run_point(dense, point.xi)
+            assert point.fidelity == pytest.approx(reference.fidelity, rel=0, abs=1e-10)
+            if protocol == 1:
+                assert point.probability == pytest.approx(reference.probability, rel=0, abs=1e-10)
+            else:
+                assert point.probability is None
 
 
 class TestThreshold:

@@ -12,7 +12,7 @@ pulsed mitigation.
 """
 
 from .dynamics import MeasurementRecord, evolve, measure_distribution, project
-from .fock import FockBasis, QuantumState, enumerate_basis, hop_matrix, number_matrix
+from .fock import FockBasis, QuantumState, enumerate_basis
 from .lattice import (
     IntegrabilityRoot,
     LatticeDerived,
@@ -34,13 +34,8 @@ from .model import (
     DerivedScales,
     HermitianOperator,
     ModelParameters,
-    build_charge,
-    build_effective_hamiltonian_charges,
-    build_effective_hamiltonian_sq,
-    build_full_hamiltonian,
     derived_scales,
     diagonal_band_energy,
-    frobenius_commutator,
 )
 from .protocols import (
     FullDynamics,
@@ -80,24 +75,19 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandAssignment", "BandsUnresolvedError", "DerivedScales",
-    "FockBasis", "FullDynamics", "HermitianOperator", "IdealDynamics",
-    "IntegrabilityRoot", "LatticeDerived", "MeasurementRecord", "ModelParameters",
-    "ProtocolConfig", "ProtocolReport",
-    "QuadratureError", "QuantumState", "ReadoutResult", "RobustnessConfig",
-    "RobustnessPoint", "SpectrumSweep", "TrapParameters",
-    "anisotropy_f", "assign_bands", "band_splits", "build_charge",
-    "build_effective_hamiltonian_charges", "build_effective_hamiltonian_sq",
-    "build_full_hamiltonian", "calibrate_moment", "compare_effective",
-    "derive", "derived_scales", "diagonal_band_energy",
+    "BandAssignment", "BandsUnresolvedError", "DerivedScales", "FockBasis",
+    "FullDynamics", "HermitianOperator", "IdealDynamics", "IntegrabilityRoot",
+    "LatticeDerived", "MeasurementRecord", "ModelParameters", "ProtocolConfig",
+    "ProtocolReport", "QuadratureError", "QuantumState", "ReadoutResult",
+    "RobustnessConfig", "RobustnessPoint", "SpectrumSweep", "TrapParameters",
+    "anisotropy_f", "assign_bands", "band_splits", "calibrate_moment",
+    "compare_effective", "derive", "derived_scales", "diagonal_band_energy",
     "dipolar_coupling", "effective_deficits", "enumerate_basis", "evolve",
     "fidelity", "field_strengths", "fit_readout_amplitudes",
-    "frobenius_commutator", "hop_matrix", "ideal_protocol1_output",
-    "ideal_protocol2_output", "ideal_uber_noon", "measure_distribution",
-    "model_parameters_from_lattice", "number_matrix",
-    "offsite_coupling", "onsite_coupling", "predicted_band_sizes",
-    "project", "protocol_config", "pulsed_propagator", "recoil_energy",
-    "run_protocol1", "run_protocol2", "run_readout", "run_robustness",
-    "solve_integrability", "sweep_spectrum", "threshold_xi",
-    "v0_from_omega_r",
+    "ideal_protocol1_output", "ideal_protocol2_output", "ideal_uber_noon",
+    "measure_distribution", "model_parameters_from_lattice", "offsite_coupling",
+    "onsite_coupling", "predicted_band_sizes", "project", "protocol_config",
+    "pulsed_propagator", "recoil_energy", "run_protocol1", "run_protocol2",
+    "run_readout", "run_robustness", "solve_integrability", "sweep_spectrum",
+    "threshold_xi", "v0_from_omega_r",
 ]

@@ -2,7 +2,7 @@
 
 Evolution uses the one-time eigendecomposition of the (time-independent)
 Hamiltonian, exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>, block by
-block (a dense H is one block); no time-stepping integrator is involved.
+block; no time-stepping integrator is involved.
 Every Hamiltonian the package builds is real symmetric, so V is real, and
 V.T and V act on the amplitudes viewed as real (real, imaginary) pairs:
 numpy would otherwise make a complex copy of V for each product.

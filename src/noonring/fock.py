@@ -137,7 +137,7 @@ def hop_entries(basis: FockBasis, from_site: int, to_site: int,
     f = _check_site(from_site)
     t = _check_site(to_site)
     if f == t:
-        raise ValueError("from_site and to_site must differ (use number_matrix)")
+        raise ValueError("from_site and to_site must differ")
     occ = basis.occupations
     columns = np.flatnonzero(occ[:, f] >= count)
     moved = occ[columns]
@@ -147,16 +147,3 @@ def hop_entries(basis: FockBasis, from_site: int, to_site: int,
     n_f, n_t = occ[columns, f], occ[columns, t]
     return rows, columns, np.sqrt(np.prod([(n_f - k) * (n_t + 1.0 + k) for k in range(count)], axis=0))
 
-
-def hop_matrix(basis: FockBasis, from_site: int, to_site: int) -> np.ndarray:
-    """Dense matrix of a_to^dagger a_from in the sector basis (see hop_entries)."""
-    rows, columns, values = hop_entries(basis, from_site, to_site)
-    mat = np.zeros((basis.size, basis.size), dtype=float)
-    mat[rows, columns] = values
-    return mat
-
-
-def number_matrix(basis: FockBasis, site: int) -> np.ndarray:
-    """Diagonal matrix of N_site."""
-    j = _check_site(site)
-    return np.diag(basis.occupations[:, j].astype(float))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockBasis, hop_entries, hop_matrix
+from .fock import FockBasis, hop_entries
 
 HERMITICITY_TOL = 1e-12
 
@@ -125,22 +125,16 @@ class HermitianOperator:
 
     `blocks` holds one (indices, matrices) pair per block size: indices[k] are
     the basis positions of block k, matrices[k] the block, and `order` the
-    positions block by block.  A dense matrix is the one block
-    (arange(n), matrix) and is also kept as `matrix` (None for blocks).
+    positions block by block.  The blocks must cover the basis once; a dense
+    matrix m is the one block (arange(n)[None], m[None]).
     """
 
-    def __init__(self, basis: FockBasis, matrix=None, check: bool = True, blocks=None):
-        if blocks is None:
-            matrix = np.asarray(matrix)
-            if matrix.shape != (basis.size, basis.size):
-                raise ValueError(
-                    f"matrix shape {matrix.shape} does not match basis size {basis.size}"
-                )
-            blocks = [(np.arange(basis.size), matrix)]
+    def __init__(self, basis: FockBasis, blocks, check: bool = True):
         self.basis = basis
-        self.matrix = matrix
         self.blocks = blocks
         self.order = np.concatenate([indices.ravel() for indices, _ in blocks])
+        if self.order.size != basis.size:
+            raise ValueError(f"blocks hold {self.order.size} states, the basis {basis.size}")
         self._eigensystem: tuple | None = None
         if check:
             self._require_finite()
@@ -173,8 +167,6 @@ class HermitianOperator:
         else:
             self._require_finite()
             values = [np.linalg.eigvalsh(matrices) for _, matrices in self.blocks]
-        if len(values) == 1 and values[0].ndim == 1:   # one dense block: already ascending
-            return values[0]
         return np.sort(np.concatenate([part.ravel() for part in values]))
 
     def __repr__(self) -> str:
@@ -217,32 +209,6 @@ def derived_scales(params: ModelParameters, m_occ: int, p_occ: int) -> DerivedSc
     return DerivedScales(
         m_occ=m_occ, p_occ=p_occ, u=u, j=params.j, omega=omega, t_m=t_m, beta=beta,
     )
-
-
-def _hop_sum(basis: FockBasis, pairs) -> np.ndarray:
-    total = np.zeros((basis.size, basis.size))
-    for from_site, to_site in pairs:
-        total += hop_matrix(basis, from_site, to_site)
-    return total
-
-
-def build_full_hamiltonian(params: ModelParameters, basis: FockBasis) -> HermitianOperator:
-    """Assemble the dense (real-symmetric) Hamiltonian matrix."""
-    occ = basis.occupations.astype(float)
-    n1, n2, n3, n4 = occ[:, 0], occ[:, 1], occ[:, 2], occ[:, 3]
-    # (a1+ + a3+)(a2 + a4) = a1+a2 + a1+a4 + a3+a2 + a3+a4
-    hop = _hop_sum(basis, [(2, 1), (4, 1), (2, 3), (4, 3)])
-    # Extreme couplings overflow to inf/NaN entries, which HermitianOperator
-    # reports as an ArithmeticError; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = 0.5 * params.u0 * ((occ * (occ - 1.0)).sum(axis=1))
-        diagonal += (
-            params.u12 * n1 * n2 + params.u13 * n1 * n3 + params.u14 * n1 * n4
-            + params.u23 * n2 * n3 + params.u24 * n2 * n4 + params.u34 * n3 * n4
-        )
-        diagonal += params.mu * (n2 - n4) + params.nu * (n1 - n3)
-        matrix = np.diag(diagonal) - 0.5 * params.j * (hop + hop.T)
-    return HermitianOperator(basis, matrix)
 
 
 def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
@@ -313,7 +279,9 @@ def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
     m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
     detuning = params.u13 - params.u0
     hops = _hop_blocks(modes, params.mu, params.nu, params.j, detuning) if hops is None else hops
-    with np.errstate(over="ignore", invalid="ignore"):   # reported as in build_full_hamiltonian
+    # Extreme couplings overflow to inf/NaN entries, which eigensystem() reports
+    # as an ArithmeticError; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
         diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
                     + params.u12 * (m_occ * p_occ))
         if detuning != 0.0:   # the n(n - 1)/4 of every mode, from D
@@ -322,88 +290,7 @@ def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
     # Symmetric by construction; eigensystem() still checks finiteness before LAPACK.
-    return HermitianOperator(modes, check=False, blocks=blocks)
-
-
-def build_charge(basis: FockBasis, which: str) -> HermitianOperator:
-    """Conserved charge Q1 (sites 1-3) or Q2 (sites 2-4).
-
-    2 Q = N_a + N_b - a+ b - a b+; the eigenvalues of Q are the integers
-    0..(N_a + N_b) within each fixed-(N_a + N_b) subspace.
-    """
-    if which == "Q1":
-        a, b = 1, 3
-    elif which == "Q2":
-        a, b = 2, 4
-    else:
-        raise ValueError(f"charge must be 'Q1' or 'Q2', got {which!r}")
-    occ = basis.occupations.astype(float)
-    number_part = np.diag(occ[:, a - 1] + occ[:, b - 1])
-    exchange = _hop_sum(basis, [(b, a), (a, b)])  # a+ b + a b+
-    return HermitianOperator(basis, 0.5 * (number_part - exchange))
-
-
-def build_effective_hamiltonian_charges(
-    basis: FockBasis, n_total: int, derived: DerivedScales
-) -> HermitianOperator:
-    """H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2."""
-    if basis.n_total != n_total:
-        raise ValueError(
-            f"basis sector N={basis.n_total} does not match n_total={n_total}"
-        )
-    q1 = build_charge(basis, "Q1").matrix
-    q2 = build_charge(basis, "Q2").matrix
-    matrix = (n_total + 1) * derived.omega * (q1 + q2) - 2.0 * derived.omega * (q1 @ q2)
-    return HermitianOperator(basis, matrix)
-
-
-def build_effective_hamiltonian_sq(
-    basis: FockBasis, m_occ: int, p_occ: int, derived: DerivedScales
-) -> HermitianOperator:
-    """Second-quantized form of H_eff for the (M, P) band.
-
-    Second-order tunneling gives, with c+- = J^2/(16U(M-P+-1)),
-
-        H_eff = c+ (N1 + N3 + 2 + a1+ a3 + a3+ a1)(N2 + N4 + a2+ a4 + a4+ a2)
-              - c- (N1 + N3 + a1+ a3 + a3+ a1)(N2 + N4 + 2 + a2+ a4 + a4+ a2),
-
-    i.e. the exchange terms
-
-        + c+ (a1 a3+ + a3 a1+)(N2 + N4)
-        + c+ (N1 + N3 + 2)(a2+ a4 + a4+ a2)
-        - c- (N2 + N4 + 2)(a1+ a3 + a3+ a1)
-        - c- (a2 a4+ + a4 a2+)(N1 + N3)
-        + (c+ - c-)(a1+ a3 + a3+ a1)(a2+ a4 + a4+ a2)
-
-    plus the diagonal piece c+ (N1+N3+2)(N2+N4) - c- (N1+N3)(N2+N4+2),
-    which shifts the two |M - P| halves of a band differently and is
-    required for agreement with the charge polynomial.  Restricted to
-    the (M, P) band the total equals
-    (N+1) Omega (Q1+Q2) - 2 Omega Q1 Q2 plus an additive constant.
-    """
-    if abs(m_occ - p_occ) <= 1:
-        raise ValueError(
-            f"effective Hamiltonian is singular for |M - P| <= 1 (M={m_occ}, P={p_occ})"
-        )
-    delta_mp = m_occ - p_occ
-    j_sq_over_16u = derived.j**2 / (16.0 * derived.u)
-    c_plus = j_sq_over_16u / (delta_mp + 1)
-    c_minus = j_sq_over_16u / (delta_mp - 1)
-
-    occ = basis.occupations.astype(float)
-    # N1 + N3 and N2 + N4 are diagonal: a product with one is a row or column scaling.
-    n13 = occ[:, 0] + occ[:, 2]
-    n24 = occ[:, 1] + occ[:, 3]
-    exchange_13 = _hop_sum(basis, [(3, 1), (1, 3)])  # a1+ a3 + a3+ a1
-    exchange_24 = _hop_sum(basis, [(4, 2), (2, 4)])  # a2+ a4 + a4+ a2
-
-    matrix = c_plus * (exchange_13 * n24[None, :])
-    matrix += c_plus * ((n13 + 2.0)[:, None] * exchange_24)
-    matrix -= c_minus * ((n24 + 2.0)[:, None] * exchange_13)
-    matrix -= c_minus * (exchange_24 * n13[None, :])
-    matrix += (c_plus - c_minus) * (exchange_13 @ exchange_24)
-    matrix += np.diag(c_plus * (n13 + 2.0) * n24 - c_minus * n13 * (n24 + 2.0))
-    return HermitianOperator(basis, matrix)
+    return HermitianOperator(modes, blocks, check=False)
 
 
 def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> float:
@@ -417,7 +304,3 @@ def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> flo
     constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
     return constant - u * (m_occ - p_occ) ** 2
 
-
-def frobenius_commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of [A, B]."""
-    return float(np.linalg.norm(a @ b - b @ a))

@@ -24,7 +24,6 @@ from .model import (
     _hop_blocks,
     build_mode_hamiltonian,
     derived_scales,
-    diagonal_band_energy,
 )
 from .protocols import FullDynamics, IdealDynamics
 
@@ -107,12 +106,6 @@ class BandAssignment:
     sizes: tuple[int, ...]
     boundaries: tuple[int, ...]           # cumulative offsets, len = n_bands + 1
 
-    def band_of(self, eigenstate_index: int) -> tuple[int, int]:
-        position = np.searchsorted(np.asarray(self.boundaries), eigenstate_index, side="right")
-        if position == 0 or position > len(self.labels):
-            raise IndexError(f"eigenstate index {eigenstate_index} out of range")
-        return self.labels[position - 1]
-
 
 def assign_bands(
     eigenvalues: np.ndarray,
@@ -153,25 +146,6 @@ def assign_bands(
         sizes=tuple(size for _, size in predicted),
         boundaries=tuple(boundaries),
     )
-
-
-def locate_band(params: ModelParameters, basis: FockBasis, occupations) -> tuple[int, int]:
-    """Band label of a Fock state by nearest J=0 diagonal energy."""
-    index = basis.index_of(tuple(occupations))
-    occ = basis.occupations[index].astype(float)
-    diagonal = 0.5 * params.u0 * float((occ * (occ - 1.0)).sum())
-    pair_us = {
-        (0, 1): params.u12, (0, 2): params.u13, (0, 3): params.u14,
-        (1, 2): params.u23, (1, 3): params.u24, (2, 3): params.u34,
-    }
-    for (a, b), coupling in pair_us.items():
-        diagonal += coupling * occ[a] * occ[b]
-    best = None
-    for m, p in band_splits(basis.n_total):
-        distance = abs(diagonal - diagonal_band_energy(params, m, p))
-        if best is None or distance < best[0]:
-            best = (distance, (m, p))
-    return best[1]
 
 
 def effective_deficits(

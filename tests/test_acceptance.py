@@ -13,20 +13,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from noonring.dynamics import evolve, measure_distribution
+from noonring.dynamics import NormalModes, measure_distribution
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integrability
 from noonring.model import (
     ModelParameters,
-    build_charge,
-    build_effective_hamiltonian_charges,
-    build_effective_hamiltonian_sq,
-    build_full_hamiltonian,
+    build_mode_hamiltonian,
     derived_scales,
     diagonal_band_energy,
-    frobenius_commutator,
 )
 from noonring.protocols import (
+    FullDynamics,
     fidelity,
     fit_readout_amplitudes,
     protocol_config,
@@ -158,17 +155,16 @@ def test_criterion_5_conservation_and_band_structure():
     # Charge conservation at integrable couplings, in tunneling units.
     params = ModelParameters.integrable_set(u=SET1["u"] / SET1["j"], j=1.0)
     for n_total in (3, 5, 15):
-        basis = enumerate_basis(n_total)
-        h = build_full_hamiltonian(params, basis)
+        h = oracle.hamiltonian_matrix(n_total, params.to_dict())
         for which in ("Q1", "Q2"):
-            charge = build_charge(basis, which)
-            assert frobenius_commutator(h.matrix, charge.matrix) < 1e-11
+            charge = oracle.charge_matrix(n_total, which)
+            assert oracle.commutator_norm(h, charge) < 1e-11
 
     # Exact band counts deep in the resonant-tunneling regime.
     deep = ModelParameters.integrable_set(u=30.0, j=1.0)
     for n_total in (3, 4, 5, 15):
         basis = enumerate_basis(n_total)
-        h = build_full_hamiltonian(deep, basis)
+        h = build_mode_hamiltonian(deep, NormalModes(basis).basis)
         assignment = assign_bands(h.eigenvalues(), n_total)
         expected = tuple(
             (m + 1) * (p + 1) * (1 if m == p else 2)
@@ -181,7 +177,7 @@ def test_criterion_5_conservation_and_band_structure():
     flat = ModelParameters.integrable_set(u=4.0, j=0.0, u0=2.5)
     for n_total in (3, 5):
         basis = enumerate_basis(n_total)
-        diagonal = np.diag(build_full_hamiltonian(flat, basis).matrix).real
+        diagonal = np.diag(oracle.hamiltonian_matrix(n_total, flat.to_dict()))
         for k, occ in enumerate(basis):
             pair = sorted((occ[0] + occ[2], occ[1] + occ[3]))
             predicted = diagonal_band_energy(flat, pair[0], pair[1])
@@ -191,14 +187,16 @@ def test_criterion_5_conservation_and_band_structure():
 def test_criterion_6_effective_hamiltonian_equivalence(basis15):
     params = ModelParameters.integrable_set(u=SET1["u"], j=SET1["j"])
     derived = derived_scales(params, M_OCC, P_OCC)
-    h_sq = build_effective_hamiltonian_sq(basis15, M_OCC, P_OCC, derived)
-    h_charges = build_effective_hamiltonian_charges(basis15, 15, derived)
+    h_sq = oracle.operator_matrix(15, lambda state: oracle.apply_effective_sq(
+        state, M_OCC, P_OCC, derived.j, derived.u))
+    h_charges = oracle.operator_matrix(15, lambda state: oracle.apply_effective_charges(
+        state, 15, derived.omega))
     occ = basis15.occupations
     half = np.nonzero(occ[:, 0] + occ[:, 2] == M_OCC)[0]
     assert half.size == (M_OCC + 1) * (P_OCC + 1)
-    sub_sq = h_sq.matrix[np.ix_(half, half)]
-    sub_charges = h_charges.matrix[np.ix_(half, half)]
-    shift = (sub_sq - sub_charges)[0, 0].real
+    sub_sq = h_sq[np.ix_(half, half)]
+    sub_charges = h_charges[np.ix_(half, half)]
+    shift = (sub_sq - sub_charges)[0, 0]
     spectrum_sq = np.linalg.eigvalsh(sub_sq) - shift
     spectrum_charges = np.linalg.eigvalsh(sub_charges)
     scale = np.max(np.abs(spectrum_charges))
@@ -265,14 +263,16 @@ def test_criterion_9_property_and_oracle_suite():
 
     for n_total in (2, 3):
         basis = enumerate_basis(n_total)
-        h = build_full_hamiltonian(params, basis)
-        states, reference = oracle.hamiltonian_matrix(n_total, couplings)
+        h = build_mode_hamiltonian(params, NormalModes(basis).basis)
+        states = oracle.sector_states(n_total)
+        reference = oracle.hamiltonian_matrix(n_total, couplings)
 
         # Hermiticity and spectral agreement with the brute-force matrix.
-        np.testing.assert_allclose(h.matrix, h.matrix.conj().T, atol=1e-14)
+        for _, matrices in h.blocks:
+            np.testing.assert_allclose(
+                matrices, np.swapaxes(matrices, -1, -2).conj(), atol=1e-14)
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(h.matrix), np.linalg.eigvalsh(reference),
-            atol=1e-10)
+            h.eigenvalues(), np.linalg.eigvalsh(reference), atol=1e-10)
 
         # Basis round trip.
         for k in range(basis.size):
@@ -280,7 +280,8 @@ def test_criterion_9_property_and_oracle_suite():
 
         # Evolve the full-occupation corner state both ways.
         initial_occ = (n_total, 0, 0, 0)
-        evolved = evolve(QuantumState.from_fock(basis, initial_occ), h, 0.7)
+        evolved = FullDynamics(basis).evolve(
+            QuantumState.from_fock(basis, initial_occ), [(params, 0.7)])
         assert evolved.norm() == pytest.approx(1.0, abs=1e-12)  # unitarity
 
         propagator = scipy.linalg.expm(-0.7j * reference)

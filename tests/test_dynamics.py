@@ -9,14 +9,10 @@ from scipy.linalg import expm
 
 from noonring.dynamics import NormalModes, evolve, measure_distribution, project
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import (
-    HermitianOperator,
-    ModelParameters,
-    build_full_hamiltonian,
-    build_mode_hamiltonian,
-)
+from noonring.model import ModelParameters, build_mode_hamiltonian
 
-from oracle import add_into, create, site_distribution
+from conftest import dense_operator, mode_matrix
+from oracle import add_into, create, hamiltonian_matrix, site_distribution
 
 
 def random_state(basis, rng):
@@ -27,7 +23,15 @@ def random_state(basis, rng):
 def random_hamiltonian(basis, rng):
     params = ModelParameters.integrable_set(
         u=float(rng.uniform(1.0, 5.0)), j=float(rng.uniform(0.2, 2.0)))
-    return build_full_hamiltonian(params, basis)
+    return dense_operator(basis, hamiltonian_matrix(basis.n_total, params.to_dict()))
+
+
+def block_matrix(operator):
+    """A block operator's blocks scattered into a dense matrix."""
+    dense = np.zeros((operator.basis.size, operator.basis.size))
+    for indices, matrices in operator.blocks:
+        dense[indices[:, :, None], indices[:, None, :]] = matrices
+    return dense
 
 
 class TestEvolution:
@@ -59,9 +63,10 @@ class TestEvolution:
         rng = np.random.default_rng(13)
         h = random_hamiltonian(basis3, rng)
         state = random_state(basis3, rng)
-        before = np.real(state.amplitudes.conj() @ h.matrix @ state.amplitudes)
+        matrix = block_matrix(h)
+        before = np.real(state.amplitudes.conj() @ matrix @ state.amplitudes)
         out = evolve(state, h, 4.2)
-        after = np.real(out.amplitudes.conj() @ h.matrix @ out.amplitudes)
+        after = np.real(out.amplitudes.conj() @ matrix @ out.amplitudes)
         assert after == pytest.approx(before, abs=1e-10)
 
     def test_eigenstate_picks_up_pure_phase(self, basis2):
@@ -69,10 +74,10 @@ class TestEvolution:
         h = random_hamiltonian(basis2, rng)
         (values, vectors), = h.eigensystem()   # a dense matrix is one block
         k, t = 3, 2.5
-        state = QuantumState(basis2, vectors[:, k].astype(complex))
+        state = QuantumState(basis2, vectors[0, :, k].astype(complex))
         out = evolve(state, h, t)
         np.testing.assert_allclose(
-            out.amplitudes, np.exp(-1j * values[k] * t) * state.amplitudes,
+            out.amplitudes, np.exp(-1j * values[0, k] * t) * state.amplitudes,
             atol=1e-12)
 
     @pytest.mark.parametrize("n_total", [3, 5])
@@ -80,22 +85,23 @@ class TestEvolution:
         rng = np.random.default_rng(n_total)
         basis = enumerate_basis(n_total)
         params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7)
-        h = build_full_hamiltonian(params, basis)
+        matrix = hamiltonian_matrix(n_total, params.to_dict())
         state = random_state(basis, rng)
-        out = evolve(state, h, 1.3)
+        out = evolve(state, dense_operator(basis, matrix), 1.3)
         np.testing.assert_allclose(
-            out.amplitudes, expm(-1j * h.matrix * 1.3) @ state.amplitudes, atol=1e-12)
+            out.amplitudes, expm(-1j * matrix * 1.3) @ state.amplitudes, atol=1e-12)
 
     def test_complex_hamiltonian_matches_expm(self, basis3):
         rng = np.random.default_rng(17)
         size = len(basis3)
         raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        h = HermitianOperator(basis3, raw + raw.conj().T)
+        matrix = raw + raw.conj().T
+        h = dense_operator(basis3, matrix)
         assert np.iscomplexobj(h.eigensystem()[0][1])
         state = random_state(basis3, rng)
         out = evolve(state, h, 0.8)
         np.testing.assert_allclose(
-            out.amplitudes, expm(-1j * h.matrix * 0.8) @ state.amplitudes, atol=1e-12)
+            out.amplitudes, expm(-1j * matrix * 0.8) @ state.amplitudes, atol=1e-12)
 
     def test_strided_state_matches_expm(self, basis3):
         rng = np.random.default_rng(19)
@@ -106,7 +112,7 @@ class TestEvolution:
         assert not state.amplitudes.flags.c_contiguous
         out = evolve(state, h, 2.1)
         np.testing.assert_allclose(
-            out.amplitudes, expm(-1j * h.matrix * 2.1) @ big[::2], atol=1e-12)
+            out.amplitudes, expm(-1j * block_matrix(h) * 2.1) @ big[::2], atol=1e-12)
 
     def test_negative_duration_rejected(self, basis2):
         rng = np.random.default_rng(1)
@@ -128,21 +134,6 @@ class TestEvolution:
             evolve(state, h, 1.0)
 
 
-def mode_matrix(modes):
-    """W with psi_site = W psi_mode, built column by column from unit mode states."""
-    return np.column_stack([
-        modes.change(QuantumState(modes.basis, unit), modes.sites).amplitudes
-        for unit in np.eye(modes.basis.size)])
-
-
-def block_matrix(operator):
-    """A block operator's blocks scattered into a dense matrix."""
-    dense = np.zeros((operator.basis.size, operator.basis.size))
-    for indices, matrices in operator.blocks:
-        dense[indices[:, :, None], indices[:, None, :]] = matrices
-    return dense
-
-
 class TestNormalModes:
     @pytest.mark.parametrize("n_total", [0, 1, 4, 7, 15])
     def test_transform_is_orthogonal(self, n_total):
@@ -156,7 +147,7 @@ class TestNormalModes:
         modes = NormalModes(enumerate_basis(n_total))
         params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=mu, nu=nu, u0=0.4)
         w = mode_matrix(modes).real
-        h_site = build_full_hamiltonian(params, modes.sites).matrix
+        h_site = hamiltonian_matrix(n_total, params.to_dict())
         blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
@@ -207,7 +198,7 @@ class TestNormalModes:
             u0=u0, u12=u12, u13=u13, u14=u12, u23=u12, u24=u13, u34=u12, j=j,
             mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
         w = mode_matrix(modes).real
-        h_site = build_full_hamiltonian(params, modes.sites).matrix
+        h_site = hamiltonian_matrix(n_total, params.to_dict())
         blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
@@ -248,7 +239,8 @@ class TestNormalModes:
             u=u, j=j, u0=u0,
             mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
         state = random_state(basis, np.random.default_rng(seed))
-        dense = evolve(state, build_full_hamiltonian(params, basis), duration)
+        dense = evolve(
+            state, dense_operator(basis, hamiltonian_matrix(n_total, params.to_dict())), duration)
         blocks = modes.evolve_in_modes(
             state, [(build_mode_hamiltonian(params, modes.basis), duration)])
         np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)

@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from noonring.fock import (
-    FockBasis,
-    QuantumState,
-    enumerate_basis,
-    hop_matrix,
-    number_matrix,
-)
+from noonring.fock import FockBasis, QuantumState, enumerate_basis, hop_entries
 
 
 @pytest.mark.parametrize("n_total,size", [
@@ -73,35 +67,33 @@ def test_number_expectation(basis3):
 
 
 def test_hop_matrix_elements(basis3):
-    hop = hop_matrix(basis3, 2, 1)  # a1† a2
+    rows, columns, values = hop_entries(basis3, 2, 1)  # a1† a2
+    entries = {int(col): (int(row), value) for row, col, value in zip(rows, columns, values)}
+    assert len(entries) == len(columns)   # at most one entry per column
     src = basis3.index_of((1, 2, 0, 0))
     dst = basis3.index_of((2, 1, 0, 0))
     # a1† a2 |1,2,0,0> = sqrt(2) * sqrt(2) |2,1,0,0>
-    assert hop[dst, src] == pytest.approx(math.sqrt(2) * math.sqrt(2))
-    # Only one nonzero entry per column, amplitude sqrt(n2 (n1+1)).
+    assert entries[src] == (dst, pytest.approx(math.sqrt(2) * math.sqrt(2)))
+    # One entry in each column with n2 > 0, amplitude sqrt(n2 (n1+1)).
     for col, occ in enumerate(basis3):
-        column = hop[:, col]
-        nonzero = np.nonzero(column)[0]
         if occ[1] == 0:
-            assert nonzero.size == 0
+            assert col not in entries
         else:
-            assert nonzero.size == 1
-            expected = math.sqrt(occ[1] * (occ[0] + 1))
-            assert column[nonzero[0]] == pytest.approx(expected)
+            row, value = entries[col]
+            assert basis3.state_at(row) == (occ[0] + 1, occ[1] - 1, occ[2], occ[3])
+            assert value == pytest.approx(math.sqrt(occ[1] * (occ[0] + 1)))
 
 
 def test_hop_matrices_are_adjoint_pairs(basis3):
-    forward = hop_matrix(basis3, 2, 1)
-    backward = hop_matrix(basis3, 1, 2)
-    np.testing.assert_allclose(forward, backward.conj().T, atol=1e-15)
+    def entries(from_site, to_site):
+        rows, columns, values = hop_entries(basis3, from_site, to_site)
+        return dict(zip(zip(rows.tolist(), columns.tolist()), values))
 
-
-def test_number_matrix_is_diagonal_occupation(basis3):
-    for site in range(1, 5):
-        mat = number_matrix(basis3, site)
-        np.testing.assert_allclose(
-            np.diag(mat), basis3.occupations[:, site - 1].astype(float))
-        assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+    forward = entries(2, 1)
+    backward = {(col, row): value for (row, col), value in entries(1, 2).items()}
+    assert forward.keys() == backward.keys()
+    for key, value in forward.items():
+        assert value == pytest.approx(backward[key], abs=1e-15)
 
 
 def test_quantum_state_shape_check(basis2):

@@ -7,7 +7,6 @@ from noonring import robustness
 from noonring.dynamics import NormalModes, evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, solve_integrability, v0_from_omega_r
-from noonring.model import HermitianOperator, build_full_hamiltonian
 from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
     RobustnessConfig,
@@ -17,8 +16,8 @@ from noonring.robustness import (
     threshold_xi,
 )
 
-from conftest import M_OCC, P_OCC, SET1, SET2
-from oracle import detuning_operator
+from conftest import M_OCC, P_OCC, SET1, SET2, dense_operator
+from oracle import detuning_operator, hamiltonian_matrix
 
 
 def make_cfg(couplings, p_theta=np.pi / 2):
@@ -64,10 +63,10 @@ class TestRobustnessConfig:
 class TestPulsedPropagator:
     def detuned_pair(self, basis, couplings, xi):
         params = make_cfg(couplings).params
-        h0 = build_full_hamiltonian(params, basis)
+        h0 = hamiltonian_matrix(basis.n_total, params.to_dict())
         bump = xi * detuning_operator(basis)
-        h_plus = HermitianOperator(basis, h0.matrix + bump, check=False)
-        h_minus = HermitianOperator(basis, h0.matrix - bump, check=False)
+        h_plus = dense_operator(basis, h0 + bump, check=False)
+        h_minus = dense_operator(basis, h0 - bump, check=False)
         return h_plus, h_minus
 
     def start_state(self, basis):
@@ -206,7 +205,7 @@ class DenseSystem:
     def __init__(self, config, basis, cfg, matrices):
         self.config, self.basis, self.cfg = config, basis, cfg
         self.h_plus, self.h_minus, self.h_mu, self.h_nu = (
-            HermitianOperator(basis, matrix) for matrix in matrices)
+            dense_operator(basis, matrix) for matrix in matrices)
 
     def band(self, state, cfg, t):
         if self.config.mode == "static":
@@ -258,7 +257,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("mode", ["pulsed", "static"])
     @pytest.mark.parametrize("source", ["direct", "physical"])
     def test_matches_the_dense_site_basis(self, source, mode, protocol):
-        basis = enumerate_basis(7)
+        basis = enumerate_basis(7)   # M + P
         base = protocol_config(m_occ=2, p_occ=5, u=SET1["u"], j=SET1["j"],
                                mu=SET1["mu"], p_theta=np.pi / 2)
         config = RobustnessConfig(
@@ -270,13 +269,12 @@ class TestParityBlocks:
             system = detuned_system(config, basis, point.xi)
             if source == "direct":   # H(+-xi) = H_integrable +- xi (N1 N3 + N2 N4)
                 bump = point.xi * detuning_operator(basis)
-                free, mu_pulse, nu_pulse = (build_full_hamiltonian(params, basis).matrix for params in (
+                free, mu_pulse, nu_pulse = (hamiltonian_matrix(7, params.to_dict()) for params in (
                     base.params, base.params.with_fields(mu=base.mu, nu=0.0),
                     base.params.with_fields(mu=0.0, nu=-base.nu)))
                 matrices = (free + bump, free - bump, mu_pulse + bump, nu_pulse + bump)
             else:
-                matrices = [build_full_hamiltonian(params, basis).matrix
-                            for params in system.couplings]
+                matrices = [hamiltonian_matrix(7, params.to_dict()) for params in system.couplings]
             dense = DenseSystem(config, basis, system.cfg, matrices)
             reference = robustness._run_point(dense, point.xi)
             assert point.fidelity == pytest.approx(reference.fidelity, rel=0, abs=1e-10)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noonring.fock import enumerate_basis
-from noonring.model import ModelParameters, build_full_hamiltonian
+from noonring.model import ModelParameters
 from noonring.spectrum import (
     BandsUnresolvedError,
     _hop_blocks,
@@ -15,10 +15,11 @@ from noonring.spectrum import (
     band_splits,
     compare_effective,
     effective_deficits,
-    locate_band,
     predicted_band_sizes,
     sweep_spectrum,
 )
+
+from oracle import hamiltonian_matrix
 
 
 def dense_spectrum(basis, ratio, mu=0.0, nu=0.0, u0=0.0):
@@ -26,7 +27,7 @@ def dense_spectrum(basis, ratio, mu=0.0, nu=0.0, u0=0.0):
     params = ModelParameters.integrable_set(u=ratio, j=1.0, mu=mu, nu=nu, u0=u0)
     n = basis.n_total
     constant = (params.u0 + params.u12) * n**2 / 4.0 - params.u0 * n / 2.0
-    return np.sort(build_full_hamiltonian(params, basis).eigenvalues()) - constant
+    return np.linalg.eigvalsh(hamiltonian_matrix(n, params.to_dict())) - constant
 
 
 class TestBandCombinatorics:
@@ -125,16 +126,6 @@ class TestAssignBands:
         assert list(assignment.labels) == [
             label for label, _ in predicted_band_sizes(n_total)]
 
-    def test_band_of_lookup(self, basis3):
-        sweep = sweep_spectrum(basis3, np.array([30.0]))
-        assignment = assign_bands(sweep.eigenvalues[0], 3)
-        assert assignment.band_of(0) == (0, 3)
-        assert assignment.band_of(7) == (0, 3)
-        assert assignment.band_of(8) == (1, 2)
-        assert assignment.band_of(19) == (1, 2)
-        with pytest.raises(IndexError):
-            assignment.band_of(20)
-
     def test_shallow_spectrum_raises(self, basis5):
         sweep = sweep_spectrum(basis5, np.array([0.5]))
         with pytest.raises(BandsUnresolvedError):
@@ -150,15 +141,6 @@ class TestAssignBands:
     def test_wrong_level_count_rejected(self):
         with pytest.raises(ValueError):
             assign_bands(np.linspace(0.0, 1.0, 7), 3)
-
-
-class TestLocateBand:
-    def test_corner_states(self, basis15):
-        params = ModelParameters.integrable_set(u=40.0, j=1.0)
-        assert locate_band(params, basis15, (4, 11, 0, 0)) == (4, 11)
-        assert locate_band(params, basis15, (0, 11, 4, 0)) == (4, 11)
-        assert locate_band(params, basis15, (7, 8, 0, 0)) == (7, 8)
-        assert locate_band(params, basis15, (15, 0, 0, 0)) == (0, 15)
 
 
 class TestEffectiveDynamics:

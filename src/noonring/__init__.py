@@ -11,7 +11,7 @@ lattice, and a robustness module quantifies detuning errors and their
 pulsed mitigation.
 """
 
-from .dynamics import MeasurementRecord, evolve, measure_distribution, project
+from .dynamics import MeasurementRecord, evolve, measure_distribution, project, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
 from .lattice import (
     IntegrabilityRoot,
@@ -52,6 +52,9 @@ from .protocols import (
     run_protocol1,
     run_protocol2,
     run_readout,
+    sweep_protocol1,
+    sweep_protocol2,
+    sweep_readout,
 )
 from .robustness import (
     RobustnessConfig,
@@ -88,6 +91,7 @@ __all__ = [
     "measure_distribution", "model_parameters_from_lattice", "offsite_coupling",
     "onsite_coupling", "predicted_band_sizes", "project", "protocol_config",
     "pulsed_propagator", "recoil_energy", "run_protocol1", "run_protocol2",
-    "run_readout", "run_robustness", "solve_integrability", "sweep_spectrum",
+    "run_readout", "run_robustness", "site_probabilities", "solve_integrability",
+    "sweep_protocol1", "sweep_protocol2", "sweep_readout", "sweep_spectrum",
     "threshold_xi", "v0_from_omega_r",
 ]

@@ -40,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
+from .dynamics import stack_columns
 from .fock import QuantumState, enumerate_basis
 from .lattice import (
     QuadratureError,
@@ -55,9 +56,9 @@ from .protocols import (
     fit_readout_amplitudes,
     ideal_uber_noon,
     protocol_config,
-    run_protocol1,
-    run_protocol2,
-    run_readout,
+    sweep_protocol1,
+    sweep_protocol2,
+    sweep_readout,
 )
 from .robustness import RobustnessConfig, run_robustness
 from .spectrum import BandsUnresolvedError, assign_bands, sweep_spectrum
@@ -288,8 +289,10 @@ def _check_finite(kind: str, header: list[str], rows: list[tuple]) -> None:
 # --- experiments ------------------------------------------------------------
 
 
-def _p_theta_grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid)
+def _protocol_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[ProtocolConfig]]:
+    """The P theta grid and a protocol config at each of its points."""
+    grid = np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid).tolist()
+    return grid, [cfg.base_protocol(p_theta) for p_theta in grid]
 
 
 def _dynamics(cfg: ExperimentConfig) -> FullDynamics | IdealDynamics:
@@ -302,13 +305,12 @@ def _protocol_extras(cfg: ExperimentConfig) -> dict:
 
 
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, dynamics = cfg.model, _dynamics(cfg)
+    m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
     rows = []
-    for p_theta in _p_theta_grid(cfg):
-        pc = cfg.base_protocol(p_theta)
-        for report in run_protocol1(pc, dynamics):
+    for p_theta, reports in zip(grid, sweep_protocol1(configs, _dynamics(cfg))):
+        for report in reports:
             rows.append((
-                cfg.label, m.m, m.p, float(p_theta),
+                cfg.label, m.m, m.p, p_theta,
                 report.measurement.outcome, report.measurement.probability,
                 report.fidelity, int(report.selected), report.elapsed_model_time,
             ))
@@ -318,39 +320,31 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, dynamics = cfg.model, _dynamics(cfg)
-    rows = []
-    for p_theta in _p_theta_grid(cfg):
-        report = run_protocol2(cfg.base_protocol(p_theta), dynamics)
-        rows.append((cfg.label, m.m, m.p, float(p_theta),
-                     report.fidelity, report.elapsed_model_time))
+    m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
+    rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, report.elapsed_model_time)
+            for p_theta, report in zip(grid, sweep_protocol2(configs, _dynamics(cfg)))]
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
     return rows, header, _protocol_extras(cfg)
 
 
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m_occ, dynamics = cfg.model.m, _dynamics(cfg)
+    m_occ, (grid, configs) = cfg.model.m, _protocol_sweep(cfg)
     rows = []
     zero_samples, m_samples = [], []
     two_sided = cfg.protocol.readout_protocol == 1
     laws = ("P_I(.,0)", "P_I(.,M)") if two_sided else ("P_II(0)", "P_II(M)")
-    for p_theta in _p_theta_grid(cfg):
-        pc = cfg.base_protocol(p_theta)
-        if two_sided:
-            reports = [r for r in run_protocol1(pc, dynamics) if r.selected]
-        else:
-            reports = [run_protocol2(pc, dynamics)]
-        for report in reports:
-            result = run_readout(report, pc, dynamics)
+    sweep = sweep_readout(configs, _dynamics(cfg), cfg.protocol.readout_protocol)
+    for p_theta, pairs in zip(grid, sweep):
+        for report, result in pairs:
             probabilities = dict(result.joint if two_sided else result.outcomes)
             for outcome in (0, m_occ):
                 rows.append((
-                    cfg.label, float(p_theta),
+                    cfg.label, p_theta,
                     report.measurement.outcome if two_sided else "", outcome,
                     probabilities.get(outcome, 0.0), *(result.laws[law] for law in laws),
                 ))
-            zero_samples.append((float(p_theta), probabilities.get(0, 0.0)))
-            m_samples.append((float(p_theta), probabilities.get(m_occ, 0.0)))
+            zero_samples.append((p_theta, probabilities.get(0, 0.0)))
+            m_samples.append((p_theta, probabilities.get(m_occ, 0.0)))
     if two_sided:
         header = ["set", "p_theta", "r", "readout_r", "joint_probability",
                   "law_half_cos2", "law_half_sin2"]
@@ -403,20 +397,22 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     pc = cfg.base_protocol(0.0)
     t_max = cfg.evolve.t_max if cfg.evolve.t_max is not None else pc.t_m
     full, ideal = FullDynamics(basis), IdealDynamics(basis)
-    initial = QuantumState.from_fock(basis, (m, p, 0, 0))
-    uber = ideal_uber_noon(pc, basis, stage="pre_field")
+    initial = QuantumState.from_fock(basis, (m, p, 0, 0)).amplitudes[:, None]   # a column
+    uber = ideal_uber_noon(pc, basis, stage="pre_field").amplitudes
     corners = [basis.index_of(occ) for occ in
                ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
+    times, columns = np.linspace(0.0, t_max, cfg.evolve.points), stack_columns(basis)
     rows = []
-    for t in np.linspace(0.0, t_max, cfg.evolve.points):
-        full_state = full.band(initial, pc, float(t))
-        eff_state = ideal.band(initial, pc, float(t))
-        weights = np.abs(full_state.amplitudes[corners]) ** 2
-        rows.append((
-            float(t), *map(float, weights),
-            abs(full_state.overlap(uber)) ** 2,
-            abs(full_state.overlap(eff_state)),
-        ))
+    for start in range(0, times.size, columns):   # one stack of times at a time
+        ts = times[start:start + columns]
+        states = QuantumState(basis, np.broadcast_to(initial, (basis.size, ts.size)))
+        bras = full.band(states, pc, ts).amplitudes.conj()   # <full(t)|, one column per t
+        kets = ideal.band(states, pc, ts).amplitudes
+        rows += zip(
+            ts.tolist(), *(np.abs(bras[corners]) ** 2).tolist(),
+            (np.abs(uber @ bras) ** 2).tolist(),                      # |<full|uber>|^2
+            np.abs(np.einsum("ik,ik->k", bras, kets)).tolist(),      # |<full|eff>|
+        )
     header = ["t_s", "p_MP00", "p_0PM0", "p_M00P", "p_00MP",
               "uber_noon_population", "effective_overlap"]
     return rows, header, {"derived": _derived_block(pc), "t_max": t_max}

@@ -7,6 +7,12 @@ Every Hamiltonian the package builds is real symmetric, so V is real, and
 V.T and V act on the amplitudes viewed as real (real, imaginary) pairs:
 numpy would otherwise make a complex copy of V for each product.
 
+`evolve`, `NormalModes.change` and `site_probabilities` map the columns of
+an (n, K) stack of states (see `QuantumState`), `evolve` with one duration
+per column, so a sweep reads each V once per stack rather than once per
+state; a single state is the K = 1 case.  `stack_columns` caps a stack at
+STACK_BYTES of amplitudes.
+
 `NormalModes` carries states between the site basis and the normal-mode
 basis of `noonring.model`, where the integrable H splits into small blocks.
 The mode basis is a FockBasis of its own, so `evolve` rejects a state in
@@ -38,40 +44,64 @@ class MeasurementRecord:
     post_state: QuantumState
 
 
-def evolve(state: QuantumState, hamiltonian: HermitianOperator, duration: float) -> QuantumState:
+STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
+
+
+def stack_columns(basis: FockBasis) -> int:
+    """States per stack within STACK_BYTES: 20 at N = 15 (dim 816), 2 at N = 31."""
+    return max(1, STACK_BYTES // (16 * basis.size))
+
+
+def evolve(state: QuantumState, hamiltonian: HermitianOperator, duration) -> QuantumState:
     """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H.
 
-    V+ and V act on all blocks of one size in one batched product each, with
+    `duration` is one t, or one per column of an (n, K) stack.  V+ and V act on
+    all blocks of one size and all columns in one batched product each, with
     the phases exp(-i E t) in between; real V is never copied (see above).
     """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration:g}")
+    durations = np.asarray(duration, dtype=float)
+    if durations.shape not in ((), state.amplitudes.shape[1:]):
+        raise ValueError(f"{durations.shape} durations for states {state.amplitudes.shape}")
+    shortest = durations.min()
+    if shortest < 0.0:
+        raise ValueError(f"duration must be >= 0, got {shortest:g}")
     if hamiltonian.basis is not state.basis:
         raise ValueError("state and Hamiltonian use different bases")
-    if duration == 0.0:
+    if shortest == 0.0 and not durations.any():
         return state.copy()
-    parts = hamiltonian.eigensystem()
+    blocked = state.amplitudes[hamiltonian.order]   # block by block, like the eigenvalues
+    _rotate(blocked, hamiltonian.eigensystem(), durations)
+    evolved = np.empty_like(blocked)
+    evolved[hamiltonian.order] = blocked
+    if shortest == 0.0:   # t = 0 leaves a column exactly as it was
+        still = durations == 0.0
+        evolved[:, still] = state.amplitudes[:, still]
+    return QuantumState(state.basis, evolved)
+
+
+def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
+    """Replace `blocked` (amplitudes block by block) by V exp(-i Lambda t) V+ of it, in place.
+
+    Its workspace is freed on return, before `evolve` allocates its result.
+    """
     energies = np.concatenate([values.ravel() for values, _ in parts])
     try:  # raise rather than hand NaN amplitudes to a measurement
         with np.errstate(over="raise", invalid="raise"):
-            phases = np.exp(-1j * energies * duration)
+            phases = np.exp(-1j * energies[:, None] * durations)
     except FloatingPointError as exc:
-        raise ArithmeticError(f"phases exp(-i E t) at t = {duration:g} s: {exc}") from None
-    blocked = state.amplitudes[hamiltonian.order]   # block by block, like the eigenvalues
+        raise ArithmeticError(
+            f"phases exp(-i E t) at t = {np.max(durations):g} s: {exc}") from None
     start = 0
     for values, vectors in parts:
-        block = blocked[start:start + values.size].reshape(*values.shape, 1)  # views
-        phase = phases[start:start + values.size].reshape(*values.shape, 1)
+        block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
+        phase = phases[start:start + values.size].reshape(*values.shape, -1)  # K or 1 columns
         start += values.size
-        if np.isrealobj(vectors):   # V.T and V act on the (real, imaginary) pairs
-            rotated = np.swapaxes(vectors, -1, -2) @ block.view(np.float64)
+        if vectors.dtype.kind == "f":   # V.T and V act on the (real, imaginary) pairs
+            rotated = vectors.swapaxes(-1, -2) @ block.view(np.float64)
             rotated.view(complex)[...] *= phase
             np.matmul(vectors, rotated, out=block.view(np.float64))
         else:
-            block[...] = vectors @ (phase * (np.swapaxes(vectors, -1, -2).conj() @ block))
-    amplitudes = np.empty_like(blocked)
-    amplitudes[hamiltonian.order] = blocked
-    return QuantumState(state.basis, amplitudes)
+            block[...] = vectors @ (phase * (vectors.swapaxes(-1, -2).conj() @ block))
 
 
 def _beam_splitter(n: int) -> np.ndarray:
@@ -107,23 +137,40 @@ class NormalModes:
         self.blocks = [tuple(map(np.array, zip(*group))) for group in by_size.values()]
 
     def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
-        """`state` in `target`: `basis` from the site basis, or `sites` from the mode basis."""
+        """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the
+        mode basis."""
         to_modes = target is self.basis
         if state.basis is not (self.sites if to_modes else self.basis):
             raise ValueError("state is not in the basis this change starts from")
-        amplitudes = np.empty(target.size, dtype=complex)
+        columns = state.amplitudes.shape[1:]   # () for one state, (K,) for a stack
+        changed = np.empty((target.size, *columns), dtype=complex)
         for indices, blocks in self.blocks:   # real blocks on (real, imaginary) pairs
-            pairs = state.amplitudes[indices][..., None].view(np.float64)
-            blocks = np.swapaxes(blocks, -1, -2) if to_modes else blocks
-            amplitudes[indices] = (blocks @ pairs).view(complex)[..., 0]
-        return QuantumState(target, amplitudes)
+            pairs = state.amplitudes[indices].reshape(*indices.shape, -1).view(np.float64)
+            blocks = blocks.swapaxes(-1, -2) if to_modes else blocks
+            changed[indices] = (blocks @ pairs).view(complex).reshape(*indices.shape, *columns)
+        return QuantumState(target, changed)
 
     def evolve_in_modes(self, state: QuantumState, steps) -> QuantumState:
-        """Site-basis `state` after each (mode-basis H, duration) step in turn."""
+        """Site-basis `state` (or stack) after each (mode-basis H, duration) step in turn."""
         state = self.change(state, self.basis)
         for hamiltonian, duration in steps:
             state = evolve(state, hamiltonian, duration)
         return self.change(state, self.sites)
+
+
+def site_probabilities(state: QuantumState, site: int) -> np.ndarray:
+    """P(occupation r at `site`) for r = 0..N: shape (N + 1,), or (N + 1, K) for a stack.
+
+    One weighted bincount over all columns; each column's weights are summed in
+    basis order, as for a single state.
+    """
+    j = _check_site(site)
+    weights = np.abs(state.amplitudes.reshape(state.basis.size, -1)) ** 2
+    columns = weights.shape[1]
+    bins = state.basis.occupations[:, j, None] * columns + np.arange(columns)
+    probabilities = np.bincount(bins.ravel(), weights=weights.ravel(),
+                                minlength=(state.basis.n_total + 1) * columns)
+    return probabilities.reshape((state.basis.n_total + 1, *state.amplitudes.shape[1:]))
 
 
 def measure_distribution(state: QuantumState, site: int) -> list[tuple[int, float]]:
@@ -131,13 +178,7 @@ def measure_distribution(state: QuantumState, site: int) -> list[tuple[int, floa
 
     Only outcomes with nonzero probability are listed, in ascending r.
     """
-    j = _check_site(site)
-    weights = np.abs(state.amplitudes) ** 2
-    occupations = state.basis.occupations[:, j]
-    probabilities = np.bincount(
-        occupations, weights=weights, minlength=state.basis.n_total + 1
-    )
-    return [(int(r), float(p)) for r, p in enumerate(probabilities) if p > 0.0]
+    return [(r, float(p)) for r, p in enumerate(site_probabilities(state, site)) if p > 0.0]
 
 
 def project(state: QuantumState, site: int, outcome: int) -> MeasurementRecord:

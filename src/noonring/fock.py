@@ -79,14 +79,19 @@ def enumerate_basis(n_total: int) -> FockBasis:
 
 
 class QuantumState:
-    """Complex amplitude vector over a FockBasis."""
+    """Complex amplitude vector over a FockBasis, or a stack of K states as the
+    columns of an (n, K) array.
+
+    `noonring.dynamics` evolves, changes the basis of and measures each column
+    of a stack; the methods below treat a single state.
+    """
 
     def __init__(self, basis: FockBasis, amplitudes):
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (basis.size,):
+        if amplitudes.shape[:1] != (basis.size,) or amplitudes.ndim > 2:
             raise ValueError(
                 f"amplitude vector has shape {amplitudes.shape}, "
-                f"expected ({basis.size},)"
+                f"expected ({basis.size},) or ({basis.size}, K)"
             )
         self.basis = basis
         self.amplitudes = amplitudes

@@ -27,16 +27,24 @@ as instantaneous phase gates, band dynamics generated by H_eff), which
 serves as its analytic oracle.  Both evolve in the normal-mode basis of
 `noonring.model` (small blocks of H, diagonal H_eff); the runners see
 site-basis states only.
+
+A theta sweep runs as stacks of states (`noonring.dynamics`):
+`sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take configs that
+differ only in theta, evolve them `stack_columns` at a time, one column per
+config, and yield one result per config as they go, so a long sweep holds
+one stack, not every config's states.  `run_protocol1`, `run_protocol2` and
+`run_readout` are the one-config case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .dynamics import MeasurementRecord, NormalModes, evolve, measure_distribution, project
+from .dynamics import MeasurementRecord, NormalModes, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
 from .model import (
     DerivedScales,
@@ -153,7 +161,6 @@ class ProtocolReport:
     """Outcome of one protocol run (one measurement branch for Protocol I)."""
 
     final_state: QuantumState
-    ideal_state: QuantumState | None
     fidelity: float | None
     measurement: MeasurementRecord | None
     elapsed_model_time: float
@@ -234,8 +241,12 @@ def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis) -> QuantumStat
 class _ModeDynamics:
     """Owns a basis, its normal modes and the operators built there, keyed by
     their couplings, for as long as the run that uses it lives; share one
-    across a theta sweep, so each operator is diagonalized once.  The runners
-    need only `basis`, `band`, `mu_segment` and `nu_segment`."""
+    across a theta sweep, so each operator is diagonalized once.
+
+    The runners need only `basis` and three segments, which map a state or an
+    (n, K) stack: `band(states, cfg, t)` and `nu_segment(states, cfg)` take the
+    couplings and times of `cfg`, and `mu_segment(states, cfg, theta)` pulses
+    each column k for theta[k] / (2 mu) (one theta serves every column)."""
 
     def __init__(self, basis: FockBasis):
         self.basis, self.modes, self._operators = basis, NormalModes(basis), {}
@@ -259,25 +270,26 @@ class FullDynamics(_ModeDynamics):
     def _build(self, params: ModelParameters) -> HermitianOperator:
         return build_mode_hamiltonian(params, self.modes.basis)
 
-    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
-        return self.evolve(state, [(cfg.params, t)])
+    def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
+        return self.evolve(states, [(cfg.params, t)])
 
-    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        return self.evolve(state, [(cfg.params, cfg.t_m - cfg.t_mu),
-                                  (cfg.params.with_fields(mu=cfg.mu, nu=0.0), cfg.t_mu)])
+    def mu_segment(self, states: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
+        t_mu = np.asarray(theta) / (2.0 * cfg.mu)   # ProtocolConfig.t_mu per column
+        return self.evolve(states, [(cfg.params, cfg.t_m - t_mu),
+                                   (cfg.params.with_fields(mu=cfg.mu, nu=0.0), t_mu)])
 
-    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+    def nu_segment(self, states: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """As mu_segment, with the inverted-sign nu pulse."""
-        return self.evolve(state, [(cfg.params, cfg.t_m - cfg.t_nu),
-                                  (cfg.params.with_fields(mu=0.0, nu=-cfg.nu), cfg.t_nu)])
+        return self.evolve(states, [(cfg.params, cfg.t_m - cfg.t_nu),
+                                   (cfg.params.with_fields(mu=0.0, nu=-cfg.nu), cfg.t_nu)])
 
 
 class IdealDynamics(_ModeDynamics):
     """The idealized limit and analytic oracle of FullDynamics: band
     evolution under H_eff for the whole t_m, then the field pulse as an
-    instantaneous phase gate.  Its couplings are DerivedScales; H_eff =
-    (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal in the normal modes
-    (Q = n_d), so it is held as 1 x 1 blocks."""
+    instantaneous phase gate, one per column.  Its couplings are
+    DerivedScales; H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal
+    in the normal modes (Q = n_d), so it is held as 1 x 1 blocks."""
 
     def _build(self, derived: DerivedScales) -> HermitianOperator:
         omega, q1, q2 = derived.omega, *self.modes.basis.occupations[:, 2:].T
@@ -285,20 +297,25 @@ class IdealDynamics(_ModeDynamics):
         return HermitianOperator(self.modes.basis, blocks=[
             (np.arange(self.basis.size)[:, None], energies[:, None, None])])
 
-    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
-        return self.evolve(state, [(cfg.derived, t)])
+    def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
+        return self.evolve(states, [(cfg.derived, t)])
 
-    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        """Ends in the mu gate: amplitudes pick up e^{-i(theta/2)(n2 - n4)}."""
-        occ, state = self.basis.occupations, self.band(state, cfg, cfg.t_m)
-        phases = np.exp(-0.5j * cfg.theta * (occ[:, 1] - occ[:, 3]))
-        return QuantumState(self.basis, phases * state.amplitudes)
+    def _gate(self, states: QuantumState, phases: np.ndarray) -> QuantumState:
+        """`states` times the (n, K) or (n, 1) gate phases, column by column."""
+        amplitudes = phases * states.amplitudes.reshape(self.basis.size, -1)
+        return QuantumState(self.basis, amplitudes.reshape(states.amplitudes.shape))
 
-    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
+    def mu_segment(self, states: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
+        """Ends in the mu gate: column k picks up e^{-i(theta[k]/2)(n2 - n4)}."""
+        occ, states = self.basis.occupations, self.band(states, cfg, cfg.t_m)
+        phases = np.exp(-0.5j * np.asarray(theta) * (occ[:, 1] - occ[:, 3])[:, None])
+        return self._gate(states, phases)
+
+    def nu_segment(self, states: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """Ends in the inverted-sign nu gate: e^{+i(pi/4M)(n1 - n3)}."""
-        occ, state = self.basis.occupations, self.band(state, cfg, cfg.t_m)
-        phases = np.exp(0.25j * math.pi / cfg.m_occ * (occ[:, 0] - occ[:, 2]))
-        return QuantumState(self.basis, phases * state.amplitudes)
+        occ, states = self.basis.occupations, self.band(states, cfg, cfg.t_m)
+        phases = np.exp(0.25j * math.pi / cfg.m_occ * (occ[:, 0] - occ[:, 2])[:, None])
+        return self._gate(states, phases)
 
 
 # --- Protocol runners -----------------------------------------------------
@@ -308,10 +325,54 @@ def _initial_state(cfg: ProtocolConfig, basis: FockBasis) -> QuantumState:
     return QuantumState.from_fock(basis, (cfg.m_occ, cfg.p_occ, 0, 0))
 
 
-def _branch_ideal(cfg: ProtocolConfig, basis: FockBasis, r: int) -> QuantumState:
-    """Reference state for outcome r: symmetric NOON for r in {0, 1},
-    antisymmetric for r >= 2 (the benchmark-table convention)."""
-    return ideal_protocol1_output(cfg, basis, 0 if r <= 1 else cfg.m_occ)
+def _copies(state: QuantumState, columns: int) -> QuantumState:
+    """A stack of `columns` copies of the single `state`, as a read-only view of it."""
+    return QuantumState(state.basis, np.broadcast_to(state.amplitudes[:, None],
+                                                     (state.basis.size, columns)))
+
+
+def _chunks(configs, basis: FockBasis, columns_per_config: int = 1):
+    """`configs` in lists whose states fill at most one stack; they must differ only in theta."""
+    configs, size, shared = iter(configs), max(1, stack_columns(basis) // columns_per_config), None
+    while chunk := list(islice(configs, size)):
+        for cfg in chunk:
+            fixed = (cfg.m_occ, cfg.p_occ, cfg.params, cfg.mu, cfg.nu, cfg.t_m_override)
+            shared = shared or fixed
+            if fixed != shared:
+                raise ValueError("the configs of a sweep must differ only in theta")
+        yield chunk
+
+
+def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics,
+                    postselect: tuple[int, ...] | None = None):
+    """`run_protocol1`'s reports for each of `configs` in turn, evolved as stacks."""
+    basis = dynamics.basis
+    outcome = basis.occupations[:, MEASURED_SITE - 1]
+    for chunk in _chunks(configs, basis):
+        states = dynamics.mu_segment(_copies(_initial_state(chunk[0], basis), len(chunk)),
+                                     chunk[0], [cfg.theta for cfg in chunk])
+        probabilities = site_probabilities(states, MEASURED_SITE)
+        for cfg, column, weights in zip(chunk, states.amplitudes.T, probabilities.T):
+            references = (ideal_protocol1_output(cfg, basis, 0),
+                          ideal_protocol1_output(cfg, basis, cfg.m_occ))
+            selected = (0, cfg.m_occ) if postselect is None else postselect
+            reports = []
+            for r in np.flatnonzero(weights > 0.0).tolist():
+                # The renormalized projection onto outcome r, in an array of its own.
+                projected = np.where(outcome == r, column, 0.0)
+                post = QuantumState(basis, projected / math.sqrt(weights[r]))
+                # The benchmark-table convention: symmetric NOON for r in {0, 1},
+                # antisymmetric above.
+                reference = references[0] if r <= 1 else references[1]
+                reports.append(ProtocolReport(
+                    final_state=post,
+                    fidelity=fidelity(reference, post),
+                    measurement=MeasurementRecord(site=MEASURED_SITE, outcome=r,
+                                                  probability=float(weights[r]), post_state=post),
+                    elapsed_model_time=cfg.t_m,
+                    selected=r in selected,
+                ))
+            yield reports
 
 
 def run_protocol1(
@@ -325,23 +386,27 @@ def run_protocol1(
     Reports whose outcome is outside `postselect` (default {0, M}) are
     flagged selected=False: those runs would be discarded and repeated.
     """
-    if postselect is None:
-        postselect = (0, cfg.m_occ)
+    return next(sweep_protocol1([cfg], dynamics, postselect))
+
+
+def sweep_protocol2(configs, dynamics: FullDynamics | IdealDynamics):
+    """`run_protocol2`'s report for each of `configs` in turn, evolved as stacks.
+
+    The nu segment does not depend on theta: it runs once per stack.
+    """
     basis = dynamics.basis
-    state = dynamics.mu_segment(_initial_state(cfg, basis), cfg)
-    reports = []
-    for r, _probability in measure_distribution(state, MEASURED_SITE):
-        record = project(state, MEASURED_SITE, r)
-        ideal = _branch_ideal(cfg, basis, r)
-        reports.append(ProtocolReport(
-            final_state=record.post_state,
-            ideal_state=ideal,
-            fidelity=fidelity(ideal, record.post_state),
-            measurement=record,
-            elapsed_model_time=cfg.t_m,
-            selected=r in postselect,
-        ))
-    return reports
+    for chunk in _chunks(configs, basis):
+        start = dynamics.nu_segment(_initial_state(chunk[0], basis), chunk[0])
+        states = dynamics.mu_segment(_copies(start, len(chunk)), chunk[0],
+                                     [cfg.theta for cfg in chunk])
+        for cfg, column in zip(chunk, states.amplitudes.T):
+            final = QuantumState(basis, column.copy())
+            yield ProtocolReport(
+                final_state=final,
+                fidelity=fidelity(ideal_protocol2_output(cfg, basis), final),
+                measurement=None,
+                elapsed_model_time=2.0 * cfg.t_m,
+            )
 
 
 def run_protocol2(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics) -> ProtocolReport:
@@ -350,16 +415,7 @@ def run_protocol2(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics) -
     The nu pulse is applied with the inverted field sign (see module
     docstring); the mu pulse follows the same convention as Protocol I.
     """
-    state = dynamics.nu_segment(_initial_state(cfg, dynamics.basis), cfg)
-    state = dynamics.mu_segment(state, cfg)
-    ideal = ideal_protocol2_output(cfg, dynamics.basis)
-    return ProtocolReport(
-        final_state=state,
-        ideal_state=ideal,
-        fidelity=fidelity(ideal, state),
-        measurement=None,
-        elapsed_model_time=2.0 * cfg.t_m,
-    )
+    return next(sweep_protocol2([cfg], dynamics))
 
 
 # --- Readout --------------------------------------------------------------
@@ -374,7 +430,6 @@ class ReadoutResult:
     holds the analytic probability laws evaluated at the report's P theta.
     """
 
-    readout_state: QuantumState
     outcomes: list[tuple[int, float]]
     joint: list[tuple[int, float]] | None
     laws: dict[str, float]
@@ -396,18 +451,49 @@ def protocol2_laws(p_theta: float) -> dict[str, float]:
     }
 
 
+def _read_out(runs: list, dynamics: FullDynamics | IdealDynamics) -> list[ReadoutResult]:
+    """The readout of each (report, cfg) in `runs`, as one stack; the cfgs differ only in theta."""
+    if not runs:
+        return []
+    cfg = runs[0][1]
+    states = QuantumState(dynamics.basis, np.column_stack(
+        [report.final_state.amplitudes for report, _ in runs]))
+    probabilities = site_probabilities(dynamics.band(states, cfg, cfg.t_m), MEASURED_SITE)
+    results = []
+    for (report, cfg), weights in zip(runs, probabilities.T):
+        outcomes = [(r, float(p)) for r, p in enumerate(weights) if p > 0.0]
+        if report.measurement is not None:
+            joint = [(r, report.measurement.probability * p) for r, p in outcomes]
+            laws = protocol1_laws(cfg.p_theta)
+        else:
+            joint = None
+            laws = protocol2_laws(cfg.p_theta)
+        results.append(ReadoutResult(outcomes=outcomes, joint=joint, laws=laws))
+    return results
+
+
 def run_readout(report: ProtocolReport, cfg: ProtocolConfig,
                 dynamics: FullDynamics | IdealDynamics) -> ReadoutResult:
     """Evolve the protocol output by a further t_m of band evolution and measure site 3."""
-    readout_state = dynamics.band(report.final_state, cfg, cfg.t_m)
-    outcomes = measure_distribution(readout_state, MEASURED_SITE)
-    if report.measurement is not None:
-        joint = [(r, report.measurement.probability * p) for r, p in outcomes]
-        laws = protocol1_laws(cfg.p_theta)
-    else:
-        joint = None
-        laws = protocol2_laws(cfg.p_theta)
-    return ReadoutResult(readout_state=readout_state, outcomes=outcomes, joint=joint, laws=laws)
+    return _read_out([(report, cfg)], dynamics)[0]
+
+
+def sweep_readout(configs, dynamics: FullDynamics | IdealDynamics, protocol: int = 1):
+    """For each of `configs` in turn, [(report, its ReadoutResult), ...]: one pair per
+    selected Protocol I branch (protocol=1), or for the Protocol II report."""
+    if protocol not in (1, 2):
+        raise ValueError(f"protocol must be 1 or 2, got {protocol}")
+    # Protocol I reads out two selected branches per config, so half as many configs fill a stack.
+    for chunk in _chunks(configs, dynamics.basis, 2 if protocol == 1 else 1):
+        if protocol == 1:
+            reports = [[r for r in branches if r.selected]
+                       for branches in sweep_protocol1(chunk, dynamics)]
+        else:
+            reports = [[report] for report in sweep_protocol2(chunk, dynamics)]
+        results = iter(_read_out(
+            [(report, cfg) for cfg, group in zip(chunk, reports) for report in group], dynamics))
+        for group in reports:
+            yield [(report, next(results)) for report in group]
 
 
 READOUT_LAWS = {

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
 from scipy import optimize
 
 from .dynamics import NormalModes, evolve, measure_distribution, project
@@ -84,7 +85,7 @@ def pulsed_propagator(
     h_plus: HermitianOperator,
     h_minus: HermitianOperator,
     state: QuantumState,
-    total_time: float,
+    total_time,
     n_dt: int,
     start_sign: int = 1,
 ) -> QuantumState:
@@ -93,12 +94,13 @@ def pulsed_propagator(
     One oscillation is a +xi slice followed by a -xi slice (order set by
     start_sign), each lasting total_time / (2 n_dt), so the alternation
     period is total_time / n_dt and the time-averaged Hamiltonian is the
-    unperturbed one.
+    unperturbed one.  For a stack of states, total_time may be one time or
+    an array of one per column.
     """
     if n_dt < 1:
         raise ValueError(f"n_dt must be >= 1, got {n_dt}")
-    if total_time < 0.0:
-        raise ValueError(f"total_time must be >= 0, got {total_time:g}")
+    if np.min(total_time) < 0.0:
+        raise ValueError(f"total_time must be >= 0, got {np.min(total_time):g}")
     dt = total_time / (2 * n_dt)
     first, second = (h_plus, h_minus) if start_sign >= 0 else (h_minus, h_plus)
     for i in range(2 * n_dt):
@@ -121,10 +123,11 @@ class _DetunedSystem:
         self.h_plus, self.h_minus, self.h_mu = (
             build_mode_hamiltonian(params, modes.basis) for params in couplings[:3])
 
-    def _segment(self, state: QuantumState, t: float, pulse=()) -> QuantumState:
+    def _segment(self, state: QuantumState, t, pulse=()) -> QuantumState:
         """Site-basis `state` after the band interval t and the (operator, duration) pulse.
 
-        Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi).
+        Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi).  A
+        stack's columns each take their own t (see `evolve`).
         """
         state = self.modes.change(state, self.modes.basis)
         if self.config.mode == "static":
@@ -136,11 +139,12 @@ class _DetunedSystem:
             state = evolve(state, *pulse)
         return self.modes.change(state, self.modes.sites)
 
-    def band(self, state: QuantumState, cfg: ProtocolConfig, t: float) -> QuantumState:
+    def band(self, state: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
         return self._segment(state, t)
 
-    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        return self._segment(state, cfg.t_m - cfg.t_mu, (self.h_mu, cfg.t_mu))
+    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
+        t_mu = np.asarray(theta) / (2.0 * cfg.mu)   # ProtocolConfig.t_mu per column
+        return self._segment(state, cfg.t_m - t_mu, (self.h_mu, t_mu))
 
     def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         h_nu = build_mode_hamiltonian(self.couplings[3], self.modes.basis)
@@ -205,7 +209,7 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
     cfg = system.cfg
     if system.config.protocol == 2:
         return RobustnessPoint(xi, xi / cfg.params.j, run_protocol2(cfg, system).fidelity, None)
-    state = system.mu_segment(_initial_state(cfg, system.basis), cfg)
+    state = system.mu_segment(_initial_state(cfg, system.basis), cfg, cfg.theta)
     probability = dict(measure_distribution(state, MEASURED_SITE)).get(0, 0.0)
     if probability == 0.0:
         return RobustnessPoint(xi, xi / cfg.params.j, 0.0, 0.0)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from noonring.dynamics import NormalModes, evolve, measure_distribution, project
+from noonring.dynamics import (
+    NormalModes, evolve, measure_distribution, project, site_probabilities, stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import ModelParameters, build_mode_hamiltonian
+from noonring.model import ModelParameters, build_mode_hamiltonian, derived_scales
+from noonring.protocols import IdealDynamics
 
 from conftest import dense_operator, mode_matrix
 from oracle import add_into, create, hamiltonian_matrix, site_distribution
@@ -132,6 +134,96 @@ class TestEvolution:
         state = random_state(basis3, rng)
         with pytest.raises(ValueError):
             evolve(state, h, 1.0)
+
+
+def stack_operator(kind, n_total, rng):
+    """An operator in the basis it acts on: normal-mode blocks of several sizes (a
+    field on), one complex dense block, or H_eff's 1 x 1 blocks."""
+    basis = enumerate_basis(n_total)
+    if kind == "complex":
+        raw = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+        return dense_operator(basis, raw + raw.conj().T)
+    params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7, u0=0.4)
+    modes = NormalModes(basis)
+    if kind == "modes":
+        return build_mode_hamiltonian(params, modes.basis)
+    return IdealDynamics(basis).hamiltonian(derived_scales(params, 3, 0))   # any Omega
+
+
+class TestStacks:
+    """A stack of K states with one duration each evolves as K single states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["modes", "complex", "heff"]),
+        n_total=st.integers(0, 6),
+        durations=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_single_evolves(self, kind, n_total, durations, seed):
+        rng = np.random.default_rng(seed)
+        operator = stack_operator(kind, n_total, rng)
+        if kind == "modes":
+            assert len(operator.blocks) > 1 or n_total < 2   # blocks of several sizes
+        stack = np.column_stack([random_state(operator.basis, rng).amplitudes for _ in durations])
+        evolved = evolve(QuantumState(operator.basis, stack), operator, durations).amplitudes
+        assert evolved.shape == stack.shape
+        for k, duration in enumerate(durations):
+            single = evolve(QuantumState(operator.basis, stack[:, k]), operator, duration)
+            np.testing.assert_allclose(evolved[:, k], single.amplitudes, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(
+                site_probabilities(QuantumState(operator.basis, evolved), 3)[:, k],
+                site_probabilities(QuantumState(operator.basis, evolved[:, k].copy()), 3))
+
+    def test_one_duration_serves_every_column(self, basis3):
+        rng = np.random.default_rng(43)
+        h = random_hamiltonian(basis3, rng)
+        stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
+        np.testing.assert_array_equal(evolve(stack, h, 1.3).amplitudes,
+                                      evolve(stack, h, [1.3] * 3).amplitudes)
+
+    def test_zero_duration_columns_are_left_exactly(self, basis3):
+        rng = np.random.default_rng(47)
+        h = random_hamiltonian(basis3, rng)
+        stack = np.column_stack([random_state(basis3, rng).amplitudes for _ in range(3)])
+        evolved = evolve(QuantumState(basis3, stack), h, [0.0, 2.0, 0.0]).amplitudes
+        np.testing.assert_array_equal(evolved[:, [0, 2]], stack[:, [0, 2]])
+
+    def test_one_negative_duration_rejected(self, basis3):
+        rng = np.random.default_rng(53)
+        h = random_hamiltonian(basis3, rng)
+        stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            evolve(stack, h, [1.0, -0.1, 2.0])
+
+    def test_one_overflowing_column_raises(self, basis3):
+        rng = np.random.default_rng(59)
+        h = random_hamiltonian(basis3, rng)
+        stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
+        with pytest.raises(ArithmeticError):
+            evolve(stack, h, [1.0, np.inf, 2.0])
+
+    def test_duration_count_must_match_the_columns(self, basis3):
+        rng = np.random.default_rng(61)
+        h = random_hamiltonian(basis3, rng)
+        stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
+        with pytest.raises(ValueError):
+            evolve(stack, h, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            evolve(random_state(basis3, rng), h, [1.0])
+
+    def test_mode_change_maps_columns(self, basis5):
+        rng = np.random.default_rng(67)
+        modes = NormalModes(basis5)
+        columns = [random_state(basis5, rng).amplitudes for _ in range(4)]
+        changed = modes.change(QuantumState(basis5, np.column_stack(columns)), modes.basis)
+        for k, column in enumerate(columns):
+            single = modes.change(QuantumState(basis5, column), modes.basis)
+            np.testing.assert_array_equal(changed.amplitudes[:, k], single.amplitudes)
+
+    @pytest.mark.parametrize("n_total, columns", [(15, 20), (31, 2), (1, 4096)])
+    def test_stack_budget(self, n_total, columns):
+        assert stack_columns(enumerate_basis(n_total)) == columns
 
 
 class TestNormalModes:

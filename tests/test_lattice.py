@@ -19,9 +19,7 @@ from noonring.lattice import (
     integrability_residual,
     model_parameters_from_lattice,
     offsite_coupling,
-    onsite_coupling,
     onsite_dipolar,
-    recoil_energy,
     solve_integrability,
     v0_from_omega_r,
 )

@@ -8,10 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
+from noonring.dynamics import stack_columns
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters
 from noonring.protocols import (
-    MEASURED_SITE,
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
@@ -26,6 +26,9 @@ from noonring.protocols import (
     run_protocol1,
     run_protocol2,
     run_readout,
+    sweep_protocol1,
+    sweep_protocol2,
+    sweep_readout,
 )
 
 from conftest import M_OCC, P_OCC
@@ -340,3 +343,93 @@ class TestDynamics:
         assert peak < 120e6
         assert report.final_state.norm() == pytest.approx(1.0, abs=1e-10)
         assert report.fidelity > 0.9
+
+
+def sweep_grid(couplings, basis):
+    """2 K + 3 configs, K = states per stack: two full stacks and a partial third."""
+    return [make_cfg(couplings, float(p_theta))
+            for p_theta in np.linspace(0.0, math.pi, 2 * stack_columns(basis) + 3)]
+
+
+def assert_same_report(swept, single):
+    # A branch state is renormalized by 1/sqrt(P), which scales its roundoff up as
+    # much: compare the projections sqrt(P) psi, which the evolution produced.
+    scale = 1.0
+    assert (swept.measurement is None) == (single.measurement is None)
+    if single.measurement is not None:
+        assert swept.measurement.outcome == single.measurement.outcome
+        assert swept.measurement.probability == pytest.approx(
+            single.measurement.probability, rel=0, abs=1e-12)
+        scale = math.sqrt(single.measurement.probability)
+    assert swept.fidelity == pytest.approx(single.fidelity, rel=0, abs=1e-12)
+    assert swept.selected == single.selected
+    assert swept.elapsed_model_time == single.elapsed_model_time
+    np.testing.assert_allclose(scale * swept.final_state.amplitudes,
+                               scale * single.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
+class TestSweeps:
+    """A sweep over a theta grid equals one run per config, across stack boundaries."""
+
+    @pytest.fixture(params=["full", "ideal"])
+    def dynamics(self, request, full15, ideal15):
+        return full15 if request.param == "full" else ideal15
+
+    @pytest.mark.parametrize("postselect", [None, (1, 2)])
+    def test_protocol1(self, dynamics, basis15, set1, postselect):
+        configs = sweep_grid(set1, basis15)
+        swept = list(sweep_protocol1(configs, dynamics, postselect))
+        assert len(swept) == len(configs)
+        for cfg, reports in zip(configs, swept):
+            single = run_protocol1(cfg, dynamics, postselect)
+            assert len(reports) == len(single)
+            for a, b in zip(reports, single):
+                assert_same_report(a, b)
+
+    def test_protocol2(self, dynamics, basis15, set1):
+        configs = sweep_grid(set1, basis15)
+        swept = list(sweep_protocol2(configs, dynamics))
+        assert len(swept) == len(configs)
+        for cfg, report in zip(configs, swept):
+            assert_same_report(report, run_protocol2(cfg, dynamics))
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_readout(self, dynamics, basis15, set2, protocol):
+        configs = sweep_grid(set2, basis15)
+        swept = list(sweep_readout(configs, dynamics, protocol))
+        assert len(swept) == len(configs)
+        for cfg, pairs in zip(configs, swept):
+            if protocol == 1:
+                reports = [r for r in run_protocol1(cfg, dynamics) if r.selected]
+            else:
+                reports = [run_protocol2(cfg, dynamics)]
+            assert len(pairs) == len(reports)
+            for (report, result), single in zip(pairs, reports):
+                assert_same_report(report, single)
+                expected = run_readout(single, cfg, dynamics)
+                assert result.laws == expected.laws
+                for ours, theirs in ((result.outcomes, expected.outcomes),
+                                     (result.joint or [], expected.joint or [])):
+                    assert [r for r, _ in ours] == [r for r, _ in theirs]
+                    np.testing.assert_allclose([p for _, p in ours], [p for _, p in theirs],
+                                               rtol=0, atol=1e-12)
+
+    def test_configs_must_differ_only_in_theta(self, full15, set1, set2):
+        with pytest.raises(ValueError, match="differ only in theta"):
+            list(sweep_protocol2([make_cfg(set1, 0.3), make_cfg(set2, 0.3)], full15))
+        with pytest.raises(ValueError, match="protocol must be 1 or 2"):
+            list(sweep_readout([make_cfg(set1, 0.3)], full15, protocol=3))
+
+    def test_long_sweep_holds_one_stack(self, basis15, set1):
+        """257 theta points at N = 15: every report at once would be ~54 MB
+        (16 branch states of 13 kB each per point); the sweep keeps one stack."""
+        configs = [make_cfg(set1, float(p)) for p in np.linspace(0.0, math.pi, 257)]
+        dynamics = FullDynamics(basis15)
+        tracemalloc.start()
+        try:
+            branches = sum(len(reports) for reports in sweep_protocol1(configs, dynamics))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert branches == 257 * 16
+        assert peak < 6e6

@@ -213,8 +213,9 @@ class DenseSystem:
         return pulsed_propagator(
             self.h_plus, self.h_minus, state, t, self.config.n_dt, self.config.start_sign)
 
-    def mu_segment(self, state, cfg):
-        return evolve(self.band(state, cfg, cfg.t_m - cfg.t_mu), self.h_mu, cfg.t_mu)
+    def mu_segment(self, state, cfg, theta):
+        t_mu = np.asarray(theta) / (2.0 * cfg.mu)
+        return evolve(self.band(state, cfg, cfg.t_m - t_mu), self.h_mu, t_mu)
 
     def nu_segment(self, state, cfg):
         return evolve(self.band(state, cfg, cfg.t_m - cfg.t_nu), self.h_nu, cfg.t_nu)

@@ -11,7 +11,7 @@ lattice, and a robustness module quantifies detuning errors and their
 pulsed mitigation.
 """
 
-from .dynamics import MeasurementRecord, evolve, measure_distribution, project, site_probabilities
+from .dynamics import MeasurementRecord, evolve, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
 from .lattice import (
     IntegrabilityRoot,
@@ -59,7 +59,6 @@ from .protocols import (
 from .robustness import (
     RobustnessConfig,
     RobustnessPoint,
-    pulsed_propagator,
     run_robustness,
     threshold_xi,
 )
@@ -88,10 +87,9 @@ __all__ = [
     "dipolar_coupling", "effective_deficits", "enumerate_basis", "evolve",
     "fidelity", "field_strengths", "fit_readout_amplitudes",
     "ideal_protocol1_output", "ideal_protocol2_output", "ideal_uber_noon",
-    "measure_distribution", "model_parameters_from_lattice", "offsite_coupling",
-    "onsite_coupling", "predicted_band_sizes", "project", "protocol_config",
-    "pulsed_propagator", "recoil_energy", "run_protocol1", "run_protocol2",
-    "run_readout", "run_robustness", "site_probabilities", "solve_integrability",
-    "sweep_protocol1", "sweep_protocol2", "sweep_readout", "sweep_spectrum",
-    "threshold_xi", "v0_from_omega_r",
+    "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
+    "predicted_band_sizes", "protocol_config", "recoil_energy", "run_protocol1",
+    "run_protocol2", "run_readout", "run_robustness", "site_probabilities",
+    "solve_integrability", "sweep_protocol1", "sweep_protocol2", "sweep_readout",
+    "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
 ]

@@ -1,4 +1,4 @@
-"""Exact unitary evolution, the normal-mode change of basis, and ideal site measurement.
+"""Exact unitary evolution, the normal-mode change of basis, and site-occupation probabilities.
 
 Evolution uses the one-time eigendecomposition of the (time-independent)
 Hamiltonian, exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>, block by
@@ -18,9 +18,11 @@ basis of `noonring.model`, where the integrable H splits into small blocks.
 The mode basis is a FockBasis of its own, so `evolve` rejects a state in
 the wrong basis.
 
-Measurement of a site occupation is ideal and instantaneous: outcome r
-occurs with the summed weight of all basis states carrying occupation r at
-that site, and the post-measurement state is the renormalized projection.
+`site_probabilities` is the outcome distribution of an ideal, instantaneous
+measurement of a site occupation: outcome r occurs with the summed weight of
+all basis states carrying occupation r at that site.  The post-measurement
+state, the renormalized projection, is formed where a protocol measures
+(`noonring.protocols`), and `MeasurementRecord` records its outcome.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class MeasurementRecord:
     site: int
     outcome: int
     probability: float
-    post_state: QuantumState
 
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
@@ -171,25 +172,3 @@ def site_probabilities(state: QuantumState, site: int) -> np.ndarray:
     probabilities = np.bincount(bins.ravel(), weights=weights.ravel(),
                                 minlength=(state.basis.n_total + 1) * columns)
     return probabilities.reshape((state.basis.n_total + 1, *state.amplitudes.shape[1:]))
-
-
-def measure_distribution(state: QuantumState, site: int) -> list[tuple[int, float]]:
-    """Occupation distribution at a site: [(outcome r, probability), ...].
-
-    Only outcomes with nonzero probability are listed, in ascending r.
-    """
-    return [(r, float(p)) for r, p in enumerate(site_probabilities(state, site)) if p > 0.0]
-
-
-def project(state: QuantumState, site: int, outcome: int) -> MeasurementRecord:
-    """Project onto the outcome subspace of a site occupation measurement."""
-    j = _check_site(site)
-    mask = state.basis.occupations[:, j] == outcome
-    amplitudes = np.where(mask, state.amplitudes, 0.0)
-    probability = float(np.sum(np.abs(amplitudes) ** 2))
-    if probability <= 0.0:
-        raise ValueError(
-            f"impossible outcome: occupation {outcome} at site {site} has zero probability"
-        )
-    post = QuantumState(state.basis, amplitudes / np.sqrt(probability))
-    return MeasurementRecord(site=site, outcome=int(outcome), probability=probability, post_state=post)

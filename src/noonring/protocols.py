@@ -26,7 +26,10 @@ full simulation, or IdealDynamics for the idealized limit (fields applied
 as instantaneous phase gates, band dynamics generated by H_eff), which
 serves as its analytic oracle.  Both evolve in the normal-mode basis of
 `noonring.model` (small blocks of H, diagonal H_eff); the runners see
-site-basis states only.
+site-basis states only.  FullDynamics writes its segments in terms of two
+hooks, the (couplings, duration) steps of a band interval and the couplings
+of the two pulses; the detuned dynamics of `noonring.robustness` overrides
+only those.
 
 A theta sweep runs as stacks of states (`noonring.dynamics`):
 `sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take configs that
@@ -265,23 +268,36 @@ class _ModeDynamics:
 class FullDynamics(_ModeDynamics):
     """The full simulation: band evolution under the integrable H, and the
     fields switched on for the last t_mu (t_nu) of a t_m segment.  Its
-    couplings are ModelParameters, and H is held in normal-mode blocks."""
+    couplings are ModelParameters, and H is held in normal-mode blocks.
+
+    The segments read their couplings from two hooks, which a subclass may
+    override (the detuned dynamics of `noonring.robustness` does):
+    `_band_steps(cfg, t)` lists the (couplings, duration) steps of a band
+    interval t, and `_pulses(cfg)` gives the mu pulse's couplings and the
+    inverted-sign nu pulse's."""
 
     def _build(self, params: ModelParameters) -> HermitianOperator:
         return build_mode_hamiltonian(params, self.modes.basis)
 
+    def _band_steps(self, cfg: ProtocolConfig, t) -> list:
+        return [(cfg.params, t)]
+
+    def _pulses(self, cfg: ProtocolConfig) -> tuple[ModelParameters, ModelParameters]:
+        return (cfg.params.with_fields(mu=cfg.mu, nu=0.0),
+                cfg.params.with_fields(mu=0.0, nu=-cfg.nu))
+
     def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
-        return self.evolve(states, [(cfg.params, t)])
+        return self.evolve(states, self._band_steps(cfg, t))
 
     def mu_segment(self, states: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
         t_mu = np.asarray(theta) / (2.0 * cfg.mu)   # ProtocolConfig.t_mu per column
-        return self.evolve(states, [(cfg.params, cfg.t_m - t_mu),
-                                   (cfg.params.with_fields(mu=cfg.mu, nu=0.0), t_mu)])
+        return self.evolve(states, [*self._band_steps(cfg, cfg.t_m - t_mu),
+                                    (self._pulses(cfg)[0], t_mu)])
 
     def nu_segment(self, states: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """As mu_segment, with the inverted-sign nu pulse."""
-        return self.evolve(states, [(cfg.params, cfg.t_m - cfg.t_nu),
-                                   (cfg.params.with_fields(mu=0.0, nu=-cfg.nu), cfg.t_nu)])
+        return self.evolve(states, [*self._band_steps(cfg, cfg.t_m - cfg.t_nu),
+                                    (self._pulses(cfg)[1], cfg.t_nu)])
 
 
 class IdealDynamics(_ModeDynamics):
@@ -368,7 +384,7 @@ def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics,
                     final_state=post,
                     fidelity=fidelity(reference, post),
                     measurement=MeasurementRecord(site=MEASURED_SITE, outcome=r,
-                                                  probability=float(weights[r]), post_state=post),
+                                                  probability=float(weights[r])),
                     elapsed_model_time=cfg.t_m,
                     selected=r in selected,
                 ))

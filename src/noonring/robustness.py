@@ -22,8 +22,12 @@ The two parameter sources realize opposite signs of xi:
               an input held fixed, and the timings come from the arithmetic
               means of the +- values.
 
-Operators are built in the normal-mode parity blocks of `noonring.model`
-(four for H(+-xi), two for a pulse); a state enters them once per segment.
+Each xi point runs the protocol runners of `noonring.protocols` on a
+FullDynamics of its own that changes only the couplings of the band steps
+and the pulses.  Its operators are built in the normal-mode parity blocks of
+`noonring.model` (four for H(+-xi), two for a pulse) when a step first runs
+under them, so the nu pulse only for Protocol II and H(+0) = H(-0) once, and
+they are dropped with the point's dynamics before the next point.
 """
 
 from __future__ import annotations
@@ -31,16 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-import numpy as np
 from scipy import optimize
 
-from .dynamics import NormalModes, evolve, measure_distribution, project
-from .fock import FockBasis, QuantumState
+from .fock import FockBasis
 from .lattice import (
     TrapParameters, derive, integrability_residual, solve_integrability, v0_from_omega_r)
-from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
-from .protocols import (
-    MEASURED_SITE, ProtocolConfig, _initial_state, fidelity, ideal_protocol1_output, run_protocol2)
+from .model import ModelParameters
+from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 
 
 @dataclass(frozen=True)
@@ -81,87 +82,53 @@ class RobustnessPoint:
     probability: float | None  # Protocol I: success probability P(r=0)
 
 
-def pulsed_propagator(
-    h_plus: HermitianOperator,
-    h_minus: HermitianOperator,
-    state: QuantumState,
-    total_time,
-    n_dt: int,
-    start_sign: int = 1,
-) -> QuantumState:
-    """Apply n_dt full +/- oscillations across total_time.
-
-    One oscillation is a +xi slice followed by a -xi slice (order set by
-    start_sign), each lasting total_time / (2 n_dt), so the alternation
-    period is total_time / n_dt and the time-averaged Hamiltonian is the
-    unperturbed one.  For a stack of states, total_time may be one time or
-    an array of one per column.
-    """
-    if n_dt < 1:
-        raise ValueError(f"n_dt must be >= 1, got {n_dt}")
-    if np.min(total_time) < 0.0:
-        raise ValueError(f"total_time must be >= 0, got {np.min(total_time):g}")
-    dt = total_time / (2 * n_dt)
-    first, second = (h_plus, h_minus) if start_sign >= 0 else (h_minus, h_plus)
-    for i in range(2 * n_dt):
-        state = evolve(state, first if i % 2 == 0 else second, dt)
-    return state
-
-
-class _DetunedSystem:
-    """Hamiltonians and timings realized at one xi value, as protocol dynamics.
+class _DetunedSystem(FullDynamics):
+    """The protocol dynamics realized at one xi value.
 
     `couplings` are those of H(+xi), H(-xi), the mu pulse and the inverted-sign
-    nu pulse; `cfg` holds the mean couplings (timings, ideal states).  The nu
-    pulse, which only Protocol II applies, is built when it is.
+    nu pulse; `cfg` holds the mean couplings (timings, ideal states).  Only the
+    couplings of the band steps and the pulses differ from FullDynamics, and
+    each operator is built when a step first runs under it.
     """
 
-    def __init__(self, config: RobustnessConfig, modes: NormalModes, cfg: ProtocolConfig,
+    def __init__(self, config: RobustnessConfig, basis: FockBasis, cfg: ProtocolConfig,
                  couplings: tuple[ModelParameters, ...]):
-        self.config, self.modes, self.cfg, self.couplings = config, modes, cfg, couplings
-        self.basis = modes.sites
-        self.h_plus, self.h_minus, self.h_mu = (
-            build_mode_hamiltonian(params, modes.basis) for params in couplings[:3])
+        super().__init__(basis)
+        self.config, self.cfg, self.couplings = config, cfg, couplings
 
-    def _segment(self, state: QuantumState, t, pulse=()) -> QuantumState:
-        """Site-basis `state` after the band interval t and the (operator, duration) pulse.
-
-        Static: H(+xi) throughout; pulsed: alternating H(+xi) and H(-xi).  A
-        stack's columns each take their own t (see `evolve`).
-        """
-        state = self.modes.change(state, self.modes.basis)
+    def _band_steps(self, cfg: ProtocolConfig, t) -> list:
+        """Static: H(+xi) throughout.  Pulsed: n_dt full oscillations, each a +xi
+        and a -xi slice of t / (2 n_dt) (order set by start_sign), so the
+        time-averaged Hamiltonian is the unperturbed one."""
+        plus, minus = self.couplings[:2]
         if self.config.mode == "static":
-            state = evolve(state, self.h_plus, t)
-        else:
-            state = pulsed_propagator(self.h_plus, self.h_minus, state, t,
-                                      self.config.n_dt, self.config.start_sign)
-        if pulse:
-            state = evolve(state, *pulse)
-        return self.modes.change(state, self.modes.sites)
+            return [(plus, t)]
+        first, second = (plus, minus) if self.config.start_sign > 0 else (minus, plus)
+        dt = t / (2 * self.config.n_dt)
+        return [(first, dt), (second, dt)] * self.config.n_dt
 
-    def band(self, state: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
-        return self._segment(state, t)
-
-    def mu_segment(self, state: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
-        t_mu = np.asarray(theta) / (2.0 * cfg.mu)   # ProtocolConfig.t_mu per column
-        return self._segment(state, cfg.t_m - t_mu, (self.h_mu, t_mu))
-
-    def nu_segment(self, state: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        h_nu = build_mode_hamiltonian(self.couplings[3], self.modes.basis)
-        return self._segment(state, cfg.t_m - cfg.t_nu, (h_nu, cfg.t_nu))
+    def _pulses(self, cfg: ProtocolConfig) -> tuple[ModelParameters, ModelParameters]:
+        return self.couplings[2], self.couplings[3]
 
 
-def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _DetunedSystem:
+def _direct_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _DetunedSystem:
     base = config.base
     plus, minus = (replace(base.params, u13=base.params.u0 + x, u24=base.params.u0 + x)
                    for x in (xi, -xi))
-    return _DetunedSystem(config, modes, base, (
+    return _DetunedSystem(config, basis, base, (
         plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
 
 
-def _solve_detuned_omega(trap: TrapParameters, target: float, omega_guess: float) -> float:
-    """Radial frequency where U0(omega) - U13(omega) = target."""
+def _solve_detuned_omega(trap: TrapParameters, target: float, omega_guess: float,
+                         j: float) -> float:
+    """Radial frequency where U0(omega) - U13(omega) = target, within [0.5, 1.5] omega_guess."""
     lo, hi = 0.5 * omega_guess, 1.5 * omega_guess
+    reach = [integrability_residual(trap, omega) for omega in (lo, hi)]
+    if (reach[0] - target) * (reach[1] - target) > 0.0:   # brentq needs a sign change
+        raise ValueError(
+            f"physical source: xi = {abs(target):g} rad/s (xi/J = {abs(target) / j:g}) needs "
+            f"U0 - U13 = {target:+g} rad/s, outside the [{min(reach):g}, {max(reach):g}] rad/s "
+            "reached for omega_r within [0.5, 1.5] x the integrable root")
     return float(optimize.brentq(
         lambda w: integrability_residual(trap, w) - target, lo, hi, rtol=1e-10))
 
@@ -179,13 +146,13 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
     return params, v0_from_omega_r(trap, omega_r)
 
 
-def _physical_system(config: RobustnessConfig, modes: NormalModes, omega_star: float,
+def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: float,
                      v0_star: float, xi: float) -> _DetunedSystem:
     """The system at xi around the integrable root omega_star, where V0 = v0_star."""
     base = config.base
     trap = config.trap
-    omega_plus = _solve_detuned_omega(trap, +xi, omega_star)
-    omega_minus = _solve_detuned_omega(trap, -xi, omega_star)
+    omega_plus = _solve_detuned_omega(trap, +xi, omega_star, base.params.j)
+    omega_minus = _solve_detuned_omega(trap, -xi, omega_star, base.params.j)
     params_plus, v0_plus = _physical_params(trap, omega_plus, base.params.j)
     params_minus, v0_minus = _physical_params(trap, omega_minus, base.params.j)
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star
@@ -200,32 +167,32 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes, omega_star: f
         mu=0.5 * (mu_plus + mu_minus), nu=0.5 * (nu_plus + nu_minus),
         theta=base.theta, t_m_override=base.t_m_override,
     )
-    return _DetunedSystem(config, modes, mean_cfg, (
+    return _DetunedSystem(config, basis, mean_cfg, (
         params_plus, params_minus, params_plus.with_fields(mu=mu_plus, nu=0.0),
         params_plus.with_fields(mu=0.0, nu=-nu_plus)))
 
 
 def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
+    """Protocol II's fidelity, or Protocol I's r = 0 branch (fidelity and probability 0 if
+    r = 0 never occurs)."""
     cfg = system.cfg
+    xi_over_j = xi / cfg.params.j
     if system.config.protocol == 2:
-        return RobustnessPoint(xi, xi / cfg.params.j, run_protocol2(cfg, system).fidelity, None)
-    state = system.mu_segment(_initial_state(cfg, system.basis), cfg, cfg.theta)
-    probability = dict(measure_distribution(state, MEASURED_SITE)).get(0, 0.0)
-    if probability == 0.0:
-        return RobustnessPoint(xi, xi / cfg.params.j, 0.0, 0.0)
-    record = project(state, MEASURED_SITE, 0)
-    ideal = ideal_protocol1_output(cfg, system.basis, 0)
-    return RobustnessPoint(xi, xi / cfg.params.j, fidelity(ideal, record.post_state), probability)
+        return RobustnessPoint(xi, xi_over_j, run_protocol2(cfg, system).fidelity, None)
+    branch = next((report for report in run_protocol1(cfg, system)
+                   if report.measurement.outcome == 0), None)
+    if branch is None:
+        return RobustnessPoint(xi, xi_over_j, 0.0, 0.0)
+    return RobustnessPoint(xi, xi_over_j, branch.fidelity, branch.measurement.probability)
 
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
     """Fidelity (and Protocol I success probability) across the xi grid, one system at a time."""
-    modes = NormalModes(basis)
     if config.source == "direct":
-        build = partial(_direct_system, config, modes)
+        build = partial(_direct_system, config, basis)
     else:
         omega_star = solve_integrability(config.trap).omega_r
-        build = partial(_physical_system, config, modes, omega_star,
+        build = partial(_physical_system, config, basis, omega_star,
                         v0_from_omega_r(config.trap, omega_star))
     return [_run_point(build(xi), xi) for xi in config.xi_values]
 

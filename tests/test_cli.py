@@ -271,6 +271,16 @@ class TestErrorPaths:
         assert err.startswith(f"numerical failure: {quantity} = inf at omega_r = ")
         assert not out.exists()
 
+    def test_physical_detuning_out_of_reach(self, tmp_path, capsys):
+        config = tmp_path / "far.ini"
+        config.write_text("[robustness]\nsource = physical\nxi_over_j_max = 5\n"
+                          "points = 2\nn_dt = 1\n")
+        out = tmp_path / "r"
+        assert run_cli(["robustness", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: physical source: xi = ") and "(xi/J = 5)" in err
+        assert not out.exists()
+
     def test_run_requires_config(self, capsys):
         assert run_cli(["run"]) == 1
         assert "error:" in capsys.readouterr().err

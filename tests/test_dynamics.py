@@ -1,4 +1,4 @@
-"""Unitary evolution, the normal-mode change of basis, and projective measurement."""
+"""Unitary evolution, the normal-mode change of basis, and site-occupation measurement."""
 
 import math
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from noonring.dynamics import (
-    NormalModes, evolve, measure_distribution, project, site_probabilities, stack_columns)
+from noonring.dynamics import NormalModes, evolve, site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian, derived_scales
-from noonring.protocols import IdealDynamics
+from noonring.protocols import IdealDynamics, protocol_config, run_protocol1
 
-from conftest import dense_operator, mode_matrix
+from conftest import SET1, dense_operator, mode_matrix
 from oracle import add_into, create, hamiltonian_matrix, site_distribution
 
 
@@ -338,14 +337,28 @@ class TestNormalModes:
         np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
+def measured_branches(state):
+    """`run_protocol1`'s branch reports when its mu segment yields `state` (N = 5, M = 1):
+    the renormalized projections that its site-3 measurement makes."""
+
+    class Handing:   # protocol dynamics reduced to handing over `state`
+        basis = state.basis
+
+        def mu_segment(self, states, cfg, theta):
+            return QuantumState(state.basis, state.amplitudes[:, None])
+
+    cfg = protocol_config(1, 4, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
+    return run_protocol1(cfg, Handing())
+
+
 class TestMeasurement:
     def test_distribution_sums_to_one(self, basis3):
         rng = np.random.default_rng(21)
         for _ in range(10):
             state = random_state(basis3, rng)
             for site in range(1, 5):
-                dist = measure_distribution(state, site)
-                assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-10)
+                dist = site_probabilities(state, site)
+                assert dist.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_distribution_matches_brute_force(self, basis3):
         rng = np.random.default_rng(25)
@@ -353,40 +366,39 @@ class TestMeasurement:
             state = random_state(basis3, rng)
             as_dict = {occ: state.amplitudes[k] for k, occ in enumerate(basis3)}
             for site in range(1, 5):
-                ours = dict(measure_distribution(state, site))
+                ours = site_probabilities(state, site)
                 reference = site_distribution(as_dict, site)
-                assert set(ours) <= set(reference)
-                for outcome, probability in reference.items():
-                    assert ours.get(outcome, 0.0) == pytest.approx(
-                        probability, abs=1e-12)
+                assert ours.shape == (basis3.n_total + 1,)
+                for outcome, probability in enumerate(ours):
+                    assert probability == pytest.approx(
+                        reference.get(outcome, 0.0), abs=1e-12)
 
-    def test_fock_state_is_deterministic(self, basis3):
+    def test_fock_state_is_deterministic(self, basis3, basis5):
         state = QuantumState.from_fock(basis3, (0, 2, 1, 0))
-        assert measure_distribution(state, 2) == [(2, pytest.approx(1.0))]
-        record = project(state, 2, 2)
-        assert record.probability == pytest.approx(1.0)
+        assert site_probabilities(state, 2).tolist() == [0.0, 0.0, 1.0, 0.0]
+        (branch,) = measured_branches(QuantumState.from_fock(basis5, (1, 2, 1, 1)))
+        assert branch.measurement.outcome == 1
+        assert branch.measurement.probability == pytest.approx(1.0)
 
-    def test_projection_support_and_normalization(self, basis3):
+    def test_projection_support_and_normalization(self, basis5):
         rng = np.random.default_rng(29)
-        state = random_state(basis3, rng)
-        record = project(state, 3, 1)
-        assert record.post_state.norm() == pytest.approx(1.0, abs=1e-12)
-        occ = basis3.occupations[:, 2]
-        off_support = record.post_state.amplitudes[occ != 1]
-        np.testing.assert_allclose(off_support, 0.0)
-        expected = sum(p for r, p in measure_distribution(state, 3) if r == 1)
-        assert record.probability == pytest.approx(expected, abs=1e-12)
+        state = random_state(basis5, rng)
+        occ = basis5.occupations[:, 2]
+        expected = site_probabilities(state, 3)
+        for branch in measured_branches(state):
+            outcome = branch.measurement.outcome
+            assert branch.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+            off_support = branch.final_state.amplitudes[occ != outcome]
+            np.testing.assert_allclose(off_support, 0.0)
+            assert branch.measurement.probability == pytest.approx(expected[outcome], abs=1e-12)
 
-    def test_impossible_outcome_rejected(self, basis3):
-        state = QuantumState.from_fock(basis3, (3, 0, 0, 0))
-        with pytest.raises(ValueError):
-            project(state, 2, 3)
+    def test_impossible_outcome_rejected(self, basis5):
+        # Site 3 holds no boson, so outcomes 1..5 have zero probability and no branch.
+        branches = measured_branches(QuantumState.from_fock(basis5, (5, 0, 0, 0)))
+        assert [branch.measurement.outcome for branch in branches] == [0]
 
-    def test_projections_exhaust_the_state(self, basis3):
+    def test_projections_exhaust_the_state(self, basis5):
         rng = np.random.default_rng(31)
-        state = random_state(basis3, rng)
-        total = sum(
-            project(state, 1, outcome).probability
-            for outcome, _ in measure_distribution(state, 1)
-        )
+        state = random_state(basis5, rng)
+        total = sum(branch.measurement.probability for branch in measured_branches(state))
         assert total == pytest.approx(1.0, abs=1e-10)

@@ -1,17 +1,20 @@
-"""Tests for the detuning-robustness sweeps and the pulsed propagator."""
+"""Tests for the detuning-robustness sweeps and their pulsed dynamics."""
+
+import gc
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from noonring import robustness
-from noonring.dynamics import NormalModes, evolve
+from noonring.dynamics import evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, solve_integrability, v0_from_omega_r
 from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
     RobustnessConfig,
     RobustnessPoint,
-    pulsed_propagator,
     run_robustness,
     threshold_xi,
 )
@@ -61,57 +64,58 @@ class TestRobustnessConfig:
 
 
 class TestPulsedPropagator:
-    def detuned_pair(self, basis, couplings, xi):
-        params = make_cfg(couplings).params
-        h0 = hamiltonian_matrix(basis.n_total, params.to_dict())
-        bump = xi * detuning_operator(basis)
-        h_plus = dense_operator(basis, h0 + bump, check=False)
-        h_minus = dense_operator(basis, h0 - bump, check=False)
-        return h_plus, h_minus
+    """The pulsed band interval of the detuned dynamics: n_dt oscillations between
+    H(+xi) and H(-xi) = H_integrable +- xi (N1 N3 + N2 N4)."""
+
+    def system(self, basis, xi, n_dt, start_sign=1, swap=False):
+        config = RobustnessConfig(base=make_cfg(SET1), xi_values=(xi,), n_dt=n_dt,
+                                  start_sign=start_sign)
+        system = robustness._direct_system(config, basis, xi)
+        if swap:
+            plus, minus, *pulses = system.couplings
+            system = robustness._DetunedSystem(config, basis, system.cfg, (minus, plus, *pulses))
+        return system
+
+    def band(self, system, t):
+        return system.band(self.start_state(system.basis), system.cfg, t)
 
     def start_state(self, basis):
         return QuantumState.from_fock(basis, (M_OCC, P_OCC, 0, 0))
 
     def test_equal_hamiltonians_match_single_shot(self, basis15):
-        h_plus, _ = self.detuned_pair(basis15, SET1, 0.0)
-        psi = self.start_state(basis15)
-        chopped = pulsed_propagator(h_plus, h_plus, psi, 3.7, n_dt=5)
-        direct = evolve(psi, h_plus, 3.7)
+        pulsed = self.system(basis15, 0.0, n_dt=5)
+        chopped = self.band(pulsed, 3.7)
+        assert len(pulsed._operators) == 1   # H(+0) and H(-0) are one operator
+        static = robustness._DetunedSystem(
+            replace(pulsed.config, mode="static"), basis15, pulsed.cfg, pulsed.couplings)
+        direct = self.band(static, 3.7)
         np.testing.assert_allclose(chopped.amplitudes, direct.amplitudes, atol=1e-10)
 
     def test_preserves_norm(self, basis15):
-        h_plus, h_minus = self.detuned_pair(basis15, SET1, 0.5)
-        out = pulsed_propagator(h_plus, h_minus, self.start_state(basis15), 2.0, n_dt=3)
+        out = self.band(self.system(basis15, 0.5, n_dt=3), 2.0)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_slicing_matters_for_noncommuting_pair(self, basis15):
-        h_plus, h_minus = self.detuned_pair(basis15, SET1, 2.0)
-        psi = self.start_state(basis15)
-        coarse = pulsed_propagator(h_plus, h_minus, psi, 4.0, n_dt=1)
-        fine = pulsed_propagator(h_plus, h_minus, psi, 4.0, n_dt=2)
+        coarse = self.band(self.system(basis15, 2.0, n_dt=1), 4.0)
+        fine = self.band(self.system(basis15, 2.0, n_dt=2), 4.0)
         distance = np.linalg.norm(coarse.amplitudes - fine.amplitudes)
         assert distance > 1e-3
 
     def test_start_sign_swaps_roles(self, basis15):
-        h_plus, h_minus = self.detuned_pair(basis15, SET1, 1.0)
-        psi = self.start_state(basis15)
-        flipped = pulsed_propagator(h_plus, h_minus, psi, 1.5, n_dt=2, start_sign=-1)
-        swapped = pulsed_propagator(h_minus, h_plus, psi, 1.5, n_dt=2, start_sign=1)
+        flipped = self.band(self.system(basis15, 1.0, n_dt=2, start_sign=-1), 1.5)
+        swapped = self.band(self.system(basis15, 1.0, n_dt=2, swap=True), 1.5)
         np.testing.assert_allclose(flipped.amplitudes, swapped.amplitudes, atol=1e-13)
 
     def test_zero_duration_is_identity(self, basis15):
-        h_plus, h_minus = self.detuned_pair(basis15, SET1, 1.0)
         psi = self.start_state(basis15)
-        out = pulsed_propagator(h_plus, h_minus, psi, 0.0, n_dt=4)
+        out = self.band(self.system(basis15, 1.0, n_dt=4), 0.0)
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
 
     def test_invalid_arguments_rejected(self, basis15):
-        h_plus, h_minus = self.detuned_pair(basis15, SET1, 1.0)
-        psi = self.start_state(basis15)
         with pytest.raises(ValueError):
-            pulsed_propagator(h_plus, h_minus, psi, -1.0, n_dt=4)
+            self.band(self.system(basis15, 1.0, n_dt=4), -1.0)
         with pytest.raises(ValueError):
-            pulsed_propagator(h_plus, h_minus, psi, 1.0, n_dt=0)
+            self.system(basis15, 1.0, n_dt=0)
 
 
 class TestDirectSweeps:
@@ -178,6 +182,24 @@ class TestDirectSweeps:
         assert point.fidelity == pytest.approx(0.9562, abs=1e-3)
 
 
+class TestMemory:
+    def test_long_sweep_holds_one_point(self, basis15):
+        """Each xi point's dynamics (~8 MB of operators at N = 15) is dropped before the next."""
+        xi_values = tuple(x * SET1["j"] for x in np.linspace(0.001, 0.012, 12))
+
+        def peak(values):
+            config = RobustnessConfig(base=make_cfg(SET1), xi_values=values, n_dt=2)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_robustness(config, basis15)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(xi_values) <= 1.5 * peak(xi_values[-1:])
+
+
 class TestPhysicalSource:
     def test_smoke_point(self, basis15):
         point = sweep_point(
@@ -190,17 +212,16 @@ class TestPhysicalSource:
 
 def detuned_system(config, basis, xi):
     """The system `run_robustness` builds at xi, with its couplings."""
-    modes = NormalModes(basis)
     if config.source == "direct":
-        return robustness._direct_system(config, modes, xi)
+        return robustness._direct_system(config, basis, xi)
     omega_star = solve_integrability(config.trap).omega_r
     return robustness._physical_system(
-        config, modes, omega_star, v0_from_omega_r(config.trap, omega_star), xi)
+        config, basis, omega_star, v0_from_omega_r(config.trap, omega_star), xi)
 
 
 class DenseSystem:
     """The site-basis reference: dense H(+xi), H(-xi), mu and nu pulse matrices,
-    evolved slice by slice with `pulsed_propagator`."""
+    evolved slice by slice."""
 
     def __init__(self, config, basis, cfg, matrices):
         self.config, self.basis, self.cfg = config, basis, cfg
@@ -210,8 +231,11 @@ class DenseSystem:
     def band(self, state, cfg, t):
         if self.config.mode == "static":
             return evolve(state, self.h_plus, t)
-        return pulsed_propagator(
-            self.h_plus, self.h_minus, state, t, self.config.n_dt, self.config.start_sign)
+        first, second = (self.h_plus, self.h_minus)[::self.config.start_sign]
+        dt = t / (2 * self.config.n_dt)
+        for _ in range(self.config.n_dt):
+            state = evolve(evolve(state, first, dt), second, dt)
+        return state
 
     def mu_segment(self, state, cfg, theta):
         t_mu = np.asarray(theta) / (2.0 * cfg.mu)

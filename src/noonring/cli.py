@@ -60,7 +60,7 @@ from .protocols import (
     sweep_protocol2,
     sweep_readout,
 )
-from .robustness import RobustnessConfig, run_robustness
+from .robustness import RobustnessConfig, run_robustness, threshold_xi
 from .spectrum import BandsUnresolvedError, assign_bands, sweep_spectrum
 
 UNIT_NOTE = "# units: couplings and fields are angular frequencies (X/hbar, rad/s); times in s"
@@ -489,6 +489,8 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
         "derived": _derived_block(base), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
         "p_theta": math.pi / 2.0,
+        # The largest |xi/J| of the grid with fidelity above 0.9; None (null) if none.
+        "threshold_xi_over_j": threshold_xi(results, level=0.9),
     }
 
 

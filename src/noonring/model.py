@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .fock import FockBasis, hop_entries
 
@@ -211,21 +212,17 @@ def derived_scales(params: ModelParameters, m_occ: int, p_occ: int) -> DerivedSc
     )
 
 
-def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
-                detuning: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The off-diagonal part of H in the normal-mode basis, cut into blocks.
+def _mode_entries(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
+                  detuning: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the off-diagonal part of H in the normal-mode basis.
 
     `basis` is read as the occupations of (s13, s24, d13, d24), and `detuning`
-    is U13 - U0.  Returns one (indices, hops) pair per block size: indices[k]
-    are the basis positions of block k and hops[k] its hopping matrix, so every
-    block of one size is diagonalized in one batched call.  A pair whose field
-    is off keeps its n_d as block key, or only the parity of n_d at nonzero
-    detuning.  The hop entries go straight into the blocks; no n x n matrix is
-    built.  Raises ArithmeticError if a coupling overflows an entry to inf or NaN.
+    is U13 - U0.  Each entry also stands for its h.c., and entries whose
+    coupling is off are left out.  Raises ArithmeticError if a coupling
+    overflows an entry to inf or NaN.
     """
     # -J s13+ s24, mu s24+ d24, nu s13+ d13, and the -detuning/4 s+^2 d^2 of each
-    # pair; each entry also stands for its h.c.  No two of these hops connect the
-    # same pair of states, so no entry is a sum.
+    # pair.  No two of these hops connect the same pair of states, so no entry is a sum.
     terms = [((2, 1), -j), ((4, 2), mu), ((3, 1), nu)]
     if detuning != 0.0:
         terms += [((3, 1, 2), -0.25 * detuning), ((4, 2, 2), -0.25 * detuning)]
@@ -238,7 +235,37 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
         raise ArithmeticError(f"couplings mu = {mu:g}, nu = {nu:g}, J = {j:g}, "
                               f"U13 - U0 = {detuning:g} give non-finite H")
     on = values != 0.0   # every entry of a hop is nonzero unless its coupling is off
-    rows, columns, values = rows[on], columns[on], values[on]
+    return rows[on], columns[on], values[on]
+
+
+def _mode_diagonal(params: ModelParameters, modes: FockBasis) -> np.ndarray:
+    """The diagonal of H at ring-symmetric couplings in the normal-mode basis (module
+    docstring); inf or NaN where a coupling overflows it."""
+    if not params.ring_symmetric():
+        raise ValueError("normal-mode blocks need U13 = U24, U12 = U23 = U34 = U14")
+    occ = modes.occupations.astype(float)
+    m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
+    detuning = params.u13 - params.u0
+    # The callers report inf/NaN entries; numpy's warning would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
+                    + params.u12 * (m_occ * p_occ))
+        if detuning != 0.0:   # the n(n - 1)/4 of every mode, from D
+            diagonal += 0.25 * detuning * (occ * (occ - 1.0)).sum(axis=1)
+    return diagonal
+
+
+def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
+                detuning: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The off-diagonal part of H in the normal-mode basis (`_mode_entries`), cut into blocks.
+
+    Returns one (indices, hops) pair per block size: indices[k] are the basis
+    positions of block k and hops[k] its hopping matrix, so every block of one
+    size is diagonalized in one batched call.  A pair whose field is off keeps
+    its n_d as block key, or only the parity of n_d at nonzero detuning.  The
+    entries go straight into the blocks; no n x n matrix is built.
+    """
+    rows, columns, values = _mode_entries(basis, mu, nu, j, detuning)
     key = np.zeros(basis.size, dtype=np.int64)
     for column, field in ((2, nu), (3, mu)):
         if field == 0.0:
@@ -273,24 +300,47 @@ def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
     params.mu, params.nu, params.j, params.u13 - params.u0)`, cut once for a
     sweep over U0 and U12 at fixed U13 - U0.
     """
-    if not params.ring_symmetric():
-        raise ValueError("normal-mode blocks need U13 = U24, U12 = U23 = U34 = U14")
-    occ = modes.occupations.astype(float)
-    m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
-    detuning = params.u13 - params.u0
-    hops = _hop_blocks(modes, params.mu, params.nu, params.j, detuning) if hops is None else hops
-    # Extreme couplings overflow to inf/NaN entries, which eigensystem() reports
-    # as an ArithmeticError; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
-                    + params.u12 * (m_occ * p_occ))
-        if detuning != 0.0:   # the n(n - 1)/4 of every mode, from D
-            diagonal += 0.25 * detuning * (occ * (occ - 1.0)).sum(axis=1)
+    diagonal = _mode_diagonal(params, modes)
+    if hops is None:
+        hops = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
     blocks = [(indices, matrices.copy()) for indices, matrices in hops]
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
-    # Symmetric by construction; eigensystem() still checks finiteness before LAPACK.
+    # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
     return HermitianOperator(modes, blocks, check=False)
+
+
+class _SparseHamiltonian:
+    """Hermitian H in a Fock sector as a CSR `matrix` of H - `shift`, where `shift` is the
+    mean of its diagonal, with the 1-norm of that matrix as `norm`.  It has no
+    eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states directly."""
+
+    def __init__(self, basis: FockBasis, matrix: csr_array, shift: float):
+        self.basis, self.matrix, self.shift = basis, matrix, shift
+        self.norm = float(abs(matrix).sum(axis=0).max())
+
+
+def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _SparseHamiltonian:
+    """H at ring-symmetric couplings in the normal-mode basis, as one CSR matrix.
+
+    Built from the entries `build_mode_hamiltonian` cuts into blocks; no block
+    and no n x n array is allocated.  Raises ArithmeticError if an entry of H
+    is inf or NaN.
+    """
+    diagonal = _mode_diagonal(params, modes)
+    rows, columns, values = _mode_entries(modes, params.mu, params.nu, params.j,
+                                          params.u13 - params.u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = float(np.mean(diagonal))
+        diagonal = diagonal - shift
+    if not np.isfinite(diagonal).all():
+        raise ArithmeticError(f"couplings U0 = {params.u0:g}, U12 = {params.u12:g}, "
+                              f"U13 = {params.u13:g} give non-finite H")
+    states = np.arange(modes.size)
+    matrix = csr_array((np.concatenate([values, values, diagonal]),
+                        (np.concatenate([rows, columns, states]),
+                         np.concatenate([columns, rows, states]))), shape=(modes.size, modes.size))
+    return _SparseHamiltonian(modes, matrix, shift)
 
 
 def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> float:

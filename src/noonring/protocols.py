@@ -251,8 +251,10 @@ class _ModeDynamics:
     couplings and times of `cfg`, and `mu_segment(states, cfg, theta)` pulses
     each column k for theta[k] / (2 mu) (one theta serves every column)."""
 
-    def __init__(self, basis: FockBasis):
-        self.basis, self.modes, self._operators = basis, NormalModes(basis), {}
+    def __init__(self, basis: FockBasis, modes: NormalModes | None = None):
+        """`modes` may hand in the NormalModes of `basis`, shared with other dynamics."""
+        self.basis, self._operators = basis, {}
+        self.modes = NormalModes(basis) if modes is None else modes
 
     def hamiltonian(self, couplings) -> HermitianOperator:
         """The operator at `couplings`, built on first use and kept (with its eigensystem)."""

@@ -24,10 +24,17 @@ The two parameter sources realize opposite signs of xi:
 
 Each xi point runs the protocol runners of `noonring.protocols` on a
 FullDynamics of its own that changes only the couplings of the band steps
-and the pulses.  Its operators are built in the normal-mode parity blocks of
-`noonring.model` (four for H(+-xi), two for a pulse) when a step first runs
-under them, so the nu pulse only for Protocol II and H(+0) = H(-0) once, and
-they are dropped with the point's dynamics before the next point.
+and the pulses; the points share one NormalModes.  Each operator is built
+when a step first runs under it, so the nu pulse only for Protocol II and
+H(+0) = H(-0) once, and dropped with the point's dynamics before the next
+point.  H(+-xi) is held in the four normal-mode parity blocks of
+`noonring.model` and diagonalized once, for its 2 n_dt slices.  A pulse runs
+once, on one state, so it is never diagonalized: it is a sparse H that
+`noonring.dynamics.evolve` applies by Al-Mohy and Higham's truncated Taylor
+action (SIAM J. Sci. Comput. 33, 488 (2011)).
+
+The physical source checks the whole xi grid against the U0 - U13 its
+lattice reaches before the first point runs.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from functools import partial
 
 from scipy import optimize
 
+from .dynamics import NormalModes
 from .fock import FockBasis
 from .lattice import (
     TrapParameters, derive, integrability_residual, solve_integrability, v0_from_omega_r)
-from .model import ModelParameters
+from .model import ModelParameters, _sparse_mode_hamiltonian
 from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 
 
@@ -83,18 +91,24 @@ class RobustnessPoint:
 
 
 class _DetunedSystem(FullDynamics):
-    """The protocol dynamics realized at one xi value.
+    """The protocol dynamics realized at one xi value, on the shared `modes`.
 
     `couplings` are those of H(+xi), H(-xi), the mu pulse and the inverted-sign
     nu pulse; `cfg` holds the mean couplings (timings, ideal states).  Only the
     couplings of the band steps and the pulses differ from FullDynamics, and
-    each operator is built when a step first runs under it.
+    each operator is built when a step first runs under it: a pulse as a
+    sparse H, which is never diagonalized.
     """
 
-    def __init__(self, config: RobustnessConfig, basis: FockBasis, cfg: ProtocolConfig,
+    def __init__(self, config: RobustnessConfig, modes: NormalModes, cfg: ProtocolConfig,
                  couplings: tuple[ModelParameters, ...]):
-        super().__init__(basis)
+        super().__init__(modes.sites, modes)
         self.config, self.cfg, self.couplings = config, cfg, couplings
+
+    def _build(self, params: ModelParameters):
+        if params in self.couplings[2:]:
+            return _sparse_mode_hamiltonian(params, self.modes.basis)
+        return super()._build(params)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         """Static: H(+xi) throughout.  Pulsed: n_dt full oscillations, each a +xi
@@ -111,24 +125,41 @@ class _DetunedSystem(FullDynamics):
         return self.couplings[2], self.couplings[3]
 
 
-def _direct_system(config: RobustnessConfig, basis: FockBasis, xi: float) -> _DetunedSystem:
+def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _DetunedSystem:
     base = config.base
     plus, minus = (replace(base.params, u13=base.params.u0 + x, u24=base.params.u0 + x)
                    for x in (xi, -xi))
-    return _DetunedSystem(config, basis, base, (
+    return _DetunedSystem(config, modes, base, (
         plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
 
 
-def _solve_detuned_omega(trap: TrapParameters, target: float, omega_guess: float,
-                         j: float) -> float:
-    """Radial frequency where U0(omega) - U13(omega) = target, within [0.5, 1.5] omega_guess."""
-    lo, hi = 0.5 * omega_guess, 1.5 * omega_guess
-    reach = [integrability_residual(trap, omega) for omega in (lo, hi)]
-    if (reach[0] - target) * (reach[1] - target) > 0.0:   # brentq needs a sign change
-        raise ValueError(
-            f"physical source: xi = {abs(target):g} rad/s (xi/J = {abs(target) / j:g}) needs "
-            f"U0 - U13 = {target:+g} rad/s, outside the [{min(reach):g}, {max(reach):g}] rad/s "
-            "reached for omega_r within [0.5, 1.5] x the integrable root")
+_BRACKET = (0.5, 1.5)   # the detuned radial frequencies lie within these multiples of the root
+
+
+def _physical_root(config: RobustnessConfig) -> tuple[float, float]:
+    """The integrable root omega* of the trap and V0 there.
+
+    Raises ValueError if a xi of the grid needs a U0 - U13 of either sign beyond
+    the range reached for omega_r within _BRACKET x omega*.
+    """
+    trap, j = config.trap, config.base.params.j
+    omega_star = solve_integrability(trap).omega_r
+    reach = [integrability_residual(trap, factor * omega_star) for factor in _BRACKET]
+    for xi in config.xi_values:
+        for target in (xi, -xi):
+            if (reach[0] - target) * (reach[1] - target) > 0.0:   # brentq needs a sign change
+                raise ValueError(
+                    f"physical source: xi = {abs(target):g} rad/s (xi/J = {abs(target) / j:g}) "
+                    f"needs U0 - U13 = {target:+g} rad/s, outside the [{min(reach):g}, "
+                    f"{max(reach):g}] rad/s reached for omega_r within [0.5, 1.5] x the "
+                    "integrable root")
+    return omega_star, v0_from_omega_r(trap, omega_star)
+
+
+def _solve_detuned_omega(trap: TrapParameters, target: float, omega_star: float) -> float:
+    """Radial frequency where U0(omega) - U13(omega) = target, within _BRACKET x omega_star
+    (which `_physical_root` has checked)."""
+    lo, hi = (factor * omega_star for factor in _BRACKET)
     return float(optimize.brentq(
         lambda w: integrability_residual(trap, w) - target, lo, hi, rtol=1e-10))
 
@@ -146,13 +177,14 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
     return params, v0_from_omega_r(trap, omega_r)
 
 
-def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: float,
-                     v0_star: float, xi: float) -> _DetunedSystem:
-    """The system at xi around the integrable root omega_star, where V0 = v0_star."""
+def _physical_system(config: RobustnessConfig, modes: NormalModes, root: tuple[float, float],
+                     xi: float) -> _DetunedSystem:
+    """The system at xi around the integrable root (omega*, V0 there) of `_physical_root`."""
     base = config.base
     trap = config.trap
-    omega_plus = _solve_detuned_omega(trap, +xi, omega_star, base.params.j)
-    omega_minus = _solve_detuned_omega(trap, -xi, omega_star, base.params.j)
+    omega_star, v0_star = root
+    omega_plus = _solve_detuned_omega(trap, +xi, omega_star)
+    omega_minus = _solve_detuned_omega(trap, -xi, omega_star)
     params_plus, v0_plus = _physical_params(trap, omega_plus, base.params.j)
     params_minus, v0_minus = _physical_params(trap, omega_minus, base.params.j)
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star
@@ -167,7 +199,7 @@ def _physical_system(config: RobustnessConfig, basis: FockBasis, omega_star: flo
         mu=0.5 * (mu_plus + mu_minus), nu=0.5 * (nu_plus + nu_minus),
         theta=base.theta, t_m_override=base.t_m_override,
     )
-    return _DetunedSystem(config, basis, mean_cfg, (
+    return _DetunedSystem(config, modes, mean_cfg, (
         params_plus, params_minus, params_plus.with_fields(mu=mu_plus, nu=0.0),
         params_plus.with_fields(mu=0.0, nu=-nu_plus)))
 
@@ -188,12 +220,11 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
     """Fidelity (and Protocol I success probability) across the xi grid, one system at a time."""
+    modes = NormalModes(basis)
     if config.source == "direct":
-        build = partial(_direct_system, config, basis)
+        build = partial(_direct_system, config, modes)
     else:
-        omega_star = solve_integrability(config.trap).omega_r
-        build = partial(_physical_system, config, basis, omega_star,
-                        v0_from_omega_r(config.trap, omega_star))
+        build = partial(_physical_system, config, modes, _physical_root(config))
     return [_run_point(build(xi), xi) for xi in config.xi_values]
 
 

@@ -168,6 +168,20 @@ class TestConfigDriven:
         assert manifest["n_dt"] == 5
         assert manifest["protocol"] == 1
 
+    @pytest.mark.parametrize("model, threshold", [("", 0.004), ("t_m_override = 20\n", None)])
+    def test_robustness_manifest_threshold(self, tmp_path, model, threshold):
+        """The largest xi/J with fidelity above 0.9, or null when no point passes (a
+        band interval far from t_m fails at every xi)."""
+        config = tmp_path / "robust.ini"
+        config.write_text(f"[model]\n{model}[robustness]\nxi_over_j_max = 0.004\npoints = 2\n")
+        out = tmp_path / "res"
+        assert run_cli(["robustness", "--config", config, "--out", out]) == 0
+        fidelities = [float(row.split(",")[5]) for row in read_table(out / "robustness.csv")[2]]
+        assert (threshold is None) == all(f <= 0.9 for f in fidelities)
+        manifest = read_manifest(out / "robustness_manifest.json")
+        assert manifest["threshold_xi_over_j"] == (
+            None if threshold is None else pytest.approx(threshold, rel=1e-12))
+
     def test_run_physical(self, tmp_path):
         config = tmp_path / "physical.ini"
         config.write_text(

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from noonring import robustness
-from noonring.dynamics import evolve
+from noonring.dynamics import NormalModes, evolve
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.lattice import TrapParameters, solve_integrability, v0_from_omega_r
+from noonring.lattice import TrapParameters
+from noonring.model import _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian
 from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
     RobustnessConfig,
@@ -70,10 +71,11 @@ class TestPulsedPropagator:
     def system(self, basis, xi, n_dt, start_sign=1, swap=False):
         config = RobustnessConfig(base=make_cfg(SET1), xi_values=(xi,), n_dt=n_dt,
                                   start_sign=start_sign)
-        system = robustness._direct_system(config, basis, xi)
+        system = robustness._direct_system(config, NormalModes(basis), xi)
         if swap:
             plus, minus, *pulses = system.couplings
-            system = robustness._DetunedSystem(config, basis, system.cfg, (minus, plus, *pulses))
+            system = robustness._DetunedSystem(config, system.modes, system.cfg,
+                                               (minus, plus, *pulses))
         return system
 
     def band(self, system, t):
@@ -87,7 +89,7 @@ class TestPulsedPropagator:
         chopped = self.band(pulsed, 3.7)
         assert len(pulsed._operators) == 1   # H(+0) and H(-0) are one operator
         static = robustness._DetunedSystem(
-            replace(pulsed.config, mode="static"), basis15, pulsed.cfg, pulsed.couplings)
+            replace(pulsed.config, mode="static"), pulsed.modes, pulsed.cfg, pulsed.couplings)
         direct = self.band(static, 3.7)
         np.testing.assert_allclose(chopped.amplitudes, direct.amplitudes, atol=1e-10)
 
@@ -199,6 +201,20 @@ class TestMemory:
 
         assert peak(xi_values) <= 1.5 * peak(xi_values[-1:])
 
+    def test_sweep_builds_one_normal_modes(self, basis15, monkeypatch):
+        built = []
+        init = NormalModes.__init__
+
+        def counting_init(modes, sites):
+            built.append(sites)
+            init(modes, sites)
+
+        monkeypatch.setattr(NormalModes, "__init__", counting_init)
+        config = RobustnessConfig(base=make_cfg(SET1), n_dt=2,
+                                  xi_values=tuple(x * SET1["j"] for x in (0.0, 0.005, 0.01)))
+        assert len(run_robustness(config, basis15)) == 3
+        assert built == [basis15]
+
 
 class TestPhysicalSource:
     def test_smoke_point(self, basis15):
@@ -209,14 +225,24 @@ class TestPhysicalSource:
         assert 0.0 <= point.fidelity <= 1.0
         assert 0.0 < point.probability <= 1.0
 
+    def test_out_of_reach_grid_runs_no_point(self, basis15, monkeypatch):
+        """The whole grid is checked against the reachable U0 - U13 before the first point."""
+        runs = []
+        monkeypatch.setattr(robustness, "_run_point", lambda *args: runs.append(args))
+        config = RobustnessConfig(
+            base=make_cfg(SET1), xi_values=(0.0, 0.01 * SET1["j"], 5.0 * SET1["j"]),
+            source="physical", trap=TrapParameters())
+        with pytest.raises(ValueError, match=r"^physical source: xi = .* \(xi/J = 5\) needs"):
+            run_robustness(config, basis15)
+        assert runs == []
+
 
 def detuned_system(config, basis, xi):
     """The system `run_robustness` builds at xi, with its couplings."""
     if config.source == "direct":
-        return robustness._direct_system(config, basis, xi)
-    omega_star = solve_integrability(config.trap).omega_r
+        return robustness._direct_system(config, NormalModes(basis), xi)
     return robustness._physical_system(
-        config, basis, omega_star, v0_from_omega_r(config.trap, omega_star), xi)
+        config, NormalModes(basis), robustness._physical_root(config), xi)
 
 
 class DenseSystem:
@@ -275,8 +301,8 @@ class TestParityBlocks:
                 base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
                 protocol=protocol, source=source, trap=TrapParameters())
             run_robustness(config, basis15)
-        # H(+-xi): blocks 240/204/204/168; a pulse H: 444/372, of the dense 816
-        assert widths and max(widths) == 444
+        # H(+-xi): blocks 240/204/204/168 of the dense 816; a pulse H is never diagonalized
+        assert widths and max(widths) == 240
 
     @pytest.mark.parametrize("protocol", [1, 2])
     @pytest.mark.parametrize("mode", ["pulsed", "static"])
@@ -327,3 +353,83 @@ class TestThreshold:
     def test_none_when_nothing_passes(self):
         points = self.make_points([(0.01, 0.5), (0.02, 0.3)])
         assert threshold_xi(points, level=0.9) is None
+
+
+class TestSparsePulse:
+    """The pulses of the detuned dynamics are sparse H, applied to states by the truncated
+    Taylor series of exp(-i H t) and never diagonalized."""
+
+    def system(self, basis, xi_over_j, source="direct"):
+        base = protocol_config(m_occ=M_OCC, p_occ=basis.n_total - M_OCC, u=SET1["u"],
+                               j=SET1["j"], mu=SET1["mu"], p_theta=np.pi / 2)
+        config = RobustnessConfig(base=base, xi_values=(xi_over_j * SET1["j"],),
+                                  source=source, trap=TrapParameters())
+        return detuned_system(config, basis, xi_over_j * SET1["j"])
+
+    def mode_state(self, system):
+        """|M,P,0,0> after a band interval, in the mode basis: many modes occupied."""
+        cfg = system.cfg
+        start = QuantumState.from_fock(system.basis, (cfg.m_occ, cfg.p_occ, 0, 0))
+        band = system.band(start, system.cfg, 0.3 * system.cfg.t_m)
+        return system.modes.change(band, system.modes.basis)
+
+    @pytest.mark.parametrize("source", ["direct", "physical"])
+    @pytest.mark.parametrize("xi_over_j", [0.0, 0.01])
+    def test_matches_the_eigensystem_pulse(self, basis15, source, xi_over_j):
+        system = self.system(basis15, xi_over_j, source)
+        state = self.mode_state(system)
+        for params, t in zip(system.couplings[2:], (system.cfg.t_mu, system.cfg.t_nu)):
+            pulse = system.hamiltonian(params)
+            assert isinstance(pulse, _SparseHamiltonian)
+            sparse = evolve(state, pulse, t)
+            blocked = evolve(state, build_mode_hamiltonian(params, system.modes.basis), t)
+            np.testing.assert_allclose(sparse.amplitudes, blocked.amplitudes, rtol=0, atol=1e-12)
+            assert sparse.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_stack_of_durations_matches_single_runs(self, basis15):
+        system = self.system(basis15, 0.01)
+        state = self.mode_state(system)
+        pulse = system.hamiltonian(system.couplings[2])
+        durations = np.array([0.2, 0.9, 0.5]) * np.pi / (2.0 * system.cfg.mu)   # theta / (2 mu)
+        stack = QuantumState(state.basis, np.column_stack([state.amplitudes] * 3))
+        evolved = evolve(stack, pulse, durations)
+        for column, t in zip(evolved.amplitudes.T, durations):
+            np.testing.assert_array_equal(column, evolve(state, pulse, t).amplitudes)
+
+    def test_evolve_contracts(self, basis15):
+        system = self.system(basis15, 0.01)
+        state = self.mode_state(system)
+        pulse = system.hamiltonian(system.couplings[3])
+        stack = QuantumState(state.basis, np.column_stack([state.amplitudes] * 3))
+        evolved = evolve(stack, pulse, [0.0, system.cfg.t_nu, 0.0])
+        np.testing.assert_array_equal(evolved.amplitudes[:, [0, 2]], stack.amplitudes[:, [0, 2]])
+        with pytest.raises(ValueError):
+            evolve(state, pulse, -1e-3)
+        with pytest.raises(ValueError):   # a site-basis state
+            evolve(system.modes.change(state, system.basis), pulse, 1e-3)
+        overflowing = system.couplings[2].with_fields(mu=1e308, nu=0.0)
+        with pytest.raises(ArithmeticError):
+            _sparse_mode_hamiltonian(overflowing, system.modes.basis)
+        huge = _sparse_mode_hamiltonian(overflowing.with_fields(mu=1e300, nu=0.0),
+                                        system.modes.basis)
+        with pytest.raises(ArithmeticError):   # ||H|| t overflows
+            evolve(state, huge, 1e10)
+
+    def test_deterministic_and_leaves_the_global_random_state(self):
+        """Protocol II at N = 15 and an N = 21 nu pulse, whose ||H t||_1 (245) would send
+        scipy's expm_multiply to its randomized norm estimate."""
+        before = np.random.get_state()
+        basis = enumerate_basis(M_OCC + P_OCC)
+        config = RobustnessConfig(base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
+                                  protocol=2)
+        runs = [run_robustness(config, basis)[0].fidelity for _ in range(2)]
+        system = self.system(enumerate_basis(21), 0.01)
+        state = self.mode_state(system)
+        pulse = system.hamiltonian(system.couplings[3])
+        assert pulse.norm * system.cfg.t_nu > 200.0
+        pulses = [evolve(state, pulse, system.cfg.t_nu).amplitudes for _ in range(2)]
+        assert runs[0] == runs[1]
+        np.testing.assert_array_equal(*pulses)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        np.testing.assert_array_equal(before[1], after[1])

@@ -223,19 +223,34 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 # --- table / manifest output ----------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+CHUNK_ROWS = 1024   # table rows formatted and written at a time
 
 
-def _write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
+def _cells(column) -> list[str]:
+    """A column's text, floats with 12 significant digits: a numpy array (of numbers
+    or text) in bulk, any other sequence cell by cell."""
+    if isinstance(column, np.ndarray):
+        return list(map("{:.12g}".format if column.dtype.kind == "f" else str, column.tolist()))
+    return [f"{value:.12g}" if isinstance(value, float) else str(value) for value in column]
+
+
+def _write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
+    """Write equal-length `columns` as rows under `header`, CHUNK_ROWS rows at a time.
+    The csv module writes a chunk with a cell to quote; the others are joined."""
+    delimiter = _DELIMITERS[fmt]
     with open(path, "w", newline="") as fh:
         fh.write(UNIT_NOTE + "\n")
-        writer = csv.writer(fh, delimiter=_DELIMITERS[fmt], lineterminator="\n")
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            cells = [_cells(column[start:start + CHUNK_ROWS]) for column in columns]
+            text = "\n".join(map(delimiter.join, zip(*cells)))
+            # Only the joins add delimiters and line breaks if no cell holds one.
+            if (text.count(delimiter) + text.count("\n") == len(cells) * len(cells[0]) - 1
+                    and '"' not in text and "\r" not in text):
+                fh.write(text + "\n")
+            else:
+                writer.writerows(zip(*cells))
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -277,13 +292,20 @@ def _derived_block(pc: ProtocolConfig) -> dict:
     }
 
 
-def _check_finite(kind: str, header: list[str], rows: list[tuple]) -> None:
-    """Raise ArithmeticError at the first NaN or infinite float cell."""
-    for i, row in enumerate(rows):
-        for name, value in zip(header, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ArithmeticError(
-                    f"{kind} table row {i}: {name} = {value}; no table written")
+def _check_finite(kind: str, header: list[str], columns: list) -> None:
+    """Raise ArithmeticError at the first NaN or infinite float cell, in row-major order."""
+    first_bad = []   # (row, column) of each column's first bad cell
+    for j, column in enumerate(columns):
+        if not isinstance(column, np.ndarray):
+            bad = [i for i, value in enumerate(column)
+                   if isinstance(value, float) and not math.isfinite(value)]
+        else:   # an int or text array holds no float cell
+            bad = np.flatnonzero(~np.isfinite(column)).tolist() if column.dtype.kind == "f" else []
+        first_bad += [(i, j) for i in bad[:1]]
+    if first_bad:
+        i, j = min(first_bad)
+        raise ArithmeticError(
+            f"{kind} table row {i}: {header[j]} = {columns[j][i]}; no table written")
 
 
 # --- experiments ------------------------------------------------------------
@@ -316,7 +338,7 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             ))
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
-    return rows, header, _protocol_extras(cfg)
+    return header, list(zip(*rows)), _protocol_extras(cfg)
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
@@ -324,7 +346,7 @@ def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, report.elapsed_model_time)
             for p_theta, report in zip(grid, sweep_protocol2(configs, _dynamics(cfg)))]
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
-    return rows, header, _protocol_extras(cfg)
+    return header, list(zip(*rows)), _protocol_extras(cfg)
 
 
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
@@ -359,7 +381,7 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             "c0": fit_readout_amplitudes(zero_samples, "shifted_sin2"),
             "cM": fit_readout_amplitudes(m_samples, "shifted_cos2"),
         }
-    return rows, header, {
+    return header, list(zip(*rows)), {
         **_protocol_extras(cfg),
         "readout_protocol": cfg.protocol.readout_protocol, "fits": fits,
     }
@@ -371,21 +393,21 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     basis = enumerate_basis(n_total)
     grid = np.linspace(s.u_over_j_min, s.u_over_j_max, s.points)
     sweep = sweep_spectrum(basis, grid, mu=s.mu_over_j)
-    rows = []
-    resolved_points = 0
-    for i, ratio in enumerate(sweep.u_over_j):
+    bands, resolved_points = ([], []), 0   # band_m and band_p text, an array per point
+    for values in sweep.eigenvalues:
         try:
-            assignment = assign_bands(sweep.eigenvalues[i], n_total)
-            resolved_points += 1
-            labels = [label for label, size in zip(assignment.labels, assignment.sizes)
-                      for _ in range(size)]
+            assignment = assign_bands(values, n_total)
         except BandsUnresolvedError:
-            labels = [("", "")] * basis.size
-        for k in range(basis.size):
-            rows.append((float(ratio), k, float(sweep.eigenvalues[i][k]),
-                         labels[k][0], labels[k][1]))
+            labels, sizes = [("", "")], [basis.size]
+        else:
+            labels, sizes = assignment.labels, assignment.sizes
+            resolved_points += 1
+        for column, label in zip(bands, zip(*labels)):
+            column.append(np.repeat(np.array(label, dtype=str), sizes))
     header = ["u_over_j", "index", "e_over_j", "band_m", "band_p"]
-    return rows, header, {
+    columns = [np.repeat(grid, basis.size), np.tile(np.arange(basis.size), s.points),
+               sweep.eigenvalues.ravel(), *map(np.concatenate, bands)]
+    return header, columns, {
         "n_total": n_total, "mu_over_j": s.mu_over_j,
         "resolved_points": resolved_points, "total_points": s.points,
     }
@@ -401,21 +423,21 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     uber = ideal_uber_noon(pc, basis, stage="pre_field").amplitudes
     corners = [basis.index_of(occ) for occ in
                ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
-    times, columns = np.linspace(0.0, t_max, cfg.evolve.points), stack_columns(basis)
-    rows = []
-    for start in range(0, times.size, columns):   # one stack of times at a time
-        ts = times[start:start + columns]
+    times, width = np.linspace(0.0, t_max, cfg.evolve.points), stack_columns(basis)
+    stacks = []
+    for start in range(0, times.size, width):   # one stack of times at a time
+        ts = times[start:start + width]
         states = QuantumState(basis, np.broadcast_to(initial, (basis.size, ts.size)))
         bras = full.band(states, pc, ts).amplitudes.conj()   # <full(t)|, one column per t
         kets = ideal.band(states, pc, ts).amplitudes
-        rows += zip(
-            ts.tolist(), *(np.abs(bras[corners]) ** 2).tolist(),
-            (np.abs(uber @ bras) ** 2).tolist(),                      # |<full|uber>|^2
-            np.abs(np.einsum("ik,ik->k", bras, kets)).tolist(),      # |<full|eff>|
-        )
+        stacks.append(np.vstack([
+            np.abs(bras[corners]) ** 2,
+            np.abs(uber @ bras) ** 2,                      # |<full|uber>|^2
+            np.abs(np.einsum("ik,ik->k", bras, kets)),     # |<full|eff>|
+        ]))
     header = ["t_s", "p_MP00", "p_0PM0", "p_M00P", "p_00MP",
               "uber_noon_population", "effective_overlap"]
-    return rows, header, {"derived": _derived_block(pc), "t_max": t_max}
+    return header, [times, *np.hstack(stacks)], {"derived": _derived_block(pc), "t_max": t_max}
 
 
 def _trap(cfg: ExperimentConfig) -> TrapParameters:
@@ -464,7 +486,7 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         "model_parameters": params.to_dict(),
         "displacement_m": {"dx": lattice.dx, "dy": lattice.dy},
     }
-    return rows, header, extras
+    return header, list(zip(*rows)), extras
 
 
 def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
@@ -485,7 +507,7 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
         for point in results
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
-    return rows, header, {
+    return header, list(zip(*rows)), {
         "derived": _derived_block(base), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
         "p_theta": math.pi / 2.0,
@@ -511,13 +533,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
 
     Raises ArithmeticError, and writes nothing, when a table cell is not finite.
     """
-    rows, header, extras = _EXPERIMENTS[cfg.kind](cfg)
-    _check_finite(cfg.kind, header, rows)
+    header, columns, extras = _EXPERIMENTS[cfg.kind](cfg)
+    _check_finite(cfg.kind, header, columns)
     out, fmt = cfg.experiment.out, cfg.experiment.format
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / f"{cfg.kind}.{fmt}"
     manifest_path = out / f"{cfg.kind}_manifest.json"
-    _write_table(table_path, header, rows, fmt)
+    _write_table(table_path, header, columns, fmt)
     _write_manifest(manifest_path, _manifest_base(cfg, {**extras, "output_table": table_path.name}))
     return [table_path, manifest_path]
 

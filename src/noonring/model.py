@@ -161,15 +161,6 @@ class HermitianOperator:
                 else np.linalg.eigh(matrices) for _, matrices in self.blocks)
         return self._eigensystem
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues (ascending): the cached ones, else computed without eigenvectors."""
-        if self._eigensystem is not None:
-            values = [pair[0] for pair in self._eigensystem]
-        else:
-            self._require_finite()
-            values = [np.linalg.eigvalsh(matrices) for _, matrices in self.blocks]
-        return np.sort(np.concatenate([part.ravel() for part in values]))
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
 
@@ -290,20 +281,15 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
     return blocks
 
 
-def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
-                           hops=None) -> HermitianOperator:
+def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> HermitianOperator:
     """H at ring-symmetric couplings, in normal-mode blocks (module docstring).
 
     `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
     of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
-    blocks of their parities.  `hops` may hand in `_hop_blocks(modes,
-    params.mu, params.nu, params.j, params.u13 - params.u0)`, cut once for a
-    sweep over U0 and U12 at fixed U13 - U0.
+    blocks of their parities.
     """
     diagonal = _mode_diagonal(params, modes)
-    if hops is None:
-        hops = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
-    blocks = [(indices, matrices.copy()) for indices, matrices in hops]
+    blocks = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
     # Symmetric by construction; eigensystem() checks finiteness before LAPACK.

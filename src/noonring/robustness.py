@@ -136,15 +136,17 @@ def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _
 _BRACKET = (0.5, 1.5)   # the detuned radial frequencies lie within these multiples of the root
 
 
-def _physical_root(config: RobustnessConfig) -> tuple[float, float]:
-    """The integrable root omega* of the trap and V0 there.
+def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]:
+    """V0 at the integrable root omega* of the trap, and U0 - U13 at the two ends of
+    _BRACKET x omega*, keyed by omega_r.
 
     Raises ValueError if a xi of the grid needs a U0 - U13 of either sign beyond
     the range reached for omega_r within _BRACKET x omega*.
     """
     trap, j = config.trap, config.base.params.j
     omega_star = solve_integrability(trap).omega_r
-    reach = [integrability_residual(trap, factor * omega_star) for factor in _BRACKET]
+    bracket = [factor * omega_star for factor in _BRACKET]
+    reach = [integrability_residual(trap, omega_r) for omega_r in bracket]
     for xi in config.xi_values:
         for target in (xi, -xi):
             if (reach[0] - target) * (reach[1] - target) > 0.0:   # brentq needs a sign change
@@ -153,15 +155,15 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, float]:
                     f"needs U0 - U13 = {target:+g} rad/s, outside the [{min(reach):g}, "
                     f"{max(reach):g}] rad/s reached for omega_r within [0.5, 1.5] x the "
                     "integrable root")
-    return omega_star, v0_from_omega_r(trap, omega_star)
+    return v0_from_omega_r(trap, omega_star), dict(zip(bracket, reach))
 
 
-def _solve_detuned_omega(trap: TrapParameters, target: float, omega_star: float) -> float:
-    """Radial frequency where U0(omega) - U13(omega) = target, within _BRACKET x omega_star
-    (which `_physical_root` has checked)."""
-    lo, hi = (factor * omega_star for factor in _BRACKET)
+def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, float]) -> float:
+    """Radial frequency where U0(omega) - U13(omega) = target, between the `ends` of
+    `_physical_root` (which it has checked); brentq's first two calls read their values."""
     return float(optimize.brentq(
-        lambda w: integrability_residual(trap, w) - target, lo, hi, rtol=1e-10))
+        lambda w: (ends[w] if w in ends else integrability_residual(trap, w)) - target,
+        *ends, rtol=1e-10))
 
 
 def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[ModelParameters, float]:
@@ -177,14 +179,14 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
     return params, v0_from_omega_r(trap, omega_r)
 
 
-def _physical_system(config: RobustnessConfig, modes: NormalModes, root: tuple[float, float],
-                     xi: float) -> _DetunedSystem:
-    """The system at xi around the integrable root (omega*, V0 there) of `_physical_root`."""
+def _physical_system(config: RobustnessConfig, modes: NormalModes,
+                     root: tuple[float, dict[float, float]], xi: float) -> _DetunedSystem:
+    """The system at xi around the integrable root of the trap (`_physical_root`)."""
     base = config.base
     trap = config.trap
-    omega_star, v0_star = root
-    omega_plus = _solve_detuned_omega(trap, +xi, omega_star)
-    omega_minus = _solve_detuned_omega(trap, -xi, omega_star)
+    v0_star, ends = root
+    omega_plus = _solve_detuned_omega(trap, +xi, ends)
+    omega_minus = _solve_detuned_omega(trap, -xi, ends)
     params_plus, v0_plus = _physical_params(trap, omega_plus, base.params.j)
     params_minus, v0_minus = _physical_params(trap, omega_minus, base.params.j)
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star

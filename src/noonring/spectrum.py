@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import STACK_BYTES
 from .fock import FockBasis, QuantumState
-from .model import (
-    ModelParameters,
-    _hop_blocks,
-    build_mode_hamiltonian,
-    derived_scales,
-)
+from .model import ModelParameters, _hop_blocks, _mode_diagonal, derived_scales
 from .protocols import FullDynamics, IdealDynamics
 
 
@@ -76,10 +72,11 @@ def sweep_spectrum(
     Works at fixed J = 1 so eigenvalues are already in units of J; the
     additive constant C is subtracted from every spectrum.  H is built in
     the normal-mode blocks of the conserved d-occupations (`noonring.model`):
-    the hopping blocks are cut once per sweep, and at each grid point
-    `build_mode_hamiltonian` adds the diagonal and all blocks of one size
-    go through one batched `eigvalsh` (`HermitianOperator.eigenvalues`).
-    The dense site-basis H is never built.
+    the hopping blocks are cut once per sweep.  Per stack of grid points (all
+    40 default points at N = 15: the widest size stays within STACK_BYTES) and
+    block size, each point's diagonal is added to its copy of the blocks and one
+    `eigvalsh` takes them all.  LAPACK sees one matrix at a time, so the values
+    are bit for bit those of a point-by-point sweep.  No dense H is built.
 
     Raises ArithmeticError, before LAPACK, if an entry of H is inf or NaN.
     """
@@ -87,14 +84,26 @@ def sweep_spectrum(
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
     hops = _hop_blocks(basis, mu, nu)
-    for i, ratio in enumerate(u_over_j):
-        # Python floats overflow to inf without a warning; the check below reports it.
-        params = ModelParameters.integrable_set(
-            u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
-        constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
-        if not np.isfinite([params.u12, constant]).all():
-            raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
-        rows[i] = build_mode_hamiltonian(params, basis, hops).eigenvalues() - constant
+    points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices in hops))
+    for start in range(0, len(u_over_j), points):
+        diagonals, constants = [], []
+        for ratio in u_over_j[start:start + points]:
+            # Python floats overflow to inf without a warning; the check below reports it.
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
+            constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+            diagonals.append(_mode_diagonal(params, basis))
+            if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
+                raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
+            constants.append(constant)
+        diagonals = np.array(diagonals)
+        values = []
+        for indices, matrices in hops:
+            size = indices.shape[1]
+            stack = np.repeat(matrices[None], len(diagonals), axis=0)   # (points, blocks, size, size)
+            stack[..., np.arange(size), np.arange(size)] += diagonals[:, indices]
+            values.append(np.linalg.eigvalsh(stack).reshape(len(diagonals), -1))
+        rows[start:start + points] = (np.sort(np.concatenate(values, axis=1), axis=1)
+                                      - np.array(constants)[:, None])
     return SpectrumSweep(u_over_j=u_over_j, eigenvalues=rows, n_total=n_total, mu=mu, nu=nu)
 
 

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line driver (tables, manifests, exit codes)."""
 
+import csv
 import json
+import math
 import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from noonring import cli
 from noonring.cli import KINDS, POSITIVE, SCHEMA, UNIT_NOTE, main
 from noonring.lattice import QuadratureError
 
@@ -106,6 +110,38 @@ class TestTables:
                           "law_shifted_sin2,law_shifted_cos2")
         manifest = read_manifest(out / "readout_manifest.json")
         assert set(manifest["fits"]) == {"c0", "cM"}
+
+
+def write_reference_table(path: Path, header, rows, delimiter: str) -> None:
+    """A table as csv.writer writes it row by row, floats with 12 significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write(UNIT_NOTE + "\n")
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row])
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt, delimiter", [("csv", ","), ("tsv", "\t")])
+    def test_matches_csv_writer_row_by_row(self, tmp_path, fmt, delimiter):
+        rng = np.random.default_rng(12)
+        n = cli.CHUNK_ROWS + 321                    # two chunks
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:9] = [0.0, -0.0, 0.1, 1 / 3, 1e16, 123456789012345.0, 5e-324,
+                      -1.7976931348623157e308, 25.0]
+        ints = rng.integers(-10**12, 10**12, n)
+        mixed = [("", int(i), float(x), np.float64(-x))[k]
+                 for i, x, k in zip(ints, floats, rng.integers(0, 4, n))]
+        text = [f"set{i % 3}+custom" for i in range(n)]
+        text[cli.CHUNK_ROWS + 5] = 'a,"b"\tc\nd\re'   # must be quoted, in the second chunk
+        labels = np.array(["", "4", "11"])[rng.integers(0, 3, n)]
+        columns = [floats, ints, mixed, text, labels]
+        header = ["float", "int", "mixed", "text", "label"]
+        cli._write_table(tmp_path / "table", header, columns, fmt)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        write_reference_table(tmp_path / "reference", header, rows, delimiter)
+        assert (tmp_path / "table").read_bytes() == (tmp_path / "reference").read_bytes()
 
 
 class TestConfigDriven:
@@ -265,6 +301,22 @@ class TestErrorPaths:
         out = tmp_path / "r"
         assert run_cli([kind, "--grid", 2, "--config", config, "--out", out]) == 2
         assert "numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("columns, bad", [
+        ([np.array([0.5, 1.5, np.nan, 2.5]), ["", 1, 0.5, 2.0]], "row 2: a = nan"),
+        ([np.array([0.5, 1.5, 2.0, 2.5]), ["", 1, math.nan, 2.0]], "row 2: b = nan"),
+        # the first bad cell in row-major order
+        ([np.array([0.5, np.inf, np.nan]), [-math.inf, 1, math.nan]], "row 0: b = -inf"),
+        ([np.array([0.5, np.inf, np.nan]), ["", math.nan, 0.5]], "row 1: a = inf"),
+    ], ids=["float-array", "mixed-list", "earlier-row", "left-column"])
+    def test_non_finite_table_cell_exits_2(self, tmp_path, capsys, monkeypatch, columns, bad):
+        monkeypatch.setitem(cli._EXPERIMENTS, "physical",
+                            lambda cfg: (["a", "b"], columns, {}))
+        out = tmp_path / "r"
+        assert run_cli(["physical", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"numerical failure: physical table {bad}; no table written\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, quantity", [

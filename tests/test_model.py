@@ -87,20 +87,20 @@ class TestHermitianOperator:
         np.testing.assert_allclose(
             matrices @ vectors, vectors * values[:, None, :], atol=1e-12)
 
-    def test_eigenvalues_alone_cache_no_eigenvectors(self, basis3, monkeypatch):
+    def test_cached_eigensystem_calls_no_eigensolver(self, basis3, monkeypatch):
         rng = np.random.default_rng(4)
         raw = rng.normal(size=(len(basis3) // 2, len(basis3) // 2))
         op = HermitianOperator(basis3, two_blocks(basis3, raw + raw.T))
-        values = op.eigenvalues()
         assert op._eigensystem is None
-        cached = np.sort(op.eigensystem()[0][0].ravel())
-        np.testing.assert_allclose(values, cached, atol=1e-10)
+        (values, _), = op.eigensystem()
+        (_, matrices), = op.blocks
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(matrices), atol=1e-10)
 
-        def no_eigvalsh(matrices):
-            raise AssertionError("eigvalsh called with the eigensystem cached")
+        def no_eigh(matrices):
+            raise AssertionError("eigh called with the eigensystem cached")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        np.testing.assert_array_equal(op.eigenvalues(), cached)  # cached values reused
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        np.testing.assert_array_equal(op.eigensystem()[0][0], values)  # cached values reused
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises_before_lapack(self, basis2, bad):
@@ -111,8 +111,6 @@ class TestHermitianOperator:
         unchecked = HermitianOperator(basis2, two_blocks(basis2, matrix), check=False)
         with pytest.raises(ArithmeticError, match="non-finite"):
             unchecked.eigensystem()
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            unchecked.eigenvalues()
 
 
 class TestOracleAgreement:

@@ -236,6 +236,27 @@ class TestPhysicalSource:
             run_robustness(config, basis15)
         assert runs == []
 
+    def test_bracket_ends_are_evaluated_once_per_sweep(self, basis15, monkeypatch):
+        """The root finder reuses the U0 - U13 that the reach check computed at the ends."""
+        config = RobustnessConfig(
+            base=make_cfg(SET1), xi_values=tuple(np.linspace(0.0, 0.01 * SET1["j"], 3)),
+            source="physical", trap=TrapParameters())
+        _, ends = robustness._physical_root(config)
+        omegas = []
+        residual = robustness.integrability_residual
+
+        def recording_residual(trap, omega_r):
+            omegas.append(omega_r)
+            return residual(trap, omega_r)
+
+        monkeypatch.setattr(robustness, "integrability_residual", recording_residual)
+        monkeypatch.setattr(robustness, "_run_point", lambda *args: None)
+        run_robustness(config, basis15)
+        assert len(ends) == 2
+        for omega_r in ends:
+            assert omegas.count(omega_r) == 1
+        assert len(omegas) > 2 + 2 * len(config.xi_values)   # brentq ran for each sign of xi
+
 
 def detuned_system(config, basis, xi):
     """The system `run_robustness` builds at xi, with its couplings."""

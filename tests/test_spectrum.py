@@ -1,13 +1,15 @@
 """Band structure of the integrable spectrum and effective-dynamics accuracy."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noonring import spectrum
 from noonring.fock import enumerate_basis
-from noonring.model import ModelParameters
+from noonring.model import ModelParameters, build_mode_hamiltonian
 from noonring.spectrum import (
     BandsUnresolvedError,
     _hop_blocks,
@@ -65,6 +67,58 @@ class TestSweep:
         base = sweep_spectrum(basis3, grid, u0=0.0).eigenvalues
         lifted = sweep_spectrum(basis3, grid, u0=7.0).eigenvalues
         np.testing.assert_allclose(base, lifted, atol=1e-9)
+
+
+def band_constant(params, n_total):
+    return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+
+
+class TestStackedSweep:
+    """Stacks of grid points give the eigenvalues of a point-by-point sweep, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_total=st.sampled_from([3, 5]),
+        points=st.integers(1, 9),
+        per_stack=st.integers(1, 4),
+        u0=st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 0.01),
+        mu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.01)),
+        nu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.01)),
+    )
+    def test_matches_point_by_point(self, n_total, points, per_stack, u0, mu, nu):
+        basis = enumerate_basis(n_total)
+        grid = np.linspace(0.0, 30.0, points)
+        hops = _hop_blocks(basis, mu, nu)
+        eigvalsh = np.linalg.eigvalsh
+        with mock.patch.object(spectrum, "STACK_BYTES",
+                               per_stack * max(matrices.nbytes for _, matrices in hops)), \
+                mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh) as calls:
+            sweep = sweep_spectrum(basis, grid, mu=mu, nu=nu, u0=u0)
+        assert calls.call_count == len(hops) * -(-points // per_stack)   # per size per stack
+        for row, ratio in zip(sweep.eigenvalues, grid):
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
+            h = build_mode_hamiltonian(params, basis)
+            constant = band_constant(params, n_total)
+            point = np.concatenate([eigvalsh(matrices).ravel() for _, matrices in h.blocks])
+            np.testing.assert_array_equal(row, np.sort(point) - constant)
+            # eigh (with eigenvectors) runs another LAPACK path: equal to roundoff only.
+            values = np.concatenate([values.ravel() for values, _ in h.eigensystem()])
+            np.testing.assert_allclose(row, np.sort(values) - constant,
+                                       rtol=0, atol=1e-12 * max(1.0, abs(constant)))
+
+    def test_memory_does_not_grow_with_the_point_count(self):
+        basis = enumerate_basis(21)          # dim 2024: 18 points per stack
+        overhead = []
+        for points in (40, 400):
+            tracemalloc.start()
+            try:
+                sweep = sweep_spectrum(basis, np.linspace(0.0, 25.0, points))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            overhead.append(peak - sweep.eigenvalues.nbytes)   # beyond the result itself
+        assert max(overhead) < 2e6
+        assert abs(overhead[1] - overhead[0]) < 2e5
 
 
 class TestBlockSpectrum:

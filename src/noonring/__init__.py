@@ -43,6 +43,7 @@ from .protocols import (
     ProtocolConfig,
     ProtocolReport,
     ReadoutResult,
+    band_trace,
     fidelity,
     fit_readout_amplitudes,
     ideal_protocol1_output,
@@ -68,8 +69,6 @@ from .spectrum import (
     SpectrumSweep,
     assign_bands,
     band_splits,
-    compare_effective,
-    effective_deficits,
     predicted_band_sizes,
     sweep_spectrum,
 )
@@ -82,14 +81,14 @@ __all__ = [
     "LatticeDerived", "MeasurementRecord", "ModelParameters", "ProtocolConfig",
     "ProtocolReport", "QuadratureError", "QuantumState", "ReadoutResult",
     "RobustnessConfig", "RobustnessPoint", "SpectrumSweep", "TrapParameters",
-    "anisotropy_f", "assign_bands", "band_splits", "calibrate_moment",
-    "compare_effective", "derive", "derived_scales", "diagonal_band_energy",
-    "dipolar_coupling", "effective_deficits", "enumerate_basis", "evolve",
-    "fidelity", "field_strengths", "fit_readout_amplitudes",
-    "ideal_protocol1_output", "ideal_protocol2_output", "ideal_uber_noon",
+    "anisotropy_f", "assign_bands", "band_splits", "band_trace",
+    "calibrate_moment", "derive", "derived_scales", "diagonal_band_energy",
+    "dipolar_coupling", "enumerate_basis", "evolve", "fidelity",
+    "field_strengths", "fit_readout_amplitudes", "ideal_protocol1_output",
+    "ideal_protocol2_output", "ideal_uber_noon",
     "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
     "predicted_band_sizes", "protocol_config", "recoil_energy", "run_protocol1",
     "run_protocol2", "run_readout", "run_robustness", "site_probabilities",
-    "solve_integrability", "sweep_protocol1", "sweep_protocol2", "sweep_readout",
-    "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
+    "solve_integrability", "sweep_protocol1", "sweep_protocol2",
+    "sweep_readout", "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
 ]

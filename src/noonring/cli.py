@@ -40,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .dynamics import stack_columns
-from .fock import QuantumState, enumerate_basis
+from .fock import enumerate_basis
 from .lattice import (
     QuadratureError,
     TrapParameters,
@@ -53,8 +52,8 @@ from .protocols import (
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
+    band_trace,
     fit_readout_amplitudes,
-    ideal_uber_noon,
     protocol_config,
     sweep_protocol1,
     sweep_protocol2,
@@ -74,12 +73,13 @@ _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _DYNAMICS = {"full": FullDynamics, "ideal": IdealDynamics}   # [protocol] mode
 
 POSITIVE = "> 0"
+NON_NEGATIVE = ">= 0"
 
 
 class Key(NamedTuple):
     """A config key: its type, its default (None: from the preset, or derived
     by the experiment) and its allowed values: a tuple of choices, POSITIVE,
-    or None for any.  Floats must also be finite."""
+    NON_NEGATIVE, or None for any.  Floats must also be finite."""
 
     type: type
     default: object = None
@@ -103,7 +103,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "t_m_override": Key(float),    # None: t_m from the derived scales
     },
     "protocol": {
-        "p_theta_max": Key(float, math.pi),
+        "p_theta_max": Key(float, math.pi, NON_NEGATIVE),
         "mode": Key(str, "full", tuple(_DYNAMICS)),
         "readout_protocol": Key(int, 1, (1, 2)),
     },
@@ -115,7 +115,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "mu_over_j": Key(float, 0.0),
     },
     "evolve": {
-        "t_max": Key(float),           # None: t_m
+        "t_max": Key(float, None, NON_NEGATIVE),   # None: t_m
         "points": Key(int, 160, POSITIVE),
     },
     "robustness": {
@@ -150,8 +150,9 @@ def _parse(section: str, key: str, raw, where: str | None = None):
         raise ValueError(f"{where}: cannot parse {raw!r} as {spec.type.__name__}") from None
     if spec.type is float and not math.isfinite(value):
         raise ValueError(f"{where} must be finite, got {raw!r}")
-    if spec.allowed == POSITIVE and not value > 0:
-        raise ValueError(f"{where} must be {POSITIVE}, got {value!r}")
+    if (spec.allowed == POSITIVE and not value > 0
+            or spec.allowed == NON_NEGATIVE and not value >= 0):
+        raise ValueError(f"{where} must be {spec.allowed}, got {value!r}")
     if isinstance(spec.allowed, tuple) and value not in spec.allowed:
         raise ValueError(f"{where}: unknown {key} {value!r}; known: {list(spec.allowed)}")
     return value
@@ -414,30 +415,13 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, p = cfg.model.m, cfg.model.p
-    basis = enumerate_basis(m + p)
     pc = cfg.base_protocol(0.0)
     t_max = cfg.evolve.t_max if cfg.evolve.t_max is not None else pc.t_m
-    full, ideal = FullDynamics(basis), IdealDynamics(basis)
-    initial = QuantumState.from_fock(basis, (m, p, 0, 0)).amplitudes[:, None]   # a column
-    uber = ideal_uber_noon(pc, basis, stage="pre_field").amplitudes
-    corners = [basis.index_of(occ) for occ in
-               ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
-    times, width = np.linspace(0.0, t_max, cfg.evolve.points), stack_columns(basis)
-    stacks = []
-    for start in range(0, times.size, width):   # one stack of times at a time
-        ts = times[start:start + width]
-        states = QuantumState(basis, np.broadcast_to(initial, (basis.size, ts.size)))
-        bras = full.band(states, pc, ts).amplitudes.conj()   # <full(t)|, one column per t
-        kets = ideal.band(states, pc, ts).amplitudes
-        stacks.append(np.vstack([
-            np.abs(bras[corners]) ** 2,
-            np.abs(uber @ bras) ** 2,                      # |<full|uber>|^2
-            np.abs(np.einsum("ik,ik->k", bras, kets)),     # |<full|eff>|
-        ]))
+    times = np.linspace(0.0, t_max, cfg.evolve.points)
     header = ["t_s", "p_MP00", "p_0PM0", "p_M00P", "p_00MP",
               "uber_noon_population", "effective_overlap"]
-    return header, [times, *np.hstack(stacks)], {"derived": _derived_block(pc), "t_max": t_max}
+    trace = band_trace(pc, enumerate_basis(cfg.model.m + cfg.model.p), times)
+    return header, [times, *trace], {"derived": _derived_block(pc), "t_max": t_max}
 
 
 def _trap(cfg: ExperimentConfig) -> TrapParameters:

@@ -8,7 +8,9 @@ is held sparse instead and applied by the truncated Taylor series of
 exp(-i H t) (`_taylor_action`), which never diagonalizes it.
 Every Hamiltonian the package builds is real symmetric, so V is real, and
 V.T and V act on the amplitudes viewed as real (real, imaginary) pairs:
-numpy would otherwise make a complex copy of V for each product.
+numpy would otherwise make a complex copy of V for each product.  A block of
+size 1 (the diagonal H_eff of `noonring.protocols` is all such blocks) has
+|V| = 1, so its amplitudes are only multiplied by their phases exp(-i E t).
 
 `evolve`, `NormalModes.change` and `site_probabilities` map the columns of
 an (n, K) stack of states (see `QuantumState`), `evolve` with one duration
@@ -106,7 +108,9 @@ def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
         block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
         phase = phases[start:start + values.size].reshape(*values.shape, -1)  # K or 1 columns
         start += values.size
-        if vectors.dtype.kind == "f":   # V.T and V act on the (real, imaginary) pairs
+        if values.shape[-1] == 1:   # V exp(-i E t) V+ = exp(-i E t)
+            block *= phase
+        elif vectors.dtype.kind == "f":   # V.T and V act on the (real, imaginary) pairs
             rotated = vectors.swapaxes(-1, -2) @ block.view(np.float64)
             rotated.view(complex)[...] *= phase
             np.matmul(vectors, rotated, out=block.view(np.float64))

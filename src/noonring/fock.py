@@ -66,9 +66,6 @@ class FockBasis:
                 f"state {key} is not in the N={self.n_total} sector"
             ) from None
 
-    def state_at(self, k: int) -> tuple[int, int, int, int]:
-        return self.states[k]
-
     def __repr__(self) -> str:
         return f"FockBasis(n_total={self.n_total}, size={self.size})"
 
@@ -117,12 +114,6 @@ class QuantumState:
         if other.basis is not self.basis and other.basis.n_total != self.basis.n_total:
             raise ValueError("states live in different particle-number sectors")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def number_expectation(self, site: int) -> float:
-        """<N_site> = sum_k |amp_k|^2 n_site(k)."""
-        j = _check_site(site)
-        weights = np.abs(self.amplitudes) ** 2
-        return float(weights @ self.basis.occupations[:, j])
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.basis, self.amplitudes.copy())

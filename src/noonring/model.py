@@ -107,19 +107,6 @@ class ModelParameters:
             "mu": self.mu, "nu": self.nu,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParameters":
-        known = {
-            "u0", "u12", "u13", "u14", "u23", "u24", "u34", "j", "mu", "nu",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown coupling keys: {sorted(unknown)}")
-        missing = {"u0", "u12", "u13", "u14", "u23", "u24", "u34", "j"} - set(data)
-        if missing:
-            raise ValueError(f"missing coupling keys: {sorted(missing)}")
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 class HermitianOperator:
     """Hermitian matrix in a Fock sector, held in blocks, with a cached eigensystem.
@@ -152,13 +139,11 @@ class HermitianOperator:
     def eigensystem(self) -> tuple:
         """Eigenvalues (ascending) and eigenvector columns, one pair per entry of `blocks`.
 
-        Computed once, with one batched eigh per block size; a 1 x 1 block needs none.
+        Computed once, with one batched eigh per block size.
         """
         if self._eigensystem is None:
             self._require_finite()
-            self._eigensystem = tuple(
-                (matrices[..., 0], np.ones_like(matrices)) if matrices.shape[-1] == 1
-                else np.linalg.eigh(matrices) for _, matrices in self.blocks)
+            self._eigensystem = tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
         return self._eigensystem
 
     def __repr__(self) -> str:
@@ -329,14 +314,16 @@ def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _Spar
     return _SparseHamiltonian(modes, matrix, shift)
 
 
+def _band_constant(params: ModelParameters, n_total: int) -> float:
+    """C = (U0 + U12) N^2 / 4 - U0 N / 2, the J = 0 energy shared by every band of the sector."""
+    return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+
+
 def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> float:
     """J=0 energy of any |M-l, P-k, l, k> at integrable couplings.
 
     E = C - U (M-P)^2 with C = (U0 + U12) N^2 / 4 - U0 N / 2; the
     degeneracy in (l, k) is what the small-J bands inherit.
     """
-    u = params.coupling_u()
-    n_total = m_occ + p_occ
-    constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
-    return constant - u * (m_occ - p_occ) ** 2
+    return _band_constant(params, m_occ + p_occ) - params.coupling_u() * (m_occ - p_occ) ** 2
 

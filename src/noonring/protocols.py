@@ -37,6 +37,10 @@ differ only in theta, evolve them `stack_columns` at a time, one column per
 config, and yield one result per config as they go, so a long sweep holds
 one stack, not every config's states.  `run_protocol1`, `run_protocol2` and
 `run_readout` are the one-config case.
+
+`band_trace` follows |M,P,0,0> through one band interval under both
+dynamics, a stack of times at a time: the corner and uber-NOON populations
+of the full evolution, and its overlap with the H_eff evolution.
 """
 
 from __future__ import annotations
@@ -126,12 +130,6 @@ class ProtocolConfig:
     @property
     def p_theta(self) -> float:
         return self.p_occ * self.theta
-
-    def with_theta(self, theta: float) -> "ProtocolConfig":
-        return ProtocolConfig(
-            m_occ=self.m_occ, p_occ=self.p_occ, params=self.params,
-            mu=self.mu, nu=self.nu, theta=theta, t_m_override=self.t_m_override,
-        )
 
 
 def protocol_config(
@@ -434,6 +432,38 @@ def run_protocol2(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics) -
     docstring); the mu pulse follows the same convention as Protocol I.
     """
     return next(sweep_protocol2([cfg], dynamics))
+
+
+# --- Band trace -----------------------------------------------------------
+
+
+def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
+    """|M,P,0,0> over one band interval, at each of `times`: shape (6, len(times)).
+
+    Rows 0-3 are the populations of |M,P,0,0>, |0,P,M,0>, |M,0,0,P> and
+    |0,0,M,P> under the full H, row 4 that of the pre-field uber-NOON state,
+    and row 5 |<full(t)|eff(t)>|, the overlap with the evolution under H_eff.
+    theta does not enter.  The times run `stack_columns` at a time.
+    """
+    m, p = cfg.m_occ, cfg.p_occ
+    full, ideal = FullDynamics(basis), IdealDynamics(basis)
+    initial = _initial_state(cfg, basis)
+    uber = ideal_uber_noon(cfg, basis, stage="pre_field").amplitudes
+    corners = [basis.index_of(occ) for occ in
+               ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
+    times, width = np.asarray(times, dtype=float), stack_columns(basis)
+    stacks = []
+    for start in range(0, times.size, width):   # one stack of times at a time
+        ts = times[start:start + width]
+        states = _copies(initial, ts.size)
+        bras = full.band(states, cfg, ts).amplitudes.conj()   # <full(t)|, one column per t
+        kets = ideal.band(states, cfg, ts).amplitudes
+        stacks.append(np.vstack([
+            np.abs(bras[corners]) ** 2,
+            np.abs(uber @ bras) ** 2,                      # |<full|uber>|^2
+            np.abs(np.einsum("ik,ik->k", bras, kets)),     # |<full|eff>|
+        ]))
+    return np.hstack(stacks)
 
 
 # --- Readout --------------------------------------------------------------

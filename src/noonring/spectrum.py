@@ -1,4 +1,4 @@
-"""Energy-band structure of the integrable model and effective-dynamics checks.
+"""Energy-band structure of the integrable model.
 
 At J = 0 the integrable Hamiltonian is diagonal with energies
 
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import STACK_BYTES
-from .fock import FockBasis, QuantumState
-from .model import ModelParameters, _hop_blocks, _mode_diagonal, derived_scales
-from .protocols import FullDynamics, IdealDynamics
+from .fock import FockBasis
+from .model import ModelParameters, _band_constant, _hop_blocks, _mode_diagonal
 
 
 class BandsUnresolvedError(ValueError):
@@ -90,7 +89,7 @@ def sweep_spectrum(
         for ratio in u_over_j[start:start + points]:
             # Python floats overflow to inf without a warning; the check below reports it.
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
-            constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+            constant = _band_constant(params, n_total)
             diagonals.append(_mode_diagonal(params, basis))
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
                 raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
@@ -155,39 +154,3 @@ def assign_bands(
         sizes=tuple(size for _, size in predicted),
         boundaries=tuple(boundaries),
     )
-
-
-def effective_deficits(
-    basis: FockBasis,
-    m_occ: int,
-    p_occ: int,
-    params: ModelParameters,
-    times: np.ndarray,
-) -> np.ndarray:
-    """1 - |<Phi_full(t)|Phi_eff(t)>| from |M,P,0,0> on a time grid.
-
-    Both evolutions run in the normal-mode basis, so `params` must be
-    ring-symmetric, U13 = U24 and U12 = U23 = U34 = U14 (ValueError
-    otherwise); at U13 != U0 the full evolution includes that detuning.
-    """
-    times = np.asarray(times, dtype=float)
-    derived = derived_scales(params, m_occ, p_occ)
-    full, ideal = FullDynamics(basis), IdealDynamics(basis)
-    initial = QuantumState.from_fock(basis, (m_occ, p_occ, 0, 0))
-    deficits = np.empty(len(times))
-    for i, t in enumerate(times):
-        full_state = full.evolve(initial, [(params, t)])
-        eff_state = ideal.evolve(initial, [(derived, t)])
-        deficits[i] = 1.0 - abs(full_state.overlap(eff_state))
-    return deficits
-
-
-def compare_effective(
-    basis: FockBasis,
-    m_occ: int,
-    p_occ: int,
-    params: ModelParameters,
-    times: np.ndarray,
-) -> float:
-    """Maximum full-vs-effective fidelity deficit over the time grid."""
-    return float(np.max(effective_deficits(basis, m_occ, p_occ, params, times)))

@@ -24,6 +24,7 @@ from noonring.model import (
 )
 from noonring.protocols import (
     FullDynamics,
+    band_trace,
     fidelity,
     fit_readout_amplitudes,
     protocol_config,
@@ -32,7 +33,7 @@ from noonring.protocols import (
     run_readout,
 )
 from noonring.robustness import RobustnessConfig, run_robustness, threshold_xi
-from noonring.spectrum import assign_bands, compare_effective
+from noonring.spectrum import assign_bands
 
 import oracle
 from conftest import M_OCC, P_OCC, SET1, SET2
@@ -209,11 +210,11 @@ def test_criterion_6_effective_hamiltonian_equivalence(basis15):
     np.testing.assert_allclose(
         spectrum_sq, spectrum_charges, rtol=1e-9, atol=1e-9 * scale)
 
-    t_m = protocol_config(M_OCC, P_OCC, u=SET1["u"], j=SET1["j"],
-                          mu=SET1["mu"], p_theta=math.pi).t_m
-    deficit = compare_effective(
-        basis15, M_OCC, P_OCC, params, np.linspace(0.0, t_m, 64))
-    assert deficit < 0.1
+    # The evolve kind's band trace: row 5 is |<full(t)|eff(t)>|.
+    cfg = protocol_config(M_OCC, P_OCC, u=SET1["u"], j=SET1["j"],
+                          mu=SET1["mu"], p_theta=math.pi)
+    overlap = band_trace(cfg, basis15, np.linspace(0.0, cfg.t_m, 64))[5]
+    assert np.max(1.0 - overlap) < 0.1
 
 
 def test_criterion_7_lattice_calibration():
@@ -282,7 +283,7 @@ def test_criterion_9_property_and_oracle_suite():
 
         # Basis round trip.
         for k in range(basis.size):
-            assert basis.index_of(basis.state_at(k)) == k
+            assert basis.index_of(basis.states[k]) == k
 
         # Evolve the full-occupation corner state both ways.
         initial_occ = (n_total, 0, 0, 0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from noonring import cli
-from noonring.cli import KINDS, POSITIVE, SCHEMA, UNIT_NOTE, main
+from noonring.cli import KINDS, NON_NEGATIVE, POSITIVE, SCHEMA, UNIT_NOTE, main
 from noonring.lattice import QuadratureError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -264,6 +264,8 @@ def bad_values():
                 yield section, key, "inf"
             if spec.allowed == POSITIVE:
                 yield section, key, "0" if spec.type is int else "-1"
+            elif spec.allowed == NON_NEGATIVE:
+                yield section, key, "-1"
             elif spec.allowed:
                 yield section, key, max(spec.allowed) + 1 if spec.type is int else "bogus"
     yield "spectrum", "points", "abc"
@@ -280,6 +282,18 @@ class TestErrorPaths:
         assert err.startswith("error: ") and f"[{section}] {key}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section, key", [
+        ("evolve", "evolve", "t_max"), ("protocol2", "protocol", "p_theta_max")])
+    def test_non_negative_key_named_below_zero_and_runs_at_zero(
+            self, tmp_path, capsys, kind, section, key):
+        """The schema, not the library's duration or theta check, reports -5."""
+        config = tmp_path / "range.ini"
+        config.write_text(f"[{section}]\n{key} = -5\n")
+        assert run_cli([kind, "--grid", 2, "--config", config, "--out", tmp_path / "bad"]) == 1
+        assert capsys.readouterr().err == f"error: [{section}] {key} must be >= 0, got -5.0\n"
+        config.write_text(f"[{section}]\n{key} = 0\n")
+        assert run_cli([kind, "--grid", 2, "--config", config, "--out", tmp_path / "zero"]) == 0
 
     def test_grid_flag_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "r"
@@ -408,8 +422,8 @@ def test_readme_table_matches_schema():
             assert default == "preset" or default.startswith("none")
         else:
             assert spec.type(default.split("`")[1]) == spec.default
-        if spec.allowed == POSITIVE:
-            assert allowed == POSITIVE
+        if spec.allowed in (POSITIVE, NON_NEGATIVE):
+            assert allowed == spec.allowed
         elif spec.allowed:
             assert re.findall(r"`([^`]+)`", allowed) == [str(v) for v in spec.allowed]
     assert re.findall(r"`([^`]+)`", rows[0][4]) == list(KINDS)

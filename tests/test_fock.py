@@ -22,7 +22,7 @@ def test_states_sorted_and_indexed(basis5):
     for k, occ in enumerate(states):
         assert sum(occ) == 5
         assert basis5.index_of(occ) == k
-        assert basis5.state_at(k) == occ
+        assert basis5.states[k] == occ
 
 
 def test_negative_total_rejected():
@@ -59,13 +59,6 @@ def test_overlap_and_normalization(basis2):
         assert state.overlap(state) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_number_expectation(basis3):
-    state = QuantumState.from_fock(basis3, (2, 0, 1, 0))
-    assert state.number_expectation(1) == pytest.approx(2.0)
-    assert state.number_expectation(3) == pytest.approx(1.0)
-    assert state.number_expectation(4) == pytest.approx(0.0)
-
-
 def test_hop_matrix_elements(basis3):
     rows, columns, values = hop_entries(basis3, 2, 1)  # a1† a2
     entries = {int(col): (int(row), value) for row, col, value in zip(rows, columns, values)}
@@ -80,7 +73,7 @@ def test_hop_matrix_elements(basis3):
             assert col not in entries
         else:
             row, value = entries[col]
-            assert basis3.state_at(row) == (occ[0] + 1, occ[1] - 1, occ[2], occ[3])
+            assert basis3.states[row] == (occ[0] + 1, occ[1] - 1, occ[2], occ[3])
             assert value == pytest.approx(math.sqrt(occ[1] * (occ[0] + 1)))
 
 

@@ -1,5 +1,6 @@
 """NOON generation protocols: configuration, ideal targets, and benchmarks."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from noonring.dynamics import stack_columns
+from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters
 from noonring.protocols import (
@@ -56,9 +57,12 @@ class TestProtocolConfig:
 
     def test_with_theta(self, set1):
         cfg = make_cfg(set1, p_theta=0.0)
-        bumped = cfg.with_theta(0.2)
+        bumped = dataclasses.replace(cfg, theta=0.2)
         assert bumped.theta == pytest.approx(0.2)
         assert bumped.params == cfg.params
+        assert bumped.derived == cfg.derived
+        with pytest.raises(ValueError, match="theta must be >= 0"):   # __post_init__ re-runs
+            dataclasses.replace(cfg, theta=-0.2)
 
     def test_even_total_rejected(self, set1):
         with pytest.raises(ValueError):
@@ -115,8 +119,8 @@ class TestIdealStates:
         overlap_support = np.abs(low.amplitudes) * np.abs(high.amplitudes)
         np.testing.assert_allclose(overlap_support, 0.0)
         # Site-1 occupation separates the branches: M on one, 0 on the other.
-        assert low.number_expectation(1) == pytest.approx(M_OCC)
-        assert high.number_expectation(1) == pytest.approx(0.0)
+        assert site_probabilities(low, 1)[M_OCC] == pytest.approx(1.0)
+        assert site_probabilities(high, 1)[0] == pytest.approx(1.0)
 
     def test_branch_output_invalid_r(self, basis15, set1):
         cfg = make_cfg(set1, p_theta=0.3)
@@ -300,7 +304,7 @@ class TestDynamics:
             self, basis15, set1, monkeypatch, dynamics_class):
         """No eigh after the first theta point.  FullDynamics runs one batched
         eigh per block size of its three Hamiltonians at that point;
-        IdealDynamics none, since H_eff is diagonal in the normal-mode basis.
+        IdealDynamics one, on H_eff's 1 x 1 blocks in the normal-mode basis.
         The sweep starts above p_theta = 0, where t_mu = 0 needs no mu pulse."""
         calls = []
         eigh = np.linalg.eigh
@@ -319,7 +323,7 @@ class TestDynamics:
         if dynamics_class is FullDynamics:
             assert counts[0] > 0
         else:
-            assert counts[0] == 0
+            assert calls == [(basis15.size, 1, 1)]
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
         cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)

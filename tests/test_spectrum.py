@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from noonring import spectrum
 from noonring.fock import enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian
+from noonring.protocols import band_trace, protocol_config
 from noonring.spectrum import (
     BandsUnresolvedError,
     _hop_blocks,
     assign_bands,
     band_splits,
-    compare_effective,
-    effective_deficits,
     predicted_band_sizes,
     sweep_spectrum,
 )
@@ -198,25 +197,22 @@ class TestAssignBands:
 
 
 class TestEffectiveDynamics:
+    """`protocols.band_trace` on |1,4,0,0> at N = 5; row 5 is |<full(t)|eff(t)>|."""
+
+    @staticmethod
+    def deficits(basis, u, times):
+        return 1.0 - band_trace(protocol_config(1, 4, u=u, j=1.0, mu=1.0), basis, times)[5]
+
     def test_deficit_starts_at_zero_and_stays_small(self, basis5):
-        params = ModelParameters.integrable_set(u=50.0, j=1.0)
-        times = np.linspace(0.0, 5.0, 7)
-        deficits = effective_deficits(basis5, 1, 4, params, times)
+        deficits = self.deficits(basis5, 50.0, np.linspace(0.0, 5.0, 7))
         assert deficits[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(deficits < 0.05)
-        assert compare_effective(basis5, 1, 4, params, times) == pytest.approx(
-            float(deficits.max()))
 
     def test_deficit_grows_with_j_over_u(self, basis5):
         times = np.linspace(0.0, 3.0, 5)
-        tight = compare_effective(
-            basis5, 1, 4, ModelParameters.integrable_set(u=100.0, j=1.0), times)
-        loose = compare_effective(
-            basis5, 1, 4, ModelParameters.integrable_set(u=10.0, j=1.0), times)
-        assert tight < loose
+        assert self.deficits(basis5, 100.0, times).max() < self.deficits(basis5, 10.0, times).max()
 
-    def test_non_integrable_couplings_rejected(self, basis5):
-        broken = ModelParameters.integrable_set(u=50.0, j=1.0)
-        broken = ModelParameters(**{**broken.to_dict(), "u13": 0.1})
-        with pytest.raises(ValueError, match="normal-mode blocks"):
-            effective_deficits(basis5, 1, 4, broken, np.linspace(0.0, 1.0, 3))
+    def test_rows_at_t_zero(self, basis5):
+        trace = band_trace(protocol_config(1, 4, u=50.0, j=1.0, mu=1.0), basis5, [0.0])
+        # |1,4,0,0> itself, a quarter of the uber-NOON state, and the effective evolution.
+        np.testing.assert_allclose(trace[:, 0], [1.0, 0.0, 0.0, 0.0, 0.25, 1.0], atol=1e-15)

@@ -9,27 +9,15 @@ interferometric readout converts an encoded phase into site populations.
 A companion calculator maps the couplings onto a dipolar-atom optical
 lattice, and a robustness module quantifies detuning errors and their
 pulsed mitigation.
+
+Only those two modules need scipy.  Their names are served on first access
+(PEP 562), so `import noonring` loads numpy alone and no scipy subpackage.
 """
+
+import importlib
 
 from .dynamics import MeasurementRecord, evolve, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
-from .lattice import (
-    IntegrabilityRoot,
-    LatticeDerived,
-    QuadratureError,
-    TrapParameters,
-    anisotropy_f,
-    calibrate_moment,
-    derive,
-    dipolar_coupling,
-    field_strengths,
-    model_parameters_from_lattice,
-    offsite_coupling,
-    onsite_coupling,
-    recoil_energy,
-    solve_integrability,
-    v0_from_omega_r,
-)
 from .model import (
     DerivedScales,
     HermitianOperator,
@@ -57,12 +45,6 @@ from .protocols import (
     sweep_protocol2,
     sweep_readout,
 )
-from .robustness import (
-    RobustnessConfig,
-    RobustnessPoint,
-    run_robustness,
-    threshold_xi,
-)
 from .spectrum import (
     BandAssignment,
     BandsUnresolvedError,
@@ -75,6 +57,24 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
+# The names of the scipy-backed modules, imported when one of them is first read.
+_SCIPY_BACKED = {
+    "lattice": (
+        "IntegrabilityRoot", "LatticeDerived", "QuadratureError", "TrapParameters",
+        "anisotropy_f", "derive", "dipolar_coupling", "field_strengths",
+        "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
+        "recoil_energy", "solve_integrability", "v0_from_omega_r",
+    ),
+    "robustness": ("RobustnessConfig", "RobustnessPoint", "run_robustness", "threshold_xi"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _SCIPY_BACKED.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "BandAssignment", "BandsUnresolvedError", "DerivedScales", "FockBasis",
     "FullDynamics", "HermitianOperator", "IdealDynamics", "IntegrabilityRoot",
@@ -82,7 +82,7 @@ __all__ = [
     "ProtocolReport", "QuadratureError", "QuantumState", "ReadoutResult",
     "RobustnessConfig", "RobustnessPoint", "SpectrumSweep", "TrapParameters",
     "anisotropy_f", "assign_bands", "band_splits", "band_trace",
-    "calibrate_moment", "derive", "derived_scales", "diagonal_band_energy",
+    "derive", "derived_scales", "diagonal_band_energy",
     "dipolar_coupling", "enumerate_basis", "evolve", "fidelity",
     "field_strengths", "fit_readout_amplitudes", "ideal_protocol1_output",
     "ideal_protocol2_output", "ideal_uber_noon",

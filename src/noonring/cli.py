@@ -20,34 +20,33 @@ default and allowed values.  Values are layered defaults < preset < config
 file < flags, and each is parsed and checked before any computation.
 Exit codes: 0 success, 1 invalid input (the message names the key),
 2 numerical failure, including a non-finite table cell (no table written).
+
+Importing this module loads numpy and no scipy subpackage: protocol1,
+protocol2, readout, spectrum and evolve run on numpy alone.  physical and
+robustness run on the scipy-backed `noonring.lattice` and
+`noonring.robustness`; `resolve_config` imports the one a kind needs, after
+checking the values and before any computation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
 import sys
 from configparser import ConfigParser
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-import scipy
+import scipy   # its version only: no subpackage is loaded
 
 from .fock import enumerate_basis
-from .lattice import (
-    QuadratureError,
-    TrapParameters,
-    derive,
-    model_parameters_from_lattice,
-    solve_integrability,
-)
 from .protocols import (
     FullDynamics,
     IdealDynamics,
@@ -59,7 +58,6 @@ from .protocols import (
     sweep_protocol2,
     sweep_readout,
 )
-from .robustness import RobustnessConfig, run_robustness, threshold_xi
 from .spectrum import BandsUnresolvedError, assign_bands, sweep_spectrum
 
 UNIT_NOTE = "# units: couplings and fields are angular frequencies (X/hbar, rad/s); times in s"
@@ -71,6 +69,8 @@ PRESETS = {
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _DYNAMICS = {"full": FullDynamics, "ideal": IdealDynamics}   # [protocol] mode
+# The scipy-backed module of the kinds that need one; the other kinds load none.
+_SCIPY_BACKED = {"physical": "lattice", "robustness": "robustness"}
 
 POSITIVE = "> 0"
 NON_NEGATIVE = ">= 0"
@@ -86,9 +86,6 @@ class Key(NamedTuple):
     allowed: tuple | str | None = None
 
 
-# Defaults that the library dataclasses define are taken from them.
-_LIB = {f.name: f.default for cls in (TrapParameters, RobustnessConfig) for f in fields(cls)}
-
 SCHEMA: dict[str, dict[str, Key]] = {
     "experiment": {
         "kind": Key(str),              # one of KINDS; a subcommand overrides it
@@ -98,9 +95,10 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "grid": Key(int, 64, POSITIVE),
     },
     "model": {                         # m, p, u, j, mu, nu default to the preset
-        "m": Key(int), "p": Key(int), "u": Key(float), "j": Key(float, None, POSITIVE),
-        "mu": Key(float), "nu": Key(float), "u0": Key(float, 0.0),
-        "t_m_override": Key(float),    # None: t_m from the derived scales
+        "m": Key(int), "p": Key(int), "u": Key(float, None, POSITIVE),
+        "j": Key(float, None, POSITIVE), "mu": Key(float, None, POSITIVE),
+        "nu": Key(float, None, POSITIVE), "u0": Key(float, 0.0),
+        "t_m_override": Key(float, None, POSITIVE),   # None: t_m from the derived scales
     },
     "protocol": {
         "p_theta_max": Key(float, math.pi, NON_NEGATIVE),
@@ -108,7 +106,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "readout_protocol": Key(int, 1, (1, 2)),
     },
     "spectrum": {
-        "n_total": Key(int),           # None: M + P
+        "n_total": Key(int, None, NON_NEGATIVE),   # None: M + P
         "u_over_j_min": Key(float, 0.0),
         "u_over_j_max": Key(float, 25.0),
         "points": Key(int, 40, POSITIVE),
@@ -121,16 +119,18 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "robustness": {
         "xi_over_j_max": Key(float, 0.02),
         "points": Key(int, 20, POSITIVE),
-        "n_dt": Key(int, _LIB["n_dt"], POSITIVE),
-        "mode": Key(str, _LIB["mode"], ("pulsed", "static")),
-        "source": Key(str, _LIB["source"], ("direct", "physical")),
-        "protocol": Key(int, _LIB["protocol"], (1, 2)),
-        "start_sign": Key(int, _LIB["start_sign"], (1, -1)),
+        # n_dt to start_sign: the RobustnessConfig defaults (a test pins them equal)
+        "n_dt": Key(int, 100, POSITIVE),
+        "mode": Key(str, "pulsed", ("pulsed", "static")),
+        "source": Key(str, "direct", ("direct", "physical")),
+        "protocol": Key(int, 1, (1, 2)),
+        "start_sign": Key(int, 1, (1, -1)),
     },
     "lattice": {
-        "scattering_length_a0": Key(float, _LIB["scattering_length_a0"]),
-        "magnetic_moment_mub": Key(float, _LIB["magnetic_moment_mub"], POSITIVE),
-        "kappa_sq": Key(float, _LIB["kappa_sq"]),
+        # The first three: the TrapParameters defaults (a test pins them equal)
+        "scattering_length_a0": Key(float, -21.0),
+        "magnetic_moment_mub": Key(float, 9.978541109384, POSITIVE),
+        "kappa_sq": Key(float, 1.489, POSITIVE),
         "dx": Key(float, 0.2e-6),
         "dy": Key(float, -0.2e-6),
         "omega_min_khz": Key(float, 20.0, POSITIVE),
@@ -198,7 +198,11 @@ def _read_config_file(path: Path) -> dict[str, dict[str, object]]:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Layer schema defaults < preset < config file < command-line flags."""
+    """Layer schema defaults < preset < config file < command-line flags.
+
+    A kind that runs on a scipy-backed module (`_SCIPY_BACKED`) has it imported
+    here, once every value is checked, so that import counts as set-up.
+    """
     given = _read_config_file(Path(args.config)) if args.config else {}
     experiment = given.setdefault("experiment", {})
     kind = getattr(args, "kind", None) or experiment.get("kind")
@@ -213,6 +217,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     preset = experiment.get("preset", SCHEMA["experiment"]["preset"].default)
     custom = bool(given.get("model"))
     given["model"] = {**PRESETS[preset], **given.get("model", {})}
+    if kind in _SCIPY_BACKED:
+        importlib.import_module(f".{_SCIPY_BACKED[kind]}", __package__)
     return ExperimentConfig(
         label=f"{preset}+custom" if custom else preset,
         **{section: SimpleNamespace(**{
@@ -424,12 +430,17 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     return header, [times, *trace], {"derived": _derived_block(pc), "t_max": t_max}
 
 
-def _trap(cfg: ExperimentConfig) -> TrapParameters:
+def _trap(cfg: ExperimentConfig):
+    """The TrapParameters of the [lattice] keys."""
+    from .lattice import TrapParameters
+
     names = ("scattering_length_a0", "magnetic_moment_mub", "kappa_sq")
     return TrapParameters(**{name: getattr(cfg.lattice, name) for name in names})
 
 
 def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
+    from .lattice import derive, model_parameters_from_lattice, solve_integrability
+
     lattice = cfg.lattice
     trap = _trap(cfg)
     rows = []
@@ -474,6 +485,8 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
+    from .robustness import RobustnessConfig, run_robustness, threshold_xi
+
     r = cfg.robustness
     basis = enumerate_basis(cfg.model.m + cfg.model.p)
     xi_max = r.xi_over_j_max * cfg.model.j
@@ -604,7 +617,7 @@ def main(argv=None) -> int:
         for path in run_experiment(resolve_config(args)):
             print(path)
         return 0
-    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

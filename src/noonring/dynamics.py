@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import FockBasis, QuantumState, _check_site
 from .model import HermitianOperator, _SparseHamiltonian
@@ -175,12 +174,26 @@ def _inf_norm(columns: np.ndarray) -> float:
 def _beam_splitter(n: int) -> np.ndarray:
     """<n_a, n - n_a | k_s, n - k_s> (rows n_a, columns k_s), s, d = (a + b, a - b)/sqrt2.
 
-    Column k_s is the eigenvector of a+ b + b+ a = n_s - n_d for 2 k_s - n, signed
-    by its entry at n_a = n: <n, 0| (s+)^k (d+)^(n-k) |0> > 0 for this d.
+    Built in closed form, with no eigensolver.  Column k is the mode state
+    (s+)^k (d+)^(n-k) |0> / sqrt(k! (n-k)!) = 2^(-n/2) (a+ + b+)^k (a+ - b+)^(n-k)
+    |0> / sqrt(k! (n-k)!), so its entry at n_a is the coefficient of x^n_a in
+    (x + 1)^k (x - 1)^(n-k) times sqrt(C(n, k) / (2^n C(n, n_a))).  The
+    coefficients are exact integers (int64 while 2^n < 2^63, Python ints
+    beyond), so an entry carries only the few roundings of its scaling and no
+    cancellation error.  Column k is the eigenvector of a+ b + b+ a = n_s - n_d
+    for 2 k - n, and its entry at n_a = n is positive: <n, 0| (s+)^k (d+)^(n-k)
+    |0> > 0.
     """
-    hop = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1.0))  # <n_a + 1| a+ b |n_a>
-    vectors = eigh_tridiagonal(np.zeros(n + 1), hop)[1]
-    return vectors * np.sign(vectors[-1])
+    coeffs = np.zeros((n + 1, n + 1), dtype=np.int64 if n < 63 else object)
+    coeffs[0] = 1
+    signs = np.ones(n + 1, dtype=np.int64)
+    for m in range(n):   # column k gains (1 + x) at the steps m < k, (1 - x) at the others
+        signs[m] = -1
+        coeffs[1:m + 2] += coeffs[:m + 1] * signs
+    binomials = coeffs[:, n].astype(float)   # (1 + x)^n: C(n, n_a)
+    # (-1)^(n-k) turns (1 - x)^(n-k) into (x - 1)^(n-k).
+    scale = np.sqrt(binomials / 2.0**n) * (-1.0) ** np.arange(n, -1, -1)
+    return coeffs.astype(float) * scale / np.sqrt(binomials)[:, None]
 
 
 class NormalModes:

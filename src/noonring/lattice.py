@@ -32,16 +32,17 @@ whose d -> 0 limit recovers the on-site dipolar term.  All couplings
 are returned as angular frequencies (X/hbar in rad/s); lengths are in
 meters and energies in joules elsewhere.
 
-The Dy-164 magnetic moment is calibrated (see calibrate_moment) so that
-the a = -21 a0 integrability root lands at omega_r = 2 pi x 37.078 kHz;
-the uncorrected literature value 9.93 mu_B is kept available for
-sensitivity studies (the root frequency moves ~25x faster than C_dd).
+The Dy-164 magnetic moment is calibrated so that the a = -21 a0
+integrability root lands at omega_r = 2 pi x 37.078 kHz (see
+DY_MOMENT_CALIBRATED); the uncorrected literature value 9.93 mu_B is kept
+available for sensitivity studies (the root frequency moves ~25x faster
+than C_dd).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy import constants, integrate, optimize, special
 
@@ -55,12 +56,13 @@ ATOMIC_MASS = constants.atomic_mass
 
 DY164_MASS = 164.0 * ATOMIC_MASS
 DY_MOMENT_LITERATURE = 9.93  # Bohr magnetons, uncalibrated
-# Pinned by calibrate_moment() so that solve_integrability at a = -21 a0
-# returns omega_r = 2 pi x 37.078 kHz for the default trap (see tests).
+# The moment at which U0 = U13 at omega_r = 2 pi x 37.078 kHz, so that
+# solve_integrability at a = -21 a0 returns that frequency for the default trap
+# (tests/test_lattice.py recomputes it).
 DY_MOMENT_CALIBRATED = 9.978541109384
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Dipolar integral failed to reach the requested accuracy."""
 
 
@@ -400,23 +402,3 @@ def model_parameters_from_lattice(derived: LatticeDerived, j: float) -> ModelPar
         u13=u13, u24=u13,
         j=j,
     )
-
-
-def calibrate_moment(
-    trap: TrapParameters,
-    target_omega_r: float,
-    bracket_mub: tuple[float, float] = (9.0, 11.0),
-) -> float:
-    """Magnetic moment (in mu_B) placing the integrability root at target_omega_r.
-
-    Solves U0(target) = U13(target) for mu1; used once to pin
-    DY_MOMENT_CALIBRATED against the published root frequency.
-    """
-    def residual(moment):
-        candidate = replace(trap, magnetic_moment_mub=moment)
-        return integrability_residual(candidate, target_omega_r)
-
-    lo, hi = bracket_mub
-    if residual(lo) * residual(hi) > 0.0:
-        raise ValueError(f"no calibrating moment in [{lo:g}, {hi:g}] mu_B")
-    return float(optimize.brentq(residual, lo, hi, rtol=1e-10))

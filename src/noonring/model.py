@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .fock import FockBasis, hop_entries
 
@@ -286,7 +285,7 @@ class _SparseHamiltonian:
     mean of its diagonal, with the 1-norm of that matrix as `norm`.  It has no
     eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states directly."""
 
-    def __init__(self, basis: FockBasis, matrix: csr_array, shift: float):
+    def __init__(self, basis: FockBasis, matrix, shift: float):
         self.basis, self.matrix, self.shift = basis, matrix, shift
         self.norm = float(abs(matrix).sum(axis=0).max())
 
@@ -296,8 +295,11 @@ def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _Spar
 
     Built from the entries `build_mode_hamiltonian` cuts into blocks; no block
     and no n x n array is allocated.  Raises ArithmeticError if an entry of H
-    is inf or NaN.
+    is inf or NaN.  scipy.sparse is imported here: only `noonring.robustness`
+    builds pulses, and it has loaded scipy by then.
     """
+    from scipy.sparse import csr_array
+
     diagonal = _mode_diagonal(params, modes)
     rows, columns, values = _mode_entries(modes, params.mu, params.nu, params.j,
                                           params.u13 - params.u0)

@@ -295,6 +295,13 @@ class TestErrorPaths:
         config.write_text(f"[{section}]\n{key} = 0\n")
         assert run_cli([kind, "--grid", 2, "--config", config, "--out", tmp_path / "zero"]) == 0
 
+    def test_unused_model_value_checked_for_spectrum(self, tmp_path, capsys):
+        """spectrum reads no [model] mu, but a file value is checked all the same."""
+        config = tmp_path / "mu.ini"
+        config.write_text("[model]\nmu = -1\n")
+        assert run_cli(["spectrum", "--config", config, "--out", tmp_path / "r"]) == 1
+        assert capsys.readouterr().err == "error: [model] mu must be > 0, got -1.0\n"
+
     def test_grid_flag_zero_rejected(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert run_cli(["protocol1", "--grid", 0, "--out", out]) == 1
@@ -406,7 +413,7 @@ class TestErrorPaths:
         def explode(*args, **kwargs):
             raise QuadratureError("synthetic quadrature failure")
 
-        monkeypatch.setattr("noonring.cli.derive", explode)
+        monkeypatch.setattr("noonring.lattice.derive", explode)
         assert run_cli(["physical", "--out", tmp_path / "r"]) == 2
         assert "numerical failure:" in capsys.readouterr().err
 

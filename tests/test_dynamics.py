@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
-from noonring.dynamics import NormalModes, evolve, site_probabilities, stack_columns
+from noonring.dynamics import (
+    NormalModes, _beam_splitter, evolve, site_probabilities, stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian, derived_scales
 from noonring.protocols import IdealDynamics, protocol_config, run_protocol1
@@ -230,6 +231,27 @@ class TestStacks:
     @pytest.mark.parametrize("n_total, columns", [(15, 20), (31, 2), (1, 4096)])
     def test_stack_budget(self, n_total, columns):
         assert stack_columns(enumerate_basis(n_total)) == columns
+
+
+class TestBeamSplitter:
+    @pytest.mark.parametrize("n", range(42))
+    def test_orthonormal_and_equal_to_the_eigensolver_splitter(self, n):
+        splitter = _beam_splitter(n)
+        np.testing.assert_allclose(splitter.T @ splitter, np.eye(n + 1), rtol=0, atol=1e-15)
+        hop = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1.0))  # <n_a + 1| a+ b |n_a>
+        vectors = eigh_tridiagonal(np.zeros(n + 1), hop)[1]
+        np.testing.assert_allclose(splitter, vectors * np.sign(vectors[-1]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [62, 63, 70])
+    def test_exact_past_int64(self, n):
+        """Past 2^63 the coefficients are Python ints; the columns stay eigenvectors
+        of a+ b + b+ a for 2 k - n."""
+        splitter = _beam_splitter(n)
+        np.testing.assert_allclose(splitter.T @ splitter, np.eye(n + 1), rtol=0, atol=1e-14)
+        hop = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0, -1.0))
+        exchange = np.diag(hop, 1) + np.diag(hop, -1)
+        np.testing.assert_allclose(exchange @ splitter, splitter * np.arange(-n, n + 1, 2),
+                                   rtol=0, atol=1e-12 * n)
 
 
 class TestNormalModes:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from noonring.lattice import (
     DY_MOMENT_CALIBRATED,
@@ -12,7 +13,6 @@ from noonring.lattice import (
     QuadratureError,
     TrapParameters,
     anisotropy_f,
-    calibrate_moment,
     derive,
     dipolar_coupling,
     field_strengths,
@@ -25,6 +25,18 @@ from noonring.lattice import (
 )
 
 WORKING_OMEGA = 2.0 * math.pi * 37.078e3  # rad/s, default-trap root
+
+
+def calibrate_moment(trap, target_omega_r, bracket_mub=(9.0, 11.0)):
+    """Magnetic moment (in mu_B) placing the integrability root at target_omega_r:
+    the mu1 at which U0(target) = U13(target)."""
+    def residual(moment):
+        candidate = dataclasses.replace(trap, magnetic_moment_mub=moment)
+        return integrability_residual(candidate, target_omega_r)
+
+    lo, hi = bracket_mub
+    assert residual(lo) * residual(hi) < 0.0, f"no calibrating moment in [{lo}, {hi}] mu_B"
+    return float(optimize.brentq(residual, lo, hi, rtol=1e-10))
 
 
 class TestAnisotropyFunction:

@@ -1,0 +1,96 @@
+"""Start-up: the model kinds load numpy alone; scipy loads only for physical and robustness."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import noonring
+from noonring.cli import SCHEMA
+from noonring.lattice import TrapParameters
+from noonring.robustness import RobustnessConfig
+
+from without_scipy import BLOCKED
+
+ROOT = Path(__file__).resolve().parents[1]
+MODEL_KINDS = ("protocol1", "protocol2", "readout", "evolve", "spectrum")
+
+
+def fresh_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` in a new interpreter that imports noonring from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env=env, cwd=ROOT, **kwargs)
+
+
+def loaded_after(script: str):
+    """The JSON value that a fresh interpreter running `script` prints last."""
+    result = fresh_python("-c", script, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy_subpackage():
+    loaded = loaded_after(
+        "import json, sys\nimport noonring.cli\n"
+        f"print(json.dumps([f'scipy.{{name}}' for name in {BLOCKED!r} "
+        "if f'scipy.{name}' in sys.modules]))")
+    assert loaded == []
+
+
+def test_model_kinds_run_with_scipy_subpackages_blocked(tmp_path):
+    config = tmp_path / "small.ini"
+    config.write_text("[spectrum]\npoints = 3\n[evolve]\npoints = 4\n")
+    for kind in MODEL_KINDS:
+        result = fresh_python(ROOT / "tests" / "without_scipy.py", kind, "--grid", 3,
+                              "--config", config, "--out", tmp_path / kind)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / kind / f"{kind}.csv").exists()
+
+
+def test_the_blocked_interpreter_refuses_a_scipy_subpackage(tmp_path):
+    """The check above would pass vacuously if the finder blocked nothing."""
+    result = fresh_python(ROOT / "tests" / "without_scipy.py", "physical",
+                          "--out", tmp_path / "physical")
+    assert result.returncode != 0
+    assert "is blocked" in result.stderr
+
+
+def test_resolving_a_kind_imports_its_scipy_backed_module():
+    loaded = loaded_after(
+        "import json, sys\nfrom noonring import cli\n"
+        "modules = ('noonring.lattice', 'noonring.robustness', 'scipy.optimize')\n"
+        "seen = {}\n"
+        f"for kind in {(*MODEL_KINDS, 'physical', 'robustness')!r}:\n"
+        "    cli.resolve_config(cli.build_parser().parse_args([kind]))\n"
+        "    seen[kind] = [name for name in modules if name in sys.modules]\n"
+        "print(json.dumps(seen))")
+    assert loaded == {
+        **{kind: [] for kind in MODEL_KINDS},
+        "physical": ["noonring.lattice", "scipy.optimize"],
+        "robustness": ["noonring.lattice", "noonring.robustness", "scipy.optimize"],
+    }
+
+
+def test_every_public_name_resolves():
+    for name in noonring.__all__:
+        assert getattr(noonring, name) is not None, name
+    namespace = {}
+    exec("from noonring import *", namespace)
+    assert set(noonring.__all__) <= set(namespace)
+    assert noonring.TrapParameters is TrapParameters
+    with pytest.raises(AttributeError):
+        noonring.calibrate_moment
+
+
+@pytest.mark.parametrize("section, library_class, keys", [
+    ("robustness", RobustnessConfig, ("n_dt", "mode", "source", "protocol", "start_sign")),
+    ("lattice", TrapParameters, ("scattering_length_a0", "magnetic_moment_mub", "kappa_sq")),
+])
+def test_schema_defaults_equal_the_library_defaults(section, library_class, keys):
+    defaults = {field.name: field.default for field in dataclasses.fields(library_class)}
+    assert {key: SCHEMA[section][key].default for key in keys} == {
+        key: defaults[key] for key in keys}

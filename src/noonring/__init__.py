@@ -16,7 +16,7 @@ Only those two modules need scipy.  Their names are served on first access
 
 import importlib
 
-from .dynamics import MeasurementRecord, evolve, site_probabilities
+from .dynamics import evolve, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
 from .model import (
     DerivedScales,
@@ -30,7 +30,6 @@ from .protocols import (
     IdealDynamics,
     ProtocolConfig,
     ProtocolReport,
-    ReadoutResult,
     band_trace,
     fidelity,
     fit_readout_amplitudes,
@@ -40,7 +39,6 @@ from .protocols import (
     protocol_config,
     run_protocol1,
     run_protocol2,
-    run_readout,
     sweep_protocol1,
     sweep_protocol2,
     sweep_readout,
@@ -48,7 +46,6 @@ from .protocols import (
 from .spectrum import (
     BandAssignment,
     BandsUnresolvedError,
-    SpectrumSweep,
     assign_bands,
     band_splits,
     predicted_band_sizes,
@@ -78,17 +75,15 @@ def __getattr__(name: str):
 __all__ = [
     "BandAssignment", "BandsUnresolvedError", "DerivedScales", "FockBasis",
     "FullDynamics", "HermitianOperator", "IdealDynamics", "IntegrabilityRoot",
-    "LatticeDerived", "MeasurementRecord", "ModelParameters", "ProtocolConfig",
-    "ProtocolReport", "QuadratureError", "QuantumState", "ReadoutResult",
-    "RobustnessConfig", "RobustnessPoint", "SpectrumSweep", "TrapParameters",
-    "anisotropy_f", "assign_bands", "band_splits", "band_trace",
-    "derive", "derived_scales", "diagonal_band_energy",
-    "dipolar_coupling", "enumerate_basis", "evolve", "fidelity",
-    "field_strengths", "fit_readout_amplitudes", "ideal_protocol1_output",
-    "ideal_protocol2_output", "ideal_uber_noon",
-    "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
-    "predicted_band_sizes", "protocol_config", "recoil_energy", "run_protocol1",
-    "run_protocol2", "run_readout", "run_robustness", "site_probabilities",
-    "solve_integrability", "sweep_protocol1", "sweep_protocol2",
-    "sweep_readout", "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
+    "LatticeDerived", "ModelParameters", "ProtocolConfig", "ProtocolReport",
+    "QuadratureError", "QuantumState", "RobustnessConfig", "RobustnessPoint",
+    "TrapParameters", "anisotropy_f", "assign_bands", "band_splits", "band_trace",
+    "derive", "derived_scales", "diagonal_band_energy", "dipolar_coupling",
+    "enumerate_basis", "evolve", "fidelity", "field_strengths",
+    "fit_readout_amplitudes", "ideal_protocol1_output", "ideal_protocol2_output",
+    "ideal_uber_noon", "model_parameters_from_lattice", "offsite_coupling",
+    "onsite_coupling", "predicted_band_sizes", "protocol_config", "recoil_energy",
+    "run_protocol1", "run_protocol2", "run_robustness", "site_probabilities",
+    "solve_integrability", "sweep_protocol1", "sweep_protocol2", "sweep_readout",
+    "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
 ]

@@ -48,6 +48,7 @@ import scipy   # its version only: no subpackage is loaded
 
 from .fock import enumerate_basis
 from .protocols import (
+    READOUT_LAWS,
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
@@ -336,12 +337,12 @@ def _protocol_extras(cfg: ExperimentConfig) -> dict:
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
     rows = []
-    for p_theta, reports in zip(grid, sweep_protocol1(configs, _dynamics(cfg))):
+    sweep = sweep_protocol1(configs, _dynamics(cfg))
+    for p_theta, pc, reports in zip(grid, configs, sweep):
         for report in reports:
             rows.append((
-                cfg.label, m.m, m.p, p_theta,
-                report.measurement.outcome, report.measurement.probability,
-                report.fidelity, int(report.selected), report.elapsed_model_time,
+                cfg.label, m.m, m.p, p_theta, report.outcome, report.probability,
+                report.fidelity, int(report.selected), pc.t_m,
             ))
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
@@ -350,47 +351,47 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
-    rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, report.elapsed_model_time)
-            for p_theta, report in zip(grid, sweep_protocol2(configs, _dynamics(cfg)))]
+    sweep = sweep_protocol2(configs, _dynamics(cfg))
+    rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, 2.0 * pc.t_m)
+            for p_theta, pc, report in zip(grid, configs, sweep)]
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
     return header, list(zip(*rows)), _protocol_extras(cfg)
 
 
+# Per readout protocol: the READOUT_LAWS of readouts 0 and M, the scale of the law
+# columns, the fits' names, and the last three columns.  Protocol I tabulates the
+# joint probability of its branch r and the readout.
+_READOUTS = {
+    1: (("cos2", "sin2"), 0.5, ("c00", "cMM"),
+        ["joint_probability", "law_half_cos2", "law_half_sin2"]),
+    2: (("shifted_sin2", "shifted_cos2"), 1.0, ("c0", "cM"),
+        ["probability", "law_shifted_sin2", "law_shifted_cos2"]),
+}
+
+
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     m_occ, (grid, configs) = cfg.model.m, _protocol_sweep(cfg)
-    rows = []
-    zero_samples, m_samples = [], []
-    two_sided = cfg.protocol.readout_protocol == 1
-    laws = ("P_I(.,0)", "P_I(.,M)") if two_sided else ("P_II(0)", "P_II(M)")
-    sweep = sweep_readout(configs, _dynamics(cfg), cfg.protocol.readout_protocol)
-    for p_theta, pairs in zip(grid, sweep):
-        for report, result in pairs:
-            probabilities = dict(result.joint if two_sided else result.outcomes)
-            for outcome in (0, m_occ):
-                rows.append((
-                    cfg.label, p_theta,
-                    report.measurement.outcome if two_sided else "", outcome,
-                    probabilities.get(outcome, 0.0), *(result.laws[law] for law in laws),
-                ))
-            zero_samples.append((p_theta, probabilities.get(0, 0.0)))
-            m_samples.append((p_theta, probabilities.get(m_occ, 0.0)))
-    if two_sided:
-        header = ["set", "p_theta", "r", "readout_r", "joint_probability",
-                  "law_half_cos2", "law_half_sin2"]
-        fits = {
-            "c00": 2.0 * fit_readout_amplitudes(zero_samples, "cos2"),
-            "cMM": 2.0 * fit_readout_amplitudes(m_samples, "sin2"),
-        }
-    else:
-        header = ["set", "p_theta", "r", "readout_r", "probability",
-                  "law_shifted_sin2", "law_shifted_cos2"]
-        fits = {
-            "c0": fit_readout_amplitudes(zero_samples, "shifted_sin2"),
-            "cM": fit_readout_amplitudes(m_samples, "shifted_cos2"),
-        }
-    return header, list(zip(*rows)), {
-        **_protocol_extras(cfg),
-        "readout_protocol": cfg.protocol.readout_protocol, "fits": fits,
+    if len(set(grid)) < 3:
+        raise ValueError(
+            f"readout fits need at least 3 distinct P theta values; [experiment] grid = "
+            f"{cfg.experiment.grid} and [protocol] p_theta_max = {cfg.protocol.p_theta_max:g} "
+            f"give {len(set(grid))}")
+    protocol = cfg.protocol.readout_protocol
+    laws, scale, fit_names, columns = _READOUTS[protocol]
+    rows, samples = [], ([], [])   # (p_theta, probability) of readouts 0 and M
+    sweep = sweep_readout(configs, _dynamics(cfg), protocol)
+    for p_theta, pc, pairs in zip(grid, configs, sweep):
+        law_values = [scale * READOUT_LAWS[law](pc.p_theta) for law in laws]
+        for report, distribution in pairs:
+            branch, weight = (report.outcome, report.probability) if protocol == 1 else ("", 1.0)
+            for outcome, outcome_samples in zip((0, m_occ), samples):
+                probability = weight * float(distribution[outcome])
+                rows.append((cfg.label, p_theta, branch, outcome, probability, *law_values))
+                outcome_samples.append((p_theta, probability))
+    fits = {name: fit_readout_amplitudes(outcome_samples, law) / scale
+            for name, outcome_samples, law in zip(fit_names, samples, laws)}
+    return ["set", "p_theta", "r", "readout_r", *columns], list(zip(*rows)), {
+        **_protocol_extras(cfg), "readout_protocol": protocol, "fits": fits,
     }
 
 
@@ -399,9 +400,9 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     n_total = s.n_total if s.n_total is not None else cfg.model.m + cfg.model.p
     basis = enumerate_basis(n_total)
     grid = np.linspace(s.u_over_j_min, s.u_over_j_max, s.points)
-    sweep = sweep_spectrum(basis, grid, mu=s.mu_over_j)
+    eigenvalues = sweep_spectrum(basis, grid, mu=s.mu_over_j)
     bands, resolved_points = ([], []), 0   # band_m and band_p text, an array per point
-    for values in sweep.eigenvalues:
+    for values in eigenvalues:
         try:
             assignment = assign_bands(values, n_total)
         except BandsUnresolvedError:
@@ -413,7 +414,7 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             column.append(np.repeat(np.array(label, dtype=str), sizes))
     header = ["u_over_j", "index", "e_over_j", "band_m", "band_p"]
     columns = [np.repeat(grid, basis.size), np.tile(np.arange(basis.size), s.points),
-               sweep.eigenvalues.ravel(), *map(np.concatenate, bands)]
+               eigenvalues.ravel(), *map(np.concatenate, bands)]
     return header, columns, {
         "n_total": n_total, "mu_over_j": s.mu_over_j,
         "resolved_points": resolved_points, "total_points": s.points,

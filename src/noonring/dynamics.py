@@ -6,11 +6,12 @@ block; no time-stepping integrator is involved.  A Hamiltonian that acts
 only once, on one state (a detuned field pulse of `noonring.robustness`),
 is held sparse instead and applied by the truncated Taylor series of
 exp(-i H t) (`_taylor_action`), which never diagonalizes it.
-Every Hamiltonian the package builds is real symmetric, so V is real, and
-V.T and V act on the amplitudes viewed as real (real, imaginary) pairs:
-numpy would otherwise make a complex copy of V for each product.  A block of
-size 1 (the diagonal H_eff of `noonring.protocols` is all such blocks) has
-|V| = 1, so its amplitudes are only multiplied by their phases exp(-i E t).
+Every Hamiltonian the package builds is real symmetric (`HermitianOperator`
+rejects complex blocks), so V is real, and V.T and V act on the amplitudes
+viewed as real (real, imaginary) pairs: numpy would otherwise make a complex
+copy of V for each product.  A block of size 1 (the diagonal H_eff of
+`noonring.protocols` is all such blocks) has |V| = 1, so its amplitudes are
+only multiplied by their phases exp(-i E t).
 
 `evolve`, `NormalModes.change` and `site_probabilities` map the columns of
 an (n, K) stack of states (see `QuantumState`), `evolve` with one duration
@@ -26,29 +27,18 @@ the wrong basis.
 `site_probabilities` is the outcome distribution of an ideal, instantaneous
 measurement of a site occupation: outcome r occurs with the summed weight of
 all basis states carrying occupation r at that site.  The post-measurement
-state, the renormalized projection, is formed where a protocol measures
-(`noonring.protocols`), and `MeasurementRecord` records its outcome.
+state, the renormalized projection, is formed where a protocol measures, and
+its report carries the outcome and its probability (`noonring.protocols`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockBasis, QuantumState, _check_site
 from .model import HermitianOperator, _SparseHamiltonian
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Projective occupation measurement at one site."""
-
-    site: int
-    outcome: int
-    probability: float
-
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
 
@@ -65,7 +55,7 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
 
     `duration` is one t, or one per column of an (n, K) stack.  V+ and V act on
     all blocks of one size and all columns in one batched product each, with
-    the phases exp(-i E t) in between; real V is never copied (see above).
+    the phases exp(-i E t) in between; V is never copied (see above).
     """
     durations = np.asarray(duration, dtype=float)
     if durations.shape not in ((), state.amplitudes.shape[1:]):
@@ -109,12 +99,10 @@ def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
         start += values.size
         if values.shape[-1] == 1:   # V exp(-i E t) V+ = exp(-i E t)
             block *= phase
-        elif vectors.dtype.kind == "f":   # V.T and V act on the (real, imaginary) pairs
+        else:   # V.T and V act on the (real, imaginary) pairs
             rotated = vectors.swapaxes(-1, -2) @ block.view(np.float64)
             rotated.view(complex)[...] *= phase
             np.matmul(vectors, rotated, out=block.view(np.float64))
-        else:
-            block[...] = vectors @ (phase * (vectors.swapaxes(-1, -2).conj() @ block))
 
 
 # theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1, for

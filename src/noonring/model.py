@@ -108,12 +108,14 @@ class ModelParameters:
 
 
 class HermitianOperator:
-    """Hermitian matrix in a Fock sector, held in blocks, with a cached eigensystem.
+    """Real symmetric matrix in a Fock sector, held in blocks, with a cached eigensystem.
 
     `blocks` holds one (indices, matrices) pair per block size: indices[k] are
     the basis positions of block k, matrices[k] the block, and `order` the
     positions block by block.  The blocks must cover the basis once; a dense
-    matrix m is the one block (arange(n)[None], m[None]).
+    matrix m is the one block (arange(n)[None], m[None]).  Every operator the
+    package builds is real, so complex blocks are rejected: `evolve` relies on
+    real eigenvectors.
     """
 
     def __init__(self, basis: FockBasis, blocks, check: bool = True):
@@ -122,11 +124,13 @@ class HermitianOperator:
         self.order = np.concatenate([indices.ravel() for indices, _ in blocks])
         if self.order.size != basis.size:
             raise ValueError(f"blocks hold {self.order.size} states, the basis {basis.size}")
+        if any(np.iscomplexobj(matrices) for _, matrices in blocks):
+            raise ValueError("blocks must be real: the package builds real symmetric operators")
         self._eigensystem: tuple | None = None
         if check:
             self._require_finite()
             for _, matrices in blocks:
-                deviation = float(np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2).conj())))
+                deviation = float(np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2))))
                 if not deviation <= HERMITICITY_TOL * max(1.0, float(np.max(np.abs(matrices)))):
                     raise ValueError(f"matrix is not Hermitian (max deviation {deviation:g})")
 

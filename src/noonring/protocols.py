@@ -31,12 +31,18 @@ hooks, the (couplings, duration) steps of a band interval and the couplings
 of the two pulses; the detuned dynamics of `noonring.robustness` overrides
 only those.
 
+A run ends in a ProtocolReport: the output state and its fidelity to the
+ideal target, plus, for each Protocol I branch, the site-3 outcome r and its
+probability.  The readout evolves an output state by a further t_m and
+measures site 3 again; its (N + 1,) outcome distribution, read against the
+READOUT_LAWS of P theta, recovers the encoded phase.
+
 A theta sweep runs as stacks of states (`noonring.dynamics`):
 `sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take configs that
 differ only in theta, evolve them `stack_columns` at a time, one column per
 config, and yield one result per config as they go, so a long sweep holds
-one stack, not every config's states.  `run_protocol1`, `run_protocol2` and
-`run_readout` are the one-config case.
+one stack, not every config's states.  `run_protocol1` and `run_protocol2`
+are the one-config case.
 
 `band_trace` follows |M,P,0,0> through one band interval under both
 dynamics, a stack of times at a time: the corner and uber-NOON populations
@@ -51,7 +57,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import MeasurementRecord, NormalModes, site_probabilities, stack_columns
+from .dynamics import NormalModes, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
 from .model import (
     DerivedScales,
@@ -84,6 +90,7 @@ class ProtocolConfig:
     t_m_override: float | None = None
 
     def __post_init__(self):
+        _check_occupations(self.m_occ, self.p_occ)
         if not self.params.integrable():
             raise ValueError("protocol couplings must satisfy U13 = U24 = U0, "
                              "U12 = U23 = U34 = U14")
@@ -132,6 +139,12 @@ class ProtocolConfig:
         return self.p_occ * self.theta
 
 
+def _check_occupations(m_occ: int, p_occ: int) -> None:
+    """Both protocols need M, P >= 1: t_nu = pi/(4 M nu) divides by M, theta = (P theta)/P by P."""
+    if m_occ < 1 or p_occ < 1:
+        raise ValueError(f"occupations M and P must be >= 1, got M={m_occ}, P={p_occ}")
+
+
 def protocol_config(
     m_occ: int,
     p_occ: int,
@@ -147,6 +160,7 @@ def protocol_config(
     """Convenience constructor from the band coupling U = (U12 - U0)/4."""
     if theta is not None and p_theta is not None:
         raise ValueError("give either theta or p_theta, not both")
+    _check_occupations(m_occ, p_occ)
     if theta is None:
         theta = 0.0 if p_theta is None else p_theta / p_occ
     return ProtocolConfig(
@@ -159,12 +173,17 @@ def protocol_config(
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Outcome of one protocol run (one measurement branch for Protocol I)."""
+    """Outcome of one protocol run (one measurement branch for Protocol I).
+
+    `outcome` and `probability` are the branch's site-3 occupation r and its
+    probability (Protocol I only).  A branch with r outside {0, M} has
+    selected=False: that run would be discarded and repeated.
+    """
 
     final_state: QuantumState
-    fidelity: float | None
-    measurement: MeasurementRecord | None
-    elapsed_model_time: float
+    fidelity: float
+    outcome: int | None = None
+    probability: float | None = None
     selected: bool = True
 
 
@@ -359,8 +378,7 @@ def _chunks(configs, basis: FockBasis, columns_per_config: int = 1):
         yield chunk
 
 
-def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics,
-                    postselect: tuple[int, ...] | None = None):
+def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics):
     """`run_protocol1`'s reports for each of `configs` in turn, evolved as stacks."""
     basis = dynamics.basis
     outcome = basis.occupations[:, MEASURED_SITE - 1]
@@ -371,7 +389,6 @@ def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics,
         for cfg, column, weights in zip(chunk, states.amplitudes.T, probabilities.T):
             references = (ideal_protocol1_output(cfg, basis, 0),
                           ideal_protocol1_output(cfg, basis, cfg.m_occ))
-            selected = (0, cfg.m_occ) if postselect is None else postselect
             reports = []
             for r in np.flatnonzero(weights > 0.0).tolist():
                 # The renormalized projection onto outcome r, in an array of its own.
@@ -383,26 +400,21 @@ def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics,
                 reports.append(ProtocolReport(
                     final_state=post,
                     fidelity=fidelity(reference, post),
-                    measurement=MeasurementRecord(site=MEASURED_SITE, outcome=r,
-                                                  probability=float(weights[r])),
-                    elapsed_model_time=cfg.t_m,
-                    selected=r in selected,
+                    outcome=r,
+                    probability=float(weights[r]),
+                    selected=r in (0, cfg.m_occ),
                 ))
             yield reports
 
 
-def run_protocol1(
-    cfg: ProtocolConfig,
-    dynamics: FullDynamics | IdealDynamics,
-    postselect: tuple[int, ...] | None = None,
-) -> list[ProtocolReport]:
+def run_protocol1(cfg: ProtocolConfig,
+                  dynamics: FullDynamics | IdealDynamics) -> list[ProtocolReport]:
     """Run Protocol I (mu segment, then measure site 3) and resolve every branch.
 
-    Returns one report per outcome r with nonzero probability (ascending r).
-    Reports whose outcome is outside `postselect` (default {0, M}) are
-    flagged selected=False: those runs would be discarded and repeated.
+    Returns one report per outcome r with nonzero probability (ascending r);
+    those with r outside {0, M} are flagged selected=False.
     """
-    return next(sweep_protocol1([cfg], dynamics, postselect))
+    return next(sweep_protocol1([cfg], dynamics))
 
 
 def sweep_protocol2(configs, dynamics: FullDynamics | IdealDynamics):
@@ -420,8 +432,6 @@ def sweep_protocol2(configs, dynamics: FullDynamics | IdealDynamics):
             yield ProtocolReport(
                 final_state=final,
                 fidelity=fidelity(ideal_protocol2_output(cfg, basis), final),
-                measurement=None,
-                elapsed_model_time=2.0 * cfg.t_m,
             )
 
 
@@ -469,66 +479,14 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
 # --- Readout --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReadoutResult:
-    """Site-3 statistics after a further t_m of integrable evolution.
-
-    `outcomes` is conditional on the branch that produced the report;
-    `joint` folds in the branch probability (Protocol I only).  `laws`
-    holds the analytic probability laws evaluated at the report's P theta.
-    """
-
-    outcomes: list[tuple[int, float]]
-    joint: list[tuple[int, float]] | None
-    laws: dict[str, float]
-
-
-def protocol1_laws(p_theta: float) -> dict[str, float]:
-    half = 0.5 * p_theta
-    return {
-        "P_I(.,0)": 0.5 * math.cos(half) ** 2,
-        "P_I(.,M)": 0.5 * math.sin(half) ** 2,
-    }
-
-
-def protocol2_laws(p_theta: float) -> dict[str, float]:
-    shifted = 0.5 * p_theta - 0.25 * math.pi
-    return {
-        "P_II(0)": math.sin(shifted) ** 2,
-        "P_II(M)": math.cos(shifted) ** 2,
-    }
-
-
-def _read_out(runs: list, dynamics: FullDynamics | IdealDynamics) -> list[ReadoutResult]:
-    """The readout of each (report, cfg) in `runs`, as one stack; the cfgs differ only in theta."""
-    if not runs:
-        return []
-    cfg = runs[0][1]
-    states = QuantumState(dynamics.basis, np.column_stack(
-        [report.final_state.amplitudes for report, _ in runs]))
-    probabilities = site_probabilities(dynamics.band(states, cfg, cfg.t_m), MEASURED_SITE)
-    results = []
-    for (report, cfg), weights in zip(runs, probabilities.T):
-        outcomes = [(r, float(p)) for r, p in enumerate(weights) if p > 0.0]
-        if report.measurement is not None:
-            joint = [(r, report.measurement.probability * p) for r, p in outcomes]
-            laws = protocol1_laws(cfg.p_theta)
-        else:
-            joint = None
-            laws = protocol2_laws(cfg.p_theta)
-        results.append(ReadoutResult(outcomes=outcomes, joint=joint, laws=laws))
-    return results
-
-
-def run_readout(report: ProtocolReport, cfg: ProtocolConfig,
-                dynamics: FullDynamics | IdealDynamics) -> ReadoutResult:
-    """Evolve the protocol output by a further t_m of band evolution and measure site 3."""
-    return _read_out([(report, cfg)], dynamics)[0]
-
-
 def sweep_readout(configs, dynamics: FullDynamics | IdealDynamics, protocol: int = 1):
-    """For each of `configs` in turn, [(report, its ReadoutResult), ...]: one pair per
-    selected Protocol I branch (protocol=1), or for the Protocol II report."""
+    """For each of `configs` in turn, [(report, distribution), ...]: one pair per
+    selected Protocol I branch (protocol=1), or for the Protocol II report.
+
+    `distribution` is the (N + 1,) site-3 occupation distribution of the
+    report's state after a further t_m of band evolution (for Protocol I,
+    conditional on the branch).  A stack's reports read out as one stack.
+    """
     if protocol not in (1, 2):
         raise ValueError(f"protocol must be 1 or 2, got {protocol}")
     # Protocol I reads out two selected branches per config, so half as many configs fill a stack.
@@ -538,12 +496,19 @@ def sweep_readout(configs, dynamics: FullDynamics | IdealDynamics, protocol: int
                        for branches in sweep_protocol1(chunk, dynamics)]
         else:
             reports = [[report] for report in sweep_protocol2(chunk, dynamics)]
-        results = iter(_read_out(
-            [(report, cfg) for cfg, group in zip(chunk, reports) for report in group], dynamics))
+        finals = [report.final_state.amplitudes for group in reports for report in group]
+        distributions = iter(())
+        if finals:   # none if no config of the stack has a selected branch
+            states = dynamics.band(QuantumState(dynamics.basis, np.column_stack(finals)),
+                                   chunk[0], chunk[0].t_m)
+            distributions = iter(site_probabilities(states, MEASURED_SITE).T)
         for group in reports:
-            yield [(report, next(results)) for report in group]
+            yield [(report, next(distributions)) for report in group]
 
 
+# The readout laws of P theta, in the ideal limit: in either selected Protocol I
+# branch the joint probability of reading out 0 (M) is 0.5 cos2 (0.5 sin2);
+# after Protocol II, that of 0 (M) is shifted_sin2 (shifted_cos2).
 READOUT_LAWS = {
     "cos2": lambda p_theta: math.cos(0.5 * p_theta) ** 2,
     "sin2": lambda p_theta: math.sin(0.5 * p_theta) ** 2,

@@ -213,11 +213,10 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
     xi_over_j = xi / cfg.params.j
     if system.config.protocol == 2:
         return RobustnessPoint(xi, xi_over_j, run_protocol2(cfg, system).fidelity, None)
-    branch = next((report for report in run_protocol1(cfg, system)
-                   if report.measurement.outcome == 0), None)
+    branch = next((report for report in run_protocol1(cfg, system) if report.outcome == 0), None)
     if branch is None:
         return RobustnessPoint(xi, xi_over_j, 0.0, 0.0)
-    return RobustnessPoint(xi, xi_over_j, branch.fidelity, branch.measurement.probability)
+    return RobustnessPoint(xi, xi_over_j, branch.fidelity, branch.probability)
 
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:

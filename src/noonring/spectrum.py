@@ -44,29 +44,15 @@ def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
     return sizes
 
 
-@dataclass(frozen=True)
-class SpectrumSweep:
-    """Sorted eigenvalues (in units of J, constant C removed) on a U/J grid."""
-
-    u_over_j: np.ndarray
-    eigenvalues: np.ndarray  # shape (len(u_over_j), dim)
-    n_total: int
-    mu: float = 0.0
-    nu: float = 0.0
-
-    def __post_init__(self):
-        if self.eigenvalues.shape[0] != len(self.u_over_j):
-            raise ValueError("one eigenvalue row per grid point required")
-
-
 def sweep_spectrum(
     basis: FockBasis,
     u_over_j: np.ndarray,
     mu: float = 0.0,
     nu: float = 0.0,
     u0: float = 0.0,
-) -> SpectrumSweep:
-    """Diagonalize the integrable H (plus optional fields) along a U/J grid.
+) -> np.ndarray:
+    """Sorted eigenvalues of the integrable H (plus optional fields) along a U/J
+    grid: shape (len(u_over_j), dim), one row per grid point.
 
     Works at fixed J = 1 so eigenvalues are already in units of J; the
     additive constant C is subtracted from every spectrum.  H is built in
@@ -103,7 +89,7 @@ def sweep_spectrum(
             values.append(np.linalg.eigvalsh(stack).reshape(len(diagonals), -1))
         rows[start:start + points] = (np.sort(np.concatenate(values, axis=1), axis=1)
                                       - np.array(constants)[:, None])
-    return SpectrumSweep(u_over_j=u_over_j, eigenvalues=rows, n_total=n_total, mu=mu, nu=nu)
+    return rows
 
 
 @dataclass(frozen=True)

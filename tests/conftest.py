@@ -7,7 +7,7 @@ import pytest
 
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import HermitianOperator
-from noonring.protocols import FullDynamics, IdealDynamics
+from noonring.protocols import FullDynamics, IdealDynamics, sweep_readout
 
 # Couplings are angular frequencies (X/hbar in rad/s), ring of M + P bosons.
 SET1 = {"u": 75.876, "j": 24.886, "mu": 20.870}
@@ -19,6 +19,12 @@ P_OCC = 11
 def dense_operator(basis, matrix, check=True):
     """A dense site-basis matrix as the one-block HermitianOperator."""
     return HermitianOperator(basis, [(np.arange(basis.size)[None], matrix[None])], check)
+
+
+def read_out(cfg, dynamics, protocol):
+    """One config's [(report, site-3 distribution after a further t_m), ...]."""
+    (pairs,) = sweep_readout([cfg], dynamics, protocol)
+    return pairs
 
 
 def mode_matrix(modes):

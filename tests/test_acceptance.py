@@ -30,13 +30,12 @@ from noonring.protocols import (
     protocol_config,
     run_protocol1,
     run_protocol2,
-    run_readout,
 )
 from noonring.robustness import RobustnessConfig, run_robustness, threshold_xi
 from noonring.spectrum import assign_bands
 
 import oracle
-from conftest import M_OCC, P_OCC, SET1, SET2
+from conftest import M_OCC, P_OCC, SET1, SET2, read_out
 
 P_THETA_BENCHMARKS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, math.pi)
 
@@ -67,7 +66,7 @@ def make_cfg(couplings, p_theta):
 
 def selected_reports(cfg, dynamics):
     return {
-        report.measurement.outcome: report
+        report.outcome: report
         for report in run_protocol1(cfg, dynamics)
         if report.selected
     }
@@ -92,7 +91,7 @@ def test_criterion_2_protocol1_benchmarks(full15):
             assert set(branches) == {0, M_OCC}
             for outcome, (target_p, target_f) in PROTOCOL1_TARGETS[name].items():
                 report = branches[outcome]
-                assert report.measurement.probability == pytest.approx(
+                assert report.probability == pytest.approx(
                     target_p, abs=tolerance)
                 assert report.fidelity == pytest.approx(target_f, abs=tolerance)
     assert time.perf_counter() - start < 60.0
@@ -118,36 +117,28 @@ def test_criterion_4_readout_laws_and_fit_coefficients(full15, ideal15):
         cfg = make_cfg(SET1, float(p_theta))
         half_cos2 = 0.5 * math.cos(0.5 * p_theta) ** 2
         half_sin2 = 0.5 * math.sin(0.5 * p_theta) ** 2
-        for report in run_protocol1(cfg, ideal15):
-            if not report.selected:
-                continue
-            joint = dict(run_readout(report, cfg, ideal15).joint)
-            same = half_cos2 if report.measurement.outcome == 0 else half_sin2
-            assert joint.get(report.measurement.outcome, 0.0) == pytest.approx(
-                same, abs=1e-10)
-            other = M_OCC if report.measurement.outcome == 0 else 0
-            assert joint.get(other, 0.0) == pytest.approx(0.5 - same, abs=1e-10)
-        report2 = run_protocol2(cfg, ideal15)
-        outcomes = dict(run_readout(report2, cfg, ideal15).outcomes)
+        for report, distribution in read_out(cfg, ideal15, 1):
+            joint = report.probability * distribution
+            same = half_cos2 if report.outcome == 0 else half_sin2
+            assert joint[report.outcome] == pytest.approx(same, abs=1e-10)
+            other = M_OCC if report.outcome == 0 else 0
+            assert joint[other] == pytest.approx(0.5 - same, abs=1e-10)
+        ((_, outcomes),) = read_out(cfg, ideal15, 2)
         shifted = 0.5 * p_theta - 0.25 * math.pi
-        assert outcomes.get(0, 0.0) == pytest.approx(math.sin(shifted) ** 2, abs=1e-10)
-        assert outcomes.get(M_OCC, 0.0) == pytest.approx(
-            math.cos(shifted) ** 2, abs=1e-10)
+        assert outcomes[0] == pytest.approx(math.sin(shifted) ** 2, abs=1e-10)
+        assert outcomes[M_OCC] == pytest.approx(math.cos(shifted) ** 2, abs=1e-10)
 
     # Full-simulation fringe amplitudes at the second coupling set.
     zero1, m1, zero2, m2 = [], [], [], []
     for p_theta in np.linspace(0.0, math.pi, 64):
         cfg = make_cfg(SET2, float(p_theta))
-        for report in run_protocol1(cfg, full15):
-            if not report.selected:
-                continue
-            joint = dict(run_readout(report, cfg, full15).joint)
-            zero1.append((float(p_theta), joint.get(0, 0.0)))
-            m1.append((float(p_theta), joint.get(M_OCC, 0.0)))
-        report2 = run_protocol2(cfg, full15)
-        conditional = dict(run_readout(report2, cfg, full15).outcomes)
-        zero2.append((float(p_theta), conditional.get(0, 0.0)))
-        m2.append((float(p_theta), conditional.get(M_OCC, 0.0)))
+        for report, distribution in read_out(cfg, full15, 1):
+            joint = report.probability * distribution
+            zero1.append((float(p_theta), joint[0]))
+            m1.append((float(p_theta), joint[M_OCC]))
+        ((_, conditional),) = read_out(cfg, full15, 2)
+        zero2.append((float(p_theta), conditional[0]))
+        m2.append((float(p_theta), conditional[M_OCC]))
     fits = {
         "c00": 2.0 * fit_readout_amplitudes(zero1, "cos2"),
         "cMM": 2.0 * fit_readout_amplitudes(m1, "sin2"),

@@ -409,6 +409,39 @@ class TestErrorPaths:
         assert run_cli(["run", "--config", config, "--out", tmp_path / "r"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["protocol1", "protocol2", "readout", "evolve",
+                                      "robustness"])
+    @pytest.mark.parametrize("key", ["m", "p"])
+    def test_empty_subsystem_is_invalid_input(self, tmp_path, capsys, kind, key):
+        """M = 0 or P = 0 is rejected before t_nu = pi/(4 M nu) or P theta / P divides."""
+        config = tmp_path / "empty.ini"
+        config.write_text(f"[model]\n{key} = 0\n")
+        out = tmp_path / "r"
+        assert run_cli([kind, "--grid", 3, "--config", config, "--out", out]) == 1
+        assert "M and P must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_runs_with_an_empty_subsystem(self, tmp_path):
+        config = tmp_path / "empty.ini"
+        config.write_text("[model]\nm = 0\n[spectrum]\npoints = 2\n")
+        assert run_cli(["spectrum", "--config", config, "--out", tmp_path / "r"]) == 0
+
+    @pytest.mark.parametrize("grid, p_theta_max", [(2, 3.0), (64, 0.0)])
+    def test_readout_needs_three_phases_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, grid, p_theta_max):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep_readout", no_sweep)
+        config = tmp_path / "phases.ini"
+        config.write_text(f"[protocol]\np_theta_max = {p_theta_max}\n")
+        out = tmp_path / "r"
+        assert run_cli(["readout", "--grid", grid, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[experiment] grid" in err
+        assert "[protocol] p_theta_max" in err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise QuadratureError("synthetic quadrature failure")

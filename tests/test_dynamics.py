@@ -93,17 +93,14 @@ class TestEvolution:
         np.testing.assert_allclose(
             out.amplitudes, expm(-1j * matrix * 1.3) @ state.amplitudes, atol=1e-12)
 
-    def test_complex_hamiltonian_matches_expm(self, basis3):
+    def test_complex_hamiltonian_rejected(self, basis3):
+        # evolve acts with real eigenvectors only; the package builds no complex H.
         rng = np.random.default_rng(17)
         size = len(basis3)
         raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-        matrix = raw + raw.conj().T
-        h = dense_operator(basis3, matrix)
-        assert np.iscomplexobj(h.eigensystem()[0][1])
-        state = random_state(basis3, rng)
-        out = evolve(state, h, 0.8)
-        np.testing.assert_allclose(
-            out.amplitudes, expm(-1j * matrix * 0.8) @ state.amplitudes, atol=1e-12)
+        for check in (True, False):
+            with pytest.raises(ValueError, match="blocks must be real"):
+                dense_operator(basis3, raw + raw.conj().T, check)
 
     def test_strided_state_matches_expm(self, basis3):
         rng = np.random.default_rng(19)
@@ -136,13 +133,10 @@ class TestEvolution:
             evolve(state, h, 1.0)
 
 
-def stack_operator(kind, n_total, rng):
+def stack_operator(kind, n_total):
     """An operator in the basis it acts on: normal-mode blocks of several sizes (a
-    field on), one complex dense block, or H_eff's 1 x 1 blocks."""
+    field on), or H_eff's 1 x 1 blocks."""
     basis = enumerate_basis(n_total)
-    if kind == "complex":
-        raw = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
-        return dense_operator(basis, raw + raw.conj().T)
     params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7, u0=0.4)
     modes = NormalModes(basis)
     if kind == "modes":
@@ -155,14 +149,14 @@ class TestStacks:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["modes", "complex", "heff"]),
+        kind=st.sampled_from(["modes", "heff"]),
         n_total=st.integers(0, 6),
         durations=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stack_matches_single_evolves(self, kind, n_total, durations, seed):
         rng = np.random.default_rng(seed)
-        operator = stack_operator(kind, n_total, rng)
+        operator = stack_operator(kind, n_total)
         if kind == "modes":
             assert len(operator.blocks) > 1 or n_total < 2   # blocks of several sizes
         stack = np.column_stack([random_state(operator.basis, rng).amplitudes for _ in durations])
@@ -406,8 +400,8 @@ class TestMeasurement:
         state = QuantumState.from_fock(basis3, (0, 2, 1, 0))
         assert site_probabilities(state, 2).tolist() == [0.0, 0.0, 1.0, 0.0]
         (branch,) = measured_branches(QuantumState.from_fock(basis5, (1, 2, 1, 1)))
-        assert branch.measurement.outcome == 1
-        assert branch.measurement.probability == pytest.approx(1.0)
+        assert branch.outcome == 1
+        assert branch.probability == pytest.approx(1.0)
 
     def test_projection_support_and_normalization(self, basis5):
         rng = np.random.default_rng(29)
@@ -415,19 +409,19 @@ class TestMeasurement:
         occ = basis5.occupations[:, 2]
         expected = site_probabilities(state, 3)
         for branch in measured_branches(state):
-            outcome = branch.measurement.outcome
+            outcome = branch.outcome
             assert branch.final_state.norm() == pytest.approx(1.0, abs=1e-12)
             off_support = branch.final_state.amplitudes[occ != outcome]
             np.testing.assert_allclose(off_support, 0.0)
-            assert branch.measurement.probability == pytest.approx(expected[outcome], abs=1e-12)
+            assert branch.probability == pytest.approx(expected[outcome], abs=1e-12)
 
     def test_impossible_outcome_rejected(self, basis5):
         # Site 3 holds no boson, so outcomes 1..5 have zero probability and no branch.
         branches = measured_branches(QuantumState.from_fock(basis5, (5, 0, 0, 0)))
-        assert [branch.measurement.outcome for branch in branches] == [0]
+        assert [branch.outcome for branch in branches] == [0]
 
     def test_projections_exhaust_the_state(self, basis5):
         rng = np.random.default_rng(31)
         state = random_state(basis5, rng)
-        total = sum(branch.measurement.probability for branch in measured_branches(state))
+        total = sum(branch.probability for branch in measured_branches(state))
         assert total == pytest.approx(1.0, abs=1e-10)

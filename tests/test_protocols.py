@@ -13,6 +13,7 @@ from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters
 from noonring.protocols import (
+    READOUT_LAWS,
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
@@ -22,17 +23,14 @@ from noonring.protocols import (
     ideal_protocol2_output,
     ideal_uber_noon,
     protocol_config,
-    protocol1_laws,
-    protocol2_laws,
     run_protocol1,
     run_protocol2,
-    run_readout,
     sweep_protocol1,
     sweep_protocol2,
     sweep_readout,
 )
 
-from conftest import M_OCC, P_OCC
+from conftest import M_OCC, P_OCC, read_out
 
 
 def make_cfg(couplings, p_theta):
@@ -67,6 +65,16 @@ class TestProtocolConfig:
     def test_even_total_rejected(self, set1):
         with pytest.raises(ValueError):
             protocol_config(4, 12, u=set1["u"], j=set1["j"], mu=set1["mu"])
+
+    @pytest.mark.parametrize("m_occ, p_occ", [(0, 15), (15, 0)])
+    def test_empty_subsystem_rejected(self, set1, m_occ, p_occ):
+        # Rejected before t_nu = pi/(4 M nu) or theta = P theta / P divides by zero.
+        with pytest.raises(ValueError, match="M and P must be >= 1"):
+            protocol_config(m_occ, p_occ, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+        with pytest.raises(ValueError, match="M and P must be >= 1"):
+            ProtocolConfig(m_occ=m_occ, p_occ=p_occ,
+                           params=ModelParameters.integrable_set(u=set1["u"], j=set1["j"]),
+                           mu=set1["mu"], nu=set1["mu"], theta=0.0)
 
     def test_non_integrable_params_rejected(self, set1):
         params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"])
@@ -157,7 +165,7 @@ class TestUberNoonFormation:
         reports = run_protocol1(cfg, full15)
         # Reassemble the pre-measurement corner populations from branches.
         corner_population = sum(
-            rep.measurement.probability * abs(
+            rep.probability * abs(
                 rep.final_state.amplitudes[basis15.index_of(occ)]) ** 2
             for rep in reports
             for occ in [(4, 11, 0, 0), (4, 0, 0, 11), (0, 11, 4, 0), (0, 0, 4, 11)]
@@ -169,41 +177,35 @@ class TestProtocol1:
     def test_ideal_mode_is_exact(self, ideal15, set1):
         cfg = make_cfg(set1, p_theta=1.1)
         reports = run_protocol1(cfg, ideal15)
-        selected = {rep.measurement.outcome: rep for rep in reports if rep.selected}
+        selected = {rep.outcome: rep for rep in reports if rep.selected}
         assert set(selected) == {0, M_OCC}
         for rep in selected.values():
             assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
-        total = sum(rep.measurement.probability for rep in reports)
+        total = sum(rep.probability for rep in reports)
         assert total == pytest.approx(1.0, abs=1e-10)
-        assert selected[0].measurement.probability == pytest.approx(0.5, abs=1e-10)
+        assert selected[0].probability == pytest.approx(0.5, abs=1e-10)
 
     def test_full_mode_set1_benchmark(self, full15, set1):
         cfg = make_cfg(set1, p_theta=math.pi / 2.0)
         reports = run_protocol1(cfg, full15)
-        by_outcome = {rep.measurement.outcome: rep for rep in reports}
-        assert by_outcome[0].measurement.probability == pytest.approx(0.5009, abs=3e-3)
+        by_outcome = {rep.outcome: rep for rep in reports}
+        assert by_outcome[0].probability == pytest.approx(0.5009, abs=3e-3)
         assert by_outcome[0].fidelity == pytest.approx(0.9977, abs=3e-3)
-        assert by_outcome[4].measurement.probability == pytest.approx(0.4956, abs=3e-3)
+        assert by_outcome[4].probability == pytest.approx(0.4956, abs=3e-3)
         assert by_outcome[4].fidelity == pytest.approx(0.9996, abs=3e-3)
 
     def test_probability_sum_rule_and_selection(self, full15, set1):
         cfg = make_cfg(set1, p_theta=math.pi / 3.0)
         reports = run_protocol1(cfg, full15)
-        total = sum(rep.measurement.probability for rep in reports)
+        total = sum(rep.probability for rep in reports)
         assert total == pytest.approx(1.0, abs=1e-10)
-        selected = sum(rep.measurement.probability for rep in reports if rep.selected)
+        selected = sum(rep.probability for rep in reports if rep.selected)
         assert selected >= 0.99
         for rep in reports:
-            assert rep.selected == (rep.measurement.outcome in (0, M_OCC))
+            assert rep.selected == (rep.outcome in (0, M_OCC))
             if not rep.selected:
                 # Discarded branches have no overlap with either NOON target.
                 assert rep.fidelity == pytest.approx(0.0, abs=1e-6)
-
-    def test_custom_postselection(self, full15, set1):
-        cfg = make_cfg(set1, p_theta=0.5)
-        reports = run_protocol1(cfg, full15, postselect=(1, 2))
-        for rep in reports:
-            assert rep.selected == (rep.measurement.outcome in (1, 2))
 
     def test_phase_encoding_tracks_p_theta(self, full15, basis15, set1):
         i_ref = basis15.index_of((4, 11, 0, 0))
@@ -211,7 +213,7 @@ class TestProtocol1:
         for p_theta in np.linspace(0.0, np.pi, 7):
             cfg = make_cfg(set1, p_theta=float(p_theta))
             reports = run_protocol1(cfg, full15)
-            branch = next(rep for rep in reports if rep.measurement.outcome == 0)
+            branch = next(rep for rep in reports if rep.outcome == 0)
             amps = branch.final_state.amplitudes
             ratio = amps[i_enc] / amps[i_ref]
             residual = np.angle(ratio * np.exp(-1j * p_theta))
@@ -223,8 +225,7 @@ class TestProtocol2:
         cfg = make_cfg(set1, p_theta=0.8)
         report = run_protocol2(cfg, ideal15)
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
-        assert report.measurement is None
-        assert report.elapsed_model_time == pytest.approx(2.0 * cfg.t_m)
+        assert report.outcome is None and report.probability is None
 
     def test_full_mode_benchmarks(self, full15, set1, set2):
         f1 = run_protocol2(make_cfg(set1, math.pi / 2.0), full15).fidelity
@@ -238,36 +239,32 @@ class TestReadout:
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
     def test_ideal_laws_protocol1(self, ideal15, set1, p_theta):
         cfg = make_cfg(set1, p_theta=p_theta)
-        reports = run_protocol1(cfg, ideal15)
-        laws = protocol1_laws(p_theta)
-        for rep in reports:
-            if not rep.selected:
-                continue
-            result = run_readout(rep, cfg, ideal15)
-            joint = dict(result.joint)
-            key = "P_I(.,0)" if rep.measurement.outcome == 0 else "P_I(.,M)"
+        laws = {0: 0.5 * READOUT_LAWS["cos2"](p_theta), M_OCC: 0.5 * READOUT_LAWS["sin2"](p_theta)}
+        pairs = read_out(cfg, ideal15, 1)
+        assert sorted(rep.outcome for rep, _ in pairs) == [0, M_OCC]
+        for rep, distribution in pairs:
             for readout_r in (0, M_OCC):
-                expected = laws[key] if readout_r == rep.measurement.outcome else (
-                    0.5 - laws[key])
-                assert joint.get(readout_r, 0.0) == pytest.approx(expected, abs=1e-10)
+                expected = laws[rep.outcome] if readout_r == rep.outcome else (
+                    0.5 - laws[rep.outcome])
+                joint = rep.probability * distribution[readout_r]
+                assert joint == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
     def test_ideal_laws_protocol2(self, ideal15, set1, p_theta):
         cfg = make_cfg(set1, p_theta=p_theta)
-        report = run_protocol2(cfg, ideal15)
-        result = run_readout(report, cfg, ideal15)
-        outcomes = dict(result.outcomes)
-        laws = protocol2_laws(p_theta)
-        assert outcomes.get(0, 0.0) == pytest.approx(laws["P_II(0)"], abs=1e-10)
-        assert outcomes.get(M_OCC, 0.0) == pytest.approx(laws["P_II(M)"], abs=1e-10)
-        assert result.joint is None
+        ((report, distribution),) = read_out(cfg, ideal15, 2)
+        assert report.outcome is None and report.probability is None
+        assert distribution.shape == (M_OCC + P_OCC + 1,)
+        assert distribution[0] == pytest.approx(READOUT_LAWS["shifted_sin2"](p_theta), abs=1e-10)
+        assert distribution[M_OCC] == pytest.approx(
+            READOUT_LAWS["shifted_cos2"](p_theta), abs=1e-10)
 
     def test_law_pairs_are_complementary(self):
         for p_theta in np.linspace(0.0, np.pi, 11):
-            p1 = protocol1_laws(p_theta)
-            p2 = protocol2_laws(p_theta)
-            assert p1["P_I(.,0)"] + p1["P_I(.,M)"] == pytest.approx(0.5)
-            assert p2["P_II(0)"] + p2["P_II(M)"] == pytest.approx(1.0)
+            half_cos2, half_sin2 = (0.5 * READOUT_LAWS[law](p_theta) for law in ("cos2", "sin2"))
+            assert half_cos2 + half_sin2 == pytest.approx(0.5)
+            assert (READOUT_LAWS["shifted_sin2"](p_theta)
+                    + READOUT_LAWS["shifted_cos2"](p_theta)) == pytest.approx(1.0)
 
 
 class TestReadoutFits:
@@ -359,15 +356,13 @@ def assert_same_report(swept, single):
     # A branch state is renormalized by 1/sqrt(P), which scales its roundoff up as
     # much: compare the projections sqrt(P) psi, which the evolution produced.
     scale = 1.0
-    assert (swept.measurement is None) == (single.measurement is None)
-    if single.measurement is not None:
-        assert swept.measurement.outcome == single.measurement.outcome
-        assert swept.measurement.probability == pytest.approx(
-            single.measurement.probability, rel=0, abs=1e-12)
-        scale = math.sqrt(single.measurement.probability)
+    assert swept.outcome == single.outcome
+    assert (swept.probability is None) == (single.probability is None)
+    if single.probability is not None:
+        assert swept.probability == pytest.approx(single.probability, rel=0, abs=1e-12)
+        scale = math.sqrt(single.probability)
     assert swept.fidelity == pytest.approx(single.fidelity, rel=0, abs=1e-12)
     assert swept.selected == single.selected
-    assert swept.elapsed_model_time == single.elapsed_model_time
     np.testing.assert_allclose(scale * swept.final_state.amplitudes,
                                scale * single.final_state.amplitudes, rtol=0, atol=1e-12)
 
@@ -379,13 +374,12 @@ class TestSweeps:
     def dynamics(self, request, full15, ideal15):
         return full15 if request.param == "full" else ideal15
 
-    @pytest.mark.parametrize("postselect", [None, (1, 2)])
-    def test_protocol1(self, dynamics, basis15, set1, postselect):
+    def test_protocol1(self, dynamics, basis15, set1):
         configs = sweep_grid(set1, basis15)
-        swept = list(sweep_protocol1(configs, dynamics, postselect))
+        swept = list(sweep_protocol1(configs, dynamics))
         assert len(swept) == len(configs)
         for cfg, reports in zip(configs, swept):
-            single = run_protocol1(cfg, dynamics, postselect)
+            single = run_protocol1(cfg, dynamics)
             assert len(reports) == len(single)
             for a, b in zip(reports, single):
                 assert_same_report(a, b)
@@ -407,16 +401,15 @@ class TestSweeps:
                 reports = [r for r in run_protocol1(cfg, dynamics) if r.selected]
             else:
                 reports = [run_protocol2(cfg, dynamics)]
-            assert len(pairs) == len(reports)
-            for (report, result), single in zip(pairs, reports):
+            singles = read_out(cfg, dynamics, protocol)   # a stack of this config alone
+            assert len(pairs) == len(reports) == len(singles)
+            for (report, distribution), single, (_, expected) in zip(pairs, reports, singles):
                 assert_same_report(report, single)
-                expected = run_readout(single, cfg, dynamics)
-                assert result.laws == expected.laws
-                for ours, theirs in ((result.outcomes, expected.outcomes),
-                                     (result.joint or [], expected.joint or [])):
-                    assert [r for r, _ in ours] == [r for r, _ in theirs]
-                    np.testing.assert_allclose([p for _, p in ours], [p for _, p in theirs],
-                                               rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(distribution > 0.0, expected > 0.0)
+                np.testing.assert_allclose(distribution, expected, rtol=0, atol=1e-12)
+                if protocol == 1:   # the joint probabilities of the CLI's table
+                    np.testing.assert_allclose(report.probability * distribution,
+                                               single.probability * expected, rtol=0, atol=1e-12)
 
     def test_configs_must_differ_only_in_theta(self, full15, set1, set2):
         with pytest.raises(ValueError, match="differ only in theta"):

@@ -130,10 +130,9 @@ class TestDirectSweeps:
             assert point.fidelity == pytest.approx(run_protocol2(cfg, full15).fidelity, abs=1e-9)
             return
         reports = run_protocol1(cfg, full15)
-        reference = next(r for r in reports if r.measurement.outcome == 0)
+        reference = next(r for r in reports if r.outcome == 0)
         assert point.fidelity == pytest.approx(reference.fidelity, abs=1e-9)
-        assert point.probability == pytest.approx(
-            reference.measurement.probability, abs=1e-9)
+        assert point.probability == pytest.approx(reference.probability, abs=1e-9)
 
     def test_point_bookkeeping(self, basis15):
         point = sweep_point(SET1, basis15, 0.004, n_dt=10)

@@ -56,15 +56,14 @@ class TestBandCombinatorics:
 class TestSweep:
     def test_shape_and_sorting(self, basis3):
         grid = np.linspace(0.5, 30.0, 7)
-        sweep = sweep_spectrum(basis3, grid)
-        assert sweep.eigenvalues.shape == (7, len(basis3))
-        assert np.all(np.diff(sweep.eigenvalues, axis=1) >= -1e-12)
-        assert sweep.n_total == 3
+        eigenvalues = sweep_spectrum(basis3, grid)
+        assert eigenvalues.shape == (7, len(basis3))
+        assert np.all(np.diff(eigenvalues, axis=1) >= -1e-12)
 
     def test_constant_subtraction_removes_u0_dependence(self, basis3):
         grid = np.array([25.0])
-        base = sweep_spectrum(basis3, grid, u0=0.0).eigenvalues
-        lifted = sweep_spectrum(basis3, grid, u0=7.0).eigenvalues
+        base = sweep_spectrum(basis3, grid, u0=0.0)
+        lifted = sweep_spectrum(basis3, grid, u0=7.0)
         np.testing.assert_allclose(base, lifted, atol=1e-9)
 
 
@@ -92,9 +91,9 @@ class TestStackedSweep:
         with mock.patch.object(spectrum, "STACK_BYTES",
                                per_stack * max(matrices.nbytes for _, matrices in hops)), \
                 mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh) as calls:
-            sweep = sweep_spectrum(basis, grid, mu=mu, nu=nu, u0=u0)
+            eigenvalues = sweep_spectrum(basis, grid, mu=mu, nu=nu, u0=u0)
         assert calls.call_count == len(hops) * -(-points // per_stack)   # per size per stack
-        for row, ratio in zip(sweep.eigenvalues, grid):
+        for row, ratio in zip(eigenvalues, grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
             h = build_mode_hamiltonian(params, basis)
             constant = band_constant(params, n_total)
@@ -111,11 +110,11 @@ class TestStackedSweep:
         for points in (40, 400):
             tracemalloc.start()
             try:
-                sweep = sweep_spectrum(basis, np.linspace(0.0, 25.0, points))
+                eigenvalues = sweep_spectrum(basis, np.linspace(0.0, 25.0, points))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            overhead.append(peak - sweep.eigenvalues.nbytes)   # beyond the result itself
+            overhead.append(peak - eigenvalues.nbytes)   # beyond the result itself
         assert max(overhead) < 2e6
         assert abs(overhead[1] - overhead[0]) < 2e5
 
@@ -133,14 +132,14 @@ class TestBlockSpectrum:
     )
     def test_matches_dense(self, n_total, ratio, u0, mu, nu):
         basis = enumerate_basis(n_total)
-        blocks = sweep_spectrum(basis, [ratio], mu=mu, nu=nu, u0=u0).eigenvalues[0]
+        blocks = sweep_spectrum(basis, [ratio], mu=mu, nu=nu, u0=u0)[0]
         dense = dense_spectrum(basis, ratio, mu=mu, nu=nu, u0=u0)
         assert np.all(np.abs(blocks - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
 
     def test_matches_dense_at_n15(self, basis15):
         grid = np.array([0.0, 12.5, 25.0])
-        sweep = sweep_spectrum(basis15, grid)
-        for row, ratio in zip(sweep.eigenvalues, grid):
+        eigenvalues = sweep_spectrum(basis15, grid)
+        for row, ratio in zip(eigenvalues, grid):
             np.testing.assert_allclose(row, dense_spectrum(basis15, ratio), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mu, nu, count, largest", [
@@ -153,7 +152,7 @@ class TestBlockSpectrum:
         blocks = _hop_blocks(basis5, mu, nu)
         sizes = [indices.shape[1] for indices, _ in blocks for _ in indices]
         assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, len(basis5))
-        spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu).eigenvalues[0]
+        spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu)[0]
         np.testing.assert_allclose(
             spectrum, dense_spectrum(basis5, 7.5, mu=mu, nu=nu), rtol=0, atol=1e-9)
 
@@ -172,21 +171,20 @@ class TestAssignBands:
     @pytest.mark.parametrize("n_total", [3, 4, 5])
     def test_deep_bands_have_exact_counts(self, n_total):
         basis = enumerate_basis(n_total)
-        sweep = sweep_spectrum(basis, np.array([30.0]))
-        assignment = assign_bands(sweep.eigenvalues[0], n_total)
+        eigenvalues = sweep_spectrum(basis, np.array([30.0]))
+        assignment = assign_bands(eigenvalues[0], n_total)
         assert list(assignment.sizes) == [
             size for _, size in predicted_band_sizes(n_total)]
         assert list(assignment.labels) == [
             label for label, _ in predicted_band_sizes(n_total)]
 
     def test_shallow_spectrum_raises(self, basis5):
-        sweep = sweep_spectrum(basis5, np.array([0.5]))
+        eigenvalues = sweep_spectrum(basis5, np.array([0.5]))
         with pytest.raises(BandsUnresolvedError):
-            assign_bands(sweep.eigenvalues[0], 5)
+            assign_bands(eigenvalues[0], 5)
 
     def test_gap_factor_tightens_acceptance(self, basis3):
-        sweep = sweep_spectrum(basis3, np.array([30.0]))
-        eigenvalues = sweep.eigenvalues[0]
+        eigenvalues = sweep_spectrum(basis3, np.array([30.0]))[0]
         assign_bands(eigenvalues, 3, gap_factor=3.0)
         with pytest.raises(BandsUnresolvedError):
             assign_bands(eigenvalues, 3, gap_factor=1e6)

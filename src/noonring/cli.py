@@ -22,10 +22,11 @@ Exit codes: 0 success, 1 invalid input (the message names the key),
 2 numerical failure, including a non-finite table cell (no table written).
 
 Importing this module loads numpy and no scipy subpackage: protocol1,
-protocol2, readout, spectrum and evolve run on numpy alone.  physical and
-robustness run on the scipy-backed `noonring.lattice` and
-`noonring.robustness`; `resolve_config` imports the one a kind needs, after
-checking the values and before any computation.
+protocol2, readout, spectrum and evolve run on numpy alone.  robustness runs
+on `noonring.robustness`, whose pulses load `scipy.sparse`; physical, and
+robustness with the physical source, on the scipy-backed `noonring.lattice`.
+`resolve_config` imports the modules a run needs, after checking the values
+and before any computation.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .protocols import (
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
+    _check_occupations,
     band_trace,
     fit_readout_amplitudes,
     protocol_config,
@@ -70,8 +72,6 @@ PRESETS = {
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _DYNAMICS = {"full": FullDynamics, "ideal": IdealDynamics}   # [protocol] mode
-# The scipy-backed module of the kinds that need one; the other kinds load none.
-_SCIPY_BACKED = {"physical": "lattice", "robustness": "robustness"}
 
 POSITIVE = "> 0"
 NON_NEGATIVE = ">= 0"
@@ -169,6 +169,10 @@ class ExperimentConfig(SimpleNamespace):
 
     def base_protocol(self, p_theta: float = 0.0) -> ProtocolConfig:
         m = self.model
+        try:   # the library's message names M and P, not the keys
+            _check_occupations(m.m, m.p)
+        except ValueError as exc:
+            raise ValueError(f"[model] m = {m.m}, [model] p = {m.p}: {exc}") from None
         return protocol_config(
             m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
             p_theta=p_theta, u0=m.u0, t_m_override=m.t_m_override,
@@ -201,7 +205,7 @@ def _read_config_file(path: Path) -> dict[str, dict[str, object]]:
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Layer schema defaults < preset < config file < command-line flags.
 
-    A kind that runs on a scipy-backed module (`_SCIPY_BACKED`) has it imported
+    The robustness module, and the lattice for a run that needs it, are imported
     here, once every value is checked, so that import counts as set-up.
     """
     given = _read_config_file(Path(args.config)) if args.config else {}
@@ -218,14 +222,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     preset = experiment.get("preset", SCHEMA["experiment"]["preset"].default)
     custom = bool(given.get("model"))
     given["model"] = {**PRESETS[preset], **given.get("model", {})}
-    if kind in _SCIPY_BACKED:
-        importlib.import_module(f".{_SCIPY_BACKED[kind]}", __package__)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         label=f"{preset}+custom" if custom else preset,
         **{section: SimpleNamespace(**{
             key: given.get(section, {}).get(key, spec.default) for key, spec in keys.items()})
            for section, keys in SCHEMA.items()},
     )
+    if kind == "robustness":
+        importlib.import_module(".robustness", __package__)
+    if kind == "physical" or (kind == "robustness" and cfg.robustness.source == "physical"):
+        importlib.import_module(".lattice", __package__)
+    return cfg
 
 
 # --- table / manifest output ----------------------------------------------

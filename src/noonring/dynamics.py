@@ -5,7 +5,11 @@ Hamiltonian, exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>, block by
 block; no time-stepping integrator is involved.  A Hamiltonian that acts
 only once, on one state (a detuned field pulse of `noonring.robustness`),
 is held sparse instead and applied by the truncated Taylor series of
-exp(-i H t) (`_taylor_action`), which never diagonalizes it.
+exp(-i H t) (`_taylor_action`), which never diagonalizes it.  The pulsed
+band interval of `noonring.robustness`, n_dt periods of H(+xi) then H(-xi),
+is one `_Echo` step: the state changes into H(+xi)'s eigenbasis once, each
+period applies the two phase factors and the mixing matrix between the two
+eigenbases and its transpose, and the state changes back once.
 Every Hamiltonian the package builds is real symmetric (`HermitianOperator`
 rejects complex blocks), so V is real, and V.T and V act on the amplitudes
 viewed as real (real, imaginary) pairs: numpy would otherwise make a complex
@@ -48,10 +52,10 @@ def stack_columns(basis: FockBasis) -> int:
     return max(1, STACK_BYTES // (16 * basis.size))
 
 
-def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamiltonian,
+def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamiltonian | _Echo,
            duration) -> QuantumState:
     """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H
-    or, for a sparse H, its truncated Taylor series.
+    or, for a sparse H, its truncated Taylor series; an `_Echo` applies its n_dt periods.
 
     `duration` is one t, or one per column of an (n, K) stack.  V+ and V act on
     all blocks of one size and all columns in one batched product each, with
@@ -71,7 +75,10 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
         evolved = _taylor_action(hamiltonian, state.amplitudes, durations)
     else:
         blocked = state.amplitudes[hamiltonian.order]   # block by block, like the eigenvalues
-        _rotate(blocked, hamiltonian.eigensystem(), durations)
+        if isinstance(hamiltonian, _Echo):
+            _echo(blocked, hamiltonian, durations)
+        else:
+            _rotate(blocked, hamiltonian.eigensystem(), durations)
         evolved = np.empty_like(blocked)
         evolved[hamiltonian.order] = blocked
     if shortest == 0.0:   # t = 0 leaves a column exactly as it was
@@ -80,18 +87,22 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
     return QuantumState(state.basis, evolved)
 
 
+def _phases(energies: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """exp(-i E t) for each energy (rows) and duration (columns, or one for all)."""
+    try:  # raise rather than hand NaN amplitudes to a measurement
+        with np.errstate(over="raise", invalid="raise"):
+            return np.exp(-1j * energies[:, None] * durations)
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"phases exp(-i E t) at t = {np.max(durations):g} s: {exc}") from None
+
+
 def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
     """Replace `blocked` (amplitudes block by block) by V exp(-i Lambda t) V+ of it, in place.
 
     Its workspace is freed on return, before `evolve` allocates its result.
     """
-    energies = np.concatenate([values.ravel() for values, _ in parts])
-    try:  # raise rather than hand NaN amplitudes to a measurement
-        with np.errstate(over="raise", invalid="raise"):
-            phases = np.exp(-1j * energies[:, None] * durations)
-    except FloatingPointError as exc:
-        raise ArithmeticError(
-            f"phases exp(-i E t) at t = {np.max(durations):g} s: {exc}") from None
+    phases = _phases(np.concatenate([values.ravel() for values, _ in parts]), durations)
     start = 0
     for values, vectors in parts:
         block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
@@ -103,6 +114,58 @@ def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
             rotated = vectors.swapaxes(-1, -2) @ block.view(np.float64)
             rotated.view(complex)[...] *= phase
             np.matmul(vectors, rotated, out=block.view(np.float64))
+
+
+class _Echo:
+    """n_dt periods of exp(-i H2 dt) exp(-i H1 dt), dt = t / (2 n_dt), held in H1's eigenbasis:
+    the pulsed band interval of `noonring.robustness`.
+
+    H1 = build(first) and H2 = build(second) must share their blocks (`order`).
+    Per entry of their blocks the echo keeps H1's energies and eigenvectors V1,
+    H2's energies, and the mixing matrix W = V2^T V1, which carries amplitudes
+    from H1's eigenbasis into H2's.  Neither H is kept: each is dropped once
+    diagonalized, before the next array is made, and V2 once W is formed.
+    `evolve` changes into H1's eigenbasis once, applies D1, W, D2 and W^T per
+    period, D = exp(-i E dt), and changes back once: two matrix products per
+    period, where slice-by-slice evolution makes four.
+    """
+
+    def __init__(self, build, first, second, n_dt: int):
+        hamiltonian = build(first)
+        self.basis, self.order, self.n_dt = hamiltonian.basis, hamiltonian.order, n_dt
+        first_parts = hamiltonian.eigensystem()
+        del hamiltonian   # H1's blocks go before H2's are built
+        hamiltonian = build(second)
+        if hamiltonian.basis is not self.basis or not np.array_equal(hamiltonian.order, self.order):
+            raise ValueError("an echo needs two Hamiltonians in the same blocks")
+        second_parts = hamiltonian.eigensystem()
+        del hamiltonian
+        self.parts = tuple(
+            (values, vectors, other_values, other_vectors.swapaxes(-1, -2) @ vectors)
+            for (values, vectors), (other_values, other_vectors) in zip(first_parts, second_parts))
+
+
+def _echo(blocked: np.ndarray, echo: _Echo, durations: np.ndarray) -> None:
+    """Replace `blocked` (amplitudes block by block) by the echo's n_dt periods of it, in place."""
+    dt = durations / (2 * echo.n_dt)
+    first = _phases(np.concatenate([part[0].ravel() for part in echo.parts]), dt)
+    second = _phases(np.concatenate([part[2].ravel() for part in echo.parts]), dt)
+    start = 0
+    for values, vectors, _, mixing in echo.parts:
+        block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
+        phase1, phase2 = (phases[start:start + values.size].reshape(*values.shape, -1)
+                          for phases in (first, second))
+        start += values.size
+        # (real, imaginary) pairs in H1's eigenbasis, and their image in H2's
+        inside = vectors.swapaxes(-1, -2) @ block.view(np.float64)
+        mixed, unmixing = np.empty_like(inside), mixing.swapaxes(-1, -2)
+        inside_amplitudes, mixed_amplitudes = inside.view(complex), mixed.view(complex)
+        for _ in range(echo.n_dt):
+            inside_amplitudes *= phase1
+            np.matmul(mixing, inside, out=mixed)
+            mixed_amplitudes *= phase2
+            np.matmul(unmixing, mixed, out=inside)
+        np.matmul(vectors, inside, out=block.view(np.float64))
 
 
 # theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1, for

@@ -139,9 +139,14 @@ def hop_entries(basis: FockBasis, from_site: int, to_site: int,
     moved = occ[columns]
     moved[:, f] -= count
     moved[:, t] += count
+    n_f, n_t = occ[columns, f], occ[columns, t]
+    return (_positions(basis, moved), columns,
+            np.sqrt(np.prod([(n_f - k) * (n_t + 1.0 + k) for k in range(count)], axis=0)))
+
+
+def _positions(basis: FockBasis, occupations: np.ndarray) -> np.ndarray:
+    """Basis positions of the rows of `occupations`, each a state of the sector."""
     # (n1, n2, n3) as digits base N + 1 ascend with the lexicographic basis order.
     digits = (basis.n_total + 1) ** np.arange(2, -1, -1)
-    rows = np.searchsorted(occ[:, :3] @ digits, moved[:, :3] @ digits)
-    n_f, n_t = occ[columns, f], occ[columns, t]
-    return rows, columns, np.sqrt(np.prod([(n_f - k) * (n_t + 1.0 + k) for k in range(count)], axis=0))
+    return np.searchsorted(basis.occupations[:, :3] @ digits, occupations[:, :3] @ digits)
 

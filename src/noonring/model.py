@@ -36,6 +36,9 @@ and H_eff is diagonal.  Ring-symmetric couplings (U13 = U24, U12 = U23 =
 U34 = U14) add (U13 - U0)(N1 N3 + N2 N4), where per pair of sites N1 N3 =
 [n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity
 of n_d, i.e. the 1<->3 (2<->4) swap; the parities then key the blocks.
+Without fields such an H also commutes with the 90-degree ring rotation,
+which pairs two of the four parity blocks and splits the other two in
+halves, so it is diagonalized in those smaller pieces (`_RotationSymmetric`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockBasis, hop_entries
+from .fock import FockBasis, _positions, hop_entries
 
 HERMITICITY_TOL = 1e-12
 
@@ -142,15 +145,111 @@ class HermitianOperator:
     def eigensystem(self) -> tuple:
         """Eigenvalues (ascending) and eigenvector columns, one pair per entry of `blocks`.
 
-        Computed once, with one batched eigh per block size.
+        Computed once (`_decompose`).
         """
         if self._eigensystem is None:
             self._require_finite()
-            self._eigensystem = tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
+            self._eigensystem = self._decompose()
         return self._eigensystem
+
+    def _decompose(self) -> tuple:
+        """One batched eigh per block size."""
+        return tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
+
+
+class _RotationSymmetric(HermitianOperator):
+    """H at field-free ring-symmetric couplings off the integrable point, in its four
+    parity blocks of the mode basis, diagonalized through the 90-degree ring rotation.
+
+    The rotation 1 -> 2 -> 3 -> 4 maps s13 <-> s24, d13 -> d24 and d24 -> -d13, i.e.
+    R|a,b,c,d> = (-1)^d |b,a,d,c> on the mode occupations, and commutes with every
+    ring-symmetric H without fields.  R maps the (even, odd) parity block onto the
+    (odd, even) one, so one eigh serves both: the second block's V is R V, the first's
+    rows permuted and signed.  On the (even, even) and (odd, odd) blocks R^2 = +1, and
+    each block splits into its R = +1 and R = -1 halves, gathered from the block.
+    """
+
+    def _decompose(self) -> tuple:
+        occ, size = self.basis.occupations, self.basis.size
+        partner = _positions(self.basis, occ[:, [1, 0, 3, 2]])   # R|x> = sign |partner>
+        sign = 1.0 - 2.0 * (occ[:, 3] % 2)
+        located = [(entry, k) for entry, (indices, _) in enumerate(self.blocks)
+                   for k in range(len(indices))]
+        block_of, position = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+        for b, (entry, k) in enumerate(located):
+            states = self.blocks[entry][0][k]
+            block_of[states], position[states] = b, np.arange(states.size)
+        parts = [(np.empty(indices.shape), np.zeros((*indices.shape, indices.shape[1])))
+                 for indices, _ in self.blocks]
+        mirrored = set()   # blocks written as R V of their partner
+        for b, (entry, k) in enumerate(located):
+            states = self.blocks[entry][0][k]
+            other, rows = block_of[partner[states[0]]], position[partner[states]]
+            values, vectors = (part[k] for part in parts[entry])
+            if other == b:
+                _rotation_halves(self.blocks[entry][1][k], rows, sign[states], values, vectors)
+            elif b not in mirrored:
+                values[...], vectors[...] = np.linalg.eigh(self.blocks[entry][1][k])
+                other_values, other_vectors = (part[located[other][1]]
+                                               for part in parts[located[other][0]])
+                other_values[...] = values
+                source = np.argsort(rows)   # row rows[x] of R V is signs[x] times row x of V
+                np.take(vectors, source, axis=0, out=other_vectors)
+                other_vectors *= sign[states][source, None]
+                mirrored.add(other)
+        return tuple(parts)
+
+
+def _rotation_halves(block: np.ndarray, partners: np.ndarray, signs: np.ndarray,
+                     values: np.ndarray, vectors: np.ndarray) -> None:
+    """Write the eigensystem (values ascending) of a block that R maps onto itself, R^2 = +1.
+
+    R|x> = signs[x] |partners[x]> within the block.  The R = r half has the states
+    (|x> + r signs[x] |x'>)/sqrt2 of the pairs x < x' = partners[x], and the fixed
+    states x = x' with signs[x] = r.  As R commutes with H, <x'|H|y'> = s_x s_y <x|H|y>,
+    so the half's matrix is d_x d_y (H[x, y] + r s_y H[x, y']), with d = 1 for a pair
+    and 1/sqrt2 for a fixed state: two gathers, no product with the basis of halves.
+    """
+    local = np.arange(partners.size)
+    fixed = partners == local
+    halves = []
+    for r in (1.0, -1.0):
+        members = np.flatnonzero((partners > local) | (fixed & (signs == r)))
+        halves.append((members, partners[members], r * signs[members]))
+    # one batched eigh when the halves have one size, as they do at odd N (no fixed states)
+    groups = [halves] if halves[0][0].size == halves[1][0].size else [[half] for half in halves]
+    solved = [pair for group in groups
+              for pair in zip(*np.linalg.eigh(_half_matrices(block, group, fixed)))]
+    energies = np.concatenate([half_values for half_values, _ in solved])
+    order = np.argsort(energies, kind="stable")
+    values[...] = energies[order]
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    start = 0
+    for (members, mates, rs), (_, u) in zip(halves, solved):
+        columns, start = column[start:start + members.size], start + members.size
+        # a pair's weight 1/sqrt2 goes to x and x'; a fixed state (x = x', r s = 1) keeps u
+        u *= np.where(mates == members, 1.0, np.sqrt(0.5))[:, None]
+        vectors[np.ix_(members, columns)] = u
+        u *= rs[:, None]
+        vectors[np.ix_(mates, columns)] = u
+
+
+def _half_matrices(block: np.ndarray, halves: list, fixed: np.ndarray) -> np.ndarray:
+    """The matrices of `_rotation_halves` for halves of one size, stacked."""
+    size = halves[0][0].size
+    stack = np.empty((len(halves), size, size))
+    for matrix, (members, mates, rs) in zip(stack, halves):
+        matrix[...] = block[np.ix_(members, mates)]
+        matrix *= rs
+        matrix += block[np.ix_(members, members)]
+        if fixed.any():
+            weight = np.where(fixed[members], np.sqrt(0.5), 1.0)
+            matrix *= weight[:, None] * weight
+    return stack
 
 
 @dataclass(frozen=True)
@@ -274,14 +373,16 @@ def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> Hermiti
 
     `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
     of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
-    blocks of their parities.
+    blocks of their parities, which without fields are diagonalized through
+    the ring rotation (`_RotationSymmetric`).
     """
     diagonal = _mode_diagonal(params, modes)
     blocks = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
+    rotated = params.mu == params.nu == 0.0 and params.u13 != params.u0
     # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
-    return HermitianOperator(modes, blocks, check=False)
+    return (_RotationSymmetric if rotated else HermitianOperator)(modes, blocks, check=False)
 
 
 class _SparseHamiltonian:

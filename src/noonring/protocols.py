@@ -97,9 +97,6 @@ class ProtocolConfig:
         if self.params.mu != 0.0 or self.params.nu != 0.0:
             raise ValueError("params must have mu = nu = 0; fields are applied "
                              "only during the pulse steps")
-        n_total = self.m_occ + self.p_occ
-        if n_total % 2 == 0:
-            raise ValueError(f"total particle number N = M + P must be odd, got {n_total}")
         if self.mu <= 0.0 or self.nu <= 0.0:
             raise ValueError("field strengths mu and nu must be positive")
         if self.theta < 0.0:
@@ -140,9 +137,15 @@ class ProtocolConfig:
 
 
 def _check_occupations(m_occ: int, p_occ: int) -> None:
-    """Both protocols need M, P >= 1: t_nu = pi/(4 M nu) divides by M, theta = (P theta)/P by P."""
+    """Both protocols need M, P >= 1 (t_nu = pi/(4 M nu) divides by M, theta = (P theta)/P
+    by P), an odd N = M + P, and |M - P| >= 2 for the band scales (`derived_scales`)."""
     if m_occ < 1 or p_occ < 1:
         raise ValueError(f"occupations M and P must be >= 1, got M={m_occ}, P={p_occ}")
+    if (m_occ + p_occ) % 2 == 0:
+        raise ValueError(f"total particle number N = M + P must be odd, got {m_occ + p_occ}")
+    if abs(m_occ - p_occ) < 2:
+        raise ValueError(
+            f"need |M - P| >= 2 for the resonant-regime scales, got M={m_occ}, P={p_occ}")
 
 
 def protocol_config(

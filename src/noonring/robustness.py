@@ -25,31 +25,38 @@ The two parameter sources realize opposite signs of xi:
 Each xi point runs the protocol runners of `noonring.protocols` on a
 FullDynamics of its own that changes only the couplings of the band steps
 and the pulses; the points share one NormalModes.  Each operator is built
-when a step first runs under it, so the nu pulse only for Protocol II and
-H(+0) = H(-0) once, and dropped with the point's dynamics before the next
-point.  H(+-xi) is held in the four normal-mode parity blocks of
-`noonring.model` and diagonalized once, for its 2 n_dt slices.  A pulse runs
-once, on one state, so it is never diagonalized: it is a sparse H that
-`noonring.dynamics.evolve` applies by Al-Mohy and Higham's truncated Taylor
-action (SIAM J. Sci. Comput. 33, 488 (2011)).
+when a step first runs under it, so the nu pulse only for Protocol II, and
+dropped with the point's dynamics before the next point.  H(+-xi) is held
+in the four normal-mode parity blocks of `noonring.model`, diagonalized
+through the ring rotation.  A pulsed band interval is one echo step
+(`noonring.dynamics._Echo`), built once per point for both of Protocol
+II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies and the
+mixing matrix between the two eigenbases, and runs all n_dt periods in
+H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the interval is that one
+H evolved for the whole t.  A pulse runs once, on one state, so it is never
+diagonalized: it is a sparse H that `noonring.dynamics.evolve` applies by
+Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci. Comput. 33, 488
+(2011)).
 
 The physical source checks the whole xi grid against the U0 - U13 its
-lattice reaches before the first point runs.
+lattice reaches before the first point runs.  Only its helpers import
+`noonring.lattice` and scipy.optimize, so a direct-source run loads no
+scipy subpackage but scipy.sparse, for its pulses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
-from scipy import optimize
-
-from .dynamics import NormalModes
+from .dynamics import NormalModes, _Echo
 from .fock import FockBasis
-from .lattice import (
-    TrapParameters, derive, integrability_residual, solve_integrability, v0_from_omega_r)
 from .model import ModelParameters, _sparse_mode_hamiltonian
 from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
+
+if TYPE_CHECKING:   # the physical-source helpers import the lattice (and scipy) when they run
+    from .lattice import TrapParameters
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,8 @@ class _DetunedSystem(FullDynamics):
     nu pulse; `cfg` holds the mean couplings (timings, ideal states).  Only the
     couplings of the band steps and the pulses differ from FullDynamics, and
     each operator is built when a step first runs under it: a pulse as a
-    sparse H, which is never diagonalized.
+    sparse H, which is never diagonalized, and a pulsed band interval, keyed
+    by (first, second, n_dt), as an echo.
     """
 
     def __init__(self, config: RobustnessConfig, modes: NormalModes, cfg: ProtocolConfig,
@@ -105,21 +113,23 @@ class _DetunedSystem(FullDynamics):
         super().__init__(modes.sites, modes)
         self.config, self.cfg, self.couplings = config, cfg, couplings
 
-    def _build(self, params: ModelParameters):
-        if params in self.couplings[2:]:
-            return _sparse_mode_hamiltonian(params, self.modes.basis)
-        return super()._build(params)
+    def _build(self, couplings):
+        if isinstance(couplings, tuple):   # (first, second, n_dt): a pulsed band interval
+            return _Echo(super()._build, *couplings)
+        if couplings in self.couplings[2:]:
+            return _sparse_mode_hamiltonian(couplings, self.modes.basis)
+        return super()._build(couplings)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
-        """Static: H(+xi) throughout.  Pulsed: n_dt full oscillations, each a +xi
-        and a -xi slice of t / (2 n_dt) (order set by start_sign), so the
-        time-averaged Hamiltonian is the unperturbed one."""
+        """Static: H(+xi) throughout.  Pulsed: one echo step of n_dt full oscillations,
+        each a +xi and a -xi slice of t / (2 n_dt) (order set by start_sign), so the
+        time-averaged Hamiltonian is the unperturbed one; at xi = 0 both slices are
+        one H, evolved for the whole t."""
         plus, minus = self.couplings[:2]
-        if self.config.mode == "static":
+        if self.config.mode == "static" or plus == minus:
             return [(plus, t)]
         first, second = (plus, minus) if self.config.start_sign > 0 else (minus, plus)
-        dt = t / (2 * self.config.n_dt)
-        return [(first, dt), (second, dt)] * self.config.n_dt
+        return [((first, second, self.config.n_dt), t)]
 
     def _pulses(self, cfg: ProtocolConfig) -> tuple[ModelParameters, ModelParameters]:
         return self.couplings[2], self.couplings[3]
@@ -143,6 +153,8 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
     Raises ValueError if a xi of the grid needs a U0 - U13 of either sign beyond
     the range reached for omega_r within _BRACKET x omega*.
     """
+    from .lattice import integrability_residual, solve_integrability, v0_from_omega_r
+
     trap, j = config.trap, config.base.params.j
     omega_star = solve_integrability(trap).omega_r
     bracket = [factor * omega_star for factor in _BRACKET]
@@ -161,6 +173,10 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
 def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, float]) -> float:
     """Radial frequency where U0(omega) - U13(omega) = target, between the `ends` of
     `_physical_root` (which it has checked); brentq's first two calls read their values."""
+    from scipy import optimize
+
+    from .lattice import integrability_residual
+
     return float(optimize.brentq(
         lambda w: (ends[w] if w in ends else integrability_residual(trap, w)) - target,
         *ends, rtol=1e-10))
@@ -168,6 +184,8 @@ def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, 
 
 def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[ModelParameters, float]:
     """Full couplings and the mu scale factor realized at omega_r."""
+    from .lattice import derive, v0_from_omega_r
+
     # Not model_parameters_from_lattice: it snaps U0 = U13 near the root, which moves the xi = 0 row.
     derived = derive(trap, omega_r)
     params = ModelParameters(

@@ -421,6 +421,18 @@ class TestErrorPaths:
         assert "M and P must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("m, p, reason", [
+        (0, 11, "occupations M and P must be >= 1"),
+        (4, 4, "N = M + P must be odd"),
+        (7, 8, "need |M - P| >= 2"),
+    ])
+    def test_invalid_occupations_name_the_model_keys(self, tmp_path, capsys, m, p, reason):
+        config = tmp_path / "occupations.ini"
+        config.write_text(f"[model]\nm = {m}\np = {p}\n")
+        assert run_cli(["protocol2", "--grid", 2, "--config", config, "--out", tmp_path / "r"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [model] m = {m}, [model] p = {p}: ") and reason in err
+
     def test_spectrum_runs_with_an_empty_subsystem(self, tmp_path):
         config = tmp_path / "empty.ini"
         config.write_text("[model]\nm = 0\n[spectrum]\npoints = 2\n")

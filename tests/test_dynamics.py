@@ -1,6 +1,7 @@
 """Unitary evolution, the normal-mode change of basis, and site-occupation measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 from noonring.dynamics import (
-    NormalModes, _beam_splitter, evolve, site_probabilities, stack_columns)
+    NormalModes, _beam_splitter, _Echo, evolve, site_probabilities, stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian, derived_scales
 from noonring.protocols import IdealDynamics, protocol_config, run_protocol1
@@ -358,6 +359,54 @@ class TestNormalModes:
         blocks = modes.evolve_in_modes(
             state, [(build_mode_hamiltonian(params, modes.basis), duration)])
         np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
+
+
+class TestEcho:
+    """The pulsed band interval as one echo step in H1's eigenbasis, against n_dt periods
+    of slice-by-slice evolution under H1 and H2 = H(+xi) and H(-xi)."""
+
+    def couplings(self, xi, mu=0.0):
+        params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.4)
+        return [replace(params, u13=params.u0 + x, u24=params.u0 + x) for x in (xi, -xi)]
+
+    def echo(self, basis, n_dt, first, second):
+        return _Echo(lambda params: build_mode_hamiltonian(params, basis), first, second, n_dt)
+
+    @pytest.mark.parametrize("n_total", [5, 15])
+    @pytest.mark.parametrize("n_dt", [1, 7])
+    def test_matches_slice_by_slice_evolution(self, n_total, n_dt):
+        basis = enumerate_basis(n_total)
+        first, second = self.couplings(0.3)
+        rng = np.random.default_rng(n_total + n_dt)
+        state = QuantumState(basis, np.column_stack([random_state(basis, rng).amplitudes
+                                                     for _ in range(4)]))
+        durations = np.array([0.0, 0.02, 0.05, 0.11])   # E t of order 10 rad at N = 15
+        evolved = evolve(state, self.echo(basis, n_dt, first, second), durations)
+        h1, h2 = (build_mode_hamiltonian(params, basis) for params in (first, second))
+        sliced, dt = state, durations / (2 * n_dt)
+        for _ in range(n_dt):
+            sliced = evolve(evolve(sliced, h1, dt), h2, dt)
+        np.testing.assert_allclose(evolved.amplitudes, sliced.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(evolved.amplitudes[:, 0], state.amplitudes[:, 0])
+
+    def test_keeps_the_checks_of_evolve(self, basis5, basis3):
+        echo = self.echo(basis5, 3, *self.couplings(0.3))
+        state = random_state(basis5, np.random.default_rng(1))
+        stack = QuantumState(basis5, np.column_stack([state.amplitudes] * 2))
+        with pytest.raises(ValueError):
+            evolve(stack, echo, [0.1, -0.1])
+        with pytest.raises(ArithmeticError):   # E t / (2 n_dt) overflows
+            evolve(stack, echo, [0.1, 1e308])
+        with pytest.raises(ValueError):
+            evolve(random_state(basis3, np.random.default_rng(2)), echo, 0.1)
+        with pytest.raises(ValueError):
+            evolve(stack, echo, [0.1, 0.2, 0.3])
+        assert evolve(state, echo, 0.0).amplitudes.tolist() == state.amplitudes.tolist()
+
+    def test_needs_two_hamiltonians_in_the_same_blocks(self, basis5):
+        (first, _), (fielded, _) = self.couplings(0.3), self.couplings(0.3, mu=0.7)
+        with pytest.raises(ValueError, match="same blocks"):
+            self.echo(basis5, 2, first, fielded)
 
 
 def measured_branches(state):

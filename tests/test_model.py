@@ -1,13 +1,22 @@
 """The block operator, conserved charges, derived band scales and the oracle's references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noonring.dynamics import NormalModes
 from noonring.fock import enumerate_basis
-from noonring.model import HermitianOperator, ModelParameters, derived_scales, diagonal_band_energy
+from noonring.model import (
+    HermitianOperator,
+    ModelParameters,
+    _RotationSymmetric,
+    build_mode_hamiltonian,
+    derived_scales,
+    diagonal_band_energy,
+)
 
 from conftest import mode_matrix
 from oracle import (
@@ -110,6 +119,43 @@ class TestHermitianOperator:
         unchecked = HermitianOperator(basis2, two_blocks(basis2, matrix), check=False)
         with pytest.raises(ArithmeticError, match="non-finite"):
             unchecked.eigensystem()
+
+
+class TestRingRotation:
+    """Field-free H off the integrable point is diagonalized through the ring rotation."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # even N adds the states the rotation fixes, |a,a,c,c>
+        n_total=st.sampled_from([3, 4, 5, 15]),
+        u=st.floats(0.5, 20.0),
+        j=st.floats(0.1, 5.0),
+        u0=st.floats(0.1, 5.0),
+        xi=st.floats(0.01, 3.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_matches_the_block_eigensystem(self, n_total, u, j, u0, xi, sign):
+        params = ModelParameters.integrable_set(u=u, j=j, u0=u0)
+        params = replace(params, u13=u0 + sign * xi, u24=u0 + sign * xi)
+        operator = build_mode_hamiltonian(params, enumerate_basis(n_total))
+        assert isinstance(operator, _RotationSymmetric)
+        for (_, matrices), (values, vectors) in zip(operator.blocks, operator.eigensystem()):
+            scale = max(1.0, float(np.abs(matrices).max()))
+            reference = np.linalg.eigvalsh(matrices)
+            np.testing.assert_allclose(values, reference, rtol=0,
+                                       atol=1e-12 * max(1.0, float(np.abs(reference).max())))
+            assert np.all(np.diff(values, axis=-1) >= 0.0)   # ascending, as eigh gives them
+            residual = matrices @ vectors - vectors * values[:, None, :]
+            assert np.abs(residual).max() <= 1e-12 * scale
+            identity = np.broadcast_to(np.eye(values.shape[-1]), vectors.shape)
+            np.testing.assert_allclose(vectors.swapaxes(-1, -2) @ vectors, identity,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("u13, mu", [(0.5, 0.0), (0.6, 0.7)])
+    def test_integrable_or_fielded_hamiltonians_keep_one_eigh_per_block_size(self, u13, mu):
+        params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.5)
+        operator = build_mode_hamiltonian(replace(params, u13=u13, u24=u13), enumerate_basis(5))
+        assert type(operator) is HermitianOperator
 
 
 class TestOracleAgreement:

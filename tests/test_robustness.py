@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noonring import robustness
+from noonring import lattice, robustness
 from noonring.dynamics import NormalModes, evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters
@@ -242,13 +242,14 @@ class TestPhysicalSource:
             source="physical", trap=TrapParameters())
         _, ends = robustness._physical_root(config)
         omegas = []
-        residual = robustness.integrability_residual
+        residual = lattice.integrability_residual
 
         def recording_residual(trap, omega_r):
             omegas.append(omega_r)
             return residual(trap, omega_r)
 
-        monkeypatch.setattr(robustness, "integrability_residual", recording_residual)
+        # the physical-source helpers import the lattice's names when they run
+        monkeypatch.setattr(lattice, "integrability_residual", recording_residual)
         monkeypatch.setattr(robustness, "_run_point", lambda *args: None)
         run_robustness(config, basis15)
         assert len(ends) == 2
@@ -308,21 +309,25 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("source", ["direct", "physical"])
     def test_no_eigh_wider_than_a_parity_block(self, basis15, source, monkeypatch):
-        widths = []
+        shapes = []
         eigh = np.linalg.eigh
 
         def recording_eigh(matrices):
-            widths.append(matrices.shape[-1])
+            shapes.append(matrices.shape)
             return eigh(matrices)
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        # H(+-xi) has the parity blocks 240/204/204/168 of the dense 816.  Each H takes
+        # three eigh: the rotation halves of 240 and of 168, and one 204 block, whose
+        # rotation image is the other.  A pulse H is never diagonalized.
+        per_hamiltonian = [(2, 120, 120), (204, 204), (2, 84, 84)]
         for protocol in (1, 2):
+            shapes.clear()
             config = RobustnessConfig(
                 base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
                 protocol=protocol, source=source, trap=TrapParameters())
             run_robustness(config, basis15)
-        # H(+-xi): blocks 240/204/204/168 of the dense 816; a pulse H is never diagonalized
-        assert widths and max(widths) == 240
+            assert shapes == 2 * per_hamiltonian   # H(+xi) and H(-xi), once per point
 
     @pytest.mark.parametrize("protocol", [1, 2])
     @pytest.mark.parametrize("mode", ["pulsed", "static"])

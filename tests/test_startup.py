@@ -75,6 +75,24 @@ def test_resolving_a_kind_imports_its_scipy_backed_module():
     }
 
 
+def test_a_direct_source_robustness_run_loads_only_scipy_sparse(tmp_path):
+    """Its pulses need scipy.sparse; only the physical source needs the lattice, which
+    resolving such a run imports."""
+    direct, physical = tmp_path / "direct.ini", tmp_path / "physical.ini"
+    direct.write_text("[robustness]\npoints = 2\nn_dt = 2\n")
+    physical.write_text("[robustness]\nsource = physical\n")
+    loaded = loaded_after(
+        "import json, sys\nfrom noonring import cli\n"
+        f"assert cli.main(['robustness', '--config', {str(direct)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"run = [f'scipy.{{name}}' for name in {BLOCKED!r} if f'scipy.{{name}}' in sys.modules]\n"
+        "lattice = 'noonring.lattice' in sys.modules\n"
+        f"cli.resolve_config(cli.build_parser().parse_args(['robustness', '--config', "
+        f"{str(physical)!r}]))\n"
+        "print(json.dumps([run, lattice, 'noonring.lattice' in sys.modules]))")
+    assert loaded == [["scipy.sparse"], False, True]
+
+
 def test_every_public_name_resolves():
     for name in noonring.__all__:
         assert getattr(noonring, name) is not None, name

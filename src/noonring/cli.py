@@ -515,8 +515,11 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
     return header, list(zip(*rows)), {
         "derived": _derived_block(base), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
+        # What "+xi" detunes: the two sources realize opposite signs.
+        "xi_sign_convention": "U13 - U0 = +xi" if r.source == "direct" else "U0 - U13 = +xi",
         "p_theta": math.pi / 2.0,
-        # The largest |xi/J| of the grid with fidelity above 0.9; None (null) if none.
+        # The largest |xi/J| up to which the whole grid has fidelity above 0.9; None (null)
+        # if the smallest |xi/J| fails.
         "threshold_xi_over_j": threshold_xi(results, level=0.9),
     }
 

@@ -28,9 +28,20 @@ wavevector q):
     U_1j = (C_dd / 4 pi) Int_0^inf dq q e^{-q^2/(4 eta)} J0(q d) Z(q),
     Z(q) = (4/3) sqrt(kappa^2 eta / pi) - q erfcx(q / (2 kappa sqrt(eta))),
 
-whose d -> 0 limit recovers the on-site dipolar term.  All couplings
-are returned as angular frequencies (X/hbar in rad/s); lengths are in
-meters and energies in joules elsewhere.
+whose d -> 0 limit recovers the on-site dipolar term.  In x = q/sqrt(eta)
+the integral is
+
+    eta^(3/2) Int_0^14 dx x e^{-x^2/4} (4 kappa/(3 sqrt(pi)) - x erfcx(x/(2 kappa))) J0(x sqrt(eta) d),
+
+where only the J0 factor depends on omega_r and d.  dipolar_coupling
+evaluates it with a fixed Gauss-Legendre rule, built once at import, and
+takes its error from the same sum on a rule of twice the nodes.  The
+integrable point U0 = U13 is found by regula falsi with the
+Anderson-Bjorck modification (`_find_root`), which the robustness module's
+detuned frequencies share.  The module needs scipy.special (erfcx, j0) and
+scipy.constants only.  All couplings are returned as angular frequencies
+(X/hbar in rad/s); lengths are in meters and energies in joules
+elsewhere.
 
 The Dy-164 magnetic moment is calibrated so that the a = -21 a0
 integrability root lands at omega_r = 2 pi x 37.078 kHz (see
@@ -44,7 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants, integrate, optimize, special
+import numpy as np
+from scipy import constants, special
 
 from .model import ModelParameters
 
@@ -228,39 +240,78 @@ def onsite_dipolar(trap: TrapParameters, omega_r: float) -> float:
     return -prefactor * trap.c_dd * anisotropy_f(trap.kappa) / 3.0 / HBAR
 
 
+def _gauss_legendre(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point (n even) Gauss-Legendre rule on [0, length].
+
+    Newton's method on P_n from Tricomi's estimate of its positive roots, P_n and
+    P_{n-1} by the three-term recurrence, until a step falls below 1e-15; the
+    weights are 2 / ((1 - t^2) P_n'(t)^2).
+    """
+    k = np.arange(1, n // 2 + 1)
+    t = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    recurrence = [((2 * j - 1) / j, (j - 1) / j) for j in range(2, n + 1)]
+    while True:
+        previous, p = np.ones_like(t), t
+        for a, b in recurrence:
+            previous, p = p, a * t * p - b * previous
+        slope = n * (previous - t * p) / (1.0 - t * t)
+        step = p / slope
+        t = t - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    weights = 2.0 / ((1.0 - t * t) * slope * slope)
+    half = 0.5 * length
+    return half * np.concatenate([1.0 - t, 1.0 + t]), half * np.concatenate([weights, weights])
+
+
+# x = q / sqrt(eta) beyond which the Gaussian factor e^{-x^2/4} is < 1e-21.
+_CUTOFF = 14.0
+# Gauss-Legendre rules on [0, _CUTOFF] by node count: a coupling sums a coarse rule
+# of 96 or 192 nodes and the fine rule of twice as many.
+_RULES = {n: _gauss_legendre(n, _CUTOFF) for n in (96, 192, 384)}
+
+
 def dipolar_coupling(
     trap: TrapParameters,
     omega_r: float,
     distance: float,
     rel_tol: float = 1e-4,
 ) -> float:
-    """U_1j/hbar at in-plane distance d by adaptive quadrature (rad/s).
+    """U_1j/hbar at in-plane distance d by fixed-node Gauss-Legendre quadrature (rad/s).
 
-    The erfcx form of the kernel is overflow-free; the Gaussian factor
-    is < 1e-42 beyond the cutoff q = 14 sqrt(eta), where the kernel has
-    already flattened to a constant, so the truncation error is far
-    below the requested tolerance.
+    The integral runs over x = q/sqrt(eta) in [0, 14], where the erfcx form of
+    the kernel is overflow-free; the Gaussian factor is < 1e-21 at the cutoff,
+    where the kernel has already flattened to a constant.  J0(x sqrt(eta) d) has
+    about 14 sqrt(eta) d / pi oscillations there, and the kernel varies on a
+    width ~2 kappa, so the coarse rule takes 96 nodes while
+    5 sqrt(eta) d + 16 / sqrt(kappa) <= 80, and 192 beyond.  The fine rule
+    takes twice the coarse rule's nodes and gives the value.  The error estimate
+    is the larger of the two rules' difference and 50 eps times the sum of the
+    fine rule's |terms| (its roundoff); QuadratureError if it exceeds
+    rel_tol |value|.
     """
     if omega_r <= 0.0 or distance < 0.0:
         raise ValueError("omega_r must be positive and distance non-negative")
     eta = trap.eta(omega_r)
     kappa = trap.kappa
-    sqrt_eta = math.sqrt(eta)
-    z_origin = (4.0 / 3.0) * math.sqrt(kappa**2 * eta / math.pi)
-
-    def integrand(q):
-        kernel = z_origin - q * special.erfcx(q / (2.0 * kappa * sqrt_eta))
-        return q * math.exp(-q * q / (4.0 * eta)) * special.j0(q * distance) * kernel
-
-    cutoff = 14.0 * sqrt_eta
-    value, abserr = integrate.quad(integrand, 0.0, cutoff, epsabs=0.0, epsrel=1e-10, limit=500)
+    frequency = math.sqrt(eta) * distance   # of J0 in x
+    coarse = 96 if 5.0 * frequency + 16.0 / math.sqrt(kappa) <= 80.0 else 192
+    origin = 4.0 * kappa / (3.0 * math.sqrt(math.pi))
+    sums = []
+    for n in (coarse, 2 * coarse):
+        x, weights = _RULES[n]
+        kernel = x * np.exp(-0.25 * x * x) * (origin - x * special.erfcx(x / (2.0 * kappa)))
+        terms = weights * kernel * special.j0(frequency * x)
+        sums.append(float(terms.sum()))
+    value = sums[1]
+    abserr = max(abs(value - sums[0]), 50.0 * np.finfo(float).eps * np.abs(terms).sum())
     if value != 0.0 and abserr > rel_tol * abs(value):
         raise QuadratureError(
             f"dipolar integral reached relative error {abserr / abs(value):.2e} "
             f"> {rel_tol:g} at d = {distance:g} m"
         )
     return _finite(f"U(d = {distance:g} m)", omega_r,
-                   lambda: trap.c_dd / (4.0 * math.pi) * value / HBAR)
+                   lambda: trap.c_dd / (4.0 * math.pi) * eta**1.5 * value / HBAR)
 
 
 def offsite_coupling(trap: TrapParameters, omega_r: float, pair: str) -> float:
@@ -290,26 +341,65 @@ class IntegrabilityRoot:
     residual: float  # rad/s
 
 
+def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -> float:
+    """The x between lo and hi with f(x) = 0, given f's values f_lo, f_hi at the ends.
+
+    Regula falsi with the Anderson-Bjorck modification: when a secant point
+    replaces the same end twice in a row, the value kept at the other end is
+    scaled by 1 - f(x)/f(replaced end), or halved as in the Illinois method if
+    that is not positive.  A secant point outside the bracket, or three steps
+    that fail to halve it, give a bisection instead.  Once the bracket is within
+    rtol |x|, returns the point where |f| was smallest, which a closing bisection
+    need not be; f is never called at lo or hi.  ValueError if f_lo and f_hi have
+    the same sign.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ValueError(f"f has the same sign at both ends of [{lo:g}, {hi:g}]: {f_lo:g}, {f_hi:g}")
+    kept, widths, best = None, [math.inf] * 3, (math.inf, None)
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not min(lo, hi) < x < max(lo, hi) or abs(hi - lo) > 0.5 * widths[-3]:
+            x = 0.5 * (lo + hi)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        best = min(best, (abs(f_x), x))
+        if (f_x > 0.0) == (f_hi > 0.0):
+            scale = 1.0 - f_x / f_hi
+            hi, f_hi = x, f_x
+            if kept == "lo":
+                f_lo *= scale if scale > 0.0 else 0.5
+            kept = "lo"
+        else:
+            scale = 1.0 - f_x / f_lo
+            lo, f_lo = x, f_x
+            if kept == "hi":
+                f_hi *= scale if scale > 0.0 else 0.5
+            kept = "hi"
+        widths.append(abs(hi - lo))
+        if abs(hi - lo) <= rtol * abs(x):
+            return best[1]
+
+
 def solve_integrability(
     trap: TrapParameters,
     bracket: tuple[float, float] = (2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3),
 ) -> IntegrabilityRoot:
-    """Find omega_r with U0 = U13 by bracketed root-finding (rel. tol 1e-6)."""
+    """Find omega_r with U0 = U13 by bracketed root-finding (rel. tol 1e-12, the
+    12 significant digits a manifest prints)."""
     lo, hi = bracket
     f_lo = integrability_residual(trap, lo)
     f_hi = integrability_residual(trap, hi)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif f_lo * f_hi > 0.0:
+    if f_lo * f_hi > 0.0:
         raise ValueError(
             f"no integrable point in bracket [{lo:g}, {hi:g}] rad/s: "
             f"U0 - U13 = {f_lo:g} and {f_hi:g} at the endpoints"
         )
-    else:
-        root = optimize.brentq(
-            lambda w: integrability_residual(trap, w), lo, hi, rtol=1e-8)
+    root = _find_root(lambda w: integrability_residual(trap, w), lo, hi, f_lo, f_hi, rtol=1e-12)
     u0 = onsite_coupling(trap, root)
     u13 = offsite_coupling(trap, root, "diagonal")
     u12 = offsite_coupling(trap, root, "nearest")

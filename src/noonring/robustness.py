@@ -39,9 +39,11 @@ Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci. Comput. 33, 488
 (2011)).
 
 The physical source checks the whole xi grid against the U0 - U13 its
-lattice reaches before the first point runs.  Only its helpers import
-`noonring.lattice` and scipy.optimize, so a direct-source run loads no
-scipy subpackage but scipy.sparse, for its pulses.
+lattice reaches before the first point runs, and finds each detuned
+frequency with the lattice's bracketed root-finder.  Only its helpers
+import `noonring.lattice` (and with it scipy.special and scipy.constants),
+so a direct-source run loads no scipy subpackage but scipy.sparse, for its
+pulses.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
     reach = [integrability_residual(trap, omega_r) for omega_r in bracket]
     for xi in config.xi_values:
         for target in (xi, -xi):
-            if (reach[0] - target) * (reach[1] - target) > 0.0:   # brentq needs a sign change
+            if (reach[0] - target) * (reach[1] - target) > 0.0:   # no sign change to bracket
                 raise ValueError(
                     f"physical source: xi = {abs(target):g} rad/s (xi/J = {abs(target) / j:g}) "
                     f"needs U0 - U13 = {target:+g} rad/s, outside the [{min(reach):g}, "
@@ -172,14 +174,12 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
 
 def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, float]) -> float:
     """Radial frequency where U0(omega) - U13(omega) = target, between the `ends` of
-    `_physical_root` (which it has checked); brentq's first two calls read their values."""
-    from scipy import optimize
+    `_physical_root` (which it has checked), whose values the root-finder starts from."""
+    from .lattice import _find_root, integrability_residual
 
-    from .lattice import integrability_residual
-
-    return float(optimize.brentq(
-        lambda w: (ends[w] if w in ends else integrability_residual(trap, w)) - target,
-        *ends, rtol=1e-10))
+    (lo, f_lo), (hi, f_hi) = ends.items()
+    return _find_root(lambda w: integrability_residual(trap, w) - target,
+                      lo, hi, f_lo - target, f_hi - target, rtol=1e-10)
 
 
 def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[ModelParameters, float]:
@@ -248,6 +248,12 @@ def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[Robustnes
 
 
 def threshold_xi(points: list[RobustnessPoint], level: float = 0.9) -> float | None:
-    """Largest |xi/J| on the grid with fidelity still above `level`."""
-    passing = [abs(p.xi_over_j) for p in points if p.fidelity > level]
-    return max(passing) if passing else None
+    """Largest |xi/J| of the grid up to which every point has fidelity above `level`,
+    so a revival past the first failing point does not count; None if the smallest
+    |xi/J| fails."""
+    threshold = None
+    for point in sorted(points, key=lambda point: abs(point.xi_over_j)):
+        if point.fidelity <= level:
+            break
+        threshold = abs(point.xi_over_j)
+    return threshold

@@ -204,10 +204,20 @@ class TestConfigDriven:
         assert manifest["n_dt"] == 5
         assert manifest["protocol"] == 1
 
+    @pytest.mark.parametrize("source, convention", [
+        ("direct", "U13 - U0 = +xi"), ("physical", "U0 - U13 = +xi")])
+    def test_robustness_manifest_names_the_sign_of_xi(self, tmp_path, source, convention):
+        config = tmp_path / "robust.ini"
+        config.write_text(f"[robustness]\nsource = {source}\nxi_over_j_max = 0.004\n"
+                          "points = 2\nn_dt = 2\n")
+        out = tmp_path / "res"
+        assert run_cli(["robustness", "--config", config, "--out", out]) == 0
+        assert read_manifest(out / "robustness_manifest.json")["xi_sign_convention"] == convention
+
     @pytest.mark.parametrize("model, threshold", [("", 0.004), ("t_m_override = 20\n", None)])
     def test_robustness_manifest_threshold(self, tmp_path, model, threshold):
-        """The largest xi/J with fidelity above 0.9, or null when no point passes (a
-        band interval far from t_m fails at every xi)."""
+        """The largest xi/J up to which every point has fidelity above 0.9, or null when
+        the smallest fails (a band interval far from t_m fails at every xi)."""
         config = tmp_path / "robust.ini"
         config.write_text(f"[model]\n{model}[robustness]\nxi_over_j_max = 0.004\npoints = 2\n")
         out = tmp_path / "res"

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize, special
 
+from noonring import lattice
 from noonring.lattice import (
     DY_MOMENT_CALIBRATED,
     HBAR,
     QuadratureError,
     TrapParameters,
+    _find_root,
     anisotropy_f,
     derive,
     dipolar_coupling,
@@ -37,6 +39,21 @@ def calibrate_moment(trap, target_omega_r, bracket_mub=(9.0, 11.0)):
     lo, hi = bracket_mub
     assert residual(lo) * residual(hi) < 0.0, f"no calibrating moment in [{lo}, {hi}] mu_B"
     return float(optimize.brentq(residual, lo, hi, rtol=1e-10))
+
+
+def adaptive_coupling(trap, omega_r, distance):
+    """U_1j/hbar by scipy's adaptive quadrature of the integral over q, to 1e-10 relative:
+    the reference for the fixed-node rule of dipolar_coupling."""
+    eta = trap.eta(omega_r)
+    kappa, sqrt_eta = trap.kappa, math.sqrt(eta)
+    z_origin = (4.0 / 3.0) * math.sqrt(kappa**2 * eta / math.pi)
+
+    def integrand(q):
+        kernel = z_origin - q * special.erfcx(q / (2.0 * kappa * sqrt_eta))
+        return q * math.exp(-q * q / (4.0 * eta)) * special.j0(q * distance) * kernel
+
+    value, _ = integrate.quad(integrand, 0.0, 14.0 * sqrt_eta, epsabs=0.0, epsrel=1e-10, limit=500)
+    return trap.c_dd / (4.0 * math.pi) * value / HBAR
 
 
 class TestAnisotropyFunction:
@@ -139,6 +156,111 @@ class TestDipolarCouplings:
                              TrapParameters().nearest_distance(), rel_tol=1e-16)
 
 
+class TestFixedNodeQuadrature:
+    """dipolar_coupling's Gauss-Legendre rule against scipy's adaptive quadrature."""
+
+    @pytest.mark.parametrize("kappa_sq", [0.5, 1.489, 4.0])
+    def test_matches_adaptive_quadrature_or_raises(self, kappa_sq):
+        """Up to 60 kHz, the [lattice] default range, no point may raise."""
+        trap = TrapParameters(kappa_sq=kappa_sq)
+        distances = (1e-12, trap.nearest_distance(), trap.diagonal_distance(),
+                     2.0 * trap.nearest_distance())
+        for freq_khz in np.linspace(5.0, 150.0, 30):
+            omega_r = 2.0 * math.pi * freq_khz * 1e3
+            for distance in distances:
+                reference = adaptive_coupling(trap, omega_r, distance)
+                try:
+                    value = dipolar_coupling(trap, omega_r, distance)
+                except QuadratureError:
+                    assert freq_khz > 60.0
+                    continue
+                assert value == pytest.approx(reference, rel=1e-9, abs=0.0), (freq_khz, distance)
+
+    def test_no_default_input_raises(self):
+        """The [lattice] frequency range and the robustness bracket, 0.5 to 1.5 times the
+        integrable root, at the default trap (derive evaluates both pairs)."""
+        trap = TrapParameters()
+        root = solve_integrability(trap).omega_r
+        for omega_r in (*(2.0 * math.pi * 1e3 * np.linspace(18.0, 60.0, 43)), 0.5 * root, 1.5 * root):
+            derive(trap, omega_r)
+
+    def test_many_oscillations_take_the_larger_rule(self):
+        """At 400 kHz and twice the nearest distance J0 makes ~130 oscillations, more than
+        96 coarse nodes resolve: the rule sizes up rather than raise."""
+        trap = TrapParameters()
+        omega_r, distance = 2.0 * math.pi * 400e3, 2.0 * trap.nearest_distance()
+        assert dipolar_coupling(trap, omega_r, distance) == pytest.approx(
+            adaptive_coupling(trap, omega_r, distance), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("kappa_sq, freq_khz, distance", [
+        (1.489, 37.078, 1e-12),
+        (4.0, 92.0, 1e-12),   # the coarse and fine sums agree to the last bit here (x86-64)
+    ])
+    def test_error_estimate_is_never_zero(self, kappa_sq, freq_khz, distance):
+        """The fine rule's roundoff bounds the estimate from below, so a zero tolerance
+        raises even where the two rules give the same sum."""
+        with pytest.raises(QuadratureError):
+            dipolar_coupling(TrapParameters(kappa_sq=kappa_sq), 2.0 * math.pi * freq_khz * 1e3,
+                             distance, rel_tol=0.0)
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("a0", [-21.0, -20.85, -21.2])
+    def test_integrable_root_matches_brentq(self, a0):
+        trap = dataclasses.replace(TrapParameters(), scattering_length_a0=a0)
+        reference = optimize.brentq(lambda w: integrability_residual(trap, w),   # its tightest
+                                    2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3,
+                                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        assert solve_integrability(trap).omega_r == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_integrable_root_takes_few_evaluations(self, monkeypatch):
+        """brentq took 7 or 8 at 1e-8; regula falsi without the weighting of a kept
+        end takes 14 to 18."""
+        calls = []
+        residual = lattice.integrability_residual
+
+        def counting_residual(trap, omega_r):
+            calls.append(omega_r)
+            return residual(trap, omega_r)
+
+        monkeypatch.setattr(lattice, "integrability_residual", counting_residual)
+        for a0 in (-21.0, -20.85, -21.2):
+            calls.clear()
+            solve_integrability(dataclasses.replace(TrapParameters(), scattering_length_a0=a0))
+            assert len(calls) <= 2 + 10   # the two bracket ends, then the root-find
+
+    def test_ends_are_taken_as_given(self):
+        calls = []
+
+        def cube(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        assert _find_root(cube, 0.0, 3.0, -2.0, 25.0, rtol=1e-12) == pytest.approx(
+            2.0 ** (1.0 / 3.0), rel=1e-12)
+        assert 0.0 not in calls and 3.0 not in calls
+        calls.clear()
+        assert _find_root(cube, 1.0, 3.0, 0.0, 25.0, rtol=1e-12) == 1.0
+        assert _find_root(cube, 0.0, 1.0, -2.0, 0.0, rtol=1e-12) == 1.0
+        assert calls == []
+
+    def test_a_one_sided_secant_falls_back_to_bisection(self):
+        """Regula falsi keeps the left end of a function this convex step after step."""
+        calls = []
+
+        def steep(x):
+            calls.append(x)
+            return x**40 - 0.5
+
+        root = _find_root(steep, 0.0, 1.5, -0.5, 1.5**40 - 0.5, rtol=1e-12)
+        assert root == pytest.approx(0.5 ** (1.0 / 40.0), rel=1e-12)
+        assert len(calls) < 60   # without the bisections the weighting stalls for millions
+
+    def test_same_sign_rejected(self):
+        with pytest.raises(ValueError, match="same sign"):
+            _find_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, rtol=1e-12)
+
+
 class TestIntegrabilityRoot:
     def test_root_consistency(self):
         root = solve_integrability(TrapParameters())
@@ -148,7 +270,8 @@ class TestIntegrabilityRoot:
             pytest.approx(0.0, abs=1e-6 * root.u0))
 
     def test_no_root_in_bad_bracket(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no integrable point in bracket \[.*\] rad/s: "
+                                             r"U0 - U13 = .* and .* at the endpoints$"):
             solve_integrability(
                 TrapParameters(),
                 bracket=(2.0 * math.pi * 100e3, 2.0 * math.pi * 200e3))

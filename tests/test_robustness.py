@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from noonring import lattice, robustness
 from noonring.dynamics import NormalModes, evolve
@@ -255,7 +256,23 @@ class TestPhysicalSource:
         assert len(ends) == 2
         for omega_r in ends:
             assert omegas.count(omega_r) == 1
-        assert len(omegas) > 2 + 2 * len(config.xi_values)   # brentq ran for each sign of xi
+        assert len(omegas) > 2 + 2 * len(config.xi_values)   # a root-find for each sign of xi
+
+    def test_detuned_frequencies_match_brentq(self):
+        """Both signs of each xi of the default grid, from the bracket ends that the reach
+        check evaluated.  At xi/J = 0.0168 the root-finder's last point is a bisection
+        1e-10 off the root, so it must return its best point instead."""
+        trap = TrapParameters()
+        xi_values = tuple(np.linspace(0.0, 0.02 * SET1["j"], 20))
+        config = RobustnessConfig(base=make_cfg(SET1), xi_values=xi_values, source="physical",
+                                  trap=trap)
+        _, ends = robustness._physical_root(config)
+        for target in (*xi_values, *(-xi for xi in xi_values)):
+            reference = optimize.brentq(
+                lambda w: lattice.integrability_residual(trap, w) - target, *ends,
+                xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            assert robustness._solve_detuned_omega(trap, target, ends) == pytest.approx(
+                reference, rel=1e-12, abs=0.0)
 
 
 def detuned_system(config, basis, xi):
@@ -378,6 +395,19 @@ class TestThreshold:
     def test_none_when_nothing_passes(self):
         points = self.make_points([(0.01, 0.5), (0.02, 0.3)])
         assert threshold_xi(points, level=0.9) is None
+
+    def test_a_revival_past_the_first_failure_does_not_count(self):
+        """F falls below the level and comes back above it once further out, as at
+        N = 21, (M, P) = (4, 17): the threshold stays below the first failure."""
+        grid = [(0.0, 0.999), (0.00105, 0.97), (0.0021, 0.93), (0.00316, 0.565),
+                (0.0042, 0.906), (0.00526, 0.334), (0.0063, 0.2)]
+        assert threshold_xi(self.make_points(grid)) == pytest.approx(0.0021)
+        assert threshold_xi(self.make_points(grid[::-1])) == pytest.approx(0.0021)
+        assert threshold_xi(self.make_points([(-x, f) for x, f in grid])) == pytest.approx(0.0021)
+
+    def test_none_when_the_smallest_detuning_fails(self):
+        points = self.make_points([(0.0, 0.85), (0.001, 0.95), (0.002, 0.97)])
+        assert threshold_xi(points) is None
 
 
 class TestSparsePulse:

@@ -60,9 +60,11 @@ def test_the_blocked_interpreter_refuses_a_scipy_subpackage(tmp_path):
 
 
 def test_resolving_a_kind_imports_its_scipy_backed_module():
+    """The lattice brings scipy.special and scipy.constants, and no other scipy subpackage."""
     loaded = loaded_after(
         "import json, sys\nfrom noonring import cli\n"
-        "modules = ('noonring.lattice', 'noonring.robustness', 'scipy.optimize')\n"
+        "modules = ('noonring.lattice', 'noonring.robustness', "
+        f"*(f'scipy.{{name}}' for name in {BLOCKED!r}))\n"
         "seen = {}\n"
         f"for kind in {(*MODEL_KINDS, 'physical', 'robustness')!r}:\n"
         "    cli.resolve_config(cli.build_parser().parse_args([kind]))\n"
@@ -70,9 +72,24 @@ def test_resolving_a_kind_imports_its_scipy_backed_module():
         "print(json.dumps(seen))")
     assert loaded == {
         **{kind: [] for kind in MODEL_KINDS},
-        "physical": ["noonring.lattice", "scipy.optimize"],
-        "robustness": ["noonring.lattice", "noonring.robustness", "scipy.optimize"],
+        "physical": ["noonring.lattice", "scipy.special", "scipy.constants"],
+        "robustness": ["noonring.lattice", "noonring.robustness", "scipy.special", "scipy.constants"],
     }
+
+
+def test_physical_runs_load_neither_scipy_optimize_nor_integrate(tmp_path):
+    """A full `physical` run and a physical-source `robustness` run: the lattice finds its
+    roots and evaluates its integrals with numpy."""
+    config = tmp_path / "physical.ini"
+    config.write_text("[robustness]\nsource = physical\npoints = 2\nn_dt = 2\n")
+    loaded = loaded_after(
+        "import json, sys\nfrom noonring import cli\n"
+        "for kind in ('physical', 'robustness'):\n"
+        f"    assert cli.main([kind, '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(json.dumps([name for name in ('scipy.optimize', 'scipy.integrate', "
+        "'noonring.lattice', 'noonring.robustness') if name in sys.modules]))")
+    assert loaded == ["noonring.lattice", "noonring.robustness"]
 
 
 def test_a_direct_source_robustness_run_loads_only_scipy_sparse(tmp_path):

@@ -18,13 +18,7 @@ import importlib
 
 from .dynamics import evolve, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
-from .model import (
-    DerivedScales,
-    HermitianOperator,
-    ModelParameters,
-    derived_scales,
-    diagonal_band_energy,
-)
+from .model import HermitianOperator, ModelParameters, diagonal_band_energy
 from .protocols import (
     FullDynamics,
     IdealDynamics,
@@ -57,10 +51,10 @@ __version__ = "0.1.0"
 # The names of the scipy-backed modules, imported when one of them is first read.
 _SCIPY_BACKED = {
     "lattice": (
-        "IntegrabilityRoot", "LatticeDerived", "QuadratureError", "TrapParameters",
-        "anisotropy_f", "derive", "dipolar_coupling", "field_strengths",
-        "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
-        "recoil_energy", "solve_integrability", "v0_from_omega_r",
+        "LatticeDerived", "QuadratureError", "TrapParameters", "anisotropy_f", "derive",
+        "dipolar_coupling", "field_strengths", "model_parameters_from_lattice",
+        "offsite_coupling", "onsite_coupling", "recoil_energy", "solve_integrability",
+        "v0_from_omega_r",
     ),
     "robustness": ("RobustnessConfig", "RobustnessPoint", "run_robustness", "threshold_xi"),
 }
@@ -73,13 +67,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BandAssignment", "BandsUnresolvedError", "DerivedScales", "FockBasis",
-    "FullDynamics", "HermitianOperator", "IdealDynamics", "IntegrabilityRoot",
-    "LatticeDerived", "ModelParameters", "ProtocolConfig", "ProtocolReport",
-    "QuadratureError", "QuantumState", "RobustnessConfig", "RobustnessPoint",
-    "TrapParameters", "anisotropy_f", "assign_bands", "band_splits", "band_trace",
-    "derive", "derived_scales", "diagonal_band_energy", "dipolar_coupling",
-    "enumerate_basis", "evolve", "fidelity", "field_strengths",
+    "BandAssignment", "BandsUnresolvedError", "FockBasis", "FullDynamics",
+    "HermitianOperator", "IdealDynamics", "LatticeDerived", "ModelParameters",
+    "ProtocolConfig", "ProtocolReport", "QuadratureError", "QuantumState",
+    "RobustnessConfig", "RobustnessPoint", "TrapParameters", "anisotropy_f",
+    "assign_bands", "band_splits", "band_trace", "derive", "diagonal_band_energy",
+    "dipolar_coupling", "enumerate_basis", "evolve", "fidelity", "field_strengths",
     "fit_readout_amplitudes", "ideal_protocol1_output", "ideal_protocol2_output",
     "ideal_uber_noon", "model_parameters_from_lattice", "offsite_coupling",
     "onsite_coupling", "predicted_band_sizes", "protocol_config", "recoil_energy",

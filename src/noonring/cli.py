@@ -99,7 +99,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "m": Key(int), "p": Key(int), "u": Key(float, None, POSITIVE),
         "j": Key(float, None, POSITIVE), "mu": Key(float, None, POSITIVE),
         "nu": Key(float, None, POSITIVE), "u0": Key(float, 0.0),
-        "t_m_override": Key(float, None, POSITIVE),   # None: t_m from the derived scales
+        "t_m_override": Key(float, None, POSITIVE),   # None: t_m = pi / (2 Omega)
     },
     "protocol": {
         "p_theta_max": Key(float, math.pi, NON_NEGATIVE),
@@ -120,7 +120,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "robustness": {
         "xi_over_j_max": Key(float, 0.02),
         "points": Key(int, 20, POSITIVE),
-        # n_dt to start_sign: the RobustnessConfig defaults (a test pins them equal)
+        # n_dt, mode, protocol, start_sign: the RobustnessConfig defaults (a test pins
+        # them equal); source = physical hands it the [lattice] trap
         "n_dt": Key(int, 100, POSITIVE),
         "mode": Key(str, "pulsed", ("pulsed", "static")),
         "source": Key(str, "direct", ("direct", "physical")),
@@ -241,16 +242,13 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 CHUNK_ROWS = 1024   # table rows formatted and written at a time
 
 
-def _cells(column) -> list[str]:
-    """A column's text, floats with 12 significant digits: a numpy array (of numbers
-    or text) in bulk, any other sequence cell by cell."""
-    if isinstance(column, np.ndarray):
-        return list(map("{:.12g}".format if column.dtype.kind == "f" else str, column.tolist()))
-    return [f"{value:.12g}" if isinstance(value, float) else str(value) for value in column]
+def _cells(column: np.ndarray) -> list[str]:
+    """The text of a column of numbers or text, floats with 12 significant digits."""
+    return list(map("{:.12g}".format if column.dtype.kind == "f" else str, column.tolist()))
 
 
 def _write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
-    """Write equal-length `columns` as rows under `header`, CHUNK_ROWS rows at a time.
+    """Write equal-length array `columns` as rows under `header`, CHUNK_ROWS rows at a time.
     The csv module writes a chunk with a cell to quote; the others are joined."""
     delimiter = _DELIMITERS[fmt]
     with open(path, "w", newline="") as fh:
@@ -299,7 +297,7 @@ def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
 
 def _derived_block(pc: ProtocolConfig) -> dict:
     return {
-        "omega": pc.derived.omega,
+        "omega": pc.omega,
         "t_m": pc.t_m,
         "t_nu": pc.t_nu,
         "t_mu_at_p_theta_max": pc.t_mu,
@@ -309,14 +307,10 @@ def _derived_block(pc: ProtocolConfig) -> dict:
 
 def _check_finite(kind: str, header: list[str], columns: list) -> None:
     """Raise ArithmeticError at the first NaN or infinite float cell, in row-major order."""
-    first_bad = []   # (row, column) of each column's first bad cell
+    first_bad = []   # (row, column) of each float column's first bad cell
     for j, column in enumerate(columns):
-        if not isinstance(column, np.ndarray):
-            bad = [i for i, value in enumerate(column)
-                   if isinstance(value, float) and not math.isfinite(value)]
-        else:   # an int or text array holds no float cell
-            bad = np.flatnonzero(~np.isfinite(column)).tolist() if column.dtype.kind == "f" else []
-        first_bad += [(i, j) for i in bad[:1]]
+        if column.dtype.kind == "f":   # an int or text column holds no float cell
+            first_bad += [(i, j) for i in np.flatnonzero(~np.isfinite(column))[:1].tolist()]
     if first_bad:
         i, j = min(first_bad)
         raise ArithmeticError(
@@ -353,7 +347,7 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             ))
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
-    return header, list(zip(*rows)), _protocol_extras(cfg)
+    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg)
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
@@ -362,7 +356,7 @@ def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, 2.0 * pc.t_m)
             for p_theta, pc, report in zip(grid, configs, sweep)]
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
-    return header, list(zip(*rows)), _protocol_extras(cfg)
+    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg)
 
 
 # Per readout protocol: the READOUT_LAWS of readouts 0 and M, the scale of the law
@@ -397,7 +391,7 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
                 outcome_samples.append((p_theta, probability))
     fits = {name: fit_readout_amplitudes(outcome_samples, law) / scale
             for name, outcome_samples, law in zip(fit_names, samples, laws)}
-    return ["set", "p_theta", "r", "readout_r", *columns], list(zip(*rows)), {
+    return ["set", "p_theta", "r", "readout_r", *columns], list(map(np.array, zip(*rows))), {
         **_protocol_extras(cfg), "readout_protocol": protocol, "fits": fits,
     }
 
@@ -457,9 +451,10 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         d = derive(trap, omega)
         rows.append((float(freq_khz), d.u0, d.u12, d.u13, d.u0 - d.u13))
     header = ["omega_r_over_2pi_khz", "u0", "u12", "u13", "residual"]
-    root = solve_integrability(trap, bracket=(2.0 * math.pi * lattice.omega_min_khz * 1e3,
-                                              2.0 * math.pi * lattice.omega_max_khz * 1e3))
-    at_root = derive(trap, root.omega_r, dx=lattice.dx, dy=lattice.dy)
+    omega_star = solve_integrability(
+        trap, bracket=(2.0 * math.pi * lattice.omega_min_khz * 1e3,
+                       2.0 * math.pi * lattice.omega_max_khz * 1e3))
+    at_root = derive(trap, omega_star, dx=lattice.dx, dy=lattice.dy)
     j = lattice.j if lattice.j is not None else cfg.model.j
     params = model_parameters_from_lattice(at_root, j=j)
     extras = {
@@ -472,10 +467,10 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             "delta": trap.delta,
         },
         "root": {
-            "omega_r_rad_s": root.omega_r,
-            "omega_r_over_2pi_khz": root.omega_r / (2.0 * math.pi * 1e3),
-            "u0": root.u0, "u13": root.u13, "u12": root.u12,
-            "residual": root.residual,
+            "omega_r_rad_s": omega_star,
+            "omega_r_over_2pi_khz": omega_star / (2.0 * math.pi * 1e3),
+            "u0": at_root.u0, "u13": at_root.u13, "u12": at_root.u12,
+            "residual": at_root.u0 - at_root.u13,
         },
         "derived_at_root": {
             "recoil_rad_s": at_root.recoil,
@@ -489,7 +484,7 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         "model_parameters": params.to_dict(),
         "displacement_m": {"dx": lattice.dx, "dy": lattice.dy},
     }
-    return header, list(zip(*rows)), extras
+    return header, list(map(np.array, zip(*rows))), extras
 
 
 def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
@@ -501,8 +496,7 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
     base = cfg.base_protocol(p_theta=math.pi / 2.0)
     rcfg = RobustnessConfig(
         base=base, xi_values=tuple(np.linspace(0.0, xi_max, r.points)),
-        n_dt=r.n_dt, mode=r.mode, source=r.source, protocol=r.protocol,
-        start_sign=r.start_sign,
+        n_dt=r.n_dt, mode=r.mode, protocol=r.protocol, start_sign=r.start_sign,
         trap=_trap(cfg) if r.source == "physical" else None,
     )
     results = run_robustness(rcfg, basis)
@@ -512,7 +506,7 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
         for point in results
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
-    return header, list(zip(*rows)), {
+    return header, list(map(np.array, zip(*rows))), {
         "derived": _derived_block(base), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
         # What "+xi" detunes: the two sources realize opposite signs.
@@ -561,7 +555,7 @@ def list_presets(machine: bool = False) -> str:
                              p_theta=math.pi)
         payload[name] = {
             **values,
-            "omega": pc.derived.omega,
+            "omega": pc.omega,
             "t_m": pc.t_m,
             "t_nu": pc.t_nu,
             "t_mu_at_p_theta_pi": pc.t_mu,

@@ -38,10 +38,11 @@ evaluates it with a fixed Gauss-Legendre rule, built once at import, and
 takes its error from the same sum on a rule of twice the nodes.  The
 integrable point U0 = U13 is found by regula falsi with the
 Anderson-Bjorck modification (`_find_root`), which the robustness module's
-detuned frequencies share.  The module needs scipy.special (erfcx, j0) and
-scipy.constants only.  All couplings are returned as angular frequencies
-(X/hbar in rad/s); lengths are in meters and energies in joules
-elsewhere.
+detuned frequencies share; `solve_integrability` returns its omega_r, and
+`derive` evaluates the couplings and fields at any omega_r.  The module
+needs scipy.special (erfcx, j0) and scipy.constants only.  All couplings
+are returned as angular frequencies (X/hbar in rad/s); lengths are in
+meters and energies in joules elsewhere.
 
 The Dy-164 magnetic moment is calibrated so that the a = -21 a0
 integrability root lands at omega_r = 2 pi x 37.078 kHz (see
@@ -330,17 +331,6 @@ def integrability_residual(trap: TrapParameters, omega_r: float) -> float:
     return onsite_coupling(trap, omega_r) - offsite_coupling(trap, omega_r, "diagonal")
 
 
-@dataclass(frozen=True)
-class IntegrabilityRoot:
-    """Solution of U0(omega_r) = U13(omega_r)."""
-
-    omega_r: float   # rad/s
-    u0: float        # rad/s
-    u13: float       # rad/s
-    u12: float       # rad/s (nearest-neighbor coupling at the root)
-    residual: float  # rad/s
-
-
 def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -> float:
     """The x between lo and hi with f(x) = 0, given f's values f_lo, f_hi at the ends.
 
@@ -388,9 +378,10 @@ def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -
 def solve_integrability(
     trap: TrapParameters,
     bracket: tuple[float, float] = (2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3),
-) -> IntegrabilityRoot:
-    """Find omega_r with U0 = U13 by bracketed root-finding (rel. tol 1e-12, the
-    12 significant digits a manifest prints)."""
+) -> float:
+    """The radial frequency omega_r (rad/s) with U0 = U13, by bracketed root-finding
+    (rel. tol 1e-12, the 12 significant digits a manifest prints); `derive` gives the
+    couplings there."""
     lo, hi = bracket
     f_lo = integrability_residual(trap, lo)
     f_hi = integrability_residual(trap, hi)
@@ -399,11 +390,7 @@ def solve_integrability(
             f"no integrable point in bracket [{lo:g}, {hi:g}] rad/s: "
             f"U0 - U13 = {f_lo:g} and {f_hi:g} at the endpoints"
         )
-    root = _find_root(lambda w: integrability_residual(trap, w), lo, hi, f_lo, f_hi, rtol=1e-12)
-    u0 = onsite_coupling(trap, root)
-    u13 = offsite_coupling(trap, root, "diagonal")
-    u12 = offsite_coupling(trap, root, "nearest")
-    return IntegrabilityRoot(omega_r=root, u0=u0, u13=u13, u12=u12, residual=u0 - u13)
+    return _find_root(lambda w: integrability_residual(trap, w), lo, hi, f_lo, f_hi, rtol=1e-12)
 
 
 def field_strengths(
@@ -424,16 +411,16 @@ def field_strengths(
 
 @dataclass(frozen=True)
 class LatticeDerived:
-    """Everything the proposal derives at a given radial frequency."""
+    """What the proposal derives at a given radial frequency and beam displacement.
+
+    The trap's own scales are read from TrapParameters (`delta`, `eta(omega_r)`)
+    and the lattice depth from `v0_from_omega_r`.
+    """
 
     omega_r: float          # rad/s
     omega_z: float          # rad/s, kappa_sq * omega_r
     omega_z_check: float    # rad/s, from the accordion-depth formula
-    omega_beam: float       # rad/s, central-beam frequency sqrt(4 V1/(m w1^2))
-    eta: float              # 1/m^2
     recoil: float           # E_R/hbar, rad/s
-    delta: float
-    v0: float               # J
     v0_over_recoil: float
     u0: float               # rad/s
     u12: float              # rad/s
@@ -460,11 +447,7 @@ def derive(
         omega_r=omega_r,
         omega_z=trap.kappa_sq * omega_r,
         omega_z_check=omega_z_formula(trap, omega_r),
-        omega_beam=math.sqrt(4.0 * trap.v1_ratio * v0 / (trap.mass * trap.w1**2)),
-        eta=trap.eta(omega_r),
         recoil=recoil,
-        delta=trap.delta,
-        v0=v0,
         v0_over_recoil=v0 / (HBAR * recoil),
         u0=u0,
         u12=u12,
@@ -478,17 +461,12 @@ def derive(
 def model_parameters_from_lattice(derived: LatticeDerived, j: float) -> ModelParameters:
     """Ready-to-use couplings; J is an input (no tunneling formula is used).
 
-    When U0 and U13 agree to within the root solver's tolerance the pair
-    is snapped to its mean so the result satisfies the exact integrability
-    check that the protocol constructors enforce.  Away from the root the
-    raw (non-integrable) values are kept.
+    When U0 and U13 agree to within 1e-6 relative (the root solver works to
+    1e-12) the pair is snapped to its mean, so the result satisfies the exact
+    integrability check that the protocol constructors enforce.  Away from the
+    root the raw (non-integrable) values are kept.
     """
     u0, u13 = derived.u0, derived.u13
     if abs(u0 - u13) <= 1e-6 * max(abs(u0), abs(u13)):
         u0 = u13 = 0.5 * (derived.u0 + derived.u13)
-    return ModelParameters(
-        u0=u0,
-        u12=derived.u12, u14=derived.u12, u23=derived.u12, u34=derived.u12,
-        u13=u13, u24=u13,
-        j=j,
-    )
+    return ModelParameters(u0=u0, u12=derived.u12, u13=u13, j=j)

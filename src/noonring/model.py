@@ -10,8 +10,10 @@ The model
         - (J/2) [(a1+ + a3+)(a2 + a4) + (a1 + a3)(a2+ + a4+)]
         + mu (N2 - N4) + nu (N1 - N3)
 
-is integrable (at mu = nu = 0) when U13 = U24 = U0 and
-U12 = U23 = U34 = U14, acquiring the conserved charges
+has the couplings of a ring: U12 = U23 = U34 = U14 between neighbours and
+U13 = U24 across the diagonals, so U0, U12 and U13 are its only interactions
+(`ModelParameters`).  It is integrable (at mu = nu = 0) when U13 = U0,
+acquiring the conserved charges
 
     2 Q1 = N1 + N3 - a1+ a3 - a1 a3+,   2 Q2 = N2 + N4 - a2+ a4 - a2 a4+.
 
@@ -32,10 +34,10 @@ d13, d24 = (a1 - a3)/sqrt2, (a2 - a4)/sqrt2 of the site pairs,
 
 with M = n_s13 + n_d13, P = n_s24 + n_d24, Q1 = n_d13 and Q2 = n_d24: H
 splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
-and H_eff is diagonal.  Ring-symmetric couplings (U13 = U24, U12 = U23 =
-U34 = U14) add (U13 - U0)(N1 N3 + N2 N4), where per pair of sites N1 N3 =
-[n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity
-of n_d, i.e. the 1<->3 (2<->4) swap; the parities then key the blocks.
+and H_eff is diagonal.  Off the integrable point H gains (U13 - U0)(N1 N3 +
+N2 N4), where per pair of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) -
+(s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity of n_d, i.e. the 1<->3
+(2<->4) swap; the parities then key the blocks.
 Without fields such an H also commutes with the 90-degree ring rotation,
 which pairs two of the four parity blocks and splits the other two in
 halves, so it is diagonalized in those smaller pieces (`_RotationSymmetric`).
@@ -54,26 +56,19 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Couplings of the four-site model, all in rad/s (X/hbar)."""
+    """Couplings of the four-site ring, all in rad/s (X/hbar): on-site U0, neighbour
+    U12 (= U23 = U34 = U14), diagonal U13 (= U24), tunneling J and the fields mu, nu."""
 
     u0: float
     u12: float
     u13: float
-    u14: float
-    u23: float
-    u24: float
-    u34: float
     j: float
     mu: float = 0.0
     nu: float = 0.0
 
-    def ring_symmetric(self) -> bool:
-        """U13 = U24 and U12 = U23 = U34 = U14: the condition for normal-mode blocks."""
-        return self.u13 == self.u24 and self.u12 == self.u23 == self.u34 == self.u14
-
     def integrable(self) -> bool:
-        """Exact integrability condition on the stored couplings."""
-        return self.ring_symmetric() and self.u13 == self.u0
+        """Exact integrability condition U13 = U0 on the stored couplings."""
+        return self.u13 == self.u0
 
     @classmethod
     def integrable_set(
@@ -89,11 +84,7 @@ class ModelParameters:
         The spectrum of H minus its additive constant depends on (U, J)
         only, so u0 = 0 is the natural default for protocol work.
         """
-        u_cross = u0 + 4.0 * u
-        return cls(
-            u0=u0, u12=u_cross, u13=u0, u14=u_cross,
-            u23=u_cross, u24=u0, u34=u_cross, j=j, mu=mu, nu=nu,
-        )
+        return cls(u0=u0, u12=u0 + 4.0 * u, u13=u0, j=j, mu=mu, nu=nu)
 
     def with_fields(self, mu: float, nu: float) -> "ModelParameters":
         return replace(self, mu=mu, nu=nu)
@@ -103,9 +94,10 @@ class ModelParameters:
         return (self.u12 - self.u0) / 4.0
 
     def to_dict(self) -> dict:
+        """Every pair coupling of the ring by name, with J, mu and nu."""
         return {
-            "u0": self.u0, "u12": self.u12, "u13": self.u13, "u14": self.u14,
-            "u23": self.u23, "u24": self.u24, "u34": self.u34, "j": self.j,
+            "u0": self.u0, "u12": self.u12, "u13": self.u13, "u14": self.u12,
+            "u23": self.u12, "u24": self.u13, "u34": self.u12, "j": self.j,
             "mu": self.mu, "nu": self.nu,
         }
 
@@ -161,15 +153,15 @@ class HermitianOperator:
 
 
 class _RotationSymmetric(HermitianOperator):
-    """H at field-free ring-symmetric couplings off the integrable point, in its four
-    parity blocks of the mode basis, diagonalized through the 90-degree ring rotation.
+    """H without fields off the integrable point, in its four parity blocks of the mode
+    basis, diagonalized through the 90-degree ring rotation.
 
     The rotation 1 -> 2 -> 3 -> 4 maps s13 <-> s24, d13 -> d24 and d24 -> -d13, i.e.
     R|a,b,c,d> = (-1)^d |b,a,d,c> on the mode occupations, and commutes with every
-    ring-symmetric H without fields.  R maps the (even, odd) parity block onto the
-    (odd, even) one, so one eigh serves both: the second block's V is R V, the first's
-    rows permuted and signed.  On the (even, even) and (odd, odd) blocks R^2 = +1, and
-    each block splits into its R = +1 and R = -1 halves, gathered from the block.
+    H without fields.  R maps the (even, odd) parity block onto the (odd, even) one,
+    so one eigh serves both: the second block's V is R V, the first's rows permuted
+    and signed.  On the (even, even) and (odd, odd) blocks R^2 = +1, and each block
+    splits into its R = +1 and R = -1 halves, gathered from the block.
     """
 
     def _decompose(self) -> tuple:
@@ -252,44 +244,6 @@ def _half_matrices(block: np.ndarray, halves: list, fixed: np.ndarray) -> np.nda
     return stack
 
 
-@dataclass(frozen=True)
-class DerivedScales:
-    """Band-dynamics scales for the (M, P) sector.
-
-    omega = J^2/(4U((M-P)^2 - 1)), t_m = pi/(2 omega), and
-    beta = (-1)^((N+1)/2) is the parity phase of the four-branch
-    superposition (defined for odd N only; None otherwise).
-    """
-
-    m_occ: int
-    p_occ: int
-    u: float
-    j: float
-    omega: float
-    t_m: float
-    beta: int | None
-
-
-def derived_scales(params: ModelParameters, m_occ: int, p_occ: int) -> DerivedScales:
-    """Compute the resonant-regime scales for initial state |M,P,0,0>."""
-    if m_occ < 0 or p_occ < 0:
-        raise ValueError("occupations must be non-negative")
-    if abs(m_occ - p_occ) < 2:
-        raise ValueError(
-            f"need |M - P| >= 2 for the resonant-regime scales, got M={m_occ}, P={p_occ}"
-        )
-    u = params.coupling_u()
-    if u <= 0.0:
-        raise ValueError(f"U = (U12 - U0)/4 must be positive, got {u:g}")
-    n_total = m_occ + p_occ
-    omega = params.j**2 / (4.0 * u * ((m_occ - p_occ) ** 2 - 1))
-    t_m = np.pi / (2.0 * omega) if omega != 0.0 else np.inf
-    beta = (-1) ** ((n_total + 1) // 2) if n_total % 2 == 1 else None
-    return DerivedScales(
-        m_occ=m_occ, p_occ=p_occ, u=u, j=params.j, omega=omega, t_m=t_m, beta=beta,
-    )
-
-
 def _mode_entries(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
                   detuning: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of the off-diagonal part of H in the normal-mode basis.
@@ -317,10 +271,8 @@ def _mode_entries(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
 
 
 def _mode_diagonal(params: ModelParameters, modes: FockBasis) -> np.ndarray:
-    """The diagonal of H at ring-symmetric couplings in the normal-mode basis (module
-    docstring); inf or NaN where a coupling overflows it."""
-    if not params.ring_symmetric():
-        raise ValueError("normal-mode blocks need U13 = U24, U12 = U23 = U34 = U14")
+    """The diagonal of H in the normal-mode basis (module docstring); inf or NaN where a
+    coupling overflows it."""
     occ = modes.occupations.astype(float)
     m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
     detuning = params.u13 - params.u0
@@ -369,7 +321,7 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
 
 
 def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> HermitianOperator:
-    """H at ring-symmetric couplings, in normal-mode blocks (module docstring).
+    """H in normal-mode blocks (module docstring).
 
     `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
     of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
@@ -396,7 +348,7 @@ class _SparseHamiltonian:
 
 
 def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _SparseHamiltonian:
-    """H at ring-symmetric couplings in the normal-mode basis, as one CSR matrix.
+    """H in the normal-mode basis, as one CSR matrix.
 
     Built from the entries `build_mode_hamiltonian` cuts into blocks; no block
     and no n x n array is allocated.  Raises ArithmeticError if an entry of H

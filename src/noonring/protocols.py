@@ -21,6 +21,10 @@ P(0) = sin^2(P theta/2 - pi/4): with it, the deterministic output is
 + pi/2)}, and a further t_m of integrable evolution converts the encoded
 phase into that site-3 population law exactly.
 
+A ProtocolConfig holds only the inputs of a run (M, P, the couplings, the
+field strengths, theta and an optional t_m); Omega, t_m, t_mu, t_nu and
+beta are computed from them.
+
 Each runner takes the dynamics the steps run under: FullDynamics for the
 full simulation, or IdealDynamics for the idealized limit (fields applied
 as instantaneous phase gates, band dynamics generated by H_eff), which
@@ -52,20 +56,14 @@ of the full evolution, and its overlap with the H_eff evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import NormalModes, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
-from .model import (
-    DerivedScales,
-    HermitianOperator,
-    ModelParameters,
-    build_mode_hamiltonian,
-    derived_scales,
-)
+from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
 
 MEASURED_SITE = 3
 
@@ -77,7 +75,8 @@ class ProtocolConfig:
     params holds the integrable couplings with both fields off; mu and nu
     are the field magnitudes switched on only during the t_mu / t_nu steps.
     theta = 2 mu t_mu is the encoding phase variable (the encoded NOON
-    phase is P theta).
+    phase is P theta).  The band scales Omega, t_m and beta follow from these
+    (`noonring.model` docstring).
     """
 
     m_occ: int
@@ -86,14 +85,12 @@ class ProtocolConfig:
     mu: float
     nu: float
     theta: float
-    derived: DerivedScales = field(init=False)
     t_m_override: float | None = None
 
     def __post_init__(self):
         _check_occupations(self.m_occ, self.p_occ)
         if not self.params.integrable():
-            raise ValueError("protocol couplings must satisfy U13 = U24 = U0, "
-                             "U12 = U23 = U34 = U14")
+            raise ValueError("protocol couplings must satisfy U13 = U0")
         if self.params.mu != 0.0 or self.params.nu != 0.0:
             raise ValueError("params must have mu = nu = 0; fields are applied "
                              "only during the pulse steps")
@@ -101,7 +98,9 @@ class ProtocolConfig:
             raise ValueError("field strengths mu and nu must be positive")
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta:g}")
-        object.__setattr__(self, "derived", derived_scales(self.params, self.m_occ, self.p_occ))
+        u = self.params.coupling_u()
+        if u <= 0.0:
+            raise ValueError(f"U = (U12 - U0)/4 must be positive, got {u:g}")
         if self.t_m_override is not None and self.t_m_override <= 0.0:
             raise ValueError("t_m override must be positive")
         if self.t_mu >= self.t_m:
@@ -114,12 +113,22 @@ class ProtocolConfig:
         return self.m_occ + self.p_occ
 
     @property
+    def omega(self) -> float:
+        """The band frequency Omega = J^2 / (4U((M-P)^2 - 1)) of H_eff."""
+        return self.params.j**2 / (
+            4.0 * self.params.coupling_u() * ((self.m_occ - self.p_occ) ** 2 - 1))
+
+    @property
     def beta(self) -> int:
-        return self.derived.beta
+        """The parity phase (-1)^((N+1)/2) of the four-branch superposition."""
+        return (-1) ** ((self.n_total + 1) // 2)
 
     @property
     def t_m(self) -> float:
-        return self.t_m_override if self.t_m_override is not None else self.derived.t_m
+        """The band half-period pi / (2 Omega) (inf at J = 0), or its override."""
+        if self.t_m_override is not None:
+            return self.t_m_override
+        return math.pi / (2.0 * self.omega) if self.omega != 0.0 else math.inf
 
     @property
     def t_mu(self) -> float:
@@ -138,7 +147,7 @@ class ProtocolConfig:
 
 def _check_occupations(m_occ: int, p_occ: int) -> None:
     """Both protocols need M, P >= 1 (t_nu = pi/(4 M nu) divides by M, theta = (P theta)/P
-    by P), an odd N = M + P, and |M - P| >= 2 for the band scales (`derived_scales`)."""
+    by P), an odd N = M + P, and |M - P| >= 2 for the band scales (`ProtocolConfig.omega`)."""
     if m_occ < 1 or p_occ < 1:
         raise ValueError(f"occupations M and P must be >= 1, got M={m_occ}, P={p_occ}")
     if (m_occ + p_occ) % 2 == 0:
@@ -325,18 +334,18 @@ class FullDynamics(_ModeDynamics):
 class IdealDynamics(_ModeDynamics):
     """The idealized limit and analytic oracle of FullDynamics: band
     evolution under H_eff for the whole t_m, then the field pulse as an
-    instantaneous phase gate, one per column.  Its couplings are
-    DerivedScales; H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal
+    instantaneous phase gate, one per column.  Its couplings are the
+    band frequency Omega; H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal
     in the normal modes (Q = n_d), so it is held as 1 x 1 blocks."""
 
-    def _build(self, derived: DerivedScales) -> HermitianOperator:
-        omega, q1, q2 = derived.omega, *self.modes.basis.occupations[:, 2:].T
+    def _build(self, omega: float) -> HermitianOperator:
+        q1, q2 = self.modes.basis.occupations[:, 2:].T
         energies = (self.basis.n_total + 1) * omega * (q1 + q2) - 2.0 * omega * (q1 * q2)
         return HermitianOperator(self.modes.basis, blocks=[
             (np.arange(self.basis.size)[:, None], energies[:, None, None])])
 
     def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
-        return self.evolve(states, [(cfg.derived, t)])
+        return self.evolve(states, [(cfg.omega, t)])
 
     def _gate(self, states: QuantumState, phases: np.ndarray) -> QuantumState:
         """`states` times the (n, K) or (n, 1) gate phases, column by column."""

@@ -1,20 +1,20 @@
 """Sensitivity of the protocols to an integrability-detuning error.
 
-Each xi point realizes two ring-symmetric coupling sets (U13 = U24, U12 =
-U23 = U34 = U14), H(+xi) and H(-xi), detuned from U13 = U0 by +-xi; such an
-H is H_integrable + (U13 - U0)(N1 N3 + N2 N4).  Static mode evolves under
-H(+xi) throughout and models an uncorrected detuning.  Pulsed mode
-oscillates between H(+xi) and H(-xi) N_dt times across each integrable
-interval (an echo-like mitigation: the time-averaged Hamiltonian is the
-integrable one), while protocol timings t_m and t_mu are computed from the
-mean couplings.  The brief field pulses are always taken at the +xi
-couplings (no alternation within a pulse), and in Protocol II the
-alternation restarts with the configured start sign at the second
-integrable segment.
+Each xi point realizes two coupling sets of the ring, H(+xi) and H(-xi),
+detuned from U13 = U0 by +-xi; such an H is H_integrable + (U13 - U0)(N1 N3
++ N2 N4).  Static mode evolves under H(+xi) throughout and models an
+uncorrected detuning.  Pulsed mode oscillates between H(+xi) and H(-xi)
+N_dt times across each integrable interval (an echo-like mitigation: the
+time-averaged Hamiltonian is the integrable one), while protocol timings
+t_m and t_mu are computed from the mean couplings.  The brief field pulses
+are always taken at the +xi couplings (no alternation within a pulse), and
+in Protocol II the alternation restarts with the configured start sign at
+the second integrable segment.
 
-The two parameter sources realize opposite signs of xi:
+The two parameter sources realize opposite signs of xi; a RobustnessConfig
+with a trap is the physical source, one without the direct source:
 
-* direct   -- U13 = U24 = U0 +- xi, i.e. H(+-xi) = H_integrable +- xi (N1 N3
+* direct   -- U13 = U0 +- xi, i.e. H(+-xi) = H_integrable +- xi (N1 N3
               + N2 N4); U, J, mu stay fixed, so the mean parameters equal
               the base ones.
 * physical -- the lattice at the two radial frequencies where U0(omega) -
@@ -69,24 +69,19 @@ class RobustnessConfig:
     xi_values: tuple[float, ...]      # rad/s, same units as the couplings
     n_dt: int = 100
     mode: str = "pulsed"              # "pulsed" or "static"
-    source: str = "direct"            # "direct" or "physical"
     protocol: int = 1
     start_sign: int = 1
-    trap: TrapParameters | None = None
+    trap: TrapParameters | None = None   # the physical source's lattice; None: direct
 
     def __post_init__(self):
         if self.n_dt < 1:
             raise ValueError(f"n_dt must be >= 1, got {self.n_dt}")
         if self.mode not in ("pulsed", "static"):
             raise ValueError(f"mode must be 'pulsed' or 'static', got {self.mode!r}")
-        if self.source not in ("direct", "physical"):
-            raise ValueError(f"source must be 'direct' or 'physical', got {self.source!r}")
         if self.protocol not in (1, 2):
             raise ValueError(f"protocol must be 1 or 2, got {self.protocol}")
         if self.start_sign not in (1, -1):
             raise ValueError(f"start_sign must be +1 or -1, got {self.start_sign}")
-        if self.source == "physical" and self.trap is None:
-            raise ValueError("physical source requires trap parameters")
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,7 @@ class _DetunedSystem(FullDynamics):
 
 def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _DetunedSystem:
     base = config.base
-    plus, minus = (replace(base.params, u13=base.params.u0 + x, u24=base.params.u0 + x)
-                   for x in (xi, -xi))
+    plus, minus = (replace(base.params, u13=base.params.u0 + x) for x in (xi, -xi))
     return _DetunedSystem(config, modes, base, (
         plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
 
@@ -158,7 +152,7 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
     from .lattice import integrability_residual, solve_integrability, v0_from_omega_r
 
     trap, j = config.trap, config.base.params.j
-    omega_star = solve_integrability(trap).omega_r
+    omega_star = solve_integrability(trap)
     bracket = [factor * omega_star for factor in _BRACKET]
     reach = [integrability_residual(trap, omega_r) for omega_r in bracket]
     for xi in config.xi_values:
@@ -174,7 +168,12 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
 
 def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, float]) -> float:
     """Radial frequency where U0(omega) - U13(omega) = target, between the `ends` of
-    `_physical_root` (which it has checked), whose values the root-finder starts from."""
+    `_physical_root` (which it has checked), whose values the root-finder starts from.
+
+    A fidelity moves by about 1e-7 per 1e-10 relative move of omega (E t ~ 1e6 rad at
+    t_m ~ 37 s), so rtol = 1e-10 alone does not fix a table's 12 digits: they hold
+    because the root-finder returns its point of smallest residual, which lies within
+    ~1e-14 of the root (a test pins 1e-13 on the default grids)."""
     from .lattice import _find_root, integrability_residual
 
     (lo, f_lo), (hi, f_hi) = ends.items()
@@ -188,12 +187,7 @@ def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[Mo
 
     # Not model_parameters_from_lattice: it snaps U0 = U13 near the root, which moves the xi = 0 row.
     derived = derive(trap, omega_r)
-    params = ModelParameters(
-        u0=derived.u0,
-        u12=derived.u12, u14=derived.u12, u23=derived.u12, u34=derived.u12,
-        u13=derived.u13, u24=derived.u13,
-        j=j,
-    )
+    params = ModelParameters(u0=derived.u0, u12=derived.u12, u13=derived.u13, j=j)
     return params, v0_from_omega_r(trap, omega_r)
 
 
@@ -240,7 +234,7 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
     """Fidelity (and Protocol I success probability) across the xi grid, one system at a time."""
     modes = NormalModes(basis)
-    if config.source == "direct":
+    if config.trap is None:
         build = partial(_direct_system, config, modes)
     else:
         build = partial(_physical_system, config, modes, _physical_root(config))

@@ -16,12 +16,7 @@ import scipy.linalg
 from noonring.dynamics import NormalModes, site_probabilities
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integrability
-from noonring.model import (
-    ModelParameters,
-    build_mode_hamiltonian,
-    derived_scales,
-    diagonal_band_energy,
-)
+from noonring.model import ModelParameters, build_mode_hamiltonian, diagonal_band_energy
 from noonring.protocols import (
     FullDynamics,
     band_trace,
@@ -183,12 +178,12 @@ def test_criterion_5_conservation_and_band_structure():
 
 
 def test_criterion_6_effective_hamiltonian_equivalence(basis15):
-    params = ModelParameters.integrable_set(u=SET1["u"], j=SET1["j"])
-    derived = derived_scales(params, M_OCC, P_OCC)
+    u, j = SET1["u"], SET1["j"]
+    omega = j**2 / (4.0 * u * ((M_OCC - P_OCC) ** 2 - 1))
     h_sq = oracle.operator_matrix(15, lambda state: oracle.apply_effective_sq(
-        state, M_OCC, P_OCC, derived.j, derived.u))
+        state, M_OCC, P_OCC, j, u))
     h_charges = oracle.operator_matrix(15, lambda state: oracle.apply_effective_charges(
-        state, 15, derived.omega))
+        state, 15, omega))
     occ = basis15.occupations
     half = np.nonzero(occ[:, 0] + occ[:, 2] == M_OCC)[0]
     assert half.size == (M_OCC + 1) * (P_OCC + 1)
@@ -211,16 +206,16 @@ def test_criterion_6_effective_hamiltonian_equivalence(basis15):
 def test_criterion_7_lattice_calibration():
     trap = TrapParameters()  # scattering length -21 a0
     root = solve_integrability(trap)
-    assert root.omega_r == pytest.approx(2 * math.pi * 37.078e3, rel=0.01)
-    assert root.u0 == pytest.approx(161.282, rel=0.02)
+    assert root == pytest.approx(2 * math.pi * 37.078e3, rel=0.01)
+    at_root = derive(trap, root, dx=0.2e-6, dy=-0.2e-6)
+    assert at_root.u0 == pytest.approx(161.282, rel=0.02)
 
     shifted = TrapParameters(scattering_length_a0=-20.85)
     root2 = solve_integrability(shifted)
-    assert root2.omega_r == pytest.approx(2 * math.pi * 31.610e3, rel=0.01)
+    assert root2 == pytest.approx(2 * math.pi * 31.610e3, rel=0.01)
 
     assert recoil_energy(trap) == pytest.approx(26894.0, rel=0.005)
 
-    at_root = derive(trap, root.omega_r, dx=0.2e-6, dy=-0.2e-6)
     assert at_root.mu == pytest.approx(20.870, rel=0.05)
 
 
@@ -254,10 +249,10 @@ def test_criterion_9_property_and_oracle_suite():
         "j": 0.9, "mu": 0.4, "nu": 0.25,
     }
     params = ModelParameters(
-        u0=couplings["u0"], u12=couplings["u12"], u14=couplings["u14"],
-        u23=couplings["u23"], u34=couplings["u34"],
-        u13=couplings["u13"], u24=couplings["u24"], j=couplings["j"],
-    ).with_fields(couplings["mu"], couplings["nu"])
+        u0=couplings["u0"], u12=couplings["u12"], u13=couplings["u13"], j=couplings["j"],
+        mu=couplings["mu"], nu=couplings["nu"],
+    )
+    assert params.to_dict() == couplings
 
     for n_total in (2, 3):
         basis = enumerate_basis(n_total)

@@ -12,7 +12,8 @@ import pytest
 
 from noonring import cli
 from noonring.cli import KINDS, NON_NEGATIVE, POSITIVE, SCHEMA, UNIT_NOTE, main
-from noonring.lattice import QuadratureError
+from noonring.lattice import QuadratureError, TrapParameters, derive, solve_integrability
+from noonring.protocols import protocol_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,6 +44,16 @@ class TestPresets:
         assert set(payload) == {"set1", "set2"}
         assert payload["set1"]["t_m"] == pytest.approx(36.950076, rel=1e-5)
         assert payload["set1"]["beta"] == 1
+
+    def test_machine_listing_is_the_protocol_config(self, capsys):
+        """Each derived value is ProtocolConfig's, bit for bit, at P theta = pi."""
+        assert run_cli(["presets", "--machine"]) == 0
+        for values in json.loads(capsys.readouterr().out).values():
+            pc = protocol_config(values["m"], values["p"], u=values["u"], j=values["j"],
+                                 mu=values["mu"], nu=values["nu"], p_theta=math.pi)
+            assert (values["omega"], values["t_m"], values["t_nu"],
+                    values["t_mu_at_p_theta_pi"], values["beta"]) == (
+                pc.omega, pc.t_m, pc.t_nu, pc.t_mu, pc.beta)
 
 
 class TestTables:
@@ -131,15 +142,15 @@ class TestTableWriter:
         floats[:9] = [0.0, -0.0, 0.1, 1 / 3, 1e16, 123456789012345.0, 5e-324,
                       -1.7976931348623157e308, 25.0]
         ints = rng.integers(-10**12, 10**12, n)
-        mixed = [("", int(i), float(x), np.float64(-x))[k]
-                 for i, x, k in zip(ints, floats, rng.integers(0, 4, n))]
         text = [f"set{i % 3}+custom" for i in range(n)]
         text[cli.CHUNK_ROWS + 5] = 'a,"b"\tc\nd\re'   # must be quoted, in the second chunk
         labels = np.array(["", "4", "11"])[rng.integers(0, 3, n)]
-        columns = [floats, ints, mixed, text, labels]
-        header = ["float", "int", "mixed", "text", "label"]
+        # Each column holds one kind of value, as an experiment's columns do; "blank" is
+        # the empty Protocol II probability (robustness) or branch (readout) column.
+        columns = [floats, ints, np.array([""] * n), np.array(text), labels]
+        header = ["float", "int", "blank", "text", "label"]
         cli._write_table(tmp_path / "table", header, columns, fmt)
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        rows = zip(*(c.tolist() for c in columns))
         write_reference_table(tmp_path / "reference", header, rows, delimiter)
         assert (tmp_path / "table").read_bytes() == (tmp_path / "reference").read_bytes()
 
@@ -249,6 +260,22 @@ class TestConfigDriven:
         assert manifest["derived_at_root"]["mu"] == pytest.approx(20.87, abs=0.15)
         assert manifest["model_parameters"]["u0"] == pytest.approx(root["u0"])
 
+    def test_physical_root_is_derive_at_the_root(self, tmp_path):
+        """The manifest's root block is the returned omega_r and `derive` there, bit for bit."""
+        config = tmp_path / "physical.ini"
+        config.write_text("[lattice]\nomega_min_khz = 30\nomega_max_khz = 45\npoints = 2\n")
+        assert run_cli(["physical", "--config", config, "--out", tmp_path]) == 0
+        root = read_manifest(tmp_path / "physical_manifest.json")["root"]
+        omega_star = solve_integrability(
+            TrapParameters(), bracket=(2.0 * math.pi * 30e3, 2.0 * math.pi * 45e3))
+        at_root = derive(TrapParameters(), omega_star)
+        assert root == {
+            "omega_r_rad_s": omega_star,
+            "omega_r_over_2pi_khz": omega_star / (2.0 * math.pi * 1e3),
+            "u0": at_root.u0, "u13": at_root.u13, "u12": at_root.u12,
+            "residual": at_root.u0 - at_root.u13,
+        }
+
     def test_custom_model_marks_preset(self, tmp_path):
         config = tmp_path / "custom.ini"
         config.write_text(
@@ -335,11 +362,13 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("columns, bad", [
-        ([np.array([0.5, 1.5, np.nan, 2.5]), ["", 1, 0.5, 2.0]], "row 2: a = nan"),
-        ([np.array([0.5, 1.5, 2.0, 2.5]), ["", 1, math.nan, 2.0]], "row 2: b = nan"),
+        ([np.array([0.5, 1.5, np.nan, 2.5]), np.array(["", "1", "x", "2"])], "row 2: a = nan"),
+        # a text column beside a float one
+        ([np.array(["", "1", "x", "2"]), np.array([0.0, 1.0, math.nan, 2.0])], "row 2: b = nan"),
         # the first bad cell in row-major order
-        ([np.array([0.5, np.inf, np.nan]), [-math.inf, 1, math.nan]], "row 0: b = -inf"),
-        ([np.array([0.5, np.inf, np.nan]), ["", math.nan, 0.5]], "row 1: a = inf"),
+        ([np.array([0.5, np.inf, np.nan]), np.array([-math.inf, 1.0, math.nan])],
+         "row 0: b = -inf"),
+        ([np.array([0.5, np.inf, np.nan]), np.array([0.0, math.nan, 0.5])], "row 1: a = inf"),
     ], ids=["float-array", "mixed-list", "earlier-row", "left-column"])
     def test_non_finite_table_cell_exits_2(self, tmp_path, capsys, monkeypatch, columns, bad):
         monkeypatch.setitem(cli._EXPERIMENTS, "physical",

@@ -11,7 +11,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 from noonring.dynamics import (
     NormalModes, _beam_splitter, _Echo, evolve, site_probabilities, stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import ModelParameters, build_mode_hamiltonian, derived_scales
+from noonring.model import ModelParameters, build_mode_hamiltonian
 from noonring.protocols import IdealDynamics, protocol_config, run_protocol1
 
 from conftest import SET1, dense_operator, mode_matrix
@@ -142,7 +142,7 @@ def stack_operator(kind, n_total):
     modes = NormalModes(basis)
     if kind == "modes":
         return build_mode_hamiltonian(params, modes.basis)
-    return IdealDynamics(basis).hamiltonian(derived_scales(params, 3, 0))   # any Omega
+    return IdealDynamics(basis).hamiltonian(0.011)   # any Omega
 
 
 class TestStacks:
@@ -310,7 +310,7 @@ class TestNormalModes:
         assume(u13 != u0)
         modes = NormalModes(enumerate_basis(n_total))
         params = ModelParameters(
-            u0=u0, u12=u12, u13=u13, u14=u12, u23=u12, u24=u13, u34=u12, j=j,
+            u0=u0, u12=u12, u13=u13, j=j,
             mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
         w = mode_matrix(modes).real
         h_site = hamiltonian_matrix(n_total, params.to_dict())
@@ -325,15 +325,9 @@ class TestNormalModes:
     ])
     def test_detuned_blocks_at_n15_follow_the_swap_parities(self, mu, nu, sizes):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, nu=nu, u0=0.5)
-        params = ModelParameters(**{**params.to_dict(), "u13": 0.6, "u24": 0.6})
+        params = replace(params, u13=0.6)
         operator = build_mode_hamiltonian(params, enumerate_basis(15))
         assert [indices.shape[1] for indices, _ in operator.blocks for _ in indices] == sizes
-
-    def test_non_integrable_couplings_rejected(self, basis3):
-        broken = ModelParameters.integrable_set(u=2.0, j=1.0, u0=0.5)
-        broken = ModelParameters(**{**broken.to_dict(), "u13": 0.6})
-        with pytest.raises(ValueError):
-            build_mode_hamiltonian(broken, NormalModes(basis3).basis)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -367,7 +361,7 @@ class TestEcho:
 
     def couplings(self, xi, mu=0.0):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.4)
-        return [replace(params, u13=params.u0 + x, u24=params.u0 + x) for x in (xi, -xi)]
+        return [replace(params, u13=params.u0 + x) for x in (xi, -xi)]
 
     def echo(self, basis, n_dt, first, second):
         return _Echo(lambda params: build_mode_hamiltonian(params, basis), first, second, n_dt)

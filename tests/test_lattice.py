@@ -180,7 +180,7 @@ class TestFixedNodeQuadrature:
         """The [lattice] frequency range and the robustness bracket, 0.5 to 1.5 times the
         integrable root, at the default trap (derive evaluates both pairs)."""
         trap = TrapParameters()
-        root = solve_integrability(trap).omega_r
+        root = solve_integrability(trap)
         for omega_r in (*(2.0 * math.pi * 1e3 * np.linspace(18.0, 60.0, 43)), 0.5 * root, 1.5 * root):
             derive(trap, omega_r)
 
@@ -211,7 +211,7 @@ class TestRootFinder:
         reference = optimize.brentq(lambda w: integrability_residual(trap, w),   # its tightest
                                     2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3,
                                     xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        assert solve_integrability(trap).omega_r == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert solve_integrability(trap) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_integrable_root_takes_few_evaluations(self, monkeypatch):
         """brentq took 7 or 8 at 1e-8; regula falsi without the weighting of a kept
@@ -264,10 +264,11 @@ class TestRootFinder:
 class TestIntegrabilityRoot:
     def test_root_consistency(self):
         root = solve_integrability(TrapParameters())
-        assert abs(root.residual) / root.u0 < 1e-6
-        assert root.u0 == pytest.approx(root.u13, rel=1e-6)
-        assert integrability_residual(TrapParameters(), root.omega_r) == (
-            pytest.approx(0.0, abs=1e-6 * root.u0))
+        at_root = derive(TrapParameters(), root)
+        assert abs(at_root.u0 - at_root.u13) / at_root.u0 < 1e-6
+        assert at_root.u0 == pytest.approx(at_root.u13, rel=1e-6)
+        assert integrability_residual(TrapParameters(), root) == (
+            pytest.approx(0.0, abs=1e-6 * at_root.u0))
 
     def test_no_root_in_bad_bracket(self):
         with pytest.raises(ValueError, match=r"^no integrable point in bracket \[.*\] rad/s: "
@@ -307,7 +308,7 @@ class TestEndToEndChain:
     def test_derive_feeds_protocol_parameters(self, set1):
         trap = TrapParameters()
         root = solve_integrability(trap)
-        derived = derive(trap, root.omega_r, dx=0.2e-6, dy=-0.2e-6)
+        derived = derive(trap, root, dx=0.2e-6, dy=-0.2e-6)
         params = model_parameters_from_lattice(derived, j=set1["j"])
         assert params.integrable()
         assert params.coupling_u() == pytest.approx(derived.coupling_u)
@@ -320,4 +321,4 @@ class TestEndToEndChain:
         base = solve_integrability(TrapParameters())
         shifted = solve_integrability(
             dataclasses.replace(TrapParameters(), scattering_length_a0=-20.85))
-        assert shifted.omega_r < base.omega_r
+        assert shifted < base

@@ -1,4 +1,4 @@
-"""The block operator, conserved charges, derived band scales and the oracle's references."""
+"""The block operator, conserved charges, the band scales and the oracle's references."""
 
 import math
 from dataclasses import replace
@@ -14,9 +14,9 @@ from noonring.model import (
     ModelParameters,
     _RotationSymmetric,
     build_mode_hamiltonian,
-    derived_scales,
     diagonal_band_energy,
 )
+from noonring.protocols import ProtocolConfig
 
 from conftest import mode_matrix
 from oracle import (
@@ -48,7 +48,7 @@ class TestModelParameters:
 
     def test_generic_couplings_not_integrable(self):
         params = ModelParameters.integrable_set(u=2.5, j=1.0)
-        broken = ModelParameters(**{**params.to_dict(), "u13": params.u13 + 0.1})
+        broken = replace(params, u13=params.u13 + 0.1)
         assert not broken.integrable()
 
     def test_with_fields_preserves_interactions(self):
@@ -136,7 +136,7 @@ class TestRingRotation:
     )
     def test_matches_the_block_eigensystem(self, n_total, u, j, u0, xi, sign):
         params = ModelParameters.integrable_set(u=u, j=j, u0=u0)
-        params = replace(params, u13=u0 + sign * xi, u24=u0 + sign * xi)
+        params = replace(params, u13=u0 + sign * xi)
         operator = build_mode_hamiltonian(params, enumerate_basis(n_total))
         assert isinstance(operator, _RotationSymmetric)
         for (_, matrices), (values, vectors) in zip(operator.blocks, operator.eigensystem()):
@@ -154,7 +154,7 @@ class TestRingRotation:
     @pytest.mark.parametrize("u13, mu", [(0.5, 0.0), (0.6, 0.7)])
     def test_integrable_or_fielded_hamiltonians_keep_one_eigh_per_block_size(self, u13, mu):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.5)
-        operator = build_mode_hamiltonian(replace(params, u13=u13, u24=u13), enumerate_basis(5))
+        operator = build_mode_hamiltonian(replace(params, u13=u13), enumerate_basis(5))
         assert type(operator) is HermitianOperator
 
 
@@ -193,7 +193,7 @@ class TestCharges:
 
     def test_detuned_couplings_break_charges(self):
         params = ModelParameters.integrable_set(u=2.0, j=1.0)
-        broken = ModelParameters(**{**params.to_dict(), "u13": params.u13 + 0.5})
+        broken = replace(params, u13=params.u13 + 0.5)
         h = hamiltonian_matrix(3, broken.to_dict())
         assert commutator_norm(h, charge_matrix(3, "Q1")) > 1e-3
 
@@ -207,30 +207,40 @@ class TestDetuningOperator:
         assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
 
 
+def band_config(params, m_occ, p_occ):
+    """A ProtocolConfig at `params` for |M,P,0,0>, whose band scales are under test."""
+    return ProtocolConfig(m_occ=m_occ, p_occ=p_occ, params=params, mu=1.0, nu=1.0, theta=0.0)
+
+
 class TestDerivedScales:
+    """Omega, t_m and beta, as ProtocolConfig derives them."""
+
     def test_set1_reference_values(self, set1):
         params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"])
-        scales = derived_scales(params, 4, 11)
+        scales = band_config(params, 4, 11)
         assert scales.omega == pytest.approx(0.04251131, rel=1e-6)
         assert scales.t_m == pytest.approx(36.950076, rel=1e-6)
         assert scales.beta == 1
 
     def test_beta_parity(self):
         params = ModelParameters.integrable_set(u=2.0, j=0.5)
-        assert derived_scales(params, 1, 4).beta == -1  # N=5, (N+1)/2 odd
-        assert derived_scales(params, 2, 5).beta == +1  # N=7, (N+1)/2 even
-        assert derived_scales(params, 1, 3).beta is None  # even N
+        assert band_config(params, 1, 4).beta == -1  # N=5, (N+1)/2 odd
+        assert band_config(params, 2, 5).beta == +1  # N=7, (N+1)/2 even
+        with pytest.raises(ValueError, match="must be odd"):   # beta needs an odd N
+            band_config(params, 1, 3)
 
     def test_zero_tunneling_gives_infinite_time(self):
         params = ModelParameters.integrable_set(u=2.0, j=0.0)
-        assert derived_scales(params, 4, 11).t_m == math.inf
+        assert band_config(params, 4, 11).t_m == math.inf
 
     def test_validation(self):
         params = ModelParameters.integrable_set(u=2.0, j=0.5)
         with pytest.raises(ValueError):
-            derived_scales(params, 3, 4)  # |M-P| < 2
-        with pytest.raises(ValueError):
-            derived_scales(ModelParameters.integrable_set(u=-1.0, j=0.5), 4, 11)
+            band_config(params, 3, 4)  # |M-P| < 2
+        with pytest.raises(ValueError, match=r"^U = \(U12 - U0\)/4 must be positive, got -1$"):
+            band_config(ModelParameters.integrable_set(u=-1.0, j=0.5), 4, 11)
+        with pytest.raises(ValueError, match="must be positive, got 0$"):
+            band_config(ModelParameters.integrable_set(u=0.0, j=0.5), 4, 11)
 
 
 class TestDiagonalBandEnergy:
@@ -240,7 +250,7 @@ class TestDiagonalBandEnergy:
         basis = enumerate_basis(n_total)
         for _ in range(5):
             params = random_integrable(rng)
-            frozen = ModelParameters(**{**params.to_dict(), "j": 0.0})
+            frozen = replace(params, j=0.0)
             diag = np.diag(hamiltonian_matrix(n_total, frozen.to_dict()))
             for k, occ in enumerate(basis):
                 m_occ = occ[0] + occ[2]
@@ -254,12 +264,12 @@ class TestEffectiveHamiltonian:
     def test_forms_agree_on_labeled_band_half(self, m_occ, p_occ):
         n_total = m_occ + p_occ
         basis = enumerate_basis(n_total)
-        params = ModelParameters.integrable_set(u=40.0, j=1.0)
-        scales = derived_scales(params, m_occ, p_occ)
+        u, j = 40.0, 1.0
+        omega = j**2 / (4.0 * u * ((m_occ - p_occ) ** 2 - 1))
         charges = operator_matrix(
-            n_total, lambda state: apply_effective_charges(state, n_total, scales.omega))
+            n_total, lambda state: apply_effective_charges(state, n_total, omega))
         sq = operator_matrix(
-            n_total, lambda state: apply_effective_sq(state, m_occ, p_occ, scales.j, scales.u))
+            n_total, lambda state: apply_effective_sq(state, m_occ, p_occ, j, u))
         occ = basis.occupations
         half = np.nonzero((occ[:, 0] + occ[:, 2]) == m_occ)[0]
         sub_charges = charges[np.ix_(half, half)]

@@ -58,7 +58,7 @@ class TestProtocolConfig:
         bumped = dataclasses.replace(cfg, theta=0.2)
         assert bumped.theta == pytest.approx(0.2)
         assert bumped.params == cfg.params
-        assert bumped.derived == cfg.derived
+        assert (bumped.omega, bumped.t_m, bumped.beta) == (cfg.omega, cfg.t_m, cfg.beta)
         with pytest.raises(ValueError, match="theta must be >= 0"):   # __post_init__ re-runs
             dataclasses.replace(cfg, theta=-0.2)
 
@@ -78,7 +78,7 @@ class TestProtocolConfig:
 
     def test_non_integrable_params_rejected(self, set1):
         params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"])
-        broken = ModelParameters(**{**params.to_dict(), "u13": 1.0})
+        broken = dataclasses.replace(params, u13=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(m_occ=M_OCC, p_occ=P_OCC, params=broken,
                            mu=set1["mu"], nu=set1["mu"], theta=0.0)

@@ -33,6 +33,11 @@ def make_cfg(couplings, p_theta=np.pi / 2):
     )
 
 
+def trap_of(source):
+    """A RobustnessConfig's trap: one makes it the physical source, None the direct one."""
+    return TrapParameters() if source == "physical" else None
+
+
 def sweep_point(couplings, basis, xi_over_j, **kwargs):
     config = RobustnessConfig(
         base=make_cfg(couplings),
@@ -47,7 +52,7 @@ class TestRobustnessConfig:
         config = RobustnessConfig(base=make_cfg(SET1), xi_values=(0.1,))
         assert config.n_dt == 100
         assert config.mode == "pulsed"
-        assert config.source == "direct"
+        assert config.trap is None   # the direct source
         assert config.protocol == 1
         assert config.start_sign == 1
 
@@ -55,10 +60,8 @@ class TestRobustnessConfig:
         {"n_dt": 0},
         {"n_dt": -3},
         {"mode": "adiabatic"},
-        {"source": "analytic"},
         {"protocol": 3},
         {"start_sign": 0},
-        {"source": "physical"},  # trap is required but missing
     ])
     def test_invalid_settings_rejected(self, overrides):
         with pytest.raises(ValueError):
@@ -219,8 +222,7 @@ class TestMemory:
 class TestPhysicalSource:
     def test_smoke_point(self, basis15):
         point = sweep_point(
-            SET1, basis15, 0.001, n_dt=2,
-            source="physical", trap=TrapParameters(),
+            SET1, basis15, 0.001, n_dt=2, trap=TrapParameters(),
         )
         assert 0.0 <= point.fidelity <= 1.0
         assert 0.0 < point.probability <= 1.0
@@ -231,7 +233,7 @@ class TestPhysicalSource:
         monkeypatch.setattr(robustness, "_run_point", lambda *args: runs.append(args))
         config = RobustnessConfig(
             base=make_cfg(SET1), xi_values=(0.0, 0.01 * SET1["j"], 5.0 * SET1["j"]),
-            source="physical", trap=TrapParameters())
+            trap=TrapParameters())
         with pytest.raises(ValueError, match=r"^physical source: xi = .* \(xi/J = 5\) needs"):
             run_robustness(config, basis15)
         assert runs == []
@@ -240,7 +242,7 @@ class TestPhysicalSource:
         """The root finder reuses the U0 - U13 that the reach check computed at the ends."""
         config = RobustnessConfig(
             base=make_cfg(SET1), xi_values=tuple(np.linspace(0.0, 0.01 * SET1["j"], 3)),
-            source="physical", trap=TrapParameters())
+            trap=TrapParameters())
         _, ends = robustness._physical_root(config)
         omegas = []
         residual = lattice.integrability_residual
@@ -264,8 +266,7 @@ class TestPhysicalSource:
         1e-10 off the root, so it must return its best point instead."""
         trap = TrapParameters()
         xi_values = tuple(np.linspace(0.0, 0.02 * SET1["j"], 20))
-        config = RobustnessConfig(base=make_cfg(SET1), xi_values=xi_values, source="physical",
-                                  trap=trap)
+        config = RobustnessConfig(base=make_cfg(SET1), xi_values=xi_values, trap=trap)
         _, ends = robustness._physical_root(config)
         for target in (*xi_values, *(-xi for xi in xi_values)):
             reference = optimize.brentq(
@@ -274,10 +275,27 @@ class TestPhysicalSource:
             assert robustness._solve_detuned_omega(trap, target, ends) == pytest.approx(
                 reference, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("xi_over_j_max", [0.02, 0.001])
+    def test_detuned_frequencies_land_far_inside_their_tolerance(self, xi_over_j_max):
+        """A fidelity moves by ~1e-7 per 1e-10 relative move of omega, so the 12 digits of
+        a table need each omega within ~1e-13 of the root, not the rtol of 1e-10 alone.
+        Checked on 20-point grids to xi/J = 0.02 (the CLI default) and 0.001."""
+        trap = TrapParameters()
+        xi_values = tuple(np.linspace(0.0, xi_over_j_max * SET1["j"], 20))
+        config = RobustnessConfig(base=make_cfg(SET1), xi_values=xi_values, trap=trap)
+        _, ends = robustness._physical_root(config)
+        (lo, f_lo), (hi, f_hi) = ends.items()
+        for target in (*xi_values, *(-xi for xi in xi_values)):
+            reference = lattice._find_root(
+                lambda w: lattice.integrability_residual(trap, w) - target,
+                lo, hi, f_lo - target, f_hi - target, rtol=2e-15)
+            assert robustness._solve_detuned_omega(trap, target, ends) == pytest.approx(
+                reference, rel=1e-13, abs=0.0)
+
 
 def detuned_system(config, basis, xi):
     """The system `run_robustness` builds at xi, with its couplings."""
-    if config.source == "direct":
+    if config.trap is None:
         return robustness._direct_system(config, NormalModes(basis), xi)
     return robustness._physical_system(
         config, NormalModes(basis), robustness._physical_root(config), xi)
@@ -316,11 +334,9 @@ class TestParityBlocks:
         basis = enumerate_basis(7)
         xi = 0.02 * SET1["j"]
         for source, sign in (("direct", -1.0), ("physical", 1.0)):
-            config = RobustnessConfig(
-                base=make_cfg(SET1), xi_values=(xi,), source=source, trap=TrapParameters())
+            config = RobustnessConfig(base=make_cfg(SET1), xi_values=(xi,), trap=trap_of(source))
             plus, minus, mu_pulse, nu_pulse = detuned_system(config, basis, xi).couplings
             for params, detuning in ((plus, xi), (minus, -xi), (mu_pulse, xi), (nu_pulse, xi)):
-                assert params.ring_symmetric()
                 # direct: U13 - U0 = +xi; physical: U0 - U13 = +xi
                 assert params.u0 - params.u13 == pytest.approx(sign * detuning, rel=1e-6)
 
@@ -342,7 +358,7 @@ class TestParityBlocks:
             shapes.clear()
             config = RobustnessConfig(
                 base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
-                protocol=protocol, source=source, trap=TrapParameters())
+                protocol=protocol, trap=trap_of(source))
             run_robustness(config, basis15)
             assert shapes == 2 * per_hamiltonian   # H(+xi) and H(-xi), once per point
 
@@ -355,8 +371,7 @@ class TestParityBlocks:
                                mu=SET1["mu"], p_theta=np.pi / 2)
         config = RobustnessConfig(
             base=base, xi_values=tuple(x * SET1["j"] for x in (0.0, 0.01, 0.05)),
-            n_dt=5, mode=mode, source=source, protocol=protocol, start_sign=-1,
-            trap=TrapParameters())
+            n_dt=5, mode=mode, protocol=protocol, start_sign=-1, trap=trap_of(source))
         points = run_robustness(config, basis)
         for point in points:
             system = detuned_system(config, basis, point.xi)
@@ -418,7 +433,7 @@ class TestSparsePulse:
         base = protocol_config(m_occ=M_OCC, p_occ=basis.n_total - M_OCC, u=SET1["u"],
                                j=SET1["j"], mu=SET1["mu"], p_theta=np.pi / 2)
         config = RobustnessConfig(base=base, xi_values=(xi_over_j * SET1["j"],),
-                                  source=source, trap=TrapParameters())
+                                  trap=trap_of(source))
         return detuned_system(config, basis, xi_over_j * SET1["j"])
 
     def mode_state(self, system):

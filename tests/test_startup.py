@@ -122,7 +122,7 @@ def test_every_public_name_resolves():
 
 
 @pytest.mark.parametrize("section, library_class, keys", [
-    ("robustness", RobustnessConfig, ("n_dt", "mode", "source", "protocol", "start_sign")),
+    ("robustness", RobustnessConfig, ("n_dt", "mode", "protocol", "start_sign")),
     ("lattice", TrapParameters, ("scattering_length_a0", "magnetic_moment_mub", "kappa_sq")),
 ])
 def test_schema_defaults_equal_the_library_defaults(section, library_class, keys):

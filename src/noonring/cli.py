@@ -9,11 +9,12 @@ Experiment kinds
     physical    lattice calculator: couplings vs omega_r, integrable root
     robustness  fidelity vs detuning |U0 - U13| = xi, static or pulsed
 
-Each run writes one delimited table (csv/tsv; header row plus a unit
-comment) and a JSON manifest echoing the fully resolved configuration
-and derived scales.  Identical inputs produce byte-identical tables at a
-fixed BLAS thread count (the manifest records it under `environment`);
-the manifest carries the only timestamp.
+The protocol kinds run one protocol config over a P theta grid ([experiment]
+grid points from 0 to [protocol] p_theta_max).  Each run writes one delimited
+table (csv/tsv; header row plus a unit comment) and a JSON manifest echoing
+the fully resolved configuration and derived scales.  Identical inputs
+produce byte-identical tables at a fixed BLAS thread count (the manifest
+records it under `environment`); the manifest carries the only timestamp.
 
 Config files are INI-style; `SCHEMA` gives every section and key its type,
 default and allowed values.  Values are layered defaults < preset < config
@@ -54,6 +55,7 @@ from .protocols import (
     IdealDynamics,
     ProtocolConfig,
     _check_occupations,
+    _check_thetas,
     band_trace,
     fit_readout_amplitudes,
     protocol_config,
@@ -168,7 +170,7 @@ class ExperimentConfig(SimpleNamespace):
     def kind(self) -> str:
         return self.experiment.kind
 
-    def base_protocol(self, p_theta: float = 0.0) -> ProtocolConfig:
+    def base_protocol(self) -> ProtocolConfig:
         m = self.model
         try:   # the library's message names M and P, not the keys
             _check_occupations(m.m, m.p)
@@ -176,7 +178,7 @@ class ExperimentConfig(SimpleNamespace):
             raise ValueError(f"[model] m = {m.m}, [model] p = {m.p}: {exc}") from None
         return protocol_config(
             m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
-            p_theta=p_theta, u0=m.u0, t_m_override=m.t_m_override,
+            u0=m.u0, t_m_override=m.t_m_override,
         )
 
 
@@ -295,12 +297,13 @@ def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
     }
 
 
-def _derived_block(pc: ProtocolConfig) -> dict:
+def _derived_block(pc: ProtocolConfig, p_theta: float) -> dict:
+    """The band scales of `pc`, and t_mu at theta = `p_theta` / P."""
     return {
         "omega": pc.omega,
         "t_m": pc.t_m,
         "t_nu": pc.t_nu,
-        "t_mu_at_p_theta_max": pc.t_mu,
+        "t_mu_at_p_theta_max": pc.t_mu(p_theta / pc.p_occ),
         "beta": pc.beta,
     }
 
@@ -320,26 +323,29 @@ def _check_finite(kind: str, header: list[str], columns: list) -> None:
 # --- experiments ------------------------------------------------------------
 
 
-def _protocol_sweep(cfg: ExperimentConfig) -> tuple[list[float], list[ProtocolConfig]]:
-    """The P theta grid and a protocol config at each of its points."""
-    grid = np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid).tolist()
-    return grid, [cfg.base_protocol(p_theta) for p_theta in grid]
+def _protocol_sweep(cfg: ExperimentConfig) -> tuple[ProtocolConfig, list[float], np.ndarray]:
+    """The protocol config, the P theta grid and its theta = P theta / P, checked."""
+    pc = cfg.base_protocol()
+    grid = np.linspace(0.0, cfg.protocol.p_theta_max, cfg.experiment.grid)
+    try:   # the library's message names t_mu and t_m, not the key
+        thetas = _check_thetas(pc, grid / pc.p_occ)
+    except ValueError as exc:
+        raise ValueError(f"[protocol] p_theta_max = {cfg.protocol.p_theta_max:g}: {exc}") from None
+    return pc, grid.tolist(), thetas
 
 
 def _dynamics(cfg: ExperimentConfig) -> FullDynamics | IdealDynamics:
     return _DYNAMICS[cfg.protocol.mode](enumerate_basis(cfg.model.m + cfg.model.p))
 
 
-def _protocol_extras(cfg: ExperimentConfig) -> dict:
-    pc_max = cfg.base_protocol(cfg.protocol.p_theta_max)
-    return {"derived": _derived_block(pc_max), "mode": cfg.protocol.mode}
+def _protocol_extras(cfg: ExperimentConfig, pc: ProtocolConfig) -> dict:
+    return {"derived": _derived_block(pc, cfg.protocol.p_theta_max), "mode": cfg.protocol.mode}
 
 
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
+    m, (pc, grid, thetas) = cfg.model, _protocol_sweep(cfg)
     rows = []
-    sweep = sweep_protocol1(configs, _dynamics(cfg))
-    for p_theta, pc, reports in zip(grid, configs, sweep):
+    for p_theta, reports in zip(grid, sweep_protocol1(pc, thetas, _dynamics(cfg))):
         for report in reports:
             rows.append((
                 cfg.label, m.m, m.p, p_theta, report.outcome, report.probability,
@@ -347,16 +353,16 @@ def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             ))
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
-    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg)
+    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg, pc)
 
 
 def _run_protocol2_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m, (grid, configs) = cfg.model, _protocol_sweep(cfg)
-    sweep = sweep_protocol2(configs, _dynamics(cfg))
+    m, (pc, grid, thetas) = cfg.model, _protocol_sweep(cfg)
+    sweep = sweep_protocol2(pc, thetas, _dynamics(cfg))
     rows = [(cfg.label, m.m, m.p, p_theta, report.fidelity, 2.0 * pc.t_m)
-            for p_theta, pc, report in zip(grid, configs, sweep)]
+            for p_theta, report in zip(grid, sweep)]
     header = ["set", "m", "p", "p_theta", "fidelity", "elapsed_s"]
-    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg)
+    return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg, pc)
 
 
 # Per readout protocol: the READOUT_LAWS of readouts 0 and M, the scale of the law
@@ -371,7 +377,7 @@ _READOUTS = {
 
 
 def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    m_occ, (grid, configs) = cfg.model.m, _protocol_sweep(cfg)
+    m_occ, (pc, grid, thetas) = cfg.model.m, _protocol_sweep(cfg)
     if len(set(grid)) < 3:
         raise ValueError(
             f"readout fits need at least 3 distinct P theta values; [experiment] grid = "
@@ -380,9 +386,9 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     protocol = cfg.protocol.readout_protocol
     laws, scale, fit_names, columns = _READOUTS[protocol]
     rows, samples = [], ([], [])   # (p_theta, probability) of readouts 0 and M
-    sweep = sweep_readout(configs, _dynamics(cfg), protocol)
-    for p_theta, pc, pairs in zip(grid, configs, sweep):
-        law_values = [scale * READOUT_LAWS[law](pc.p_theta) for law in laws]
+    sweep = sweep_readout(pc, thetas, _dynamics(cfg), protocol)
+    for p_theta, theta, pairs in zip(grid, thetas.tolist(), sweep):
+        law_values = [scale * READOUT_LAWS[law](pc.p_occ * theta) for law in laws]
         for report, distribution in pairs:
             branch, weight = (report.outcome, report.probability) if protocol == 1 else ("", 1.0)
             for outcome, outcome_samples in zip((0, m_occ), samples):
@@ -392,7 +398,7 @@ def _run_readout_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     fits = {name: fit_readout_amplitudes(outcome_samples, law) / scale
             for name, outcome_samples, law in zip(fit_names, samples, laws)}
     return ["set", "p_theta", "r", "readout_r", *columns], list(map(np.array, zip(*rows))), {
-        **_protocol_extras(cfg), "readout_protocol": protocol, "fits": fits,
+        **_protocol_extras(cfg, pc), "readout_protocol": protocol, "fits": fits,
     }
 
 
@@ -423,13 +429,13 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    pc = cfg.base_protocol(0.0)
+    pc = cfg.base_protocol()
     t_max = cfg.evolve.t_max if cfg.evolve.t_max is not None else pc.t_m
     times = np.linspace(0.0, t_max, cfg.evolve.points)
     header = ["t_s", "p_MP00", "p_0PM0", "p_M00P", "p_00MP",
               "uber_noon_population", "effective_overlap"]
     trace = band_trace(pc, enumerate_basis(cfg.model.m + cfg.model.p), times)
-    return header, [times, *trace], {"derived": _derived_block(pc), "t_max": t_max}
+    return header, [times, *trace], {"derived": _derived_block(pc, 0.0), "t_max": t_max}
 
 
 def _trap(cfg: ExperimentConfig):
@@ -440,8 +446,14 @@ def _trap(cfg: ExperimentConfig):
     return TrapParameters(**{name: getattr(cfg.lattice, name) for name in names})
 
 
+def _omega_bracket(cfg: ExperimentConfig) -> tuple[float, float]:
+    """The [lattice] omega_min_khz to omega_max_khz range, in rad/s."""
+    return (2.0 * math.pi * cfg.lattice.omega_min_khz * 1e3,
+            2.0 * math.pi * cfg.lattice.omega_max_khz * 1e3)
+
+
 def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    from .lattice import derive, model_parameters_from_lattice, solve_integrability
+    from .lattice import derive, model_parameters_from_lattice, recoil_energy, solve_integrability
 
     lattice = cfg.lattice
     trap = _trap(cfg)
@@ -451,10 +463,9 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         d = derive(trap, omega)
         rows.append((float(freq_khz), d.u0, d.u12, d.u13, d.u0 - d.u13))
     header = ["omega_r_over_2pi_khz", "u0", "u12", "u13", "residual"]
-    omega_star = solve_integrability(
-        trap, bracket=(2.0 * math.pi * lattice.omega_min_khz * 1e3,
-                       2.0 * math.pi * lattice.omega_max_khz * 1e3))
+    omega_star = solve_integrability(trap, bracket=_omega_bracket(cfg))
     at_root = derive(trap, omega_star, dx=lattice.dx, dy=lattice.dy)
+    recoil = recoil_energy(trap)
     j = lattice.j if lattice.j is not None else cfg.model.j
     params = model_parameters_from_lattice(at_root, j=j)
     extras = {
@@ -473,12 +484,12 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
             "residual": at_root.u0 - at_root.u13,
         },
         "derived_at_root": {
-            "recoil_rad_s": at_root.recoil,
-            "recoil_over_2pi_khz": at_root.recoil / (2.0 * math.pi * 1e3),
+            "recoil_rad_s": recoil,
+            "recoil_over_2pi_khz": recoil / (2.0 * math.pi * 1e3),
             "v0_over_recoil": at_root.v0_over_recoil,
-            "coupling_u": at_root.coupling_u,
+            "coupling_u": (at_root.u12 - at_root.u0) / 4.0,
             "mu": at_root.mu, "nu": at_root.nu,
-            "omega_z_rad_s": at_root.omega_z,
+            "omega_z_rad_s": trap.kappa_sq * omega_star,
             "omega_z_check_rad_s": at_root.omega_z_check,
         },
         "model_parameters": params.to_dict(),
@@ -488,16 +499,16 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
 
 
 def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    from .robustness import RobustnessConfig, run_robustness, threshold_xi
+    from .robustness import P_THETA, RobustnessConfig, run_robustness, threshold_xi
 
     r = cfg.robustness
     basis = enumerate_basis(cfg.model.m + cfg.model.p)
     xi_max = r.xi_over_j_max * cfg.model.j
-    base = cfg.base_protocol(p_theta=math.pi / 2.0)
+    base = cfg.base_protocol()
     rcfg = RobustnessConfig(
         base=base, xi_values=tuple(np.linspace(0.0, xi_max, r.points)),
         n_dt=r.n_dt, mode=r.mode, protocol=r.protocol, start_sign=r.start_sign,
-        trap=_trap(cfg) if r.source == "physical" else None,
+        trap=_trap(cfg) if r.source == "physical" else None, bracket=_omega_bracket(cfg),
     )
     results = run_robustness(rcfg, basis)
     rows = [
@@ -507,11 +518,11 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
     return header, list(map(np.array, zip(*rows))), {
-        "derived": _derived_block(base), "protocol": r.protocol,
+        "derived": _derived_block(base, P_THETA), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
         # What "+xi" detunes: the two sources realize opposite signs.
         "xi_sign_convention": "U13 - U0 = +xi" if r.source == "direct" else "U0 - U13 = +xi",
-        "p_theta": math.pi / 2.0,
+        "p_theta": P_THETA,
         # The largest |xi/J| up to which the whole grid has fidelity above 0.9; None (null)
         # if the smallest |xi/J| fails.
         "threshold_xi_over_j": threshold_xi(results, level=0.9),
@@ -551,14 +562,13 @@ def list_presets(machine: bool = False) -> str:
     payload = {}
     for name, values in PRESETS.items():
         pc = protocol_config(values["m"], values["p"], u=values["u"],
-                             j=values["j"], mu=values["mu"], nu=values["nu"],
-                             p_theta=math.pi)
+                             j=values["j"], mu=values["mu"], nu=values["nu"])
         payload[name] = {
             **values,
             "omega": pc.omega,
             "t_m": pc.t_m,
             "t_nu": pc.t_nu,
-            "t_mu_at_p_theta_pi": pc.t_mu,
+            "t_mu_at_p_theta_pi": pc.t_mu(math.pi / pc.p_occ),
             "beta": pc.beta,
         }
     if machine:

@@ -413,19 +413,17 @@ def field_strengths(
 class LatticeDerived:
     """What the proposal derives at a given radial frequency and beam displacement.
 
-    The trap's own scales are read from TrapParameters (`delta`, `eta(omega_r)`)
-    and the lattice depth from `v0_from_omega_r`.
+    The trap's own scales are read from TrapParameters (`delta`, `eta(omega_r)`,
+    omega_z = kappa_sq omega_r), the recoil from `recoil_energy`, the lattice depth
+    from `v0_from_omega_r`, and the band coupling U = (U12 - U0)/4 from the fields here.
     """
 
     omega_r: float          # rad/s
-    omega_z: float          # rad/s, kappa_sq * omega_r
     omega_z_check: float    # rad/s, from the accordion-depth formula
-    recoil: float           # E_R/hbar, rad/s
     v0_over_recoil: float
     u0: float               # rad/s
     u12: float              # rad/s
     u13: float              # rad/s
-    coupling_u: float       # (U12 - U0)/4, rad/s
     mu: float               # rad/s
     nu: float               # rad/s
 
@@ -442,17 +440,13 @@ def derive(
     u12 = offsite_coupling(trap, omega_r, "nearest")
     u13 = offsite_coupling(trap, omega_r, "diagonal")
     mu, nu = field_strengths(trap, v0, dx, dy)
-    recoil = recoil_energy(trap)
     return LatticeDerived(
         omega_r=omega_r,
-        omega_z=trap.kappa_sq * omega_r,
         omega_z_check=omega_z_formula(trap, omega_r),
-        recoil=recoil,
-        v0_over_recoil=v0 / (HBAR * recoil),
+        v0_over_recoil=v0 / (HBAR * recoil_energy(trap)),
         u0=u0,
         u12=u12,
         u13=u13,
-        coupling_u=(u12 - u0) / 4.0,
         mu=mu,
         nu=nu,
     )

@@ -21,9 +21,9 @@ P(0) = sin^2(P theta/2 - pi/4): with it, the deterministic output is
 + pi/2)}, and a further t_m of integrable evolution converts the encoded
 phase into that site-3 population law exactly.
 
-A ProtocolConfig holds only the inputs of a run (M, P, the couplings, the
-field strengths, theta and an optional t_m); Omega, t_m, t_mu, t_nu and
-beta are computed from them.
+A ProtocolConfig holds only the inputs a theta sweep keeps fixed (M, P, the
+couplings, the field strengths and an optional t_m); Omega, t_m, t_nu and
+beta are computed from them, and t_mu from each theta the runners are given.
 
 Each runner takes the dynamics the steps run under: FullDynamics for the
 full simulation, or IdealDynamics for the idealized limit (fields applied
@@ -42,11 +42,12 @@ measures site 3 again; its (N + 1,) outcome distribution, read against the
 READOUT_LAWS of P theta, recovers the encoded phase.
 
 A theta sweep runs as stacks of states (`noonring.dynamics`):
-`sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take configs that
-differ only in theta, evolve them `stack_columns` at a time, one column per
-config, and yield one result per config as they go, so a long sweep holds
-one stack, not every config's states.  `run_protocol1` and `run_protocol2`
-are the one-config case.
+`sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take one config and
+an array of theta, evolve the thetas `stack_columns` at a time, one column
+per theta, and yield one result per theta as they go, so a long sweep holds
+one stack, not every theta's states.  They check every theta (theta >= 0,
+t_mu below t_m) before the first segment runs.  `run_protocol1` and
+`run_protocol2` are the one-theta case.
 
 `band_trace` follows |M,P,0,0> through one band interval under both
 dynamics, a stack of times at a time: the corner and uber-NOON populations
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -70,13 +70,13 @@ MEASURED_SITE = 3
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything needed to run either protocol once.
+    """Everything a theta sweep of either protocol holds fixed.
 
     params holds the integrable couplings with both fields off; mu and nu
     are the field magnitudes switched on only during the t_mu / t_nu steps.
-    theta = 2 mu t_mu is the encoding phase variable (the encoded NOON
-    phase is P theta).  The band scales Omega, t_m and beta follow from these
-    (`noonring.model` docstring).
+    The encoding phase variable theta = 2 mu t_mu (the encoded NOON phase
+    is P theta) is given to each run.  The band scales Omega, t_m and beta
+    follow from these (`noonring.model` docstring).
     """
 
     m_occ: int
@@ -84,7 +84,6 @@ class ProtocolConfig:
     params: ModelParameters
     mu: float
     nu: float
-    theta: float
     t_m_override: float | None = None
 
     def __post_init__(self):
@@ -96,15 +95,11 @@ class ProtocolConfig:
                              "only during the pulse steps")
         if self.mu <= 0.0 or self.nu <= 0.0:
             raise ValueError("field strengths mu and nu must be positive")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta:g}")
         u = self.params.coupling_u()
         if u <= 0.0:
             raise ValueError(f"U = (U12 - U0)/4 must be positive, got {u:g}")
         if self.t_m_override is not None and self.t_m_override <= 0.0:
             raise ValueError("t_m override must be positive")
-        if self.t_mu >= self.t_m:
-            raise ValueError(f"t_mu = {self.t_mu:g} s must be below t_m = {self.t_m:g} s")
         if self.t_nu >= self.t_m:
             raise ValueError(f"t_nu = {self.t_nu:g} s must be below t_m = {self.t_m:g} s")
 
@@ -130,19 +125,14 @@ class ProtocolConfig:
             return self.t_m_override
         return math.pi / (2.0 * self.omega) if self.omega != 0.0 else math.inf
 
-    @property
-    def t_mu(self) -> float:
-        """Field-on time encoding theta: t_mu = theta / (2 mu)."""
-        return self.theta / (2.0 * self.mu)
+    def t_mu(self, theta):
+        """Field-on time encoding theta (a float or an array): t_mu = theta / (2 mu)."""
+        return theta / (2.0 * self.mu)
 
     @property
     def t_nu(self) -> float:
         """Fixed nu-pulse time: t_nu = pi / (4 M nu)."""
         return math.pi / (4.0 * self.m_occ * self.nu)
-
-    @property
-    def p_theta(self) -> float:
-        return self.p_occ * self.theta
 
 
 def _check_occupations(m_occ: int, p_occ: int) -> None:
@@ -164,23 +154,25 @@ def protocol_config(
     j: float,
     mu: float,
     nu: float | None = None,
-    theta: float | None = None,
-    p_theta: float | None = None,
     u0: float = 0.0,
     t_m_override: float | None = None,
 ) -> ProtocolConfig:
     """Convenience constructor from the band coupling U = (U12 - U0)/4."""
-    if theta is not None and p_theta is not None:
-        raise ValueError("give either theta or p_theta, not both")
-    _check_occupations(m_occ, p_occ)
-    if theta is None:
-        theta = 0.0 if p_theta is None else p_theta / p_occ
     return ProtocolConfig(
         m_occ=m_occ, p_occ=p_occ,
         params=ModelParameters.integrable_set(u=u, j=j, u0=u0),
-        mu=mu, nu=mu if nu is None else nu, theta=theta,
-        t_m_override=t_m_override,
+        mu=mu, nu=mu if nu is None else nu, t_m_override=t_m_override,
     )
+
+
+def _check_thetas(cfg: ProtocolConfig, thetas) -> np.ndarray:
+    """`thetas` as a float array, once each is >= 0 and t_mu is below t_m at the largest."""
+    thetas = np.asarray(thetas, dtype=float)
+    if np.any(thetas < 0.0):
+        raise ValueError(f"theta must be >= 0, got {thetas[thetas < 0.0][0]:g}")
+    if thetas.size and cfg.t_mu(thetas.max()) >= cfg.t_m:
+        raise ValueError(f"t_mu = {cfg.t_mu(thetas.max()):g} s must be below t_m = {cfg.t_m:g} s")
+    return thetas
 
 
 @dataclass(frozen=True)
@@ -211,20 +203,16 @@ def _superposition(basis: FockBasis, terms: dict[tuple, complex]) -> QuantumStat
     return QuantumState(basis, amplitudes).normalized()
 
 
-def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, stage: str = "post_field") -> QuantumState:
-    """Four-branch superposition after the first t_m (and the mu pulse).
+def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
+    """Four-branch superposition after the first t_m and the mu pulse encoding `p_theta`:
 
-    pre_field:  (beta|M,P,0,0> + |M,0,0,P> + |0,P,M,0> - beta|0,0,M,P>)/2
-    post_field: same with e^{i P theta} on the |.,0,.,P> branches.
+    (beta|M,P,0,0> + e^{i P theta}|M,0,0,P> + |0,P,M,0> - beta e^{i P theta}|0,0,M,P>)/2.
+
+    P theta = 0 is the state before the field, bit for bit.
     """
     m, p = cfg.m_occ, cfg.p_occ
     beta = cfg.beta
-    if stage == "pre_field":
-        phase = 1.0
-    elif stage == "post_field":
-        phase = np.exp(1j * cfg.p_theta)
-    else:
-        raise ValueError(f"stage must be 'pre_field' or 'post_field', got {stage!r}")
+    phase = np.exp(1j * p_theta)
     return _superposition(basis, {
         (m, p, 0, 0): 0.5 * beta,
         (m, 0, 0, p): 0.5 * phase,
@@ -233,11 +221,12 @@ def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, stage: str = "post_fi
     })
 
 
-def ideal_protocol1_output(cfg: ProtocolConfig, basis: FockBasis, r: int) -> QuantumState:
-    """Post-measurement NOON state on sites 2-4 for outcome r in {0, M}."""
+def ideal_protocol1_output(cfg: ProtocolConfig, basis: FockBasis, r: int,
+                           p_theta: float) -> QuantumState:
+    """Post-measurement NOON state on sites 2-4 for outcome r in {0, M}, encoding `p_theta`."""
     m, p = cfg.m_occ, cfg.p_occ
     beta = cfg.beta
-    phase = np.exp(1j * cfg.p_theta)
+    phase = np.exp(1j * p_theta)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if r == 0:
         return _superposition(basis, {
@@ -252,14 +241,14 @@ def ideal_protocol1_output(cfg: ProtocolConfig, basis: FockBasis, r: int) -> Qua
     raise ValueError(f"ideal Protocol I output exists only for r in {{0, {m}}}, got {r}")
 
 
-def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis) -> QuantumState:
-    """Deterministic NOON output (|M,P,0,0> + Upsilon|M,0,0,P>)/sqrt(2).
+def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
+    """Deterministic NOON output (|M,P,0,0> + Upsilon|M,0,0,P>)/sqrt(2) encoding `p_theta`.
 
     Upsilon = beta e^{i(P theta + pi/2)}, the phase consistent with the
     inverted-sign nu pulse and the readout law P(0) = sin^2(P theta/2 - pi/4).
     """
     m, p = cfg.m_occ, cfg.p_occ
-    upsilon = cfg.beta * np.exp(1j * (cfg.p_theta + math.pi / 2.0))
+    upsilon = cfg.beta * np.exp(1j * (p_theta + math.pi / 2.0))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return _superposition(basis, {
         (m, p, 0, 0): inv_sqrt2,
@@ -321,7 +310,7 @@ class FullDynamics(_ModeDynamics):
         return self.evolve(states, self._band_steps(cfg, t))
 
     def mu_segment(self, states: QuantumState, cfg: ProtocolConfig, theta) -> QuantumState:
-        t_mu = np.asarray(theta) / (2.0 * cfg.mu)   # ProtocolConfig.t_mu per column
+        t_mu = cfg.t_mu(np.asarray(theta))   # one per column
         return self.evolve(states, [*self._band_steps(cfg, cfg.t_m - t_mu),
                                     (self._pulses(cfg)[0], t_mu)])
 
@@ -378,29 +367,23 @@ def _copies(state: QuantumState, columns: int) -> QuantumState:
                                                      (state.basis.size, columns)))
 
 
-def _chunks(configs, basis: FockBasis, columns_per_config: int = 1):
-    """`configs` in lists whose states fill at most one stack; they must differ only in theta."""
-    configs, size, shared = iter(configs), max(1, stack_columns(basis) // columns_per_config), None
-    while chunk := list(islice(configs, size)):
-        for cfg in chunk:
-            fixed = (cfg.m_occ, cfg.p_occ, cfg.params, cfg.mu, cfg.nu, cfg.t_m_override)
-            shared = shared or fixed
-            if fixed != shared:
-                raise ValueError("the configs of a sweep must differ only in theta")
-        yield chunk
+def _chunks(cfg: ProtocolConfig, thetas, basis: FockBasis, columns_per_theta: int = 1):
+    """`thetas`, checked (`_check_thetas`), in slices whose states fill at most one stack."""
+    thetas, size = _check_thetas(cfg, thetas), max(1, stack_columns(basis) // columns_per_theta)
+    for start in range(0, thetas.size, size):
+        yield thetas[start:start + size]
 
 
-def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics):
-    """`run_protocol1`'s reports for each of `configs` in turn, evolved as stacks."""
+def sweep_protocol1(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
+    """`run_protocol1`'s reports at each of `thetas` in turn, evolved as stacks."""
     basis = dynamics.basis
     outcome = basis.occupations[:, MEASURED_SITE - 1]
-    for chunk in _chunks(configs, basis):
-        states = dynamics.mu_segment(_copies(_initial_state(chunk[0], basis), len(chunk)),
-                                     chunk[0], [cfg.theta for cfg in chunk])
+    for chunk in _chunks(cfg, thetas, basis):
+        states = dynamics.mu_segment(_copies(_initial_state(cfg, basis), chunk.size), cfg, chunk)
         probabilities = site_probabilities(states, MEASURED_SITE)
-        for cfg, column, weights in zip(chunk, states.amplitudes.T, probabilities.T):
-            references = (ideal_protocol1_output(cfg, basis, 0),
-                          ideal_protocol1_output(cfg, basis, cfg.m_occ))
+        for theta, column, weights in zip(chunk.tolist(), states.amplitudes.T, probabilities.T):
+            references = (ideal_protocol1_output(cfg, basis, 0, cfg.p_occ * theta),
+                          ideal_protocol1_output(cfg, basis, cfg.m_occ, cfg.p_occ * theta))
             reports = []
             for r in np.flatnonzero(weights > 0.0).tolist():
                 # The renormalized projection onto outcome r, in an array of its own.
@@ -419,41 +402,41 @@ def sweep_protocol1(configs, dynamics: FullDynamics | IdealDynamics):
             yield reports
 
 
-def run_protocol1(cfg: ProtocolConfig,
+def run_protocol1(cfg: ProtocolConfig, theta: float,
                   dynamics: FullDynamics | IdealDynamics) -> list[ProtocolReport]:
     """Run Protocol I (mu segment, then measure site 3) and resolve every branch.
 
     Returns one report per outcome r with nonzero probability (ascending r);
     those with r outside {0, M} are flagged selected=False.
     """
-    return next(sweep_protocol1([cfg], dynamics))
+    return next(sweep_protocol1(cfg, [theta], dynamics))
 
 
-def sweep_protocol2(configs, dynamics: FullDynamics | IdealDynamics):
-    """`run_protocol2`'s report for each of `configs` in turn, evolved as stacks.
+def sweep_protocol2(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
+    """`run_protocol2`'s report at each of `thetas` in turn, evolved as stacks.
 
     The nu segment does not depend on theta: it runs once per stack.
     """
     basis = dynamics.basis
-    for chunk in _chunks(configs, basis):
-        start = dynamics.nu_segment(_initial_state(chunk[0], basis), chunk[0])
-        states = dynamics.mu_segment(_copies(start, len(chunk)), chunk[0],
-                                     [cfg.theta for cfg in chunk])
-        for cfg, column in zip(chunk, states.amplitudes.T):
+    for chunk in _chunks(cfg, thetas, basis):
+        start = dynamics.nu_segment(_initial_state(cfg, basis), cfg)
+        states = dynamics.mu_segment(_copies(start, chunk.size), cfg, chunk)
+        for theta, column in zip(chunk.tolist(), states.amplitudes.T):
             final = QuantumState(basis, column.copy())
             yield ProtocolReport(
                 final_state=final,
-                fidelity=fidelity(ideal_protocol2_output(cfg, basis), final),
+                fidelity=fidelity(ideal_protocol2_output(cfg, basis, cfg.p_occ * theta), final),
             )
 
 
-def run_protocol2(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics) -> ProtocolReport:
+def run_protocol2(cfg: ProtocolConfig, theta: float,
+                  dynamics: FullDynamics | IdealDynamics) -> ProtocolReport:
     """Run Protocol II (nu segment, then mu segment; no measurement).
 
     The nu pulse is applied with the inverted field sign (see module
     docstring); the mu pulse follows the same convention as Protocol I.
     """
-    return next(sweep_protocol2([cfg], dynamics))
+    return next(sweep_protocol2(cfg, [theta], dynamics))
 
 
 # --- Band trace -----------------------------------------------------------
@@ -470,7 +453,7 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
     m, p = cfg.m_occ, cfg.p_occ
     full, ideal = FullDynamics(basis), IdealDynamics(basis)
     initial = _initial_state(cfg, basis)
-    uber = ideal_uber_noon(cfg, basis, stage="pre_field").amplitudes
+    uber = ideal_uber_noon(cfg, basis, 0.0).amplitudes   # before the field
     corners = [basis.index_of(occ) for occ in
                ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
     times, width = np.asarray(times, dtype=float), stack_columns(basis)
@@ -491,8 +474,9 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
 # --- Readout --------------------------------------------------------------
 
 
-def sweep_readout(configs, dynamics: FullDynamics | IdealDynamics, protocol: int = 1):
-    """For each of `configs` in turn, [(report, distribution), ...]: one pair per
+def sweep_readout(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics,
+                  protocol: int = 1):
+    """At each of `thetas` in turn, [(report, distribution), ...]: one pair per
     selected Protocol I branch (protocol=1), or for the Protocol II report.
 
     `distribution` is the (N + 1,) site-3 occupation distribution of the
@@ -501,18 +485,18 @@ def sweep_readout(configs, dynamics: FullDynamics | IdealDynamics, protocol: int
     """
     if protocol not in (1, 2):
         raise ValueError(f"protocol must be 1 or 2, got {protocol}")
-    # Protocol I reads out two selected branches per config, so half as many configs fill a stack.
-    for chunk in _chunks(configs, dynamics.basis, 2 if protocol == 1 else 1):
+    # Protocol I reads out two selected branches per theta, so half as many thetas fill a stack.
+    for chunk in _chunks(cfg, thetas, dynamics.basis, 2 if protocol == 1 else 1):
         if protocol == 1:
             reports = [[r for r in branches if r.selected]
-                       for branches in sweep_protocol1(chunk, dynamics)]
+                       for branches in sweep_protocol1(cfg, chunk, dynamics)]
         else:
-            reports = [[report] for report in sweep_protocol2(chunk, dynamics)]
+            reports = [[report] for report in sweep_protocol2(cfg, chunk, dynamics)]
         finals = [report.final_state.amplitudes for group in reports for report in group]
         distributions = iter(())
-        if finals:   # none if no config of the stack has a selected branch
+        if finals:   # none if no theta of the stack has a selected branch
             states = dynamics.band(QuantumState(dynamics.basis, np.column_stack(finals)),
-                                   chunk[0], chunk[0].t_m)
+                                   cfg, cfg.t_m)
             distributions = iter(site_probabilities(states, MEASURED_SITE).T)
         for group in reports:
             yield [(report, next(distributions)) for report in group]

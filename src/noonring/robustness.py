@@ -22,13 +22,14 @@ with a trap is the physical source, one without the direct source:
               an input held fixed, and the timings come from the arithmetic
               means of the +- values.
 
-Each xi point runs the protocol runners of `noonring.protocols` on a
-FullDynamics of its own that changes only the couplings of the band steps
-and the pulses; the points share one NormalModes.  Each operator is built
-when a step first runs under it, so the nu pulse only for Protocol II, and
-dropped with the point's dynamics before the next point.  H(+-xi) is held
-in the four normal-mode parity blocks of `noonring.model`, diagonalized
-through the ring rotation.  A pulsed band interval is one echo step
+Every run encodes P theta = P_THETA = pi/2.  Each xi point runs the
+protocol runners of `noonring.protocols` on a FullDynamics of its own that
+changes only the couplings of the band steps and the pulses; the points
+share one NormalModes.  Each operator is built when a step first runs
+under it, so the nu pulse only for Protocol II, and dropped with the
+point's dynamics before the next point.  H(+-xi) is held in the four
+normal-mode parity blocks of `noonring.model`, diagonalized through the
+ring rotation.  A pulsed band interval is one echo step
 (`noonring.dynamics._Echo`), built once per point for both of Protocol
 II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies and the
 mixing matrix between the two eigenbases, and runs all n_dt periods in
@@ -38,16 +39,18 @@ diagonalized: it is a sparse H that `noonring.dynamics.evolve` applies by
 Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci. Comput. 33, 488
 (2011)).
 
-The physical source checks the whole xi grid against the U0 - U13 its
-lattice reaches before the first point runs, and finds each detuned
-frequency with the lattice's bracketed root-finder.  Only its helpers
-import `noonring.lattice` (and with it scipy.special and scipy.constants),
-so a direct-source run loads no scipy subpackage but scipy.sparse, for its
-pulses.
+The physical source finds the trap's integrable root within the config's
+bracket (the CLI's [lattice] frequency range), checks the whole xi grid
+against the U0 - U13 its lattice reaches before the first point runs, and
+finds each detuned frequency with the lattice's bracketed root-finder.
+Only its helpers import `noonring.lattice` (and with it scipy.special and
+scipy.constants), so a direct-source run loads no scipy subpackage but
+scipy.sparse, for its pulses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -59,6 +62,8 @@ from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol
 
 if TYPE_CHECKING:   # the physical-source helpers import the lattice (and scipy) when they run
     from .lattice import TrapParameters
+
+P_THETA = math.pi / 2.0   # the encoded phase P theta of every run
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class RobustnessConfig:
     protocol: int = 1
     start_sign: int = 1
     trap: TrapParameters | None = None   # the physical source's lattice; None: direct
+    # rad/s, where the physical source seeks omega*: solve_integrability's (a test pins them equal)
+    bracket: tuple[float, float] = (2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3)
 
     def __post_init__(self):
         if self.n_dt < 1:
@@ -143,16 +150,19 @@ _BRACKET = (0.5, 1.5)   # the detuned radial frequencies lie within these multip
 
 
 def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]:
-    """V0 at the integrable root omega* of the trap, and U0 - U13 at the two ends of
-    _BRACKET x omega*, keyed by omega_r.
+    """V0 at the integrable root omega* of the trap within config.bracket, and U0 - U13
+    at the two ends of _BRACKET x omega*, keyed by omega_r.
 
-    Raises ValueError if a xi of the grid needs a U0 - U13 of either sign beyond
-    the range reached for omega_r within _BRACKET x omega*.
+    Raises ValueError if the bracket holds no root, or if a xi of the grid needs a
+    U0 - U13 of either sign beyond the range reached for omega_r within _BRACKET x omega*.
     """
     from .lattice import integrability_residual, solve_integrability, v0_from_omega_r
 
     trap, j = config.trap, config.base.params.j
-    omega_star = solve_integrability(trap)
+    try:
+        omega_star = solve_integrability(trap, config.bracket)
+    except ValueError as exc:   # the CLI sets the bracket from these keys
+        raise ValueError(f"physical source, [lattice] omega_min_khz to omega_max_khz: {exc}") from None
     bracket = [factor * omega_star for factor in _BRACKET]
     reach = [integrability_residual(trap, omega_r) for omega_r in bracket]
     for xi in config.xi_values:
@@ -211,7 +221,7 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes,
         m_occ=base.m_occ, p_occ=base.p_occ,
         params=ModelParameters.integrable_set(u=u_mean, j=base.params.j, u0=u0_mean),
         mu=0.5 * (mu_plus + mu_minus), nu=0.5 * (nu_plus + nu_minus),
-        theta=base.theta, t_m_override=base.t_m_override,
+        t_m_override=base.t_m_override,
     )
     return _DetunedSystem(config, modes, mean_cfg, (
         params_plus, params_minus, params_plus.with_fields(mu=mu_plus, nu=0.0),
@@ -220,12 +230,12 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes,
 
 def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
     """Protocol II's fidelity, or Protocol I's r = 0 branch (fidelity and probability 0 if
-    r = 0 never occurs)."""
+    r = 0 never occurs), at P theta = P_THETA."""
     cfg = system.cfg
-    xi_over_j = xi / cfg.params.j
+    theta, xi_over_j = P_THETA / cfg.p_occ, xi / cfg.params.j
     if system.config.protocol == 2:
-        return RobustnessPoint(xi, xi_over_j, run_protocol2(cfg, system).fidelity, None)
-    branch = next((report for report in run_protocol1(cfg, system) if report.outcome == 0), None)
+        return RobustnessPoint(xi, xi_over_j, run_protocol2(cfg, theta, system).fidelity, None)
+    branch = next((report for report in run_protocol1(cfg, theta, system) if report.outcome == 0), None)
     if branch is None:
         return RobustnessPoint(xi, xi_over_j, 0.0, 0.0)
     return RobustnessPoint(xi, xi_over_j, branch.fidelity, branch.probability)

@@ -21,9 +21,9 @@ def dense_operator(basis, matrix, check=True):
     return HermitianOperator(basis, [(np.arange(basis.size)[None], matrix[None])], check)
 
 
-def read_out(cfg, dynamics, protocol):
-    """One config's [(report, site-3 distribution after a further t_m), ...]."""
-    (pairs,) = sweep_readout([cfg], dynamics, protocol)
+def read_out(cfg, theta, dynamics, protocol):
+    """One theta's [(report, site-3 distribution after a further t_m), ...]."""
+    (pairs,) = sweep_readout(cfg, [theta], dynamics, protocol)
     return pairs
 
 

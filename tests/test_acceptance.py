@@ -51,29 +51,30 @@ PROTOCOL1_TOLERANCE = {"set1": 0.003, "set2": 0.005}
 READOUT_FIT_TARGETS = {"c00": 0.938, "cMM": 0.893, "c0": 0.954, "cM": 0.909}
 
 
-def make_cfg(couplings, p_theta):
+def make_cfg(couplings):
     return protocol_config(
         m_occ=M_OCC, p_occ=P_OCC,
         u=couplings["u"], j=couplings["j"],
-        mu=couplings["mu"], p_theta=p_theta,
+        mu=couplings["mu"],
     )
 
 
-def selected_reports(cfg, dynamics):
+def selected_reports(cfg, theta, dynamics):
     return {
         report.outcome: report
-        for report in run_protocol1(cfg, dynamics)
+        for report in run_protocol1(cfg, theta, dynamics)
         if report.selected
     }
 
 
 def test_criterion_1_derived_time_scales():
     start = time.perf_counter()
-    cfg = make_cfg(SET1, p_theta=math.pi)
+    cfg = make_cfg(SET1)
+    t_mu = cfg.t_mu(math.pi / P_OCC)
     elapsed = time.perf_counter() - start
     assert cfg.t_m == pytest.approx(36.950, rel=1e-3)
     assert cfg.t_nu == pytest.approx(0.00941, rel=1e-2)
-    assert cfg.t_mu == pytest.approx(0.00684, rel=1e-2)
+    assert t_mu == pytest.approx(0.00684, rel=1e-2)
     assert elapsed < 0.1  # pure arithmetic; milliseconds, not seconds
 
 
@@ -82,7 +83,7 @@ def test_criterion_2_protocol1_benchmarks(full15):
     for name, couplings in (("set1", SET1), ("set2", SET2)):
         tolerance = PROTOCOL1_TOLERANCE[name]
         for p_theta in P_THETA_BENCHMARKS:
-            branches = selected_reports(make_cfg(couplings, p_theta), full15)
+            branches = selected_reports(make_cfg(couplings), p_theta / P_OCC, full15)
             assert set(branches) == {0, M_OCC}
             for outcome, (target_p, target_f) in PROTOCOL1_TARGETS[name].items():
                 report = branches[outcome]
@@ -95,43 +96,46 @@ def test_criterion_2_protocol1_benchmarks(full15):
 def test_criterion_3_protocol2_fidelity_floor(full15):
     grid = np.linspace(0.0, math.pi, 64)
     for couplings in (SET1, SET2):
+        cfg = make_cfg(couplings)
         for p_theta in grid:
-            cfg = make_cfg(couplings, float(p_theta))
-            f2 = run_protocol2(cfg, full15).fidelity
+            theta = float(p_theta) / P_OCC
+            f2 = run_protocol2(cfg, theta, full15).fidelity
             assert f2 > 0.9
             if couplings is SET1:
                 f1_branches = [
-                    r.fidelity for r in selected_reports(cfg, full15).values()
+                    r.fidelity for r in selected_reports(cfg, theta, full15).values()
                 ]
                 assert f2 <= min(f1_branches) + 1e-9
 
 
 def test_criterion_4_readout_laws_and_fit_coefficients(full15, ideal15):
     # Ideal-limit interference laws, exact to 1e-10.
+    cfg = make_cfg(SET1)
     for p_theta in np.linspace(0.0, math.pi, 9):
-        cfg = make_cfg(SET1, float(p_theta))
+        theta = float(p_theta) / P_OCC
         half_cos2 = 0.5 * math.cos(0.5 * p_theta) ** 2
         half_sin2 = 0.5 * math.sin(0.5 * p_theta) ** 2
-        for report, distribution in read_out(cfg, ideal15, 1):
+        for report, distribution in read_out(cfg, theta, ideal15, 1):
             joint = report.probability * distribution
             same = half_cos2 if report.outcome == 0 else half_sin2
             assert joint[report.outcome] == pytest.approx(same, abs=1e-10)
             other = M_OCC if report.outcome == 0 else 0
             assert joint[other] == pytest.approx(0.5 - same, abs=1e-10)
-        ((_, outcomes),) = read_out(cfg, ideal15, 2)
+        ((_, outcomes),) = read_out(cfg, theta, ideal15, 2)
         shifted = 0.5 * p_theta - 0.25 * math.pi
         assert outcomes[0] == pytest.approx(math.sin(shifted) ** 2, abs=1e-10)
         assert outcomes[M_OCC] == pytest.approx(math.cos(shifted) ** 2, abs=1e-10)
 
     # Full-simulation fringe amplitudes at the second coupling set.
     zero1, m1, zero2, m2 = [], [], [], []
+    cfg = make_cfg(SET2)
     for p_theta in np.linspace(0.0, math.pi, 64):
-        cfg = make_cfg(SET2, float(p_theta))
-        for report, distribution in read_out(cfg, full15, 1):
+        theta = float(p_theta) / P_OCC
+        for report, distribution in read_out(cfg, theta, full15, 1):
             joint = report.probability * distribution
             zero1.append((float(p_theta), joint[0]))
             m1.append((float(p_theta), joint[M_OCC]))
-        ((_, conditional),) = read_out(cfg, full15, 2)
+        ((_, conditional),) = read_out(cfg, theta, full15, 2)
         zero2.append((float(p_theta), conditional[0]))
         m2.append((float(p_theta), conditional[M_OCC]))
     fits = {
@@ -197,8 +201,7 @@ def test_criterion_6_effective_hamiltonian_equivalence(basis15):
         spectrum_sq, spectrum_charges, rtol=1e-9, atol=1e-9 * scale)
 
     # The evolve kind's band trace: row 5 is |<full(t)|eff(t)>|.
-    cfg = protocol_config(M_OCC, P_OCC, u=SET1["u"], j=SET1["j"],
-                          mu=SET1["mu"], p_theta=math.pi)
+    cfg = protocol_config(M_OCC, P_OCC, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
     overlap = band_trace(cfg, basis15, np.linspace(0.0, cfg.t_m, 64))[5]
     assert np.max(1.0 - overlap) < 0.1
 
@@ -220,8 +223,8 @@ def test_criterion_7_lattice_calibration():
 
 
 def test_criterion_8_detuning_robustness(basis15):
-    base1 = make_cfg(SET1, p_theta=math.pi / 2)
-    base2 = make_cfg(SET2, p_theta=math.pi / 2)
+    base1 = make_cfg(SET1)
+    base2 = make_cfg(SET2)
 
     start = time.perf_counter()
     grid = RobustnessConfig(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonring import cli
+from noonring import cli, lattice
 from noonring.cli import KINDS, NON_NEGATIVE, POSITIVE, SCHEMA, UNIT_NOTE, main
 from noonring.lattice import QuadratureError, TrapParameters, derive, solve_integrability
 from noonring.protocols import protocol_config
@@ -50,10 +50,10 @@ class TestPresets:
         assert run_cli(["presets", "--machine"]) == 0
         for values in json.loads(capsys.readouterr().out).values():
             pc = protocol_config(values["m"], values["p"], u=values["u"], j=values["j"],
-                                 mu=values["mu"], nu=values["nu"], p_theta=math.pi)
+                                 mu=values["mu"], nu=values["nu"])
             assert (values["omega"], values["t_m"], values["t_nu"],
                     values["t_mu_at_p_theta_pi"], values["beta"]) == (
-                pc.omega, pc.t_m, pc.t_nu, pc.t_mu, pc.beta)
+                pc.omega, pc.t_m, pc.t_nu, pc.t_mu(math.pi / values["p"]), pc.beta)
 
 
 class TestTables:
@@ -276,6 +276,25 @@ class TestConfigDriven:
             "residual": at_root.u0 - at_root.u13,
         }
 
+    def test_physical_source_finds_the_root_in_the_lattice_range(self, tmp_path, monkeypatch):
+        """At a = -19.8 a0 the root lies at 17.4 kHz, below the default 20 kHz: robustness
+        finds it in the [lattice] range, at the physical manifest's omega_r bit for bit."""
+        config = tmp_path / "low.ini"
+        config.write_text("[robustness]\nsource = physical\npoints = 2\n"
+                          "[lattice]\nscattering_length_a0 = -19.8\nomega_min_khz = 5\n")
+        assert run_cli(["physical", "--config", config, "--out", tmp_path]) == 0
+        root = read_manifest(tmp_path / "physical_manifest.json")["root"]["omega_r_rad_s"]
+        roots, solve = [], lattice.solve_integrability
+
+        def recording_solve(*args, **kwargs):
+            roots.append(solve(*args, **kwargs))
+            return roots[-1]
+
+        # the physical-source helpers import the lattice's names when they run
+        monkeypatch.setattr(lattice, "solve_integrability", recording_solve)
+        assert run_cli(["robustness", "--config", config, "--out", tmp_path]) == 0
+        assert roots == [root]
+
     def test_custom_model_marks_preset(self, tmp_path):
         config = tmp_path / "custom.ini"
         config.write_text(
@@ -407,6 +426,17 @@ class TestErrorPaths:
         assert err.startswith("error: physical source: xi = ") and "(xi/J = 5)" in err
         assert not out.exists()
 
+    def test_physical_root_outside_the_lattice_range(self, tmp_path, capsys):
+        config = tmp_path / "range.ini"
+        config.write_text("[robustness]\nsource = physical\npoints = 2\n"
+                          "[lattice]\nomega_min_khz = 100\nomega_max_khz = 200\n")
+        out = tmp_path / "r"
+        assert run_cli(["robustness", "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: physical source, [lattice] omega_min_khz to omega_max_khz: "
+                              "no integrable point in bracket")
+        assert not out.exists()
+
     def test_run_requires_config(self, capsys):
         assert run_cli(["run"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -471,6 +501,16 @@ class TestErrorPaths:
         assert run_cli(["protocol2", "--grid", 2, "--config", config, "--out", tmp_path / "r"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: [model] m = {m}, [model] p = {p}: ") and reason in err
+
+    @pytest.mark.parametrize("kind", ["protocol1", "protocol2", "readout"])
+    def test_t_mu_past_t_m_names_the_protocol_key(self, tmp_path, capsys, kind):
+        config = tmp_path / "phase.ini"
+        config.write_text("[protocol]\np_theta_max = 1e5\n")
+        out = tmp_path / "r"
+        assert run_cli([kind, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == ("error: [protocol] p_theta_max = 100000: "
+                                           "t_mu = 217.798 s must be below t_m = 36.9501 s\n")
+        assert not out.exists()
 
     def test_spectrum_runs_with_an_empty_subsystem(self, tmp_path):
         config = tmp_path / "empty.ini"

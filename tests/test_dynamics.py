@@ -414,7 +414,7 @@ def measured_branches(state):
             return QuantumState(state.basis, state.amplitudes[:, None])
 
     cfg = protocol_config(1, 4, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
-    return run_protocol1(cfg, Handing())
+    return run_protocol1(cfg, 0.0, Handing())
 
 
 class TestMeasurement:

@@ -311,10 +311,10 @@ class TestEndToEndChain:
         derived = derive(trap, root, dx=0.2e-6, dy=-0.2e-6)
         params = model_parameters_from_lattice(derived, j=set1["j"])
         assert params.integrable()
-        assert params.coupling_u() == pytest.approx(derived.coupling_u)
+        assert params.coupling_u() == pytest.approx((derived.u12 - derived.u0) / 4.0)
         # The physical chain reproduces the benchmark couplings closely
         # enough to feed the protocols directly.
-        assert derived.coupling_u == pytest.approx(set1["u"], rel=0.01)
+        assert (derived.u12 - derived.u0) / 4.0 == pytest.approx(set1["u"], rel=0.01)
         assert derived.mu == pytest.approx(set1["mu"], rel=0.01)
 
     def test_scattering_length_shifts_the_root(self):

@@ -209,7 +209,7 @@ class TestDetuningOperator:
 
 def band_config(params, m_occ, p_occ):
     """A ProtocolConfig at `params` for |M,P,0,0>, whose band scales are under test."""
-    return ProtocolConfig(m_occ=m_occ, p_occ=p_occ, params=params, mu=1.0, nu=1.0, theta=0.0)
+    return ProtocolConfig(m_occ=m_occ, p_occ=p_occ, params=params, mu=1.0, nu=1.0)
 
 
 class TestDerivedScales:

@@ -33,34 +33,19 @@ from noonring.protocols import (
 from conftest import M_OCC, P_OCC, read_out
 
 
-def make_cfg(couplings, p_theta):
-    return protocol_config(M_OCC, P_OCC, u=couplings["u"], j=couplings["j"],
-                           mu=couplings["mu"], p_theta=p_theta)
+def make_cfg(couplings):
+    return protocol_config(M_OCC, P_OCC, u=couplings["u"], j=couplings["j"], mu=couplings["mu"])
 
 
 class TestProtocolConfig:
     def test_derived_times(self, set1):
-        cfg = make_cfg(set1, p_theta=math.pi)
+        cfg = make_cfg(set1)
+        theta = math.pi / P_OCC
         assert cfg.n_total == 15
         assert cfg.beta == 1
-        assert cfg.t_mu == pytest.approx(cfg.theta / (2.0 * cfg.mu))
+        assert cfg.t_mu(theta) == pytest.approx(theta / (2.0 * cfg.mu))
+        np.testing.assert_array_equal(cfg.t_mu(np.array([0.0, theta])), [0.0, cfg.t_mu(theta)])
         assert cfg.t_nu == pytest.approx(math.pi / (4.0 * M_OCC * cfg.nu))
-        assert cfg.p_theta == pytest.approx(math.pi)
-        assert cfg.theta == pytest.approx(math.pi / P_OCC)
-
-    def test_theta_vs_p_theta_exclusive(self, set1):
-        with pytest.raises(ValueError):
-            protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"],
-                            mu=set1["mu"], theta=0.1, p_theta=0.3)
-
-    def test_with_theta(self, set1):
-        cfg = make_cfg(set1, p_theta=0.0)
-        bumped = dataclasses.replace(cfg, theta=0.2)
-        assert bumped.theta == pytest.approx(0.2)
-        assert bumped.params == cfg.params
-        assert (bumped.omega, bumped.t_m, bumped.beta) == (cfg.omega, cfg.t_m, cfg.beta)
-        with pytest.raises(ValueError, match="theta must be >= 0"):   # __post_init__ re-runs
-            dataclasses.replace(cfg, theta=-0.2)
 
     def test_even_total_rejected(self, set1):
         with pytest.raises(ValueError):
@@ -68,34 +53,34 @@ class TestProtocolConfig:
 
     @pytest.mark.parametrize("m_occ, p_occ", [(0, 15), (15, 0)])
     def test_empty_subsystem_rejected(self, set1, m_occ, p_occ):
-        # Rejected before t_nu = pi/(4 M nu) or theta = P theta / P divides by zero.
+        # Rejected before t_nu = pi/(4 M nu) divides by zero.
         with pytest.raises(ValueError, match="M and P must be >= 1"):
-            protocol_config(m_occ, p_occ, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+            protocol_config(m_occ, p_occ, u=set1["u"], j=set1["j"], mu=set1["mu"])
         with pytest.raises(ValueError, match="M and P must be >= 1"):
             ProtocolConfig(m_occ=m_occ, p_occ=p_occ,
                            params=ModelParameters.integrable_set(u=set1["u"], j=set1["j"]),
-                           mu=set1["mu"], nu=set1["mu"], theta=0.0)
+                           mu=set1["mu"], nu=set1["mu"])
 
     def test_non_integrable_params_rejected(self, set1):
         params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"])
         broken = dataclasses.replace(params, u13=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(m_occ=M_OCC, p_occ=P_OCC, params=broken,
-                           mu=set1["mu"], nu=set1["mu"], theta=0.0)
+                           mu=set1["mu"], nu=set1["mu"])
 
     def test_params_with_fields_on_rejected(self, set1):
         params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"], mu=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(m_occ=M_OCC, p_occ=P_OCC, params=params,
-                           mu=set1["mu"], nu=set1["mu"], theta=0.0)
+                           mu=set1["mu"], nu=set1["mu"])
 
     def test_nonpositive_fields_rejected(self, set1):
         with pytest.raises(ValueError):
             protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"], mu=0.0)
 
-    def test_negative_theta_rejected(self, set1):
-        with pytest.raises(ValueError):
-            make_cfg(set1, p_theta=-0.1)
+    def test_negative_theta_rejected(self, full15, set1):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            run_protocol2(make_cfg(set1), -0.1 / P_OCC, full15)
 
     def test_t_m_override(self, set1):
         cfg = protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"],
@@ -108,8 +93,8 @@ class TestProtocolConfig:
 
 class TestIdealStates:
     def test_uber_noon_amplitudes(self, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.7)
-        state = ideal_uber_noon(cfg, basis15)
+        cfg = make_cfg(set1)
+        state = ideal_uber_noon(cfg, basis15, 0.7)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         phase = np.exp(1j * 0.7)
         expected = {
@@ -120,10 +105,20 @@ class TestIdealStates:
             assert state.amplitudes[basis15.index_of(occ)] == pytest.approx(amp)
         assert np.count_nonzero(state.amplitudes) == 4
 
+    def test_p_theta_zero_is_the_pre_field_state(self, basis15, set1):
+        """exp(1j * 0.0) is exactly 1: P theta = 0 gives the pre-field amplitudes bit for bit."""
+        cfg = make_cfg(set1)
+        amplitudes = np.zeros(basis15.size, dtype=complex)
+        for occ, amp in {(4, 11, 0, 0): 0.5 * cfg.beta, (4, 0, 0, 11): 0.5,
+                         (0, 11, 4, 0): 0.5, (0, 0, 4, 11): -0.5 * cfg.beta}.items():
+            amplitudes[basis15.index_of(occ)] = amp
+        pre_field = QuantumState(basis15, amplitudes).normalized().amplitudes
+        assert ideal_uber_noon(cfg, basis15, 0.0).amplitudes.tobytes() == pre_field.tobytes()
+
     def test_branch_outputs_disjoint_support(self, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.3)
-        low = ideal_protocol1_output(cfg, basis15, 0)
-        high = ideal_protocol1_output(cfg, basis15, M_OCC)
+        cfg = make_cfg(set1)
+        low = ideal_protocol1_output(cfg, basis15, 0, 0.3)
+        high = ideal_protocol1_output(cfg, basis15, M_OCC, 0.3)
         overlap_support = np.abs(low.amplitudes) * np.abs(high.amplitudes)
         np.testing.assert_allclose(overlap_support, 0.0)
         # Site-1 occupation separates the branches: M on one, 0 on the other.
@@ -131,13 +126,13 @@ class TestIdealStates:
         assert site_probabilities(high, 1)[0] == pytest.approx(1.0)
 
     def test_branch_output_invalid_r(self, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.3)
+        cfg = make_cfg(set1)
         with pytest.raises(ValueError):
-            ideal_protocol1_output(cfg, basis15, 2)
+            ideal_protocol1_output(cfg, basis15, 2, 0.3)
 
     def test_protocol2_output_phase(self, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.9)
-        state = ideal_protocol2_output(cfg, basis15)
+        cfg = make_cfg(set1)
+        state = ideal_protocol2_output(cfg, basis15, 0.9)
         a = state.amplitudes[basis15.index_of((4, 11, 0, 0))]
         b = state.amplitudes[basis15.index_of((4, 0, 0, 11))]
         ratio = b / a
@@ -161,8 +156,8 @@ class TestFidelity:
 
 class TestUberNoonFormation:
     def test_full_evolution_reaches_four_branch_state(self, full15, basis15, set1):
-        cfg = make_cfg(set1, p_theta=0.0)
-        reports = run_protocol1(cfg, full15)
+        cfg = make_cfg(set1)
+        reports = run_protocol1(cfg, 0.0 / P_OCC, full15)
         # Reassemble the pre-measurement corner populations from branches.
         corner_population = sum(
             rep.probability * abs(
@@ -175,8 +170,8 @@ class TestUberNoonFormation:
 
 class TestProtocol1:
     def test_ideal_mode_is_exact(self, ideal15, set1):
-        cfg = make_cfg(set1, p_theta=1.1)
-        reports = run_protocol1(cfg, ideal15)
+        cfg = make_cfg(set1)
+        reports = run_protocol1(cfg, 1.1 / P_OCC, ideal15)
         selected = {rep.outcome: rep for rep in reports if rep.selected}
         assert set(selected) == {0, M_OCC}
         for rep in selected.values():
@@ -186,8 +181,8 @@ class TestProtocol1:
         assert selected[0].probability == pytest.approx(0.5, abs=1e-10)
 
     def test_full_mode_set1_benchmark(self, full15, set1):
-        cfg = make_cfg(set1, p_theta=math.pi / 2.0)
-        reports = run_protocol1(cfg, full15)
+        cfg = make_cfg(set1)
+        reports = run_protocol1(cfg, math.pi / 2.0 / P_OCC, full15)
         by_outcome = {rep.outcome: rep for rep in reports}
         assert by_outcome[0].probability == pytest.approx(0.5009, abs=3e-3)
         assert by_outcome[0].fidelity == pytest.approx(0.9977, abs=3e-3)
@@ -195,8 +190,8 @@ class TestProtocol1:
         assert by_outcome[4].fidelity == pytest.approx(0.9996, abs=3e-3)
 
     def test_probability_sum_rule_and_selection(self, full15, set1):
-        cfg = make_cfg(set1, p_theta=math.pi / 3.0)
-        reports = run_protocol1(cfg, full15)
+        cfg = make_cfg(set1)
+        reports = run_protocol1(cfg, math.pi / 3.0 / P_OCC, full15)
         total = sum(rep.probability for rep in reports)
         assert total == pytest.approx(1.0, abs=1e-10)
         selected = sum(rep.probability for rep in reports if rep.selected)
@@ -211,8 +206,8 @@ class TestProtocol1:
         i_ref = basis15.index_of((4, 11, 0, 0))
         i_enc = basis15.index_of((4, 0, 0, 11))
         for p_theta in np.linspace(0.0, np.pi, 7):
-            cfg = make_cfg(set1, p_theta=float(p_theta))
-            reports = run_protocol1(cfg, full15)
+            cfg = make_cfg(set1)
+            reports = run_protocol1(cfg, float(p_theta) / P_OCC, full15)
             branch = next(rep for rep in reports if rep.outcome == 0)
             amps = branch.final_state.amplitudes
             ratio = amps[i_enc] / amps[i_ref]
@@ -222,14 +217,14 @@ class TestProtocol1:
 
 class TestProtocol2:
     def test_ideal_mode_is_exact(self, ideal15, set1):
-        cfg = make_cfg(set1, p_theta=0.8)
-        report = run_protocol2(cfg, ideal15)
+        cfg = make_cfg(set1)
+        report = run_protocol2(cfg, 0.8 / P_OCC, ideal15)
         assert report.fidelity == pytest.approx(1.0, abs=1e-10)
         assert report.outcome is None and report.probability is None
 
     def test_full_mode_benchmarks(self, full15, set1, set2):
-        f1 = run_protocol2(make_cfg(set1, math.pi / 2.0), full15).fidelity
-        f2 = run_protocol2(make_cfg(set2, math.pi / 2.0), full15).fidelity
+        f1 = run_protocol2(make_cfg(set1), math.pi / 2.0 / P_OCC, full15).fidelity
+        f2 = run_protocol2(make_cfg(set2), math.pi / 2.0 / P_OCC, full15).fidelity
         assert f1 == pytest.approx(0.9962, abs=2e-3)
         assert f2 == pytest.approx(0.9345, abs=3e-3)
         assert f2 < f1  # slower set is closer to the resonant regime
@@ -238,9 +233,9 @@ class TestProtocol2:
 class TestReadout:
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
     def test_ideal_laws_protocol1(self, ideal15, set1, p_theta):
-        cfg = make_cfg(set1, p_theta=p_theta)
+        cfg = make_cfg(set1)
         laws = {0: 0.5 * READOUT_LAWS["cos2"](p_theta), M_OCC: 0.5 * READOUT_LAWS["sin2"](p_theta)}
-        pairs = read_out(cfg, ideal15, 1)
+        pairs = read_out(cfg, p_theta / P_OCC, ideal15, 1)
         assert sorted(rep.outcome for rep, _ in pairs) == [0, M_OCC]
         for rep, distribution in pairs:
             for readout_r in (0, M_OCC):
@@ -251,8 +246,8 @@ class TestReadout:
 
     @pytest.mark.parametrize("p_theta", [0.0, 0.9, math.pi / 2.0, 2.6])
     def test_ideal_laws_protocol2(self, ideal15, set1, p_theta):
-        cfg = make_cfg(set1, p_theta=p_theta)
-        ((report, distribution),) = read_out(cfg, ideal15, 2)
+        cfg = make_cfg(set1)
+        ((report, distribution),) = read_out(cfg, p_theta / P_OCC, ideal15, 2)
         assert report.outcome is None and report.probability is None
         assert distribution.shape == (M_OCC + P_OCC + 1,)
         assert distribution[0] == pytest.approx(READOUT_LAWS["shifted_sin2"](p_theta), abs=1e-10)
@@ -314,7 +309,7 @@ class TestDynamics:
         dynamics = dynamics_class(basis15)
         counts = []
         for p_theta in np.linspace(math.pi / 8, math.pi, 8):
-            run_protocol2(make_cfg(set1, float(p_theta)), dynamics)
+            run_protocol2(make_cfg(set1), float(p_theta) / P_OCC, dynamics)
             counts.append(len(calls))
         assert counts == [counts[0]] * 8
         if dynamics_class is FullDynamics:
@@ -323,9 +318,9 @@ class TestDynamics:
             assert calls == [(basis15.size, 1, 1)]
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
-        cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+        cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"])
         dynamics = FullDynamics(basis5)
-        run_protocol2(cfg, dynamics)
+        run_protocol2(cfg, 0.5 / 4, dynamics)
         operator = weakref.ref(dynamics.hamiltonian(cfg.params))
         assert operator() is not None
         del dynamics
@@ -334,10 +329,10 @@ class TestDynamics:
 
     def test_protocol2_at_n31_stays_in_blocks(self, set1):
         """(M, P) = (10, 21): dim 5,984, where one dense H alone is 286 MB."""
-        cfg = protocol_config(10, 21, u=set1["u"], j=set1["j"], mu=set1["mu"], p_theta=0.5)
+        cfg = protocol_config(10, 21, u=set1["u"], j=set1["j"], mu=set1["mu"])
         tracemalloc.start()
         try:
-            report = run_protocol2(cfg, FullDynamics(enumerate_basis(31)))
+            report = run_protocol2(cfg, 0.5 / 21, FullDynamics(enumerate_basis(31)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -346,10 +341,18 @@ class TestDynamics:
         assert report.fidelity > 0.9
 
 
-def sweep_grid(couplings, basis):
-    """2 K + 3 configs, K = states per stack: two full stacks and a partial third."""
-    return [make_cfg(couplings, float(p_theta))
-            for p_theta in np.linspace(0.0, math.pi, 2 * stack_columns(basis) + 3)]
+def sweep_grid(basis):
+    """2 K + 3 thetas, K = states per stack: two full stacks and a partial third."""
+    return np.linspace(0.0, math.pi, 2 * stack_columns(basis) + 3) / P_OCC
+
+
+class Unrunnable(FullDynamics):
+    """Dynamics whose every segment fails the test."""
+
+    def band(self, *args):
+        raise AssertionError("a segment ran")
+
+    mu_segment = nu_segment = band
 
 
 def assert_same_report(swept, single):
@@ -368,40 +371,40 @@ def assert_same_report(swept, single):
 
 
 class TestSweeps:
-    """A sweep over a theta grid equals one run per config, across stack boundaries."""
+    """A sweep over a theta grid equals one run per theta, across stack boundaries."""
 
     @pytest.fixture(params=["full", "ideal"])
     def dynamics(self, request, full15, ideal15):
         return full15 if request.param == "full" else ideal15
 
     def test_protocol1(self, dynamics, basis15, set1):
-        configs = sweep_grid(set1, basis15)
-        swept = list(sweep_protocol1(configs, dynamics))
-        assert len(swept) == len(configs)
-        for cfg, reports in zip(configs, swept):
-            single = run_protocol1(cfg, dynamics)
+        cfg, thetas = make_cfg(set1), sweep_grid(basis15)
+        swept = list(sweep_protocol1(cfg, thetas, dynamics))
+        assert len(swept) == len(thetas)
+        for theta, reports in zip(thetas, swept):
+            single = run_protocol1(cfg, theta, dynamics)
             assert len(reports) == len(single)
             for a, b in zip(reports, single):
                 assert_same_report(a, b)
 
     def test_protocol2(self, dynamics, basis15, set1):
-        configs = sweep_grid(set1, basis15)
-        swept = list(sweep_protocol2(configs, dynamics))
-        assert len(swept) == len(configs)
-        for cfg, report in zip(configs, swept):
-            assert_same_report(report, run_protocol2(cfg, dynamics))
+        cfg, thetas = make_cfg(set1), sweep_grid(basis15)
+        swept = list(sweep_protocol2(cfg, thetas, dynamics))
+        assert len(swept) == len(thetas)
+        for theta, report in zip(thetas, swept):
+            assert_same_report(report, run_protocol2(cfg, theta, dynamics))
 
     @pytest.mark.parametrize("protocol", [1, 2])
     def test_readout(self, dynamics, basis15, set2, protocol):
-        configs = sweep_grid(set2, basis15)
-        swept = list(sweep_readout(configs, dynamics, protocol))
-        assert len(swept) == len(configs)
-        for cfg, pairs in zip(configs, swept):
+        cfg, thetas = make_cfg(set2), sweep_grid(basis15)
+        swept = list(sweep_readout(cfg, thetas, dynamics, protocol))
+        assert len(swept) == len(thetas)
+        for theta, pairs in zip(thetas, swept):
             if protocol == 1:
-                reports = [r for r in run_protocol1(cfg, dynamics) if r.selected]
+                reports = [r for r in run_protocol1(cfg, theta, dynamics) if r.selected]
             else:
-                reports = [run_protocol2(cfg, dynamics)]
-            singles = read_out(cfg, dynamics, protocol)   # a stack of this config alone
+                reports = [run_protocol2(cfg, theta, dynamics)]
+            singles = read_out(cfg, theta, dynamics, protocol)   # a stack of this theta alone
             assert len(pairs) == len(reports) == len(singles)
             for (report, distribution), single, (_, expected) in zip(pairs, reports, singles):
                 assert_same_report(report, single)
@@ -411,20 +414,32 @@ class TestSweeps:
                     np.testing.assert_allclose(report.probability * distribution,
                                                single.probability * expected, rtol=0, atol=1e-12)
 
-    def test_configs_must_differ_only_in_theta(self, full15, set1, set2):
-        with pytest.raises(ValueError, match="differ only in theta"):
-            list(sweep_protocol2([make_cfg(set1, 0.3), make_cfg(set2, 0.3)], full15))
+    @pytest.mark.parametrize("thetas, message", [
+        ([0.1, -0.2, -0.3], r"^theta must be >= 0, got -0.2$"),
+        ([0.1, 1e4, 0.2], r"^t_mu = 239\.578 s must be below t_m = 36\.9501 s$"),
+    ], ids=["negative", "past-t_m"])
+    @pytest.mark.parametrize("sweep", [
+        sweep_protocol1, sweep_protocol2,
+        lambda cfg, thetas, dynamics: sweep_readout(cfg, thetas, dynamics, 1),
+        lambda cfg, thetas, dynamics: sweep_readout(cfg, thetas, dynamics, 2),
+    ], ids=["protocol1", "protocol2", "readout1", "readout2"])
+    def test_thetas_checked_before_any_segment(self, basis15, set1, sweep, thetas, message):
+        with pytest.raises(ValueError, match=message):
+            next(sweep(make_cfg(set1), thetas, Unrunnable(basis15)))
+
+    def test_unknown_readout_protocol_rejected(self, full15, set1):
         with pytest.raises(ValueError, match="protocol must be 1 or 2"):
-            list(sweep_readout([make_cfg(set1, 0.3)], full15, protocol=3))
+            list(sweep_readout(make_cfg(set1), [0.3 / P_OCC], full15, protocol=3))
 
     def test_long_sweep_holds_one_stack(self, basis15, set1):
         """257 theta points at N = 15: every report at once would be ~54 MB
         (16 branch states of 13 kB each per point); the sweep keeps one stack."""
-        configs = [make_cfg(set1, float(p)) for p in np.linspace(0.0, math.pi, 257)]
+        thetas = np.linspace(0.0, math.pi, 257) / P_OCC
         dynamics = FullDynamics(basis15)
         tracemalloc.start()
         try:
-            branches = sum(len(reports) for reports in sweep_protocol1(configs, dynamics))
+            branches = sum(len(reports) for reports in sweep_protocol1(make_cfg(set1), thetas,
+                                                                       dynamics))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Tests for the detuning-robustness sweeps and their pulsed dynamics."""
 
 import gc
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from noonring.lattice import TrapParameters
 from noonring.model import _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian
 from noonring.protocols import protocol_config, run_protocol1, run_protocol2
 from noonring.robustness import (
+    P_THETA,
     RobustnessConfig,
     RobustnessPoint,
     run_robustness,
@@ -25,11 +27,11 @@ from conftest import M_OCC, P_OCC, SET1, SET2, dense_operator
 from oracle import detuning_operator, hamiltonian_matrix
 
 
-def make_cfg(couplings, p_theta=np.pi / 2):
+def make_cfg(couplings):
     return protocol_config(
         m_occ=M_OCC, p_occ=P_OCC,
         u=couplings["u"], j=couplings["j"],
-        mu=couplings["mu"], p_theta=p_theta,
+        mu=couplings["mu"],
     )
 
 
@@ -55,6 +57,8 @@ class TestRobustnessConfig:
         assert config.trap is None   # the direct source
         assert config.protocol == 1
         assert config.start_sign == 1
+        assert config.bracket == inspect.signature(
+            lattice.solve_integrability).parameters["bracket"].default
 
     @pytest.mark.parametrize("overrides", [
         {"n_dt": 0},
@@ -131,9 +135,10 @@ class TestDirectSweeps:
         point = sweep_point(SET1, basis15, 0.0, n_dt=4, protocol=protocol)
         if protocol == 2:
             assert point.probability is None
-            assert point.fidelity == pytest.approx(run_protocol2(cfg, full15).fidelity, abs=1e-9)
+            assert point.fidelity == pytest.approx(
+                run_protocol2(cfg, P_THETA / P_OCC, full15).fidelity, abs=1e-9)
             return
-        reports = run_protocol1(cfg, full15)
+        reports = run_protocol1(cfg, P_THETA / P_OCC, full15)
         reference = next(r for r in reports if r.outcome == 0)
         assert point.fidelity == pytest.approx(reference.fidelity, abs=1e-9)
         assert point.probability == pytest.approx(reference.probability, abs=1e-9)
@@ -367,8 +372,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("source", ["direct", "physical"])
     def test_matches_the_dense_site_basis(self, source, mode, protocol):
         basis = enumerate_basis(7)   # M + P
-        base = protocol_config(m_occ=2, p_occ=5, u=SET1["u"], j=SET1["j"],
-                               mu=SET1["mu"], p_theta=np.pi / 2)
+        base = protocol_config(m_occ=2, p_occ=5, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
         config = RobustnessConfig(
             base=base, xi_values=tuple(x * SET1["j"] for x in (0.0, 0.01, 0.05)),
             n_dt=5, mode=mode, protocol=protocol, start_sign=-1, trap=trap_of(source))
@@ -431,7 +435,7 @@ class TestSparsePulse:
 
     def system(self, basis, xi_over_j, source="direct"):
         base = protocol_config(m_occ=M_OCC, p_occ=basis.n_total - M_OCC, u=SET1["u"],
-                               j=SET1["j"], mu=SET1["mu"], p_theta=np.pi / 2)
+                               j=SET1["j"], mu=SET1["mu"])
         config = RobustnessConfig(base=base, xi_values=(xi_over_j * SET1["j"],),
                                   trap=trap_of(source))
         return detuned_system(config, basis, xi_over_j * SET1["j"])
@@ -448,7 +452,8 @@ class TestSparsePulse:
     def test_matches_the_eigensystem_pulse(self, basis15, source, xi_over_j):
         system = self.system(basis15, xi_over_j, source)
         state = self.mode_state(system)
-        for params, t in zip(system.couplings[2:], (system.cfg.t_mu, system.cfg.t_nu)):
+        t_mu = system.cfg.t_mu(P_THETA / system.cfg.p_occ)
+        for params, t in zip(system.couplings[2:], (t_mu, system.cfg.t_nu)):
             pulse = system.hamiltonian(params)
             assert isinstance(pulse, _SparseHamiltonian)
             sparse = evolve(state, pulse, t)

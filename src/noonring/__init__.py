@@ -30,7 +30,6 @@ from .protocols import (
     ideal_protocol1_output,
     ideal_protocol2_output,
     ideal_uber_noon,
-    protocol_config,
     run_protocol1,
     run_protocol2,
     sweep_protocol1,
@@ -75,7 +74,7 @@ __all__ = [
     "dipolar_coupling", "enumerate_basis", "evolve", "fidelity", "field_strengths",
     "fit_readout_amplitudes", "ideal_protocol1_output", "ideal_protocol2_output",
     "ideal_uber_noon", "model_parameters_from_lattice", "offsite_coupling",
-    "onsite_coupling", "predicted_band_sizes", "protocol_config", "recoil_energy",
+    "onsite_coupling", "predicted_band_sizes", "recoil_energy",
     "run_protocol1", "run_protocol2", "run_robustness", "site_probabilities",
     "solve_integrability", "sweep_protocol1", "sweep_protocol2", "sweep_readout",
     "sweep_spectrum", "threshold_xi", "v0_from_omega_r",

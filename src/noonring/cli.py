@@ -58,7 +58,6 @@ from .protocols import (
     _check_thetas,
     band_trace,
     fit_readout_amplitudes,
-    protocol_config,
     sweep_protocol1,
     sweep_protocol2,
     sweep_readout,
@@ -100,7 +99,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "model": {                         # m, p, u, j, mu, nu default to the preset
         "m": Key(int), "p": Key(int), "u": Key(float, None, POSITIVE),
         "j": Key(float, None, POSITIVE), "mu": Key(float, None, POSITIVE),
-        "nu": Key(float, None, POSITIVE), "u0": Key(float, 0.0),
+        "nu": Key(float, None, POSITIVE),
         "t_m_override": Key(float, None, POSITIVE),   # None: t_m = pi / (2 Omega)
     },
     "protocol": {
@@ -176,10 +175,8 @@ class ExperimentConfig(SimpleNamespace):
             _check_occupations(m.m, m.p)
         except ValueError as exc:
             raise ValueError(f"[model] m = {m.m}, [model] p = {m.p}: {exc}") from None
-        return protocol_config(
-            m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
-            u0=m.u0, t_m_override=m.t_m_override,
-        )
+        return ProtocolConfig(m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
+                              t_m_override=m.t_m_override)
 
 
 def _read_config_file(path: Path) -> dict[str, dict[str, object]]:
@@ -297,15 +294,12 @@ def _manifest_base(cfg: ExperimentConfig, extras: dict) -> dict:
     }
 
 
-def _derived_block(pc: ProtocolConfig, p_theta: float) -> dict:
-    """The band scales of `pc`, and t_mu at theta = `p_theta` / P."""
-    return {
-        "omega": pc.omega,
-        "t_m": pc.t_m,
-        "t_nu": pc.t_nu,
-        "t_mu_at_p_theta_max": pc.t_mu(p_theta / pc.p_occ),
-        "beta": pc.beta,
-    }
+def _derived_block(pc: ProtocolConfig, p_theta: float | None = None) -> dict:
+    """The band scales of `pc`, and t_mu at theta = `p_theta` / P if a kind encodes one."""
+    block = {"omega": pc.omega, "t_m": pc.t_m, "t_nu": pc.t_nu, "beta": pc.beta}
+    if p_theta is not None:
+        block["t_mu_at_p_theta_max"] = pc.t_mu(p_theta / pc.p_occ)
+    return block
 
 
 def _check_finite(kind: str, header: list[str], columns: list) -> None:
@@ -435,7 +429,7 @@ def _run_evolve_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     header = ["t_s", "p_MP00", "p_0PM0", "p_M00P", "p_00MP",
               "uber_noon_population", "effective_overlap"]
     trace = band_trace(pc, enumerate_basis(cfg.model.m + cfg.model.p), times)
-    return header, [times, *trace], {"derived": _derived_block(pc, 0.0), "t_max": t_max}
+    return header, [times, *trace], {"derived": _derived_block(pc), "t_max": t_max}
 
 
 def _trap(cfg: ExperimentConfig):
@@ -463,7 +457,10 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         d = derive(trap, omega)
         rows.append((float(freq_khz), d.u0, d.u12, d.u13, d.u0 - d.u13))
     header = ["omega_r_over_2pi_khz", "u0", "u12", "u13", "residual"]
-    omega_star = solve_integrability(trap, bracket=_omega_bracket(cfg))
+    try:   # the library's message names the bracket in rad/s, not the keys
+        omega_star = solve_integrability(trap, bracket=_omega_bracket(cfg))
+    except ValueError as exc:
+        raise ValueError(f"[lattice] omega_min_khz to omega_max_khz: {exc}") from None
     at_root = derive(trap, omega_star, dx=lattice.dx, dy=lattice.dy)
     recoil = recoil_energy(trap)
     j = lattice.j if lattice.j is not None else cfg.model.j
@@ -512,11 +509,12 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
     )
     results = run_robustness(rcfg, basis)
     rows = [
-        (r.mode, r.source, r.n_dt, point.xi, point.xi_over_j, point.fidelity,
+        (r.mode, r.source, r.n_dt, point.xi, point.xi / cfg.model.j, point.fidelity,
          point.probability if point.probability is not None else "")
         for point in results
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
+    threshold = threshold_xi(results, level=0.9)
     return header, list(map(np.array, zip(*rows))), {
         "derived": _derived_block(base, P_THETA), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,
@@ -525,7 +523,7 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
         "p_theta": P_THETA,
         # The largest |xi/J| up to which the whole grid has fidelity above 0.9; None (null)
         # if the smallest |xi/J| fails.
-        "threshold_xi_over_j": threshold_xi(results, level=0.9),
+        "threshold_xi_over_j": None if threshold is None else threshold / cfg.model.j,
     }
 
 
@@ -561,8 +559,8 @@ def list_presets(machine: bool = False) -> str:
     """Text (or JSON) listing of the built-in parameter sets."""
     payload = {}
     for name, values in PRESETS.items():
-        pc = protocol_config(values["m"], values["p"], u=values["u"],
-                             j=values["j"], mu=values["mu"], nu=values["nu"])
+        pc = ProtocolConfig(values["m"], values["p"], u=values["u"],
+                            j=values["j"], mu=values["mu"], nu=values["nu"])
         payload[name] = {
             **values,
             "omega": pc.omega,

@@ -456,9 +456,9 @@ def model_parameters_from_lattice(derived: LatticeDerived, j: float) -> ModelPar
     """Ready-to-use couplings; J is an input (no tunneling formula is used).
 
     When U0 and U13 agree to within 1e-6 relative (the root solver works to
-    1e-12) the pair is snapped to its mean, so the result satisfies the exact
-    integrability check that the protocol constructors enforce.  Away from the
-    root the raw (non-integrable) values are kept.
+    1e-12) the pair is snapped to its mean, so the couplings the `physical`
+    manifest reports as model_parameters are exactly integrable (U13 = U0).
+    Away from the root the raw (non-integrable) values are kept.
     """
     u0, u13 = derived.u0, derived.u13
     if abs(u0 - u13) <= 1e-6 * max(abs(u0), abs(u13)):

@@ -66,10 +66,6 @@ class ModelParameters:
     mu: float = 0.0
     nu: float = 0.0
 
-    def integrable(self) -> bool:
-        """Exact integrability condition U13 = U0 on the stored couplings."""
-        return self.u13 == self.u0
-
     @classmethod
     def integrable_set(
         cls,
@@ -79,10 +75,10 @@ class ModelParameters:
         nu: float = 0.0,
         u0: float = 0.0,
     ) -> "ModelParameters":
-        """Integrable couplings with prescribed U = (U12 - U0)/4.
+        """Integrable couplings (U13 = U0) with prescribed U = (U12 - U0)/4.
 
-        The spectrum of H minus its additive constant depends on (U, J)
-        only, so u0 = 0 is the natural default for protocol work.
+        In a sector of fixed N, U0 then adds only the constant U0 N(N-1)/2 to H
+        (U12 = U0 + 4U), so the protocols and spectrum sweeps take u0 = 0.
         """
         return cls(u0=u0, u12=u0 + 4.0 * u, u13=u0, j=j, mu=mu, nu=nu)
 

@@ -22,8 +22,9 @@ P(0) = sin^2(P theta/2 - pi/4): with it, the deterministic output is
 phase into that site-3 population law exactly.
 
 A ProtocolConfig holds only the inputs a theta sweep keeps fixed (M, P, the
-couplings, the field strengths and an optional t_m); Omega, t_m, t_nu and
-beta are computed from them, and t_mu from each theta the runners are given.
+band coupling U, J, the field strengths and an optional t_m); Omega, t_m,
+t_nu and beta are computed from them, and t_mu from each theta the runners
+are given.
 
 Each runner takes the dynamics the steps run under: FullDynamics for the
 full simulation, or IdealDynamics for the idealized limit (fields applied
@@ -46,8 +47,10 @@ A theta sweep runs as stacks of states (`noonring.dynamics`):
 an array of theta, evolve the thetas `stack_columns` at a time, one column
 per theta, and yield one result per theta as they go, so a long sweep holds
 one stack, not every theta's states.  They check every theta (theta >= 0,
-t_mu below t_m) before the first segment runs.  `run_protocol1` and
-`run_protocol2` are the one-theta case.
+t_mu below t_m) before the first segment runs.  Protocol II's nu segment
+does not depend on theta, so it runs once per sweep; the readout evolves the
+protocol sweep's output states `stack_columns` at a time.  `run_protocol1`
+and `run_protocol2` are the one-theta case.
 
 `band_trace` follows |M,P,0,0> through one band interval under both
 dynamics, a stack of times at a time: the corner and uber-NOON populations
@@ -72,36 +75,38 @@ MEASURED_SITE = 3
 class ProtocolConfig:
     """Everything a theta sweep of either protocol holds fixed.
 
-    params holds the integrable couplings with both fields off; mu and nu
-    are the field magnitudes switched on only during the t_mu / t_nu steps.
-    The encoding phase variable theta = 2 mu t_mu (the encoded NOON phase
-    is P theta) is given to each run.  The band scales Omega, t_m and beta
-    follow from these (`noonring.model` docstring).
+    The ring sits at its integrable point U13 = U0, where H in the sector
+    N = M + P is U0 N(N-1)/2 + 4U M P plus hopping and fields: U0 adds only a
+    global phase, so U = (U12 - U0)/4 and J fix the couplings (`params`).
+    mu and nu are the field magnitudes switched on only during the t_mu /
+    t_nu steps.  The encoding phase variable theta = 2 mu t_mu (the encoded
+    NOON phase is P theta) is given to each run.  The band scales Omega, t_m
+    and beta follow from these (`noonring.model` docstring).
     """
 
     m_occ: int
     p_occ: int
-    params: ModelParameters
+    u: float
+    j: float
     mu: float
     nu: float
     t_m_override: float | None = None
 
     def __post_init__(self):
         _check_occupations(self.m_occ, self.p_occ)
-        if not self.params.integrable():
-            raise ValueError("protocol couplings must satisfy U13 = U0")
-        if self.params.mu != 0.0 or self.params.nu != 0.0:
-            raise ValueError("params must have mu = nu = 0; fields are applied "
-                             "only during the pulse steps")
         if self.mu <= 0.0 or self.nu <= 0.0:
             raise ValueError("field strengths mu and nu must be positive")
-        u = self.params.coupling_u()
-        if u <= 0.0:
-            raise ValueError(f"U = (U12 - U0)/4 must be positive, got {u:g}")
+        if self.u <= 0.0:
+            raise ValueError(f"U = (U12 - U0)/4 must be positive, got {self.u:g}")
         if self.t_m_override is not None and self.t_m_override <= 0.0:
             raise ValueError("t_m override must be positive")
         if self.t_nu >= self.t_m:
             raise ValueError(f"t_nu = {self.t_nu:g} s must be below t_m = {self.t_m:g} s")
+
+    @property
+    def params(self) -> ModelParameters:
+        """The integrable couplings at U0 = 0, with both fields off."""
+        return ModelParameters.integrable_set(u=self.u, j=self.j)
 
     @property
     def n_total(self) -> int:
@@ -110,8 +115,7 @@ class ProtocolConfig:
     @property
     def omega(self) -> float:
         """The band frequency Omega = J^2 / (4U((M-P)^2 - 1)) of H_eff."""
-        return self.params.j**2 / (
-            4.0 * self.params.coupling_u() * ((self.m_occ - self.p_occ) ** 2 - 1))
+        return self.j**2 / (4.0 * self.u * ((self.m_occ - self.p_occ) ** 2 - 1))
 
     @property
     def beta(self) -> int:
@@ -145,24 +149,6 @@ def _check_occupations(m_occ: int, p_occ: int) -> None:
     if abs(m_occ - p_occ) < 2:
         raise ValueError(
             f"need |M - P| >= 2 for the resonant-regime scales, got M={m_occ}, P={p_occ}")
-
-
-def protocol_config(
-    m_occ: int,
-    p_occ: int,
-    u: float,
-    j: float,
-    mu: float,
-    nu: float | None = None,
-    u0: float = 0.0,
-    t_m_override: float | None = None,
-) -> ProtocolConfig:
-    """Convenience constructor from the band coupling U = (U12 - U0)/4."""
-    return ProtocolConfig(
-        m_occ=m_occ, p_occ=p_occ,
-        params=ModelParameters.integrable_set(u=u, j=j, u0=u0),
-        mu=mu, nu=mu if nu is None else nu, t_m_override=t_m_override,
-    )
 
 
 def _check_thetas(cfg: ProtocolConfig, thetas) -> np.ndarray:
@@ -367,11 +353,10 @@ def _copies(state: QuantumState, columns: int) -> QuantumState:
                                                      (state.basis.size, columns)))
 
 
-def _chunks(cfg: ProtocolConfig, thetas, basis: FockBasis, columns_per_theta: int = 1):
-    """`thetas`, checked (`_check_thetas`), in slices whose states fill at most one stack."""
-    thetas, size = _check_thetas(cfg, thetas), max(1, stack_columns(basis) // columns_per_theta)
-    for start in range(0, thetas.size, size):
-        yield thetas[start:start + size]
+def _chunks(cfg: ProtocolConfig, thetas, basis: FockBasis) -> list[np.ndarray]:
+    """`thetas`, checked (`_check_thetas`), in slices of at most one stack each."""
+    thetas, size = _check_thetas(cfg, thetas), stack_columns(basis)
+    return [thetas[start:start + size] for start in range(0, thetas.size, size)]
 
 
 def sweep_protocol1(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
@@ -415,11 +400,12 @@ def run_protocol1(cfg: ProtocolConfig, theta: float,
 def sweep_protocol2(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
     """`run_protocol2`'s report at each of `thetas` in turn, evolved as stacks.
 
-    The nu segment does not depend on theta: it runs once per stack.
+    The nu segment does not depend on theta: it runs once, after the theta check.
     """
     basis = dynamics.basis
-    for chunk in _chunks(cfg, thetas, basis):
-        start = dynamics.nu_segment(_initial_state(cfg, basis), cfg)
+    chunks = _chunks(cfg, thetas, basis)
+    start = dynamics.nu_segment(_initial_state(cfg, basis), cfg) if chunks else None
+    for chunk in chunks:
         states = dynamics.mu_segment(_copies(start, chunk.size), cfg, chunk)
         for theta, column in zip(chunk.tolist(), states.amplitudes.T):
             final = QuantumState(basis, column.copy())
@@ -481,25 +467,36 @@ def sweep_readout(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDyn
 
     `distribution` is the (N + 1,) site-3 occupation distribution of the
     report's state after a further t_m of band evolution (for Protocol I,
-    conditional on the branch).  A stack's reports read out as one stack.
+    conditional on the branch).  The reports' states read out in batches of at
+    most `stack_columns`, one band step each (a theta's states stay in one batch).
     """
     if protocol not in (1, 2):
         raise ValueError(f"protocol must be 1 or 2, got {protocol}")
-    # Protocol I reads out two selected branches per theta, so half as many thetas fill a stack.
-    for chunk in _chunks(cfg, thetas, dynamics.basis, 2 if protocol == 1 else 1):
-        if protocol == 1:
-            reports = [[r for r in branches if r.selected]
-                       for branches in sweep_protocol1(cfg, chunk, dynamics)]
-        else:
-            reports = [[report] for report in sweep_protocol2(cfg, chunk, dynamics)]
-        finals = [report.final_state.amplitudes for group in reports for report in group]
-        distributions = iter(())
-        if finals:   # none if no theta of the stack has a selected branch
-            states = dynamics.band(QuantumState(dynamics.basis, np.column_stack(finals)),
-                                   cfg, cfg.t_m)
-            distributions = iter(site_probabilities(states, MEASURED_SITE).T)
-        for group in reports:
-            yield [(report, next(distributions)) for report in group]
+    if protocol == 1:
+        groups = ([r for r in branches if r.selected]
+                  for branches in sweep_protocol1(cfg, thetas, dynamics))
+    else:
+        groups = ([report] for report in sweep_protocol2(cfg, thetas, dynamics))
+    width, batch = stack_columns(dynamics.basis), []
+    for group in groups:
+        if batch and sum(map(len, batch)) + len(group) > width:
+            yield from _read_out(cfg, dynamics, batch)
+            batch = []
+        batch.append(group)
+    yield from _read_out(cfg, dynamics, batch)
+
+
+def _read_out(cfg: ProtocolConfig, dynamics: FullDynamics | IdealDynamics, batch: list):
+    """Each group of reports in `batch` paired with the site-3 distributions of its
+    states after one band step of t_m, taken by the whole batch as one stack."""
+    finals = [report.final_state.amplitudes for group in batch for report in group]
+    distributions = iter(())
+    if finals:   # none if no theta of the batch has a selected branch
+        states = dynamics.band(QuantumState(dynamics.basis, np.column_stack(finals)),
+                               cfg, cfg.t_m)
+        distributions = iter(site_probabilities(states, MEASURED_SITE).T)
+    for group in batch:
+        yield [(report, next(distributions)) for report in group]
 
 
 # The readout laws of P theta, in the ideal limit: in either selected Protocol I

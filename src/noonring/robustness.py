@@ -19,8 +19,9 @@ with a trap is the physical source, one without the direct source:
               the base ones.
 * physical -- the lattice at the two radial frequencies where U0(omega) -
               U13(omega) = +-xi; all couplings (and mu, via V0) shift, J is
-              an input held fixed, and the timings come from the arithmetic
-              means of the +- values.
+              an input held fixed, and the timings come from a mean config:
+              the arithmetic means of the +- values of U = (U12 - U0)/4, mu
+              and nu (U0 only adds a constant to the integrable H).
 
 Every run encodes P theta = P_THETA = pi/2.  Each xi point runs the
 protocol runners of `noonring.protocols` on a FullDynamics of its own that
@@ -96,7 +97,6 @@ class RobustnessPoint:
     """Fidelity at one detuning value."""
 
     xi: float
-    xi_over_j: float
     fidelity: float
     probability: float | None  # Protocol I: success probability P(r=0)
 
@@ -140,8 +140,8 @@ class _DetunedSystem(FullDynamics):
 
 
 def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _DetunedSystem:
-    base = config.base
-    plus, minus = (replace(base.params, u13=base.params.u0 + x) for x in (xi, -xi))
+    base, params = config.base, config.base.params
+    plus, minus = (replace(params, u13=params.u0 + x) for x in (xi, -xi))
     return _DetunedSystem(config, modes, base, (
         plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
 
@@ -158,7 +158,7 @@ def _physical_root(config: RobustnessConfig) -> tuple[float, dict[float, float]]
     """
     from .lattice import integrability_residual, solve_integrability, v0_from_omega_r
 
-    trap, j = config.trap, config.base.params.j
+    trap, j = config.trap, config.base.j
     try:
         omega_star = solve_integrability(trap, config.bracket)
     except ValueError as exc:   # the CLI sets the bracket from these keys
@@ -209,17 +209,15 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes,
     v0_star, ends = root
     omega_plus = _solve_detuned_omega(trap, +xi, ends)
     omega_minus = _solve_detuned_omega(trap, -xi, ends)
-    params_plus, v0_plus = _physical_params(trap, omega_plus, base.params.j)
-    params_minus, v0_minus = _physical_params(trap, omega_minus, base.params.j)
+    params_plus, v0_plus = _physical_params(trap, omega_plus, base.j)
+    params_minus, v0_minus = _physical_params(trap, omega_minus, base.j)
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star
     nu_plus, nu_minus = base.nu * v0_plus / v0_star, base.nu * v0_minus / v0_star
-    # Mean couplings (projected onto the integrable manifold; the +- U0-U13
-    # residuals cancel to root-finder tolerance) fix t_m and t_mu.
+    # The mean couplings (on the integrable manifold; the +- U0-U13 residuals cancel
+    # to root-finder tolerance) fix t_m and t_mu only: the steps run at the +- couplings.
     u_mean = 0.5 * (params_plus.coupling_u() + params_minus.coupling_u())
-    u0_mean = 0.5 * (params_plus.u0 + params_minus.u0)
     mean_cfg = ProtocolConfig(
-        m_occ=base.m_occ, p_occ=base.p_occ,
-        params=ModelParameters.integrable_set(u=u_mean, j=base.params.j, u0=u0_mean),
+        base.m_occ, base.p_occ, u=u_mean, j=base.j,
         mu=0.5 * (mu_plus + mu_minus), nu=0.5 * (nu_plus + nu_minus),
         t_m_override=base.t_m_override,
     )
@@ -232,13 +230,13 @@ def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:
     """Protocol II's fidelity, or Protocol I's r = 0 branch (fidelity and probability 0 if
     r = 0 never occurs), at P theta = P_THETA."""
     cfg = system.cfg
-    theta, xi_over_j = P_THETA / cfg.p_occ, xi / cfg.params.j
+    theta = P_THETA / cfg.p_occ
     if system.config.protocol == 2:
-        return RobustnessPoint(xi, xi_over_j, run_protocol2(cfg, theta, system).fidelity, None)
+        return RobustnessPoint(xi, run_protocol2(cfg, theta, system).fidelity, None)
     branch = next((report for report in run_protocol1(cfg, theta, system) if report.outcome == 0), None)
     if branch is None:
-        return RobustnessPoint(xi, xi_over_j, 0.0, 0.0)
-    return RobustnessPoint(xi, xi_over_j, branch.fidelity, branch.probability)
+        return RobustnessPoint(xi, 0.0, 0.0)
+    return RobustnessPoint(xi, branch.fidelity, branch.probability)
 
 
 def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[RobustnessPoint]:
@@ -252,12 +250,12 @@ def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[Robustnes
 
 
 def threshold_xi(points: list[RobustnessPoint], level: float = 0.9) -> float | None:
-    """Largest |xi/J| of the grid up to which every point has fidelity above `level`,
+    """Largest |xi| of the grid up to which every point has fidelity above `level`,
     so a revival past the first failing point does not count; None if the smallest
-    |xi/J| fails."""
+    |xi| fails."""
     threshold = None
-    for point in sorted(points, key=lambda point: abs(point.xi_over_j)):
+    for point in sorted(points, key=lambda point: abs(point.xi)):
         if point.fidelity <= level:
             break
-        threshold = abs(point.xi_over_j)
+        threshold = abs(point.xi)
     return threshold

@@ -49,13 +49,12 @@ def sweep_spectrum(
     u_over_j: np.ndarray,
     mu: float = 0.0,
     nu: float = 0.0,
-    u0: float = 0.0,
 ) -> np.ndarray:
     """Sorted eigenvalues of the integrable H (plus optional fields) along a U/J
     grid: shape (len(u_over_j), dim), one row per grid point.
 
-    Works at fixed J = 1 so eigenvalues are already in units of J; the
-    additive constant C is subtracted from every spectrum.  H is built in
+    Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J;
+    the additive constant C is subtracted from every spectrum.  H is built in
     the normal-mode blocks of the conserved d-occupations (`noonring.model`):
     the hopping blocks are cut once per sweep.  Per stack of grid points (all
     40 default points at N = 15: the widest size stays within STACK_BYTES) and
@@ -74,7 +73,7 @@ def sweep_spectrum(
         diagonals, constants = [], []
         for ratio in u_over_j[start:start + points]:
             # Python floats overflow to inf without a warning; the check below reports it.
-            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
             constant = _band_constant(params, n_total)
             diagonals.append(_mode_diagonal(params, basis))
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
@@ -98,7 +97,6 @@ class BandAssignment:
 
     labels: tuple[tuple[int, int], ...]   # per band, ascending energy
     sizes: tuple[int, ...]
-    boundaries: tuple[int, ...]           # cumulative offsets, len = n_bands + 1
 
 
 def assign_bands(
@@ -122,7 +120,7 @@ def assign_bands(
             f"spectrum has {len(eigenvalues)} levels but sector N={n_total} "
             f"predicts {total}"
         )
-    boundaries = [0]
+    boundaries = [0]   # cumulative offsets, len = n_bands + 1
     for _, size in predicted:
         boundaries.append(boundaries[-1] + size)
     clusters = [eigenvalues[boundaries[i]:boundaries[i + 1]] for i in range(len(predicted))]
@@ -138,5 +136,4 @@ def assign_bands(
     return BandAssignment(
         labels=tuple(label for label, _ in predicted),
         sizes=tuple(size for _, size in predicted),
-        boundaries=tuple(boundaries),
     )

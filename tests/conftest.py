@@ -9,9 +9,10 @@ from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import HermitianOperator
 from noonring.protocols import FullDynamics, IdealDynamics, sweep_readout
 
-# Couplings are angular frequencies (X/hbar in rad/s), ring of M + P bosons.
-SET1 = {"u": 75.876, "j": 24.886, "mu": 20.870}
-SET2 = {"u": 76.519, "j": 73.219, "mu": 15.168}
+# Couplings are angular frequencies (X/hbar in rad/s), ring of M + P bosons; the
+# keys are ProtocolConfig's, and each set has nu = mu.
+SET1 = {"u": 75.876, "j": 24.886, "mu": 20.870, "nu": 20.870}
+SET2 = {"u": 76.519, "j": 73.219, "mu": 15.168, "nu": 15.168}
 M_OCC = 4
 P_OCC = 11
 

@@ -19,10 +19,10 @@ from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integr
 from noonring.model import ModelParameters, build_mode_hamiltonian, diagonal_band_energy
 from noonring.protocols import (
     FullDynamics,
+    ProtocolConfig,
     band_trace,
     fidelity,
     fit_readout_amplitudes,
-    protocol_config,
     run_protocol1,
     run_protocol2,
 )
@@ -52,11 +52,7 @@ READOUT_FIT_TARGETS = {"c00": 0.938, "cMM": 0.893, "c0": 0.954, "cM": 0.909}
 
 
 def make_cfg(couplings):
-    return protocol_config(
-        m_occ=M_OCC, p_occ=P_OCC,
-        u=couplings["u"], j=couplings["j"],
-        mu=couplings["mu"],
-    )
+    return ProtocolConfig(M_OCC, P_OCC, **couplings)
 
 
 def selected_reports(cfg, theta, dynamics):
@@ -201,7 +197,7 @@ def test_criterion_6_effective_hamiltonian_equivalence(basis15):
         spectrum_sq, spectrum_charges, rtol=1e-9, atol=1e-9 * scale)
 
     # The evolve kind's band trace: row 5 is |<full(t)|eff(t)>|.
-    cfg = protocol_config(M_OCC, P_OCC, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
+    cfg = make_cfg(SET1)
     overlap = band_trace(cfg, basis15, np.linspace(0.0, cfg.t_m, 64))[5]
     assert np.max(1.0 - overlap) < 0.1
 

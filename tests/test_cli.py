@@ -13,7 +13,7 @@ import pytest
 from noonring import cli, lattice
 from noonring.cli import KINDS, NON_NEGATIVE, POSITIVE, SCHEMA, UNIT_NOTE, main
 from noonring.lattice import QuadratureError, TrapParameters, derive, solve_integrability
-from noonring.protocols import protocol_config
+from noonring.protocols import ProtocolConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,8 +49,8 @@ class TestPresets:
         """Each derived value is ProtocolConfig's, bit for bit, at P theta = pi."""
         assert run_cli(["presets", "--machine"]) == 0
         for values in json.loads(capsys.readouterr().out).values():
-            pc = protocol_config(values["m"], values["p"], u=values["u"], j=values["j"],
-                                 mu=values["mu"], nu=values["nu"])
+            pc = ProtocolConfig(values["m"], values["p"], u=values["u"], j=values["j"],
+                                mu=values["mu"], nu=values["nu"])
             assert (values["omega"], values["t_m"], values["t_nu"],
                     values["t_mu_at_p_theta_pi"], values["beta"]) == (
                 pc.omega, pc.t_m, pc.t_nu, pc.t_mu(math.pi / values["p"]), pc.beta)
@@ -194,6 +194,16 @@ class TestConfigDriven:
         first = rows[0].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind, t_mu", [("evolve", False), ("protocol2", True)])
+    def test_derived_block_has_t_mu_only_for_a_p_theta_grid(self, tmp_path, kind, t_mu):
+        """evolve has no P theta grid and no mu pulse, so it derives no t_mu."""
+        config = tmp_path / "small.ini"
+        config.write_text("[evolve]\npoints = 2\n")
+        assert run_cli([kind, "--grid", 2, "--config", config, "--out", tmp_path]) == 0
+        derived = read_manifest(tmp_path / f"{kind}_manifest.json")["derived"]
+        assert set(derived) == {"omega", "t_m", "t_nu", "beta"} | (
+            {"t_mu_at_p_theta_max"} if t_mu else set())
 
     def test_run_robustness(self, tmp_path):
         config = tmp_path / "robust.ini"
@@ -437,6 +447,17 @@ class TestErrorPaths:
                               "no integrable point in bracket")
         assert not out.exists()
 
+    @pytest.mark.parametrize("low, high", [(100, 200), (70, 60)], ids=["above", "reversed"])
+    def test_physical_range_without_a_root_names_the_lattice_keys(self, tmp_path, capsys,
+                                                                  low, high):
+        config = tmp_path / "range.ini"
+        config.write_text(f"[lattice]\nomega_min_khz = {low}\nomega_max_khz = {high}\n")
+        out = tmp_path / "r"
+        assert run_cli(["physical", "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [lattice] omega_min_khz to omega_max_khz: no integrable point in bracket")
+        assert not out.exists()
+
     def test_run_requires_config(self, capsys):
         assert run_cli(["run"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -456,6 +477,15 @@ class TestErrorPaths:
         config.write_text("[model]\nquux = 1\n")
         assert run_cli(["protocol1", "--config", config]) == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_model_u0_is_an_unknown_key(self, tmp_path, capsys):
+        """At U13 = U0, U0 adds only a global phase: no config selects it."""
+        config = tmp_path / "u0.ini"
+        config.write_text("[model]\nu0 = 50\n")
+        out = tmp_path / "r"
+        assert run_cli(["protocol1", "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown keys in [model]: ['u0']; ")
+        assert not out.exists()
 
     def test_unknown_preset_in_config(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"

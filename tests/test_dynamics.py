@@ -12,7 +12,7 @@ from noonring.dynamics import (
     NormalModes, _beam_splitter, _Echo, evolve, site_probabilities, stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian
-from noonring.protocols import IdealDynamics, protocol_config, run_protocol1
+from noonring.protocols import IdealDynamics, ProtocolConfig, run_protocol1
 
 from conftest import SET1, dense_operator, mode_matrix
 from oracle import add_into, create, hamiltonian_matrix, site_distribution
@@ -413,7 +413,7 @@ def measured_branches(state):
         def mu_segment(self, states, cfg, theta):
             return QuantumState(state.basis, state.amplitudes[:, None])
 
-    cfg = protocol_config(1, 4, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
+    cfg = ProtocolConfig(1, 4, **SET1)
     return run_protocol1(cfg, 0.0, Handing())
 
 

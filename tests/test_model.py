@@ -42,14 +42,14 @@ def random_integrable(rng):
 class TestModelParameters:
     def test_integrable_set_satisfies_condition(self):
         params = ModelParameters.integrable_set(u=2.5, j=1.0, u0=0.3)
-        assert params.integrable()
+        assert params.u13 == params.u0
         assert params.coupling_u() == pytest.approx(2.5)
         assert params.u12 == pytest.approx(0.3 + 10.0)
 
     def test_generic_couplings_not_integrable(self):
         params = ModelParameters.integrable_set(u=2.5, j=1.0)
         broken = replace(params, u13=params.u13 + 0.1)
-        assert not broken.integrable()
+        assert broken.u13 != broken.u0
 
     def test_with_fields_preserves_interactions(self):
         params = ModelParameters.integrable_set(u=1.0, j=0.5)
@@ -208,8 +208,9 @@ class TestDetuningOperator:
 
 
 def band_config(params, m_occ, p_occ):
-    """A ProtocolConfig at `params` for |M,P,0,0>, whose band scales are under test."""
-    return ProtocolConfig(m_occ=m_occ, p_occ=p_occ, params=params, mu=1.0, nu=1.0)
+    """A ProtocolConfig at the U and J of `params` for |M,P,0,0>, whose band scales are
+    under test."""
+    return ProtocolConfig(m_occ, p_occ, u=params.coupling_u(), j=params.j, mu=1.0, nu=1.0)
 
 
 class TestDerivedScales:

@@ -1,6 +1,5 @@
 """NOON generation protocols: configuration, ideal targets, and benchmarks."""
 
-import dataclasses
 import gc
 import math
 import tracemalloc
@@ -11,7 +10,6 @@ import pytest
 
 from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import ModelParameters
 from noonring.protocols import (
     READOUT_LAWS,
     FullDynamics,
@@ -22,7 +20,6 @@ from noonring.protocols import (
     ideal_protocol1_output,
     ideal_protocol2_output,
     ideal_uber_noon,
-    protocol_config,
     run_protocol1,
     run_protocol2,
     sweep_protocol1,
@@ -33,8 +30,8 @@ from noonring.protocols import (
 from conftest import M_OCC, P_OCC, read_out
 
 
-def make_cfg(couplings):
-    return protocol_config(M_OCC, P_OCC, u=couplings["u"], j=couplings["j"], mu=couplings["mu"])
+def make_cfg(couplings, **kwargs):
+    return ProtocolConfig(M_OCC, P_OCC, **couplings, **kwargs)
 
 
 class TestProtocolConfig:
@@ -49,46 +46,27 @@ class TestProtocolConfig:
 
     def test_even_total_rejected(self, set1):
         with pytest.raises(ValueError):
-            protocol_config(4, 12, u=set1["u"], j=set1["j"], mu=set1["mu"])
+            ProtocolConfig(4, 12, **set1)
 
     @pytest.mark.parametrize("m_occ, p_occ", [(0, 15), (15, 0)])
     def test_empty_subsystem_rejected(self, set1, m_occ, p_occ):
         # Rejected before t_nu = pi/(4 M nu) divides by zero.
         with pytest.raises(ValueError, match="M and P must be >= 1"):
-            protocol_config(m_occ, p_occ, u=set1["u"], j=set1["j"], mu=set1["mu"])
-        with pytest.raises(ValueError, match="M and P must be >= 1"):
-            ProtocolConfig(m_occ=m_occ, p_occ=p_occ,
-                           params=ModelParameters.integrable_set(u=set1["u"], j=set1["j"]),
-                           mu=set1["mu"], nu=set1["mu"])
-
-    def test_non_integrable_params_rejected(self, set1):
-        params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"])
-        broken = dataclasses.replace(params, u13=1.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(m_occ=M_OCC, p_occ=P_OCC, params=broken,
-                           mu=set1["mu"], nu=set1["mu"])
-
-    def test_params_with_fields_on_rejected(self, set1):
-        params = ModelParameters.integrable_set(u=set1["u"], j=set1["j"], mu=1.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(m_occ=M_OCC, p_occ=P_OCC, params=params,
-                           mu=set1["mu"], nu=set1["mu"])
+            ProtocolConfig(m_occ, p_occ, **set1)
 
     def test_nonpositive_fields_rejected(self, set1):
         with pytest.raises(ValueError):
-            protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"], mu=0.0)
+            make_cfg({**set1, "mu": 0.0, "nu": 0.0})
 
     def test_negative_theta_rejected(self, full15, set1):
         with pytest.raises(ValueError, match="theta must be >= 0"):
             run_protocol2(make_cfg(set1), -0.1 / P_OCC, full15)
 
     def test_t_m_override(self, set1):
-        cfg = protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"],
-                              mu=set1["mu"], t_m_override=4.248)
+        cfg = make_cfg(set1, t_m_override=4.248)
         assert cfg.t_m == pytest.approx(4.248)
         with pytest.raises(ValueError):
-            protocol_config(M_OCC, P_OCC, u=set1["u"], j=set1["j"],
-                            mu=set1["mu"], t_m_override=-1.0)
+            make_cfg(set1, t_m_override=-1.0)
 
 
 class TestIdealStates:
@@ -318,7 +296,7 @@ class TestDynamics:
             assert calls == [(basis15.size, 1, 1)]
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
-        cfg = protocol_config(1, 4, u=set1["u"], j=set1["j"], mu=set1["mu"])
+        cfg = ProtocolConfig(1, 4, **set1)
         dynamics = FullDynamics(basis5)
         run_protocol2(cfg, 0.5 / 4, dynamics)
         operator = weakref.ref(dynamics.hamiltonian(cfg.params))
@@ -329,7 +307,7 @@ class TestDynamics:
 
     def test_protocol2_at_n31_stays_in_blocks(self, set1):
         """(M, P) = (10, 21): dim 5,984, where one dense H alone is 286 MB."""
-        cfg = protocol_config(10, 21, u=set1["u"], j=set1["j"], mu=set1["mu"])
+        cfg = ProtocolConfig(10, 21, **set1)
         tracemalloc.start()
         try:
             report = run_protocol2(cfg, 0.5 / 21, FullDynamics(enumerate_basis(31)))
@@ -353,6 +331,18 @@ class Unrunnable(FullDynamics):
         raise AssertionError("a segment ran")
 
     mu_segment = nu_segment = band
+
+
+class CountingNu(FullDynamics):
+    """FullDynamics that counts its nu segments."""
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.nu_calls = 0
+
+    def nu_segment(self, *args):
+        self.nu_calls += 1
+        return super().nu_segment(*args)
 
 
 def assert_same_report(swept, single):
@@ -426,6 +416,16 @@ class TestSweeps:
     def test_thetas_checked_before_any_segment(self, basis15, set1, sweep, thetas, message):
         with pytest.raises(ValueError, match=message):
             next(sweep(make_cfg(set1), thetas, Unrunnable(basis15)))
+
+    @pytest.mark.parametrize("sweep", [
+        sweep_protocol2, lambda cfg, thetas, dynamics: sweep_readout(cfg, thetas, dynamics, 2),
+    ], ids=["protocol2", "readout2"])
+    def test_nu_segment_runs_once_per_sweep(self, basis15, set1, sweep):
+        """64 thetas fill 4 stacks at N = 15, but the nu segment does not depend on theta."""
+        dynamics = CountingNu(basis15)
+        thetas = np.linspace(0.0, math.pi, 64) / P_OCC
+        assert len(list(sweep(make_cfg(set1), thetas, dynamics))) == 64
+        assert dynamics.nu_calls == 1
 
     def test_unknown_readout_protocol_rejected(self, full15, set1):
         with pytest.raises(ValueError, match="protocol must be 1 or 2"):

@@ -14,7 +14,7 @@ from noonring.dynamics import NormalModes, evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters
 from noonring.model import _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian
-from noonring.protocols import protocol_config, run_protocol1, run_protocol2
+from noonring.protocols import ProtocolConfig, run_protocol1, run_protocol2
 from noonring.robustness import (
     P_THETA,
     RobustnessConfig,
@@ -28,11 +28,7 @@ from oracle import detuning_operator, hamiltonian_matrix
 
 
 def make_cfg(couplings):
-    return protocol_config(
-        m_occ=M_OCC, p_occ=P_OCC,
-        u=couplings["u"], j=couplings["j"],
-        mu=couplings["mu"],
-    )
+    return ProtocolConfig(M_OCC, P_OCC, **couplings)
 
 
 def trap_of(source):
@@ -146,7 +142,7 @@ class TestDirectSweeps:
     def test_point_bookkeeping(self, basis15):
         point = sweep_point(SET1, basis15, 0.004, n_dt=10)
         assert point.xi == pytest.approx(0.004 * SET1["j"])
-        assert point.xi_over_j == pytest.approx(0.004)
+        assert point.xi / SET1["j"] == pytest.approx(0.004)
         assert 0.0 < point.probability <= 1.0
         assert 0.0 <= point.fidelity <= 1.0
 
@@ -372,7 +368,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("source", ["direct", "physical"])
     def test_matches_the_dense_site_basis(self, source, mode, protocol):
         basis = enumerate_basis(7)   # M + P
-        base = protocol_config(m_occ=2, p_occ=5, u=SET1["u"], j=SET1["j"], mu=SET1["mu"])
+        base = ProtocolConfig(2, 5, **SET1)
         config = RobustnessConfig(
             base=base, xi_values=tuple(x * SET1["j"] for x in (0.0, 0.01, 0.05)),
             n_dt=5, mode=mode, protocol=protocol, start_sign=-1, trap=trap_of(source))
@@ -399,7 +395,7 @@ class TestParityBlocks:
 class TestThreshold:
     def make_points(self, pairs):
         return [
-            RobustnessPoint(xi=x, xi_over_j=x, fidelity=f, probability=None)
+            RobustnessPoint(xi=x, fidelity=f, probability=None)
             for x, f in pairs
         ]
 
@@ -434,8 +430,7 @@ class TestSparsePulse:
     Taylor series of exp(-i H t) and never diagonalized."""
 
     def system(self, basis, xi_over_j, source="direct"):
-        base = protocol_config(m_occ=M_OCC, p_occ=basis.n_total - M_OCC, u=SET1["u"],
-                               j=SET1["j"], mu=SET1["mu"])
+        base = ProtocolConfig(M_OCC, basis.n_total - M_OCC, **SET1)
         config = RobustnessConfig(base=base, xi_values=(xi_over_j * SET1["j"],),
                                   trap=trap_of(source))
         return detuned_system(config, basis, xi_over_j * SET1["j"])

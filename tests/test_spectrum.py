@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from noonring import spectrum
 from noonring.fock import enumerate_basis
 from noonring.model import ModelParameters, build_mode_hamiltonian
-from noonring.protocols import band_trace, protocol_config
+from noonring.protocols import ProtocolConfig, band_trace
 from noonring.spectrum import (
     BandsUnresolvedError,
     _hop_blocks,
@@ -23,9 +23,9 @@ from noonring.spectrum import (
 from oracle import hamiltonian_matrix
 
 
-def dense_spectrum(basis, ratio, mu=0.0, nu=0.0, u0=0.0):
+def dense_spectrum(basis, ratio, mu=0.0, nu=0.0):
     """Sorted eigenvalues of the dense site-basis H, minus the constant C."""
-    params = ModelParameters.integrable_set(u=ratio, j=1.0, mu=mu, nu=nu, u0=u0)
+    params = ModelParameters.integrable_set(u=ratio, j=1.0, mu=mu, nu=nu)
     n = basis.n_total
     constant = (params.u0 + params.u12) * n**2 / 4.0 - params.u0 * n / 2.0
     return np.linalg.eigvalsh(hamiltonian_matrix(n, params.to_dict())) - constant
@@ -60,12 +60,6 @@ class TestSweep:
         assert eigenvalues.shape == (7, len(basis3))
         assert np.all(np.diff(eigenvalues, axis=1) >= -1e-12)
 
-    def test_constant_subtraction_removes_u0_dependence(self, basis3):
-        grid = np.array([25.0])
-        base = sweep_spectrum(basis3, grid, u0=0.0)
-        lifted = sweep_spectrum(basis3, grid, u0=7.0)
-        np.testing.assert_allclose(base, lifted, atol=1e-9)
-
 
 def band_constant(params, n_total):
     return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
@@ -79,11 +73,10 @@ class TestStackedSweep:
         n_total=st.sampled_from([3, 5]),
         points=st.integers(1, 9),
         per_stack=st.integers(1, 4),
-        u0=st.floats(-5.0, 5.0).filter(lambda x: abs(x) > 0.01),
         mu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.01)),
         nu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 0.01)),
     )
-    def test_matches_point_by_point(self, n_total, points, per_stack, u0, mu, nu):
+    def test_matches_point_by_point(self, n_total, points, per_stack, mu, nu):
         basis = enumerate_basis(n_total)
         grid = np.linspace(0.0, 30.0, points)
         hops = _hop_blocks(basis, mu, nu)
@@ -91,10 +84,10 @@ class TestStackedSweep:
         with mock.patch.object(spectrum, "STACK_BYTES",
                                per_stack * max(matrices.nbytes for _, matrices in hops)), \
                 mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh) as calls:
-            eigenvalues = sweep_spectrum(basis, grid, mu=mu, nu=nu, u0=u0)
+            eigenvalues = sweep_spectrum(basis, grid, mu=mu, nu=nu)
         assert calls.call_count == len(hops) * -(-points // per_stack)   # per size per stack
         for row, ratio in zip(eigenvalues, grid):
-            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu, u0=u0)
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
             h = build_mode_hamiltonian(params, basis)
             constant = band_constant(params, n_total)
             point = np.concatenate([eigvalsh(matrices).ravel() for _, matrices in h.blocks])
@@ -126,14 +119,13 @@ class TestBlockSpectrum:
     @given(
         n_total=st.integers(0, 6),
         ratio=st.floats(0.0, 40.0),
-        u0=st.floats(-5.0, 5.0),
         mu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
         nu=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
     )
-    def test_matches_dense(self, n_total, ratio, u0, mu, nu):
+    def test_matches_dense(self, n_total, ratio, mu, nu):
         basis = enumerate_basis(n_total)
-        blocks = sweep_spectrum(basis, [ratio], mu=mu, nu=nu, u0=u0)[0]
-        dense = dense_spectrum(basis, ratio, mu=mu, nu=nu, u0=u0)
+        blocks = sweep_spectrum(basis, [ratio], mu=mu, nu=nu)[0]
+        dense = dense_spectrum(basis, ratio, mu=mu, nu=nu)
         assert np.all(np.abs(blocks - dense) <= 1e-9 * np.maximum(1.0, np.abs(dense)))
 
     def test_matches_dense_at_n15(self, basis15):
@@ -199,7 +191,7 @@ class TestEffectiveDynamics:
 
     @staticmethod
     def deficits(basis, u, times):
-        return 1.0 - band_trace(protocol_config(1, 4, u=u, j=1.0, mu=1.0), basis, times)[5]
+        return 1.0 - band_trace(ProtocolConfig(1, 4, u=u, j=1.0, mu=1.0, nu=1.0), basis, times)[5]
 
     def test_deficit_starts_at_zero_and_stays_small(self, basis5):
         deficits = self.deficits(basis5, 50.0, np.linspace(0.0, 5.0, 7))
@@ -211,6 +203,6 @@ class TestEffectiveDynamics:
         assert self.deficits(basis5, 100.0, times).max() < self.deficits(basis5, 10.0, times).max()
 
     def test_rows_at_t_zero(self, basis5):
-        trace = band_trace(protocol_config(1, 4, u=50.0, j=1.0, mu=1.0), basis5, [0.0])
+        trace = band_trace(ProtocolConfig(1, 4, u=50.0, j=1.0, mu=1.0, nu=1.0), basis5, [0.0])
         # |1,4,0,0> itself, a quarter of the uber-NOON state, and the effective evolution.
         np.testing.assert_allclose(trace[:, 0], [1.0, 0.0, 0.0, 0.0, 0.25, 1.0], atol=1e-15)

@@ -22,12 +22,11 @@ file < flags, and each is parsed and checked before any computation.
 Exit codes: 0 success, 1 invalid input (the message names the key),
 2 numerical failure, including a non-finite table cell (no table written).
 
-Importing this module loads numpy and no scipy subpackage: protocol1,
-protocol2, readout, spectrum and evolve run on numpy alone.  robustness runs
-on `noonring.robustness`, whose pulses load `scipy.sparse`; physical, and
-robustness with the physical source, on the scipy-backed `noonring.lattice`.
-`resolve_config` imports the modules a run needs, after checking the values
-and before any computation.
+Every kind runs on numpy alone; no module of the package imports scipy.
+Importing this module does not import `noonring.robustness` or
+`noonring.lattice` (whose quadrature rules take ~23 ms to build):
+`resolve_config` imports the ones a run needs, after checking the values and
+before any computation.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-import scipy   # its version only: no subpackage is loaded
 
 from .fock import enumerate_basis
 from .protocols import (
@@ -274,7 +272,7 @@ def _write_manifest(path: Path, payload: dict) -> None:
 def _environment() -> dict:
     """Versions and thread settings: table digits can depend on the BLAS thread count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
+    return {"numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version")},
             "threads": {name: value for name, value in sorted(os.environ.items())
                         if name.endswith("_NUM_THREADS")}}

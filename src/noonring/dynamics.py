@@ -4,8 +4,8 @@ Evolution uses the one-time eigendecomposition of the (time-independent)
 Hamiltonian, exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>, block by
 block; no time-stepping integrator is involved.  A Hamiltonian that acts
 only once, on one state (a detuned field pulse of `noonring.robustness`),
-is held sparse instead and applied by the truncated Taylor series of
-exp(-i H t) (`_taylor_action`), which never diagonalizes it.  The pulsed
+is held sparse instead and applied by the Chebyshev series of
+exp(-i H t) (`_chebyshev_action`), which never diagonalizes it.  The pulsed
 band interval of `noonring.robustness`, n_dt periods of H(+xi) then H(-xi),
 is one `_Echo` step: the state changes into H(+xi)'s eigenbasis once, each
 period applies the two phase factors and the mixing matrix between the two
@@ -55,7 +55,7 @@ def stack_columns(basis: FockBasis) -> int:
 def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamiltonian | _Echo,
            duration) -> QuantumState:
     """Apply exp(-i H t), t = duration in seconds, through the cached eigendecomposition of H
-    or, for a sparse H, its truncated Taylor series; an `_Echo` applies its n_dt periods.
+    or, for a sparse H, its Chebyshev series; an `_Echo` applies its n_dt periods.
 
     `duration` is one t, or one per column of an (n, K) stack.  V+ and V act on
     all blocks of one size and all columns in one batched product each, with
@@ -72,7 +72,7 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
     if shortest == 0.0 and not durations.any():
         return state.copy()
     if isinstance(hamiltonian, _SparseHamiltonian):
-        evolved = _taylor_action(hamiltonian, state.amplitudes, durations)
+        evolved = _chebyshev_action(hamiltonian, state.amplitudes, durations)
     else:
         blocked = state.amplitudes[hamiltonian.order]   # block by block, like the eigenvalues
         if isinstance(hamiltonian, _Echo):
@@ -168,58 +168,65 @@ def _echo(blocked: np.ndarray, echo: _Echo, durations: np.ndarray) -> None:
         np.matmul(vectors, inside, out=block.view(np.float64))
 
 
-# theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1, for
-# unit roundoff 2^-53: s steps of the degree-m Taylor polynomial of exp(A t / s) reach
-# that accuracy when ||A t||_1 / s <= theta_m.
-_TAYLOR_THETA = ((5, 2.4e-3), (10, 1.4e-1), (15, 6.4e-1), (20, 1.4), (25, 2.4), (30, 3.5),
-                 (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9))
-
-
-def _taylor_action(hamiltonian: _SparseHamiltonian, amplitudes: np.ndarray,
-                   durations: np.ndarray) -> np.ndarray:
+def _chebyshev_action(hamiltonian: _SparseHamiltonian, amplitudes: np.ndarray,
+                      durations: np.ndarray) -> np.ndarray:
     """exp(-i H t) applied to `amplitudes` (one state or an (n, K) stack), one t per column.
 
-    Al-Mohy and Higham's truncated Taylor action (their Algorithm 3.2, the one
-    scipy's `expm_multiply` runs) on A = -i (H - shift), with exp(-i shift t)
-    put back as one global phase.  The degree m and the step count s minimize
-    m s under ||A t||_1 / s <= theta_m, taken from the exact 1-norm, so no
-    randomized norm estimate (and no global random state) is involved.  The
-    real CSR matrix acts on the amplitudes as (real, imaginary) pairs.
+    The Chebyshev expansion of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967 (1984)).
+    With H = c + R X, [c - R, c + R] its Gershgorin interval, X's spectrum lies in
+    [-1, 1], and
+
+        exp(-i H t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(X),
+
+    where T_k(X) psi = 2 X T_(k-1)(X) psi - T_(k-2)(X) psi costs one product with
+    H per term.  The series stops at the first order above R t with J_k(R t) < 1e-17
+    (`_bessel_coefficients`).  Even terms are real multiples of T_k psi and odd ones
+    imaginary, so they are summed apart, with real weights.
     """
     columns = amplitudes.reshape(hamiltonian.basis.size, -1)
     times = np.broadcast_to(durations, columns.shape[1:])
     evolved = np.empty(columns.shape, dtype=complex)
     for t in np.unique(times).tolist():
         chosen = times == t
-        norm = t * hamiltonian.norm
-        phase = -hamiltonian.shift * t
-        if not (math.isfinite(norm) and math.isfinite(phase)):
-            raise ArithmeticError(f"exp(-i H t) at t = {t:g} s: ||H|| t = {norm:g}, "
-                                  f"mean diagonal x t = {-phase:g}")
-        degree, steps = min(((m, max(1, math.ceil(norm / theta))) for m, theta in _TAYLOR_THETA),
-                            key=lambda pair: pair[0] * pair[1])
-        result = np.ascontiguousarray(columns[:, chosen])
-        for _ in range(steps):
-            term = result
-            previous = bound = _inf_norm(result)
-            for k in range(1, degree + 1):
-                term = (hamiltonian.matrix @ term.view(np.float64)).view(complex)
-                term *= -1j * t / (steps * k)
-                current = _inf_norm(term)
-                result += term
-                # Stop once the last two terms fall below 2^-53 ||result||; as ||result||
-                # <= bound, testing the bound first spares most norms of result.
-                bound += current
-                tail = previous + current
-                if tail <= 2.0**-53 * bound and tail <= 2.0**-53 * _inf_norm(result):
-                    break
-                previous = current
-        evolved[:, chosen] = np.exp(1j * phase) * result
+        width, phase = hamiltonian.radius * t, -hamiltonian.center * t
+        if not (math.isfinite(width) and math.isfinite(phase)):
+            raise ArithmeticError(f"exp(-i H t) at t = {t:g} s: spectral half-width x t = "
+                                  f"{width:g}, spectral center x t = {-phase:g}")
+        bessel = _bessel_coefficients(width)
+        weights = 2.0 * bessel * (-1.0) ** (np.arange(bessel.size) // 2)
+        weights[0] = bessel[0]
+        state = columns[:, chosen]
+        sums = [weights[0] * state, np.zeros_like(state)]   # the even and the odd terms
+        previous, current = np.zeros_like(state), state
+        for k in range(1, bessel.size):
+            following = hamiltonian.product(current)
+            following *= (2.0 if k > 1 else 1.0) / hamiltonian.radius
+            following -= previous
+            previous, current = current, following
+            sums[k % 2] += weights[k] * current
+        evolved[:, chosen] = np.exp(1j * phase) * (sums[0] - 1j * sums[1])
     return evolved.reshape(amplitudes.shape)
 
 
-def _inf_norm(columns: np.ndarray) -> float:
-    return float(np.abs(columns).sum(axis=1).max())
+def _bessel_coefficients(z: float) -> np.ndarray:
+    """J_0(z), ..., J_K(z) for z >= 0, K the lowest order above z with |J_K(z)| < 1e-17.
+
+    Miller's backward recurrence J_(k-1) = (2k/z) J_k - J_(k+1), from J_(s+1) = 0 and
+    J_s = 1 at s = z + 30 z^(1/3) + 20, where J_s(z) < 1e-40, normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1.  The values are rescaled before they can
+    overflow: at small z each step multiplies them by about 2k/z.
+    """
+    if z == 0.0:
+        return np.ones(1)
+    values = [0.0, 1.0]   # unnormalized, from J_(s+1) down
+    for k in range(int(z + 30.0 * z ** (1.0 / 3.0)) + 20, 0, -1):
+        values.append(2.0 * k / z * values[-1] - values[-2])
+        if abs(values[-1]) > 1e250:
+            values = [value * 1e-250 for value in values]
+    bessel = np.array(values[:0:-1])   # J_0 ... J_s
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
+    orders = np.arange(bessel.size)
+    return bessel[:np.flatnonzero((orders > z) & (np.abs(bessel) < 1e-17))[0] + 1]
 
 
 def _beam_splitter(n: int) -> np.ndarray:

@@ -35,14 +35,16 @@ the integral is
 
 where only the J0 factor depends on omega_r and d.  dipolar_coupling
 evaluates it with a fixed Gauss-Legendre rule, built once at import, and
-takes its error from the same sum on a rule of twice the nodes.  The
-integrable point U0 = U13 is found by regula falsi with the
-Anderson-Bjorck modification (`_find_root`), which the robustness module's
-detuned frequencies share; `solve_integrability` returns its omega_r, and
-`derive` evaluates the couplings and fields at any omega_r.  The module
-needs scipy.special (erfcx, j0) and scipy.constants only.  All couplings
-are returned as angular frequencies (X/hbar in rad/s); lengths are in
-meters and energies in joules elsewhere.
+takes its error from the same sum on a rule of twice the nodes; the rest
+of the integrand depends on kappa alone, so each TrapParameters builds it
+once per rule.  The integrable point U0 = U13 is found by regula falsi
+with the Anderson-Bjorck modification (`_find_root`), which the robustness
+module's detuned frequencies share; `solve_integrability` returns its
+omega_r, and `derive` evaluates the couplings and fields at any omega_r.
+The module needs numpy alone: the CODATA constants are literals, erfcx
+comes from math.erfc (`_erfcx`) and J0 from its integral or its Hankel
+expansion (`_j0`).  All couplings are returned as angular frequencies
+(X/hbar in rad/s); lengths are in meters and energies in joules elsewhere.
 
 The Dy-164 magnetic moment is calibrated so that the a = -21 a0
 integrability root lands at omega_r = 2 pi x 37.078 kHz (see
@@ -55,17 +57,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import constants, special
 
 from .model import ModelParameters
 
-HBAR = constants.hbar
-MU_0 = constants.mu_0
-BOHR_RADIUS = constants.physical_constants["Bohr radius"][0]
-BOHR_MAGNETON = constants.physical_constants["Bohr magneton"][0]
-ATOMIC_MASS = constants.atomic_mass
+# CODATA 2022 (SI): hbar = h / (2 pi) with the exact h, the rest as recommended.
+HBAR = 6.62607015e-34 / (2.0 * math.pi)   # J s
+MU_0 = 1.25663706127e-6                   # N / A^2
+BOHR_RADIUS = 5.29177210544e-11           # m
+BOHR_MAGNETON = 9.2740100657e-24          # J / T
+ATOMIC_MASS = 1.66053906892e-27           # kg
 
 DY164_MASS = 164.0 * ATOMIC_MASS
 DY_MOMENT_LITERATURE = 9.93  # Bohr magnetons, uncalibrated
@@ -151,6 +154,17 @@ class TrapParameters:
     @property
     def kappa(self) -> float:
         return math.sqrt(self.kappa_sq)
+
+    @cached_property
+    def _kernels(self) -> dict[int, np.ndarray]:
+        """Per rule pair of `_RULES`, its weights times x e^{-x^2/4} (4 kappa/(3 sqrt pi) -
+        x erfcx(x/(2 kappa))): the integrand of `dipolar_coupling` but its J0 factor.
+
+        It depends on kappa alone, so it is built once per instance.
+        """
+        origin = 4.0 * self.kappa / (3.0 * math.sqrt(math.pi))
+        return {n: weights * (x * np.exp(-0.25 * x * x) * (origin - x * _erfcx(x / (2.0 * self.kappa))))
+                for n, (x, weights) in _RULES.items()}
 
     @property
     def delta(self) -> float:
@@ -265,11 +279,87 @@ def _gauss_legendre(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     return half * np.concatenate([1.0 - t, 1.0 + t]), half * np.concatenate([weights, weights])
 
 
+def _two_product(a, b):
+    """a b as product + error exactly (Dekker): the rounded product and its rounding error.
+
+    Exact while no factor exceeds ~1e300; floats or arrays.
+    """
+    def split(value):   # value = high + low, high to 26 bits
+        scaled = 134217729.0 * value   # 2^27 + 1
+        high = scaled - (scaled - value)
+        return high, value - high
+    product = a * b
+    (a_high, a_low), (b_high, b_low) = split(a), split(b)
+    return product, ((a_high * b_high - product) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+def _erfcx(y: np.ndarray) -> np.ndarray:
+    """The scaled complementary error function exp(y^2) erfc(y), elementwise, for y >= 0.
+
+    math.exp and math.erfc below y = 25, with exp(y^2) = exp(s) (1 + e) for
+    y^2 = s + e (`_two_product`), so the rounding of y^2, which exp would scale by
+    y^2, is not carried; above, where erfc nears underflow, the asymptotic series
+    1/(y sqrt(pi)) sum_k (-1)^k (2k - 1)!! / (2 y^2)^k to k = 8, whose next term is
+    below 5e-21 there.
+    """
+    def scalar(y: float) -> float:
+        if y < 25.0:
+            square, error = _two_product(y, y)
+            return math.exp(square) * (1.0 + error) * math.erfc(y)
+        inverse, term, total = 0.5 / (y * y), 1.0, 1.0
+        for k in range(1, 9):
+            term *= -(2 * k - 1) * inverse
+            total += term
+        return total / (y * math.sqrt(math.pi))
+    return np.array([scalar(value) for value in np.asarray(y, dtype=float).tolist()])
+
+
+# J0(z) = (2/pi) Int_0^{pi/2} cos(z sin phi) dphi: the sines at the 16 nodes of the
+# midpoint rule, which errs by ~2 |J_64(z)| (< 1e-25 below z = 20).
+_J0_SINES = np.sin((np.arange(16) + 0.5) * (math.pi / 32.0))
+# a_k = ((2k - 1)!!)^2 / (k! 8^k) for k < 22, the coefficients of J0's Hankel expansion,
+# signed as its series P (even k) and Q (odd k) alternate; row m holds those of 1/z^2m in
+# P and in Q z.  11 terms of each: the first omitted one is < 2e-17 from z = 20.
+_HANKEL = (np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 22)])
+           * np.repeat((-1.0) ** np.arange(11), 2)).reshape(11, 2)
+
+
+def _j0(z: np.ndarray) -> np.ndarray:
+    """The Bessel function J0, elementwise, for z >= 0.
+
+    Below z = 20 the midpoint rule on its integral (`_J0_SINES`), each
+    cos(z sin phi) as cos(s) - e sin(s) for z sin phi = s + e (`_two_product`),
+    so the rounding of the argument is not carried; above, the Hankel expansion
+    J0 = (P (cos z + sin z) + Q (sin z - cos z)) / sqrt(pi z), with
+    P = sum_k (-1)^k a_2k / z^2k and Q = sum_k (-1)^k a_(2k+1) / z^(2k+1).
+    """
+    z = np.asarray(z, dtype=float)
+    values = np.empty_like(z)
+    small = z < 20.0
+    argument, error = _two_product(z[small][:, None], _J0_SINES)
+    values[small] = (np.cos(argument) - error * np.sin(argument)).mean(axis=-1)
+    large = z[~small]
+    powers = np.multiply.accumulate(np.broadcast_to(1.0 / (large * large), (10, large.size)))
+    p, q = _HANKEL[1:].T @ powers + _HANKEL[0][:, None]   # P, and Q z
+    q /= large
+    cos, sin = np.cos(large), np.sin(large)
+    values[~small] = (p * (cos + sin) + q * (sin - cos)) / np.sqrt(math.pi * large)
+    return values
+
+
 # x = q / sqrt(eta) beyond which the Gaussian factor e^{-x^2/4} is < 1e-21.
 _CUTOFF = 14.0
-# Gauss-Legendre rules on [0, _CUTOFF] by node count: a coupling sums a coarse rule
-# of 96 or 192 nodes and the fine rule of twice as many.
-_RULES = {n: _gauss_legendre(n, _CUTOFF) for n in (96, 192, 384)}
+
+
+def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, _CUTOFF], followed by
+    those of the 2n-point rule, so that one J0 call serves both."""
+    coarse, fine = _gauss_legendre(n, _CUTOFF), _gauss_legendre(2 * n, _CUTOFF)
+    return np.concatenate([coarse[0], fine[0]]), np.concatenate([coarse[1], fine[1]])
+
+
+# A coupling sums a coarse rule of 96 or 192 nodes and the fine rule of twice as many.
+_RULES = {n: _rule_pair(n) for n in (96, 192)}
 
 
 def dipolar_coupling(
@@ -294,18 +384,11 @@ def dipolar_coupling(
     if omega_r <= 0.0 or distance < 0.0:
         raise ValueError("omega_r must be positive and distance non-negative")
     eta = trap.eta(omega_r)
-    kappa = trap.kappa
     frequency = math.sqrt(eta) * distance   # of J0 in x
-    coarse = 96 if 5.0 * frequency + 16.0 / math.sqrt(kappa) <= 80.0 else 192
-    origin = 4.0 * kappa / (3.0 * math.sqrt(math.pi))
-    sums = []
-    for n in (coarse, 2 * coarse):
-        x, weights = _RULES[n]
-        kernel = x * np.exp(-0.25 * x * x) * (origin - x * special.erfcx(x / (2.0 * kappa)))
-        terms = weights * kernel * special.j0(frequency * x)
-        sums.append(float(terms.sum()))
-    value = sums[1]
-    abserr = max(abs(value - sums[0]), 50.0 * np.finfo(float).eps * np.abs(terms).sum())
+    coarse = 96 if 5.0 * frequency + 16.0 / math.sqrt(trap.kappa) <= 80.0 else 192
+    terms = trap._kernels[coarse] * _j0(frequency * _RULES[coarse][0])
+    coarse_sum, value = float(terms[:coarse].sum()), float(terms[coarse:].sum())
+    abserr = max(abs(value - coarse_sum), 50.0 * np.finfo(float).eps * np.abs(terms[coarse:]).sum())
     if value != 0.0 and abserr > rel_tol * abs(value):
         raise QuadratureError(
             f"dipolar integral reached relative error {abserr / abs(value):.2e} "
@@ -338,10 +421,12 @@ def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -
     replaces the same end twice in a row, the value kept at the other end is
     scaled by 1 - f(x)/f(replaced end), or halved as in the Illinois method if
     that is not positive.  A secant point outside the bracket, or three steps
-    that fail to halve it, give a bisection instead.  Once the bracket is within
-    rtol |x|, returns the point where |f| was smallest, which a closing bisection
-    need not be; f is never called at lo or hi.  ValueError if f_lo and f_hi have
-    the same sign.
+    that fail to halve it, give a bisection instead.  A point within
+    min(16 eps, rtol/4) |x| of an end moves to that distance from it: once f's
+    roundoff stalls the secant at one end, the next point can land across the
+    root and close the bracket.  Once the bracket is within rtol |x|, returns the
+    point where |f| was smallest, which a closing bisection need not be; f is
+    never called at lo or hi.  ValueError if f_lo and f_hi have the same sign.
     """
     if f_lo == 0.0:
         return lo
@@ -354,6 +439,8 @@ def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not min(lo, hi) < x < max(lo, hi) or abs(hi - lo) > 0.5 * widths[-3]:
             x = 0.5 * (lo + hi)
+        step = min(16.0 * np.finfo(float).eps, 0.25 * rtol) * abs(x)
+        x = min(max(x, min(lo, hi) + step), max(lo, hi) - step)
         f_x = f(x)
         if f_x == 0.0:
             return x

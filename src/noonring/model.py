@@ -41,6 +41,9 @@ N2 N4), where per pair of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) -
 Without fields such an H also commutes with the 90-degree ring rotation,
 which pairs two of the four parity blocks and splits the other two in
 halves, so it is diagonalized in those smaller pieces (`_RotationSymmetric`).
+An H that acts only once, on one state (a pulse of `noonring.robustness`),
+is held instead as one sparse matrix with its Gershgorin interval
+(`_SparseHamiltonian`), and never diagonalized.
 """
 
 from __future__ import annotations
@@ -334,13 +337,37 @@ def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> Hermiti
 
 
 class _SparseHamiltonian:
-    """Hermitian H in a Fock sector as a CSR `matrix` of H - `shift`, where `shift` is the
-    mean of its diagonal, with the 1-norm of that matrix as `norm`.  It has no
-    eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states directly."""
+    """Real symmetric H in a Fock sector as the CSR arrays (`data`, `indices`, `indptr`) of
+    H - `center`, where [center - radius, center + radius] is H's Gershgorin interval,
+    which holds its spectrum.  Every row stores its diagonal entry, so none is empty.
+    It has no eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states
+    directly.
 
-    def __init__(self, basis: FockBasis, matrix, shift: float):
-        self.basis, self.matrix, self.shift = basis, matrix, shift
-        self.norm = float(abs(matrix).sum(axis=0).max())
+    Built from H's diagonal and its entries (rows, columns, values) on one side of it,
+    each of which also stands for its transpose; no two may share a position.
+    """
+
+    def __init__(self, basis: FockBasis, diagonal: np.ndarray, rows: np.ndarray,
+                 columns: np.ndarray, values: np.ndarray):
+        states = np.arange(basis.size)
+        rows, columns = np.concatenate([rows, columns, states]), np.concatenate([columns, rows, states])
+        values = np.concatenate([values, values])
+        reach = np.bincount(rows[:values.size], weights=np.abs(values), minlength=basis.size)
+        # An interval beyond the float range makes center and radius inf or NaN, which
+        # `evolve` reports; numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = float(np.min(diagonal - reach)), float(np.max(diagonal + reach))
+            self.center, self.radius = 0.5 * low + 0.5 * high, 0.5 * high - 0.5 * low
+            entries = np.concatenate([values, diagonal - self.center])
+        by_row = np.argsort(rows, kind="stable")
+        self.basis, self.data, self.indices = basis, entries[by_row], columns[by_row]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=basis.size))])
+
+    def product(self, vectors: np.ndarray) -> np.ndarray:
+        """(H - center) @ vectors, for (n, k) vectors."""
+        terms = np.take(vectors, self.indices, axis=0)   # faster than vectors[self.indices]
+        terms *= self.data[:, None]
+        return np.add.reduceat(terms, self.indptr[:-1], axis=0)
 
 
 def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _SparseHamiltonian:
@@ -348,25 +375,14 @@ def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _Spar
 
     Built from the entries `build_mode_hamiltonian` cuts into blocks; no block
     and no n x n array is allocated.  Raises ArithmeticError if an entry of H
-    is inf or NaN.  scipy.sparse is imported here: only `noonring.robustness`
-    builds pulses, and it has loaded scipy by then.
+    is inf or NaN.
     """
-    from scipy.sparse import csr_array
-
     diagonal = _mode_diagonal(params, modes)
-    rows, columns, values = _mode_entries(modes, params.mu, params.nu, params.j,
-                                          params.u13 - params.u0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = float(np.mean(diagonal))
-        diagonal = diagonal - shift
     if not np.isfinite(diagonal).all():
         raise ArithmeticError(f"couplings U0 = {params.u0:g}, U12 = {params.u12:g}, "
                               f"U13 = {params.u13:g} give non-finite H")
-    states = np.arange(modes.size)
-    matrix = csr_array((np.concatenate([values, values, diagonal]),
-                        (np.concatenate([rows, columns, states]),
-                         np.concatenate([columns, rows, states]))), shape=(modes.size, modes.size))
-    return _SparseHamiltonian(modes, matrix, shift)
+    return _SparseHamiltonian(modes, diagonal, *_mode_entries(
+        modes, params.mu, params.nu, params.j, params.u13 - params.u0))
 
 
 def _band_constant(params: ModelParameters, n_total: int) -> float:

@@ -37,16 +37,15 @@ mixing matrix between the two eigenbases, and runs all n_dt periods in
 H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the interval is that one
 H evolved for the whole t.  A pulse runs once, on one state, so it is never
 diagonalized: it is a sparse H that `noonring.dynamics.evolve` applies by
-Al-Mohy and Higham's truncated Taylor action (SIAM J. Sci. Comput. 33, 488
-(2011)).
+the Chebyshev expansion of exp(-i H t) (Tal-Ezer and Kosloff, J. Chem. Phys.
+81, 3967 (1984)).
 
 The physical source finds the trap's integrable root within the config's
 bracket (the CLI's [lattice] frequency range), checks the whole xi grid
 against the U0 - U13 its lattice reaches before the first point runs, and
 finds each detuned frequency with the lattice's bracketed root-finder.
-Only its helpers import `noonring.lattice` (and with it scipy.special and
-scipy.constants), so a direct-source run loads no scipy subpackage but
-scipy.sparse, for its pulses.
+Only its helpers import `noonring.lattice`, so a direct-source run never
+builds the lattice's quadrature rules.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .fock import FockBasis
 from .model import ModelParameters, _sparse_mode_hamiltonian
 from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 
-if TYPE_CHECKING:   # the physical-source helpers import the lattice (and scipy) when they run
+if TYPE_CHECKING:   # the physical-source helpers import the lattice when they run
     from .lattice import TrapParameters
 
 P_THETA = math.pi / 2.0   # the encoded phase P theta of every run

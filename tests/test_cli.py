@@ -380,7 +380,9 @@ class TestErrorPaths:
         # an overflowing field or U/J: sweep_spectrum raises before diagonalizing
         ("spectrum", "[spectrum]\nn_total = 3\npoints = 2\nmu_over_j = 1e308\n"),
         ("spectrum", "[spectrum]\nn_total = 3\npoints = 2\nu_over_j_max = 1e308\n"),
-    ], ids=["j=1e-200", "u=1e300", "mu_over_j=1e308", "u_over_j_max=1e308"])
+        # the robustness mu pulse's sparse H has an infinite entry
+        ("robustness", "[model]\nmu = 1e308\n[robustness]\npoints = 2\nn_dt = 2\n"),
+    ], ids=["j=1e-200", "u=1e300", "mu_over_j=1e308", "u_over_j_max=1e308", "pulse mu=1e308"])
     def test_finite_input_with_non_finite_result_exits_2(
             self, tmp_path, capsys, kind, section):
         config = tmp_path / "extreme.ini"

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import jv
 
 from noonring.dynamics import (
-    NormalModes, _beam_splitter, _Echo, evolve, site_probabilities, stack_columns)
+    NormalModes, _beam_splitter, _bessel_coefficients, _Echo, evolve, site_probabilities,
+    stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import ModelParameters, build_mode_hamiltonian
+from noonring.model import (
+    ModelParameters, _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian)
 from noonring.protocols import IdealDynamics, ProtocolConfig, run_protocol1
 
 from conftest import SET1, dense_operator, mode_matrix
@@ -401,6 +404,52 @@ class TestEcho:
         (first, _), (fielded, _) = self.couplings(0.3), self.couplings(0.3, mu=0.7)
         with pytest.raises(ValueError, match="same blocks"):
             self.echo(basis5, 2, first, fielded)
+
+
+class TestChebyshevPulse:
+    """A sparse H (a robustness pulse) applied by the Chebyshev series of exp(-i H t)."""
+
+    # detuned (U13 != U0) and with both fields on, so every kind of entry is present
+    PARAMS = ModelParameters(u0=1.3, u12=7.9, u13=2.1, j=1.7, mu=0.6, nu=0.4)
+
+    @pytest.mark.parametrize("z", [1e-12, 1.0, 30.7, 500.0])
+    def test_bessel_coefficients_match_scipy(self, z):
+        """J_0(z) .. J_K(z), K the first order above z below 1e-17; scipy's jv itself
+        errs by ~1e-14 at z = 500."""
+        coefficients = _bessel_coefficients(z)
+        orders = np.arange(coefficients.size)
+        np.testing.assert_allclose(coefficients, jv(orders, z), rtol=0, atol=2e-14)
+        assert orders[-1] > z and abs(coefficients[-1]) < 1e-17
+        assert np.all(np.abs(coefficients[(orders > z) & (orders < orders[-1])]) >= 1e-17)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.4, 3.0])
+    def test_matches_expm(self, basis5, t):
+        modes = NormalModes(basis5)
+        w = mode_matrix(modes)
+        dense = w.T @ hamiltonian_matrix(5, self.PARAMS.to_dict()) @ w
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes.basis)
+        energies = np.linalg.eigvalsh(dense)
+        assert pulse.center - pulse.radius <= energies[0] and energies[-1] <= pulse.center + pulse.radius
+        state = random_state(modes.basis, np.random.default_rng(7))
+        np.testing.assert_allclose(evolve(state, pulse, t).amplitudes,
+                                   expm(-1j * t * dense) @ state.amplitudes, rtol=0, atol=1e-13)
+
+    def test_zero_duration_in_a_stack(self, basis5):
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, basis5)
+        state = random_state(basis5, np.random.default_rng(8))
+        stack = QuantumState(basis5, np.column_stack([state.amplitudes] * 3))
+        evolved = evolve(stack, pulse, [0.0, 0.4, 0.0])
+        np.testing.assert_array_equal(evolved.amplitudes[:, [0, 2]], stack.amplitudes[:, [0, 2]])
+        np.testing.assert_array_equal(evolved.amplitudes[:, 1], evolve(state, pulse, 0.4).amplitudes)
+        assert _bessel_coefficients(0.0).tolist() == [1.0]
+
+    def test_zero_width_spectrum_is_a_phase(self, basis5):
+        none = np.zeros(0, dtype=np.int64)
+        pulse = _SparseHamiltonian(basis5, np.full(basis5.size, 2.5), none, none, np.zeros(0))
+        assert (pulse.center, pulse.radius) == (2.5, 0.0)
+        state = random_state(basis5, np.random.default_rng(9))
+        np.testing.assert_allclose(evolve(state, pulse, 0.7).amplitudes,
+                                   np.exp(-1.75j) * state.amplitudes, rtol=0, atol=1e-15)
 
 
 def measured_branches(state):

@@ -5,15 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special
+from scipy import constants, integrate, optimize, special
 
 from noonring import lattice
 from noonring.lattice import (
+    ATOMIC_MASS,
+    BOHR_MAGNETON,
+    BOHR_RADIUS,
     DY_MOMENT_CALIBRATED,
     HBAR,
+    MU_0,
     QuadratureError,
     TrapParameters,
+    _erfcx,
     _find_root,
+    _j0,
     anisotropy_f,
     derive,
     dipolar_coupling,
@@ -54,6 +60,34 @@ def adaptive_coupling(trap, omega_r, distance):
 
     value, _ = integrate.quad(integrand, 0.0, 14.0 * sqrt_eta, epsabs=0.0, epsrel=1e-10, limit=500)
     return trap.c_dd / (4.0 * math.pi) * value / HBAR
+
+
+class TestSpecialFunctions:
+    """The lattice's numpy special functions and constants against scipy's."""
+
+    def test_constants_equal_scipy_constants(self):
+        assert HBAR == constants.hbar
+        assert MU_0 == constants.mu_0
+        assert BOHR_RADIUS == constants.physical_constants["Bohr radius"][0]
+        assert BOHR_MAGNETON == constants.physical_constants["Bohr magneton"][0]
+        assert ATOMIC_MASS == constants.atomic_mass
+
+    def test_j0_matches_scipy(self):
+        """Both branches and the switch at z = 20, to 1e-14 absolute on [0, 1000]."""
+        z = np.concatenate([np.linspace(0.0, 1000.0, 200_001), [20.0 - 1e-12, 20.0]])
+        np.testing.assert_allclose(_j0(z), special.j0(z), rtol=0.0, atol=1e-14)
+        assert _j0(np.zeros(1))[0] == 1.0
+
+    def test_erfcx_matches_scipy(self):
+        """Both branches and the switch at y = 25, to 1e-12 relative on [0, 1e4]."""
+        y = np.concatenate([np.linspace(0.0, 40.0, 40_001), np.geomspace(40.0, 1e4, 2_001),
+                            [25.0 - 1e-12, 25.0]])
+        np.testing.assert_allclose(_erfcx(y), special.erfcx(y), rtol=1e-12, atol=0.0)
+
+    def test_kernels_are_built_once_per_trap(self):
+        trap = TrapParameters()
+        assert trap._kernels is trap._kernels
+        assert dataclasses.replace(trap, kappa_sq=2.0)._kernels is not trap._kernels
 
 
 class TestAnisotropyFunction:

@@ -426,8 +426,8 @@ class TestThreshold:
 
 
 class TestSparsePulse:
-    """The pulses of the detuned dynamics are sparse H, applied to states by the truncated
-    Taylor series of exp(-i H t) and never diagonalized."""
+    """The pulses of the detuned dynamics are sparse H, applied to states by the Chebyshev
+    series of exp(-i H t) and never diagonalized."""
 
     def system(self, basis, xi_over_j, source="direct"):
         base = ProtocolConfig(M_OCC, basis.n_total - M_OCC, **SET1)
@@ -486,8 +486,8 @@ class TestSparsePulse:
             evolve(state, huge, 1e10)
 
     def test_deterministic_and_leaves_the_global_random_state(self):
-        """Protocol II at N = 15 and an N = 21 nu pulse, whose ||H t||_1 (245) would send
-        scipy's expm_multiply to its randomized norm estimate."""
+        """Protocol II at N = 15 and an N = 21 nu pulse, whose Gershgorin half-width x t
+        (163) takes a Chebyshev series of 227 terms."""
         before = np.random.get_state()
         basis = enumerate_basis(M_OCC + P_OCC)
         config = RobustnessConfig(base=make_cfg(SET1), xi_values=(0.01 * SET1["j"],), n_dt=2,
@@ -496,7 +496,7 @@ class TestSparsePulse:
         system = self.system(enumerate_basis(21), 0.01)
         state = self.mode_state(system)
         pulse = system.hamiltonian(system.couplings[3])
-        assert pulse.norm * system.cfg.t_nu > 200.0
+        assert pulse.radius * system.cfg.t_nu > 150.0
         pulses = [evolve(state, pulse, system.cfg.t_nu).amplitudes for _ in range(2)]
         assert runs[0] == runs[1]
         np.testing.assert_array_equal(*pulses)

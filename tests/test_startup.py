@@ -1,4 +1,4 @@
-"""Start-up: the model kinds load numpy alone; scipy loads only for physical and robustness."""
+"""Start-up: no kind imports scipy, and only physical and robustness import the lattice."""
 
 import dataclasses
 import json
@@ -14,10 +14,10 @@ from noonring.cli import SCHEMA
 from noonring.lattice import TrapParameters
 from noonring.robustness import RobustnessConfig
 
-from without_scipy import BLOCKED
-
 ROOT = Path(__file__).resolve().parents[1]
 MODEL_KINDS = ("protocol1", "protocol2", "readout", "evolve", "spectrum")
+# An expression, for the scripts below: the scipy modules the interpreter has loaded.
+SCIPY_LOADED = "sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')"
 
 
 def fresh_python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -34,10 +34,7 @@ def loaded_after(script: str):
 
 
 def test_importing_the_cli_loads_no_scipy_subpackage():
-    loaded = loaded_after(
-        "import json, sys\nimport noonring.cli\n"
-        f"print(json.dumps([f'scipy.{{name}}' for name in {BLOCKED!r} "
-        "if f'scipy.{name}' in sys.modules]))")
+    loaded = loaded_after(f"import json, sys\nimport noonring.cli\nprint(json.dumps({SCIPY_LOADED}))")
     assert loaded == []
 
 
@@ -51,35 +48,49 @@ def test_model_kinds_run_with_scipy_subpackages_blocked(tmp_path):
         assert (tmp_path / kind / f"{kind}.csv").exists()
 
 
-def test_the_blocked_interpreter_refuses_a_scipy_subpackage(tmp_path):
-    """The check above would pass vacuously if the finder blocked nothing."""
-    result = fresh_python(ROOT / "tests" / "without_scipy.py", "physical",
-                          "--out", tmp_path / "physical")
+@pytest.mark.parametrize("kind, config", [
+    ("physical", ""),
+    ("robustness", "[robustness]\npoints = 2\nn_dt = 2\n"),
+    ("robustness", "[robustness]\npoints = 2\nn_dt = 2\nsource = physical\n"),
+], ids=["physical", "robustness-direct", "robustness-physical"])
+def test_lattice_and_robustness_kinds_run_with_scipy_blocked(tmp_path, kind, config):
+    (tmp_path / "run.ini").write_text(config)
+    result = fresh_python(ROOT / "tests" / "without_scipy.py", kind, "--config",
+                          tmp_path / "run.ini", "--out", tmp_path / kind)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / kind / f"{kind}.csv").exists()
+
+
+def test_the_blocked_interpreter_refuses_scipy():
+    """The checks above would pass vacuously if the finder blocked nothing."""
+    result = fresh_python("-c", "import sys\nsys.path.insert(0, 'tests')\n"
+                          "from without_scipy import BlockScipy\n"
+                          "sys.meta_path.insert(0, BlockScipy())\nimport scipy.special")
     assert result.returncode != 0
-    assert "is blocked" in result.stderr
+    assert "scipy is blocked" in result.stderr
 
 
-def test_resolving_a_kind_imports_its_scipy_backed_module():
-    """The lattice brings scipy.special and scipy.constants, and no other scipy subpackage."""
+def test_resolving_a_kind_imports_only_the_modules_it_needs():
+    """The lattice for physical, the lattice (source = physical) and robustness for
+    robustness; the model kinds neither.  Modules accumulate over the kinds."""
     loaded = loaded_after(
         "import json, sys\nfrom noonring import cli\n"
-        "modules = ('noonring.lattice', 'noonring.robustness', "
-        f"*(f'scipy.{{name}}' for name in {BLOCKED!r}))\n"
         "seen = {}\n"
         f"for kind in {(*MODEL_KINDS, 'physical', 'robustness')!r}:\n"
         "    cli.resolve_config(cli.build_parser().parse_args([kind]))\n"
-        "    seen[kind] = [name for name in modules if name in sys.modules]\n"
+        "    seen[kind] = [name for name in ('noonring.lattice', 'noonring.robustness') "
+        f"if name in sys.modules] + {SCIPY_LOADED}\n"
         "print(json.dumps(seen))")
     assert loaded == {
         **{kind: [] for kind in MODEL_KINDS},
-        "physical": ["noonring.lattice", "scipy.special", "scipy.constants"],
-        "robustness": ["noonring.lattice", "noonring.robustness", "scipy.special", "scipy.constants"],
+        "physical": ["noonring.lattice"],
+        "robustness": ["noonring.lattice", "noonring.robustness"],
     }
 
 
 def test_physical_runs_load_neither_scipy_optimize_nor_integrate(tmp_path):
-    """A full `physical` run and a physical-source `robustness` run: the lattice finds its
-    roots and evaluates its integrals with numpy."""
+    """A full `physical` run and a physical-source `robustness` run load no scipy module:
+    the lattice's constants, special functions, quadrature and roots are numpy code."""
     config = tmp_path / "physical.ini"
     config.write_text("[robustness]\nsource = physical\npoints = 2\nn_dt = 2\n")
     loaded = loaded_after(
@@ -87,13 +98,13 @@ def test_physical_runs_load_neither_scipy_optimize_nor_integrate(tmp_path):
         "for kind in ('physical', 'robustness'):\n"
         f"    assert cli.main([kind, '--config', {str(config)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(json.dumps([name for name in ('scipy.optimize', 'scipy.integrate', "
-        "'noonring.lattice', 'noonring.robustness') if name in sys.modules]))")
+        f"print(json.dumps({SCIPY_LOADED} + [name for name in ('noonring.lattice', "
+        "'noonring.robustness') if name in sys.modules]))")
     assert loaded == ["noonring.lattice", "noonring.robustness"]
 
 
-def test_a_direct_source_robustness_run_loads_only_scipy_sparse(tmp_path):
-    """Its pulses need scipy.sparse; only the physical source needs the lattice, which
+def test_a_direct_source_robustness_run_loads_no_scipy_and_no_lattice(tmp_path):
+    """Its pulses are numpy code; only the physical source needs the lattice, which
     resolving such a run imports."""
     direct, physical = tmp_path / "direct.ini", tmp_path / "physical.ini"
     direct.write_text("[robustness]\npoints = 2\nn_dt = 2\n")
@@ -102,12 +113,12 @@ def test_a_direct_source_robustness_run_loads_only_scipy_sparse(tmp_path):
         "import json, sys\nfrom noonring import cli\n"
         f"assert cli.main(['robustness', '--config', {str(direct)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        f"run = [f'scipy.{{name}}' for name in {BLOCKED!r} if f'scipy.{{name}}' in sys.modules]\n"
+        f"run = {SCIPY_LOADED}\n"
         "lattice = 'noonring.lattice' in sys.modules\n"
         f"cli.resolve_config(cli.build_parser().parse_args(['robustness', '--config', "
         f"{str(physical)!r}]))\n"
         "print(json.dumps([run, lattice, 'noonring.lattice' in sys.modules]))")
-    assert loaded == [["scipy.sparse"], False, True]
+    assert loaded == [[], False, True]
 
 
 def test_every_public_name_resolves():

@@ -20,7 +20,7 @@ import importlib
 
 from .dynamics import evolve, site_probabilities
 from .fock import FockBasis, QuantumState, enumerate_basis
-from .model import HermitianOperator, ModelParameters, diagonal_band_energy
+from .model import HermitianOperator, ModelParameters
 from .protocols import (
     FullDynamics,
     IdealDynamics,
@@ -39,7 +39,6 @@ from .protocols import (
     sweep_readout,
 )
 from .spectrum import (
-    BandAssignment,
     BandsUnresolvedError,
     assign_bands,
     band_splits,
@@ -68,16 +67,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BandAssignment", "BandsUnresolvedError", "FockBasis", "FullDynamics",
-    "HermitianOperator", "IdealDynamics", "LatticeDerived", "ModelParameters",
-    "ProtocolConfig", "ProtocolReport", "QuadratureError", "QuantumState",
-    "RobustnessConfig", "RobustnessPoint", "TrapParameters", "anisotropy_f",
-    "assign_bands", "band_splits", "band_trace", "derive", "diagonal_band_energy",
-    "dipolar_coupling", "enumerate_basis", "evolve", "fidelity", "field_strengths",
-    "fit_readout_amplitudes", "ideal_protocol1_output", "ideal_protocol2_output",
-    "ideal_uber_noon", "model_parameters_from_lattice", "offsite_coupling",
-    "onsite_coupling", "predicted_band_sizes", "recoil_energy",
-    "run_protocol1", "run_protocol2", "run_robustness", "site_probabilities",
-    "solve_integrability", "sweep_protocol1", "sweep_protocol2", "sweep_readout",
-    "sweep_spectrum", "threshold_xi", "v0_from_omega_r",
+    "BandsUnresolvedError", "FockBasis", "FullDynamics", "HermitianOperator",
+    "IdealDynamics", "LatticeDerived", "ModelParameters", "ProtocolConfig",
+    "ProtocolReport", "QuadratureError", "QuantumState", "RobustnessConfig",
+    "RobustnessPoint", "TrapParameters", "anisotropy_f", "assign_bands",
+    "band_splits", "band_trace", "derive", "dipolar_coupling", "enumerate_basis",
+    "evolve", "fidelity", "field_strengths", "fit_readout_amplitudes",
+    "ideal_protocol1_output", "ideal_protocol2_output", "ideal_uber_noon",
+    "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
+    "predicted_band_sizes", "recoil_energy", "run_protocol1", "run_protocol2",
+    "run_robustness", "site_probabilities", "solve_integrability", "sweep_protocol1",
+    "sweep_protocol2", "sweep_readout", "sweep_spectrum", "threshold_xi",
+    "v0_from_omega_r",
 ]

@@ -60,7 +60,7 @@ from .protocols import (
     sweep_protocol2,
     sweep_readout,
 )
-from .spectrum import BandsUnresolvedError, assign_bands, sweep_spectrum
+from .spectrum import BandsUnresolvedError, assign_bands, predicted_band_sizes, sweep_spectrum
 
 UNIT_NOTE = "# units: couplings and fields are angular frequencies (X/hbar, rad/s); times in s"
 
@@ -240,12 +240,18 @@ CHUNK_ROWS = 1024   # table rows formatted and written at a time
 
 
 def _cells(column: np.ndarray) -> list[str]:
-    """The text of a column of numbers or text, floats with 12 significant digits."""
-    return list(map("{:.12g}".format if column.dtype.kind == "f" else str, column.tolist()))
+    """The text of a column of numbers or text, floats with 12 significant digits; each
+    distinct value (floats by their bits: 0.0 and -0.0 print "0" and "-0") formatted once."""
+    floats = column.dtype.kind == "f"
+    _, first, inverse = np.unique(column.view(np.int64) if floats else column,
+                                  return_index=True, return_inverse=True)
+    texts = map("{:.12g}".format if floats else str, column[first].tolist())
+    return np.array(list(texts), dtype=object)[inverse].tolist()
 
 
 def _write_table(path: Path, header: list[str], columns: list, fmt: str) -> None:
-    """Write equal-length array `columns` as rows under `header`, CHUNK_ROWS rows at a time.
+    """Write equal-length array `columns` as rows under `header`, CHUNK_ROWS rows at a time,
+    which bounds the memory the text takes; `_cells` formats a chunk's distinct values.
     The csv module writes a chunk with a cell to quote; the others are joined."""
     delimiter = _DELIMITERS[fmt]
     with open(path, "w", newline="") as fh:
@@ -400,23 +406,23 @@ def _run_spectrum_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     basis = enumerate_basis(n_total)
     grid = np.linspace(s.u_over_j_min, s.u_over_j_max, s.points)
     eigenvalues = sweep_spectrum(basis, grid, mu=s.mu_over_j)
-    bands, resolved_points = ([], []), 0   # band_m and band_p text, an array per point
-    for values in eigenvalues:
+    resolved = np.zeros(s.points, dtype=bool)   # whether a point's levels form the bands
+    for point, values in enumerate(eigenvalues):
         try:
-            assignment = assign_bands(values, n_total)
+            assign_bands(values, n_total)
         except BandsUnresolvedError:
-            labels, sizes = [("", "")], [basis.size]
-        else:
-            labels, sizes = assignment.labels, assignment.sizes
-            resolved_points += 1
-        for column, label in zip(bands, zip(*labels)):
-            column.append(np.repeat(np.array(label, dtype=str), sizes))
+            continue
+        resolved[point] = True
+    labels, sizes = zip(*predicted_band_sizes(n_total))
+    # band_m and band_p of every level; blank at an unresolved point
+    bands = [np.where(resolved[:, None], np.repeat(np.array(label, dtype=str), sizes), "").ravel()
+             for label in zip(*labels)]
     header = ["u_over_j", "index", "e_over_j", "band_m", "band_p"]
     columns = [np.repeat(grid, basis.size), np.tile(np.arange(basis.size), s.points),
-               eigenvalues.ravel(), *map(np.concatenate, bands)]
+               eigenvalues.ravel(), *bands]
     return header, columns, {
         "n_total": n_total, "mu_over_j": s.mu_over_j,
-        "resolved_points": resolved_points, "total_points": s.points,
+        "resolved_points": int(resolved.sum()), "total_points": s.points,
     }
 
 

@@ -381,32 +381,41 @@ def dipolar_coupling(
     fine rule's |terms| (its roundoff); QuadratureError if it exceeds
     rel_tol |value|.
     """
-    if omega_r <= 0.0 or distance < 0.0:
+    return _dipolar_couplings(trap, omega_r, [distance], rel_tol)[0]
+
+
+def _dipolar_couplings(trap: TrapParameters, omega_r: float, distances: list[float],
+                       rel_tol: float = 1e-4) -> list[float]:
+    """`dipolar_coupling` at each of `distances`, with one `_j0` call over all their nodes."""
+    if omega_r <= 0.0 or min(distances) < 0.0:
         raise ValueError("omega_r must be positive and distance non-negative")
     eta = trap.eta(omega_r)
-    frequency = math.sqrt(eta) * distance   # of J0 in x
-    coarse = 96 if 5.0 * frequency + 16.0 / math.sqrt(trap.kappa) <= 80.0 else 192
-    terms = trap._kernels[coarse] * _j0(frequency * _RULES[coarse][0])
-    coarse_sum, value = float(terms[:coarse].sum()), float(terms[coarse:].sum())
-    abserr = max(abs(value - coarse_sum), 50.0 * np.finfo(float).eps * np.abs(terms[coarse:]).sum())
-    if value != 0.0 and abserr > rel_tol * abs(value):
-        raise QuadratureError(
-            f"dipolar integral reached relative error {abserr / abs(value):.2e} "
-            f"> {rel_tol:g} at d = {distance:g} m"
-        )
-    return _finite(f"U(d = {distance:g} m)", omega_r,
-                   lambda: trap.c_dd / (4.0 * math.pi) * eta**1.5 * value / HBAR)
+    frequencies = [math.sqrt(eta) * distance for distance in distances]   # of J0 in x
+    rules = [96 if 5.0 * frequency + 16.0 / math.sqrt(trap.kappa) <= 80.0 else 192
+             for frequency in frequencies]
+    j0 = _j0(np.concatenate([f * _RULES[coarse][0] for f, coarse in zip(frequencies, rules)]))
+    couplings, start = [], 0
+    for distance, coarse in zip(distances, rules):
+        terms, start = trap._kernels[coarse] * j0[start:start + 3 * coarse], start + 3 * coarse
+        coarse_sum, value = float(terms[:coarse].sum()), float(terms[coarse:].sum())
+        abserr = max(abs(value - coarse_sum),
+                     50.0 * np.finfo(float).eps * np.abs(terms[coarse:]).sum())
+        if value != 0.0 and abserr > rel_tol * abs(value):
+            raise QuadratureError(
+                f"dipolar integral reached relative error {abserr / abs(value):.2e} "
+                f"> {rel_tol:g} at d = {distance:g} m"
+            )
+        couplings.append(_finite(f"U(d = {distance:g} m)", omega_r,
+                                 lambda: trap.c_dd / (4.0 * math.pi) * eta**1.5 * value / HBAR))
+    return couplings
 
 
 def offsite_coupling(trap: TrapParameters, omega_r: float, pair: str) -> float:
     """Dipolar coupling for the nearest (l/delta) or diagonal (sqrt(2) l/delta) pair."""
-    if pair == "nearest":
-        distance = trap.nearest_distance()
-    elif pair == "diagonal":
-        distance = trap.diagonal_distance()
-    else:
+    distances = {"nearest": trap.nearest_distance, "diagonal": trap.diagonal_distance}
+    if pair not in distances:
         raise ValueError(f"pair must be 'nearest' or 'diagonal', got {pair!r}")
-    return dipolar_coupling(trap, omega_r, distance)
+    return dipolar_coupling(trap, omega_r, distances[pair]())
 
 
 def integrability_residual(trap: TrapParameters, omega_r: float) -> float:
@@ -524,8 +533,7 @@ def derive(
     """Evaluate the full chain of derived quantities at omega_r."""
     v0 = v0_from_omega_r(trap, omega_r)
     u0 = onsite_coupling(trap, omega_r)
-    u12 = offsite_coupling(trap, omega_r, "nearest")
-    u13 = offsite_coupling(trap, omega_r, "diagonal")
+    u12, u13 = _dipolar_couplings(trap, omega_r, [trap.nearest_distance(), trap.diagonal_distance()])
     mu, nu = field_strengths(trap, v0, dx, dy)
     return LatticeDerived(
         omega_r=omega_r,

@@ -389,12 +389,3 @@ def _band_constant(params: ModelParameters, n_total: int) -> float:
     """C = (U0 + U12) N^2 / 4 - U0 N / 2, the J = 0 energy shared by every band of the sector."""
     return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
 
-
-def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> float:
-    """J=0 energy of any |M-l, P-k, l, k> at integrable couplings.
-
-    E = C - U (M-P)^2 with C = (U0 + U12) N^2 / 4 - U0 N / 2; the
-    degeneracy in (l, k) is what the small-J bands inherit.
-    """
-    return _band_constant(params, m_occ + p_occ) - params.coupling_u() * (m_occ - p_occ) ** 2
-

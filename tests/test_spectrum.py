@@ -14,6 +14,7 @@ from noonring.protocols import ProtocolConfig, band_trace
 from noonring.spectrum import (
     BandsUnresolvedError,
     _hop_blocks,
+    _solved_blocks,
     assign_bands,
     band_splits,
     predicted_band_sizes,
@@ -65,6 +66,41 @@ def band_constant(params, n_total):
     return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
 
 
+def every_block_eigvalsh(h):
+    """The sorted eigvalsh values of every block of `h`, one block at a time."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for _, ms in h.blocks for m in ms]))
+
+
+class TestRotationPairs:
+    """Without fields only the blocks with Q1 <= Q2 are solved; the values stay those of
+    every block, bit for bit."""
+
+    @pytest.mark.parametrize("n_total", [15, 21])
+    def test_default_grid_matches_every_block(self, n_total):
+        basis = enumerate_basis(n_total)
+        grid = np.linspace(0.0, 25.0, 40)   # the [spectrum] defaults
+        for row, ratio in zip(sweep_spectrum(basis, grid), grid):
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0)
+            h = build_mode_hamiltonian(params, basis)
+            np.testing.assert_array_equal(
+                row, every_block_eigvalsh(h) - band_constant(params, n_total))
+
+    @pytest.mark.parametrize("mu, nu, solved", [
+        (0.0, 0.0, 30),    # of the 55 (Q1, Q2) blocks, those with Q1 <= Q2
+        (0.5, 0.0, 10),    # every Q1 block
+        (0.0, -0.3, 10),   # every Q2 block
+        (0.4, -0.3, 1),    # the whole sector
+    ])
+    def test_a_field_solves_every_block(self, mu, nu, solved):
+        basis = enumerate_basis(9)
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=np.linalg.eigvalsh) as calls:
+            sweep_spectrum(basis, [7.5], mu=mu, nu=nu)
+        assert sum(call.args[0].shape[1] for call in calls.call_args_list) == solved
+        # the copies stand for every block once
+        assert sum(int(copies.sum()) for _, _, copies in _solved_blocks(basis, mu, nu)) == sum(
+            len(indices) for indices, _ in _hop_blocks(basis, mu, nu))
+
+
 class TestStackedSweep:
     """Stacks of grid points give the eigenvalues of a point-by-point sweep, bit for bit."""
 
@@ -79,19 +115,18 @@ class TestStackedSweep:
     def test_matches_point_by_point(self, n_total, points, per_stack, mu, nu):
         basis = enumerate_basis(n_total)
         grid = np.linspace(0.0, 30.0, points)
-        hops = _hop_blocks(basis, mu, nu)
+        solved = _solved_blocks(basis, mu, nu)   # a stack's size counts the solved blocks
         eigvalsh = np.linalg.eigvalsh
         with mock.patch.object(spectrum, "STACK_BYTES",
-                               per_stack * max(matrices.nbytes for _, matrices in hops)), \
+                               per_stack * max(matrices.nbytes for _, matrices, _ in solved)), \
                 mock.patch.object(np.linalg, "eigvalsh", side_effect=eigvalsh) as calls:
             eigenvalues = sweep_spectrum(basis, grid, mu=mu, nu=nu)
-        assert calls.call_count == len(hops) * -(-points // per_stack)   # per size per stack
+        assert calls.call_count == len(solved) * -(-points // per_stack)   # per size per stack
         for row, ratio in zip(eigenvalues, grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
             h = build_mode_hamiltonian(params, basis)
             constant = band_constant(params, n_total)
-            point = np.concatenate([eigvalsh(matrices).ravel() for _, matrices in h.blocks])
-            np.testing.assert_array_equal(row, np.sort(point) - constant)
+            np.testing.assert_array_equal(row, every_block_eigvalsh(h) - constant)
             # eigh (with eigenvectors) runs another LAPACK path: equal to roundoff only.
             values = np.concatenate([values.ravel() for values, _ in h.eigensystem()])
             np.testing.assert_allclose(row, np.sort(values) - constant,
@@ -164,11 +199,17 @@ class TestAssignBands:
     def test_deep_bands_have_exact_counts(self, n_total):
         basis = enumerate_basis(n_total)
         eigenvalues = sweep_spectrum(basis, np.array([30.0]))
-        assignment = assign_bands(eigenvalues[0], n_total)
-        assert list(assignment.sizes) == [
-            size for _, size in predicted_band_sizes(n_total)]
-        assert list(assignment.labels) == [
-            label for label, _ in predicted_band_sizes(n_total)]
+        margin = assign_bands(eigenvalues[0], n_total)
+        assert 3.0 < margin < np.inf
+
+    def test_returns_the_smallest_gap_over_spread(self):
+        # N = 3: bands of 8 and 12 levels, spreads 1 and 2, gap 10
+        levels = np.concatenate([np.linspace(0.0, 1.0, 8), np.linspace(11.0, 13.0, 12)])
+        assert assign_bands(levels[::-1], 3) == 5.0
+        with pytest.raises(BandsUnresolvedError, match="gap 10 <= 6 x spread 2"):
+            assign_bands(levels, 3, gap_factor=6.0)
+        flat = np.repeat([0.0, 1.0], [8, 12])   # no spread beside the gap
+        assert assign_bands(flat, 3) == np.inf
 
     def test_shallow_spectrum_raises(self, basis5):
         eigenvalues = sweep_spectrum(basis5, np.array([0.5]))

@@ -342,13 +342,10 @@ def _protocol_extras(cfg: ExperimentConfig, pc: ProtocolConfig) -> dict:
 
 def _run_protocol1_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
     m, (pc, grid, thetas) = cfg.model, _protocol_sweep(cfg)
-    rows = []
-    for p_theta, reports in zip(grid, sweep_protocol1(pc, thetas, _dynamics(cfg))):
-        for report in reports:
-            rows.append((
-                cfg.label, m.m, m.p, p_theta, report.outcome, report.probability,
-                report.fidelity, int(report.selected), pc.t_m,
-            ))
+    t_m, sweep = pc.t_m, sweep_protocol1(pc, thetas, _dynamics(cfg))
+    rows = [(cfg.label, m.m, m.p, p_theta, report.outcome, report.probability,
+             report.fidelity, int(report.selected), t_m)
+            for p_theta, reports in zip(grid, sweep) for report in reports]
     header = ["set", "m", "p", "p_theta", "r", "probability", "fidelity",
               "selected", "elapsed_s"]
     return header, list(map(np.array, zip(*rows))), _protocol_extras(cfg, pc)
@@ -605,19 +602,17 @@ def build_parser() -> argparse.ArgumentParser:
     presets = sub.add_parser("presets", help="list built-in parameter sets")
     presets.add_argument("--machine", action="store_true", help="emit JSON")
 
-    def add_common(p):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--preset", choices=tuple(PRESETS), help="parameter set")
-        p.add_argument("--grid", type=int, help="sweep points")
-        p.add_argument("--out", help="output directory (default: "
-                       f"{SCHEMA['experiment']['out'].default})")
-        p.add_argument("--format", choices=tuple(_DELIMITERS), help="table format")
+    common = argparse.ArgumentParser(add_help=False)   # the options of run and every kind
+    common.add_argument("--config", help="INI config file")
+    common.add_argument("--preset", choices=tuple(PRESETS), help="parameter set")
+    common.add_argument("--grid", type=int, help="sweep points")
+    common.add_argument("--out", help="output directory (default: "
+                        f"{SCHEMA['experiment']['out'].default})")
+    common.add_argument("--format", choices=tuple(_DELIMITERS), help="table format")
 
-    add_common(sub.add_parser("run", help="run the experiment named in a config file"))
-
+    sub.add_parser("run", parents=[common], help="run the experiment named in a config file")
     for kind in KINDS:
-        kind_parser = sub.add_parser(kind, help=f"run the {kind} experiment")
-        add_common(kind_parser)
+        kind_parser = sub.add_parser(kind, parents=[common], help=f"run the {kind} experiment")
         kind_parser.set_defaults(kind=kind)
     return parser
 

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .fock import FockBasis, QuantumState, _check_site
+from .fock import FockBasis, QuantumState, _check_site, _positions
 from .model import HermitianOperator, _SparseHamiltonian
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
@@ -269,8 +269,8 @@ class NormalModes:
         by_size: dict[int, list] = {}
         for m_occ, splitter in enumerate(splitters):
             p_occ = sites.n_total - m_occ
-            indices = [sites.index[(a, b, m_occ - a, p_occ - b)]
-                       for a in range(m_occ + 1) for b in range(p_occ + 1)]
+            a, b = np.divmod(np.arange((m_occ + 1) * (p_occ + 1)), p_occ + 1)
+            indices = _positions(sites, a, b, m_occ - a)   # (a, b, M - a, P - b)
             by_size.setdefault(len(indices), []).append(
                 (indices, np.kron(splitter, splitters[p_occ])))
         self.blocks = [tuple(map(np.array, zip(*group))) for group in by_size.values()]

@@ -11,8 +11,6 @@ plaquette convention |n1, n2, n3, n4>.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 N_SITES = 4
@@ -28,43 +26,32 @@ class FockBasis:
     """All occupation tuples (n1, n2, n3, n4) with fixed total N.
 
     States are stored in ascending lexicographic order, which fixes a
-    deterministic index for every state across runs.
+    deterministic index for every state across runs; `occupations[k, j]` is
+    the occupation of site j+1 in basis state k.
     """
 
     def __init__(self, n_total: int):
         if n_total < 0:
             raise ValueError(f"total particle number must be >= 0, got {n_total}")
-        self.n_total = int(n_total)
-        states = []
-        for n1 in range(self.n_total + 1):
-            for n2 in range(self.n_total - n1 + 1):
-                for n3 in range(self.n_total - n1 - n2 + 1):
-                    states.append((n1, n2, n3, self.n_total - n1 - n2 - n3))
-        states.sort()
-        self.states: tuple[tuple[int, int, int, int], ...] = tuple(states)
-        self.index: dict[tuple[int, int, int, int], int] = {
-            state: k for k, state in enumerate(self.states)
-        }
-        self.size = len(self.states)
-        assert self.size == comb(self.n_total + 3, 3)
-        # occupations[k, j] = occupation of site j+1 in basis state k
-        self.occupations = np.array(self.states, dtype=np.int64)
+        self.n_total = n = int(n_total)
+        # (n1, n2, n3) in C order ascend lexicographically; n4 = N - n1 - n2 - n3 follows.
+        first = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1).T
+        first = first[first.sum(axis=1) <= n]
+        self.occupations = np.column_stack([first, n - first.sum(axis=1)])
+        self.size = len(self.occupations)
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        return iter(self.states)
+        return map(tuple, self.occupations.tolist())
 
     def index_of(self, state) -> int:
         """Position of an occupation tuple in the basis ordering."""
-        key = tuple(int(n) for n in state)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise ValueError(
-                f"state {key} is not in the N={self.n_total} sector"
-            ) from None
+        key = tuple(map(int, state))
+        if len(key) != N_SITES or min(key) < 0 or sum(key) != self.n_total:
+            raise ValueError(f"state {key} is not in the N={self.n_total} sector")
+        return _positions(self, *key[:3])
 
     def __repr__(self) -> str:
         return f"FockBasis(n_total={self.n_total}, size={self.size})"
@@ -140,13 +127,16 @@ def hop_entries(basis: FockBasis, from_site: int, to_site: int,
     moved[:, f] -= count
     moved[:, t] += count
     n_f, n_t = occ[columns, f], occ[columns, t]
-    return (_positions(basis, moved), columns,
+    return (_positions(basis, *moved[:, :3].T), columns,
             np.sqrt(np.prod([(n_f - k) * (n_t + 1.0 + k) for k in range(count)], axis=0)))
 
 
-def _positions(basis: FockBasis, occupations: np.ndarray) -> np.ndarray:
-    """Basis positions of the rows of `occupations`, each a state of the sector."""
-    # (n1, n2, n3) as digits base N + 1 ascend with the lexicographic basis order.
-    digits = (basis.n_total + 1) ** np.arange(2, -1, -1)
-    return np.searchsorted(basis.occupations[:, :3] @ digits, occupations[:, :3] @ digits)
-
+def _positions(basis: FockBasis, n1, n2, n3):
+    """Basis positions of the states (n1, n2, n3, N - n1 - n2 - n3), ints or int arrays:
+    in lexicographic order, C(N+3, 3) - C(r+3, 3) states have fewer than n1 bosons on
+    site 1, C(r+2, 2) - C(s+2, 2) then fewer than n2 on site 2, and n3 fewer on site 3,
+    where r = N - n1 and s = r - n2."""
+    r = basis.n_total - n1
+    s = r - n2
+    return (basis.size - (r + 1) * (r + 2) * (r + 3) // 6
+            + (r + 1) * (r + 2) // 2 - (s + 1) * (s + 2) // 2 + n3)

@@ -165,7 +165,7 @@ class _RotationSymmetric(HermitianOperator):
 
     def _decompose(self) -> tuple:
         occ, size = self.basis.occupations, self.basis.size
-        partner = _positions(self.basis, occ[:, [1, 0, 3, 2]])   # R|x> = sign |partner>
+        partner = _positions(self.basis, *occ[:, [1, 0, 3]].T)   # R|x> = sign |partner>
         sign = 1.0 - 2.0 * (occ[:, 3] % 2)
         located = [(entry, k) for entry, (indices, _) in enumerate(self.blocks)
                    for k in range(len(indices))]

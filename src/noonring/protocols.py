@@ -38,9 +38,12 @@ only those.
 
 A run ends in a ProtocolReport: the output state and its fidelity to the
 ideal target, plus, for each Protocol I branch, the site-3 outcome r and its
-probability.  The readout evolves an output state by a further t_m and
-measures site 3 again; its (N + 1,) outcome distribution, read against the
-READOUT_LAWS of P theta, recovers the encoded phase.
+probability.  Protocol I projects only the branches it keeps, r = 0 and
+r = M, each scored against its own target; a discarded branch's fidelity is
+0 by support, and its state is formed when read.  The readout evolves an
+output state by a further t_m and measures site 3 again; its (N + 1,)
+outcome distribution, read against the READOUT_LAWS of P theta, recovers
+the encoded phase.
 
 A theta sweep runs as stacks of states (`noonring.dynamics`):
 `sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take one config and
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,20 +165,30 @@ def _check_thetas(cfg: ProtocolConfig, thetas) -> np.ndarray:
     return thetas
 
 
-@dataclass(frozen=True)
 class ProtocolReport:
     """Outcome of one protocol run (one measurement branch for Protocol I).
 
     `outcome` and `probability` are the branch's site-3 occupation r and its
     probability (Protocol I only).  A branch with r outside {0, M} has
     selected=False: that run would be discarded and repeated.
+
+    `final_state` is the state, or a zero-argument function that forms it on first
+    read: a Protocol I sweep gives each branch one over a view of its stack.  A
+    discarded branch has fidelity 0 by support (every target lies on n3 in {0, M}).
     """
 
-    final_state: QuantumState
-    fidelity: float
-    outcome: int | None = None
-    probability: float | None = None
-    selected: bool = True
+    __slots__ = ("_final_state", "fidelity", "outcome", "probability", "selected")
+
+    def __init__(self, final_state, fidelity: float, outcome: int | None = None,
+                 probability: float | None = None, selected: bool = True):
+        self._final_state, self.fidelity = final_state, fidelity
+        self.outcome, self.probability, self.selected = outcome, probability, selected
+
+    @property
+    def final_state(self) -> QuantumState:
+        if not isinstance(self._final_state, QuantumState):
+            self._final_state = self._final_state()
+        return self._final_state
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
@@ -359,31 +373,26 @@ def _chunks(cfg: ProtocolConfig, thetas, basis: FockBasis) -> list[np.ndarray]:
     return [thetas[start:start + size] for start in range(0, thetas.size, size)]
 
 
+def _branch(basis: FockBasis, outcome, column, r: int, probability: float) -> QuantumState:
+    """The renormalized projection of `column` onto site-3 outcome r, in an array of its own."""
+    return QuantumState(basis, np.where(outcome == r, column, 0.0) / math.sqrt(probability))
+
+
 def sweep_protocol1(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
     """`run_protocol1`'s reports at each of `thetas` in turn, evolved as stacks."""
-    basis = dynamics.basis
+    basis, kept = dynamics.basis, (0, cfg.m_occ)
     outcome = basis.occupations[:, MEASURED_SITE - 1]
     for chunk in _chunks(cfg, thetas, basis):
         states = dynamics.mu_segment(_copies(_initial_state(cfg, basis), chunk.size), cfg, chunk)
-        probabilities = site_probabilities(states, MEASURED_SITE)
-        for theta, column, weights in zip(chunk.tolist(), states.amplitudes.T, probabilities.T):
-            references = (ideal_protocol1_output(cfg, basis, 0, cfg.p_occ * theta),
-                          ideal_protocol1_output(cfg, basis, cfg.m_occ, cfg.p_occ * theta))
-            reports = []
-            for r in np.flatnonzero(weights > 0.0).tolist():
-                # The renormalized projection onto outcome r, in an array of its own.
-                projected = np.where(outcome == r, column, 0.0)
-                post = QuantumState(basis, projected / math.sqrt(weights[r]))
-                # The benchmark-table convention: symmetric NOON for r in {0, 1},
-                # antisymmetric above.
-                reference = references[0] if r <= 1 else references[1]
-                reports.append(ProtocolReport(
-                    final_state=post,
-                    fidelity=fidelity(reference, post),
-                    outcome=r,
-                    probability=float(weights[r]),
-                    selected=r in (0, cfg.m_occ),
-                ))
+        probabilities = site_probabilities(states, MEASURED_SITE).T.tolist()
+        for theta, column, weights in zip(chunk.tolist(), states.amplitudes.T, probabilities):
+            reports = [ProtocolReport(partial(_branch, basis, outcome, column, r, weight), 0.0,
+                                      r, weight, selected=r in kept)
+                       for r, weight in enumerate(weights) if weight > 0.0]
+            for report in reports:
+                if report.selected:
+                    target = ideal_protocol1_output(cfg, basis, report.outcome, cfg.p_occ * theta)
+                    report.fidelity = fidelity(target, report.final_state)
             yield reports
 
 
@@ -437,7 +446,8 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
     theta does not enter.  The times run `stack_columns` at a time.
     """
     m, p = cfg.m_occ, cfg.p_occ
-    full, ideal = FullDynamics(basis), IdealDynamics(basis)
+    full = FullDynamics(basis)
+    ideal = IdealDynamics(basis, full.modes)   # one NormalModes for both
     initial = _initial_state(cfg, basis)
     uber = ideal_uber_noon(cfg, basis, 0.0).amplitudes   # before the field
     corners = [basis.index_of(occ) for occ in

@@ -49,8 +49,13 @@ def _solved_blocks(basis: FockBasis, mu: float, nu: float) -> list[tuple]:
     reversed.  LAPACK's eigenvalue-only path gives both bit-equal values (README), so
     Q1 <= Q2 is solved and Q1 < Q2 counts twice.  With a field on, every block is solved.
     """
-    solved = []
-    for indices, hops in _hop_blocks(basis, mu, nu):
+    solved, blocks = [], _hop_blocks(basis, mu, nu)
+    # That path (dsterf) squares off-diagonals, and one that underflows costs it accuracy
+    # (a 1e-160 J field moved levels by 5e-5 J): an entry below eps of the largest, which
+    # moves no level beyond LAPACK's own error, is set to 0.
+    floor = np.finfo(float).eps * max(np.abs(hops).max(initial=0.0) for _, hops in blocks)
+    for indices, hops in blocks:
+        hops[np.abs(hops) < floor] = 0.0
         q1, q2 = basis.occupations[indices[:, 0], 2:].T   # the block's (Q1, Q2) without fields
         # 2, 1, 0 copies for Q1 <, =, > Q2; a field breaks R, and every block is solved once
         copies = np.sign(q2 - q1) + 1 if mu == nu == 0.0 else np.ones_like(q1)

@@ -270,7 +270,7 @@ def test_criterion_9_property_and_oracle_suite():
 
         # Basis round trip.
         for k in range(basis.size):
-            assert basis.index_of(basis.states[k]) == k
+            assert basis.index_of(basis.occupations[k]) == k
 
         # Evolve the full-occupation corner state both ways.
         initial_occ = (n_total, 0, 0, 0)

@@ -56,6 +56,67 @@ class TestPresets:
                 pc.omega, pc.t_m, pc.t_nu, pc.t_mu(math.pi / values["p"]), pc.beta)
 
 
+# Help texts at 80 columns (argparse wraps to $COLUMNS).
+HELP = {
+    "": """\
+usage: noonring [-h]
+                {presets,run,protocol1,protocol2,readout,spectrum,evolve,physical,robustness}
+                ...
+
+Four-site dipolar Bose-Hubbard ring: NOON-state protocol simulator
+
+positional arguments:
+  {presets,run,protocol1,protocol2,readout,spectrum,evolve,physical,robustness}
+    presets             list built-in parameter sets
+    run                 run the experiment named in a config file
+    protocol1           run the protocol1 experiment
+    protocol2           run the protocol2 experiment
+    readout             run the readout experiment
+    spectrum            run the spectrum experiment
+    evolve              run the evolve experiment
+    physical            run the physical experiment
+    robustness          run the robustness experiment
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "protocol1": """\
+usage: noonring protocol1 [-h] [--config CONFIG] [--preset {set1,set2}]
+                          [--grid GRID] [--out OUT] [--format {csv,tsv}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       INI config file
+  --preset {set1,set2}  parameter set
+  --grid GRID           sweep points
+  --out OUT             output directory (default: results)
+  --format {csv,tsv}    table format
+""",
+    "run": """\
+usage: noonring run [-h] [--config CONFIG] [--preset {set1,set2}]
+                    [--grid GRID] [--out OUT] [--format {csv,tsv}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       INI config file
+  --preset {set1,set2}  parameter set
+  --grid GRID           sweep points
+  --out OUT             output directory (default: results)
+  --format {csv,tsv}    table format
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([command, "--help"] if command else ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
 class TestTables:
     def test_protocol1_table_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "res"

@@ -22,7 +22,7 @@ def test_states_sorted_and_indexed(basis5):
     for k, occ in enumerate(states):
         assert sum(occ) == 5
         assert basis5.index_of(occ) == k
-        assert basis5.states[k] == occ
+        assert tuple(basis5.occupations[k]) == occ
 
 
 def test_negative_total_rejected():
@@ -73,7 +73,7 @@ def test_hop_matrix_elements(basis3):
             assert col not in entries
         else:
             row, value = entries[col]
-            assert basis3.states[row] == (occ[0] + 1, occ[1] - 1, occ[2], occ[3])
+            assert tuple(basis3.occupations[row]) == (occ[0] + 1, occ[1] - 1, occ[2], occ[3])
             assert value == pytest.approx(math.sqrt(occ[1] * (occ[0] + 1)))
 
 

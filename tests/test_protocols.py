@@ -177,8 +177,36 @@ class TestProtocol1:
         for rep in reports:
             assert rep.selected == (rep.outcome in (0, M_OCC))
             if not rep.selected:
-                # Discarded branches have no overlap with either NOON target.
-                assert rep.fidelity == pytest.approx(0.0, abs=1e-6)
+                # Every NOON target lies on n3 in {0, M}: a discarded branch is disjoint from it.
+                assert rep.fidelity == 0.0
+
+    def test_discarded_branch_state_is_the_projection_of_the_stack(self, full15, basis15,
+                                                                    set1):
+        """Read after the sweep, a discarded branch's state is the renormalized projection
+        of the evolved column, bit for bit, and it is formed once."""
+        cfg, theta = make_cfg(set1), math.pi / 3.0 / P_OCC
+        reports = run_protocol1(cfg, theta, full15)
+        initial = QuantumState.from_fock(basis15, (M_OCC, P_OCC, 0, 0))
+        column = full15.mu_segment(QuantumState(basis15, initial.amplitudes[:, None]), cfg,
+                                   np.array([theta])).amplitudes[:, 0]
+        outcome = basis15.occupations[:, 2]
+        discarded = [rep for rep in reports if not rep.selected]
+        assert len(discarded) == len(reports) - 2
+        for rep in discarded:
+            expected = np.where(outcome == rep.outcome, column, 0.0) / math.sqrt(rep.probability)
+            np.testing.assert_array_equal(rep.final_state.amplitudes, expected)
+            assert rep.final_state is rep.final_state
+
+    def test_m1_kept_branches_score_against_their_own_targets(self, set1):
+        """At M = 1 the kept r = M = 1 branch is the antisymmetric NOON state, not r = 0's."""
+        cfg = ProtocolConfig(1, 4, **set1)
+        dynamics = IdealDynamics(enumerate_basis(5))
+        for theta in (0.0, 0.7 / 4, math.pi / 4):
+            selected = {rep.outcome: rep for rep in run_protocol1(cfg, theta, dynamics)
+                        if rep.selected}
+            assert set(selected) == {0, 1}
+            for rep in selected.values():
+                assert rep.fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_encoding_tracks_p_theta(self, full15, basis15, set1):
         i_ref = basis15.index_of((4, 11, 0, 0))

@@ -9,7 +9,9 @@ exp(-i H t) (`_chebyshev_action`), which never diagonalizes it.  The pulsed
 band interval of `noonring.robustness`, n_dt periods of H(+xi) then H(-xi),
 is one `_Echo` step: the state changes into H(+xi)'s eigenbasis once, each
 period applies the two phase factors and the mixing matrix between the two
-eigenbases and its transpose, and the state changes back once.
+eigenbases and its transpose, and the state changes back once.  An
+operator in the ring rotation's basis (`noonring.model._RingRotation`)
+changes the state into that basis and back, in place of the block order.
 Every Hamiltonian the package builds is real symmetric (`HermitianOperator`
 rejects complex blocks), so V is real, and V.T and V act on the amplitudes
 viewed as real (real, imaginary) pairs: numpy would otherwise make a complex
@@ -38,11 +40,12 @@ its report carries the outcome and its probability (`noonring.protocols`).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .fock import FockBasis, QuantumState, _check_site, _positions
-from .model import HermitianOperator, _SparseHamiltonian
+from .model import HermitianOperator, _RingRotation, _SparseHamiltonian
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
 
@@ -74,13 +77,20 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
     if isinstance(hamiltonian, _SparseHamiltonian):
         evolved = _chebyshev_action(hamiltonian, state.amplitudes, durations)
     else:
-        blocked = state.amplitudes[hamiltonian.order]   # block by block, like the eigenvalues
+        rotation = hamiltonian.rotation
+        if rotation is None:   # block by block, like the eigenvalues
+            blocked = state.amplitudes[hamiltonian.order]
+        else:   # in the rotation's basis, which is in that order
+            blocked = rotation.change(state.amplitudes)
         if isinstance(hamiltonian, _Echo):
             _echo(blocked, hamiltonian, durations)
         else:
-            _rotate(blocked, hamiltonian.eigensystem(), durations)
-        evolved = np.empty_like(blocked)
-        evolved[hamiltonian.order] = blocked
+            _rotate(blocked, hamiltonian.eigensystem(), hamiltonian.rows, durations)
+        if rotation is None:
+            evolved = np.empty_like(blocked)
+            evolved[hamiltonian.order] = blocked
+        else:
+            evolved = rotation.change(blocked, back=True)
     if shortest == 0.0:   # t = 0 leaves a column exactly as it was
         still = durations == 0.0
         evolved[:, still] = state.amplitudes[:, still]
@@ -97,17 +107,28 @@ def _phases(energies: np.ndarray, durations: np.ndarray) -> np.ndarray:
             f"phases exp(-i E t) at t = {np.max(durations):g} s: {exc}") from None
 
 
-def _rotate(blocked: np.ndarray, parts: tuple, durations: np.ndarray) -> None:
+def _pieces(blocked: np.ndarray, rows: list, parts: tuple, *phases: np.ndarray):
+    """Per entry of `parts` (values first), its (count, size, columns) views of `blocked`
+    (`rows` per entry) and of each of `phases`.  An entry with twice as many rows as values
+    acts on two sets of amplitudes, interleaved, so they are its columns side by side."""
+    start = row = 0
+    for (values, *_), count in zip(parts, rows):
+        views = [blocked[row:row + count].reshape(*values.shape, -1)]
+        for phase in phases:
+            phase = phase[start:start + values.size].reshape(*values.shape, -1)
+            twice = count > values.size and phase.shape[-1] > 1   # a phase per column, twice
+            views.append(np.tile(phase, 2) if twice else phase)
+        start, row = start + values.size, row + count
+        yield views
+
+
+def _rotate(blocked: np.ndarray, parts: tuple, rows: list, durations: np.ndarray) -> None:
     """Replace `blocked` (amplitudes block by block) by V exp(-i Lambda t) V+ of it, in place.
 
     Its workspace is freed on return, before `evolve` allocates its result.
     """
     phases = _phases(np.concatenate([values.ravel() for values, _ in parts]), durations)
-    start = 0
-    for values, vectors in parts:
-        block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
-        phase = phases[start:start + values.size].reshape(*values.shape, -1)  # K or 1 columns
-        start += values.size
+    for (values, vectors), (block, phase) in zip(parts, _pieces(blocked, rows, parts, phases)):
         if values.shape[-1] == 1:   # V exp(-i E t) V+ = exp(-i E t)
             block *= phase
         else:   # V.T and V act on the (real, imaginary) pairs
@@ -120,7 +141,8 @@ class _Echo:
     """n_dt periods of exp(-i H2 dt) exp(-i H1 dt), dt = t / (2 n_dt), held in H1's eigenbasis:
     the pulsed band interval of `noonring.robustness`.
 
-    H1 = build(first) and H2 = build(second) must share their blocks (`order`).
+    H1 = build(first) and H2 = build(second) must share their blocks (`order`,
+    `rows`; for H(+-xi) without fields, the pieces of the ring rotation's basis).
     Per entry of their blocks the echo keeps H1's energies and eigenvectors V1,
     H2's energies, and the mixing matrix W = V2^T V1, which carries amplitudes
     from H1's eigenbasis into H2's.  Neither H is kept: each is dropped once
@@ -132,11 +154,13 @@ class _Echo:
 
     def __init__(self, build, first, second, n_dt: int):
         hamiltonian = build(first)
-        self.basis, self.order, self.n_dt = hamiltonian.basis, hamiltonian.order, n_dt
+        self.basis, self.order, self.rows = hamiltonian.basis, hamiltonian.order, hamiltonian.rows
+        self.rotation, self.n_dt = hamiltonian.rotation, n_dt
         first_parts = hamiltonian.eigensystem()
         del hamiltonian   # H1's blocks go before H2's are built
         hamiltonian = build(second)
-        if hamiltonian.basis is not self.basis or not np.array_equal(hamiltonian.order, self.order):
+        if (hamiltonian.basis is not self.basis or hamiltonian.rows != self.rows
+                or not np.array_equal(hamiltonian.order, self.order)):
             raise ValueError("an echo needs two Hamiltonians in the same blocks")
         second_parts = hamiltonian.eigensystem()
         del hamiltonian
@@ -150,12 +174,8 @@ def _echo(blocked: np.ndarray, echo: _Echo, durations: np.ndarray) -> None:
     dt = durations / (2 * echo.n_dt)
     first = _phases(np.concatenate([part[0].ravel() for part in echo.parts]), dt)
     second = _phases(np.concatenate([part[2].ravel() for part in echo.parts]), dt)
-    start = 0
-    for values, vectors, _, mixing in echo.parts:
-        block = blocked[start:start + values.size].reshape(*values.shape, -1)  # views
-        phase1, phase2 = (phases[start:start + values.size].reshape(*values.shape, -1)
-                          for phases in (first, second))
-        start += values.size
+    for (_, vectors, _, mixing), (block, phase1, phase2) in zip(
+            echo.parts, _pieces(blocked, echo.rows, echo.parts, first, second)):
         # (real, imaginary) pairs in H1's eigenbasis, and their image in H2's
         inside = vectors.swapaxes(-1, -2) @ block.view(np.float64)
         mixed, unmixing = np.empty_like(inside), mixing.swapaxes(-1, -2)
@@ -186,7 +206,7 @@ def _chebyshev_action(hamiltonian: _SparseHamiltonian, amplitudes: np.ndarray,
     columns = amplitudes.reshape(hamiltonian.basis.size, -1)
     times = np.broadcast_to(durations, columns.shape[1:])
     evolved = np.empty(columns.shape, dtype=complex)
-    for t in np.unique(times).tolist():
+    for t in sorted(set(times.tolist())):   # np.unique would import numpy.ma
         chosen = times == t
         width, phase = hamiltonian.radius * t, -hamiltonian.center * t
         if not (math.isfinite(width) and math.isfinite(phase)):
@@ -274,6 +294,11 @@ class NormalModes:
             by_size.setdefault(len(indices), []).append(
                 (indices, np.kron(splitter, splitters[p_occ])))
         self.blocks = [tuple(map(np.array, zip(*group))) for group in by_size.values()]
+
+    @cached_property
+    def rotation(self) -> _RingRotation:
+        """The ring rotation's change of `basis`, made on first use."""
+        return _RingRotation(self.basis)
 
     def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
         """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the

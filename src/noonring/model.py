@@ -40,7 +40,10 @@ N2 N4), where per pair of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) -
 (2<->4) swap; the parities then key the blocks.
 Without fields such an H also commutes with the 90-degree ring rotation,
 which pairs two of the four parity blocks and splits the other two in
-halves, so it is diagonalized in those smaller pieces (`_RotationSymmetric`).
+halves.  The rotation is a fixed orthogonal change of the mode basis, T
+(`_RingRotation`): in T's basis such an H is held in those smaller pieces,
+one for both paired blocks, and a state enters T's basis at the start of a
+step under it and leaves at the end (`noonring.dynamics.evolve`).
 An H that acts only once, on one state (a pulse of `noonring.robustness`),
 is held instead as one sparse matrix with its Gershgorin interval
 (`_SparseHamiltonian`), and never diagonalized.
@@ -109,13 +112,17 @@ class HermitianOperator:
     positions block by block.  The blocks must cover the basis once; a dense
     matrix m is the one block (arange(n)[None], m[None]).  Every operator the
     package builds is real, so complex blocks are rejected: `evolve` relies on
-    real eigenvectors.
+    real eigenvectors.  With a `rotation` (`_RingRotation`) the positions are
+    those of its basis, where an indices[k] of shape (size, 2) acts on two sets
+    of amplitudes; `rows` counts each entry's positions.  The blocks are
+    dropped once decomposed.
     """
 
-    def __init__(self, basis: FockBasis, blocks, check: bool = True):
-        self.basis = basis
-        self.blocks = blocks
+    def __init__(self, basis: FockBasis, blocks, check: bool = True,
+                 rotation: _RingRotation | None = None):
+        self.basis, self.blocks, self.rotation = basis, blocks, rotation
         self.order = np.concatenate([indices.ravel() for indices, _ in blocks])
+        self.rows = [indices.size for indices, _ in blocks]
         if self.order.size != basis.size:
             raise ValueError(f"blocks hold {self.order.size} states, the basis {basis.size}")
         if any(np.iscomplexobj(matrices) for _, matrices in blocks):
@@ -136,111 +143,109 @@ class HermitianOperator:
     def eigensystem(self) -> tuple:
         """Eigenvalues (ascending) and eigenvector columns, one pair per entry of `blocks`.
 
-        Computed once (`_decompose`).
+        Computed once, by one batched eigh per entry; the blocks go then.
         """
         if self._eigensystem is None:
             self._require_finite()
-            self._eigensystem = self._decompose()
+            self._eigensystem = tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
+            self.blocks = None
         return self._eigensystem
-
-    def _decompose(self) -> tuple:
-        """One batched eigh per block size."""
-        return tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
 
 
-class _RotationSymmetric(HermitianOperator):
-    """H without fields off the integrable point, in its four parity blocks of the mode
-    basis, diagonalized through the 90-degree ring rotation.
+class _RingRotation:
+    """The 90-degree ring rotation R as a fixed orthogonal change T of the mode basis, in
+    which H without fields off the integrable point splits into smaller pieces.
 
-    The rotation 1 -> 2 -> 3 -> 4 maps s13 <-> s24, d13 -> d24 and d24 -> -d13, i.e.
-    R|a,b,c,d> = (-1)^d |b,a,d,c> on the mode occupations, and commutes with every
-    H without fields.  R maps the (even, odd) parity block onto the (odd, even) one,
-    so one eigh serves both: the second block's V is R V, the first's rows permuted
-    and signed.  On the (even, even) and (odd, odd) blocks R^2 = +1, and each block
-    splits into its R = +1 and R = -1 halves, gathered from the block.
+    R (sites 1 -> 2 -> 3 -> 4) maps s13 <-> s24, d13 -> d24, d24 -> -d13: R|x> = s_x |x'>
+    for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d.  It commutes with H without fields,
+    keeps the (even, even) and (odd, odd) blocks of the (n_d13, n_d24) parities (R^2 = +1)
+    and maps (even, odd) onto (odd, even).  T's states: the R = +1 and R = -1 halves of
+    (even, even), (even, odd), and the halves of (odd, odd).  A half has the (|x> + r s_x
+    |x'>)/sqrt2 of the pairs x < x' and the |x> that R fixes (at even N) with s_x = r.
+    (even, odd) has each |x> followed by R|x>, on which H has the matrix of (even, odd):
+    that block is stored once and acts on both sets of amplitudes as columns.  A state of
+    T combines at most two mode states, so a state changes basis by two gathers.
     """
 
-    def _decompose(self) -> tuple:
-        occ, size = self.basis.occupations, self.basis.size
-        partner = _positions(self.basis, *occ[:, [1, 0, 3]].T)   # R|x> = sign |partner>
+    def __init__(self, modes: FockBasis):
+        occ = modes.occupations
+        partner = _positions(modes, *occ[:, [1, 0, 3]].T)   # R|x> = sign[x] |partner[x]>
         sign = 1.0 - 2.0 * (occ[:, 3] % 2)
-        located = [(entry, k) for entry, (indices, _) in enumerate(self.blocks)
-                   for k in range(len(indices))]
-        block_of, position = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-        for b, (entry, k) in enumerate(located):
-            states = self.blocks[entry][0][k]
-            block_of[states], position[states] = b, np.arange(states.size)
-        parts = [(np.empty(indices.shape), np.zeros((*indices.shape, indices.shape[1])))
-                 for indices, _ in self.blocks]
-        mirrored = set()   # blocks written as R V of their partner
-        for b, (entry, k) in enumerate(located):
-            states = self.blocks[entry][0][k]
-            other, rows = block_of[partner[states[0]]], position[partner[states]]
-            values, vectors = (part[k] for part in parts[entry])
-            if other == b:
-                _rotation_halves(self.blocks[entry][1][k], rows, sign[states], values, vectors)
-            elif b not in mirrored:
-                values[...], vectors[...] = np.linalg.eigh(self.blocks[entry][1][k])
-                other_values, other_vectors = (part[located[other][1]]
-                                               for part in parts[located[other][0]])
-                other_values[...] = values
-                source = np.argsort(rows)   # row rows[x] of R V is signs[x] times row x of V
-                np.take(vectors, source, axis=0, out=other_vectors)
-                other_vectors *= sign[states][source, None]
-                mirrored.add(other)
-        return tuple(parts)
+        self.parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
+        # Per piece: its parity block, the gather of its matrix, and T's rows: two mode
+        # states and their weights each.  Pieces of one size share an entry.
+        entries = {}
+        for parity in (0, 1, 3):
+            block = np.flatnonzero(self.parity == parity)   # ascending, as in `_hop_blocks`
+            if parity == 1:   # each |x>, then R|x> = s_x |x'>: one mode state per row
+                states = np.repeat(np.column_stack([block, partner[block]]), 2).reshape(-1, 2)
+                weights = np.column_stack([np.ones(block.size), sign[block]]).reshape(-1, 1)
+                pieces = [((block.size, True), None, states, weights * [1.0, 0.0])]
+            else:
+                local, mates = np.arange(block.size), np.searchsorted(block, partner[block])
+                pieces = []
+                for r in (1.0, -1.0):
+                    fixed = (mates == local) & (sign[block] == r)
+                    members = np.flatnonzero((mates > local) | fixed)
+                    rs, alone = r * sign[block[members]], mates[members] == members
+                    d = np.where(alone, np.sqrt(0.5), 1.0)   # of the matrix
+                    weight = np.where(alone, 1.0, np.sqrt(0.5))   # of T's rows
+                    states = block[np.column_stack([members, mates[members]])]
+                    weights = np.column_stack([weight, np.where(alone, 0.0, weight * rs)])
+                    pieces.append(((members.size, False), (members, mates[members], rs, d),
+                                   states, weights))
+            for key, gather, states, weights in pieces:
+                if key[0]:
+                    entries.setdefault(key, []).append((parity, gather, states, weights))
+        self._entries, start = [], 0   # T's rows, block by block
+        for (size, paired), pieces in entries.items():
+            indices = start + np.arange(len(pieces) * size * (1 + paired))
+            self._entries.append((indices.reshape(len(pieces), size, *[2] * paired),
+                                  [(parity, gather) for parity, gather, _, _ in pieces]))
+            start += indices.size
+        pieces = [piece for pieces in entries.values() for piece in pieces]
+        sources = np.concatenate([states for _, _, states, _ in pieces])
+        weights = np.concatenate([weights for _, _, _, weights in pieces])
+        slots = np.argsort(sources.ravel(), kind="stable").reshape(-1, 2)   # two per mode state
+        self._changes = (sources, weights), (slots // 2, weights.ravel()[slots])
+
+    def change(self, amplitudes: np.ndarray, back: bool = False) -> np.ndarray:
+        """T of mode amplitudes (one state or an (n, K) stack) in the order of T's blocks or,
+        `back`, T^T of amplitudes in that order: two gathers of (real, imaginary) pairs."""
+        sources, weights = self._changes[back]
+        columns = amplitudes.reshape(len(sources), -1)
+        first, second = (np.take(columns, sources[:, k], axis=0).view(np.float64) for k in (0, 1))
+        first *= weights[:, :1]
+        second *= weights[:, 1:]
+        first += second
+        return first.view(complex).reshape(amplitudes.shape)
+
+    def blocks(self, parity_blocks: list) -> list:
+        """H's pieces as `HermitianOperator` blocks, gathered from its blocks of `_hop_blocks`.
+
+        As R commutes with H, H[x', y'] = s_x s_y H[x, y], so a half's matrix is
+        d_x d_y (H[x, y] + r s_y H[x, y']), d = 1 for a pair and 1/sqrt2 for a fixed state.
+        """
+        by_parity = {int(self.parity[indices[k, 0]]): matrices[k]
+                     for indices, matrices in parity_blocks for k in range(len(indices))}
+        return [(indices, np.stack([_piece(by_parity[parity], gather)
+                                    for parity, gather in pieces]))
+                for indices, pieces in self._entries]
 
 
-def _rotation_halves(block: np.ndarray, partners: np.ndarray, signs: np.ndarray,
-                     values: np.ndarray, vectors: np.ndarray) -> None:
-    """Write the eigensystem (values ascending) of a block that R maps onto itself, R^2 = +1.
-
-    R|x> = signs[x] |partners[x]> within the block.  The R = r half has the states
-    (|x> + r signs[x] |x'>)/sqrt2 of the pairs x < x' = partners[x], and the fixed
-    states x = x' with signs[x] = r.  As R commutes with H, <x'|H|y'> = s_x s_y <x|H|y>,
-    so the half's matrix is d_x d_y (H[x, y] + r s_y H[x, y']), with d = 1 for a pair
-    and 1/sqrt2 for a fixed state: two gathers, no product with the basis of halves.
-    """
-    local = np.arange(partners.size)
-    fixed = partners == local
-    halves = []
-    for r in (1.0, -1.0):
-        members = np.flatnonzero((partners > local) | (fixed & (signs == r)))
-        halves.append((members, partners[members], r * signs[members]))
-    # one batched eigh when the halves have one size, as they do at odd N (no fixed states)
-    groups = [halves] if halves[0][0].size == halves[1][0].size else [[half] for half in halves]
-    solved = [pair for group in groups
-              for pair in zip(*np.linalg.eigh(_half_matrices(block, group, fixed)))]
-    energies = np.concatenate([half_values for half_values, _ in solved])
-    order = np.argsort(energies, kind="stable")
-    values[...] = energies[order]
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    start = 0
-    for (members, mates, rs), (_, u) in zip(halves, solved):
-        columns, start = column[start:start + members.size], start + members.size
-        # a pair's weight 1/sqrt2 goes to x and x'; a fixed state (x = x', r s = 1) keeps u
-        u *= np.where(mates == members, 1.0, np.sqrt(0.5))[:, None]
-        vectors[np.ix_(members, columns)] = u
-        u *= rs[:, None]
-        vectors[np.ix_(mates, columns)] = u
-
-
-def _half_matrices(block: np.ndarray, halves: list, fixed: np.ndarray) -> np.ndarray:
-    """The matrices of `_rotation_halves` for halves of one size, stacked."""
-    size = halves[0][0].size
-    stack = np.empty((len(halves), size, size))
-    for matrix, (members, mates, rs) in zip(stack, halves):
-        matrix[...] = block[np.ix_(members, mates)]
-        matrix *= rs
-        matrix += block[np.ix_(members, members)]
-        if fixed.any():
-            weight = np.where(fixed[members], np.sqrt(0.5), 1.0)
-            matrix *= weight[:, None] * weight
-    return stack
+def _piece(block: np.ndarray, gather) -> np.ndarray:
+    """The half of `block` that `gather` names (`_RingRotation.blocks`), or the block if None."""
+    if gather is None:
+        return block
+    members, mates, rs, d = gather
+    matrix = block[np.ix_(members, mates)]
+    matrix *= rs
+    matrix += block[np.ix_(members, members)]
+    matrix *= d[:, None] * d
+    return matrix
 
 
 def _mode_entries(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
@@ -319,21 +324,24 @@ def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
     return blocks
 
 
-def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> HermitianOperator:
+def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
+                           rotation: _RingRotation | None = None) -> HermitianOperator:
     """H in normal-mode blocks (module docstring).
 
     `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
     of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
-    blocks of their parities, which without fields are diagonalized through
-    the ring rotation (`_RotationSymmetric`).
+    blocks of their parities, and without fields the pieces of those in the
+    basis of `rotation`, T of `modes` (`_RingRotation`, made here if None).
     """
     diagonal = _mode_diagonal(params, modes)
     blocks = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
     for indices, matrices in blocks:
         matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
-    rotated = params.mu == params.nu == 0.0 and params.u13 != params.u0
     # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
-    return (_RotationSymmetric if rotated else HermitianOperator)(modes, blocks, check=False)
+    if params.mu == params.nu == 0.0 and params.u13 != params.u0:
+        rotation = _RingRotation(modes) if rotation is None else rotation
+        return HermitianOperator(modes, rotation.blocks(blocks), check=False, rotation=rotation)
+    return HermitianOperator(modes, blocks, check=False)
 
 
 class _SparseHamiltonian:

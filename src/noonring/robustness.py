@@ -28,17 +28,18 @@ protocol runners of `noonring.protocols` on a FullDynamics of its own that
 changes only the couplings of the band steps and the pulses; the points
 share one NormalModes.  Each operator is built when a step first runs
 under it, so the nu pulse only for Protocol II, and dropped with the
-point's dynamics before the next point.  H(+-xi) is held in the four
-normal-mode parity blocks of `noonring.model`, diagonalized through the
-ring rotation.  A pulsed band interval is one echo step
-(`noonring.dynamics._Echo`), built once per point for both of Protocol
-II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies and the
-mixing matrix between the two eigenbases, and runs all n_dt periods in
-H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the interval is that one
-H evolved for the whole t.  A pulse runs once, on one state, so it is never
-diagonalized: it is a sparse H that `noonring.dynamics.evolve` applies by
-the Chebyshev expansion of exp(-i H t) (Tal-Ezer and Kosloff, J. Chem. Phys.
-81, 3967 (1984)).
+point's dynamics before the next point.  H(+-xi) is held in the pieces of
+the ring rotation's basis (`noonring.model._RingRotation`), made once per
+sweep by the shared NormalModes, which a state enters when a band step
+starts and leaves before the pulse.  A pulsed band interval is one echo
+step (`noonring.dynamics._Echo`), built once per point for both of
+Protocol II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies
+and the mixing matrix between the two eigenbases, piece by piece, and runs
+all n_dt periods in H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the
+interval is that one H evolved for the whole t.  A pulse runs once, on one
+state, so it is never diagonalized: it is a sparse H that
+`noonring.dynamics.evolve` applies by the Chebyshev expansion of
+exp(-i H t) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
 The physical source finds the trap's integrable root within the config's
 bracket (the CLI's [lattice] frequency range), checks the whole xi grid
@@ -57,7 +58,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import NormalModes, _Echo
 from .fock import FockBasis
-from .model import ModelParameters, _sparse_mode_hamiltonian
+from .model import ModelParameters, _sparse_mode_hamiltonian, build_mode_hamiltonian
 from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 
 if TYPE_CHECKING:   # the physical-source helpers import the lattice when they run
@@ -118,10 +119,10 @@ class _DetunedSystem(FullDynamics):
 
     def _build(self, couplings):
         if isinstance(couplings, tuple):   # (first, second, n_dt): a pulsed band interval
-            return _Echo(super()._build, *couplings)
+            return _Echo(self._build, *couplings)
         if couplings in self.couplings[2:]:
             return _sparse_mode_hamiltonian(couplings, self.modes.basis)
-        return super()._build(couplings)
+        return build_mode_hamiltonian(couplings, self.modes.basis, self.modes.rotation)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         """Static: H(+xi) throughout.  Pulsed: one echo step of n_dt full oscillations,
@@ -206,10 +207,9 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes,
     base = config.base
     trap = config.trap
     v0_star, ends = root
-    omega_plus = _solve_detuned_omega(trap, +xi, ends)
-    omega_minus = _solve_detuned_omega(trap, -xi, ends)
-    params_plus, v0_plus = _physical_params(trap, omega_plus, base.j)
-    params_minus, v0_minus = _physical_params(trap, omega_minus, base.j)
+    solved = [_physical_params(trap, _solve_detuned_omega(trap, target, ends), base.j)
+              for target in dict.fromkeys((xi, -xi))]   # one target at xi = 0: 0.0 == -0.0
+    (params_plus, v0_plus), (params_minus, v0_minus) = solved[0], solved[-1]
     mu_plus, mu_minus = base.mu * v0_plus / v0_star, base.mu * v0_minus / v0_star
     nu_plus, nu_minus = base.nu * v0_plus / v0_star, base.nu * v0_minus / v0_star
     # The mean couplings (on the integrable manifold; the +- U0-U13 residuals cancel

@@ -12,7 +12,9 @@ from noonring.fock import enumerate_basis
 from noonring.model import (
     HermitianOperator,
     ModelParameters,
-    _RotationSymmetric,
+    _hop_blocks,
+    _mode_diagonal,
+    _RingRotation,
     build_mode_hamiltonian,
 )
 from noonring.protocols import ProtocolConfig
@@ -79,9 +81,9 @@ class TestHermitianOperator:
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(len(basis2) // 2, len(basis2) // 2))
         op = HermitianOperator(basis2, two_blocks(basis2, raw + raw.T))
+        (_, matrices), = op.blocks   # eigensystem() drops them
         (values, vectors), = op.eigensystem()   # one pair: both blocks have one size
         assert op.eigensystem()[0][0] is values  # cached, not recomputed
-        (_, matrices), = op.blocks
         np.testing.assert_allclose(
             matrices @ vectors, vectors * values[:, None, :], atol=1e-12)
 
@@ -99,8 +101,8 @@ class TestHermitianOperator:
         raw = rng.normal(size=(len(basis3) // 2, len(basis3) // 2))
         op = HermitianOperator(basis3, two_blocks(basis3, raw + raw.T))
         assert op._eigensystem is None
+        (_, matrices), = op.blocks   # eigensystem() drops them
         (values, _), = op.eigensystem()
-        (_, matrices), = op.blocks
         np.testing.assert_allclose(values, np.linalg.eigvalsh(matrices), atol=1e-10)
 
         def no_eigh(matrices):
@@ -120,8 +122,21 @@ class TestHermitianOperator:
             unchecked.eigensystem()
 
 
+def parity_blocks(params, modes):
+    """The four parity blocks of H off the integrable point without fields, as matrices of
+    the mode basis (`_hop_blocks` with H's diagonal)."""
+    diagonal = _mode_diagonal(params, modes)
+    blocks = []
+    for indices, matrices in _hop_blocks(modes, 0.0, 0.0, params.j, params.u13 - params.u0):
+        matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
+        blocks += list(matrices)
+    return blocks
+
+
 class TestRingRotation:
-    """Field-free H off the integrable point is diagonalized through the ring rotation."""
+    """Field-free H off the integrable point is held in the ring rotation's basis T: the
+    R = +-1 halves of the (even, even) and (odd, odd) parity blocks, and one (even, odd)
+    block that acts on it and its rotation image, the (odd, even) block."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -136,25 +151,51 @@ class TestRingRotation:
     def test_matches_the_block_eigensystem(self, n_total, u, j, u0, xi, sign):
         params = ModelParameters.integrable_set(u=u, j=j, u0=u0)
         params = replace(params, u13=u0 + sign * xi)
-        operator = build_mode_hamiltonian(params, enumerate_basis(n_total))
-        assert isinstance(operator, _RotationSymmetric)
-        for (_, matrices), (values, vectors) in zip(operator.blocks, operator.eigensystem()):
+        modes = enumerate_basis(n_total)
+        operator = build_mode_hamiltonian(params, modes)
+        assert operator.rotation is not None
+        pieces = operator.blocks   # eigensystem() drops them
+        everything = []
+        for (indices, matrices), (values, vectors) in zip(pieces, operator.eigensystem()):
             scale = max(1.0, float(np.abs(matrices).max()))
-            reference = np.linalg.eigvalsh(matrices)
-            np.testing.assert_allclose(values, reference, rtol=0,
-                                       atol=1e-12 * max(1.0, float(np.abs(reference).max())))
             assert np.all(np.diff(values, axis=-1) >= 0.0)   # ascending, as eigh gives them
             residual = matrices @ vectors - vectors * values[:, None, :]
             assert np.abs(residual).max() <= 1e-12 * scale
             identity = np.broadcast_to(np.eye(values.shape[-1]), vectors.shape)
             np.testing.assert_allclose(vectors.swapaxes(-1, -2) @ vectors, identity,
                                        rtol=0, atol=1e-12)
+            everything.append(np.repeat(values.ravel(), indices.size // values.size))
+        reference = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(block) for block in parity_blocks(params, modes)]))
+        np.testing.assert_allclose(np.sort(np.concatenate(everything)), reference, rtol=0,
+                                   atol=1e-12 * max(1.0, float(np.abs(reference).max())))
+
+    def test_pieces_at_n15(self):
+        """Halves of 120 and 84 and one 204 block, stored once, for the parity blocks
+        240/204/204/168 of the dense 816."""
+        params = replace(ModelParameters.integrable_set(u=3.0, j=1.0, u0=0.5), u13=0.6)
+        operator = build_mode_hamiltonian(params, enumerate_basis(15))
+        shapes = [(indices.shape, matrices.shape) for indices, matrices in operator.blocks]
+        assert shapes == [((2, 120), (2, 120, 120)), ((1, 204, 2), (1, 204, 204)),
+                          ((2, 84), (2, 84, 84))]
+
+    @pytest.mark.parametrize("n_total", [3, 4, 5, 15])
+    def test_the_change_of_basis_is_orthogonal(self, n_total):
+        modes = enumerate_basis(n_total)
+        rotation = _RingRotation(modes)
+        t = rotation.change(np.eye(modes.size, dtype=complex))
+        assert not t.imag.any()
+        np.testing.assert_allclose(t.real @ t.real.T, np.eye(modes.size), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rotation.change(t, back=True), np.eye(modes.size),
+                                   rtol=0, atol=1e-15)
+        state = np.random.default_rng(n_total).normal(size=(modes.size, 2)) @ [1.0, 1j]
+        np.testing.assert_allclose(rotation.change(state), t @ state, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("u13, mu", [(0.5, 0.0), (0.6, 0.7)])
     def test_integrable_or_fielded_hamiltonians_keep_one_eigh_per_block_size(self, u13, mu):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.5)
         operator = build_mode_hamiltonian(replace(params, u13=u13), enumerate_basis(5))
-        assert type(operator) is HermitianOperator
+        assert operator.rotation is None
 
 
 class TestOracleAgreement:

@@ -261,6 +261,23 @@ class TestPhysicalSource:
             assert omegas.count(omega_r) == 1
         assert len(omegas) > 2 + 2 * len(config.xi_values)   # a root-find for each sign of xi
 
+    def test_zero_detuning_takes_one_root_find(self, basis15, monkeypatch):
+        """+xi and -xi are one target at xi = 0, so a grid from 0 takes 2 points - 1 root-finds."""
+        targets = []
+        solve = robustness._solve_detuned_omega
+
+        def counting_solve(trap, target, ends):
+            targets.append(target)
+            return solve(trap, target, ends)
+
+        monkeypatch.setattr(robustness, "_solve_detuned_omega", counting_solve)
+        monkeypatch.setattr(robustness, "_run_point", lambda *args: None)
+        config = RobustnessConfig(
+            base=make_cfg(SET1), xi_values=tuple(np.linspace(0.0, 0.01 * SET1["j"], 3)),
+            trap=TrapParameters())
+        run_robustness(config, basis15)
+        assert len(targets) == 2 * len(config.xi_values) - 1
+
     def test_detuned_frequencies_match_brentq(self):
         """Both signs of each xi of the default grid, from the bracket ends that the reach
         check evaluated.  At xi/J = 0.0168 the root-finder's last point is a bisection
@@ -354,7 +371,7 @@ class TestParityBlocks:
         # H(+-xi) has the parity blocks 240/204/204/168 of the dense 816.  Each H takes
         # three eigh: the rotation halves of 240 and of 168, and one 204 block, whose
         # rotation image is the other.  A pulse H is never diagonalized.
-        per_hamiltonian = [(2, 120, 120), (204, 204), (2, 84, 84)]
+        per_hamiltonian = [(2, 120, 120), (1, 204, 204), (2, 84, 84)]
         for protocol in (1, 2):
             shapes.clear()
             config = RobustnessConfig(

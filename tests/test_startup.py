@@ -121,6 +121,21 @@ def test_a_direct_source_robustness_run_loads_no_scipy_and_no_lattice(tmp_path):
     assert loaded == [[], False, True]
 
 
+def test_robustness_runs_load_no_numpy_ma(tmp_path):
+    """np.unique without index outputs imports numpy.ma (to check for a masked array), 10-17 ms
+    of a fresh process; a run's pulse durations are ordered without it."""
+    direct, physical = tmp_path / "direct.ini", tmp_path / "physical.ini"
+    direct.write_text("[robustness]\npoints = 2\nn_dt = 2\n")
+    physical.write_text("[robustness]\npoints = 2\nn_dt = 2\nsource = physical\n")
+    loaded = loaded_after(
+        "import json, sys\nfrom noonring import cli\n"
+        f"for config in ({str(direct)!r}, {str(physical)!r}):\n"
+        "    assert cli.main(['robustness', '--config', config, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(json.dumps('numpy.ma' in sys.modules))")
+    assert loaded is False
+
+
 def test_every_public_name_resolves():
     for name in noonring.__all__:
         assert getattr(noonring, name) is not None, name

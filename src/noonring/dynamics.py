@@ -40,12 +40,11 @@ its report carries the outcome and its probability (`noonring.protocols`).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from .fock import FockBasis, QuantumState, _check_site, _positions
-from .model import HermitianOperator, _RingRotation, _SparseHamiltonian
+from .model import HermitianOperator, _ModeTerms, _SparseHamiltonian
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
 
@@ -285,6 +284,7 @@ class NormalModes:
 
     def __init__(self, sites: FockBasis):
         self.sites, self.basis = sites, FockBasis(sites.n_total)
+        self.terms = _ModeTerms(self.basis)   # every H of `basis` is scaled from it
         splitters = [_beam_splitter(n) for n in range(sites.n_total + 1)]
         by_size: dict[int, list] = {}
         for m_occ, splitter in enumerate(splitters):
@@ -294,11 +294,6 @@ class NormalModes:
             by_size.setdefault(len(indices), []).append(
                 (indices, np.kron(splitter, splitters[p_occ])))
         self.blocks = [tuple(map(np.array, zip(*group))) for group in by_size.values()]
-
-    @cached_property
-    def rotation(self) -> _RingRotation:
-        """The ring rotation's change of `basis`, made on first use."""
-        return _RingRotation(self.basis)
 
     def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
         """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the

@@ -38,20 +38,22 @@ and H_eff is diagonal.  Off the integrable point H gains (U13 - U0)(N1 N3 +
 N2 N4), where per pair of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) -
 (s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity of n_d, i.e. the 1<->3
 (2<->4) swap; the parities then key the blocks.
-Without fields such an H also commutes with the 90-degree ring rotation,
-which pairs two of the four parity blocks and splits the other two in
-halves.  The rotation is a fixed orthogonal change of the mode basis, T
-(`_RingRotation`): in T's basis such an H is held in those smaller pieces,
-one for both paired blocks, and a state enters T's basis at the start of a
-step under it and leaves at the end (`noonring.dynamics.evolve`).
-An H that acts only once, on one state (a pulse of `noonring.robustness`),
-is held instead as one sparse matrix with its Gershgorin interval
-(`_SparseHamiltonian`), and never diagonalized.
+Without fields such an H also commutes with the 90-degree ring rotation, which
+pairs two of the four parity blocks and splits the other two in halves.  The
+rotation is a fixed orthogonal change of the mode basis, T (`_RingRotation`):
+in T's basis such an H is held in those smaller pieces, one for both paired
+blocks, and a state enters T's basis at the start of a step under it and
+leaves at the end (`noonring.dynamics.evolve`).  Each H is scaled from one
+record of its basis's fixed terms (`_ModeTerms`) straight into its blocks or
+pieces (`_scatter`).  An H that acts only once, on one state (a pulse of
+`noonring.robustness`), is held instead as one sparse matrix with its
+Gershgorin interval (`_SparseHamiltonian`), and never diagonalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -171,44 +173,50 @@ class _RingRotation:
     """
 
     def __init__(self, modes: FockBasis):
-        occ = modes.occupations
+        occ, n = modes.occupations, modes.size
         partner = _positions(modes, *occ[:, [1, 0, 3]].T)   # R|x> = sign[x] |partner[x]>
         sign = 1.0 - 2.0 * (occ[:, 3] % 2)
-        self.parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
-        # Per piece: its parity block, the gather of its matrix, and T's rows: two mode
-        # states and their weights each.  Pieces of one size share an entry.
+        parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
+        # Per piece: its layer (below), its states x, their x' and r s_x, and T's rows: two
+        # mode states and their weights each.  Pieces of one size share an entry.
         entries = {}
-        for parity in (0, 1, 3):
-            block = np.flatnonzero(self.parity == parity)   # ascending, as in `_hop_blocks`
-            if parity == 1:   # each |x>, then R|x> = s_x |x'>: one mode state per row
-                states = np.repeat(np.column_stack([block, partner[block]]), 2).reshape(-1, 2)
-                weights = np.column_stack([np.ones(block.size), sign[block]]).reshape(-1, 1)
-                pieces = [((block.size, True), None, states, weights * [1.0, 0.0])]
+        for k, layer, r in ((0, 0, 1.0), (0, 1, -1.0), (1, 0, None), (3, 0, 1.0), (3, 1, -1.0)):
+            block = np.flatnonzero(parity == k)   # ascending
+            if r is None:   # each |x>, then R|x> = s_x |x'>: one mode state per row
+                x, rs = block, sign[block]
+                states = np.repeat(np.column_stack([x, partner[x]]), 2).reshape(-1, 2)
+                weights = np.column_stack([np.ones(x.size), rs]).reshape(-1, 1) * [1.0, 0.0]
             else:
-                local, mates = np.arange(block.size), np.searchsorted(block, partner[block])
-                pieces = []
-                for r in (1.0, -1.0):
-                    fixed = (mates == local) & (sign[block] == r)
-                    members = np.flatnonzero((mates > local) | fixed)
-                    rs, alone = r * sign[block[members]], mates[members] == members
-                    d = np.where(alone, np.sqrt(0.5), 1.0)   # of the matrix
-                    weight = np.where(alone, 1.0, np.sqrt(0.5))   # of T's rows
-                    states = block[np.column_stack([members, mates[members]])]
-                    weights = np.column_stack([weight, np.where(alone, 0.0, weight * rs)])
-                    pieces.append(((members.size, False), (members, mates[members], rs, d),
-                                   states, weights))
-            for key, gather, states, weights in pieces:
-                if key[0]:
-                    entries.setdefault(key, []).append((parity, gather, states, weights))
-        self._entries, start = [], 0   # T's rows, block by block
+                x = block[(partner[block] > block) | (partner[block] == block) & (sign[block] == r)]
+                rs, alone = r * sign[x], partner[x] == x
+                weight = np.where(alone, 1.0, np.sqrt(0.5))
+                states = np.column_stack([x, partner[x]])
+                weights = np.column_stack([weight, np.where(alone, 0.0, weight * rs)])
+            if x.size:
+                entries.setdefault((x.size, r is None), []).append(
+                    (layer, x, partner[x], rs, states, weights))
+        # As R commutes with H, H[x', y'] = s_x s_y H[x, y], so a piece is d_x d_y (H[x, y] +
+        # r s_y H[x, y']), d = 1 for a pair and 1/sqrt2 for a fixed state: `layout` has a layer
+        # per r (+1 with (even, odd)), each with a role for y and one for y', times r s_y.
+        # The x' of (even, odd) lie in (odd, even), which H does not reach from there.
+        starts, places = np.full((2, n), -1), np.full((2, 2, n), -1)
+        signs, scales, blocks, offsets, rows = np.ones((2, 2, n)), [], [], [0], []
+        start = 0   # of T's rows, block by block
         for (size, paired), pieces in entries.items():
             indices = start + np.arange(len(pieces) * size * (1 + paired))
-            self._entries.append((indices.reshape(len(pieces), size, *[2] * paired),
-                                  [(parity, gather) for parity, gather, _, _ in pieces]))
-            start += indices.size
-        pieces = [piece for pieces in entries.values() for piece in pieces]
-        sources = np.concatenate([states for _, _, states, _ in pieces])
-        weights = np.concatenate([weights for _, _, _, weights in pieces])
+            blocks.append(indices.reshape(len(pieces), size, *[2] * paired))
+            start, offset = start + indices.size, offsets[-1]
+            for layer, x, mates, rs, *piece_rows in pieces:
+                starts[layer, x] = offset + size * np.arange(size)
+                places[layer, 0, x] = places[layer, 1, mates] = np.arange(size)
+                signs[layer, 1, mates] = rs
+                if (mates == x).any():
+                    scales.append((offset, np.where(mates == x, np.sqrt(0.5), 1.0)))
+                offset += size * size
+                rows.append(piece_rows)
+            offsets.append(offset)
+        self.layout = blocks, offsets, starts, places, signs, scales
+        sources, weights = (np.concatenate(part) for part in zip(*rows))
         slots = np.argsort(sources.ravel(), kind="stable").reshape(-1, 2)   # two per mode state
         self._changes = (sources, weights), (slots // 2, weights.ravel()[slots])
 
@@ -223,125 +231,126 @@ class _RingRotation:
         first += second
         return first.view(complex).reshape(amplitudes.shape)
 
-    def blocks(self, parity_blocks: list) -> list:
-        """H's pieces as `HermitianOperator` blocks, gathered from its blocks of `_hop_blocks`.
 
-        As R commutes with H, H[x', y'] = s_x s_y H[x, y], so a half's matrix is
-        d_x d_y (H[x, y] + r s_y H[x, y']), d = 1 for a pair and 1/sqrt2 for a fixed state.
+class _ModeTerms:
+    """H's fixed terms in one normal-mode basis (s13, s24, d13, d24), from which every H of
+    that basis is scaled: the unit diagonals of U0, U12 and (U13 - U0)/4, the entries of
+    each hop at unit coupling, enumerated on first use and kept, and the basis's
+    `_RingRotation`, made on first use.
+    """
+
+    def __init__(self, modes: FockBasis):
+        occ = modes.occupations.astype(float)
+        m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
+        self.basis, self._hops = modes, {}
+        self._units = (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)), m_occ * p_occ,
+                       (occ * (occ - 1.0)).sum(axis=1))   # the n(n - 1) of every mode, from D
+
+    @cached_property
+    def rotation(self) -> _RingRotation:
+        return _RingRotation(self.basis)
+
+    def diagonal(self, params: ModelParameters) -> np.ndarray:
+        """The diagonal of H at `params` (module docstring); inf or NaN where a coupling
+        overflows it."""
+        pairs, product, modes = self._units
+        # The callers report inf/NaN entries; numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = params.u0 * pairs + params.u12 * product
+            if params.u13 != params.u0:
+                diagonal += 0.25 * (params.u13 - params.u0) * modes
+        return diagonal
+
+    def entries(self, params: ModelParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the off-diagonal part of H at `params`.
+
+        Each entry also stands for its h.c.; a hop whose coupling is off is left out.
+        Raises ArithmeticError if a coupling overflows an entry to inf or NaN.
         """
-        by_parity = {int(self.parity[indices[k, 0]]): matrices[k]
-                     for indices, matrices in parity_blocks for k in range(len(indices))}
-        return [(indices, np.stack([_piece(by_parity[parity], gather)
-                                    for parity, gather in pieces]))
-                for indices, pieces in self._entries]
+        detuning = params.u13 - params.u0
+        # -J s13+ s24, mu s24+ d24, nu s13+ d13, and the -detuning/4 s+^2 d^2 of each pair
+        # (`hop_entries`' sites and count).  No two connect the same pair of states.
+        hops = ((2, 1), (4, 2), (3, 1), (3, 1, 2), (4, 2, 2))
+        couplings = (-params.j, params.mu, params.nu, -0.25 * detuning, -0.25 * detuning)
+        parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+        # The finiteness check below reports an overflow; numpy's warning would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for slots, coupling in zip(hops, couplings):
+                if coupling != 0.0:
+                    if slots not in self._hops:
+                        self._hops[slots] = hop_entries(self.basis, *slots)
+                    rows, columns, units = self._hops[slots]
+                    parts.append((rows, columns, coupling * units))
+        rows, columns, values = (np.concatenate(part) for part in zip(*parts))
+        if not np.isfinite(values).all():
+            raise ArithmeticError(f"couplings mu = {params.mu:g}, nu = {params.nu:g}, "
+                                  f"J = {params.j:g}, U13 - U0 = {detuning:g} give non-finite H")
+        return rows, columns, values
 
 
-def _piece(block: np.ndarray, gather) -> np.ndarray:
-    """The half of `block` that `gather` names (`_RingRotation.blocks`), or the block if None."""
-    if gather is None:
-        return block
-    members, mates, rs, d = gather
-    matrix = block[np.ix_(members, mates)]
-    matrix *= rs
-    matrix += block[np.ix_(members, members)]
-    matrix *= d[:, None] * d
-    return matrix
+def _scatter(layout: tuple, diagonal: np.ndarray, rows: np.ndarray, columns: np.ndarray,
+             values: np.ndarray) -> list:
+    """H as `HermitianOperator` blocks, from its diagonal and its entries on one side of it
+    (`_ModeTerms.entries`), each of which also stands for its transpose; no n x n array.
 
-
-def _mode_entries(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
-                  detuning: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the off-diagonal part of H in the normal-mode basis.
-
-    `basis` is read as the occupations of (s13, s24, d13, d24), and `detuning`
-    is U13 - U0.  Each entry also stands for its h.c., and entries whose
-    coupling is off are left out.  Raises ArithmeticError if a coupling
-    overflows an entry to inf or NaN.
+    `layout` (`_hop_blocks`, `_RingRotation`) is (indices, offsets, starts, places, signs,
+    scales): each entry's indices and its start in one flat array of all blocks; per layer,
+    the start of state x's row, starts[x], and per role, the column places[y] (-1: none)
+    where H[x, y] adds, times signs[y]; and the d of the blocks to scale by d_x d_y last.
     """
-    # -J s13+ s24, mu s24+ d24, nu s13+ d13, and the -detuning/4 s+^2 d^2 of each
-    # pair.  No two of these hops connect the same pair of states, so no entry is a sum.
-    terms = [((2, 1), -j), ((4, 2), mu), ((3, 1), nu)]
-    if detuning != 0.0:
-        terms += [((3, 1, 2), -0.25 * detuning), ((4, 2, 2), -0.25 * detuning)]
-    entries = [hop_entries(basis, *slots) for slots, _ in terms]
-    rows, columns, values = (np.concatenate(part) for part in zip(*entries))
-    # The finiteness check below reports an overflow; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.repeat([value for _, value in terms], [len(e[0]) for e in entries]) * values
-    if not np.isfinite(values).all():
-        raise ArithmeticError(f"couplings mu = {mu:g}, nu = {nu:g}, J = {j:g}, "
-                              f"U13 - U0 = {detuning:g} give non-finite H")
-    on = values != 0.0   # every entry of a hop is nonzero unless its coupling is off
-    return rows[on], columns[on], values[on]
+    blocks, offsets, starts, places, signs, scales = layout
+    states = np.arange(diagonal.size)
+    sources, targets = np.concatenate([rows, columns, states]), np.concatenate([columns, rows, states])
+    values = np.concatenate([values, values, diagonal])
+    matrices = np.zeros(offsets[-1])
+    for start, roles, factors in zip(starts, places, signs):
+        start = start[sources]
+        for place, factor in zip(roles[:, targets], factors):
+            keep = np.flatnonzero((start >= 0) & (place >= 0))
+            matrices[start[keep] + place[keep]] += factor[targets[keep]] * values[keep]
+    for offset, d in scales:
+        matrices[offset:offset + d.size**2] *= (d[:, None] * d).ravel()
+    return [(indices, part.reshape(*indices.shape[:2], -1))
+            for indices, part in zip(blocks, np.split(matrices, offsets[1:-1]))]
 
 
-def _mode_diagonal(params: ModelParameters, modes: FockBasis) -> np.ndarray:
-    """The diagonal of H in the normal-mode basis (module docstring); inf or NaN where a
-    coupling overflows it."""
-    occ = modes.occupations.astype(float)
-    m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
-    detuning = params.u13 - params.u0
-    # The callers report inf/NaN entries; numpy's warning would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = (params.u0 * (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)))
-                    + params.u12 * (m_occ * p_occ))
-        if detuning != 0.0:   # the n(n - 1)/4 of every mode, from D
-            diagonal += 0.25 * detuning * (occ * (occ - 1.0)).sum(axis=1)
-    return diagonal
+def _hop_blocks(basis: FockBasis, params: ModelParameters) -> tuple:
+    """The `_scatter` layout of the blocks that H's hops at `params` leave apart.
 
-
-def _hop_blocks(basis: FockBasis, mu: float, nu: float, j: float = 1.0,
-                detuning: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The off-diagonal part of H in the normal-mode basis (`_mode_entries`), cut into blocks.
-
-    Returns one (indices, hops) pair per block size: indices[k] are the basis
-    positions of block k and hops[k] its hopping matrix, so every block of one
-    size is diagonalized in one batched call.  A pair whose field is off keeps
-    its n_d as block key, or only the parity of n_d at nonzero detuning.  The
-    entries go straight into the blocks; no n x n matrix is built.
+    One entry per block size, whose indices[k] are the basis positions of block k,
+    so every block of one size is diagonalized in one batched call.  A pair whose
+    field is off keeps its n_d as block key, or only the parity of n_d at U13 != U0.
     """
-    rows, columns, values = _mode_entries(basis, mu, nu, j, detuning)
     key = np.zeros(basis.size, dtype=np.int64)
-    for column, field in ((2, nu), (3, mu)):
+    for column, field in ((2, params.nu), (3, params.mu)):
         if field == 0.0:
             n_d = basis.occupations[:, column]
-            key = key * (basis.n_total + 1) + (n_d if detuning == 0.0 else n_d % 2)
+            key = key * (basis.n_total + 1) + (n_d if params.u13 == params.u0 else n_d % 2)
     _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
     by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
-    starts = np.cumsum(sizes) - sizes
-    slot = np.empty(basis.size, dtype=np.int64)      # block of a state among those of its size
-    position = np.empty(basis.size, dtype=np.int64)  # its row within that block
-    blocks = []
+    first = np.cumsum(sizes) - sizes
+    blocks, offsets, (starts, places) = [], [0], np.empty((2, basis.size), dtype=np.int64)
     for size in dict.fromkeys(sizes):
-        indices = by_block[starts[sizes == size][:, None] + np.arange(size)]
-        slot[indices] = np.arange(len(indices))[:, None]
-        position[indices] = np.arange(size)
-        inside = sizes[block_of[rows]] == size
-        r, c = rows[inside], columns[inside]
-        hops = np.zeros((len(indices), size, size))
-        hops[slot[r], position[r], position[c]] = values[inside]
-        hops[slot[r], position[c], position[r]] = values[inside]
-        blocks.append((indices, hops))
-    return blocks
+        blocks.append(by_block[first[sizes == size][:, None] + np.arange(size)])
+        starts[blocks[-1]] = offsets[-1] + size * np.arange(blocks[-1].size).reshape(-1, size)
+        places[blocks[-1]] = np.arange(size)
+        offsets.append(offsets[-1] + size * blocks[-1].size)
+    return blocks, offsets, starts[None], places[None, None], np.ones((1, 1, basis.size)), []
 
 
-def build_mode_hamiltonian(params: ModelParameters, modes: FockBasis,
-                           rotation: _RingRotation | None = None) -> HermitianOperator:
-    """H in normal-mode blocks (module docstring).
+def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> HermitianOperator:
+    """H in normal-mode blocks (module docstring), scaled from the `terms` of its basis.
 
-    `modes` is read as (s13, s24, d13, d24).  Integrable couplings give blocks
-    of the conserved d-occupations, of size <= (N+2)(N+1)/2; U13 != U0 gives
-    blocks of their parities, and without fields the pieces of those in the
-    basis of `rotation`, T of `modes` (`_RingRotation`, made here if None).
+    Integrable couplings give blocks of the conserved d-occupations, of size
+    <= (N+2)(N+1)/2; U13 != U0 gives blocks of their parities, and without
+    fields the pieces of those in the basis of the ring rotation T
+    (`_RingRotation`), into which H's entries go straight.
     """
-    diagonal = _mode_diagonal(params, modes)
-    blocks = _hop_blocks(modes, params.mu, params.nu, params.j, params.u13 - params.u0)
-    for indices, matrices in blocks:
-        matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
+    rotation = None if params.mu or params.nu or params.u13 == params.u0 else terms.rotation
+    layout = _hop_blocks(terms.basis, params) if rotation is None else rotation.layout
     # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
-    if params.mu == params.nu == 0.0 and params.u13 != params.u0:
-        rotation = _RingRotation(modes) if rotation is None else rotation
-        return HermitianOperator(modes, rotation.blocks(blocks), check=False, rotation=rotation)
-    return HermitianOperator(modes, blocks, check=False)
+    blocks = _scatter(layout, terms.diagonal(params), *terms.entries(params))
+    return HermitianOperator(terms.basis, blocks, check=False, rotation=rotation)
 
 
 class _SparseHamiltonian:
@@ -378,22 +387,13 @@ class _SparseHamiltonian:
         return np.add.reduceat(terms, self.indptr[:-1], axis=0)
 
 
-def _sparse_mode_hamiltonian(params: ModelParameters, modes: FockBasis) -> _SparseHamiltonian:
-    """H in the normal-mode basis, as one CSR matrix.
-
-    Built from the entries `build_mode_hamiltonian` cuts into blocks; no block
-    and no n x n array is allocated.  Raises ArithmeticError if an entry of H
-    is inf or NaN.
-    """
-    diagonal = _mode_diagonal(params, modes)
+def _sparse_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> _SparseHamiltonian:
+    """H in the normal-mode basis of `terms`, as one CSR matrix of the entries that
+    `build_mode_hamiltonian` cuts into blocks.  Raises ArithmeticError if an entry of H
+    is inf or NaN."""
+    diagonal = terms.diagonal(params)
     if not np.isfinite(diagonal).all():
         raise ArithmeticError(f"couplings U0 = {params.u0:g}, U12 = {params.u12:g}, "
                               f"U13 = {params.u13:g} give non-finite H")
-    return _SparseHamiltonian(modes, diagonal, *_mode_entries(
-        modes, params.mu, params.nu, params.j, params.u13 - params.u0))
-
-
-def _band_constant(params: ModelParameters, n_total: int) -> float:
-    """C = (U0 + U12) N^2 / 4 - U0 N / 2, the J = 0 energy shared by every band of the sector."""
-    return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+    return _SparseHamiltonian(terms.basis, diagonal, *terms.entries(params))
 

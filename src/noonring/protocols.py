@@ -297,7 +297,7 @@ class FullDynamics(_ModeDynamics):
     inverted-sign nu pulse's."""
 
     def _build(self, params: ModelParameters) -> HermitianOperator:
-        return build_mode_hamiltonian(params, self.modes.basis)
+        return build_mode_hamiltonian(params, self.modes.terms)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         return [(cfg.params, t)]

@@ -26,20 +26,21 @@ with a trap is the physical source, one without the direct source:
 Every run encodes P theta = P_THETA = pi/2.  Each xi point runs the
 protocol runners of `noonring.protocols` on a FullDynamics of its own that
 changes only the couplings of the band steps and the pulses; the points
-share one NormalModes.  Each operator is built when a step first runs
-under it, so the nu pulse only for Protocol II, and dropped with the
-point's dynamics before the next point.  H(+-xi) is held in the pieces of
-the ring rotation's basis (`noonring.model._RingRotation`), made once per
-sweep by the shared NormalModes, which a state enters when a band step
+share one NormalModes, from whose record of H's terms
+(`noonring.model._ModeTerms`) every H is scaled.  Each operator is built
+when a step first runs under it, so the nu pulse only for Protocol II, and
+dropped with the point's dynamics before the next point.  H(+-xi) goes
+straight into the pieces of the ring rotation's basis
+(`noonring.model._RingRotation`), which a state enters when a band step
 starts and leaves before the pulse.  A pulsed band interval is one echo
-step (`noonring.dynamics._Echo`), built once per point for both of
-Protocol II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies
-and the mixing matrix between the two eigenbases, piece by piece, and runs
-all n_dt periods in H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the
-interval is that one H evolved for the whole t.  A pulse runs once, on one
-state, so it is never diagonalized: it is a sparse H that
-`noonring.dynamics.evolve` applies by the Chebyshev expansion of
-exp(-i H t) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+step (`noonring.dynamics._Echo`), built once per point for both of Protocol
+II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies and the
+mixing matrix between the two eigenbases, piece by piece, and runs all n_dt
+periods in H(+xi)'s eigenbasis.  At xi = 0 H(+0) = H(-0), so the interval
+is that one H evolved for the whole t.  A pulse runs once, on one state, so
+it is never diagonalized: it is a sparse H that `noonring.dynamics.evolve`
+applies by the Chebyshev expansion of exp(-i H t) (Tal-Ezer and Kosloff, J.
+Chem. Phys. 81, 3967 (1984)).
 
 The physical source finds the trap's integrable root within the config's
 bracket (the CLI's [lattice] frequency range), checks the whole xi grid
@@ -121,8 +122,8 @@ class _DetunedSystem(FullDynamics):
         if isinstance(couplings, tuple):   # (first, second, n_dt): a pulsed band interval
             return _Echo(self._build, *couplings)
         if couplings in self.couplings[2:]:
-            return _sparse_mode_hamiltonian(couplings, self.modes.basis)
-        return build_mode_hamiltonian(couplings, self.modes.basis, self.modes.rotation)
+            return _sparse_mode_hamiltonian(couplings, self.modes.terms)
+        return build_mode_hamiltonian(couplings, self.modes.terms)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         """Static: H(+xi) throughout.  Pulsed: one echo step of n_dt full oscillations,

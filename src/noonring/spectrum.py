@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import STACK_BYTES
 from .fock import FockBasis
-from .model import ModelParameters, _band_constant, _hop_blocks, _mode_diagonal
+from .model import ModelParameters, _ModeTerms, build_mode_hamiltonian
 
 
 class BandsUnresolvedError(ValueError):
@@ -40,23 +40,25 @@ def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
     return [((m, p), (m + 1) * (p + 1) * (1 if m == p else 2)) for m, p in band_splits(n_total)]
 
 
-def _solved_blocks(basis: FockBasis, mu: float, nu: float) -> list[tuple]:
-    """The blocks of `_hop_blocks` that a sweep diagonalizes, as (indices, hops, copies)
-    per block size: block k stands for copies[k] blocks of equal eigenvalues.
+def _solved_blocks(terms: _ModeTerms, mu: float, nu: float) -> list[tuple]:
+    """The blocks of H at U0 = U12 = 0, its hops at J = 1 and the fields, that a sweep
+    diagonalizes, as (indices, hops, copies) per block size: block k stands for copies[k]
+    blocks of equal eigenvalues.
 
     Without fields the 90-degree ring rotation maps block (Q1, Q2) onto (Q2, Q1), and
-    in `_hop_blocks`' state order (s13 occupation ascending) the H of one is the other's
+    in the blocks' state order (s13 occupation ascending) the H of one is the other's
     reversed.  LAPACK's eigenvalue-only path gives both bit-equal values (README), so
     Q1 <= Q2 is solved and Q1 < Q2 counts twice.  With a field on, every block is solved.
     """
-    solved, blocks = [], _hop_blocks(basis, mu, nu)
+    at_zero = ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
+    solved, blocks = [], build_mode_hamiltonian(at_zero, terms).blocks
     # That path (dsterf) squares off-diagonals, and one that underflows costs it accuracy
     # (a 1e-160 J field moved levels by 5e-5 J): an entry below eps of the largest, which
     # moves no level beyond LAPACK's own error, is set to 0.
     floor = np.finfo(float).eps * max(np.abs(hops).max(initial=0.0) for _, hops in blocks)
     for indices, hops in blocks:
         hops[np.abs(hops) < floor] = 0.0
-        q1, q2 = basis.occupations[indices[:, 0], 2:].T   # the block's (Q1, Q2) without fields
+        q1, q2 = terms.basis.occupations[indices[:, 0], 2:].T   # (Q1, Q2) without fields
         # 2, 1, 0 copies for Q1 <, =, > Q2; a field breaks R, and every block is solved once
         copies = np.sign(q2 - q1) + 1 if mu == nu == 0.0 else np.ones_like(q1)
         keep = copies > 0
@@ -69,30 +71,31 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
     """Sorted eigenvalues of the integrable H (plus optional fields) along a U/J
     grid: shape (len(u_over_j), dim), one row per grid point.
 
-    Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J;
-    the additive constant C is subtracted from every spectrum.  H is built in
-    the normal-mode blocks of the conserved d-occupations (`noonring.model`),
-    cut once per sweep; without fields one block of each ring-rotation pair is
-    solved (`_solved_blocks`).  Per stack of grid points (all 40 default points
-    at N = 15: the widest size stays within STACK_BYTES) and block size, each
-    point's diagonal is added to its copy of the blocks and one `eigvalsh` takes
-    them all.  LAPACK sees one matrix at a time, so the values are bit for bit
-    those of a point-by-point sweep over every block.  No dense H is built.
+    Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J; the
+    additive constant C is subtracted from every spectrum.  H is built in the
+    normal-mode blocks of the conserved d-occupations (`noonring.model`), cut once
+    per sweep (`_solved_blocks`); without fields one block of each ring-rotation
+    pair is solved.  Per stack of grid points (all 40 default points at N = 15: the
+    widest size stays within STACK_BYTES) and block size, each point's diagonal is
+    added to its copy of the blocks and one `eigvalsh` takes them all.  LAPACK sees
+    one matrix at a time, so the values are bit for bit those of a point-by-point
+    sweep over every block.  No dense H is built.
 
     Raises ArithmeticError, before LAPACK, if an entry of H is inf or NaN.
     """
     u_over_j = np.asarray(u_over_j, dtype=float)
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
-    blocks = _solved_blocks(basis, mu, nu)
+    terms = _ModeTerms(basis)
+    blocks = _solved_blocks(terms, mu, nu)
     points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices, _ in blocks))
     for start in range(0, len(u_over_j), points):
         diagonals, constants = [], []
         for ratio in u_over_j[start:start + points]:
             # Python floats overflow to inf without a warning; the check below reports it.
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
-            constant = _band_constant(params, n_total)
-            diagonals.append(_mode_diagonal(params, basis))
+            constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
+            diagonals.append(terms.diagonal(params))
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
                 raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
             constants.append(constant)

@@ -158,7 +158,7 @@ def test_criterion_5_conservation_and_band_structure():
     deep = ModelParameters.integrable_set(u=30.0, j=1.0)
     for n_total in (3, 4, 5, 15):
         basis = enumerate_basis(n_total)
-        h = build_mode_hamiltonian(deep, NormalModes(basis).basis)
+        h = build_mode_hamiltonian(deep, NormalModes(basis).terms)
         assert assign_bands(eigenvalues(h), n_total) > 3.0   # gap / spread
         expected = tuple(
             (m + 1) * (p + 1) * (1 if m == p else 2)
@@ -257,7 +257,7 @@ def test_criterion_9_property_and_oracle_suite():
 
     for n_total in (2, 3):
         basis = enumerate_basis(n_total)
-        h = build_mode_hamiltonian(params, NormalModes(basis).basis)
+        h = build_mode_hamiltonian(params, NormalModes(basis).terms)
         states = oracle.sector_states(n_total)
         reference = oracle.hamiltonian_matrix(n_total, couplings)
 

@@ -14,7 +14,8 @@ from noonring.dynamics import (
     stack_columns)
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import (
-    ModelParameters, _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian)
+    ModelParameters, _ModeTerms, _SparseHamiltonian, _sparse_mode_hamiltonian,
+    build_mode_hamiltonian)
 from noonring.protocols import IdealDynamics, ProtocolConfig, run_protocol1
 
 from conftest import SET1, dense_operator, mode_matrix
@@ -150,7 +151,7 @@ def stack_operator(kind, n_total):
     params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7, u0=0.4)
     modes = NormalModes(basis)
     if kind == "modes":
-        return build_mode_hamiltonian(params, modes.basis)
+        return build_mode_hamiltonian(params, modes.terms)
     return IdealDynamics(basis).hamiltonian(0.011)   # any Omega
 
 
@@ -273,7 +274,7 @@ class TestNormalModes:
         params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=mu, nu=nu, u0=0.4)
         w = mode_matrix(modes).real
         h_site = hamiltonian_matrix(n_total, params.to_dict())
-        blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
+        blocks = block_matrix(build_mode_hamiltonian(params, modes.terms))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
 
@@ -297,7 +298,7 @@ class TestNormalModes:
         modes = NormalModes(basis3)
         site_state = QuantumState.from_fock(basis3, (1, 2, 0, 0))
         h_modes = build_mode_hamiltonian(
-            ModelParameters.integrable_set(u=2.0, j=1.0), modes.basis)
+            ModelParameters.integrable_set(u=2.0, j=1.0), modes.terms)
         with pytest.raises(ValueError):
             evolve(site_state, h_modes, 1.0)
         with pytest.raises(ValueError):
@@ -324,7 +325,7 @@ class TestNormalModes:
             mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
         w = mode_matrix(modes).real
         h_site = hamiltonian_matrix(n_total, params.to_dict())
-        blocks = block_matrix(build_mode_hamiltonian(params, modes.basis))
+        blocks = block_matrix(build_mode_hamiltonian(params, modes.terms))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
 
@@ -338,7 +339,7 @@ class TestNormalModes:
     def test_detuned_blocks_at_n15_follow_the_swap_parities(self, mu, nu, sizes):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, nu=nu, u0=0.5)
         params = replace(params, u13=0.6)
-        operator = build_mode_hamiltonian(params, enumerate_basis(15))
+        operator = build_mode_hamiltonian(params, _ModeTerms(enumerate_basis(15)))
         assert [indices.shape[1] for indices, _ in operator.blocks for _ in indices] == sizes
 
     @settings(max_examples=60, deadline=None)
@@ -363,7 +364,7 @@ class TestNormalModes:
         dense = evolve(
             state, dense_operator(basis, hamiltonian_matrix(n_total, params.to_dict())), duration)
         blocks = modes.evolve_in_modes(
-            state, [(build_mode_hamiltonian(params, modes.basis), duration)])
+            state, [(build_mode_hamiltonian(params, modes.terms), duration)])
         np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
@@ -376,7 +377,8 @@ class TestEcho:
         return [replace(params, u13=params.u0 + x) for x in (xi, -xi)]
 
     def echo(self, basis, n_dt, first, second):
-        return _Echo(lambda params: build_mode_hamiltonian(params, basis), first, second, n_dt)
+        terms = _ModeTerms(basis)
+        return _Echo(lambda params: build_mode_hamiltonian(params, terms), first, second, n_dt)
 
     @pytest.mark.parametrize("n_total", [5, 15])
     @pytest.mark.parametrize("n_dt", [1, 7])
@@ -388,7 +390,7 @@ class TestEcho:
                                                      for _ in range(4)]))
         durations = np.array([0.0, 0.02, 0.05, 0.11])   # E t of order 10 rad at N = 15
         evolved = evolve(state, self.echo(basis, n_dt, first, second), durations)
-        h1, h2 = (build_mode_hamiltonian(params, basis) for params in (first, second))
+        h1, h2 = (build_mode_hamiltonian(params, _ModeTerms(basis)) for params in (first, second))
         sliced, dt = state, durations / (2 * n_dt)
         for _ in range(n_dt):
             sliced = evolve(evolve(sliced, h1, dt), h2, dt)
@@ -436,7 +438,7 @@ class TestChebyshevPulse:
         modes = NormalModes(basis5)
         w = mode_matrix(modes)
         dense = w.T @ hamiltonian_matrix(5, self.PARAMS.to_dict()) @ w
-        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes.basis)
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes.terms)
         energies = np.linalg.eigvalsh(dense)
         assert pulse.center - pulse.radius <= energies[0] and energies[-1] <= pulse.center + pulse.radius
         state = random_state(modes.basis, np.random.default_rng(7))
@@ -444,7 +446,7 @@ class TestChebyshevPulse:
                                    expm(-1j * t * dense) @ state.amplitudes, rtol=0, atol=1e-13)
 
     def test_zero_duration_in_a_stack(self, basis5):
-        pulse = _sparse_mode_hamiltonian(self.PARAMS, basis5)
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, _ModeTerms(basis5))
         state = random_state(basis5, np.random.default_rng(8))
         stack = QuantumState(basis5, np.column_stack([state.amplitudes] * 3))
         evolved = evolve(stack, pulse, [0.0, 0.4, 0.0])

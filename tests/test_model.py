@@ -1,6 +1,8 @@
 """The block operator, conserved charges, the band scales and the oracle's references."""
 
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,7 @@ from noonring.fock import enumerate_basis
 from noonring.model import (
     HermitianOperator,
     ModelParameters,
-    _hop_blocks,
-    _mode_diagonal,
+    _ModeTerms,
     _RingRotation,
     build_mode_hamiltonian,
 )
@@ -122,15 +123,13 @@ class TestHermitianOperator:
             unchecked.eigensystem()
 
 
-def parity_blocks(params, modes):
-    """The four parity blocks of H off the integrable point without fields, as matrices of
-    the mode basis (`_hop_blocks` with H's diagonal)."""
-    diagonal = _mode_diagonal(params, modes)
-    blocks = []
-    for indices, matrices in _hop_blocks(modes, 0.0, 0.0, params.j, params.u13 - params.u0):
-        matrices[:, np.arange(indices.shape[1]), np.arange(indices.shape[1])] += diagonal[indices]
-        blocks += list(matrices)
-    return blocks
+@functools.cache
+def rotation_frame(n_total):
+    """The mode basis's terms, and T W^T, which carries a site-basis matrix into the ring
+    rotation's basis T of the normal modes (psi_site = W psi_mode)."""
+    modes = NormalModes(enumerate_basis(n_total))
+    t = modes.terms.rotation.change(np.eye(modes.basis.size, dtype=complex)).real
+    return modes.terms, t @ mode_matrix(modes).real.T
 
 
 class TestRingRotation:
@@ -149,14 +148,21 @@ class TestRingRotation:
         sign=st.sampled_from([1.0, -1.0]),
     )
     def test_matches_the_block_eigensystem(self, n_total, u, j, u0, xi, sign):
+        """The pieces are T H T^T, H the oracle's dense H carried into the mode basis, and
+        each piece's eigensystem is its own."""
         params = ModelParameters.integrable_set(u=u, j=j, u0=u0)
         params = replace(params, u13=u0 + sign * xi)
-        modes = enumerate_basis(n_total)
-        operator = build_mode_hamiltonian(params, modes)
-        assert operator.rotation is not None
-        pieces = operator.blocks   # eigensystem() drops them
-        everything = []
-        for (indices, matrices), (values, vectors) in zip(pieces, operator.eigensystem()):
+        terms, frame = rotation_frame(n_total)
+        operator = build_mode_hamiltonian(params, terms)
+        assert operator.rotation is terms.rotation
+        expected = frame @ hamiltonian_matrix(n_total, params.to_dict()) @ frame.T
+        pieces = np.zeros_like(expected)   # each on one or two sets of T's positions
+        for indices, matrices in operator.blocks:
+            for positions in np.moveaxis(indices.reshape(*indices.shape[:2], -1), -1, 0):
+                pieces[positions[:, :, None], positions[:, None, :]] = matrices
+        np.testing.assert_allclose(pieces, expected, rtol=0,
+                                   atol=1e-12 * float(np.abs(expected).max()))
+        for (_, matrices), (values, vectors) in zip(operator.blocks, operator.eigensystem()):
             scale = max(1.0, float(np.abs(matrices).max()))
             assert np.all(np.diff(values, axis=-1) >= 0.0)   # ascending, as eigh gives them
             residual = matrices @ vectors - vectors * values[:, None, :]
@@ -164,17 +170,12 @@ class TestRingRotation:
             identity = np.broadcast_to(np.eye(values.shape[-1]), vectors.shape)
             np.testing.assert_allclose(vectors.swapaxes(-1, -2) @ vectors, identity,
                                        rtol=0, atol=1e-12)
-            everything.append(np.repeat(values.ravel(), indices.size // values.size))
-        reference = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(block) for block in parity_blocks(params, modes)]))
-        np.testing.assert_allclose(np.sort(np.concatenate(everything)), reference, rtol=0,
-                                   atol=1e-12 * max(1.0, float(np.abs(reference).max())))
 
     def test_pieces_at_n15(self):
         """Halves of 120 and 84 and one 204 block, stored once, for the parity blocks
         240/204/204/168 of the dense 816."""
         params = replace(ModelParameters.integrable_set(u=3.0, j=1.0, u0=0.5), u13=0.6)
-        operator = build_mode_hamiltonian(params, enumerate_basis(15))
+        operator = build_mode_hamiltonian(params, _ModeTerms(enumerate_basis(15)))
         shapes = [(indices.shape, matrices.shape) for indices, matrices in operator.blocks]
         assert shapes == [((2, 120), (2, 120, 120)), ((1, 204, 2), (1, 204, 204)),
                           ((2, 84), (2, 84, 84))]
@@ -194,8 +195,22 @@ class TestRingRotation:
     @pytest.mark.parametrize("u13, mu", [(0.5, 0.0), (0.6, 0.7)])
     def test_integrable_or_fielded_hamiltonians_keep_one_eigh_per_block_size(self, u13, mu):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.5)
-        operator = build_mode_hamiltonian(replace(params, u13=u13), enumerate_basis(5))
+        operator = build_mode_hamiltonian(replace(params, u13=u13), _ModeTerms(enumerate_basis(5)))
         assert operator.rotation is None
+
+    def test_a_build_at_n31_holds_little_beyond_its_pieces(self):
+        """A field-free detuned H at N = 31 (dim 5,984) goes straight into T's pieces, 36 MB:
+        no parity block and no n x n array is allocated on the way."""
+        params = replace(ModelParameters.integrable_set(u=75.876, j=24.886), u13=0.25)
+        terms = _ModeTerms(enumerate_basis(31))
+        tracemalloc.start()
+        try:
+            operator = build_mode_hamiltonian(params, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(matrices.nbytes for _, matrices in operator.blocks)
+        assert kept > 35e6 and peak <= 1.3 * kept
 
 
 class TestOracleAgreement:

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from noonring import lattice, robustness
+from noonring import lattice, model, robustness
 from noonring.dynamics import NormalModes, evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters
 from noonring.model import _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian
-from noonring.protocols import ProtocolConfig, run_protocol1, run_protocol2
+from noonring.protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 from noonring.robustness import (
     P_THETA,
     RobustnessConfig,
@@ -218,6 +218,25 @@ class TestMemory:
                                   xi_values=tuple(x * SET1["j"] for x in (0.0, 0.005, 0.01)))
         assert len(run_robustness(config, basis15)) == 3
         assert built == [basis15]
+
+    def test_each_hop_is_enumerated_once_per_basis(self, basis5, monkeypatch):
+        """Every H of a sweep, and of a protocol run, is scaled from the hops its mode basis
+        enumerated once; a hop whose coupling is 0 is never enumerated."""
+        calls, hop_entries = [], model.hop_entries
+
+        def counting(basis, *slots):
+            calls.append((id(basis), slots))
+            return hop_entries(basis, *slots)
+
+        monkeypatch.setattr(model, "hop_entries", counting)
+        cfg = ProtocolConfig(1, 4, **SET1)
+        config = RobustnessConfig(base=cfg, n_dt=2, protocol=2,
+                                  xi_values=tuple(x * SET1["j"] for x in (0.0, 0.005, 0.01)))
+        assert len(run_robustness(config, basis5)) == 3
+        assert len(calls) == len(set(calls)) == 5   # J, mu, nu and the two detuning hops
+        calls.clear()
+        run_protocol2(cfg, P_THETA / cfg.p_occ, FullDynamics(basis5))
+        assert len(calls) == len(set(calls)) == 3   # J, mu and nu
 
 
 class TestPhysicalSource:
@@ -469,7 +488,7 @@ class TestSparsePulse:
             pulse = system.hamiltonian(params)
             assert isinstance(pulse, _SparseHamiltonian)
             sparse = evolve(state, pulse, t)
-            blocked = evolve(state, build_mode_hamiltonian(params, system.modes.basis), t)
+            blocked = evolve(state, build_mode_hamiltonian(params, system.modes.terms), t)
             np.testing.assert_allclose(sparse.amplitudes, blocked.amplitudes, rtol=0, atol=1e-12)
             assert sparse.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -496,9 +515,9 @@ class TestSparsePulse:
             evolve(system.modes.change(state, system.basis), pulse, 1e-3)
         overflowing = system.couplings[2].with_fields(mu=1e308, nu=0.0)
         with pytest.raises(ArithmeticError):
-            _sparse_mode_hamiltonian(overflowing, system.modes.basis)
+            _sparse_mode_hamiltonian(overflowing, system.modes.terms)
         huge = _sparse_mode_hamiltonian(overflowing.with_fields(mu=1e300, nu=0.0),
-                                        system.modes.basis)
+                                        system.modes.terms)
         with pytest.raises(ArithmeticError):   # ||H|| t overflows
             evolve(state, huge, 1e10)
 

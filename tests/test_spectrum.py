@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from noonring import spectrum
 from noonring.fock import enumerate_basis
-from noonring.model import ModelParameters, build_mode_hamiltonian
+from noonring.model import ModelParameters, _hop_blocks, _ModeTerms, build_mode_hamiltonian
 from noonring.protocols import ProtocolConfig, band_trace
 from noonring.spectrum import (
     BandsUnresolvedError,
-    _hop_blocks,
     _solved_blocks,
     assign_bands,
     band_splits,
@@ -66,6 +65,11 @@ def band_constant(params, n_total):
     return (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
 
 
+def fields(mu, nu):
+    """The couplings of the blocks a sweep cuts: U0 = U12 = 0, J = 1 and the fields."""
+    return ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
+
+
 def every_block_eigvalsh(h):
     """The sorted eigvalsh values of every block of `h`, one block at a time."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(m) for _, ms in h.blocks for m in ms]))
@@ -81,7 +85,7 @@ class TestRotationPairs:
         grid = np.linspace(0.0, 25.0, 40)   # the [spectrum] defaults
         for row, ratio in zip(sweep_spectrum(basis, grid), grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0)
-            h = build_mode_hamiltonian(params, basis)
+            h = build_mode_hamiltonian(params, _ModeTerms(basis))
             np.testing.assert_array_equal(
                 row, every_block_eigvalsh(h) - band_constant(params, n_total))
 
@@ -97,8 +101,9 @@ class TestRotationPairs:
             sweep_spectrum(basis, [7.5], mu=mu, nu=nu)
         assert sum(call.args[0].shape[1] for call in calls.call_args_list) == solved
         # the copies stand for every block once
-        assert sum(int(copies.sum()) for _, _, copies in _solved_blocks(basis, mu, nu)) == sum(
-            len(indices) for indices, _ in _hop_blocks(basis, mu, nu))
+        terms = _ModeTerms(basis)
+        assert sum(int(copies.sum()) for _, _, copies in _solved_blocks(terms, mu, nu)) == sum(
+            len(indices) for indices, _ in build_mode_hamiltonian(fields(mu, nu), terms).blocks)
 
 
 class TestStackedSweep:
@@ -115,7 +120,7 @@ class TestStackedSweep:
     def test_matches_point_by_point(self, n_total, points, per_stack, mu, nu):
         basis = enumerate_basis(n_total)
         grid = np.linspace(0.0, 30.0, points)
-        solved = _solved_blocks(basis, mu, nu)   # a stack's size counts the solved blocks
+        solved = _solved_blocks(_ModeTerms(basis), mu, nu)   # a stack's size counts the solved blocks
         eigvalsh = np.linalg.eigvalsh
         with mock.patch.object(spectrum, "STACK_BYTES",
                                per_stack * max(matrices.nbytes for _, matrices, _ in solved)), \
@@ -124,7 +129,7 @@ class TestStackedSweep:
         assert calls.call_count == len(solved) * -(-points // per_stack)   # per size per stack
         for row, ratio in zip(eigenvalues, grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
-            h = build_mode_hamiltonian(params, basis)
+            h = build_mode_hamiltonian(params, _ModeTerms(basis))
             constant = band_constant(params, n_total)
             np.testing.assert_array_equal(row, every_block_eigvalsh(h) - constant)
             # eigh (with eigenvectors) runs another LAPACK path: equal to roundoff only.
@@ -178,8 +183,8 @@ class TestBlockSpectrum:
         (0.4, -0.3, 1, 56),     # both fields: one block, the whole sector
     ])
     def test_blocks_follow_the_conserved_charges(self, basis5, mu, nu, count, largest):
-        blocks = _hop_blocks(basis5, mu, nu)
-        sizes = [indices.shape[1] for indices, _ in blocks for _ in indices]
+        blocks = _hop_blocks(basis5, fields(mu, nu))[0]
+        sizes = [indices.shape[1] for indices in blocks for _ in indices]
         assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, len(basis5))
         spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu)[0]
         np.testing.assert_allclose(

@@ -12,8 +12,11 @@ period applies the two phase factors and the mixing matrix between the two
 eigenbases and its transpose, and the state changes back once.  An
 operator in the ring rotation's basis (`noonring.model._RingRotation`)
 changes the state into that basis and back, in place of the block order.
-Every Hamiltonian the package builds is real symmetric (`HermitianOperator`
-rejects complex blocks), so V is real, and V.T and V act on the amplitudes
+An entry of blocks on two sets of positions (a block and its ring-rotation
+image, `noonring.model.HermitianOperator`) applies its V and its phases to
+both sets of amplitudes as the columns of one product.  Every Hamiltonian
+the package builds is real symmetric (`HermitianOperator` rejects complex
+blocks), so V is real, and V.T and V act on the amplitudes
 viewed as real (real, imaginary) pairs: numpy would otherwise make a complex
 copy of V for each product.  A block of size 1 (the diagonal H_eff of
 `noonring.protocols` is all such blocks) has |V| = 1, so its amplitudes are
@@ -22,8 +25,9 @@ only multiplied by their phases exp(-i E t).
 `evolve`, `NormalModes.change` and `site_probabilities` map the columns of
 an (n, K) stack of states (see `QuantumState`), `evolve` with one duration
 per column, so a sweep reads each V once per stack rather than once per
-state; a single state is the K = 1 case.  `stack_columns` caps a stack at
-STACK_BYTES of amplitudes.
+state; a single state is the K = 1 case.  A stack of K copies of one state
+(a broadcast view, as the protocol sweeps start from) changes basis as that
+one column.  `stack_columns` caps a stack at STACK_BYTES of amplitudes.
 
 `NormalModes` carries states between the site basis and the normal-mode
 basis of `noonring.model`, where the integrable H splits into small blocks.
@@ -144,8 +148,8 @@ class _Echo:
     `rows`; for H(+-xi) without fields, the pieces of the ring rotation's basis).
     Per entry of their blocks the echo keeps H1's energies and eigenvectors V1,
     H2's energies, and the mixing matrix W = V2^T V1, which carries amplitudes
-    from H1's eigenbasis into H2's.  Neither H is kept: each is dropped once
-    diagonalized, before the next array is made, and V2 once W is formed.
+    from H1's eigenbasis into H2's.  Neither H is kept: each entry of an H is
+    dropped once diagonalized, and each entry of V2 once its W is formed.
     `evolve` changes into H1's eigenbasis once, applies D1, W, D2 and W^T per
     period, D = exp(-i E dt), and changes back once: two matrix products per
     period, where slice-by-slice evolution makes four.
@@ -161,11 +165,12 @@ class _Echo:
         if (hamiltonian.basis is not self.basis or hamiltonian.rows != self.rows
                 or not np.array_equal(hamiltonian.order, self.order)):
             raise ValueError("an echo needs two Hamiltonians in the same blocks")
-        second_parts = hamiltonian.eigensystem()
+        second_parts, parts = list(hamiltonian.eigensystem()), []
         del hamiltonian
-        self.parts = tuple(
-            (values, vectors, other_values, other_vectors.swapaxes(-1, -2) @ vectors)
-            for (values, vectors), (other_values, other_vectors) in zip(first_parts, second_parts))
+        for k, (values, vectors) in enumerate(first_parts):   # each V2 goes once W is formed
+            (other_values, other_vectors), second_parts[k] = second_parts[k], None
+            parts.append((values, vectors, other_values, other_vectors.swapaxes(-1, -2) @ vectors))
+        self.parts = tuple(parts)
 
 
 def _echo(blocked: np.ndarray, echo: _Echo, durations: np.ndarray) -> None:
@@ -297,10 +302,15 @@ class NormalModes:
 
     def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
         """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the
-        mode basis."""
+        mode basis.  A stack of copies of one column (a view of it, as `np.broadcast_to`
+        makes) changes that column once and is such a view in `target`."""
         to_modes = target is self.basis
         if state.basis is not (self.sites if to_modes else self.basis):
             raise ValueError("state is not in the basis this change starts from")
+        copies = state.amplitudes
+        if copies.ndim == 2 and copies.strides[1] == 0:   # one column K times: change it once
+            column = self.change(QuantumState(state.basis, copies[:, 0]), target).amplitudes
+            return QuantumState(target, np.broadcast_to(column[:, None], copies.shape))
         columns = state.amplitudes.shape[1:]   # () for one state, (K,) for a stack
         changed = np.empty((target.size, *columns), dtype=complex)
         for indices, blocks in self.blocks:   # real blocks on (real, imaginary) pairs

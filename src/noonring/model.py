@@ -34,20 +34,26 @@ d13, d24 = (a1 - a3)/sqrt2, (a2 - a4)/sqrt2 of the site pairs,
 
 with M = n_s13 + n_d13, P = n_s24 + n_d24, Q1 = n_d13 and Q2 = n_d24: H
 splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
-and H_eff is diagonal.  Off the integrable point H gains (U13 - U0)(N1 N3 +
-N2 N4), where per pair of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) -
-(s+^2 d^2 + d+^2 s^2)]/4 keeps only the parity of n_d, i.e. the 1<->3
-(2<->4) swap; the parities then key the blocks.
-Without fields such an H also commutes with the 90-degree ring rotation, which
+and H_eff is diagonal.  The 90-degree ring rotation R (sites 1 -> 2 -> 3 ->
+4) acts on the mode occupations as R|a,b,c,d> = (-1)^d |b,a,d,c>.  It maps
+the mu field onto the nu field with the opposite sign, R H(mu) R^T =
+H(nu = -mu), so an H with nu alone is the rotation of one with mu alone
+(`_RotatedOperator`).  Without fields it maps block (Q1, Q2) onto (Q2, Q1),
+on which H has the same matrix, so such a pair is held once (`_hop_blocks`).
+Off the integrable point H gains (U13 - U0)(N1 N3 + N2 N4), where per pair
+of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4
+keeps only the parity of n_d, i.e. the 1<->3 (2<->4) swap; the parities
+then key the blocks.  Without fields such an H also commutes with R, which
 pairs two of the four parity blocks and splits the other two in halves.  The
 rotation is a fixed orthogonal change of the mode basis, T (`_RingRotation`):
 in T's basis such an H is held in those smaller pieces, one for both paired
 blocks, and a state enters T's basis at the start of a step under it and
 leaves at the end (`noonring.dynamics.evolve`).  Each H is scaled from one
-record of its basis's fixed terms (`_ModeTerms`) straight into its blocks or
-pieces (`_scatter`).  An H that acts only once, on one state (a pulse of
-`noonring.robustness`), is held instead as one sparse matrix with its
-Gershgorin interval (`_SparseHamiltonian`), and never diagonalized.
+record of its basis's fixed terms (`_ModeTerms`), which also holds R's
+partner states and signs, straight into its blocks or pieces (`_scatter`).
+An H that acts only once, on one state (a pulse of `noonring.robustness`),
+is held instead as one sparse matrix with its Gershgorin interval
+(`_SparseHamiltonian`), and never diagonalized.
 """
 
 from __future__ import annotations
@@ -109,15 +115,17 @@ class ModelParameters:
 class HermitianOperator:
     """Real symmetric matrix in a Fock sector, held in blocks, with a cached eigensystem.
 
-    `blocks` holds one (indices, matrices) pair per block size: indices[k] are
-    the basis positions of block k, matrices[k] the block, and `order` the
-    positions block by block.  The blocks must cover the basis once; a dense
-    matrix m is the one block (arange(n)[None], m[None]).  Every operator the
-    package builds is real, so complex blocks are rejected: `evolve` relies on
-    real eigenvectors.  With a `rotation` (`_RingRotation`) the positions are
-    those of its basis, where an indices[k] of shape (size, 2) acts on two sets
-    of amplitudes; `rows` counts each entry's positions.  The blocks are
-    dropped once decomposed.
+    `blocks` holds one (indices, matrices) entry per block size (pairs, below,
+    apart): indices[k] are the basis positions of block k, matrices[k] the
+    block, and `order` the positions block by block.  The blocks must cover the
+    basis once; a dense matrix m is the one block (arange(n)[None], m[None]).
+    Every operator the package builds is real, so complex blocks are rejected:
+    `evolve` relies on real eigenvectors.  An indices[k] of shape (size, 2)
+    holds two sets of positions on which the block has the same matrix, so it
+    acts on two sets of amplitudes: a block and its ring-rotation image
+    (`_hop_blocks`, and the (even, odd) block of `_RingRotation`).  With a
+    `rotation` the positions are those of its basis.  `rows` counts each
+    entry's positions.  The blocks are dropped once decomposed.
     """
 
     def __init__(self, basis: FockBasis, blocks, check: bool = True,
@@ -145,16 +153,50 @@ class HermitianOperator:
     def eigensystem(self) -> tuple:
         """Eigenvalues (ascending) and eigenvector columns, one pair per entry of `blocks`.
 
-        Computed once, by one batched eigh per entry; the blocks go then.
+        Computed once, by one batched eigh per entry; `blocks` goes then, and each
+        entry's matrices once its eigh returns, if nothing else holds them.
         """
         if self._eigensystem is None:
-            self._require_finite()
-            self._eigensystem = tuple(np.linalg.eigh(matrices) for _, matrices in self.blocks)
-            self.blocks = None
+            self._eigensystem = self._decompose()
         return self._eigensystem
+
+    def _decompose(self) -> tuple:
+        self._require_finite()
+        blocks, self.blocks, parts = list(self.blocks), None, []
+        for k in range(len(blocks)):   # each entry's matrices go once its eigh returns
+            (_, matrices), blocks[k] = blocks[k], None
+            parts.append(np.linalg.eigh(matrices))
+        return tuple(parts)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
+
+
+class _RotatedOperator(HermitianOperator):
+    """R H R^T for an H held in blocks of the mode basis of `terms` (no `rotation`, no
+    pair of blocks on one entry), R the ring rotation (`_RingRotation`): the H with nu =
+    -mu of an H with mu and nu = 0 (module docstring).  Its blocks are H's on the states
+    x' = partner[x] in the order of H's x, so `order` maps through `partner` and `rows`
+    stay.  Its eigenvalues are H's, and each row x of H's eigenvectors is times sign[x]:
+    the eigensystem is made from H's when first asked for, with no eigh of its own.
+    """
+
+    def __init__(self, source: HermitianOperator, terms: _ModeTerms):
+        if source.rotation is not None or source.basis is not terms.basis:
+            raise ValueError("only an operator in blocks of the mode basis of `terms` rotates")
+        self.basis, self.blocks, self.rotation = source.basis, None, None
+        self.order, self.rows = terms.partner[source.order], source.rows
+        self._source, self._signs, self._eigensystem = source, terms.sign[source.order], None
+
+    def _decompose(self) -> tuple:
+        parts, start = [], 0
+        for (values, vectors), rows in zip(self._source.eigensystem(), self.rows):
+            if rows != values.size:
+                raise ValueError("an entry on two sets of positions does not rotate")
+            signs = self._signs[start:start + rows].reshape(*values.shape, 1)   # per row
+            parts.append((values, vectors * signs))
+            start += rows
+        return tuple(parts)
 
 
 class _RingRotation:
@@ -162,7 +204,8 @@ class _RingRotation:
     which H without fields off the integrable point splits into smaller pieces.
 
     R (sites 1 -> 2 -> 3 -> 4) maps s13 <-> s24, d13 -> d24, d24 -> -d13: R|x> = s_x |x'>
-    for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d.  It commutes with H without fields,
+    for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d (`_ModeTerms.partner` and `sign`,
+    from which T is made).  It commutes with H without fields,
     keeps the (even, even) and (odd, odd) blocks of the (n_d13, n_d24) parities (R^2 = +1)
     and maps (even, odd) onto (odd, even).  T's states: the R = +1 and R = -1 halves of
     (even, even), (even, odd), and the halves of (odd, odd).  A half has the (|x> + r s_x
@@ -172,10 +215,8 @@ class _RingRotation:
     T combines at most two mode states, so a state changes basis by two gathers.
     """
 
-    def __init__(self, modes: FockBasis):
-        occ, n = modes.occupations, modes.size
-        partner = _positions(modes, *occ[:, [1, 0, 3]].T)   # R|x> = sign[x] |partner[x]>
-        sign = 1.0 - 2.0 * (occ[:, 3] % 2)
+    def __init__(self, terms: _ModeTerms):
+        occ, n, partner, sign = terms.basis.occupations, terms.basis.size, terms.partner, terms.sign
         parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
         # Per piece: its layer (below), its states x, their x' and r s_x, and T's rows: two
         # mode states and their weights each.  Pieces of one size share an entry.
@@ -235,20 +276,23 @@ class _RingRotation:
 class _ModeTerms:
     """H's fixed terms in one normal-mode basis (s13, s24, d13, d24), from which every H of
     that basis is scaled: the unit diagonals of U0, U12 and (U13 - U0)/4, the entries of
-    each hop at unit coupling, enumerated on first use and kept, and the basis's
-    `_RingRotation`, made on first use.
+    each hop at unit coupling, enumerated on first use and kept, the ring rotation R as
+    R|x> = sign[x] |partner[x]>, and the basis's `_RingRotation`, made on first use.
     """
 
     def __init__(self, modes: FockBasis):
-        occ = modes.occupations.astype(float)
-        m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
         self.basis, self._hops = modes, {}
+        occ = modes.occupations   # R|x> = sign[x] |partner[x]> (`_RingRotation`)
+        self.partner = _positions(modes, *occ[:, [1, 0, 3]].T)
+        self.sign = 1.0 - 2.0 * (occ[:, 3] % 2)
+        occ = occ.astype(float)
+        m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
         self._units = (0.5 * (m_occ * (m_occ - 1.0) + p_occ * (p_occ - 1.0)), m_occ * p_occ,
                        (occ * (occ - 1.0)).sum(axis=1))   # the n(n - 1) of every mode, from D
 
     @cached_property
     def rotation(self) -> _RingRotation:
-        return _RingRotation(self.basis)
+        return _RingRotation(self)
 
     def diagonal(self, params: ModelParameters) -> np.ndarray:
         """The diagonal of H at `params` (module docstring); inf or NaN where a coupling
@@ -302,25 +346,37 @@ def _scatter(layout: tuple, diagonal: np.ndarray, rows: np.ndarray, columns: np.
     states = np.arange(diagonal.size)
     sources, targets = np.concatenate([rows, columns, states]), np.concatenate([columns, rows, states])
     values = np.concatenate([values, values, diagonal])
-    matrices = np.zeros(offsets[-1])
+    # Each entry is an array of its own, so `HermitianOperator.eigensystem` can drop it
+    # alone; it holds the flat positions offsets[k] to offsets[k + 1].
+    parts = [np.zeros(end - offset) for offset, end in zip(offsets, offsets[1:])]
     for start, roles, factors in zip(starts, places, signs):
         start = start[sources]
         for place, factor in zip(roles[:, targets], factors):
             keep = np.flatnonzero((start >= 0) & (place >= 0))
-            matrices[start[keep] + place[keep]] += factor[targets[keep]] * values[keep]
-    for offset, d in scales:
-        matrices[offset:offset + d.size**2] *= (d[:, None] * d).ravel()
-    return [(indices, part.reshape(*indices.shape[:2], -1))
-            for indices, part in zip(blocks, np.split(matrices, offsets[1:-1]))]
+            positions, terms = start[keep] + place[keep], factor[targets[keep]] * values[keep]
+            for part, offset in zip(parts, offsets):
+                inside = (positions >= offset) & (positions < offset + part.size)
+                part[positions[inside] - offset] += terms[inside]
+    for offset, d in scales:   # a piece lies in one entry
+        k = np.searchsorted(offsets, offset, side="right") - 1
+        piece = parts[k][offset - offsets[k]:][:d.size**2]
+        piece *= (d[:, None] * d).ravel()
+    return [(indices, part.reshape(*indices.shape[:2], -1)) for indices, part in zip(blocks, parts)]
 
 
-def _hop_blocks(basis: FockBasis, params: ModelParameters) -> tuple:
+def _hop_blocks(terms: _ModeTerms, params: ModelParameters) -> tuple:
     """The `_scatter` layout of the blocks that H's hops at `params` leave apart.
 
     One entry per block size, whose indices[k] are the basis positions of block k,
     so every block of one size is diagonalized in one batched call.  A pair whose
     field is off keeps its n_d as block key, or only the parity of n_d at U13 != U0.
+    Integrable H without fields commutes with the ring rotation R, which maps block
+    (Q1, Q2) onto (Q2, Q1) with the sign (-1)^Q2, constant over the block: H has the
+    same matrix on the images of a block's states.  So a block with Q1 < Q2 and the
+    images of its states, row by row, are one indices[k] of shape (size, 2), in an
+    entry of their own beside that of the Q1 = Q2 blocks of their size.
     """
+    basis = terms.basis
     key = np.zeros(basis.size, dtype=np.int64)
     for column, field in ((2, params.nu), (3, params.mu)):
         if field == 0.0:
@@ -329,12 +385,19 @@ def _hop_blocks(basis: FockBasis, params: ModelParameters) -> tuple:
     _, block_of, sizes = np.unique(key, return_inverse=True, return_counts=True)
     by_block = np.argsort(block_of, kind="stable")    # states block by block, each ascending
     first = np.cumsum(sizes) - sizes
-    blocks, offsets, (starts, places) = [], [0], np.empty((2, basis.size), dtype=np.int64)
-    for size in dict.fromkeys(sizes):
-        blocks.append(by_block[first[sizes == size][:, None] + np.arange(size)])
-        starts[blocks[-1]] = offsets[-1] + size * np.arange(blocks[-1].size).reshape(-1, size)
-        places[blocks[-1]] = np.arange(size)
-        offsets.append(offsets[-1] + size * blocks[-1].size)
+    pairing = np.zeros_like(sizes)   # per block: 1, 0, -1 for Q1 <, =, > Q2 if R is kept
+    if params.u13 == params.u0 and params.mu == params.nu == 0.0:
+        q1, q2 = basis.occupations[by_block[first], 2:].T
+        pairing = np.sign(q2 - q1)
+    blocks, offsets, (starts, places) = [], [0], np.full((2, basis.size), -1)
+    for size, paired in dict.fromkeys(zip(sizes.tolist(), pairing.tolist())):
+        if paired < 0:   # the images of a paired entry: no row of their own
+            continue
+        states = by_block[first[(sizes == size) & (pairing == paired)][:, None] + np.arange(size)]
+        starts[states] = offsets[-1] + size * np.arange(states.size).reshape(-1, size)
+        places[states] = np.arange(size)
+        offsets.append(offsets[-1] + size * states.size)
+        blocks.append(np.stack([states, terms.partner[states]], axis=-1) if paired else states)
     return blocks, offsets, starts[None], places[None, None], np.ones((1, 1, basis.size)), []
 
 
@@ -347,7 +410,7 @@ def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> Hermit
     (`_RingRotation`), into which H's entries go straight.
     """
     rotation = None if params.mu or params.nu or params.u13 == params.u0 else terms.rotation
-    layout = _hop_blocks(terms.basis, params) if rotation is None else rotation.layout
+    layout = _hop_blocks(terms, params) if rotation is None else rotation.layout
     # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
     blocks = _scatter(layout, terms.diagonal(params), *terms.entries(params))
     return HermitianOperator(terms.basis, blocks, check=False, rotation=rotation)

@@ -34,13 +34,19 @@ serves as its analytic oracle.  Both evolve in the normal-mode basis of
 site-basis states only.  FullDynamics writes its segments in terms of two
 hooks, the (couplings, duration) steps of a band interval and the couplings
 of the two pulses; the detuned dynamics of `noonring.robustness` overrides
-only those.
+only those.  The inverted-sign nu pulse is the ring rotation of a mu pulse
+(`noonring.model._RotatedOperator`): at nu = mu, as in both presets, it
+takes the mu pulse's eigensystem, so a Protocol II sweep diagonalizes one
+pulse.
 
 A run ends in a ProtocolReport: the output state and its fidelity to the
 ideal target, plus, for each Protocol I branch, the site-3 outcome r and its
 probability.  Protocol I projects only the branches it keeps, r = 0 and
 r = M, each scored against its own target; a discarded branch's fidelity is
-0 by support, and its state is formed when read.  The readout evolves an
+0 by support, and its state is formed when read.  A fidelity reads the
+evolved state at its target's few entries only, whose positions a sweep
+finds once; a kept branch's is that overlap over sqrt(P_r), so the branch
+is not formed either.  The readout evolves an
 output state by a further t_m and measures site 3 again; its (N + 1,)
 outcome distribution, read against the READOUT_LAWS of P theta, recovers
 the encoded phase.
@@ -49,7 +55,8 @@ A theta sweep runs as stacks of states (`noonring.dynamics`):
 `sweep_protocol1`, `sweep_protocol2` and `sweep_readout` take one config and
 an array of theta, evolve the thetas `stack_columns` at a time, one column
 per theta, and yield one result per theta as they go, so a long sweep holds
-one stack, not every theta's states.  They check every theta (theta >= 0,
+one stack, not every theta's states.  A stack starts as copies of one state,
+which changes into the normal modes once.  They check every theta (theta >= 0,
 t_mu below t_m) before the first segment runs.  Protocol II's nu segment
 does not depend on theta, so it runs once per sweep; the readout evolves the
 protocol sweep's output states `stack_columns` at a time.  `run_protocol1`
@@ -70,7 +77,7 @@ import numpy as np
 
 from .dynamics import NormalModes, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
-from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
+from .model import HermitianOperator, ModelParameters, _RotatedOperator, build_mode_hamiltonian
 
 MEASURED_SITE = 3
 
@@ -196,11 +203,55 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
     return abs(a.overlap(b))
 
 
+def _positions_of(basis: FockBasis, terms: dict[tuple, complex]) -> np.ndarray:
+    """The basis positions of the occupations of `terms`, in their order."""
+    return np.array([basis.index_of(occupations) for occupations in terms])
+
+
+def _amplitudes(terms: dict[tuple, complex]) -> np.ndarray:
+    """The amplitudes of `terms`, normalized: the nonzero entries of the state they give."""
+    amplitudes = np.array(list(terms.values()), dtype=complex)
+    return amplitudes / np.linalg.norm(amplitudes)
+
+
 def _superposition(basis: FockBasis, terms: dict[tuple, complex]) -> QuantumState:
     amplitudes = np.zeros(basis.size, dtype=complex)
-    for occupations, amplitude in terms.items():
-        amplitudes[basis.index_of(occupations)] = amplitude
-    return QuantumState(basis, amplitudes).normalized()
+    amplitudes[_positions_of(basis, terms)] = _amplitudes(terms)
+    return QuantumState(basis, amplitudes)
+
+
+def _uber_noon_terms(cfg: ProtocolConfig, p_theta: float) -> dict[tuple, complex]:
+    """The {occupations: amplitude} of `ideal_uber_noon`, before normalizing."""
+    m, p = cfg.m_occ, cfg.p_occ
+    beta = cfg.beta
+    phase = np.exp(1j * p_theta)
+    return {
+        (m, p, 0, 0): 0.5 * beta,
+        (m, 0, 0, p): 0.5 * phase,
+        (0, p, m, 0): 0.5,
+        (0, 0, m, p): -0.5 * beta * phase,
+    }
+
+
+def _protocol1_terms(cfg: ProtocolConfig, r: int, p_theta: float) -> dict[tuple, complex]:
+    """The {occupations: amplitude} of `ideal_protocol1_output`, before normalizing."""
+    m, p = cfg.m_occ, cfg.p_occ
+    beta = cfg.beta
+    phase = np.exp(1j * p_theta)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    if r == 0:
+        return {(m, p, 0, 0): beta * inv_sqrt2, (m, 0, 0, p): phase * inv_sqrt2}
+    if r == m:
+        return {(0, p, m, 0): inv_sqrt2, (0, 0, m, p): -beta * phase * inv_sqrt2}
+    raise ValueError(f"ideal Protocol I output exists only for r in {{0, {m}}}, got {r}")
+
+
+def _protocol2_terms(cfg: ProtocolConfig, p_theta: float) -> dict[tuple, complex]:
+    """The {occupations: amplitude} of `ideal_protocol2_output`, before normalizing."""
+    m, p = cfg.m_occ, cfg.p_occ
+    upsilon = cfg.beta * np.exp(1j * (p_theta + math.pi / 2.0))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return {(m, p, 0, 0): inv_sqrt2, (m, 0, 0, p): upsilon * inv_sqrt2}
 
 
 def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
@@ -210,35 +261,13 @@ def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> Qu
 
     P theta = 0 is the state before the field, bit for bit.
     """
-    m, p = cfg.m_occ, cfg.p_occ
-    beta = cfg.beta
-    phase = np.exp(1j * p_theta)
-    return _superposition(basis, {
-        (m, p, 0, 0): 0.5 * beta,
-        (m, 0, 0, p): 0.5 * phase,
-        (0, p, m, 0): 0.5,
-        (0, 0, m, p): -0.5 * beta * phase,
-    })
+    return _superposition(basis, _uber_noon_terms(cfg, p_theta))
 
 
 def ideal_protocol1_output(cfg: ProtocolConfig, basis: FockBasis, r: int,
                            p_theta: float) -> QuantumState:
     """Post-measurement NOON state on sites 2-4 for outcome r in {0, M}, encoding `p_theta`."""
-    m, p = cfg.m_occ, cfg.p_occ
-    beta = cfg.beta
-    phase = np.exp(1j * p_theta)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if r == 0:
-        return _superposition(basis, {
-            (m, p, 0, 0): beta * inv_sqrt2,
-            (m, 0, 0, p): phase * inv_sqrt2,
-        })
-    if r == m:
-        return _superposition(basis, {
-            (0, p, m, 0): inv_sqrt2,
-            (0, 0, m, p): -beta * phase * inv_sqrt2,
-        })
-    raise ValueError(f"ideal Protocol I output exists only for r in {{0, {m}}}, got {r}")
+    return _superposition(basis, _protocol1_terms(cfg, r, p_theta))
 
 
 def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
@@ -247,13 +276,7 @@ def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis, p_theta: float
     Upsilon = beta e^{i(P theta + pi/2)}, the phase consistent with the
     inverted-sign nu pulse and the readout law P(0) = sin^2(P theta/2 - pi/4).
     """
-    m, p = cfg.m_occ, cfg.p_occ
-    upsilon = cfg.beta * np.exp(1j * (p_theta + math.pi / 2.0))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return _superposition(basis, {
-        (m, p, 0, 0): inv_sqrt2,
-        (m, 0, 0, p): upsilon * inv_sqrt2,
-    })
+    return _superposition(basis, _protocol2_terms(cfg, p_theta))
 
 
 # --- Dynamics: band evolution, and the t_m segments ending in a pulse ----
@@ -294,9 +317,19 @@ class FullDynamics(_ModeDynamics):
     override (the detuned dynamics of `noonring.robustness` does):
     `_band_steps(cfg, t)` lists the (couplings, duration) steps of a band
     interval t, and `_pulses(cfg)` gives the mu pulse's couplings and the
-    inverted-sign nu pulse's."""
+    inverted-sign nu pulse's.
+
+    The ring rotation R maps the nu field onto the mu field with the opposite
+    sign (`noonring.model._RotatedOperator`), so an operator with nu != 0 and
+    mu = 0 is R H(mu = -nu) R^T: its eigensystem is that of the operator at
+    mu = -nu, nu = 0, kept beside the others, with the rows of the eigenvectors
+    signed.  The inverted-sign nu pulse at nu = mu is thus the mu pulse's
+    eigensystem, and the nu hop is never enumerated."""
 
     def _build(self, params: ModelParameters) -> HermitianOperator:
+        if params.nu != 0.0 and params.mu == 0.0:   # R H(mu = -nu) R^T: no eigh of its own
+            mu_form = self.hamiltonian(params.with_fields(mu=-params.nu, nu=0.0))
+            return _RotatedOperator(mu_form, self.modes.terms)
         return build_mode_hamiltonian(params, self.modes.terms)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
@@ -325,13 +358,20 @@ class IdealDynamics(_ModeDynamics):
     evolution under H_eff for the whole t_m, then the field pulse as an
     instantaneous phase gate, one per column.  Its couplings are the
     band frequency Omega; H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal
-    in the normal modes (Q = n_d), so it is held as 1 x 1 blocks."""
+    in the normal modes (Q = n_d), so it is held as 1 x 1 blocks.  Its energy is
+    the same, bit for bit, at (Q1, Q2) and (Q2, Q1), so, as for the integrable H
+    (`noonring.model._hop_blocks`), a state with Q1 < Q2 holds its ring-rotation
+    image on the same block, and each step forms half the phases exp(-i E t)."""
 
     def _build(self, omega: float) -> HermitianOperator:
-        q1, q2 = self.modes.basis.occupations[:, 2:].T
+        terms = self.modes.terms
+        q1, q2 = terms.basis.occupations[:, 2:].T
         energies = (self.basis.n_total + 1) * omega * (q1 + q2) - 2.0 * omega * (q1 * q2)
-        return HermitianOperator(self.modes.basis, blocks=[
-            (np.arange(self.basis.size)[:, None], energies[:, None, None])])
+        pairs, alone = np.flatnonzero(q1 < q2), np.flatnonzero(q1 == q2)
+        blocks = [(np.column_stack([pairs, terms.partner[pairs]])[:, None],   # with images
+                   energies[pairs, None, None]),
+                  (alone[:, None], energies[alone, None, None])]
+        return HermitianOperator(terms.basis, [block for block in blocks if block[0].size])
 
     def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
         return self.evolve(states, [(cfg.omega, t)])
@@ -362,7 +402,8 @@ def _initial_state(cfg: ProtocolConfig, basis: FockBasis) -> QuantumState:
 
 
 def _copies(state: QuantumState, columns: int) -> QuantumState:
-    """A stack of `columns` copies of the single `state`, as a read-only view of it."""
+    """A stack of `columns` copies of the single `state`, as a read-only view of it, which
+    changes into the normal modes as one column (`NormalModes.change`)."""
     return QuantumState(state.basis, np.broadcast_to(state.amplitudes[:, None],
                                                      (state.basis.size, columns)))
 
@@ -378,12 +419,23 @@ def _branch(basis: FockBasis, outcome, column, r: int, probability: float) -> Qu
     return QuantumState(basis, np.where(outcome == r, column, 0.0) / math.sqrt(probability))
 
 
+def _overlap(terms: dict[tuple, complex], positions: np.ndarray, column: np.ndarray) -> float:
+    """|<target|column>| for the state of `terms` (`_superposition`), whose entries sit at
+    `positions`: read there only."""
+    return abs(complex(np.vdot(_amplitudes(terms), column[positions])))
+
+
 def sweep_protocol1(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealDynamics):
-    """`run_protocol1`'s reports at each of `thetas` in turn, evolved as stacks."""
-    basis, kept = dynamics.basis, (0, cfg.m_occ)
+    """`run_protocol1`'s reports at each of `thetas` in turn, evolved as stacks.
+
+    A kept branch r is scored on its target's entries, which lie where site 3 holds r:
+    its fidelity is |<target|column>| / sqrt(P_r), and the branch is not formed.
+    """
+    basis, initial = dynamics.basis, _initial_state(cfg, dynamics.basis)
     outcome = basis.occupations[:, MEASURED_SITE - 1]
+    kept = {r: _positions_of(basis, _protocol1_terms(cfg, r, 0.0)) for r in (0, cfg.m_occ)}
     for chunk in _chunks(cfg, thetas, basis):
-        states = dynamics.mu_segment(_copies(_initial_state(cfg, basis), chunk.size), cfg, chunk)
+        states = dynamics.mu_segment(_copies(initial, chunk.size), cfg, chunk)
         probabilities = site_probabilities(states, MEASURED_SITE).T.tolist()
         for theta, column, weights in zip(chunk.tolist(), states.amplitudes.T, probabilities):
             reports = [ProtocolReport(partial(_branch, basis, outcome, column, r, weight), 0.0,
@@ -391,8 +443,9 @@ def sweep_protocol1(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealD
                        for r, weight in enumerate(weights) if weight > 0.0]
             for report in reports:
                 if report.selected:
-                    target = ideal_protocol1_output(cfg, basis, report.outcome, cfg.p_occ * theta)
-                    report.fidelity = fidelity(target, report.final_state)
+                    terms = _protocol1_terms(cfg, report.outcome, cfg.p_occ * theta)
+                    report.fidelity = (_overlap(terms, kept[report.outcome], column)
+                                       / math.sqrt(report.probability))
             yield reports
 
 
@@ -414,13 +467,13 @@ def sweep_protocol2(cfg: ProtocolConfig, thetas, dynamics: FullDynamics | IdealD
     basis = dynamics.basis
     chunks = _chunks(cfg, thetas, basis)
     start = dynamics.nu_segment(_initial_state(cfg, basis), cfg) if chunks else None
+    positions = _positions_of(basis, _protocol2_terms(cfg, 0.0))
     for chunk in chunks:
         states = dynamics.mu_segment(_copies(start, chunk.size), cfg, chunk)
         for theta, column in zip(chunk.tolist(), states.amplitudes.T):
-            final = QuantumState(basis, column.copy())
             yield ProtocolReport(
-                final_state=final,
-                fidelity=fidelity(ideal_protocol2_output(cfg, basis, cfg.p_occ * theta), final),
+                final_state=QuantumState(basis, column.copy()),
+                fidelity=_overlap(_protocol2_terms(cfg, cfg.p_occ * theta), positions, column),
             )
 
 
@@ -449,7 +502,8 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
     full = FullDynamics(basis)
     ideal = IdealDynamics(basis, full.modes)   # one NormalModes for both
     initial = _initial_state(cfg, basis)
-    uber = ideal_uber_noon(cfg, basis, 0.0).amplitudes   # before the field
+    uber = _uber_noon_terms(cfg, 0.0)   # before the field
+    uber_positions, uber = _positions_of(basis, uber), _amplitudes(uber)
     corners = [basis.index_of(occ) for occ in
                ((m, p, 0, 0), (0, p, m, 0), (m, 0, 0, p), (0, 0, m, p))]
     times, width = np.asarray(times, dtype=float), stack_columns(basis)
@@ -461,7 +515,7 @@ def band_trace(cfg: ProtocolConfig, basis: FockBasis, times) -> np.ndarray:
         kets = ideal.band(states, cfg, ts).amplitudes
         stacks.append(np.vstack([
             np.abs(bras[corners]) ** 2,
-            np.abs(uber @ bras) ** 2,                      # |<full|uber>|^2
+            np.abs(uber @ bras[uber_positions]) ** 2,      # |<full|uber>|^2
             np.abs(np.einsum("ik,ik->k", bras, kets)),     # |<full|eff>|
         ]))
     return np.hstack(stacks)

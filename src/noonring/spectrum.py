@@ -42,28 +42,25 @@ def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
 
 def _solved_blocks(terms: _ModeTerms, mu: float, nu: float) -> list[tuple]:
     """The blocks of H at U0 = U12 = 0, its hops at J = 1 and the fields, that a sweep
-    diagonalizes, as (indices, hops, copies) per block size: block k stands for copies[k]
-    blocks of equal eigenvalues.
+    diagonalizes, as (indices, hops, copies) per entry of its blocks: each block stands for
+    `copies` blocks of equal eigenvalues.
 
-    Without fields the 90-degree ring rotation maps block (Q1, Q2) onto (Q2, Q1), and
-    in the blocks' state order (s13 occupation ascending) the H of one is the other's
-    reversed.  LAPACK's eigenvalue-only path gives both bit-equal values (README), so
-    Q1 <= Q2 is solved and Q1 < Q2 counts twice.  With a field on, every block is solved.
+    Without fields `build_mode_hamiltonian` holds each block (Q1, Q2) with Q1 < Q2 once,
+    for itself and its ring-rotation image (Q2, Q1), on which H has the same matrix and
+    the same diagonal: such an entry counts twice.  With a field on, every block is
+    solved once.
     """
     at_zero = ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
-    solved, blocks = [], build_mode_hamiltonian(at_zero, terms).blocks
+    blocks = build_mode_hamiltonian(at_zero, terms).blocks
     # That path (dsterf) squares off-diagonals, and one that underflows costs it accuracy
     # (a 1e-160 J field moved levels by 5e-5 J): an entry below eps of the largest, which
     # moves no level beyond LAPACK's own error, is set to 0.
     floor = np.finfo(float).eps * max(np.abs(hops).max(initial=0.0) for _, hops in blocks)
-    for indices, hops in blocks:
+    for _, hops in blocks:
         hops[np.abs(hops) < floor] = 0.0
-        q1, q2 = terms.basis.occupations[indices[:, 0], 2:].T   # (Q1, Q2) without fields
-        # 2, 1, 0 copies for Q1 <, =, > Q2; a field breaks R, and every block is solved once
-        copies = np.sign(q2 - q1) + 1 if mu == nu == 0.0 else np.ones_like(q1)
-        keep = copies > 0
-        solved.append((indices[keep], hops[keep], copies[keep]))
-    return solved
+    # a pair's indices[..., 0] are its first block's states, whose diagonal the sweep adds
+    return [(indices[..., 0] if indices.ndim > 2 else indices, hops,
+             np.full(len(indices), indices.ndim - 1)) for indices, hops in blocks]
 
 
 def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
@@ -74,8 +71,8 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
     Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J; the
     additive constant C is subtracted from every spectrum.  H is built in the
     normal-mode blocks of the conserved d-occupations (`noonring.model`), cut once
-    per sweep (`_solved_blocks`); without fields one block of each ring-rotation
-    pair is solved.  Per stack of grid points (all 40 default points at N = 15: the
+    per sweep (`_solved_blocks`); without fields each block pair (Q1, Q2), (Q2, Q1)
+    is held, and solved, once.  Per stack of grid points (all 40 default points at N = 15: the
     widest size stays within STACK_BYTES) and block size, each point's diagonal is
     added to its copy of the blocks and one `eigvalsh` takes them all.  LAPACK sees
     one matrix at a time, so the values are bit for bit those of a point-by-point

@@ -37,8 +37,10 @@ P_THETA_BENCHMARKS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, m
 
 
 def eigenvalues(h):
-    """Every eigenvalue of a block operator, ascending."""
-    return np.sort(np.concatenate([values.ravel() for values, _ in h.eigensystem()]))
+    """Every eigenvalue of a block operator, ascending; an entry that also acts on the ring
+    rotation's images of its blocks (twice as many rows as values) counts twice."""
+    return np.sort(np.concatenate([np.tile(values.ravel(), rows // values.size)
+                                   for (values, _), rows in zip(h.eigensystem(), h.rows)]))
 
 
 # Protocol I success probability and NOON fidelity per post-selected

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noonring.dynamics import NormalModes
-from noonring.fock import enumerate_basis
+from scipy.linalg import expm
+
+from noonring.dynamics import NormalModes, evolve
+from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import (
     HermitianOperator,
     ModelParameters,
     _ModeTerms,
     _RingRotation,
+    _RotatedOperator,
     build_mode_hamiltonian,
 )
-from noonring.protocols import ProtocolConfig
+from noonring.protocols import FullDynamics, ProtocolConfig
 
 from conftest import mode_matrix
 from oracle import (
@@ -183,7 +186,7 @@ class TestRingRotation:
     @pytest.mark.parametrize("n_total", [3, 4, 5, 15])
     def test_the_change_of_basis_is_orthogonal(self, n_total):
         modes = enumerate_basis(n_total)
-        rotation = _RingRotation(modes)
+        rotation = _RingRotation(_ModeTerms(modes))
         t = rotation.change(np.eye(modes.size, dtype=complex))
         assert not t.imag.any()
         np.testing.assert_allclose(t.real @ t.real.T, np.eye(modes.size), rtol=0, atol=1e-15)
@@ -211,6 +214,114 @@ class TestRingRotation:
             tracemalloc.stop()
         kept = sum(matrices.nbytes for _, matrices in operator.blocks)
         assert kept > 35e6 and peak <= 1.3 * kept
+
+
+@functools.cache
+def mode_frame(n_total):
+    """The NormalModes of the sector, and W with psi_site = W psi_mode."""
+    modes = NormalModes(enumerate_basis(n_total))
+    return modes, mode_matrix(modes).real
+
+
+def site_rotation(basis):
+    """R on the site basis, a permutation: |n1, n2, n3, n4> -> |n4, n1, n2, n3>, each boson
+    moved one site on (1 -> 2 -> 3 -> 4 -> 1)."""
+    images = [basis.index_of(occupations) for occupations in basis.occupations[:, [3, 0, 1, 2]]]
+    rotation = np.zeros((basis.size, basis.size))
+    rotation[images, np.arange(basis.size)] = 1.0
+    return rotation
+
+
+def mode_rotation(terms):
+    """R on the mode basis from `terms`: R|x> = sign[x] |partner[x]>."""
+    rotation = np.zeros((terms.basis.size, terms.basis.size))
+    rotation[terms.partner, np.arange(terms.basis.size)] = terms.sign
+    return rotation
+
+
+def dense_blocks(operator):
+    """The dense matrix of an operator's blocks, each on one or two sets of positions."""
+    dense = np.zeros((operator.basis.size, operator.basis.size))
+    for indices, matrices in operator.blocks:
+        for positions in np.moveaxis(indices.reshape(*indices.shape[:2], -1), -1, 0):
+            dense[positions[:, :, None], positions[:, None, :]] = matrices
+    return dense
+
+
+def dense_eigensystem(operator):
+    """V diag(E) V^T of an operator's eigensystem, at its `order` (a pair's entry on both
+    of its sets of positions)."""
+    dense, start = np.zeros((operator.basis.size, operator.basis.size)), 0
+    for (values, vectors), rows in zip(operator.eigensystem(), operator.rows):
+        positions = operator.order[start:start + rows].reshape(*values.shape, -1)
+        matrices = (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2)
+        for sets in np.moveaxis(positions, -1, 0):
+            dense[sets[:, :, None], sets[:, None, :]] = matrices
+        start += rows
+    return dense
+
+
+MU_FORM = ModelParameters.integrable_set(u=75.876, j=24.886, mu=20.87)   # set1's mu pulse
+NU_PULSE = MU_FORM.with_fields(mu=0.0, nu=-20.87)   # its rotation, set1's inverted nu pulse
+
+
+class TestRotatedPulses:
+    """The nu pulse is the ring rotation R of a mu pulse, R H(mu = -nu) R^T, and
+    FullDynamics holds it as that, with no eigh of its own; integrable H without fields
+    holds each block pair (Q1, Q2), (Q2, Q1) once."""
+
+    @pytest.mark.parametrize("n_total", [3, 4, 5, 15])
+    def test_the_nu_operator_is_the_rotated_mu_operator(self, n_total):
+        modes, w = mode_frame(n_total)
+        site_mu, site_nu = (hamiltonian_matrix(n_total, params.to_dict())
+                            for params in (MU_FORM, NU_PULSE))
+        r = site_rotation(modes.sites)
+        # the oracle's, to its rounding (it sums the diagonal's terms in site order)
+        np.testing.assert_allclose(r @ site_mu @ r.T, site_nu, rtol=0,
+                                   atol=4 * np.finfo(float).eps * np.abs(site_nu).max())
+        # partner and sign are R in the mode basis, and the package's blocks rotate exactly
+        r_modes = mode_rotation(modes.terms)
+        np.testing.assert_allclose(w @ r_modes @ w.T, r, rtol=0, atol=1e-12)
+        mu_blocks, nu_blocks = (dense_blocks(build_mode_hamiltonian(params, modes.terms))
+                                for params in (MU_FORM, NU_PULSE))
+        np.testing.assert_array_equal(r_modes @ mu_blocks @ r_modes.T, nu_blocks)
+        # FullDynamics' nu operator: the mu form's eigensystem, rotated
+        dynamics = FullDynamics(modes.sites, modes)
+        operator = dynamics.hamiltonian(NU_PULSE)
+        assert isinstance(operator, _RotatedOperator)
+        assert operator._source is dynamics.hamiltonian(MU_FORM)
+        expected = w.T @ site_nu @ w
+        np.testing.assert_allclose(dense_eigensystem(operator), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n_total", [3, 4, 5, 6])
+    def test_evolution_matches_the_dense_exponential(self, n_total):
+        """Under the rotated nu operator and under the paired integrable H, as the oracle's
+        exp(-i H t).  The Q1 = Q2 blocks stay single; at even N they hold the states that
+        R fixes, |a, a, c, c>."""
+        modes, w = mode_frame(n_total)
+        dynamics = FullDynamics(modes.sites, modes)
+        rng = np.random.default_rng(n_total)
+        raw = rng.normal(size=(modes.basis.size, 2)) @ [1.0, 1j]
+        state = QuantumState(modes.basis, raw / np.linalg.norm(raw))
+        params = ModelParameters.integrable_set(u=2.3, j=0.9, u0=0.4)
+        for couplings in (params, params.with_fields(mu=0.0, nu=-0.7)):
+            operator = dynamics.hamiltonian(couplings)
+            if couplings is params:
+                shapes = [indices.shape[2:] for indices, _ in operator.blocks]
+                assert (2,) in shapes and () in shapes
+            matrix = w.T @ hamiltonian_matrix(n_total, couplings.to_dict()) @ w
+            expected = expm(-1j * 1.7 * matrix) @ state.amplitudes
+            np.testing.assert_allclose(evolve(state, operator, 1.7).amplitudes, expected,
+                                       rtol=0, atol=1e-12)
+
+    def test_only_single_blocks_of_the_mode_basis_rotate(self):
+        terms = _ModeTerms(enumerate_basis(4))
+        params = ModelParameters.integrable_set(u=2.3, j=0.9, u0=0.4)
+        with pytest.raises(ValueError, match="rotates"):   # in the basis of T
+            _RotatedOperator(build_mode_hamiltonian(replace(params, u13=0.7), terms), terms)
+        with pytest.raises(ValueError, match="does not rotate"):   # blocks with their images
+            _RotatedOperator(build_mode_hamiltonian(params, terms), terms).eigensystem()
 
 
 class TestOracleAgreement:

@@ -10,6 +10,7 @@ import pytest
 
 from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
+from noonring.model import _ModeTerms, build_mode_hamiltonian
 from noonring.protocols import (
     READOUT_LAWS,
     FullDynamics,
@@ -301,9 +302,11 @@ class TestDynamics:
     def test_one_decomposition_per_operator_across_a_sweep(
             self, basis15, set1, monkeypatch, dynamics_class):
         """No eigh after the first theta point.  FullDynamics runs one batched
-        eigh per block size of its three Hamiltonians at that point;
-        IdealDynamics one, on H_eff's 1 x 1 blocks in the normal-mode basis.
-        The sweep starts above p_theta = 0, where t_mu = 0 needs no mu pulse."""
+        eigh per entry of its Hamiltonians' blocks at that point; IdealDynamics
+        two, on H_eff's 1 x 1 blocks in the normal-mode basis: the states with
+        Q1 < Q2, which also stand for their ring-rotation images, and those with
+        Q1 = Q2.  The sweep starts above p_theta = 0, where t_mu = 0 needs no mu
+        pulse."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -321,7 +324,34 @@ class TestDynamics:
         if dynamics_class is FullDynamics:
             assert counts[0] > 0
         else:
-            assert calls == [(basis15.size, 1, 1)]
+            (pairs, *one), (alone, *other) = calls
+            assert one == other == [1, 1] and 2 * pairs + alone == basis15.size
+
+    @pytest.mark.parametrize("readout", [False, True])
+    @pytest.mark.parametrize("nu", [None, 30.0])
+    def test_the_nu_pulse_reuses_the_mu_pulse_eigensystem(self, basis15, set1, monkeypatch,
+                                                          nu, readout):
+        """A default-preset Protocol II run or readout (nu = mu) diagonalizes one pulse: the
+        inverted-sign nu pulse is the ring rotation of the mu pulse.  With nu != mu it
+        diagonalizes two, the mu pulse and the mu form of the nu pulse."""
+        cfg = make_cfg({**set1, "nu": set1["nu"] if nu is None else nu})
+        terms = _ModeTerms(basis15)
+        band, pulse = (len(build_mode_hamiltonian(params, terms).blocks)   # eigh per H
+                       for params in (cfg.params, cfg.params.with_fields(mu=cfg.mu, nu=0.0)))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(matrices):
+            calls.append(matrices.shape)
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        theta = math.pi / 2.0 / P_OCC
+        if readout:
+            read_out(cfg, theta, FullDynamics(basis15), 2)
+        else:
+            run_protocol2(cfg, theta, FullDynamics(basis15))
+        assert len(calls) == band + (1 if nu is None else 2) * pulse
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
         cfg = ProtocolConfig(1, 4, **set1)

@@ -70,9 +70,24 @@ def fields(mu, nu):
     return ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
 
 
+def copies(indices):
+    """Blocks one matrix of an entry stands for: 2 for a block held with its ring-rotation
+    image (indices of shape (size, 2)), else 1."""
+    return indices.ndim - 1
+
+
 def every_block_eigvalsh(h):
-    """The sorted eigvalsh values of every block of `h`, one block at a time."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for _, ms in h.blocks for m in ms]))
+    """The sorted eigvalsh values of every block of `h`, one block at a time; a block held
+    with its ring-rotation image counts twice."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m) for indices, ms in h.blocks
+                                   for m in ms for _ in range(copies(indices))]))
+
+
+def every_block_eigh(h):
+    """The sorted eigh values of every block of `h`, a paired one twice (`h.rows` counts
+    the images' rows)."""
+    return np.sort(np.concatenate([np.tile(values.ravel(), rows // values.size)
+                                   for (values, _), rows in zip(h.eigensystem(), h.rows)]))
 
 
 class TestRotationPairs:
@@ -102,8 +117,9 @@ class TestRotationPairs:
         assert sum(call.args[0].shape[1] for call in calls.call_args_list) == solved
         # the copies stand for every block once
         terms = _ModeTerms(basis)
-        assert sum(int(copies.sum()) for _, _, copies in _solved_blocks(terms, mu, nu)) == sum(
-            len(indices) for indices, _ in build_mode_hamiltonian(fields(mu, nu), terms).blocks)
+        assert sum(int(count.sum()) for _, _, count in _solved_blocks(terms, mu, nu)) == sum(
+            len(indices) * copies(indices)
+            for indices, _ in build_mode_hamiltonian(fields(mu, nu), terms).blocks)
 
 
 class TestStackedSweep:
@@ -133,8 +149,7 @@ class TestStackedSweep:
             constant = band_constant(params, n_total)
             np.testing.assert_array_equal(row, every_block_eigvalsh(h) - constant)
             # eigh (with eigenvectors) runs another LAPACK path: equal to roundoff only.
-            values = np.concatenate([values.ravel() for values, _ in h.eigensystem()])
-            np.testing.assert_allclose(row, np.sort(values) - constant,
+            np.testing.assert_allclose(row, every_block_eigh(h) - constant,
                                        rtol=0, atol=1e-12 * max(1.0, abs(constant)))
 
     def test_memory_does_not_grow_with_the_point_count(self):
@@ -183,8 +198,9 @@ class TestBlockSpectrum:
         (0.4, -0.3, 1, 56),     # both fields: one block, the whole sector
     ])
     def test_blocks_follow_the_conserved_charges(self, basis5, mu, nu, count, largest):
-        blocks = _hop_blocks(basis5, fields(mu, nu))[0]
-        sizes = [indices.shape[1] for indices in blocks for _ in indices]
+        blocks = _hop_blocks(_ModeTerms(basis5), fields(mu, nu))[0]
+        sizes = [indices.shape[1] for indices in blocks
+                 for _ in range(len(indices) * copies(indices))]
         assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, len(basis5))
         spectrum = sweep_spectrum(basis5, [7.5], mu=mu, nu=nu)[0]
         np.testing.assert_allclose(

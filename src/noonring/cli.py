@@ -448,7 +448,8 @@ def _omega_bracket(cfg: ExperimentConfig) -> tuple[float, float]:
 
 
 def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
-    from .lattice import derive, model_parameters_from_lattice, recoil_energy, solve_integrability
+    from .lattice import (HBAR, derive, model_parameters_from_lattice, recoil_energy,
+                          solve_integrability)
 
     lattice = cfg.lattice
     trap = _trap(cfg)
@@ -484,7 +485,7 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         "derived_at_root": {
             "recoil_rad_s": recoil,
             "recoil_over_2pi_khz": recoil / (2.0 * math.pi * 1e3),
-            "v0_over_recoil": at_root.v0_over_recoil,
+            "v0_over_recoil": at_root.v0 / (HBAR * recoil),
             "coupling_u": (at_root.u12 - at_root.u0) / 4.0,
             "mu": at_root.mu, "nu": at_root.nu,
             "omega_z_rad_s": trap.kappa_sq * omega_star,

@@ -122,8 +122,9 @@ class TrapParameters:
     mass: float = DY164_MASS
     magnetic_moment_mub: float = DY_MOMENT_CALIBRATED
     # omega_z / omega_r.  The default is the self-consistent value of the
-    # trap formulas at the working radial frequency (omega_z_formula /
-    # omega_r with the default depth ratios), not an independent quantity.
+    # trap formulas at the working radial frequency (omega_z_formula at its
+    # V0, over omega_r, with the default depth ratios), not an independent
+    # quantity.
     kappa_sq: float = 1.489
 
     def __post_init__(self):
@@ -227,9 +228,8 @@ def v0_from_omega_r(trap: TrapParameters, omega_r: float) -> float:
     ))
 
 
-def omega_z_formula(trap: TrapParameters, omega_r: float) -> float:
-    """Vertical frequency from the accordion depth V2 = v2_ratio V0."""
-    v0 = v0_from_omega_r(trap, omega_r)
+def omega_z_formula(trap: TrapParameters, v0: float) -> float:
+    """Vertical frequency from the accordion depth V2 = v2_ratio V0, at the depth v0 (J)."""
     return math.sqrt(
         (2.0 / trap.mass) * (
             math.pi**2 * trap.v2_ratio * v0 / trap.d_sw**2
@@ -362,13 +362,10 @@ def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {n: _rule_pair(n) for n in (96, 192)}
 
 
-def dipolar_coupling(
-    trap: TrapParameters,
-    omega_r: float,
-    distance: float,
-    rel_tol: float = 1e-4,
-) -> float:
-    """U_1j/hbar at in-plane distance d by fixed-node Gauss-Legendre quadrature (rad/s).
+def dipolar_coupling(trap: TrapParameters, omega_r: float, distances: list[float],
+                     rel_tol: float = 1e-4) -> list[float]:
+    """U_1j/hbar at each in-plane distance d of `distances` by fixed-node Gauss-Legendre
+    quadrature (rad/s), with one `_j0` call over all their nodes.
 
     The integral runs over x = q/sqrt(eta) in [0, 14], where the erfcx form of
     the kernel is overflow-free; the Gaussian factor is < 1e-21 at the cutoff,
@@ -381,12 +378,6 @@ def dipolar_coupling(
     fine rule's |terms| (its roundoff); QuadratureError if it exceeds
     rel_tol |value|.
     """
-    return _dipolar_couplings(trap, omega_r, [distance], rel_tol)[0]
-
-
-def _dipolar_couplings(trap: TrapParameters, omega_r: float, distances: list[float],
-                       rel_tol: float = 1e-4) -> list[float]:
-    """`dipolar_coupling` at each of `distances`, with one `_j0` call over all their nodes."""
     if omega_r <= 0.0 or min(distances) < 0.0:
         raise ValueError("omega_r must be positive and distance non-negative")
     eta = trap.eta(omega_r)
@@ -415,7 +406,7 @@ def offsite_coupling(trap: TrapParameters, omega_r: float, pair: str) -> float:
     distances = {"nearest": trap.nearest_distance, "diagonal": trap.diagonal_distance}
     if pair not in distances:
         raise ValueError(f"pair must be 'nearest' or 'diagonal', got {pair!r}")
-    return dipolar_coupling(trap, omega_r, distances[pair]())
+    return dipolar_coupling(trap, omega_r, [distances[pair]()])[0]
 
 
 def integrability_residual(trap: TrapParameters, omega_r: float) -> float:
@@ -511,12 +502,12 @@ class LatticeDerived:
 
     The trap's own scales are read from TrapParameters (`delta`, `eta(omega_r)`,
     omega_z = kappa_sq omega_r), the recoil from `recoil_energy`, the lattice depth
-    from `v0_from_omega_r`, and the band coupling U = (U12 - U0)/4 from the fields here.
+    v0 from `v0_from_omega_r`, and the band coupling U = (U12 - U0)/4 from the fields here.
     """
 
     omega_r: float          # rad/s
     omega_z_check: float    # rad/s, from the accordion-depth formula
-    v0_over_recoil: float
+    v0: float               # J, the lattice depth
     u0: float               # rad/s
     u12: float              # rad/s
     u13: float              # rad/s
@@ -533,12 +524,12 @@ def derive(
     """Evaluate the full chain of derived quantities at omega_r."""
     v0 = v0_from_omega_r(trap, omega_r)
     u0 = onsite_coupling(trap, omega_r)
-    u12, u13 = _dipolar_couplings(trap, omega_r, [trap.nearest_distance(), trap.diagonal_distance()])
+    u12, u13 = dipolar_coupling(trap, omega_r, [trap.nearest_distance(), trap.diagonal_distance()])
     mu, nu = field_strengths(trap, v0, dx, dy)
     return LatticeDerived(
         omega_r=omega_r,
-        omega_z_check=omega_z_formula(trap, omega_r),
-        v0_over_recoil=v0 / (HBAR * recoil_energy(trap)),
+        omega_z_check=omega_z_formula(trap, v0),
+        v0=v0,
         u0=u0,
         u12=u12,
         u13=u13,

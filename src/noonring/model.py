@@ -37,9 +37,12 @@ splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
 and H_eff is diagonal.  The 90-degree ring rotation R (sites 1 -> 2 -> 3 ->
 4) acts on the mode occupations as R|a,b,c,d> = (-1)^d |b,a,d,c>.  It maps
 the mu field onto the nu field with the opposite sign, R H(mu) R^T =
-H(nu = -mu), so an H with nu alone is the rotation of one with mu alone
-(`_RotatedOperator`).  Without fields it maps block (Q1, Q2) onto (Q2, Q1),
-on which H has the same matrix, so such a pair is held once (`_hop_blocks`).
+H(nu = -mu), so exp(-i H(nu = -s) t) = R exp(-i H(mu = s) t) R^T: a state
+under a nu field alone is rotated, evolved under the mu field and rotated
+back (`_ModeTerms.rotate`, a signed permutation), and the protocols build no
+H with nu (`noonring.protocols.FullDynamics.nu_segment`).  Without fields R
+maps block (Q1, Q2) onto (Q2, Q1), on which H has the same matrix, so such a
+pair is held once (`_hop_blocks`).
 Off the integrable point H gains (U13 - U0)(N1 N3 + N2 N4), where per pair
 of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4
 keeps only the parity of n_d, i.e. the 1<->3 (2<->4) swap; the parities
@@ -63,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import FockBasis, _positions, hop_entries
+from .fock import FockBasis, QuantumState, _positions, hop_entries
 
 HERMITICITY_TOL = 1e-12
 
@@ -157,46 +160,16 @@ class HermitianOperator:
         entry's matrices once its eigh returns, if nothing else holds them.
         """
         if self._eigensystem is None:
-            self._eigensystem = self._decompose()
+            self._require_finite()
+            blocks, self.blocks, parts = list(self.blocks), None, []
+            for k in range(len(blocks)):   # each entry's matrices go once its eigh returns
+                (_, matrices), blocks[k] = blocks[k], None
+                parts.append(np.linalg.eigh(matrices))
+            self._eigensystem = tuple(parts)
         return self._eigensystem
-
-    def _decompose(self) -> tuple:
-        self._require_finite()
-        blocks, self.blocks, parts = list(self.blocks), None, []
-        for k in range(len(blocks)):   # each entry's matrices go once its eigh returns
-            (_, matrices), blocks[k] = blocks[k], None
-            parts.append(np.linalg.eigh(matrices))
-        return tuple(parts)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.basis.size})"
-
-
-class _RotatedOperator(HermitianOperator):
-    """R H R^T for an H held in blocks of the mode basis of `terms` (no `rotation`, no
-    pair of blocks on one entry), R the ring rotation (`_RingRotation`): the H with nu =
-    -mu of an H with mu and nu = 0 (module docstring).  Its blocks are H's on the states
-    x' = partner[x] in the order of H's x, so `order` maps through `partner` and `rows`
-    stay.  Its eigenvalues are H's, and each row x of H's eigenvectors is times sign[x]:
-    the eigensystem is made from H's when first asked for, with no eigh of its own.
-    """
-
-    def __init__(self, source: HermitianOperator, terms: _ModeTerms):
-        if source.rotation is not None or source.basis is not terms.basis:
-            raise ValueError("only an operator in blocks of the mode basis of `terms` rotates")
-        self.basis, self.blocks, self.rotation = source.basis, None, None
-        self.order, self.rows = terms.partner[source.order], source.rows
-        self._source, self._signs, self._eigensystem = source, terms.sign[source.order], None
-
-    def _decompose(self) -> tuple:
-        parts, start = [], 0
-        for (values, vectors), rows in zip(self._source.eigensystem(), self.rows):
-            if rows != values.size:
-                raise ValueError("an entry on two sets of positions does not rotate")
-            signs = self._signs[start:start + rows].reshape(*values.shape, 1)   # per row
-            parts.append((values, vectors * signs))
-            start += rows
-        return tuple(parts)
 
 
 class _RingRotation:
@@ -293,6 +266,16 @@ class _ModeTerms:
     @cached_property
     def rotation(self) -> _RingRotation:
         return _RingRotation(self)
+
+    def rotate(self, state: QuantumState, back: bool = False) -> QuantumState:
+        """R of a state (or (n, K) stack) of this basis or, `back`, R^T: a signed
+        permutation, R psi = sign[partner] * psi[partner], R^T psi = sign * psi[partner]."""
+        if state.basis is not self.basis:
+            raise ValueError("only a state of the mode basis rotates")
+        signs = self.sign if back else self.sign[self.partner]
+        columns = state.amplitudes.reshape(self.basis.size, -1)
+        rotated = signs[:, None] * columns[self.partner]
+        return QuantumState(self.basis, rotated.reshape(state.amplitudes.shape))
 
     def diagonal(self, params: ModelParameters) -> np.ndarray:
         """The diagonal of H at `params` (module docstring); inf or NaN where a coupling

@@ -34,10 +34,10 @@ serves as its analytic oracle.  Both evolve in the normal-mode basis of
 site-basis states only.  FullDynamics writes its segments in terms of two
 hooks, the (couplings, duration) steps of a band interval and the couplings
 of the two pulses; the detuned dynamics of `noonring.robustness` overrides
-only those.  The inverted-sign nu pulse is the ring rotation of a mu pulse
-(`noonring.model._RotatedOperator`): at nu = mu, as in both presets, it
-takes the mu pulse's eigensystem, so a Protocol II sweep diagonalizes one
-pulse.
+only those.  The inverted-sign nu pulse is the ring rotation R of a mu
+pulse, exp(-i H(nu = -s) t) = R exp(-i H(mu = s) t) R^T (`noonring.model`),
+so both hooks give mu fields: at nu = mu, as in both presets, the two pulses
+are one operator, and a Protocol II sweep diagonalizes one pulse.
 
 A run ends in a ProtocolReport: the output state and its fidelity to the
 ideal target, plus, for each Protocol I branch, the site-3 outcome r and its
@@ -75,9 +75,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import NormalModes, site_probabilities, stack_columns
+from .dynamics import NormalModes, evolve, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
-from .model import HermitianOperator, ModelParameters, _RotatedOperator, build_mode_hamiltonian
+from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
 
 MEASURED_SITE = 3
 
@@ -316,20 +316,12 @@ class FullDynamics(_ModeDynamics):
     The segments read their couplings from two hooks, which a subclass may
     override (the detuned dynamics of `noonring.robustness` does):
     `_band_steps(cfg, t)` lists the (couplings, duration) steps of a band
-    interval t, and `_pulses(cfg)` gives the mu pulse's couplings and the
-    inverted-sign nu pulse's.
-
-    The ring rotation R maps the nu field onto the mu field with the opposite
-    sign (`noonring.model._RotatedOperator`), so an operator with nu != 0 and
-    mu = 0 is R H(mu = -nu) R^T: its eigensystem is that of the operator at
-    mu = -nu, nu = 0, kept beside the others, with the rows of the eigenvectors
-    signed.  The inverted-sign nu pulse at nu = mu is thus the mu pulse's
-    eigensystem, and the nu hop is never enumerated."""
+    interval t, and `_pulses(cfg)` gives the mu pulse's couplings and the mu
+    form of the inverted-sign nu pulse: the couplings with mu = nu, nu = 0,
+    which `nu_segment` runs between the ring rotation R^T and R.  At nu = mu
+    the two are the same operator, and the nu hop is never enumerated."""
 
     def _build(self, params: ModelParameters) -> HermitianOperator:
-        if params.nu != 0.0 and params.mu == 0.0:   # R H(mu = -nu) R^T: no eigh of its own
-            mu_form = self.hamiltonian(params.with_fields(mu=-params.nu, nu=0.0))
-            return _RotatedOperator(mu_form, self.modes.terms)
         return build_mode_hamiltonian(params, self.modes.terms)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
@@ -337,7 +329,7 @@ class FullDynamics(_ModeDynamics):
 
     def _pulses(self, cfg: ProtocolConfig) -> tuple[ModelParameters, ModelParameters]:
         return (cfg.params.with_fields(mu=cfg.mu, nu=0.0),
-                cfg.params.with_fields(mu=0.0, nu=-cfg.nu))
+                cfg.params.with_fields(mu=cfg.nu, nu=0.0))
 
     def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
         return self.evolve(states, self._band_steps(cfg, t))
@@ -348,9 +340,15 @@ class FullDynamics(_ModeDynamics):
                                     (self._pulses(cfg)[0], t_mu)])
 
     def nu_segment(self, states: QuantumState, cfg: ProtocolConfig) -> QuantumState:
-        """As mu_segment, with the inverted-sign nu pulse."""
-        return self.evolve(states, [*self._band_steps(cfg, cfg.t_m - cfg.t_nu),
-                                    (self._pulses(cfg)[1], cfg.t_nu)])
+        """As mu_segment, with the inverted-sign nu pulse, R exp(-i H(mu = nu) t_nu) R^T
+        (`noonring.model._ModeTerms.rotate`), in the mode basis."""
+        modes, terms = self.modes, self.modes.terms
+        states = modes.change(states, modes.basis)
+        for couplings, t in self._band_steps(cfg, cfg.t_m - cfg.t_nu):
+            states = evolve(states, self.hamiltonian(couplings), t)
+        pulse = self.hamiltonian(self._pulses(cfg)[1])
+        states = evolve(terms.rotate(states, back=True), pulse, cfg.t_nu)
+        return modes.change(terms.rotate(states), modes.sites)
 
 
 class IdealDynamics(_ModeDynamics):

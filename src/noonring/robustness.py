@@ -28,8 +28,10 @@ protocol runners of `noonring.protocols` on a FullDynamics of its own that
 changes only the couplings of the band steps and the pulses; the points
 share one NormalModes, from whose record of H's terms
 (`noonring.model._ModeTerms`) every H is scaled.  Each operator is built
-when a step first runs under it, so the nu pulse only for Protocol II, and
-dropped with the point's dynamics before the next point.  H(+-xi) goes
+when a step first runs under it, and dropped with the point's dynamics
+before the next point.  The inverted-sign nu pulse runs as the ring
+rotation of a mu pulse of strength nu (`FullDynamics.nu_segment`), so at
+nu = mu a Protocol II point holds one pulse, the mu pulse's.  H(+-xi) goes
 straight into the pieces of the ring rotation's basis
 (`noonring.model._RingRotation`), which a state enters when a band step
 starts and leaves before the pulse.  A pulsed band interval is one echo
@@ -105,8 +107,9 @@ class RobustnessPoint:
 class _DetunedSystem(FullDynamics):
     """The protocol dynamics realized at one xi value, on the shared `modes`.
 
-    `couplings` are those of H(+xi), H(-xi), the mu pulse and the inverted-sign
-    nu pulse; `cfg` holds the mean couplings (timings, ideal states).  Only the
+    `couplings` are those of H(+xi), H(-xi), the mu pulse and the mu form of
+    the inverted-sign nu pulse (`FullDynamics`), one operator at nu = mu;
+    `cfg` holds the mean couplings (timings, ideal states).  Only the
     couplings of the band steps and the pulses differ from FullDynamics, and
     each operator is built when a step first runs under it: a pulse as a
     sparse H, which is never diagonalized, and a pulsed band interval, keyed
@@ -144,7 +147,7 @@ def _direct_system(config: RobustnessConfig, modes: NormalModes, xi: float) -> _
     base, params = config.base, config.base.params
     plus, minus = (replace(params, u13=params.u0 + x) for x in (xi, -xi))
     return _DetunedSystem(config, modes, base, (
-        plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=0.0, nu=-base.nu)))
+        plus, minus, plus.with_fields(mu=base.mu, nu=0.0), plus.with_fields(mu=base.nu, nu=0.0)))
 
 
 _BRACKET = (0.5, 1.5)   # the detuned radial frequencies lie within these multiples of the root
@@ -193,13 +196,12 @@ def _solve_detuned_omega(trap: TrapParameters, target: float, ends: dict[float, 
 
 
 def _physical_params(trap: TrapParameters, omega_r: float, j: float) -> tuple[ModelParameters, float]:
-    """Full couplings and the mu scale factor realized at omega_r."""
-    from .lattice import derive, v0_from_omega_r
+    """Full couplings and the mu scale factor, the lattice depth V0, realized at omega_r."""
+    from .lattice import derive
 
     # Not model_parameters_from_lattice: it snaps U0 = U13 near the root, which moves the xi = 0 row.
     derived = derive(trap, omega_r)
-    params = ModelParameters(u0=derived.u0, u12=derived.u12, u13=derived.u13, j=j)
-    return params, v0_from_omega_r(trap, omega_r)
+    return ModelParameters(u0=derived.u0, u12=derived.u12, u13=derived.u13, j=j), derived.v0
 
 
 def _physical_system(config: RobustnessConfig, modes: NormalModes,
@@ -223,7 +225,7 @@ def _physical_system(config: RobustnessConfig, modes: NormalModes,
     )
     return _DetunedSystem(config, modes, mean_cfg, (
         params_plus, params_minus, params_plus.with_fields(mu=mu_plus, nu=0.0),
-        params_plus.with_fields(mu=0.0, nu=-nu_plus)))
+        params_plus.with_fields(mu=nu_plus, nu=0.0)))
 
 
 def _run_point(system: _DetunedSystem, xi: float) -> RobustnessPoint:

@@ -149,6 +149,19 @@ class TestDepthAndFrequencies:
         with pytest.raises(ValueError):
             v0_from_omega_r(TrapParameters(), 0.0)
 
+    def test_derive_computes_the_depth_once(self, monkeypatch):
+        """derive's V0 serves its fields and omega_z check, and is handed on as `v0`."""
+        omegas = []
+
+        def recording(trap, omega_r):
+            omegas.append(omega_r)
+            return v0_from_omega_r(trap, omega_r)
+
+        monkeypatch.setattr(lattice, "v0_from_omega_r", recording)
+        derived = derive(TrapParameters(), WORKING_OMEGA)
+        assert omegas == [WORKING_OMEGA]
+        assert derived.v0 == v0_from_omega_r(TrapParameters(), WORKING_OMEGA)
+
     def test_aspect_ratio_self_consistency(self):
         # The default kappa_sq must match the accordion-depth formula at the
         # working point to well under a percent.
@@ -161,7 +174,7 @@ class TestDepthAndFrequencies:
 class TestDipolarCouplings:
     def test_short_distance_limit_matches_onsite_dipolar(self):
         trap = TrapParameters()
-        limit = dipolar_coupling(trap, WORKING_OMEGA, 1e-12)
+        (limit,) = dipolar_coupling(trap, WORKING_OMEGA, [1e-12])
         assert limit == pytest.approx(onsite_dipolar(trap, WORKING_OMEGA), rel=1e-6)
 
     def test_couplings_decay_with_distance(self):
@@ -175,7 +188,7 @@ class TestDipolarCouplings:
         # same distance; evaluate it independently four times.
         trap = TrapParameters()
         values = [
-            dipolar_coupling(trap, WORKING_OMEGA, trap.nearest_distance())
+            dipolar_coupling(trap, WORKING_OMEGA, [trap.nearest_distance()])[0]
             for _ in range(4)
         ]
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
@@ -191,6 +204,18 @@ class TestDipolarCouplings:
             assert (derived.u12, derived.u13) == (offsite_coupling(trap, omega_r, "nearest"),
                                                   offsite_coupling(trap, omega_r, "diagonal"))
 
+    def test_derive_takes_both_pairs_in_one_public_call(self, monkeypatch):
+        calls = []
+
+        def recording(trap, omega_r, distances):
+            calls.append(distances)
+            return dipolar_coupling(trap, omega_r, distances)
+
+        monkeypatch.setattr(lattice, "dipolar_coupling", recording)
+        trap = TrapParameters()
+        derive(trap, WORKING_OMEGA)
+        assert calls == [[trap.nearest_distance(), trap.diagonal_distance()]]
+
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValueError):
             offsite_coupling(TrapParameters(), WORKING_OMEGA, "skew")
@@ -198,7 +223,7 @@ class TestDipolarCouplings:
     def test_quadrature_tolerance_enforced(self):
         with pytest.raises(QuadratureError):
             dipolar_coupling(TrapParameters(), WORKING_OMEGA,
-                             TrapParameters().nearest_distance(), rel_tol=1e-16)
+                             [TrapParameters().nearest_distance()], rel_tol=1e-16)
 
 
 class TestFixedNodeQuadrature:
@@ -215,7 +240,7 @@ class TestFixedNodeQuadrature:
             for distance in distances:
                 reference = adaptive_coupling(trap, omega_r, distance)
                 try:
-                    value = dipolar_coupling(trap, omega_r, distance)
+                    (value,) = dipolar_coupling(trap, omega_r, [distance])
                 except QuadratureError:
                     assert freq_khz > 60.0
                     continue
@@ -234,7 +259,7 @@ class TestFixedNodeQuadrature:
         96 coarse nodes resolve: the rule sizes up rather than raise."""
         trap = TrapParameters()
         omega_r, distance = 2.0 * math.pi * 400e3, 2.0 * trap.nearest_distance()
-        assert dipolar_coupling(trap, omega_r, distance) == pytest.approx(
+        assert dipolar_coupling(trap, omega_r, [distance])[0] == pytest.approx(
             adaptive_coupling(trap, omega_r, distance), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kappa_sq, freq_khz, distance", [
@@ -246,7 +271,7 @@ class TestFixedNodeQuadrature:
         raises even where the two rules give the same sum."""
         with pytest.raises(QuadratureError):
             dipolar_coupling(TrapParameters(kappa_sq=kappa_sq), 2.0 * math.pi * freq_khz * 1e3,
-                             distance, rel_tol=0.0)
+                             [distance], rel_tol=0.0)
 
 
 class TestRootFinder:

@@ -18,12 +18,11 @@ from noonring.model import (
     ModelParameters,
     _ModeTerms,
     _RingRotation,
-    _RotatedOperator,
     build_mode_hamiltonian,
 )
 from noonring.protocols import FullDynamics, ProtocolConfig
 
-from conftest import mode_matrix
+from conftest import M_OCC, P_OCC, mode_matrix
 from oracle import (
     apply_effective_charges,
     apply_effective_sq,
@@ -248,27 +247,20 @@ def dense_blocks(operator):
     return dense
 
 
-def dense_eigensystem(operator):
-    """V diag(E) V^T of an operator's eigensystem, at its `order` (a pair's entry on both
-    of its sets of positions)."""
-    dense, start = np.zeros((operator.basis.size, operator.basis.size)), 0
-    for (values, vectors), rows in zip(operator.eigensystem(), operator.rows):
-        positions = operator.order[start:start + rows].reshape(*values.shape, -1)
-        matrices = (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2)
-        for sets in np.moveaxis(positions, -1, 0):
-            dense[sets[:, :, None], sets[:, None, :]] = matrices
-        start += rows
-    return dense
-
-
 MU_FORM = ModelParameters.integrable_set(u=75.876, j=24.886, mu=20.87)   # set1's mu pulse
 NU_PULSE = MU_FORM.with_fields(mu=0.0, nu=-20.87)   # its rotation, set1's inverted nu pulse
 
 
+def random_state(basis, seed, *columns):
+    """A normalized random state, or a stack of `columns` of them."""
+    raw = np.random.default_rng(seed).normal(size=(basis.size, *columns, 2)) @ [1.0, 1j]
+    return QuantumState(basis, raw / np.linalg.norm(raw, axis=0))
+
+
 class TestRotatedPulses:
-    """The nu pulse is the ring rotation R of a mu pulse, R H(mu = -nu) R^T, and
-    FullDynamics holds it as that, with no eigh of its own; integrable H without fields
-    holds each block pair (Q1, Q2), (Q2, Q1) once."""
+    """The nu pulse is the ring rotation R of a mu pulse, exp(-i H(nu = -s) t) =
+    R exp(-i H(mu = s) t) R^T, which FullDynamics runs on the state, with no H of its
+    own; integrable H without fields holds each block pair (Q1, Q2), (Q2, Q1) once."""
 
     @pytest.mark.parametrize("n_total", [3, 4, 5, 15])
     def test_the_nu_operator_is_the_rotated_mu_operator(self, n_total):
@@ -285,43 +277,53 @@ class TestRotatedPulses:
         mu_blocks, nu_blocks = (dense_blocks(build_mode_hamiltonian(params, modes.terms))
                                 for params in (MU_FORM, NU_PULSE))
         np.testing.assert_array_equal(r_modes @ mu_blocks @ r_modes.T, nu_blocks)
-        # FullDynamics' nu operator: the mu form's eigensystem, rotated
-        dynamics = FullDynamics(modes.sites, modes)
-        operator = dynamics.hamiltonian(NU_PULSE)
-        assert isinstance(operator, _RotatedOperator)
-        assert operator._source is dynamics.hamiltonian(MU_FORM)
-        expected = w.T @ site_nu @ w
-        np.testing.assert_allclose(dense_eigensystem(operator), expected, rtol=0,
-                                   atol=1e-12 * np.abs(expected).max())
+        # `rotate` applies R and R^T to a state or a stack, exactly
+        for state in (random_state(modes.basis, n_total), random_state(modes.basis, 0, 3)):
+            for back, matrix in ((False, r_modes), (True, r_modes.T)):
+                rotated = modes.terms.rotate(state, back)
+                assert rotated.basis is modes.basis
+                np.testing.assert_array_equal(rotated.amplitudes, matrix @ state.amplitudes)
+        with pytest.raises(ValueError, match="mode basis"):
+            modes.terms.rotate(QuantumState(modes.sites, state.amplitudes))
 
     @pytest.mark.parametrize("n_total", [3, 4, 5, 6])
     def test_evolution_matches_the_dense_exponential(self, n_total):
-        """Under the rotated nu operator and under the paired integrable H, as the oracle's
-        exp(-i H t).  The Q1 = Q2 blocks stay single; at even N they hold the states that
-        R fixes, |a, a, c, c>."""
+        """The mu form between R^T and R, and the paired integrable H, as the oracle's
+        exp(-i H t) of the nu pulse and of H.  The Q1 = Q2 blocks stay single; at even N
+        they hold the states that R fixes, |a, a, c, c>."""
         modes, w = mode_frame(n_total)
         dynamics = FullDynamics(modes.sites, modes)
-        rng = np.random.default_rng(n_total)
-        raw = rng.normal(size=(modes.basis.size, 2)) @ [1.0, 1j]
-        state = QuantumState(modes.basis, raw / np.linalg.norm(raw))
+        state = random_state(modes.basis, n_total)
         params = ModelParameters.integrable_set(u=2.3, j=0.9, u0=0.4)
-        for couplings in (params, params.with_fields(mu=0.0, nu=-0.7)):
-            operator = dynamics.hamiltonian(couplings)
-            if couplings is params:
-                shapes = [indices.shape[2:] for indices, _ in operator.blocks]
-                assert (2,) in shapes and () in shapes
+        operator = dynamics.hamiltonian(params)
+        shapes = [indices.shape[2:] for indices, _ in operator.blocks]
+        assert (2,) in shapes and () in shapes
+        mu_form = dynamics.hamiltonian(params.with_fields(mu=0.7, nu=0.0))
+        rotate = modes.terms.rotate
+        for couplings, evolved in (
+                (params, evolve(state, operator, 1.7)),
+                (params.with_fields(mu=0.0, nu=-0.7),
+                 rotate(evolve(rotate(state, back=True), mu_form, 1.7)))):
             matrix = w.T @ hamiltonian_matrix(n_total, couplings.to_dict()) @ w
             expected = expm(-1j * 1.7 * matrix) @ state.amplitudes
-            np.testing.assert_allclose(evolve(state, operator, 1.7).amplitudes, expected,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(evolved.amplitudes, expected, rtol=0, atol=1e-12)
 
-    def test_only_single_blocks_of_the_mode_basis_rotate(self):
-        terms = _ModeTerms(enumerate_basis(4))
-        params = ModelParameters.integrable_set(u=2.3, j=0.9, u0=0.4)
-        with pytest.raises(ValueError, match="rotates"):   # in the basis of T
-            _RotatedOperator(build_mode_hamiltonian(replace(params, u13=0.7), terms), terms)
-        with pytest.raises(ValueError, match="does not rotate"):   # blocks with their images
-            _RotatedOperator(build_mode_hamiltonian(params, terms), terms).eigensystem()
+    def test_nu_segment_matches_a_directly_built_nu_pulse(self, basis15, set1):
+        """At nu = 30 != mu the nu segment's mu form is not the mu pulse; it still gives the
+        evolution under the H with nu = -30 itself, built in its own blocks."""
+        cfg = ProtocolConfig(M_OCC, P_OCC, **{**set1, "nu": 30.0})
+        dynamics = FullDynamics(basis15)
+        start = QuantumState.from_fock(basis15, (M_OCC, P_OCC, 0, 0))
+        stack = QuantumState(basis15, np.column_stack([start.amplitudes] * 2))
+        direct = build_mode_hamiltonian(cfg.params.with_fields(mu=0.0, nu=-30.0),
+                                        dynamics.modes.terms)
+        expected = dynamics.modes.evolve_in_modes(
+            start, [(dynamics.hamiltonian(cfg.params), cfg.t_m - cfg.t_nu), (direct, cfg.t_nu)])
+        for states in (start, stack):
+            evolved = dynamics.nu_segment(states, cfg).amplitudes.reshape(basis15.size, -1)
+            np.testing.assert_allclose(evolved, np.broadcast_to(expected.amplitudes[:, None],
+                                                                evolved.shape), rtol=0, atol=1e-12)
+        assert all(params.nu == 0.0 for params in dynamics._operators)
 
 
 class TestOracleAgreement:

@@ -10,7 +10,7 @@ import pytest
 
 from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import _ModeTerms, build_mode_hamiltonian
+from noonring.model import HermitianOperator, _ModeTerms, build_mode_hamiltonian
 from noonring.protocols import (
     READOUT_LAWS,
     FullDynamics,
@@ -352,6 +352,28 @@ class TestDynamics:
         else:
             run_protocol2(cfg, theta, FullDynamics(basis15))
         assert len(calls) == band + (1 if nu is None else 2) * pulse
+
+    def test_no_eigensystem_call_nests_in_another(self, basis15, set1, monkeypatch):
+        """Each operator of a Protocol II sweep decomposes in an eigensystem() call of its
+        own, none inside another's, and a set1 sweep (nu = mu) holds two operators: the
+        integrable H and the mu pulse, under which the nu pulse runs too."""
+        depth, deepest = [0], [0]
+        eigensystem = HermitianOperator.eigensystem
+
+        def tracked(operator):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return eigensystem(operator)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(HermitianOperator, "eigensystem", tracked)
+        dynamics = FullDynamics(basis15)
+        thetas = np.linspace(0.1, 1.0, 3) / P_OCC
+        assert len(list(sweep_protocol2(make_cfg(set1), thetas, dynamics))) == 3
+        assert deepest == [1]
+        assert len(dynamics._operators) == 2
 
     def test_operators_die_with_their_dynamics(self, basis5, set1):
         cfg = ProtocolConfig(1, 4, **set1)

@@ -23,7 +23,7 @@ from noonring.robustness import (
     threshold_xi,
 )
 
-from conftest import M_OCC, P_OCC, SET1, SET2, dense_operator
+from conftest import M_OCC, P_OCC, SET1, SET2, dense_operator, read_out
 from oracle import detuning_operator, hamiltonian_matrix
 
 
@@ -221,8 +221,8 @@ class TestMemory:
 
     def test_each_hop_is_enumerated_once_per_basis(self, basis5, monkeypatch):
         """Every H of a sweep, and of a protocol run, is scaled from the hops its mode basis
-        enumerated once; a hop whose coupling is 0 is never enumerated, nor the nu hop of
-        a FullDynamics run, whose nu pulse is the ring rotation of a mu pulse."""
+        enumerated once; a hop whose coupling is 0 is never enumerated, nor the nu hop, as
+        the nu pulse runs as the ring rotation of a mu pulse."""
         calls, hop_entries = [], model.hop_entries
 
         def counting(basis, *slots):
@@ -234,10 +234,36 @@ class TestMemory:
         config = RobustnessConfig(base=cfg, n_dt=2, protocol=2,
                                   xi_values=tuple(x * SET1["j"] for x in (0.0, 0.005, 0.01)))
         assert len(run_robustness(config, basis5)) == 3
-        assert len(calls) == len(set(calls)) == 5   # J, mu, nu and the two detuning hops
+        assert len(calls) == len(set(calls)) == 4   # J, mu and the two detuning hops
         calls.clear()
         run_protocol2(cfg, P_THETA / cfg.p_occ, FullDynamics(basis5))
         assert len(calls) == len(set(calls)) == 2   # J and mu
+
+
+class TestNuPulse:
+    @pytest.mark.parametrize("nu", [None, 30.0])
+    @pytest.mark.parametrize("source", ["direct", "physical"])
+    def test_no_operator_has_a_nu_field(self, basis5, monkeypatch, source, nu):
+        """A Protocol II robustness sweep, protocol run and readout build every H, blocked
+        or sparse, with nu = 0: the nu pulse is the ring rotation of its mu form.  At nu = mu
+        the sweep's points each hold one pulse."""
+        built, entries = [], model._ModeTerms.entries
+
+        def recording(terms, params):
+            built.append(params)
+            return entries(terms, params)
+
+        monkeypatch.setattr(model._ModeTerms, "entries", recording)
+        couplings = SET1 if nu is None else {**SET1, "nu": nu}
+        cfg = ProtocolConfig(1, 4, **couplings)
+        config = RobustnessConfig(base=cfg, n_dt=2, protocol=2, trap=trap_of(source),
+                                  xi_values=tuple(x * SET1["j"] for x in (0.0, 0.01)))
+        assert len(run_robustness(config, basis5)) == 2
+        pulses = sum(params.mu != 0.0 for params in built)
+        assert pulses == 2 * (1 if nu is None else 2)   # per point
+        run_protocol2(cfg, P_THETA / cfg.p_occ, FullDynamics(basis5))
+        read_out(cfg, P_THETA / cfg.p_occ, FullDynamics(basis5), 2)
+        assert len(built) > pulses and all(params.nu == 0.0 for params in built)
 
 
 class TestPhysicalSource:
@@ -297,6 +323,23 @@ class TestPhysicalSource:
             trap=TrapParameters())
         run_robustness(config, basis15)
         assert len(targets) == 2 * len(config.xi_values) - 1
+
+    def test_lattice_depth_is_computed_once_per_frequency(self, basis15, monkeypatch):
+        """V0 once at the root and once at each detuned frequency, where `derive` hands it
+        on with the couplings."""
+        omegas, v0_from_omega_r = [], lattice.v0_from_omega_r
+
+        def recording(trap, omega_r):
+            omegas.append(omega_r)
+            return v0_from_omega_r(trap, omega_r)
+
+        monkeypatch.setattr(lattice, "v0_from_omega_r", recording)
+        monkeypatch.setattr(robustness, "_run_point", lambda *args: None)
+        config = RobustnessConfig(
+            base=make_cfg(SET1), xi_values=tuple(np.linspace(0.0, 0.01 * SET1["j"], 3)),
+            trap=TrapParameters())
+        run_robustness(config, basis15)
+        assert len(omegas) == len(set(omegas)) == 1 + 2 * len(config.xi_values) - 1
 
     def test_detuned_frequencies_match_brentq(self):
         """Both signs of each xi of the default grid, from the bracket ends that the reach
@@ -418,8 +461,10 @@ class TestParityBlocks:
                     base.params, base.params.with_fields(mu=base.mu, nu=0.0),
                     base.params.with_fields(mu=0.0, nu=-base.nu)))
                 matrices = (free + bump, free - bump, mu_pulse + bump, nu_pulse + bump)
-            else:
-                matrices = [hamiltonian_matrix(7, params.to_dict()) for params in system.couplings]
+            else:   # the hook gives the nu pulse's mu form, mu = nu: its nu form is nu = -mu
+                *couplings, mu_form = system.couplings
+                couplings.append(mu_form.with_fields(mu=0.0, nu=-mu_form.mu))
+                matrices = [hamiltonian_matrix(7, params.to_dict()) for params in couplings]
             dense = DenseSystem(config, basis, system.cfg, matrices)
             reference = robustness._run_point(dense, point.xi)
             assert point.fidelity == pytest.approx(reference.fidelity, rel=0, abs=1e-10)

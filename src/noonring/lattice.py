@@ -351,15 +351,11 @@ def _j0(z: np.ndarray) -> np.ndarray:
 _CUTOFF = 14.0
 
 
-def _rule_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, _CUTOFF], followed by
-    those of the 2n-point rule, so that one J0 call serves both."""
-    coarse, fine = _gauss_legendre(n, _CUTOFF), _gauss_legendre(2 * n, _CUTOFF)
-    return np.concatenate([coarse[0], fine[0]]), np.concatenate([coarse[1], fine[1]])
-
-
-# A coupling sums a coarse rule of 96 or 192 nodes and the fine rule of twice as many.
-_RULES = {n: _rule_pair(n) for n in (96, 192)}
+# A coupling sums a coarse rule of n = 96 or 192 nodes and the fine rule of 2n: per n, the
+# nodes and weights on [0, _CUTOFF] of both, one after the other, for one J0 call.
+_LEGENDRE = {n: _gauss_legendre(n, _CUTOFF) for n in (96, 192, 384)}
+_RULES = {n: tuple(map(np.concatenate, zip(_LEGENDRE[n], _LEGENDRE[2 * n]))) for n in (96, 192)}
+del _LEGENDRE
 
 
 def dipolar_coupling(trap: TrapParameters, omega_r: float, distances: list[float],

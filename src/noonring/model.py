@@ -47,13 +47,14 @@ Off the integrable point H gains (U13 - U0)(N1 N3 + N2 N4), where per pair
 of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4
 keeps only the parity of n_d, i.e. the 1<->3 (2<->4) swap; the parities
 then key the blocks.  Without fields such an H also commutes with R, which
-pairs two of the four parity blocks and splits the other two in halves.  The
-rotation is a fixed orthogonal change of the mode basis, T (`_RingRotation`):
-in T's basis such an H is held in those smaller pieces, one for both paired
-blocks, and a state enters T's basis at the start of a step under it and
-leaves at the end (`noonring.dynamics.evolve`).  Each H is scaled from one
-record of its basis's fixed terms (`_ModeTerms`), which also holds R's
-partner states and signs, straight into its blocks or pieces (`_scatter`).
+pairs two of the four parity blocks and splits the other two in halves.  At
+the odd N the protocols need, the rotation is a fixed orthogonal change of
+the mode basis, T (`_RingRotation`): in T's basis such an H is held in those
+smaller pieces, one for both paired blocks, and a state enters T's basis at
+the start of a step under it and leaves at the end (`noonring.dynamics.evolve`).
+Each H is scaled from one record of its basis's fixed terms (`_ModeTerms`),
+which also holds R's partner states and signs, into one checked list of its
+entries, and from there straight into its blocks or pieces (`_scatter`).
 An H that acts only once, on one state (a pulse of `noonring.robustness`),
 is held instead as one sparse matrix with its Gershgorin interval
 (`_SparseHamiltonian`), and never diagonalized.
@@ -120,8 +121,8 @@ class HermitianOperator:
 
     `blocks` holds one (indices, matrices) entry per block size (pairs, below,
     apart): indices[k] are the basis positions of block k, matrices[k] the
-    block, and `order` the positions block by block.  The blocks must cover the
-    basis once; a dense matrix m is the one block (arange(n)[None], m[None]).
+    block, and `order` the positions block by block.  The blocks must hold each
+    basis position once; a dense matrix m is the one block (arange(n)[None], m[None]).
     Every operator the package builds is real, so complex blocks are rejected:
     `evolve` relies on real eigenvectors.  An indices[k] of shape (size, 2)
     holds two sets of positions on which the block has the same matrix, so it
@@ -138,6 +139,8 @@ class HermitianOperator:
         self.rows = [indices.size for indices, _ in blocks]
         if self.order.size != basis.size:
             raise ValueError(f"blocks hold {self.order.size} states, the basis {basis.size}")
+        if not np.array_equal(np.sort(self.order), np.arange(basis.size)):
+            raise ValueError("blocks must hold each basis position once")
         if any(np.iscomplexobj(matrices) for _, matrices in blocks):
             raise ValueError("blocks must be real: the package builds real symmetric operators")
         self._eigensystem: tuple | None = None
@@ -173,48 +176,49 @@ class HermitianOperator:
 
 
 class _RingRotation:
-    """The 90-degree ring rotation R as a fixed orthogonal change T of the mode basis, in
-    which H without fields off the integrable point splits into smaller pieces.
+    """The 90-degree ring rotation R as a fixed orthogonal change T of the mode basis at odd
+    N, in which H without fields off the integrable point splits into smaller pieces.
 
     R (sites 1 -> 2 -> 3 -> 4) maps s13 <-> s24, d13 -> d24, d24 -> -d13: R|x> = s_x |x'>
     for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d (`_ModeTerms.partner` and `sign`,
-    from which T is made).  It commutes with H without fields,
-    keeps the (even, even) and (odd, odd) blocks of the (n_d13, n_d24) parities (R^2 = +1)
-    and maps (even, odd) onto (odd, even).  T's states: the R = +1 and R = -1 halves of
-    (even, even), (even, odd), and the halves of (odd, odd).  A half has the (|x> + r s_x
-    |x'>)/sqrt2 of the pairs x < x' and the |x> that R fixes (at even N) with s_x = r.
-    (even, odd) has each |x> followed by R|x>, on which H has the matrix of (even, odd):
-    that block is stored once and acts on both sets of amplitudes as columns.  A state of
-    T combines at most two mode states, so a state changes basis by two gathers.
+    from which T is made); x' = x needs a = b and c = d, so at odd N R fixes no state
+    (even N raises ValueError).  R commutes with H without fields, keeps the (even, even)
+    and (odd, odd) blocks of the (n_d13, n_d24) parities (R^2 = +1) and maps (even, odd)
+    onto (odd, even).  T's states: the R = +1 and R = -1 halves of (even, even), (even,
+    odd), and the halves of (odd, odd).  A half has the (|x> + r s_x |x'>)/sqrt2 of the
+    pairs x < x'.  (even, odd) has each |x> followed by |x'>, on which H has the matrix of
+    (even, odd), as H[x', y'] = s_x s_y H[x, y] and s_x = -1 there: that block is stored
+    once and acts on both sets of amplitudes as columns.  A state of T combines at most
+    two mode states, so a state changes basis by two gathers.
     """
 
     def __init__(self, terms: _ModeTerms):
         occ, n, partner, sign = terms.basis.occupations, terms.basis.size, terms.partner, terms.sign
+        if terms.basis.n_total % 2 == 0:
+            raise ValueError(f"the ring rotation's T needs odd N, not N = {terms.basis.n_total}")
         parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
         # Per piece: its layer (below), its states x, their x' and r s_x, and T's rows: two
         # mode states and their weights each.  Pieces of one size share an entry.
         entries = {}
         for k, layer, r in ((0, 0, 1.0), (0, 1, -1.0), (1, 0, None), (3, 0, 1.0), (3, 1, -1.0)):
             block = np.flatnonzero(parity == k)   # ascending
-            if r is None:   # each |x>, then R|x> = s_x |x'>: one mode state per row
-                x, rs = block, sign[block]
+            if r is None:   # each |x>, then |x'>: one mode state per row
+                x, rs = block, np.ones(block.size)
                 states = np.repeat(np.column_stack([x, partner[x]]), 2).reshape(-1, 2)
-                weights = np.column_stack([np.ones(x.size), rs]).reshape(-1, 1) * [1.0, 0.0]
+                weights = np.tile([1.0, 0.0], (states.shape[0], 1))
             else:
-                x = block[(partner[block] > block) | (partner[block] == block) & (sign[block] == r)]
-                rs, alone = r * sign[x], partner[x] == x
-                weight = np.where(alone, 1.0, np.sqrt(0.5))
-                states = np.column_stack([x, partner[x]])
-                weights = np.column_stack([weight, np.where(alone, 0.0, weight * rs)])
+                x = block[partner[block] > block]
+                rs, states = r * sign[x], np.column_stack([x, partner[x]])
+                weights = np.sqrt(0.5) * np.column_stack([np.ones(x.size), rs])
             if x.size:
                 entries.setdefault((x.size, r is None), []).append(
                     (layer, x, partner[x], rs, states, weights))
-        # As R commutes with H, H[x', y'] = s_x s_y H[x, y], so a piece is d_x d_y (H[x, y] +
-        # r s_y H[x, y']), d = 1 for a pair and 1/sqrt2 for a fixed state: `layout` has a layer
-        # per r (+1 with (even, odd)), each with a role for y and one for y', times r s_y.
-        # The x' of (even, odd) lie in (odd, even), which H does not reach from there.
+        # As R commutes with H, H[x', y'] = s_x s_y H[x, y], so a piece is H[x, y] +
+        # r s_y H[x, y']: `layout` has a layer per r (+1 with (even, odd)), each with a role
+        # for y and one for y', times r s_y.  The x' of (even, odd) lie in (odd, even),
+        # which H does not reach from there.
         starts, places = np.full((2, n), -1), np.full((2, 2, n), -1)
-        signs, scales, blocks, offsets, rows = np.ones((2, 2, n)), [], [], [0], []
+        signs, blocks, offsets, rows = np.ones((2, 2, n)), [], [0], []
         start = 0   # of T's rows, block by block
         for (size, paired), pieces in entries.items():
             indices = start + np.arange(len(pieces) * size * (1 + paired))
@@ -224,12 +228,10 @@ class _RingRotation:
                 starts[layer, x] = offset + size * np.arange(size)
                 places[layer, 0, x] = places[layer, 1, mates] = np.arange(size)
                 signs[layer, 1, mates] = rs
-                if (mates == x).any():
-                    scales.append((offset, np.where(mates == x, np.sqrt(0.5), 1.0)))
                 offset += size * size
                 rows.append(piece_rows)
             offsets.append(offset)
-        self.layout = blocks, offsets, starts, places, signs, scales
+        self.layout = blocks, offsets, starts, places, signs
         sources, weights = (np.concatenate(part) for part in zip(*rows))
         slots = np.argsort(sources.ravel(), kind="stable").reshape(-1, 2)   # two per mode state
         self._changes = (sources, weights), (slots // 2, weights.ravel()[slots])
@@ -250,7 +252,7 @@ class _ModeTerms:
     """H's fixed terms in one normal-mode basis (s13, s24, d13, d24), from which every H of
     that basis is scaled: the unit diagonals of U0, U12 and (U13 - U0)/4, the entries of
     each hop at unit coupling, enumerated on first use and kept, the ring rotation R as
-    R|x> = sign[x] |partner[x]>, and the basis's `_RingRotation`, made on first use.
+    R|x> = sign[x] |partner[x]>, and the basis's `_RingRotation` (odd N), made on first use.
     """
 
     def __init__(self, modes: FockBasis):
@@ -289,17 +291,18 @@ class _ModeTerms:
         return diagonal
 
     def entries(self, params: ModelParameters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the off-diagonal part of H at `params`.
+        """Every entry of H at `params`, values[k] = H[sources[k], targets[k]]: each
+        off-diagonal entry on both sides of the diagonal, then the diagonal, state by state.
 
-        Each entry also stands for its h.c.; a hop whose coupling is off is left out.
-        Raises ArithmeticError if a coupling overflows an entry to inf or NaN.
+        A hop whose coupling is off is left out.  Raises ArithmeticError if a coupling
+        overflows an entry to inf or NaN.
         """
         detuning = params.u13 - params.u0
         # -J s13+ s24, mu s24+ d24, nu s13+ d13, and the -detuning/4 s+^2 d^2 of each pair
         # (`hop_entries`' sites and count).  No two connect the same pair of states.
         hops = ((2, 1), (4, 2), (3, 1), (3, 1, 2), (4, 2, 2))
         couplings = (-params.j, params.mu, params.nu, -0.25 * detuning, -0.25 * detuning)
-        parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+        parts = []   # (rows, columns, values) of each hop that is on
         # The finiteness check below reports an overflow; numpy's warning would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             for slots, coupling in zip(hops, couplings):
@@ -308,27 +311,26 @@ class _ModeTerms:
                         self._hops[slots] = hop_entries(self.basis, *slots)
                     rows, columns, units = self._hops[slots]
                     parts.append((rows, columns, coupling * units))
-        rows, columns, values = (np.concatenate(part) for part in zip(*parts))
+        rows, columns, values = ([part[k] for part in parts] for k in range(3))
+        states = np.arange(self.basis.size)
+        sources = np.concatenate([*rows, *columns, states])
+        targets = np.concatenate([*columns, *rows, states])
+        values = np.concatenate([*values, *values, self.diagonal(params)])
         if not np.isfinite(values).all():
-            raise ArithmeticError(f"couplings mu = {params.mu:g}, nu = {params.nu:g}, "
-                                  f"J = {params.j:g}, U13 - U0 = {detuning:g} give non-finite H")
-        return rows, columns, values
+            raise ArithmeticError(f"{params} gives non-finite H")
+        return sources, targets, values
 
 
-def _scatter(layout: tuple, diagonal: np.ndarray, rows: np.ndarray, columns: np.ndarray,
-             values: np.ndarray) -> list:
-    """H as `HermitianOperator` blocks, from its diagonal and its entries on one side of it
-    (`_ModeTerms.entries`), each of which also stands for its transpose; no n x n array.
+def _scatter(layout: tuple, sources: np.ndarray, targets: np.ndarray, values: np.ndarray) -> list:
+    """H as `HermitianOperator` blocks, from its entries values[k] = H[sources[k], targets[k]]
+    (`_ModeTerms.entries`); no n x n array.
 
-    `layout` (`_hop_blocks`, `_RingRotation`) is (indices, offsets, starts, places, signs,
-    scales): each entry's indices and its start in one flat array of all blocks; per layer,
-    the start of state x's row, starts[x], and per role, the column places[y] (-1: none)
-    where H[x, y] adds, times signs[y]; and the d of the blocks to scale by d_x d_y last.
+    `layout` (`_hop_blocks`, `_RingRotation`) is (indices, offsets, starts, places, signs):
+    each entry's indices and its start in one flat array of all blocks; per layer, the
+    start of state x's row, starts[x], and per role, the column places[y] (-1: none) where
+    H[x, y] adds, times signs[y].
     """
-    blocks, offsets, starts, places, signs, scales = layout
-    states = np.arange(diagonal.size)
-    sources, targets = np.concatenate([rows, columns, states]), np.concatenate([columns, rows, states])
-    values = np.concatenate([values, values, diagonal])
+    blocks, offsets, starts, places, signs = layout
     # Each entry is an array of its own, so `HermitianOperator.eigensystem` can drop it
     # alone; it holds the flat positions offsets[k] to offsets[k + 1].
     parts = [np.zeros(end - offset) for offset, end in zip(offsets, offsets[1:])]
@@ -340,10 +342,6 @@ def _scatter(layout: tuple, diagonal: np.ndarray, rows: np.ndarray, columns: np.
             for part, offset in zip(parts, offsets):
                 inside = (positions >= offset) & (positions < offset + part.size)
                 part[positions[inside] - offset] += terms[inside]
-    for offset, d in scales:   # a piece lies in one entry
-        k = np.searchsorted(offsets, offset, side="right") - 1
-        piece = parts[k][offset - offsets[k]:][:d.size**2]
-        piece *= (d[:, None] * d).ravel()
     return [(indices, part.reshape(*indices.shape[:2], -1)) for indices, part in zip(blocks, parts)]
 
 
@@ -381,7 +379,7 @@ def _hop_blocks(terms: _ModeTerms, params: ModelParameters) -> tuple:
         places[states] = np.arange(size)
         offsets.append(offsets[-1] + size * states.size)
         blocks.append(np.stack([states, terms.partner[states]], axis=-1) if paired else states)
-    return blocks, offsets, starts[None], places[None, None], np.ones((1, 1, basis.size)), []
+    return blocks, offsets, starts[None], places[None, None], np.ones((1, 1, basis.size))
 
 
 def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> HermitianOperator:
@@ -389,13 +387,14 @@ def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> Hermit
 
     Integrable couplings give blocks of the conserved d-occupations, of size
     <= (N+2)(N+1)/2; U13 != U0 gives blocks of their parities, and without
-    fields the pieces of those in the basis of the ring rotation T
+    fields at odd N the pieces of those in the basis of the ring rotation T
     (`_RingRotation`), into which H's entries go straight.
     """
-    rotation = None if params.mu or params.nu or params.u13 == params.u0 else terms.rotation
+    rotation = None if (params.mu or params.nu or params.u13 == params.u0
+                        or terms.basis.n_total % 2 == 0) else terms.rotation
     layout = _hop_blocks(terms, params) if rotation is None else rotation.layout
-    # Symmetric by construction; eigensystem() checks finiteness before LAPACK.
-    blocks = _scatter(layout, terms.diagonal(params), *terms.entries(params))
+    # Finite and symmetric by construction (`_ModeTerms.entries`).
+    blocks = _scatter(layout, *terms.entries(params))
     return HermitianOperator(terms.basis, blocks, check=False, rotation=rotation)
 
 
@@ -406,25 +405,23 @@ class _SparseHamiltonian:
     It has no eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states
     directly.
 
-    Built from H's diagonal and its entries (rows, columns, values) on one side of it,
-    each of which also stands for its transpose; no two may share a position.
+    Built from H's entries values[k] = H[sources[k], targets[k]] as `_ModeTerms.entries`
+    lists them: the off-diagonal ones, then the diagonal, state by state.
     """
 
-    def __init__(self, basis: FockBasis, diagonal: np.ndarray, rows: np.ndarray,
-                 columns: np.ndarray, values: np.ndarray):
-        states = np.arange(basis.size)
-        rows, columns = np.concatenate([rows, columns, states]), np.concatenate([columns, rows, states])
-        values = np.concatenate([values, values])
-        reach = np.bincount(rows[:values.size], weights=np.abs(values), minlength=basis.size)
+    def __init__(self, basis: FockBasis, sources: np.ndarray, targets: np.ndarray,
+                 values: np.ndarray):
+        values, diagonal = values[:-basis.size], values[-basis.size:]
+        reach = np.bincount(sources[:values.size], weights=np.abs(values), minlength=basis.size)
         # An interval beyond the float range makes center and radius inf or NaN, which
         # `evolve` reports; numpy's warning would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             low, high = float(np.min(diagonal - reach)), float(np.max(diagonal + reach))
             self.center, self.radius = 0.5 * low + 0.5 * high, 0.5 * high - 0.5 * low
             entries = np.concatenate([values, diagonal - self.center])
-        by_row = np.argsort(rows, kind="stable")
-        self.basis, self.data, self.indices = basis, entries[by_row], columns[by_row]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=basis.size))])
+        by_row = np.argsort(sources, kind="stable")
+        self.basis, self.data, self.indices = basis, entries[by_row], targets[by_row]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=basis.size))])
 
     def product(self, vectors: np.ndarray) -> np.ndarray:
         """(H - center) @ vectors, for (n, k) vectors."""
@@ -435,11 +432,6 @@ class _SparseHamiltonian:
 
 def _sparse_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> _SparseHamiltonian:
     """H in the normal-mode basis of `terms`, as one CSR matrix of the entries that
-    `build_mode_hamiltonian` cuts into blocks.  Raises ArithmeticError if an entry of H
-    is inf or NaN."""
-    diagonal = terms.diagonal(params)
-    if not np.isfinite(diagonal).all():
-        raise ArithmeticError(f"couplings U0 = {params.u0:g}, U12 = {params.u12:g}, "
-                              f"U13 = {params.u13:g} give non-finite H")
-    return _SparseHamiltonian(terms.basis, diagonal, *terms.entries(params))
+    `build_mode_hamiltonian` cuts into blocks; `_ModeTerms.entries` checks them."""
+    return _SparseHamiltonian(terms.basis, *terms.entries(params))
 

@@ -356,20 +356,14 @@ class IdealDynamics(_ModeDynamics):
     evolution under H_eff for the whole t_m, then the field pulse as an
     instantaneous phase gate, one per column.  Its couplings are the
     band frequency Omega; H_eff = (N+1) Omega (Q1 + Q2) - 2 Omega Q1 Q2 is diagonal
-    in the normal modes (Q = n_d), so it is held as 1 x 1 blocks.  Its energy is
-    the same, bit for bit, at (Q1, Q2) and (Q2, Q1), so, as for the integrable H
-    (`noonring.model._hop_blocks`), a state with Q1 < Q2 holds its ring-rotation
-    image on the same block, and each step forms half the phases exp(-i E t)."""
+    in the normal modes (Q = n_d), so it is held as one entry of 1 x 1 blocks, one
+    per mode state, whose eigh gives back its energies."""
 
     def _build(self, omega: float) -> HermitianOperator:
-        terms = self.modes.terms
-        q1, q2 = terms.basis.occupations[:, 2:].T
+        modes = self.modes.basis
+        q1, q2 = modes.occupations[:, 2:].T
         energies = (self.basis.n_total + 1) * omega * (q1 + q2) - 2.0 * omega * (q1 * q2)
-        pairs, alone = np.flatnonzero(q1 < q2), np.flatnonzero(q1 == q2)
-        blocks = [(np.column_stack([pairs, terms.partner[pairs]])[:, None],   # with images
-                   energies[pairs, None, None]),
-                  (alone[:, None], energies[alone, None, None])]
-        return HermitianOperator(terms.basis, [block for block in blocks if block[0].size])
+        return HermitianOperator(modes, [(np.arange(modes.size)[:, None], energies[:, None, None])])
 
     def band(self, states: QuantumState, cfg: ProtocolConfig, t) -> QuantumState:
         return self.evolve(states, [(cfg.omega, t)])

@@ -457,8 +457,8 @@ class TestChebyshevPulse:
         assert _bessel_coefficients(0.0).tolist() == [1.0]
 
     def test_zero_width_spectrum_is_a_phase(self, basis5):
-        none = np.zeros(0, dtype=np.int64)
-        pulse = _SparseHamiltonian(basis5, np.full(basis5.size, 2.5), none, none, np.zeros(0))
+        states = np.arange(basis5.size)   # the diagonal alone
+        pulse = _SparseHamiltonian(basis5, states, states, np.full(basis5.size, 2.5))
         assert (pulse.center, pulse.radius) == (2.5, 0.0)
         state = random_state(basis5, np.random.default_rng(9))
         np.testing.assert_allclose(evolve(state, pulse, 0.7).amplitudes,

@@ -18,6 +18,7 @@ from noonring.model import (
     ModelParameters,
     _ModeTerms,
     _RingRotation,
+    _sparse_mode_hamiltonian,
     build_mode_hamiltonian,
 )
 from noonring.protocols import FullDynamics, ProtocolConfig
@@ -80,6 +81,13 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="blocks hold 3 states"):
             HermitianOperator(basis2, [(np.arange(3)[None], np.eye(3)[None])])
 
+    @pytest.mark.parametrize("positions", [[0, 0, 1, 2], [0, 1, 2, 4]])
+    def test_rejects_blocks_that_miss_a_position(self, positions):
+        """Four positions for four states, but not each once: `evolve` would leave the
+        amplitude of the missing one unwritten."""
+        with pytest.raises(ValueError, match="each basis position once"):
+            HermitianOperator(enumerate_basis(1), [(np.array([positions]), np.eye(4)[None])])
+
     def test_eigensystem_cached_and_correct(self, basis2):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(len(basis2) // 2, len(basis2) // 2))
@@ -125,24 +133,37 @@ class TestHermitianOperator:
             unchecked.eigensystem()
 
 
+@pytest.mark.parametrize("build", [build_mode_hamiltonian, _sparse_mode_hamiltonian])
+@pytest.mark.parametrize("u13", [0.0, 0.5])   # parity blocks or T's pieces; hops finite
+def test_a_non_finite_diagonal_raises_at_build_time(build, u13):
+    """U12 = 1e308 overflows the diagonal U12 M P alone: the block path and the sparse path
+    both refuse it when H is built, before any eigensystem is asked for."""
+    params = replace(ModelParameters.integrable_set(u=2.5e307, j=1.0), u13=u13)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        build(params, _ModeTerms(enumerate_basis(5)))
+
+
 @functools.cache
 def rotation_frame(n_total):
-    """The mode basis's terms, and T W^T, which carries a site-basis matrix into the ring
-    rotation's basis T of the normal modes (psi_site = W psi_mode)."""
+    """The mode basis's terms, and the matrix that carries a site-basis matrix into the
+    basis of a field-free detuned H's blocks (psi_site = W psi_mode): T W^T at odd N, T
+    the ring rotation's basis of the normal modes, and W^T at even N."""
     modes = NormalModes(enumerate_basis(n_total))
-    t = modes.terms.rotation.change(np.eye(modes.basis.size, dtype=complex)).real
-    return modes.terms, t @ mode_matrix(modes).real.T
+    frame = mode_matrix(modes).real.T
+    if n_total % 2:
+        frame = modes.terms.rotation.change(np.eye(modes.basis.size, dtype=complex)).real @ frame
+    return modes.terms, frame
 
 
 class TestRingRotation:
-    """Field-free H off the integrable point is held in the ring rotation's basis T: the
-    R = +-1 halves of the (even, even) and (odd, odd) parity blocks, and one (even, odd)
-    block that acts on it and its rotation image, the (odd, even) block."""
+    """Field-free H off the integrable point is held at odd N in the ring rotation's basis
+    T: the R = +-1 halves of the (even, even) and (odd, odd) parity blocks, and one
+    (even, odd) block that acts on it and its rotation image, the (odd, even) block.  At
+    even N, where R fixes the states |a,a,c,c>, it is held in the parity blocks."""
 
     @settings(max_examples=30, deadline=None)
     @given(
-        # even N adds the states the rotation fixes, |a,a,c,c>
-        n_total=st.sampled_from([3, 4, 5, 15]),
+        n_total=st.sampled_from([3, 4, 5, 15]),   # T at odd N, parity blocks at N = 4
         u=st.floats(0.5, 20.0),
         j=st.floats(0.1, 5.0),
         u0=st.floats(0.1, 5.0),
@@ -150,13 +171,13 @@ class TestRingRotation:
         sign=st.sampled_from([1.0, -1.0]),
     )
     def test_matches_the_block_eigensystem(self, n_total, u, j, u0, xi, sign):
-        """The pieces are T H T^T, H the oracle's dense H carried into the mode basis, and
-        each piece's eigensystem is its own."""
+        """The pieces are T H T^T, H the oracle's dense H carried into the mode basis (the
+        parity blocks are H at even N), and each piece's eigensystem is its own."""
         params = ModelParameters.integrable_set(u=u, j=j, u0=u0)
         params = replace(params, u13=u0 + sign * xi)
         terms, frame = rotation_frame(n_total)
         operator = build_mode_hamiltonian(params, terms)
-        assert operator.rotation is terms.rotation
+        assert operator.rotation is (terms.rotation if n_total % 2 else None)
         expected = frame @ hamiltonian_matrix(n_total, params.to_dict()) @ frame.T
         pieces = np.zeros_like(expected)   # each on one or two sets of T's positions
         for indices, matrices in operator.blocks:
@@ -185,6 +206,10 @@ class TestRingRotation:
     @pytest.mark.parametrize("n_total", [3, 4, 5, 15])
     def test_the_change_of_basis_is_orthogonal(self, n_total):
         modes = enumerate_basis(n_total)
+        if n_total % 2 == 0:   # R fixes the states |a,a,c,c>: no T
+            with pytest.raises(ValueError, match="odd N"):
+                _RingRotation(_ModeTerms(modes))
+            return
         rotation = _RingRotation(_ModeTerms(modes))
         t = rotation.change(np.eye(modes.size, dtype=complex))
         assert not t.imag.any()

@@ -303,10 +303,8 @@ class TestDynamics:
             self, basis15, set1, monkeypatch, dynamics_class):
         """No eigh after the first theta point.  FullDynamics runs one batched
         eigh per entry of its Hamiltonians' blocks at that point; IdealDynamics
-        two, on H_eff's 1 x 1 blocks in the normal-mode basis: the states with
-        Q1 < Q2, which also stand for their ring-rotation images, and those with
-        Q1 = Q2.  The sweep starts above p_theta = 0, where t_mu = 0 needs no mu
-        pulse."""
+        one, on H_eff's 1 x 1 blocks, one per state of the normal-mode basis.
+        The sweep starts above p_theta = 0, where t_mu = 0 needs no mu pulse."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -324,8 +322,7 @@ class TestDynamics:
         if dynamics_class is FullDynamics:
             assert counts[0] > 0
         else:
-            (pairs, *one), (alone, *other) = calls
-            assert one == other == [1, 1] and 2 * pairs + alone == basis15.size
+            assert calls == [(basis15.size, 1, 1)]
 
     @pytest.mark.parametrize("readout", [False, True])
     @pytest.mark.parametrize("nu", [None, 30.0])

@@ -137,7 +137,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "omega_min_khz": Key(float, 20.0, POSITIVE),
         "omega_max_khz": Key(float, 60.0, POSITIVE),
         "points": Key(int, 40, POSITIVE),
-        "j": Key(float, None, POSITIVE),  # None: [model] j
     },
 }
 
@@ -173,8 +172,12 @@ class ExperimentConfig(SimpleNamespace):
             _check_occupations(m.m, m.p)
         except ValueError as exc:
             raise ValueError(f"[model] m = {m.m}, [model] p = {m.p}: {exc}") from None
-        return ProtocolConfig(m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
-                              t_m_override=m.t_m_override)
+        try:   # the schema leaves one check, which names t_nu and t_m, not the keys
+            return ProtocolConfig(m.m, m.p, u=m.u, j=m.j, mu=m.mu, nu=m.nu,
+                                  t_m_override=m.t_m_override)
+        except ValueError as exc:
+            raise ValueError(f"[model] nu = {m.nu:g}, [model] t_m_override = "
+                             f"{m.t_m_override}: {exc}") from None
 
 
 def _read_config_file(path: Path) -> dict[str, dict[str, object]]:
@@ -463,10 +466,13 @@ def _run_physical_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]:
         omega_star = solve_integrability(trap, bracket=_omega_bracket(cfg))
     except ValueError as exc:
         raise ValueError(f"[lattice] omega_min_khz to omega_max_khz: {exc}") from None
-    at_root = derive(trap, omega_star, dx=lattice.dx, dy=lattice.dy)
+    try:   # the library's message names the displacements, not the keys
+        at_root = derive(trap, omega_star, dx=lattice.dx, dy=lattice.dy)
+    except ValueError as exc:
+        raise ValueError(
+            f"[lattice] dx = {lattice.dx:g}, [lattice] dy = {lattice.dy:g}: {exc}") from None
     recoil = recoil_energy(trap)
-    j = lattice.j if lattice.j is not None else cfg.model.j
-    params = model_parameters_from_lattice(at_root, j=j)
+    params = model_parameters_from_lattice(at_root, j=cfg.model.j)
     extras = {
         "trap": {
             "scattering_length_a0": trap.scattering_length_a0,
@@ -563,14 +569,8 @@ def list_presets(machine: bool = False) -> str:
     for name, values in PRESETS.items():
         pc = ProtocolConfig(values["m"], values["p"], u=values["u"],
                             j=values["j"], mu=values["mu"], nu=values["nu"])
-        payload[name] = {
-            **values,
-            "omega": pc.omega,
-            "t_m": pc.t_m,
-            "t_nu": pc.t_nu,
-            "t_mu_at_p_theta_pi": pc.t_mu(math.pi / pc.p_occ),
-            "beta": pc.beta,
-        }
+        payload[name] = {**values, **_derived_block(pc),
+                         "t_mu_at_p_theta_pi": pc.t_mu(math.pi / pc.p_occ)}
     if machine:
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = []

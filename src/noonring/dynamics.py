@@ -1,4 +1,4 @@
-"""Exact unitary evolution, the normal-mode change of basis, and site-occupation probabilities.
+"""Exact unitary evolution, and site-occupation probabilities.
 
 Evolution uses the one-time eigendecomposition of the (time-independent)
 Hamiltonian, exp(-i H t) |psi> = V exp(-i Lambda t) V+ |psi>, block by
@@ -22,17 +22,11 @@ copy of V for each product.  A block of size 1 (the diagonal H_eff of
 `noonring.protocols` is all such blocks) has |V| = 1, so its amplitudes are
 only multiplied by their phases exp(-i E t).
 
-`evolve`, `NormalModes.change` and `site_probabilities` map the columns of
-an (n, K) stack of states (see `QuantumState`), `evolve` with one duration
-per column, so a sweep reads each V once per stack rather than once per
-state; a single state is the K = 1 case.  A stack of K copies of one state
-(a broadcast view, as the protocol sweeps start from) changes basis as that
-one column.  `stack_columns` caps a stack at STACK_BYTES of amplitudes.
-
-`NormalModes` carries states between the site basis and the normal-mode
-basis of `noonring.model`, where the integrable H splits into small blocks.
-The mode basis is a FockBasis of its own, so `evolve` rejects a state in
-the wrong basis.
+`evolve` and `site_probabilities` map the columns of an (n, K) stack of
+states (see `QuantumState`), `evolve` with one duration per column, so a
+sweep reads each V once per stack rather than once per state; a single
+state is the K = 1 case.  `stack_columns` caps a stack at STACK_BYTES of
+amplitudes.
 
 `site_probabilities` is the outcome distribution of an ideal, instantaneous
 measurement of a site occupation: outcome r occurs with the summed weight of
@@ -47,8 +41,8 @@ import math
 
 import numpy as np
 
-from .fock import FockBasis, QuantumState, _check_site, _positions
-from .model import HermitianOperator, _ModeTerms, _SparseHamiltonian
+from .fock import FockBasis, QuantumState, _check_site
+from .model import HermitianOperator, _SparseHamiltonian
 
 STACK_BYTES = 256 * 1024   # amplitudes one stack of states holds at most
 
@@ -71,7 +65,7 @@ def evolve(state: QuantumState, hamiltonian: HermitianOperator | _SparseHamilton
     if durations.shape not in ((), state.amplitudes.shape[1:]):
         raise ValueError(f"{durations.shape} durations for states {state.amplitudes.shape}")
     shortest = durations.min()
-    if shortest < 0.0:
+    if not shortest >= 0.0:   # NaN too
         raise ValueError(f"duration must be >= 0, got {shortest:g}")
     if hamiltonian.basis is not state.basis:
         raise ValueError("state and Hamiltonian use different bases")
@@ -251,80 +245,6 @@ def _bessel_coefficients(z: float) -> np.ndarray:
     bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
     orders = np.arange(bessel.size)
     return bessel[:np.flatnonzero((orders > z) & (np.abs(bessel) < 1e-17))[0] + 1]
-
-
-def _beam_splitter(n: int) -> np.ndarray:
-    """<n_a, n - n_a | k_s, n - k_s> (rows n_a, columns k_s), s, d = (a + b, a - b)/sqrt2.
-
-    Built in closed form, with no eigensolver.  Column k is the mode state
-    (s+)^k (d+)^(n-k) |0> / sqrt(k! (n-k)!) = 2^(-n/2) (a+ + b+)^k (a+ - b+)^(n-k)
-    |0> / sqrt(k! (n-k)!), so its entry at n_a is the coefficient of x^n_a in
-    (x + 1)^k (x - 1)^(n-k) times sqrt(C(n, k) / (2^n C(n, n_a))).  The
-    coefficients are exact integers (int64 while 2^n < 2^63, Python ints
-    beyond), so an entry carries only the few roundings of its scaling and no
-    cancellation error.  Column k is the eigenvector of a+ b + b+ a = n_s - n_d
-    for 2 k - n, and its entry at n_a = n is positive: <n, 0| (s+)^k (d+)^(n-k)
-    |0> > 0.
-    """
-    coeffs = np.zeros((n + 1, n + 1), dtype=np.int64 if n < 63 else object)
-    coeffs[0] = 1
-    signs = np.ones(n + 1, dtype=np.int64)
-    for m in range(n):   # column k gains (1 + x) at the steps m < k, (1 - x) at the others
-        signs[m] = -1
-        coeffs[1:m + 2] += coeffs[:m + 1] * signs
-    binomials = coeffs[:, n].astype(float)   # (1 + x)^n: C(n, n_a)
-    # (-1)^(n-k) turns (1 - x)^(n-k) into (x - 1)^(n-k).
-    scale = np.sqrt(binomials / 2.0**n) * (-1.0) ** np.arange(n, -1, -1)
-    return coeffs.astype(float) * scale / np.sqrt(binomials)[:, None]
-
-
-class NormalModes:
-    """The change of basis between site and normal-mode occupations.
-
-    `basis` is a FockBasis of its own, read as (s13, s24, d13, d24).  The (M, P)
-    block is the Kronecker product of the pairs' beam splitters; its site states
-    (n1, n2, M - n1, P - n2) and mode states (k13, k24, M - k13, P - k24) sit at
-    the same positions of the two bases, so one index array serves both.
-    """
-
-    def __init__(self, sites: FockBasis):
-        self.sites, self.basis = sites, FockBasis(sites.n_total)
-        self.terms = _ModeTerms(self.basis)   # every H of `basis` is scaled from it
-        splitters = [_beam_splitter(n) for n in range(sites.n_total + 1)]
-        by_size: dict[int, list] = {}
-        for m_occ, splitter in enumerate(splitters):
-            p_occ = sites.n_total - m_occ
-            a, b = np.divmod(np.arange((m_occ + 1) * (p_occ + 1)), p_occ + 1)
-            indices = _positions(sites, a, b, m_occ - a)   # (a, b, M - a, P - b)
-            by_size.setdefault(len(indices), []).append(
-                (indices, np.kron(splitter, splitters[p_occ])))
-        self.blocks = [tuple(map(np.array, zip(*group))) for group in by_size.values()]
-
-    def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
-        """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the
-        mode basis.  A stack of copies of one column (a view of it, as `np.broadcast_to`
-        makes) changes that column once and is such a view in `target`."""
-        to_modes = target is self.basis
-        if state.basis is not (self.sites if to_modes else self.basis):
-            raise ValueError("state is not in the basis this change starts from")
-        copies = state.amplitudes
-        if copies.ndim == 2 and copies.strides[1] == 0:   # one column K times: change it once
-            column = self.change(QuantumState(state.basis, copies[:, 0]), target).amplitudes
-            return QuantumState(target, np.broadcast_to(column[:, None], copies.shape))
-        columns = state.amplitudes.shape[1:]   # () for one state, (K,) for a stack
-        changed = np.empty((target.size, *columns), dtype=complex)
-        for indices, blocks in self.blocks:   # real blocks on (real, imaginary) pairs
-            pairs = state.amplitudes[indices].reshape(*indices.shape, -1).view(np.float64)
-            blocks = blocks.swapaxes(-1, -2) if to_modes else blocks
-            changed[indices] = (blocks @ pairs).view(complex).reshape(*indices.shape, *columns)
-        return QuantumState(target, changed)
-
-    def evolve_in_modes(self, state: QuantumState, steps) -> QuantumState:
-        """Site-basis `state` (or stack) after each (mode-basis H, duration) step in turn."""
-        state = self.change(state, self.basis)
-        for hamiltonian, duration in steps:
-            state = evolve(state, hamiltonian, duration)
-        return self.change(state, self.sites)
 
 
 def site_probabilities(state: QuantumState, site: int) -> np.ndarray:

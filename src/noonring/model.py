@@ -34,14 +34,20 @@ d13, d24 = (a1 - a3)/sqrt2, (a2 - a4)/sqrt2 of the site pairs,
 
 with M = n_s13 + n_d13, P = n_s24 + n_d24, Q1 = n_d13 and Q2 = n_d24: H
 splits into blocks of the conserved d-occupations (`build_mode_hamiltonian`)
-and H_eff is diagonal.  The 90-degree ring rotation R (sites 1 -> 2 -> 3 ->
-4) acts on the mode occupations as R|a,b,c,d> = (-1)^d |b,a,d,c>.  It maps
-the mu field onto the nu field with the opposite sign, R H(mu) R^T =
-H(nu = -mu), so exp(-i H(nu = -s) t) = R exp(-i H(mu = s) t) R^T: a state
-under a nu field alone is rotated, evolved under the mu field and rotated
-back (`_ModeTerms.rotate`, a signed permutation), and the protocols build no
-H with nu (`noonring.protocols.FullDynamics.nu_segment`).  Without fields R
-maps block (Q1, Q2) onto (Q2, Q1), on which H has the same matrix, so such a
+and H_eff is diagonal.  `NormalModes` is the one record of a sector's normal
+modes.  It carries states between the site basis and the mode basis, a
+FockBasis of its own, so `noonring.dynamics.evolve` rejects a state in the
+wrong basis; and it holds H's fixed terms there, from which every H of the
+sector is scaled into one checked list of its entries, and from there
+straight into its blocks or pieces (`_scatter`).  The 90-degree ring
+rotation R (sites 1 -> 2 -> 3 -> 4) acts on the mode occupations as
+R|a,b,c,d> = (-1)^d |b,a,d,c>.  It maps the mu field onto the nu field with
+the opposite sign, R H(mu) R^T = H(nu = -mu), so exp(-i H(nu = -s) t) =
+R exp(-i H(mu = s) t) R^T: a state under a nu field alone is rotated,
+evolved under the mu field and rotated back (`NormalModes.rotate`, a signed
+permutation), and the protocols build no H with nu
+(`noonring.protocols.FullDynamics.nu_segment`).  Without fields R maps
+block (Q1, Q2) onto (Q2, Q1), on which H has the same matrix, so such a
 pair is held once (`_hop_blocks`).
 Off the integrable point H gains (U13 - U0)(N1 N3 + N2 N4), where per pair
 of sites N1 N3 = [n_s(n_s - 1) + n_d(n_d - 1) - (s+^2 d^2 + d+^2 s^2)]/4
@@ -52,9 +58,6 @@ the odd N the protocols need, the rotation is a fixed orthogonal change of
 the mode basis, T (`_RingRotation`): in T's basis such an H is held in those
 smaller pieces, one for both paired blocks, and a state enters T's basis at
 the start of a step under it and leaves at the end (`noonring.dynamics.evolve`).
-Each H is scaled from one record of its basis's fixed terms (`_ModeTerms`),
-which also holds R's partner states and signs, into one checked list of its
-entries, and from there straight into its blocks or pieces (`_scatter`).
 An H that acts only once, on one state (a pulse of `noonring.robustness`),
 is held instead as one sparse matrix with its Gershgorin interval
 (`_SparseHamiltonian`), and never diagonalized.
@@ -180,7 +183,7 @@ class _RingRotation:
     N, in which H without fields off the integrable point splits into smaller pieces.
 
     R (sites 1 -> 2 -> 3 -> 4) maps s13 <-> s24, d13 -> d24, d24 -> -d13: R|x> = s_x |x'>
-    for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d (`_ModeTerms.partner` and `sign`,
+    for |x> = |a,b,c,d>, |x'> = |b,a,d,c>, s_x = (-1)^d (`NormalModes.partner` and `sign`,
     from which T is made); x' = x needs a = b and c = d, so at odd N R fixes no state
     (even N raises ValueError).  R commutes with H without fields, keeps the (even, even)
     and (odd, odd) blocks of the (n_d13, n_d24) parities (R^2 = +1) and maps (even, odd)
@@ -192,10 +195,10 @@ class _RingRotation:
     two mode states, so a state changes basis by two gathers.
     """
 
-    def __init__(self, terms: _ModeTerms):
-        occ, n, partner, sign = terms.basis.occupations, terms.basis.size, terms.partner, terms.sign
-        if terms.basis.n_total % 2 == 0:
-            raise ValueError(f"the ring rotation's T needs odd N, not N = {terms.basis.n_total}")
+    def __init__(self, modes: NormalModes):
+        occ, n, partner, sign = modes.basis.occupations, modes.basis.size, modes.partner, modes.sign
+        if modes.basis.n_total % 2 == 0:
+            raise ValueError(f"the ring rotation's T needs odd N, not N = {modes.basis.n_total}")
         parity = 2 * (occ[:, 2] % 2) + occ[:, 3] % 2   # 0 (even, even) ... 3 (odd, odd)
         # Per piece: its layer (below), its states x, their x' and r s_x, and T's rows: two
         # mode states and their weights each.  Pieces of one size share an entry.
@@ -248,17 +251,48 @@ class _RingRotation:
         return first.view(complex).reshape(amplitudes.shape)
 
 
-class _ModeTerms:
-    """H's fixed terms in one normal-mode basis (s13, s24, d13, d24), from which every H of
-    that basis is scaled: the unit diagonals of U0, U12 and (U13 - U0)/4, the entries of
-    each hop at unit coupling, enumerated on first use and kept, the ring rotation R as
+def _beam_splitter(n: int) -> np.ndarray:
+    """<n_a, n - n_a | k_s, n - k_s> (rows n_a, columns k_s), s, d = (a + b, a - b)/sqrt2.
+
+    Built in closed form, with no eigensolver.  Column k is the mode state
+    (s+)^k (d+)^(n-k) |0> / sqrt(k! (n-k)!) = 2^(-n/2) (a+ + b+)^k (a+ - b+)^(n-k)
+    |0> / sqrt(k! (n-k)!), so its entry at n_a is the coefficient of x^n_a in
+    (x + 1)^k (x - 1)^(n-k) times sqrt(C(n, k) / (2^n C(n, n_a))).  The
+    coefficients are exact integers (int64 while 2^n < 2^63, Python ints
+    beyond), so an entry carries only the few roundings of its scaling and no
+    cancellation error.  Column k is the eigenvector of a+ b + b+ a = n_s - n_d
+    for 2 k - n, and its entry at n_a = n is positive: <n, 0| (s+)^k (d+)^(n-k)
+    |0> > 0.
+    """
+    coeffs = np.zeros((n + 1, n + 1), dtype=np.int64 if n < 63 else object)
+    coeffs[0] = 1
+    signs = np.ones(n + 1, dtype=np.int64)
+    for m in range(n):   # column k gains (1 + x) at the steps m < k, (1 - x) at the others
+        signs[m] = -1
+        coeffs[1:m + 2] += coeffs[:m + 1] * signs
+    binomials = coeffs[:, n].astype(float)   # (1 + x)^n: C(n, n_a)
+    # (-1)^(n-k) turns (1 - x)^(n-k) into (x - 1)^(n-k).
+    scale = np.sqrt(binomials / 2.0**n) * (-1.0) ** np.arange(n, -1, -1)
+    return coeffs.astype(float) * scale / np.sqrt(binomials)[:, None]
+
+
+class NormalModes:
+    """The normal modes of the Fock sector `sites`: the change of basis into them, and H's
+    fixed terms there, from which every H of `basis` is scaled.
+
+    `basis` is a FockBasis of its own, read as (s13, s24, d13, d24).  The change's (M, P)
+    block is the Kronecker product of the pairs' beam splitters, built on the first
+    `change`; its site states (n1, n2, M - n1, P - n2) and mode states (k13, k24, M - k13,
+    P - k24) sit at the same positions of the two bases, so one index array serves both.
+    H's terms: the unit diagonals of U0, U12 and (U13 - U0)/4, the entries of each hop at
+    unit coupling, enumerated on first use and kept, the ring rotation R as
     R|x> = sign[x] |partner[x]>, and the basis's `_RingRotation` (odd N), made on first use.
     """
 
-    def __init__(self, modes: FockBasis):
-        self.basis, self._hops = modes, {}
-        occ = modes.occupations   # R|x> = sign[x] |partner[x]> (`_RingRotation`)
-        self.partner = _positions(modes, *occ[:, [1, 0, 3]].T)
+    def __init__(self, sites: FockBasis):
+        self.sites, self.basis, self._hops = sites, FockBasis(sites.n_total), {}
+        occ = self.basis.occupations   # R|x> = sign[x] |partner[x]> (`_RingRotation`)
+        self.partner = _positions(self.basis, *occ[:, [1, 0, 3]].T)
         self.sign = 1.0 - 2.0 * (occ[:, 3] % 2)
         occ = occ.astype(float)
         m_occ, p_occ = occ[:, 0] + occ[:, 2], occ[:, 1] + occ[:, 3]
@@ -320,10 +354,42 @@ class _ModeTerms:
             raise ArithmeticError(f"{params} gives non-finite H")
         return sources, targets, values
 
+    @cached_property
+    def _splitters(self) -> list:
+        """The change's (indices, blocks) per block size: one (M, P) block per M."""
+        sites, splitters = self.sites, [_beam_splitter(n) for n in range(self.sites.n_total + 1)]
+        by_size: dict[int, list] = {}
+        for m_occ, splitter in enumerate(splitters):
+            p_occ = sites.n_total - m_occ
+            a, b = np.divmod(np.arange((m_occ + 1) * (p_occ + 1)), p_occ + 1)
+            indices = _positions(sites, a, b, m_occ - a)   # (a, b, M - a, P - b)
+            by_size.setdefault(len(indices), []).append(
+                (indices, np.kron(splitter, splitters[p_occ])))
+        return [tuple(map(np.array, zip(*group))) for group in by_size.values()]
+
+    def change(self, state: QuantumState, target: FockBasis) -> QuantumState:
+        """`state` (or stack) in `target`: `basis` from the site basis, or `sites` from the
+        mode basis.  A stack of copies of one column (a view of it, as `np.broadcast_to`
+        makes) changes that column once and is such a view in `target`."""
+        to_modes = target is self.basis
+        if state.basis is not (self.sites if to_modes else self.basis):
+            raise ValueError("state is not in the basis this change starts from")
+        copies = state.amplitudes
+        if copies.ndim == 2 and copies.strides[1] == 0:   # one column K times: change it once
+            column = self.change(QuantumState(state.basis, copies[:, 0]), target).amplitudes
+            return QuantumState(target, np.broadcast_to(column[:, None], copies.shape))
+        columns = state.amplitudes.shape[1:]   # () for one state, (K,) for a stack
+        changed = np.empty((target.size, *columns), dtype=complex)
+        for indices, blocks in self._splitters:   # real blocks on (real, imaginary) pairs
+            pairs = state.amplitudes[indices].reshape(*indices.shape, -1).view(np.float64)
+            blocks = blocks.swapaxes(-1, -2) if to_modes else blocks
+            changed[indices] = (blocks @ pairs).view(complex).reshape(*indices.shape, *columns)
+        return QuantumState(target, changed)
+
 
 def _scatter(layout: tuple, sources: np.ndarray, targets: np.ndarray, values: np.ndarray) -> list:
     """H as `HermitianOperator` blocks, from its entries values[k] = H[sources[k], targets[k]]
-    (`_ModeTerms.entries`); no n x n array.
+    (`NormalModes.entries`); no n x n array.
 
     `layout` (`_hop_blocks`, `_RingRotation`) is (indices, offsets, starts, places, signs):
     each entry's indices and its start in one flat array of all blocks; per layer, the
@@ -345,7 +411,7 @@ def _scatter(layout: tuple, sources: np.ndarray, targets: np.ndarray, values: np
     return [(indices, part.reshape(*indices.shape[:2], -1)) for indices, part in zip(blocks, parts)]
 
 
-def _hop_blocks(terms: _ModeTerms, params: ModelParameters) -> tuple:
+def _hop_blocks(modes: NormalModes, params: ModelParameters) -> tuple:
     """The `_scatter` layout of the blocks that H's hops at `params` leave apart.
 
     One entry per block size, whose indices[k] are the basis positions of block k,
@@ -357,7 +423,7 @@ def _hop_blocks(terms: _ModeTerms, params: ModelParameters) -> tuple:
     images of its states, row by row, are one indices[k] of shape (size, 2), in an
     entry of their own beside that of the Q1 = Q2 blocks of their size.
     """
-    basis = terms.basis
+    basis = modes.basis
     key = np.zeros(basis.size, dtype=np.int64)
     for column, field in ((2, params.nu), (3, params.mu)):
         if field == 0.0:
@@ -378,12 +444,12 @@ def _hop_blocks(terms: _ModeTerms, params: ModelParameters) -> tuple:
         starts[states] = offsets[-1] + size * np.arange(states.size).reshape(-1, size)
         places[states] = np.arange(size)
         offsets.append(offsets[-1] + size * states.size)
-        blocks.append(np.stack([states, terms.partner[states]], axis=-1) if paired else states)
+        blocks.append(np.stack([states, modes.partner[states]], axis=-1) if paired else states)
     return blocks, offsets, starts[None], places[None, None], np.ones((1, 1, basis.size))
 
 
-def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> HermitianOperator:
-    """H in normal-mode blocks (module docstring), scaled from the `terms` of its basis.
+def build_mode_hamiltonian(params: ModelParameters, modes: NormalModes) -> HermitianOperator:
+    """H in the blocks of the normal `modes` (module docstring), scaled from their terms.
 
     Integrable couplings give blocks of the conserved d-occupations, of size
     <= (N+2)(N+1)/2; U13 != U0 gives blocks of their parities, and without
@@ -391,11 +457,11 @@ def build_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> Hermit
     (`_RingRotation`), into which H's entries go straight.
     """
     rotation = None if (params.mu or params.nu or params.u13 == params.u0
-                        or terms.basis.n_total % 2 == 0) else terms.rotation
-    layout = _hop_blocks(terms, params) if rotation is None else rotation.layout
-    # Finite and symmetric by construction (`_ModeTerms.entries`).
-    blocks = _scatter(layout, *terms.entries(params))
-    return HermitianOperator(terms.basis, blocks, check=False, rotation=rotation)
+                        or modes.basis.n_total % 2 == 0) else modes.rotation
+    layout = _hop_blocks(modes, params) if rotation is None else rotation.layout
+    # Finite and symmetric by construction (`NormalModes.entries`).
+    blocks = _scatter(layout, *modes.entries(params))
+    return HermitianOperator(modes.basis, blocks, check=False, rotation=rotation)
 
 
 class _SparseHamiltonian:
@@ -405,7 +471,7 @@ class _SparseHamiltonian:
     It has no eigensystem: `noonring.dynamics.evolve` applies exp(-i H t) to states
     directly.
 
-    Built from H's entries values[k] = H[sources[k], targets[k]] as `_ModeTerms.entries`
+    Built from H's entries values[k] = H[sources[k], targets[k]] as `NormalModes.entries`
     lists them: the off-diagonal ones, then the diagonal, state by state.
     """
 
@@ -430,8 +496,8 @@ class _SparseHamiltonian:
         return np.add.reduceat(terms, self.indptr[:-1], axis=0)
 
 
-def _sparse_mode_hamiltonian(params: ModelParameters, terms: _ModeTerms) -> _SparseHamiltonian:
-    """H in the normal-mode basis of `terms`, as one CSR matrix of the entries that
-    `build_mode_hamiltonian` cuts into blocks; `_ModeTerms.entries` checks them."""
-    return _SparseHamiltonian(terms.basis, *terms.entries(params))
+def _sparse_mode_hamiltonian(params: ModelParameters, modes: NormalModes) -> _SparseHamiltonian:
+    """H in the basis of the normal `modes`, as one CSR matrix of the entries that
+    `build_mode_hamiltonian` cuts into blocks; `NormalModes.entries` checks them."""
+    return _SparseHamiltonian(modes.basis, *modes.entries(params))
 

@@ -75,9 +75,9 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import NormalModes, evolve, site_probabilities, stack_columns
+from .dynamics import evolve, site_probabilities, stack_columns
 from .fock import FockBasis, QuantumState
-from .model import HermitianOperator, ModelParameters, build_mode_hamiltonian
+from .model import HermitianOperator, ModelParameters, NormalModes, build_mode_hamiltonian
 
 MEASURED_SITE = 3
 
@@ -105,13 +105,14 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check_occupations(self.m_occ, self.p_occ)
-        if self.mu <= 0.0 or self.nu <= 0.0:
+        # "not x > 0" rather than "x <= 0": NaN fails these checks too.
+        if not (self.mu > 0.0 and self.nu > 0.0):
             raise ValueError("field strengths mu and nu must be positive")
-        if self.u <= 0.0:
+        if not self.u > 0.0:
             raise ValueError(f"U = (U12 - U0)/4 must be positive, got {self.u:g}")
-        if self.t_m_override is not None and self.t_m_override <= 0.0:
+        if self.t_m_override is not None and not self.t_m_override > 0.0:
             raise ValueError("t_m override must be positive")
-        if self.t_nu >= self.t_m:
+        if not self.t_nu < self.t_m:   # a NaN J gives a NaN t_m, refused here
             raise ValueError(f"t_nu = {self.t_nu:g} s must be below t_m = {self.t_m:g} s")
 
     @property
@@ -163,10 +164,11 @@ def _check_occupations(m_occ: int, p_occ: int) -> None:
 
 
 def _check_thetas(cfg: ProtocolConfig, thetas) -> np.ndarray:
-    """`thetas` as a float array, once each is >= 0 and t_mu is below t_m at the largest."""
+    """`thetas` as a float array, once each is >= 0 (not NaN) and t_mu is below t_m at the
+    largest."""
     thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < 0.0):
-        raise ValueError(f"theta must be >= 0, got {thetas[thetas < 0.0][0]:g}")
+    if not np.all(thetas >= 0.0):
+        raise ValueError(f"theta must be >= 0, got {thetas[~(thetas >= 0.0)][0]:g}")
     if thetas.size and cfg.t_mu(thetas.max()) >= cfg.t_m:
         raise ValueError(f"t_mu = {cfg.t_mu(thetas.max()):g} s must be below t_m = {cfg.t_m:g} s")
     return thetas
@@ -304,8 +306,13 @@ class _ModeDynamics:
         return self._operators[couplings]
 
     def evolve(self, state: QuantumState, steps) -> QuantumState:
-        """Site-basis `state` after the operator at each (couplings, duration) step in turn."""
-        return self.modes.evolve_in_modes(state, [(self.hamiltonian(c), t) for c, t in steps])
+        """Site-basis `state` after the operator at each (couplings, duration) step in turn,
+        run in the mode basis."""
+        modes = self.modes
+        state = modes.change(state, modes.basis)
+        for couplings, t in steps:
+            state = evolve(state, self.hamiltonian(couplings), t)
+        return modes.change(state, modes.sites)
 
 
 class FullDynamics(_ModeDynamics):
@@ -322,7 +329,7 @@ class FullDynamics(_ModeDynamics):
     the two are the same operator, and the nu hop is never enumerated."""
 
     def _build(self, params: ModelParameters) -> HermitianOperator:
-        return build_mode_hamiltonian(params, self.modes.terms)
+        return build_mode_hamiltonian(params, self.modes)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         return [(cfg.params, t)]
@@ -341,14 +348,14 @@ class FullDynamics(_ModeDynamics):
 
     def nu_segment(self, states: QuantumState, cfg: ProtocolConfig) -> QuantumState:
         """As mu_segment, with the inverted-sign nu pulse, R exp(-i H(mu = nu) t_nu) R^T
-        (`noonring.model._ModeTerms.rotate`), in the mode basis."""
-        modes, terms = self.modes, self.modes.terms
+        (`noonring.model.NormalModes.rotate`), in the mode basis."""
+        modes = self.modes
         states = modes.change(states, modes.basis)
         for couplings, t in self._band_steps(cfg, cfg.t_m - cfg.t_nu):
             states = evolve(states, self.hamiltonian(couplings), t)
         pulse = self.hamiltonian(self._pulses(cfg)[1])
-        states = evolve(terms.rotate(states, back=True), pulse, cfg.t_nu)
-        return modes.change(terms.rotate(states), modes.sites)
+        states = evolve(modes.rotate(states, back=True), pulse, cfg.t_nu)
+        return modes.change(modes.rotate(states), modes.sites)
 
 
 class IdealDynamics(_ModeDynamics):

@@ -26,15 +26,14 @@ with a trap is the physical source, one without the direct source:
 Every run encodes P theta = P_THETA = pi/2.  Each xi point runs the
 protocol runners of `noonring.protocols` on a FullDynamics of its own that
 changes only the couplings of the band steps and the pulses; the points
-share one NormalModes, from whose record of H's terms
-(`noonring.model._ModeTerms`) every H is scaled.  Each operator is built
-when a step first runs under it, and dropped with the point's dynamics
-before the next point.  The inverted-sign nu pulse runs as the ring
-rotation of a mu pulse of strength nu (`FullDynamics.nu_segment`), so at
-nu = mu a Protocol II point holds one pulse, the mu pulse's.  H(+-xi) goes
-straight into the pieces of the ring rotation's basis
-(`noonring.model._RingRotation`), which a state enters when a band step
-starts and leaves before the pulse.  A pulsed band interval is one echo
+share one NormalModes (`noonring.model`), the record of H's terms from
+which every H is scaled.  Each operator is built when a step first runs
+under it, and dropped with the point's dynamics before the next point.
+The inverted-sign nu pulse runs as the ring rotation of a mu pulse of
+strength nu (`FullDynamics.nu_segment`), so at nu = mu a Protocol II point
+holds one pulse, the mu pulse's.  H(+-xi) goes straight into the pieces of
+the ring rotation's basis (`noonring.model._RingRotation`), which a state
+enters when a band step starts and leaves before the pulse.  A pulsed band interval is one echo
 step (`noonring.dynamics._Echo`), built once per point for both of Protocol
 II's intervals: it keeps H(+xi)'s eigensystem, H(-xi)'s energies and the
 mixing matrix between the two eigenbases, piece by piece, and runs all n_dt
@@ -59,9 +58,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .dynamics import NormalModes, _Echo
+from .dynamics import _Echo
 from .fock import FockBasis
-from .model import ModelParameters, _sparse_mode_hamiltonian, build_mode_hamiltonian
+from .model import ModelParameters, NormalModes, _sparse_mode_hamiltonian, build_mode_hamiltonian
 from .protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 
 if TYPE_CHECKING:   # the physical-source helpers import the lattice when they run
@@ -125,8 +124,8 @@ class _DetunedSystem(FullDynamics):
         if isinstance(couplings, tuple):   # (first, second, n_dt): a pulsed band interval
             return _Echo(self._build, *couplings)
         if couplings in self.couplings[2:]:
-            return _sparse_mode_hamiltonian(couplings, self.modes.terms)
-        return build_mode_hamiltonian(couplings, self.modes.terms)
+            return _sparse_mode_hamiltonian(couplings, self.modes)
+        return build_mode_hamiltonian(couplings, self.modes)
 
     def _band_steps(self, cfg: ProtocolConfig, t) -> list:
         """Static: H(+xi) throughout.  Pulsed: one echo step of n_dt full oscillations,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import STACK_BYTES
 from .fock import FockBasis
-from .model import ModelParameters, _ModeTerms, build_mode_hamiltonian
+from .model import ModelParameters, NormalModes, build_mode_hamiltonian
 
 
 class BandsUnresolvedError(ValueError):
@@ -40,7 +40,7 @@ def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
     return [((m, p), (m + 1) * (p + 1) * (1 if m == p else 2)) for m, p in band_splits(n_total)]
 
 
-def _solved_blocks(terms: _ModeTerms, mu: float, nu: float) -> list[tuple]:
+def _solved_blocks(modes: NormalModes, mu: float, nu: float) -> list[tuple]:
     """The blocks of H at U0 = U12 = 0, its hops at J = 1 and the fields, that a sweep
     diagonalizes, as (indices, hops, copies) per entry of its blocks: each block stands for
     `copies` blocks of equal eigenvalues.
@@ -51,7 +51,7 @@ def _solved_blocks(terms: _ModeTerms, mu: float, nu: float) -> list[tuple]:
     solved once.
     """
     at_zero = ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
-    blocks = build_mode_hamiltonian(at_zero, terms).blocks
+    blocks = build_mode_hamiltonian(at_zero, modes).blocks
     # That path (dsterf) squares off-diagonals, and one that underflows costs it accuracy
     # (a 1e-160 J field moved levels by 5e-5 J): an entry below eps of the largest, which
     # moves no level beyond LAPACK's own error, is set to 0.
@@ -83,8 +83,8 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
     u_over_j = np.asarray(u_over_j, dtype=float)
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
-    terms = _ModeTerms(basis)
-    blocks = _solved_blocks(terms, mu, nu)
+    modes = NormalModes(basis)   # its terms only: no change of basis is built
+    blocks = _solved_blocks(modes, mu, nu)
     points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices, _ in blocks))
     for start in range(0, len(u_over_j), points):
         diagonals, constants = [], []
@@ -92,7 +92,7 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
             # Python floats overflow to inf without a warning; the check below reports it.
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
             constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
-            diagonals.append(terms.diagonal(params))
+            diagonals.append(modes.diagonal(params))
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
                 raise ArithmeticError(f"spectrum at U/J = {ratio:g} gives non-finite H")
             constants.append(constant)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from noonring.dynamics import NormalModes, site_probabilities
+from noonring.dynamics import site_probabilities
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters, derive, recoil_energy, solve_integrability
-from noonring.model import ModelParameters, build_mode_hamiltonian
+from noonring.model import ModelParameters, NormalModes, build_mode_hamiltonian
 from noonring.protocols import (
     FullDynamics,
     ProtocolConfig,
@@ -160,7 +160,7 @@ def test_criterion_5_conservation_and_band_structure():
     deep = ModelParameters.integrable_set(u=30.0, j=1.0)
     for n_total in (3, 4, 5, 15):
         basis = enumerate_basis(n_total)
-        h = build_mode_hamiltonian(deep, NormalModes(basis).terms)
+        h = build_mode_hamiltonian(deep, NormalModes(basis))
         assert assign_bands(eigenvalues(h), n_total) > 3.0   # gap / spread
         expected = tuple(
             (m + 1) * (p + 1) * (1 if m == p else 2)
@@ -259,7 +259,7 @@ def test_criterion_9_property_and_oracle_suite():
 
     for n_total in (2, 3):
         basis = enumerate_basis(n_total)
-        h = build_mode_hamiltonian(params, NormalModes(basis).terms)
+        h = build_mode_hamiltonian(params, NormalModes(basis))
         states = oracle.sector_states(n_total)
         reference = oracle.hamiltonian_matrix(n_total, couplings)
 

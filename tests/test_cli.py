@@ -555,6 +555,37 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: unknown keys in [model]: ['u0']; ")
         assert not out.exists()
 
+    def test_lattice_j_is_an_unknown_key(self, tmp_path, capsys):
+        """The physical kind takes J from [model] j, as the physical robustness source does."""
+        config = tmp_path / "j.ini"
+        config.write_text("[lattice]\nj = 5\n")
+        assert run_cli(["physical", "--config", config, "--out", tmp_path / "r"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown keys in [lattice]: ['j']; ")
+
+    @pytest.mark.parametrize("kind", ["protocol2", "robustness"])
+    @pytest.mark.parametrize("setting, message", [
+        ("nu = 1e-6", "[model] nu = 1e-06, [model] t_m_override = None: "
+                      "t_nu = 196350 s must be below t_m = 36.9501 s"),
+        ("t_m_override = 0.001", "[model] nu = 20.87, [model] t_m_override = 0.001: "
+                                 "t_nu = 0.00940822 s must be below t_m = 0.001 s"),
+    ], ids=["nu", "t_m_override"])
+    def test_t_nu_past_t_m_names_the_model_keys(self, tmp_path, capsys, kind, setting, message):
+        config = tmp_path / "t_nu.ini"
+        config.write_text(f"[model]\n{setting}\n")
+        out = tmp_path / "r"
+        assert run_cli([kind, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_displacement_past_the_waist_names_the_lattice_keys(self, tmp_path, capsys):
+        config = tmp_path / "dx.ini"
+        config.write_text("[lattice]\ndx = 6e-6\n")
+        out = tmp_path / "r"
+        assert run_cli(["physical", "--grid", 3, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == ("error: [lattice] dx = 6e-06, [lattice] dy = -2e-07: "
+                                           "displacements must stay within the beam waist\n")
+        assert not out.exists()
+
     def test_unknown_preset_in_config(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[experiment]\nkind = protocol1\npreset = set9\n")

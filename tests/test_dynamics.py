@@ -10,11 +10,11 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import jv
 
 from noonring.dynamics import (
-    NormalModes, _beam_splitter, _bessel_coefficients, _Echo, evolve, site_probabilities,
-    stack_columns)
+    _bessel_coefficients, _Echo, evolve, site_probabilities, stack_columns)
+from noonring import model, spectrum
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import (
-    ModelParameters, _ModeTerms, _SparseHamiltonian, _sparse_mode_hamiltonian,
+    ModelParameters, NormalModes, _beam_splitter, _SparseHamiltonian, _sparse_mode_hamiltonian,
     build_mode_hamiltonian)
 from noonring.protocols import IdealDynamics, ProtocolConfig, run_protocol1
 
@@ -151,7 +151,7 @@ def stack_operator(kind, n_total):
     params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=0.7, u0=0.4)
     modes = NormalModes(basis)
     if kind == "modes":
-        return build_mode_hamiltonian(params, modes.terms)
+        return build_mode_hamiltonian(params, modes)
     return IdealDynamics(basis).hamiltonian(0.011)   # any Omega
 
 
@@ -210,6 +210,15 @@ class TestStacks:
         stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
         with pytest.raises(ValueError, match="duration must be >= 0"):
             evolve(stack, h, [1.0, -0.1, 2.0])
+
+    def test_nan_duration_rejected(self, basis3):
+        rng = np.random.default_rng(53)
+        h = random_hamiltonian(basis3, rng)
+        stack = QuantumState(basis3, np.column_stack([random_state(basis3, rng).amplitudes] * 3))
+        with pytest.raises(ValueError, match="duration must be >= 0, got nan"):
+            evolve(stack, h, [1.0, math.nan, 2.0])
+        with pytest.raises(ValueError, match="duration must be >= 0, got nan"):
+            evolve(random_state(basis3, rng), h, math.nan)
 
     def test_one_overflowing_column_raises(self, basis3):
         rng = np.random.default_rng(59)
@@ -276,7 +285,7 @@ class TestNormalModes:
         params = ModelParameters.integrable_set(u=2.3, j=0.9, mu=mu, nu=nu, u0=0.4)
         w = mode_matrix(modes).real
         h_site = hamiltonian_matrix(n_total, params.to_dict())
-        blocks = block_matrix(build_mode_hamiltonian(params, modes.terms))
+        blocks = block_matrix(build_mode_hamiltonian(params, modes))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
 
@@ -296,11 +305,28 @@ class TestNormalModes:
         for k, occupations in enumerate(modes.sites):
             assert ours[k] == pytest.approx(expected.get(occupations, 0.0), abs=1e-15)
 
+    def test_beam_splitters_are_built_on_the_first_change(self, basis5, monkeypatch):
+        built, splitter = [], model._beam_splitter
+
+        def counting(n):
+            built.append(n)
+            return splitter(n)
+
+        monkeypatch.setattr(model, "_beam_splitter", counting)
+        modes = NormalModes(basis5)
+        build_mode_hamiltonian(ModelParameters.integrable_set(u=2.0, j=1.0, mu=0.3), modes)
+        spectrum.sweep_spectrum(basis5, [7.5])
+        assert built == []
+        state = QuantumState.from_fock(basis5, (1, 2, 0, 2))
+        back = modes.change(modes.change(state, modes.basis), modes.sites)
+        np.testing.assert_allclose(back.amplitudes, state.amplitudes, rtol=0, atol=1e-15)
+        assert built == list(range(6))   # once, for both directions
+
     def test_states_in_the_wrong_basis_are_rejected(self, basis3):
         modes = NormalModes(basis3)
         site_state = QuantumState.from_fock(basis3, (1, 2, 0, 0))
         h_modes = build_mode_hamiltonian(
-            ModelParameters.integrable_set(u=2.0, j=1.0), modes.terms)
+            ModelParameters.integrable_set(u=2.0, j=1.0), modes)
         with pytest.raises(ValueError):
             evolve(site_state, h_modes, 1.0)
         with pytest.raises(ValueError):
@@ -327,7 +353,7 @@ class TestNormalModes:
             mu=strength if field == "mu" else 0.0, nu=strength if field == "nu" else 0.0)
         w = mode_matrix(modes).real
         h_site = hamiltonian_matrix(n_total, params.to_dict())
-        blocks = block_matrix(build_mode_hamiltonian(params, modes.terms))
+        blocks = block_matrix(build_mode_hamiltonian(params, modes))
         scale = max(1.0, float(np.abs(h_site).max()))
         np.testing.assert_allclose(w.T @ h_site @ w, blocks, rtol=0, atol=1e-12 * scale)
 
@@ -341,7 +367,7 @@ class TestNormalModes:
     def test_detuned_blocks_at_n15_follow_the_swap_parities(self, mu, nu, sizes):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, nu=nu, u0=0.5)
         params = replace(params, u13=0.6)
-        operator = build_mode_hamiltonian(params, _ModeTerms(enumerate_basis(15)))
+        operator = build_mode_hamiltonian(params, NormalModes(enumerate_basis(15)))
         assert [indices.shape[1] for indices, _ in operator.blocks for _ in indices] == sizes
 
     @settings(max_examples=60, deadline=None)
@@ -365,8 +391,8 @@ class TestNormalModes:
         state = random_state(basis, np.random.default_rng(seed))
         dense = evolve(
             state, dense_operator(basis, hamiltonian_matrix(n_total, params.to_dict())), duration)
-        blocks = modes.evolve_in_modes(
-            state, [(build_mode_hamiltonian(params, modes.terms), duration)])
+        blocks = modes.change(evolve(modes.change(state, modes.basis),
+                                     build_mode_hamiltonian(params, modes), duration), modes.sites)
         np.testing.assert_allclose(blocks.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
 
 
@@ -378,21 +404,21 @@ class TestEcho:
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.4)
         return [replace(params, u13=params.u0 + x) for x in (xi, -xi)]
 
-    def echo(self, basis, n_dt, first, second):
-        terms = _ModeTerms(basis)
-        return _Echo(lambda params: build_mode_hamiltonian(params, terms), first, second, n_dt)
+    def echo(self, modes, n_dt, first, second):
+        return _Echo(lambda params: build_mode_hamiltonian(params, modes), first, second, n_dt)
 
     @pytest.mark.parametrize("n_total", [5, 15])
     @pytest.mark.parametrize("n_dt", [1, 7])
     def test_matches_slice_by_slice_evolution(self, n_total, n_dt):
-        basis = enumerate_basis(n_total)
+        modes = NormalModes(enumerate_basis(n_total))
+        basis = modes.basis
         first, second = self.couplings(0.3)
         rng = np.random.default_rng(n_total + n_dt)
         state = QuantumState(basis, np.column_stack([random_state(basis, rng).amplitudes
                                                      for _ in range(4)]))
         durations = np.array([0.0, 0.02, 0.05, 0.11])   # E t of order 10 rad at N = 15
-        evolved = evolve(state, self.echo(basis, n_dt, first, second), durations)
-        h1, h2 = (build_mode_hamiltonian(params, _ModeTerms(basis)) for params in (first, second))
+        evolved = evolve(state, self.echo(modes, n_dt, first, second), durations)
+        h1, h2 = (build_mode_hamiltonian(params, modes) for params in (first, second))
         sliced, dt = state, durations / (2 * n_dt)
         for _ in range(n_dt):
             sliced = evolve(evolve(sliced, h1, dt), h2, dt)
@@ -400,9 +426,10 @@ class TestEcho:
         np.testing.assert_array_equal(evolved.amplitudes[:, 0], state.amplitudes[:, 0])
 
     def test_keeps_the_checks_of_evolve(self, basis5, basis3):
-        echo = self.echo(basis5, 3, *self.couplings(0.3))
-        state = random_state(basis5, np.random.default_rng(1))
-        stack = QuantumState(basis5, np.column_stack([state.amplitudes] * 2))
+        modes = NormalModes(basis5)
+        echo = self.echo(modes, 3, *self.couplings(0.3))
+        state = random_state(modes.basis, np.random.default_rng(1))
+        stack = QuantumState(modes.basis, np.column_stack([state.amplitudes] * 2))
         with pytest.raises(ValueError):
             evolve(stack, echo, [0.1, -0.1])
         with pytest.raises(ArithmeticError):   # E t / (2 n_dt) overflows
@@ -416,7 +443,7 @@ class TestEcho:
     def test_needs_two_hamiltonians_in_the_same_blocks(self, basis5):
         (first, _), (fielded, _) = self.couplings(0.3), self.couplings(0.3, mu=0.7)
         with pytest.raises(ValueError, match="same blocks"):
-            self.echo(basis5, 2, first, fielded)
+            self.echo(NormalModes(basis5), 2, first, fielded)
 
 
 class TestChebyshevPulse:
@@ -440,7 +467,7 @@ class TestChebyshevPulse:
         modes = NormalModes(basis5)
         w = mode_matrix(modes)
         dense = w.T @ hamiltonian_matrix(5, self.PARAMS.to_dict()) @ w
-        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes.terms)
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes)
         energies = np.linalg.eigvalsh(dense)
         assert pulse.center - pulse.radius <= energies[0] and energies[-1] <= pulse.center + pulse.radius
         state = random_state(modes.basis, np.random.default_rng(7))
@@ -448,9 +475,10 @@ class TestChebyshevPulse:
                                    expm(-1j * t * dense) @ state.amplitudes, rtol=0, atol=1e-13)
 
     def test_zero_duration_in_a_stack(self, basis5):
-        pulse = _sparse_mode_hamiltonian(self.PARAMS, _ModeTerms(basis5))
-        state = random_state(basis5, np.random.default_rng(8))
-        stack = QuantumState(basis5, np.column_stack([state.amplitudes] * 3))
+        modes = NormalModes(basis5)
+        pulse = _sparse_mode_hamiltonian(self.PARAMS, modes)
+        state = random_state(modes.basis, np.random.default_rng(8))
+        stack = QuantumState(modes.basis, np.column_stack([state.amplitudes] * 3))
         evolved = evolve(stack, pulse, [0.0, 0.4, 0.0])
         np.testing.assert_array_equal(evolved.amplitudes[:, [0, 2]], stack.amplitudes[:, [0, 2]])
         np.testing.assert_array_equal(evolved.amplitudes[:, 1], evolve(state, pulse, 0.4).amplitudes)

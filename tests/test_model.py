@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import expm
 
-from noonring.dynamics import NormalModes, evolve
+from noonring.dynamics import evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.model import (
     HermitianOperator,
     ModelParameters,
-    _ModeTerms,
+    NormalModes,
     _RingRotation,
     _sparse_mode_hamiltonian,
     build_mode_hamiltonian,
@@ -140,7 +140,7 @@ def test_a_non_finite_diagonal_raises_at_build_time(build, u13):
     both refuse it when H is built, before any eigensystem is asked for."""
     params = replace(ModelParameters.integrable_set(u=2.5e307, j=1.0), u13=u13)
     with pytest.raises(ArithmeticError, match="non-finite"):
-        build(params, _ModeTerms(enumerate_basis(5)))
+        build(params, NormalModes(enumerate_basis(5)))
 
 
 @functools.cache
@@ -151,8 +151,8 @@ def rotation_frame(n_total):
     modes = NormalModes(enumerate_basis(n_total))
     frame = mode_matrix(modes).real.T
     if n_total % 2:
-        frame = modes.terms.rotation.change(np.eye(modes.basis.size, dtype=complex)).real @ frame
-    return modes.terms, frame
+        frame = modes.rotation.change(np.eye(modes.basis.size, dtype=complex)).real @ frame
+    return modes, frame
 
 
 class TestRingRotation:
@@ -198,7 +198,7 @@ class TestRingRotation:
         """Halves of 120 and 84 and one 204 block, stored once, for the parity blocks
         240/204/204/168 of the dense 816."""
         params = replace(ModelParameters.integrable_set(u=3.0, j=1.0, u0=0.5), u13=0.6)
-        operator = build_mode_hamiltonian(params, _ModeTerms(enumerate_basis(15)))
+        operator = build_mode_hamiltonian(params, NormalModes(enumerate_basis(15)))
         shapes = [(indices.shape, matrices.shape) for indices, matrices in operator.blocks]
         assert shapes == [((2, 120), (2, 120, 120)), ((1, 204, 2), (1, 204, 204)),
                           ((2, 84), (2, 84, 84))]
@@ -208,9 +208,9 @@ class TestRingRotation:
         modes = enumerate_basis(n_total)
         if n_total % 2 == 0:   # R fixes the states |a,a,c,c>: no T
             with pytest.raises(ValueError, match="odd N"):
-                _RingRotation(_ModeTerms(modes))
+                _RingRotation(NormalModes(modes))
             return
-        rotation = _RingRotation(_ModeTerms(modes))
+        rotation = _RingRotation(NormalModes(modes))
         t = rotation.change(np.eye(modes.size, dtype=complex))
         assert not t.imag.any()
         np.testing.assert_allclose(t.real @ t.real.T, np.eye(modes.size), rtol=0, atol=1e-15)
@@ -222,14 +222,14 @@ class TestRingRotation:
     @pytest.mark.parametrize("u13, mu", [(0.5, 0.0), (0.6, 0.7)])
     def test_integrable_or_fielded_hamiltonians_keep_one_eigh_per_block_size(self, u13, mu):
         params = ModelParameters.integrable_set(u=3.0, j=1.0, mu=mu, u0=0.5)
-        operator = build_mode_hamiltonian(replace(params, u13=u13), _ModeTerms(enumerate_basis(5)))
+        operator = build_mode_hamiltonian(replace(params, u13=u13), NormalModes(enumerate_basis(5)))
         assert operator.rotation is None
 
     def test_a_build_at_n31_holds_little_beyond_its_pieces(self):
         """A field-free detuned H at N = 31 (dim 5,984) goes straight into T's pieces, 36 MB:
         no parity block and no n x n array is allocated on the way."""
         params = replace(ModelParameters.integrable_set(u=75.876, j=24.886), u13=0.25)
-        terms = _ModeTerms(enumerate_basis(31))
+        terms = NormalModes(enumerate_basis(31))
         tracemalloc.start()
         try:
             operator = build_mode_hamiltonian(params, terms)
@@ -297,19 +297,19 @@ class TestRotatedPulses:
         np.testing.assert_allclose(r @ site_mu @ r.T, site_nu, rtol=0,
                                    atol=4 * np.finfo(float).eps * np.abs(site_nu).max())
         # partner and sign are R in the mode basis, and the package's blocks rotate exactly
-        r_modes = mode_rotation(modes.terms)
+        r_modes = mode_rotation(modes)
         np.testing.assert_allclose(w @ r_modes @ w.T, r, rtol=0, atol=1e-12)
-        mu_blocks, nu_blocks = (dense_blocks(build_mode_hamiltonian(params, modes.terms))
+        mu_blocks, nu_blocks = (dense_blocks(build_mode_hamiltonian(params, modes))
                                 for params in (MU_FORM, NU_PULSE))
         np.testing.assert_array_equal(r_modes @ mu_blocks @ r_modes.T, nu_blocks)
         # `rotate` applies R and R^T to a state or a stack, exactly
         for state in (random_state(modes.basis, n_total), random_state(modes.basis, 0, 3)):
             for back, matrix in ((False, r_modes), (True, r_modes.T)):
-                rotated = modes.terms.rotate(state, back)
+                rotated = modes.rotate(state, back)
                 assert rotated.basis is modes.basis
                 np.testing.assert_array_equal(rotated.amplitudes, matrix @ state.amplitudes)
         with pytest.raises(ValueError, match="mode basis"):
-            modes.terms.rotate(QuantumState(modes.sites, state.amplitudes))
+            modes.rotate(QuantumState(modes.sites, state.amplitudes))
 
     @pytest.mark.parametrize("n_total", [3, 4, 5, 6])
     def test_evolution_matches_the_dense_exponential(self, n_total):
@@ -324,7 +324,7 @@ class TestRotatedPulses:
         shapes = [indices.shape[2:] for indices, _ in operator.blocks]
         assert (2,) in shapes and () in shapes
         mu_form = dynamics.hamiltonian(params.with_fields(mu=0.7, nu=0.0))
-        rotate = modes.terms.rotate
+        rotate = modes.rotate
         for couplings, evolved in (
                 (params, evolve(state, operator, 1.7)),
                 (params.with_fields(mu=0.0, nu=-0.7),
@@ -340,10 +340,9 @@ class TestRotatedPulses:
         dynamics = FullDynamics(basis15)
         start = QuantumState.from_fock(basis15, (M_OCC, P_OCC, 0, 0))
         stack = QuantumState(basis15, np.column_stack([start.amplitudes] * 2))
-        direct = build_mode_hamiltonian(cfg.params.with_fields(mu=0.0, nu=-30.0),
-                                        dynamics.modes.terms)
-        expected = dynamics.modes.evolve_in_modes(
-            start, [(dynamics.hamiltonian(cfg.params), cfg.t_m - cfg.t_nu), (direct, cfg.t_nu)])
+        direct = FullDynamics(basis15, dynamics.modes)   # builds the H with nu = -30
+        expected = direct.evolve(start, [(cfg.params, cfg.t_m - cfg.t_nu),
+                                         (cfg.params.with_fields(mu=0.0, nu=-30.0), cfg.t_nu)])
         for states in (start, stack):
             evolved = dynamics.nu_segment(states, cfg).amplitudes.reshape(basis15.size, -1)
             np.testing.assert_allclose(evolved, np.broadcast_to(expected.amplitudes[:, None],

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -10,12 +11,13 @@ import pytest
 
 from noonring.dynamics import site_probabilities, stack_columns
 from noonring.fock import QuantumState, enumerate_basis
-from noonring.model import HermitianOperator, _ModeTerms, build_mode_hamiltonian
+from noonring.model import HermitianOperator, NormalModes, build_mode_hamiltonian
 from noonring.protocols import (
     READOUT_LAWS,
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
+    _check_thetas,
     fidelity,
     fit_readout_amplitudes,
     ideal_protocol1_output,
@@ -62,6 +64,23 @@ class TestProtocolConfig:
     def test_negative_theta_rejected(self, full15, set1):
         with pytest.raises(ValueError, match="theta must be >= 0"):
             run_protocol2(make_cfg(set1), -0.1 / P_OCC, full15)
+
+    @pytest.mark.parametrize("key, message", [
+        ("u", "U = (U12 - U0)/4 must be positive, got nan"),
+        ("j", "must be below t_m = nan s"),   # t_m = pi / (2 Omega) is NaN
+        ("mu", "field strengths mu and nu must be positive"),
+        ("nu", "field strengths mu and nu must be positive"),
+        ("t_m_override", "t_m override must be positive"),
+    ])
+    def test_nan_inputs_rejected(self, set1, key, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_cfg({**set1, key: math.nan})
+
+    def test_nan_theta_rejected(self, full15, set1):
+        with pytest.raises(ValueError, match=r"^theta must be >= 0, got nan$"):
+            run_protocol2(make_cfg(set1), math.nan, full15)
+        with pytest.raises(ValueError, match=r"^theta must be >= 0, got nan$"):
+            _check_thetas(make_cfg(set1), [0.1, math.nan, -0.2])
 
     def test_t_m_override(self, set1):
         cfg = make_cfg(set1, t_m_override=4.248)
@@ -332,7 +351,7 @@ class TestDynamics:
         inverted-sign nu pulse is the ring rotation of the mu pulse.  With nu != mu it
         diagonalizes two, the mu pulse and the mu form of the nu pulse."""
         cfg = make_cfg({**set1, "nu": set1["nu"] if nu is None else nu})
-        terms = _ModeTerms(basis15)
+        terms = NormalModes(basis15)
         band, pulse = (len(build_mode_hamiltonian(params, terms).blocks)   # eigh per H
                        for params in (cfg.params, cfg.params.with_fields(mu=cfg.mu, nu=0.0)))
         calls = []

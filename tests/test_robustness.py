@@ -10,10 +10,11 @@ import pytest
 from scipy import optimize
 
 from noonring import lattice, model, robustness
-from noonring.dynamics import NormalModes, evolve
+from noonring.dynamics import evolve
 from noonring.fock import QuantumState, enumerate_basis
 from noonring.lattice import TrapParameters
-from noonring.model import _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian
+from noonring.model import (
+    NormalModes, _SparseHamiltonian, _sparse_mode_hamiltonian, build_mode_hamiltonian)
 from noonring.protocols import FullDynamics, ProtocolConfig, run_protocol1, run_protocol2
 from noonring.robustness import (
     P_THETA,
@@ -247,13 +248,13 @@ class TestNuPulse:
         """A Protocol II robustness sweep, protocol run and readout build every H, blocked
         or sparse, with nu = 0: the nu pulse is the ring rotation of its mu form.  At nu = mu
         the sweep's points each hold one pulse."""
-        built, entries = [], model._ModeTerms.entries
+        built, entries = [], model.NormalModes.entries
 
         def recording(terms, params):
             built.append(params)
             return entries(terms, params)
 
-        monkeypatch.setattr(model._ModeTerms, "entries", recording)
+        monkeypatch.setattr(model.NormalModes, "entries", recording)
         couplings = SET1 if nu is None else {**SET1, "nu": nu}
         cfg = ProtocolConfig(1, 4, **couplings)
         config = RobustnessConfig(base=cfg, n_dt=2, protocol=2, trap=trap_of(source),
@@ -534,7 +535,7 @@ class TestSparsePulse:
             pulse = system.hamiltonian(params)
             assert isinstance(pulse, _SparseHamiltonian)
             sparse = evolve(state, pulse, t)
-            blocked = evolve(state, build_mode_hamiltonian(params, system.modes.terms), t)
+            blocked = evolve(state, build_mode_hamiltonian(params, system.modes), t)
             np.testing.assert_allclose(sparse.amplitudes, blocked.amplitudes, rtol=0, atol=1e-12)
             assert sparse.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -561,9 +562,9 @@ class TestSparsePulse:
             evolve(system.modes.change(state, system.basis), pulse, 1e-3)
         overflowing = system.couplings[2].with_fields(mu=1e308, nu=0.0)
         with pytest.raises(ArithmeticError):
-            _sparse_mode_hamiltonian(overflowing, system.modes.terms)
+            _sparse_mode_hamiltonian(overflowing, system.modes)
         huge = _sparse_mode_hamiltonian(overflowing.with_fields(mu=1e300, nu=0.0),
-                                        system.modes.terms)
+                                        system.modes)
         with pytest.raises(ArithmeticError):   # ||H|| t overflows
             evolve(state, huge, 1e10)
 

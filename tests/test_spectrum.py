@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noonring import spectrum
 from noonring.fock import enumerate_basis
-from noonring.model import ModelParameters, _hop_blocks, _ModeTerms, build_mode_hamiltonian
+from noonring.model import ModelParameters, NormalModes, _hop_blocks, build_mode_hamiltonian
 from noonring.protocols import ProtocolConfig, band_trace
 from noonring.spectrum import (
     BandsUnresolvedError,
@@ -100,7 +100,7 @@ class TestRotationPairs:
         grid = np.linspace(0.0, 25.0, 40)   # the [spectrum] defaults
         for row, ratio in zip(sweep_spectrum(basis, grid), grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0)
-            h = build_mode_hamiltonian(params, _ModeTerms(basis))
+            h = build_mode_hamiltonian(params, NormalModes(basis))
             np.testing.assert_array_equal(
                 row, every_block_eigvalsh(h) - band_constant(params, n_total))
 
@@ -116,7 +116,7 @@ class TestRotationPairs:
             sweep_spectrum(basis, [7.5], mu=mu, nu=nu)
         assert sum(call.args[0].shape[1] for call in calls.call_args_list) == solved
         # the copies stand for every block once
-        terms = _ModeTerms(basis)
+        terms = NormalModes(basis)
         assert sum(int(count.sum()) for _, _, count in _solved_blocks(terms, mu, nu)) == sum(
             len(indices) * copies(indices)
             for indices, _ in build_mode_hamiltonian(fields(mu, nu), terms).blocks)
@@ -136,7 +136,7 @@ class TestStackedSweep:
     def test_matches_point_by_point(self, n_total, points, per_stack, mu, nu):
         basis = enumerate_basis(n_total)
         grid = np.linspace(0.0, 30.0, points)
-        solved = _solved_blocks(_ModeTerms(basis), mu, nu)   # a stack's size counts the solved blocks
+        solved = _solved_blocks(NormalModes(basis), mu, nu)   # a stack's size counts the solved blocks
         eigvalsh = np.linalg.eigvalsh
         with mock.patch.object(spectrum, "STACK_BYTES",
                                per_stack * max(matrices.nbytes for _, matrices, _ in solved)), \
@@ -145,7 +145,7 @@ class TestStackedSweep:
         assert calls.call_count == len(solved) * -(-points // per_stack)   # per size per stack
         for row, ratio in zip(eigenvalues, grid):
             params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
-            h = build_mode_hamiltonian(params, _ModeTerms(basis))
+            h = build_mode_hamiltonian(params, NormalModes(basis))
             constant = band_constant(params, n_total)
             np.testing.assert_array_equal(row, every_block_eigvalsh(h) - constant)
             # eigh (with eigenvectors) runs another LAPACK path: equal to roundoff only.
@@ -198,7 +198,7 @@ class TestBlockSpectrum:
         (0.4, -0.3, 1, 56),     # both fields: one block, the whole sector
     ])
     def test_blocks_follow_the_conserved_charges(self, basis5, mu, nu, count, largest):
-        blocks = _hop_blocks(_ModeTerms(basis5), fields(mu, nu))[0]
+        blocks = _hop_blocks(NormalModes(basis5), fields(mu, nu))[0]
         sizes = [indices.shape[1] for indices in blocks
                  for _ in range(len(indices) * copies(indices))]
         assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, len(basis5))

@@ -27,11 +27,7 @@ from .protocols import (
     ProtocolConfig,
     ProtocolReport,
     band_trace,
-    fidelity,
     fit_readout_amplitudes,
-    ideal_protocol1_output,
-    ideal_protocol2_output,
-    ideal_uber_noon,
     run_protocol1,
     run_protocol2,
     sweep_protocol1,
@@ -41,7 +37,6 @@ from .protocols import (
 from .spectrum import (
     BandsUnresolvedError,
     assign_bands,
-    band_splits,
     predicted_band_sizes,
     sweep_spectrum,
 )
@@ -53,8 +48,7 @@ _LAZY = {
     "lattice": (
         "LatticeDerived", "QuadratureError", "TrapParameters", "anisotropy_f", "derive",
         "dipolar_coupling", "field_strengths", "model_parameters_from_lattice",
-        "offsite_coupling", "onsite_coupling", "recoil_energy", "solve_integrability",
-        "v0_from_omega_r",
+        "onsite_coupling", "recoil_energy", "solve_integrability", "v0_from_omega_r",
     ),
     "robustness": ("RobustnessConfig", "RobustnessPoint", "run_robustness", "threshold_xi"),
 }
@@ -70,11 +64,9 @@ __all__ = [
     "BandsUnresolvedError", "FockBasis", "FullDynamics", "HermitianOperator",
     "IdealDynamics", "LatticeDerived", "ModelParameters", "ProtocolConfig",
     "ProtocolReport", "QuadratureError", "QuantumState", "RobustnessConfig",
-    "RobustnessPoint", "TrapParameters", "anisotropy_f", "assign_bands",
-    "band_splits", "band_trace", "derive", "dipolar_coupling", "enumerate_basis",
-    "evolve", "fidelity", "field_strengths", "fit_readout_amplitudes",
-    "ideal_protocol1_output", "ideal_protocol2_output", "ideal_uber_noon",
-    "model_parameters_from_lattice", "offsite_coupling", "onsite_coupling",
+    "RobustnessPoint", "TrapParameters", "anisotropy_f", "assign_bands", "band_trace",
+    "derive", "dipolar_coupling", "enumerate_basis", "evolve", "field_strengths",
+    "fit_readout_amplitudes", "model_parameters_from_lattice", "onsite_coupling",
     "predicted_band_sizes", "recoil_energy", "run_protocol1", "run_protocol2",
     "run_robustness", "site_probabilities", "solve_integrability", "sweep_protocol1",
     "sweep_protocol2", "sweep_readout", "sweep_spectrum", "threshold_xi",

@@ -522,7 +522,7 @@ def _run_robustness_experiment(cfg: ExperimentConfig) -> tuple[list, list, dict]
         for point in results
     ]
     header = ["mode", "source", "n_dt", "xi", "xi_over_j", "fidelity", "probability"]
-    threshold = threshold_xi(results, level=0.9)
+    threshold = threshold_xi(results)
     return header, list(map(np.array, zip(*rows))), {
         "derived": _derived_block(base, P_THETA), "protocol": r.protocol,
         "n_dt": r.n_dt, "mode": r.mode, "source": r.source, "start_sign": r.start_sign,

@@ -67,7 +67,7 @@ class QuantumState:
     columns of an (n, K) array.
 
     `noonring.dynamics` evolves, changes the basis of and measures each column
-    of a stack; the methods below treat a single state.
+    of a stack.
     """
 
     def __init__(self, basis: FockBasis, amplitudes):
@@ -86,21 +86,6 @@ class QuantumState:
         amplitudes = np.zeros(basis.size, dtype=complex)
         amplitudes[basis.index_of(occupations)] = 1.0
         return cls(basis, amplitudes)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "QuantumState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return QuantumState(self.basis, self.amplitudes / n)
-
-    def overlap(self, other: "QuantumState") -> complex:
-        """Inner product <self|other>."""
-        if other.basis is not self.basis and other.basis.n_total != self.basis.n_total:
-            raise ValueError("states live in different particle-number sectors")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.basis, self.amplitudes.copy())

@@ -48,9 +48,7 @@ expansion (`_j0`).  All couplings are returned as angular frequencies
 
 The Dy-164 magnetic moment is calibrated so that the a = -21 a0
 integrability root lands at omega_r = 2 pi x 37.078 kHz (see
-DY_MOMENT_CALIBRATED); the uncorrected literature value 9.93 mu_B is kept
-available for sensitivity studies (the root frequency moves ~25x faster
-than C_dd).
+DY_MOMENT_CALIBRATED).
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ BOHR_MAGNETON = 9.2740100657e-24          # J / T
 ATOMIC_MASS = 1.66053906892e-27           # kg
 
 DY164_MASS = 164.0 * ATOMIC_MASS
-DY_MOMENT_LITERATURE = 9.93  # Bohr magnetons, uncalibrated
 # The moment at which U0 = U13 at omega_r = 2 pi x 37.078 kHz, so that
 # solve_integrability at a = -21 a0 returns that frequency for the default trap
 # (tests/test_lattice.py recomputes it).
@@ -89,7 +86,7 @@ def anisotropy_f(kappa: float) -> float:
     kappa = 1 the closed forms are 0/0; a series in u = kappa^2 - 1 is
     used there.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa:g}")
     ksq = kappa * kappa
     u = ksq - 1.0
@@ -128,11 +125,13 @@ class TrapParameters:
     kappa_sq: float = 1.489
 
     def __post_init__(self):
-        if self.wavelength <= 0.0 or self.mass <= 0.0:
+        # "not x > 0" rather than "x <= 0", here as in every range check of this module:
+        # NaN fails these checks too.
+        if not (self.wavelength > 0.0 and self.mass > 0.0):
             raise ValueError("wavelength and mass must be positive")
-        if self.w1 <= self.wavelength:
+        if not self.w1 > self.wavelength:
             raise ValueError("central-beam waist must exceed the wavelength")
-        if self.w_b <= 0.0 or self.kappa_sq <= 0.0:
+        if not (self.w_b > 0.0 and self.kappa_sq > 0.0):
             raise ValueError("w_b and kappa_sq must be positive")
 
     @property
@@ -221,7 +220,7 @@ def recoil_energy(trap: TrapParameters) -> float:
 def v0_from_omega_r(trap: TrapParameters, omega_r: float) -> float:
     """Invert omega_r = sqrt((2/m)(V0 k^2 + 2 V1/w1^2)) for V0 (J)."""
     omega_r = float(omega_r)
-    if omega_r <= 0.0:
+    if not omega_r > 0.0:
         raise ValueError("omega_r must be positive")
     return _finite("V0", omega_r, lambda: trap.mass * omega_r**2 / (
         2.0 * (trap.wavenumber**2 + 2.0 * trap.v1_ratio / trap.w1**2)
@@ -241,7 +240,7 @@ def omega_z_formula(trap: TrapParameters, v0: float) -> float:
 def onsite_coupling(trap: TrapParameters, omega_r: float) -> float:
     """U0/hbar = kappa (eta/pi)^(3/2) (g - (C_dd/3) f(kappa)) / hbar."""
     omega_r = float(omega_r)
-    if omega_r <= 0.0:
+    if not omega_r > 0.0:
         raise ValueError("omega_r must be positive")
     eta = trap.eta(omega_r)
     return _finite("U0", omega_r, lambda: trap.kappa * (eta / math.pi) ** 1.5 * (
@@ -374,7 +373,7 @@ def dipolar_coupling(trap: TrapParameters, omega_r: float, distances: list[float
     fine rule's |terms| (its roundoff); QuadratureError if it exceeds
     rel_tol |value|.
     """
-    if omega_r <= 0.0 or min(distances) < 0.0:
+    if not (omega_r > 0.0 and all(distance >= 0.0 for distance in distances)):
         raise ValueError("omega_r must be positive and distance non-negative")
     eta = trap.eta(omega_r)
     frequencies = [math.sqrt(eta) * distance for distance in distances]   # of J0 in x
@@ -397,17 +396,10 @@ def dipolar_coupling(trap: TrapParameters, omega_r: float, distances: list[float
     return couplings
 
 
-def offsite_coupling(trap: TrapParameters, omega_r: float, pair: str) -> float:
-    """Dipolar coupling for the nearest (l/delta) or diagonal (sqrt(2) l/delta) pair."""
-    distances = {"nearest": trap.nearest_distance, "diagonal": trap.diagonal_distance}
-    if pair not in distances:
-        raise ValueError(f"pair must be 'nearest' or 'diagonal', got {pair!r}")
-    return dipolar_coupling(trap, omega_r, [distances[pair]()])[0]
-
-
 def integrability_residual(trap: TrapParameters, omega_r: float) -> float:
     """U0(omega_r) - U13(omega_r) in rad/s; zero at the integrable point."""
-    return onsite_coupling(trap, omega_r) - offsite_coupling(trap, omega_r, "diagonal")
+    return (onsite_coupling(trap, omega_r)
+            - dipolar_coupling(trap, omega_r, [trap.diagonal_distance()])[0])
 
 
 def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -> float:
@@ -458,13 +450,10 @@ def _find_root(f, lo: float, hi: float, f_lo: float, f_hi: float, rtol: float) -
             return best[1]
 
 
-def solve_integrability(
-    trap: TrapParameters,
-    bracket: tuple[float, float] = (2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3),
-) -> float:
-    """The radial frequency omega_r (rad/s) with U0 = U13, by bracketed root-finding
-    (rel. tol 1e-12, the 12 significant digits a manifest prints); `derive` gives the
-    couplings there."""
+def solve_integrability(trap: TrapParameters, bracket: tuple[float, float]) -> float:
+    """The radial frequency omega_r (rad/s) with U0 = U13 within `bracket` (rad/s), by
+    bracketed root-finding (rel. tol 1e-12, the 12 significant digits a manifest prints);
+    `derive` gives the couplings there."""
     lo, hi = bracket
     f_lo = integrability_residual(trap, lo)
     f_hi = integrability_residual(trap, hi)

@@ -200,11 +200,6 @@ class ProtocolReport:
         return self._final_state
 
 
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|; global phases of either argument drop out."""
-    return abs(a.overlap(b))
-
-
 def _positions_of(basis: FockBasis, terms: dict[tuple, complex]) -> np.ndarray:
     """The basis positions of the occupations of `terms`, in their order."""
     return np.array([basis.index_of(occupations) for occupations in terms])
@@ -216,14 +211,14 @@ def _amplitudes(terms: dict[tuple, complex]) -> np.ndarray:
     return amplitudes / np.linalg.norm(amplitudes)
 
 
-def _superposition(basis: FockBasis, terms: dict[tuple, complex]) -> QuantumState:
-    amplitudes = np.zeros(basis.size, dtype=complex)
-    amplitudes[_positions_of(basis, terms)] = _amplitudes(terms)
-    return QuantumState(basis, amplitudes)
-
-
 def _uber_noon_terms(cfg: ProtocolConfig, p_theta: float) -> dict[tuple, complex]:
-    """The {occupations: amplitude} of `ideal_uber_noon`, before normalizing."""
+    """The four-branch superposition after the first t_m and the mu pulse encoding
+    `p_theta`, before normalizing:
+
+    (beta|M,P,0,0> + e^{i P theta}|M,0,0,P> + |0,P,M,0> - beta e^{i P theta}|0,0,M,P>)/2.
+
+    P theta = 0 is the state before the field.
+    """
     m, p = cfg.m_occ, cfg.p_occ
     beta = cfg.beta
     phase = np.exp(1j * p_theta)
@@ -236,49 +231,28 @@ def _uber_noon_terms(cfg: ProtocolConfig, p_theta: float) -> dict[tuple, complex
 
 
 def _protocol1_terms(cfg: ProtocolConfig, r: int, p_theta: float) -> dict[tuple, complex]:
-    """The {occupations: amplitude} of `ideal_protocol1_output`, before normalizing."""
+    """The post-measurement NOON state on sites 2-4 for outcome r in {0, M}, encoding
+    `p_theta`, before normalizing."""
     m, p = cfg.m_occ, cfg.p_occ
     beta = cfg.beta
     phase = np.exp(1j * p_theta)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if r == 0:
         return {(m, p, 0, 0): beta * inv_sqrt2, (m, 0, 0, p): phase * inv_sqrt2}
-    if r == m:
-        return {(0, p, m, 0): inv_sqrt2, (0, 0, m, p): -beta * phase * inv_sqrt2}
-    raise ValueError(f"ideal Protocol I output exists only for r in {{0, {m}}}, got {r}")
+    return {(0, p, m, 0): inv_sqrt2, (0, 0, m, p): -beta * phase * inv_sqrt2}
 
 
 def _protocol2_terms(cfg: ProtocolConfig, p_theta: float) -> dict[tuple, complex]:
-    """The {occupations: amplitude} of `ideal_protocol2_output`, before normalizing."""
-    m, p = cfg.m_occ, cfg.p_occ
-    upsilon = cfg.beta * np.exp(1j * (p_theta + math.pi / 2.0))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return {(m, p, 0, 0): inv_sqrt2, (m, 0, 0, p): upsilon * inv_sqrt2}
-
-
-def ideal_uber_noon(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
-    """Four-branch superposition after the first t_m and the mu pulse encoding `p_theta`:
-
-    (beta|M,P,0,0> + e^{i P theta}|M,0,0,P> + |0,P,M,0> - beta e^{i P theta}|0,0,M,P>)/2.
-
-    P theta = 0 is the state before the field, bit for bit.
-    """
-    return _superposition(basis, _uber_noon_terms(cfg, p_theta))
-
-
-def ideal_protocol1_output(cfg: ProtocolConfig, basis: FockBasis, r: int,
-                           p_theta: float) -> QuantumState:
-    """Post-measurement NOON state on sites 2-4 for outcome r in {0, M}, encoding `p_theta`."""
-    return _superposition(basis, _protocol1_terms(cfg, r, p_theta))
-
-
-def ideal_protocol2_output(cfg: ProtocolConfig, basis: FockBasis, p_theta: float) -> QuantumState:
-    """Deterministic NOON output (|M,P,0,0> + Upsilon|M,0,0,P>)/sqrt(2) encoding `p_theta`.
+    """The deterministic NOON output (|M,P,0,0> + Upsilon|M,0,0,P>)/sqrt(2) encoding
+    `p_theta`, before normalizing.
 
     Upsilon = beta e^{i(P theta + pi/2)}, the phase consistent with the
     inverted-sign nu pulse and the readout law P(0) = sin^2(P theta/2 - pi/4).
     """
-    return _superposition(basis, _protocol2_terms(cfg, p_theta))
+    m, p = cfg.m_occ, cfg.p_occ
+    upsilon = cfg.beta * np.exp(1j * (p_theta + math.pi / 2.0))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    return {(m, p, 0, 0): inv_sqrt2, (m, 0, 0, p): upsilon * inv_sqrt2}
 
 
 # --- Dynamics: band evolution, and the t_m segments ending in a pulse ----
@@ -419,8 +393,8 @@ def _branch(basis: FockBasis, outcome, column, r: int, probability: float) -> Qu
 
 
 def _overlap(terms: dict[tuple, complex], positions: np.ndarray, column: np.ndarray) -> float:
-    """|<target|column>| for the state of `terms` (`_superposition`), whose entries sit at
-    `positions`: read there only."""
+    """The fidelity |<target|column>| of `column` to the normalized state of `terms`, whose
+    entries sit at `positions`: read there only.  Global phases of either state drop out."""
     return abs(complex(np.vdot(_amplitudes(terms), column[positions])))
 
 

@@ -80,7 +80,8 @@ class RobustnessConfig:
     protocol: int = 1
     start_sign: int = 1
     trap: TrapParameters | None = None   # the physical source's lattice; None: direct
-    # rad/s, where the physical source seeks omega*: solve_integrability's (a test pins them equal)
+    # rad/s, where the physical source seeks omega*: the CLI's [lattice] omega_min_khz to
+    # omega_max_khz (a test pins them equal)
     bracket: tuple[float, float] = (2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3)
 
     def __post_init__(self):
@@ -250,13 +251,13 @@ def run_robustness(config: RobustnessConfig, basis: FockBasis) -> list[Robustnes
     return [_run_point(build(xi), xi) for xi in config.xi_values]
 
 
-def threshold_xi(points: list[RobustnessPoint], level: float = 0.9) -> float | None:
-    """Largest |xi| of the grid up to which every point has fidelity above `level`,
+def threshold_xi(points: list[RobustnessPoint]) -> float | None:
+    """Largest |xi| of the grid up to which every point has fidelity above 0.9,
     so a revival past the first failing point does not count; None if the smallest
     |xi| fails."""
     threshold = None
     for point in sorted(points, key=lambda point: abs(point.xi)):
-        if point.fidelity <= level:
+        if point.fidelity <= 0.9:
             break
         threshold = abs(point.xi)
     return threshold

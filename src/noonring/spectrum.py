@@ -27,30 +27,29 @@ class BandsUnresolvedError(ValueError):
     """Raised when eigenvalue clusters do not separate into clean bands."""
 
 
-def band_splits(n_total: int) -> list[tuple[int, int]]:
-    """All (M, P) splits with M + P = N and M <= P, descending |M - P|.
-
-    For U > 0 this is ascending band energy: E = C - U (M - P)^2.
-    """
-    return [(m, n_total - m) for m in range(n_total // 2 + 1)]
+# An inter-band gap must exceed this many times the larger adjacent intra-band spread.
+GAP_FACTOR = 3.0
 
 
 def predicted_band_sizes(n_total: int) -> list[tuple[tuple[int, int], int]]:
-    """Band sizes 2(M+1)(P+1), halved for the self-paired M = P split."""
-    return [((m, p), (m + 1) * (p + 1) * (1 if m == p else 2)) for m, p in band_splits(n_total)]
+    """Each (M, P) split with M + P = N and M <= P, by descending |M - P|, so by ascending
+    band energy E = C - U (M - P)^2 for U > 0, with its band size 2(M+1)(P+1), halved for
+    the self-paired M = P split."""
+    splits = [(m, n_total - m) for m in range(n_total // 2 + 1)]
+    return [((m, p), (m + 1) * (p + 1) * (1 if m == p else 2)) for m, p in splits]
 
 
-def _solved_blocks(modes: NormalModes, mu: float, nu: float) -> list[tuple]:
-    """The blocks of H at U0 = U12 = 0, its hops at J = 1 and the fields, that a sweep
+def _solved_blocks(modes: NormalModes, mu: float) -> list[tuple]:
+    """The blocks of H at U0 = U12 = 0, its hops at J = 1 and the mu field, that a sweep
     diagonalizes, as (indices, hops, copies) per entry of its blocks: each block stands for
     `copies` blocks of equal eigenvalues.
 
     Without fields `build_mode_hamiltonian` holds each block (Q1, Q2) with Q1 < Q2 once,
     for itself and its ring-rotation image (Q2, Q1), on which H has the same matrix and
-    the same diagonal: such an entry counts twice.  With a field on, every block is
+    the same diagonal: such an entry counts twice.  With the field on, every block is
     solved once.
     """
-    at_zero = ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu, nu=nu)
+    at_zero = ModelParameters.integrable_set(u=0.0, j=1.0, mu=mu)
     blocks = build_mode_hamiltonian(at_zero, modes).blocks
     # That path (dsterf) squares off-diagonals, and one that underflows costs it accuracy
     # (a 1e-160 J field moved levels by 5e-5 J): an entry below eps of the largest, which
@@ -63,9 +62,8 @@ def _solved_blocks(modes: NormalModes, mu: float, nu: float) -> list[tuple]:
              np.full(len(indices), indices.ndim - 1)) for indices, hops in blocks]
 
 
-def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
-                   nu: float = 0.0) -> np.ndarray:
-    """Sorted eigenvalues of the integrable H (plus optional fields) along a U/J
+def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0) -> np.ndarray:
+    """Sorted eigenvalues of the integrable H (plus an optional mu field) along a U/J
     grid: shape (len(u_over_j), dim), one row per grid point.
 
     Works at fixed J = 1 and U0 = 0 so eigenvalues are already in units of J; the
@@ -84,13 +82,13 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
     rows = np.empty((len(u_over_j), basis.size))
     n_total = basis.n_total
     modes = NormalModes(basis)   # its terms only: no change of basis is built
-    blocks = _solved_blocks(modes, mu, nu)
+    blocks = _solved_blocks(modes, mu)
     points = max(1, STACK_BYTES // max(matrices.nbytes for _, matrices, _ in blocks))
     for start in range(0, len(u_over_j), points):
         diagonals, constants = [], []
         for ratio in u_over_j[start:start + points]:
             # Python floats overflow to inf without a warning; the check below reports it.
-            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu, nu=nu)
+            params = ModelParameters.integrable_set(u=float(ratio), j=1.0, mu=mu)
             constant = (params.u0 + params.u12) * n_total**2 / 4.0 - params.u0 * n_total / 2.0
             diagonals.append(modes.diagonal(params))
             if not (np.isfinite([params.u12, constant]).all() and np.isfinite(diagonals[-1]).all()):
@@ -109,12 +107,12 @@ def sweep_spectrum(basis: FockBasis, u_over_j: np.ndarray, mu: float = 0.0,
     return rows
 
 
-def assign_bands(eigenvalues: np.ndarray, n_total: int, gap_factor: float = 3.0) -> float:
+def assign_bands(eigenvalues: np.ndarray, n_total: int) -> float:
     """Check that a spectrum groups into the predicted (M, P) bands; return the smallest
     ratio of an inter-band gap to the larger adjacent intra-band spread (inf if none).
 
     The grouping is by predicted counts (ascending energy <-> descending |M - P|
-    for U > 0); it is accepted only if every inter-band gap exceeds `gap_factor`
+    for U > 0); it is accepted only if every inter-band gap exceeds GAP_FACTOR
     times the larger adjacent intra-band spread.
     """
     eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))
@@ -129,12 +127,12 @@ def assign_bands(eigenvalues: np.ndarray, n_total: int, gap_factor: float = 3.0)
     lows, highs = eigenvalues[ends - sizes], eigenvalues[ends - 1]
     gaps = lows[1:] - highs[:-1]
     spreads = np.maximum((highs - lows)[:-1], (highs - lows)[1:])   # the larger beside each gap
-    unresolved = np.flatnonzero(gaps <= gap_factor * spreads)
+    unresolved = np.flatnonzero(gaps <= GAP_FACTOR * spreads)
     if unresolved.size:
         i = unresolved[0]
         raise BandsUnresolvedError(
             f"bands unresolved between {predicted[i][0]} and {predicted[i + 1][0]}: "
-            f"gap {gaps[i]:g} <= {gap_factor:g} x spread {spreads[i]:g}"
+            f"gap {gaps[i]:g} <= {GAP_FACTOR:g} x spread {spreads[i]:g}"
         )
     with np.errstate(divide="ignore"):   # a gap with no spread beside it: inf
         return float(np.min(gaps / spreads, initial=math.inf))

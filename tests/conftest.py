@@ -15,6 +15,8 @@ SET1 = {"u": 75.876, "j": 24.886, "mu": 20.870, "nu": 20.870}
 SET2 = {"u": 76.519, "j": 73.219, "mu": 15.168, "nu": 15.168}
 M_OCC = 4
 P_OCC = 11
+# rad/s: the [lattice] default frequency range, which holds the default trap's integrable root
+BRACKET = (2.0 * np.pi * 20e3, 2.0 * np.pi * 60e3)
 
 
 def dense_operator(basis, matrix, check=True):

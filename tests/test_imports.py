@@ -1,9 +1,12 @@
-"""No module of the package or of the tests imports a name it never uses."""
+"""No module of the package or of the tests imports a name it never uses, and every
+public name of the package has a caller in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import noonring
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*(ROOT / "src" / "noonring").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -53,3 +56,36 @@ def test_the_scan_finds_an_unused_import():
               "from typing import TYPE_CHECKING\n"
               "def f(x: 'TYPE_CHECKING') -> None:\n    return np.sqrt(pi)\n")
     assert unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+def unread_names(sources: list[str], names) -> list[str]:
+    """Those of `names` that no source reads, as a name or an attribute, outside the
+    definition that binds it."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            read.update({node.attr} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(set(names) - read)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    sources = [path.read_text() for path in (ROOT / "src" / "noonring").glob("*.py")
+               if path.name != "__init__.py"]
+    assert unread_names(sources, noonring.__all__) == []
+
+
+def test_the_scan_finds_an_unread_name():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "class C:\n    pass\n"
+              "def g():\n    return C()\n")
+    assert unread_names([source], ["f", "g", "C"]) == ["f", "g"]

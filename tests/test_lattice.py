@@ -26,11 +26,13 @@ from noonring.lattice import (
     field_strengths,
     integrability_residual,
     model_parameters_from_lattice,
-    offsite_coupling,
+    onsite_coupling,
     onsite_dipolar,
     solve_integrability,
     v0_from_omega_r,
 )
+
+from conftest import BRACKET
 
 WORKING_OMEGA = 2.0 * math.pi * 37.078e3  # rad/s, default-trap root
 
@@ -113,6 +115,8 @@ class TestAnisotropyFunction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             anisotropy_f(0.0)
+        with pytest.raises(ValueError, match="kappa must be positive, got nan"):
+            anisotropy_f(math.nan)
 
 
 class TestTrapParameters:
@@ -134,6 +138,14 @@ class TestTrapParameters:
             TrapParameters(kappa_sq=0.0)
         with pytest.raises(ValueError):
             TrapParameters(w_b=0.0)
+        # Each check reads "not x > 0", so NaN fails it too.
+        for field, message in [("wavelength", "wavelength and mass must be positive"),
+                               ("mass", "wavelength and mass must be positive"),
+                               ("w1", "central-beam waist must exceed the wavelength"),
+                               ("w_b", "w_b and kappa_sq must be positive"),
+                               ("kappa_sq", "w_b and kappa_sq must be positive")]:
+            with pytest.raises(ValueError, match=message):
+                TrapParameters(**{field: math.nan})
 
 
 class TestDepthAndFrequencies:
@@ -148,6 +160,8 @@ class TestDepthAndFrequencies:
     def test_v0_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             v0_from_omega_r(TrapParameters(), 0.0)
+        with pytest.raises(ValueError, match="^omega_r must be positive$"):
+            v0_from_omega_r(TrapParameters(), math.nan)
 
     def test_derive_computes_the_depth_once(self, monkeypatch):
         """derive's V0 serves its fields and omega_z check, and is handed on as `v0`."""
@@ -179,8 +193,8 @@ class TestDipolarCouplings:
 
     def test_couplings_decay_with_distance(self):
         trap = TrapParameters()
-        near = offsite_coupling(trap, WORKING_OMEGA, "nearest")
-        far = offsite_coupling(trap, WORKING_OMEGA, "diagonal")
+        near, far = (dipolar_coupling(trap, WORKING_OMEGA, [distance])[0]
+                     for distance in (trap.nearest_distance(), trap.diagonal_distance()))
         assert near > far > 0.0
 
     def test_square_plaquette_symmetry(self):
@@ -201,8 +215,9 @@ class TestDipolarCouplings:
         for freq_khz in (*np.linspace(5.0, 150.0, 30), 400.0):
             omega_r = 2.0 * math.pi * freq_khz * 1e3
             derived = derive(trap, omega_r)
-            assert (derived.u12, derived.u13) == (offsite_coupling(trap, omega_r, "nearest"),
-                                                  offsite_coupling(trap, omega_r, "diagonal"))
+            assert (derived.u12, derived.u13) == tuple(
+                dipolar_coupling(trap, omega_r, [distance])[0]
+                for distance in (trap.nearest_distance(), trap.diagonal_distance()))
 
     def test_derive_takes_both_pairs_in_one_public_call(self, monkeypatch):
         calls = []
@@ -216,9 +231,16 @@ class TestDipolarCouplings:
         derive(trap, WORKING_OMEGA)
         assert calls == [[trap.nearest_distance(), trap.diagonal_distance()]]
 
-    def test_unknown_pair_rejected(self):
-        with pytest.raises(ValueError):
-            offsite_coupling(TrapParameters(), WORKING_OMEGA, "skew")
+    def test_nan_inputs_rejected(self):
+        """A NaN frequency or distance is invalid input (ValueError), not a numerical failure."""
+        trap = TrapParameters()
+        for function in (derive, onsite_coupling):
+            with pytest.raises(ValueError, match="^omega_r must be positive$"):
+                function(trap, math.nan)
+        for omega_r, distances in [(math.nan, [1e-7]), (WORKING_OMEGA, [math.nan]),
+                                   (WORKING_OMEGA, [1e-7, math.nan])]:   # min() of these is 1e-7
+            with pytest.raises(ValueError, match="distance non-negative"):
+                dipolar_coupling(trap, omega_r, distances)
 
     def test_quadrature_tolerance_enforced(self):
         with pytest.raises(QuadratureError):
@@ -250,7 +272,7 @@ class TestFixedNodeQuadrature:
         """The [lattice] frequency range and the robustness bracket, 0.5 to 1.5 times the
         integrable root, at the default trap (derive evaluates both pairs)."""
         trap = TrapParameters()
-        root = solve_integrability(trap)
+        root = solve_integrability(trap, BRACKET)
         for omega_r in (*(2.0 * math.pi * 1e3 * np.linspace(18.0, 60.0, 43)), 0.5 * root, 1.5 * root):
             derive(trap, omega_r)
 
@@ -279,9 +301,8 @@ class TestRootFinder:
     def test_integrable_root_matches_brentq(self, a0):
         trap = dataclasses.replace(TrapParameters(), scattering_length_a0=a0)
         reference = optimize.brentq(lambda w: integrability_residual(trap, w),   # its tightest
-                                    2.0 * math.pi * 20e3, 2.0 * math.pi * 60e3,
-                                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        assert solve_integrability(trap) == pytest.approx(reference, rel=1e-12, abs=0.0)
+                                    *BRACKET, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        assert solve_integrability(trap, BRACKET) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_integrable_root_takes_few_evaluations(self, monkeypatch):
         """brentq took 7 or 8 at 1e-8; regula falsi without the weighting of a kept
@@ -296,7 +317,8 @@ class TestRootFinder:
         monkeypatch.setattr(lattice, "integrability_residual", counting_residual)
         for a0 in (-21.0, -20.85, -21.2):
             calls.clear()
-            solve_integrability(dataclasses.replace(TrapParameters(), scattering_length_a0=a0))
+            trap = dataclasses.replace(TrapParameters(), scattering_length_a0=a0)
+            solve_integrability(trap, BRACKET)
             assert len(calls) <= 2 + 10   # the two bracket ends, then the root-find
 
     def test_ends_are_taken_as_given(self):
@@ -333,7 +355,7 @@ class TestRootFinder:
 
 class TestIntegrabilityRoot:
     def test_root_consistency(self):
-        root = solve_integrability(TrapParameters())
+        root = solve_integrability(TrapParameters(), BRACKET)
         at_root = derive(TrapParameters(), root)
         assert abs(at_root.u0 - at_root.u13) / at_root.u0 < 1e-6
         assert at_root.u0 == pytest.approx(at_root.u13, rel=1e-6)
@@ -377,7 +399,7 @@ class TestFieldStrengths:
 class TestEndToEndChain:
     def test_derive_feeds_protocol_parameters(self, set1):
         trap = TrapParameters()
-        root = solve_integrability(trap)
+        root = solve_integrability(trap, BRACKET)
         derived = derive(trap, root, dx=0.2e-6, dy=-0.2e-6)
         params = model_parameters_from_lattice(derived, j=set1["j"])
         assert params.u13 == params.u0
@@ -388,7 +410,7 @@ class TestEndToEndChain:
         assert derived.mu == pytest.approx(set1["mu"], rel=0.01)
 
     def test_scattering_length_shifts_the_root(self):
-        base = solve_integrability(TrapParameters())
+        base = solve_integrability(TrapParameters(), BRACKET)
         shifted = solve_integrability(
-            dataclasses.replace(TrapParameters(), scattering_length_a0=-20.85))
+            dataclasses.replace(TrapParameters(), scattering_length_a0=-20.85), BRACKET)
         assert shifted < base

@@ -17,12 +17,14 @@ from noonring.protocols import (
     FullDynamics,
     IdealDynamics,
     ProtocolConfig,
+    _amplitudes,
     _check_thetas,
-    fidelity,
+    _overlap,
+    _positions_of,
+    _protocol1_terms,
+    _protocol2_terms,
+    _uber_noon_terms,
     fit_readout_amplitudes,
-    ideal_protocol1_output,
-    ideal_protocol2_output,
-    ideal_uber_noon,
     run_protocol1,
     run_protocol2,
     sweep_protocol1,
@@ -90,49 +92,50 @@ class TestProtocolConfig:
 
 
 class TestIdealStates:
-    def test_uber_noon_amplitudes(self, basis15, set1):
-        cfg = make_cfg(set1)
-        state = ideal_uber_noon(cfg, basis15, 0.7)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    """The targets are {occupations: amplitude} records, normalized by `_amplitudes`."""
+
+    def test_uber_noon_amplitudes(self, set1):
+        terms = _uber_noon_terms(make_cfg(set1), 0.7)
+        state = dict(zip(terms, _amplitudes(terms)))
+        assert np.linalg.norm(list(state.values())) == pytest.approx(1.0, abs=1e-12)
         phase = np.exp(1j * 0.7)
         expected = {
             (4, 11, 0, 0): 0.5, (4, 0, 0, 11): 0.5 * phase,
             (0, 11, 4, 0): 0.5, (0, 0, 4, 11): -0.5 * phase,
         }
+        assert state.keys() == expected.keys()
         for occ, amp in expected.items():
-            assert state.amplitudes[basis15.index_of(occ)] == pytest.approx(amp)
-        assert np.count_nonzero(state.amplitudes) == 4
+            assert state[occ] == pytest.approx(amp)
+        assert np.count_nonzero(list(state.values())) == 4
 
-    def test_p_theta_zero_is_the_pre_field_state(self, basis15, set1):
+    def test_p_theta_zero_is_the_pre_field_state(self, set1):
         """exp(1j * 0.0) is exactly 1: P theta = 0 gives the pre-field amplitudes bit for bit."""
         cfg = make_cfg(set1)
-        amplitudes = np.zeros(basis15.size, dtype=complex)
-        for occ, amp in {(4, 11, 0, 0): 0.5 * cfg.beta, (4, 0, 0, 11): 0.5,
-                         (0, 11, 4, 0): 0.5, (0, 0, 4, 11): -0.5 * cfg.beta}.items():
-            amplitudes[basis15.index_of(occ)] = amp
-        pre_field = QuantumState(basis15, amplitudes).normalized().amplitudes
-        assert ideal_uber_noon(cfg, basis15, 0.0).amplitudes.tobytes() == pre_field.tobytes()
+        pre_field = {(4, 11, 0, 0): 0.5 * cfg.beta, (4, 0, 0, 11): 0.5,
+                     (0, 11, 4, 0): 0.5, (0, 0, 4, 11): -0.5 * cfg.beta}
+        amplitudes = np.array(list(pre_field.values()), dtype=complex)
+        terms = _uber_noon_terms(cfg, 0.0)
+        assert list(terms) == list(pre_field)
+        assert (_amplitudes(terms).tobytes()
+                == (amplitudes / np.linalg.norm(amplitudes)).tobytes())
 
     def test_branch_outputs_disjoint_support(self, basis15, set1):
         cfg = make_cfg(set1)
-        low = ideal_protocol1_output(cfg, basis15, 0, 0.3)
-        high = ideal_protocol1_output(cfg, basis15, M_OCC, 0.3)
+        low, high = (QuantumState(basis15, np.zeros(basis15.size, dtype=complex))
+                     for _ in range(2))
+        for state, r in ((low, 0), (high, M_OCC)):
+            terms = _protocol1_terms(cfg, r, 0.3)
+            state.amplitudes[_positions_of(basis15, terms)] = _amplitudes(terms)
         overlap_support = np.abs(low.amplitudes) * np.abs(high.amplitudes)
         np.testing.assert_allclose(overlap_support, 0.0)
         # Site-1 occupation separates the branches: M on one, 0 on the other.
         assert site_probabilities(low, 1)[M_OCC] == pytest.approx(1.0)
         assert site_probabilities(high, 1)[0] == pytest.approx(1.0)
 
-    def test_branch_output_invalid_r(self, basis15, set1):
-        cfg = make_cfg(set1)
-        with pytest.raises(ValueError):
-            ideal_protocol1_output(cfg, basis15, 2, 0.3)
-
-    def test_protocol2_output_phase(self, basis15, set1):
-        cfg = make_cfg(set1)
-        state = ideal_protocol2_output(cfg, basis15, 0.9)
-        a = state.amplitudes[basis15.index_of((4, 11, 0, 0))]
-        b = state.amplitudes[basis15.index_of((4, 0, 0, 11))]
+    def test_protocol2_output_phase(self, set1):
+        terms = _protocol2_terms(make_cfg(set1), 0.9)
+        assert list(terms) == [(4, 11, 0, 0), (4, 0, 0, 11)]
+        a, b = _amplitudes(terms)
         ratio = b / a
         assert abs(ratio) == pytest.approx(1.0, abs=1e-12)
         assert np.angle(ratio) == pytest.approx(0.9 + math.pi / 2.0, abs=1e-12)
@@ -140,16 +143,20 @@ class TestIdealStates:
 
 class TestFidelity:
     def test_phase_invariance(self, basis3):
+        """`_overlap` is |<target|column>|: a global phase of either drops out."""
         rng = np.random.default_rng(41)
         for _ in range(8):
             raw_a = rng.normal(size=len(basis3)) + 1j * rng.normal(size=len(basis3))
             raw_b = rng.normal(size=len(basis3)) + 1j * rng.normal(size=len(basis3))
-            a = QuantumState(basis3, raw_a).normalized()
-            b = QuantumState(basis3, raw_b).normalized()
+            a = dict(zip(basis3, raw_a))
+            b = raw_b / np.linalg.norm(raw_b)
             phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            rotated = QuantumState(basis3, phase * a.amplitudes)
-            assert fidelity(rotated, b) == pytest.approx(fidelity(a, b), abs=1e-12)
-            assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
+            rotated = dict(zip(basis3, phase * raw_a))
+            positions = _positions_of(basis3, a)
+            fidelity = _overlap(a, positions, b)
+            assert _overlap(rotated, positions, b) == pytest.approx(fidelity, abs=1e-12)
+            assert _overlap(a, positions, phase * b) == pytest.approx(fidelity, abs=1e-12)
+            assert _overlap(a, positions, _amplitudes(a)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestUberNoonFormation:
@@ -411,7 +418,7 @@ class TestDynamics:
         finally:
             tracemalloc.stop()
         assert peak < 120e6
-        assert report.final_state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(report.final_state.amplitudes) == pytest.approx(1.0, abs=1e-10)
         assert report.fidelity > 0.9
 
 

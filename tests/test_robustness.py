@@ -1,7 +1,6 @@
 """Tests for the detuning-robustness sweeps and their pulsed dynamics."""
 
 import gc
-import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -54,8 +53,6 @@ class TestRobustnessConfig:
         assert config.trap is None   # the direct source
         assert config.protocol == 1
         assert config.start_sign == 1
-        assert config.bracket == inspect.signature(
-            lattice.solve_integrability).parameters["bracket"].default
 
     @pytest.mark.parametrize("overrides", [
         {"n_dt": 0},
@@ -100,7 +97,7 @@ class TestPulsedPropagator:
 
     def test_preserves_norm(self, basis15):
         out = self.band(self.system(basis15, 0.5, n_dt=3), 2.0)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_slicing_matters_for_noncommuting_pair(self, basis15):
         coarse = self.band(self.system(basis15, 2.0, n_dt=1), 4.0)
@@ -486,13 +483,9 @@ class TestThreshold:
         points = self.make_points([(0.001, 0.99), (0.005, 0.95), (0.02, 0.4)])
         assert threshold_xi(points) == pytest.approx(0.005)
 
-    def test_custom_level(self):
-        points = self.make_points([(0.001, 0.99), (0.005, 0.95), (0.02, 0.4)])
-        assert threshold_xi(points, level=0.98) == pytest.approx(0.001)
-
     def test_none_when_nothing_passes(self):
         points = self.make_points([(0.01, 0.5), (0.02, 0.3)])
-        assert threshold_xi(points, level=0.9) is None
+        assert threshold_xi(points) is None
 
     def test_a_revival_past_the_first_failure_does_not_count(self):
         """F falls below the level and comes back above it once further out, as at
@@ -537,7 +530,7 @@ class TestSparsePulse:
             sparse = evolve(state, pulse, t)
             blocked = evolve(state, build_mode_hamiltonian(params, system.modes), t)
             np.testing.assert_allclose(sparse.amplitudes, blocked.amplitudes, rtol=0, atol=1e-12)
-            assert sparse.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(sparse.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_stack_of_durations_matches_single_runs(self, basis15):
         system = self.system(basis15, 0.01)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -150,8 +151,13 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("section, library_class, keys", [
     ("robustness", RobustnessConfig, ("n_dt", "mode", "protocol", "start_sign")),
     ("lattice", TrapParameters, ("scattering_length_a0", "magnetic_moment_mub", "kappa_sq")),
+    # the physical source's frequency range: kHz here, rad/s as RobustnessConfig.bracket
+    ("lattice", RobustnessConfig, ("omega_min_khz", "omega_max_khz")),
 ])
 def test_schema_defaults_equal_the_library_defaults(section, library_class, keys):
     defaults = {field.name: field.default for field in dataclasses.fields(library_class)}
-    assert {key: SCHEMA[section][key].default for key in keys} == {
-        key: defaults[key] for key in keys}
+    schema = {key: SCHEMA[section][key].default for key in keys}
+    if keys == ("omega_min_khz", "omega_max_khz"):
+        schema = {"bracket": pytest.approx(
+            tuple(2.0 * math.pi * schema[key] * 1e3 for key in keys), rel=1e-15)}
+    assert schema == {key: defaults[key] for key in schema}
